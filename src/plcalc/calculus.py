@@ -35,7 +35,7 @@ from .operators import (
     ModelOperator,
     SimilarityDiagonal,
     SpectralSelfAdjoint,
-    resolvent_apply,
+    check_resolvent_gap,
 )
 from .symbols import Symbol, make_symbol
 
@@ -48,21 +48,20 @@ class CalculusError(RuntimeError):
     pass
 
 
-def _eigendata(op: ModelOperator):
-    lam = op.eigenvalues_or_none()
-    if lam is None:
-        raise CalculusError("spectral calculus needs a diagonalizable form")
-    return lam
-
-
 def _kernel_mask(op: ModelOperator, lam):
     scale = max(np.max(np.abs(lam)), 1e-300)
     return np.abs(lam) <= 1e-12 * scale
 
 
 def spectral_multiplier(op: ModelOperator, values, x) -> np.ndarray:
-    """Apply sum_k values[k] <x,e_k> e_k; the workhorse under every norm."""
-    return op.synthesize(np.asarray(values, dtype=complex) * op.coefficients(x))
+    """Apply sum_k values[k] <x,e_k> e_k; the one primitive under every norm.
+
+    ``values`` of shape (K,) gives the vector f(A)x.  A stack of shape
+    (m, K), one multiplier per row, gives the m outputs f_i(A)x as the rows
+    of an (m, n) array, from one coefficient transform and one synthesis.
+    """
+    scaled = np.asarray(values, dtype=complex) * op.coefficients(x)
+    return op.synthesize(scaled.T).T
 
 
 def apply_spectral(op: ModelOperator, f: Symbol, x, project_kernel: bool = True) -> np.ndarray:
@@ -72,7 +71,7 @@ def apply_spectral(op: ModelOperator, f: Symbol, x, project_kernel: bool = True)
     ``project_kernel`` (the calculus of the injective part); otherwise f
     must be finite at 0.
     """
-    lam = _eigendata(op)
+    lam = op.eigenvalues_or_none()
     mask = _kernel_mask(op, lam)
     vals = np.empty(lam.shape, dtype=complex)
     nz = ~mask
@@ -210,21 +209,20 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     x = np.asarray(x, dtype=complex)
     if project_kernel and op.kernel_projection is not None:
         x = x - op.kernel_projection.p @ x
+    # on the diagonal form the quadrature sum of f(z_j) z_j du_j (z_j - A)^-1
+    # is one scalar weight per eigenvalue; counterclockwise means in along
+    # the upper ray and out along the lower, the lower-minus-upper sum below
+    lam = op.eigenvalues_or_none()
     r, du = spec.nodes()
-    y = np.zeros_like(x)
-    # counterclockwise: in along the upper ray, out along the lower; with
-    # dlambda = lambda du per ray this is the lower-minus-upper sum below
+    weights = np.zeros(lam.shape, dtype=complex)
     for sign in (-1.0, +1.0):
-        lam_ray = r * np.exp(1j * sign * spec.sigma)
-        fv = np.asarray(f.on_sector(lam_ray), dtype=complex)
-        acc = np.zeros_like(x)
-        for j in range(r.size):
-            if fv[j] == 0.0:
-                continue
-            acc += du[j] * fv[j] * lam_ray[j] * resolvent_apply(op, lam_ray[j], x)
-        y += -sign * acc
-    y /= 2j * np.pi
-    return y, tail
+        z = r * np.exp(1j * sign * spec.sigma)
+        fv = np.asarray(f.on_sector(z), dtype=complex)
+        live = fv != 0.0
+        check_resolvent_gap(op, z[live])
+        c = (du * fv * z)[live]
+        weights += -sign * (c @ (1.0 / (z[live, None] - lam[None, :])))
+    return spectral_multiplier(op, weights / (2j * np.pi), x), tail
 
 
 def fractional_power_apply(op: ModelOperator, theta: float, x,
@@ -245,20 +243,18 @@ def semigroup_apply(op: ModelOperator, t: float, x) -> np.ndarray:
     """e^{-tA} x (kernel coefficients ride along with value 1)."""
     if t < 0:
         raise CalculusError("semigroup time must be >= 0")
-    lam = _eigendata(op)
+    lam = op.eigenvalues_or_none()
     return spectral_multiplier(op, np.exp(-t * lam), x)
 
 
 def derivative_check(op: ModelOperator, g: Symbol, t: float, x,
                      h: float = 1e-4) -> float:
     """|| central-difference d/dt g(tA)x  -  A g'(tA) x || / ||x||."""
-    lam = _eigendata(op)
+    lam = op.eigenvalues_or_none()
     lam_r = np.real(lam)
-    plus = spectral_multiplier(op, np.asarray(g((t + h) * lam_r), dtype=complex), x)
-    minus = spectral_multiplier(op, np.asarray(g((t - h) * lam_r), dtype=complex), x)
+    plus, minus, exact = spectral_multiplier(
+        op, [g((t + h) * lam_r), g((t - h) * lam_r), lam * g.derivative(1, t * lam_r)], x)
     cd = (plus - minus) / (2 * h)
-    exact = spectral_multiplier(
-        op, lam * np.asarray(g.derivative(1, t * lam_r), dtype=complex), x)
     nx = np.linalg.norm(np.asarray(x, dtype=complex))
     return float(np.linalg.norm(cd - exact) / max(nx, 1e-300))
 
@@ -273,10 +269,7 @@ class StripOperator:
     def __post_init__(self):
         if not self.base.injective:
             raise CalculusError("logarithm needs an injective operator")
-        lam = self.base.eigenvalues_or_none()
-        if lam is None:
-            raise CalculusError("logarithm needs a diagonalizable form")
-        self.mu = np.log(lam.astype(complex))
+        self.mu = np.log(self.base.eigenvalues_or_none())
 
     @property
     def measure(self):
@@ -297,8 +290,8 @@ class StripOperator:
         return self.base.synthesize(coeffs)
 
     def apply_function(self, fvals_at_mu, x) -> np.ndarray:
-        return self.base.synthesize(np.asarray(fvals_at_mu, dtype=complex)
-                                    * self.base.coefficients(x))
+        """f(B)x from the values f(mu_k); a stack of rows gives a row stack."""
+        return spectral_multiplier(self.base, fvals_at_mu, x)
 
     def apply_symbol(self, f, x) -> np.ndarray:
         """f(B)x = (f o log)(A)x for a scalar function f on the strip."""
@@ -336,7 +329,7 @@ def bisectorial_projections(op: ModelOperator):
 
 def even_multiplier_direct(op: ModelOperator, f, x) -> np.ndarray:
     """lambda -> f(|lambda|) applied straight through the eigenbasis."""
-    lam = _eigendata(op)
+    lam = op.eigenvalues_or_none()
     vals = np.asarray(f(np.abs(lam)), dtype=complex)
     return spectral_multiplier(op, vals, x)
 
@@ -344,7 +337,7 @@ def even_multiplier_direct(op: ModelOperator, f, x) -> np.ndarray:
 def even_multiplier_via_projections(op: ModelOperator, f, x) -> np.ndarray:
     """f(|.|)(A)x = f(|.|)(A1) P1 x + f(|.|)(A2) P2 x, the split route."""
     p1, p2 = bisectorial_projections(op)
-    lam = _eigendata(op)
+    lam = op.eigenvalues_or_none()
     vals = np.asarray(f(np.abs(lam)), dtype=complex)
     right = np.real(lam) > 0
     x = np.asarray(x, dtype=complex)

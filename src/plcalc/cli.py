@@ -14,7 +14,8 @@ Exit codes: 0 ok, 2 malformed config, 3 operator invariant violation,
 Reports are byte-identical for identical (config, seed): they embed the
 fully resolved configuration and never a timestamp.  The experiment
 runner also writes a CSV sidecar (sample_id, norm_a, norm_b, ratio) next
-to the JSON report.  PLCALC_THREADS caps the per-sample worker count.
+to the JSON report.  A key that a spec's kind does not read is a malformed
+config (exit 2), never silently dropped.
 """
 
 from __future__ import annotations
@@ -129,9 +130,12 @@ def cmd_norm_eval(args) -> int:
     try:
         evaluator, echo = _norm_evaluator(op, config["norm"],
                                           int(seed) if seed is not None else 0)
+    except (KeyError, TypeError) as exc:
+        raise CliExit(EXIT_BAD_CONFIG, f"malformed norm spec: {exc}")
+    except Exception as exc:
+        raise CliExit(EXIT_NORM_ERROR, f"norm evaluation failed: {exc}")
+    try:
         value = float(evaluator(x))
-    except SystemExit:
-        raise
     except Exception as exc:
         raise CliExit(EXIT_NORM_ERROR, f"norm evaluation failed: {exc}")
     payload = {

@@ -8,14 +8,11 @@ the normalized integral of g(tA)x dt/t, and the operator-norm-to-
 multiplier-norm ratio over sampled symbols.
 
 Reports are deterministic given (config, seed): vectors are drawn from a
-single seeded generator in sample order, per-sample work may run on a
-thread pool (PLCALC_THREADS) but results merge in sample-index order.
+single seeded generator and evaluated in sample order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +30,7 @@ from .norms import (
     pl_square_norm,
     real_interpolation_norm,
 )
-from .operators import ModelOperator, operator_from_spec
+from .operators import ModelOperator, SpecKeyError, operator_from_spec
 from .partitions import (
     build_equidistant,
     build_homogeneous_dyadic,
@@ -44,13 +41,6 @@ from .symbols import Symbol, mihlin_norm, symbol_from_spec, window_symbol
 
 class ExperimentError(RuntimeError):
     pass
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PLCALC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -92,79 +82,84 @@ _PARTITION_CONSTANTS = {
 
 
 def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
-    """Closure computing one named norm of a vector; echoes resolved params."""
+    """Closure computing one named norm of a vector; echoes resolved params.
+
+    Raises SpecKeyError for a key the kind does not read.
+    """
     spec = dict(spec)
     kind = spec.pop("kind")
     pnorm = spec.pop("pnorm", 2)
     hom = build_homogeneous_dyadic()
 
     if kind == "ambient":
-        return (lambda x: lp_norm(x, pnorm, op.measure)), {"kind": kind, "pnorm": pnorm}
-    if kind == "pl_square":
+        evaluate = lambda x: lp_norm(x, pnorm, op.measure)
+        echo = {"kind": kind, "pnorm": pnorm}
+    elif kind == "pl_square":
         theta = float(spec.pop("theta", 0.0))
-        return (lambda x: pl_square_norm(op, hom, x, pnorm, theta)), \
-            {"kind": kind, "pnorm": pnorm, "theta": theta}
-    if kind == "pl_random":
+        evaluate = lambda x: pl_square_norm(op, hom, x, pnorm, theta)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+    elif kind == "pl_random":
         theta = float(spec.pop("theta", 0.0))
         ens = RandomEnsemble(seed=int(spec.pop("ensemble_seed", seed + 104729)),
                              count=int(spec.pop("count", 256)),
                              kind=spec.pop("sign_kind", "rademacher"))
-        return (lambda x: pl_random_norm(op, hom, x, pnorm, ens, theta).mean), \
-            {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
-    if kind == "pl_inhomogeneous":
+        evaluate = lambda x: pl_random_norm(op, hom, x, pnorm, ens, theta).mean
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
+    elif kind == "pl_inhomogeneous":
         theta = float(spec.pop("theta", 0.0))
         inh = to_inhomogeneous(hom)
-        return (lambda x: pl_inhomogeneous_norm(op, inh, x, pnorm, theta)), \
-            {"kind": kind, "pnorm": pnorm, "theta": theta}
-    if kind == "fractional_power":
+        evaluate = lambda x: pl_inhomogeneous_norm(op, inh, x, pnorm, theta)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+    elif kind == "fractional_power":
         theta = float(spec.pop("theta", 1.0))
         lam = np.real(op.eigenvalues_or_none())
         nzmask = lam > 1e-12 * max(op.lambda_max, 1e-300)
         powed = np.where(nzmask, lam, 1.0) ** theta * nzmask
-
-        def frac_norm(x):
-            return lp_norm(spectral_multiplier(op, powed, x), pnorm, op.measure)
-
-        return frac_norm, {"kind": kind, "pnorm": pnorm, "theta": theta}
-    if kind == "kernel_plus_pl":
+        evaluate = lambda x: lp_norm(spectral_multiplier(op, powed, x), pnorm, op.measure)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+    elif kind == "kernel_plus_pl":
         if op.kernel_projection is None:
             raise ExperimentError("operator has no kernel projection")
 
-        def split_norm(x):
+        def evaluate(x):
             px = op.kernel_projection.p @ np.asarray(x, dtype=complex)
             return lp_norm(px, pnorm, op.measure) + pl_square_norm(op, hom, x, pnorm)
 
-        return split_norm, {"kind": kind, "pnorm": pnorm}
-    if kind == "continuous_square":
+        echo = {"kind": kind, "pnorm": pnorm}
+    elif kind == "continuous_square":
         theta = float(spec.pop("theta", 0.0))
         psi = symbol_from_spec(spec.pop("psi", {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
-        return (lambda x: continuous_square_norm(op, psi, theta, x, pnorm)), \
-            {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
-    if kind == "besov_discrete":
+        evaluate = lambda x: continuous_square_norm(op, psi, theta, x, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
+    elif kind == "besov_discrete":
         theta = float(spec.pop("theta", 0.0))
         q = spec.pop("q", 2)
-        return (lambda x: besov_discrete_norm(op, hom, x, theta, q, pnorm)), \
-            {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
-    if kind == "besov_continuous":
+        evaluate = lambda x: besov_discrete_norm(op, hom, x, theta, q, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
+    elif kind == "besov_continuous":
         theta = float(spec.pop("theta", 0.0))
         q = spec.pop("q", 2)
         fspec = spec.pop("f", None)
         f = symbol_from_spec(fspec) if fspec else window_symbol(hom, 0)
-        return (lambda x: besov_continuous_norm(op, x, theta, q, f, pnorm)), \
-            {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
-    if kind == "real_interpolation":
+        evaluate = lambda x: besov_continuous_norm(op, x, theta, q, f, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
+    elif kind == "real_interpolation":
         vartheta = float(spec.pop("vartheta", 0.5))
         q = spec.pop("q", 2)
         theta0 = float(spec.pop("theta0", 0.0))
         theta1 = float(spec.pop("theta1", 1.0))
-        return (lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)), \
-            {"kind": kind, "vartheta": vartheta, "q": q, "theta0": theta0, "theta1": theta1}
-    if kind == "strip_pl_square":
+        evaluate = lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
+        echo = {"kind": kind, "vartheta": vartheta, "q": q, "theta0": theta0, "theta1": theta1}
+    elif kind == "strip_pl_square":
         strip = log_operator(op)
         equi = build_equidistant()
-        return (lambda x: pl_square_norm(strip, equi, x, pnorm)), \
-            {"kind": kind, "pnorm": pnorm}
-    raise ExperimentError(f"unknown norm kind {kind!r}")
+        evaluate = lambda x: pl_square_norm(strip, equi, x, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm}
+    else:
+        raise ExperimentError(f"unknown norm kind {kind!r}")
+    if spec:
+        raise SpecKeyError(spec, f"{kind} norm spec")
+    return evaluate, echo
 
 
 def run_equivalence(config: dict) -> EquivalenceReport:
@@ -178,28 +173,17 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     bracket = config.get("assert_bracket")
 
     rng = np.random.default_rng(seed)
-    vectors = []
-    for _ in range(samples):
+    table = []
+    for i in range(samples):
         x = op.random_vector(rng)
         x = x / lp_norm(x, pnorm, op.measure)
-        vectors.append(x)
-
-    def one(i):
-        x = vectors[i]
         try:
             na = float(eval_a(x))
             nb = float(eval_b(x))
         except Exception as exc:
             raise ExperimentError(f"norm evaluation failed at sample {i}: {exc}") from exc
-        return {"sample_id": i, "norm_a": na, "norm_b": nb,
-                "ratio": na / nb if nb != 0 else np.inf}
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            table = list(pool.map(one, range(samples)))
-    else:
-        table = [one(i) for i in range(samples)]
+        table.append({"sample_id": i, "norm_a": na, "norm_b": nb,
+                      "ratio": na / nb if nb != 0 else np.inf})
 
     ratios = np.array([row["ratio"] for row in table])
     stats = {"min": float(np.min(ratios)), "median": float(np.median(ratios)),
@@ -303,19 +287,16 @@ def convergence_check(op: ModelOperator, partition, x, n_max: int,
         x = x - op.kernel_projection.p @ x
     lam = np.real(op.eigenvalues_or_none())
     nx = np.linalg.norm(x)
+    ns = range(-n_max, n_max + 1)
+    # row n_max + n holds window_n(A) x
+    blocks = spectral_multiplier(op, np.array([partition.window(n, lam) for n in ns]), x)
     curve = []
     for n_cap in range(n_max + 1):
-        acc = np.zeros_like(x)
-        for n in range(-n_cap, n_cap + 1):
-            acc += spectral_multiplier(op, partition.window(n, lam).astype(complex), x)
+        acc = blocks[n_max - n_cap:n_max + n_cap + 1].sum(axis=0)
         curve.append({"N": n_cap, "defect": float(np.linalg.norm(x - acc) / max(nx, 1e-300))})
-    ns = list(range(-n_max, n_max + 1))
-    if permute_seed is not None:
-        rng = np.random.default_rng(permute_seed)
-        ns = [ns[i] for i in rng.permutation(len(ns))]
-    acc = np.zeros_like(x)
-    for n in ns:
-        acc += spectral_multiplier(op, partition.window(n, lam).astype(complex), x)
+    order = np.arange(len(ns)) if permute_seed is None \
+        else np.random.default_rng(permute_seed).permutation(len(ns))
+    acc = blocks[order].sum(axis=0)
     permuted_defect = float(np.linalg.norm(x - acc) / max(nx, 1e-300))
     return {"curve": curve, "final_defect": curve[-1]["defect"],
             "permuted_defect": permuted_defect}

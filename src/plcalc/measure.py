@@ -77,23 +77,30 @@ class MeasureSpace:
 
 def _check_vec(x, m: MeasureSpace) -> np.ndarray:
     x = np.asarray(x)
-    if x.shape != (m.size,):
+    if x.ndim < 1 or x.shape[-1] != m.size:
         raise MeasureError(f"vector of length {x.shape} does not match measure of size {m.size}")
     return x
 
 
-def lp_norm(x, p, m: MeasureSpace) -> float:
-    """Weighted L^p norm of x over the measure space, p in [1, inf]."""
+def lp_norm(x, p, m: MeasureSpace):
+    """Weighted L^p norm of x over the measure space, p in [1, inf].
+
+    A stack of vectors (... x n) gets one norm per row, as an array; a
+    single vector gets a float.
+    """
     x = _check_vec(x, m)
     if p == np.inf or p == "inf":
-        return float(np.max(np.abs(x)))
-    p = float(p)
-    if p < 1:
-        raise MeasureError(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(x)
-    if p == 2.0:
-        return float(np.sqrt(np.sum(m.weights * a * a)))
-    return float(np.sum(m.weights * a**p) ** (1.0 / p))
+        out = np.max(np.abs(x), axis=-1)
+    else:
+        p = float(p)
+        if p < 1:
+            raise MeasureError(f"p must be >= 1 or inf, got {p}")
+        a = np.abs(x)
+        if p == 2.0:
+            out = np.sqrt(np.sum(m.weights * a * a, axis=-1))
+        else:
+            out = np.sum(m.weights * a**p, axis=-1) ** (1.0 / p)
+    return float(out) if x.ndim == 1 else out
 
 
 def weighted_symmetric_eig(a, m: MeasureSpace):

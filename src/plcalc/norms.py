@@ -2,7 +2,12 @@
 square functions, discrete/continuous Besov-type norms, K-functionals and
 real interpolation norms.
 
-With y_n = window_n(A) x the spectral blocks of x, the norms are
+Every block, square-function and Besov norm is a reduction over the rows
+of one calculus.spectral_multiplier call with a stack of multipliers: the
+weighted windows 2^(n theta) window_n, or the symbol at the quadrature
+nodes, psi(t_j .) or f(t_j .).  A stack costs one coefficient transform and
+one synthesis, whatever its height.  With y_n = window_n(A) x the spectral
+blocks of x, the norms are
 
   square           || ( sum_n |2^(n theta) y_n|^2 )^(1/2) ||_p
   randomized       E || sum_n eps_n 2^(n theta) y_n ||_p   (Monte Carlo)
@@ -28,15 +33,15 @@ fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .calculus import StripOperator, spectral_multiplier
 from .measure import lp_norm
-from .operators import ModelOperator
-from .partitions import EQUIDISTANT, EVEN_BISECTORIAL, HOMOGENEOUS, INHOMOGENEOUS, PartitionOfUnity
+from .operators import ModelOperator, SpectralSelfAdjoint
+from .partitions import EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity
 from .symbols import Symbol
 
 
@@ -121,8 +126,6 @@ def _spectral_argument(op) -> np.ndarray:
     if isinstance(op, StripOperator):
         return np.real(op.mu)
     lam = op.eigenvalues_or_none()
-    if lam is None:
-        raise NormsError("block norms need a diagonalizable operator form")
     if np.max(np.abs(np.imag(lam))) > 1e-12 * max(np.max(np.abs(lam)), 1e-300):
         raise NormsError("complex spectrum: use the even (double-sector) windows")
     return np.real(lam)
@@ -145,45 +148,32 @@ def block_indices(op, p: PartitionOfUnity):
 
 
 def spectral_blocks(op, p: PartitionOfUnity, x, theta: float = 0.0):
-    """[(n, 2^(n theta) window_n(A) x)] over the active index range.
+    """(indices, Y): the active window indices n and, in row i, the block
+    2^(n theta) window_n(A) x of n = indices[i].
 
-    Windows vanish at 0, so kernel content never enters any block; the
-    machinery automatically acts on the injective part.
+    One multiplier stack of the weighted windows, so one coefficient
+    transform and one synthesis for all blocks.  Windows vanish at 0, so
+    kernel content never enters any block; the machinery automatically
+    acts on the injective part.
     """
-    x = np.asarray(x, dtype=complex)
     if theta != 0.0 and p.kind == EQUIDISTANT:
         raise NormsError("weighted blocks are defined for dyadic partitions")
-    if isinstance(op, StripOperator):
-        arg = np.real(op.mu)
-        apply_vals = lambda vals: op.apply_function(vals, x)
-    elif p.kind == EVEN_BISECTORIAL:
-        arg = np.abs(op.eigenvalues_or_none())
-        apply_vals = lambda vals: spectral_multiplier(op, vals, x)
-    else:
-        arg = _spectral_argument(op)
-        apply_vals = lambda vals: spectral_multiplier(op, vals, x)
-    out = []
-    for n in block_indices(op, p):
-        vals = p.window(n, arg)
-        y = apply_vals(vals.astype(complex))
-        if theta != 0.0:
-            y = 2.0 ** (n * theta) * y
-        out.append((n, y))
-    return out
-
-
-def _measure_of(op):
-    return op.measure
+    indices = block_indices(op, p)
+    # a strip operator only admits the equidistant partition, so the even
+    # kind always sits on a model operator
+    arg = (np.abs(op.eigenvalues_or_none()) if p.kind == EVEN_BISECTORIAL
+           else _spectral_argument(op))
+    windows = np.array([p.window(n, arg) for n in indices])
+    indices = np.array(indices)
+    if theta != 0.0:
+        windows *= 2.0 ** (indices * theta)[:, None]
+    return indices, spectral_multiplier(op, windows, x)
 
 
 def pl_square_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
     """|| ( sum_n |2^(n theta) window_n(A) x|^2 )^(1/2) ||_p."""
-    blocks = spectral_blocks(op, p, x, theta)
-    m = _measure_of(op)
-    sq = np.zeros(m.size)
-    for _, y in blocks:
-        sq += np.abs(y) ** 2
-    return lp_norm(np.sqrt(sq), pnorm, m)
+    _, ys = spectral_blocks(op, p, x, theta)
+    return lp_norm(np.sqrt(np.sum(np.abs(ys) ** 2, axis=0)), pnorm, op.measure)
 
 
 @dataclass
@@ -191,9 +181,6 @@ class PLRandomResult:
     mean: float
     stderr: float
     samples: np.ndarray
-
-    def __iter__(self):
-        return iter((self.mean, self.stderr))
 
 
 def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
@@ -203,14 +190,8 @@ def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
     Returns the sample mean of the norm, its standard error, and the raw
     samples (their squares feed the square-sum consistency check).
     """
-    blocks = spectral_blocks(op, p, x, theta)
-    m = _measure_of(op)
-    ys = np.stack([y for _, y in blocks]) if blocks else np.zeros((0, m.size))
-    signs = ens.draws(len(blocks))
-    samples = np.empty(ens.count)
-    for i in range(ens.count):
-        v = signs[i] @ ys if len(blocks) else np.zeros(m.size, dtype=complex)
-        samples[i] = lp_norm(v, pnorm, m)
+    _, ys = spectral_blocks(op, p, x, theta)
+    samples = lp_norm(ens.draws(len(ys)) @ ys, pnorm, op.measure)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
     return PLRandomResult(mean, stderr, samples)
@@ -257,7 +238,7 @@ def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
             ** (1.0 / (2 * (ei + theta))) if np.isfinite(ei) else 2.0**10
         quad = QuadratureSpec(t_lo=min(s_lo, 2.0**-10) / op.lambda_max,
                               t_hi=max(s_hi, 2.0**10) / op.lambda_min_positive)
-    if not hasattr(op.form, "eigenvectors"):
+    if not isinstance(op.form, SpectralSelfAdjoint):
         raise NormsError("continuous square norm needs the spectral form")
     lam = np.real(op.eigenvalues_or_none())
     nz = lam > 1e-12 * max(op.lambda_max, 1e-300)
@@ -279,11 +260,8 @@ def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
             raise NormsError(f"quadrature tail {rel:.2e} above tolerance {tail_rtol:.2e}; "
                              "widen the t-range")
     # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
-    coeff = op.coefficients(x)
-    ampl = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * pvals * coeff[None, :]
-    fields = ampl @ op.form.eigenvectors.T     # (t-nodes) x (points)
-    s = np.sqrt(np.sum(np.abs(fields) ** 2, axis=0))
-    return lp_norm(s, pnorm, op.measure)
+    fields = spectral_multiplier(op, (du[:, None] ** 0.5) * t[:, None] ** (-theta) * pvals, x)
+    return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
 
 
 # -- Besov-type norms -----------------------------------------------------------
@@ -299,10 +277,8 @@ def _lq_combine(values: np.ndarray, q) -> float:
 
 def besov_discrete_norm(op, p: PartitionOfUnity, x, theta: float, q, pnorm=2) -> float:
     """( sum_n (2^(n theta) ||window_n(A) x||_p)^q )^(1/q); sup for q = inf."""
-    blocks = spectral_blocks(op, p, x, theta=0.0)
-    m = _measure_of(op)
-    vals = np.array([2.0 ** (n * theta) * lp_norm(y, pnorm, m) for n, y in blocks])
-    return _lq_combine(vals, q)
+    indices, ys = spectral_blocks(op, p, x)
+    return _lq_combine(2.0 ** (indices * theta) * lp_norm(ys, pnorm, op.measure), q)
 
 
 def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
@@ -315,6 +291,8 @@ def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
     certificate with eps0 > theta.
     """
     _check_besov_symbol(f, theta)
+    if not isinstance(op.form, SpectralSelfAdjoint):
+        raise NormsError("continuous Besov norm needs the spectral form")
     if quad is None:
         quad = QuadratureSpec.cover(op)
     lam = np.real(op.eigenvalues_or_none())
@@ -322,12 +300,7 @@ def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
     t, du = quad.nodes()
     pvals = np.zeros((t.size, lam.size), dtype=complex)
     pvals[:, nz] = np.asarray(f(np.outer(t, lam[nz])), dtype=complex)
-    coeff = op.coefficients(x)
-    q_mat = op.form.eigenvectors if hasattr(op.form, "eigenvectors") else None
-    if q_mat is None:
-        raise NormsError("continuous Besov norm needs the spectral form")
-    fields = (pvals * coeff[None, :]) @ q_mat.T
-    norms = np.array([lp_norm(fields[j], pnorm, op.measure) for j in range(t.size)])
+    norms = lp_norm(spectral_multiplier(op, pvals, x), pnorm, op.measure)
     if q == np.inf or q == "inf":
         return float(np.max(t**-theta * norms))
     qf = float(q)
@@ -372,6 +345,11 @@ def k_functional(op: ModelOperator, x, t: float, theta0: float, theta1: float,
     if t <= 0:
         raise NormsError("K-functional time must be > 0")
     lam, a = _diagonal_data(op, x)
+    return _k_functional_diagonal(lam, a, t, theta0, theta1)
+
+
+def _k_functional_diagonal(lam, a, t: float, theta0: float, theta1: float) -> float:
+    """K(t) from the nonzero eigenvalues lam and coefficient moduli a."""
     if a.size == 0:
         return 0.0
     u = lam**theta0
@@ -499,7 +477,7 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
                               nodes_per_decade=16)
     for _ in range(4):
         t, du = quad.nodes()
-        kvals = np.array([k_functional(op, x, tj, theta0, theta1) for tj in t])
+        kvals = np.array([_k_functional_diagonal(lam, a, tj, theta0, theta1) for tj in t])
         if q == np.inf or q == "inf":
             return float(np.max(t**-vartheta * kvals))
         qf = float(q)

@@ -2,7 +2,7 @@
 
 Every operator carries a measure space (hosting the L^p norms), a sector
 angle for its nonzero spectrum, an injectivity flag and spectral bounds
-(lambda_min over the nonzero spectrum, lambda_max).  Three forms:
+(lambda_min over the nonzero spectrum, lambda_max).  Two diagonal forms:
 
   SpectralSelfAdjoint   eigenvalues >= 0 ascending with eigenvectors
                         orthonormal in the weighted inner product; the
@@ -12,7 +12,9 @@ angle for its nonzero spectrum, an injectivity flag and spectral bounds
   SimilarityDiagonal    A = S diag(lambda) S^{-1} with controlled cond(S);
                         complex spectrum, used for non-normal and
                         double-sector examples.
-  MatrixOnly            dense matrix; resolvents go through LU solves.
+
+Resolvents and every functional calculus go through the diagonal form;
+resolvent_apply_lu solves on the assembled matrix as an independent oracle.
 
 Builders: 1d Dirichlet Laplacian (closed-form spectrum), weighted graph
 Laplacian I - P (self-adjoint wrt the vertex measure mu(x) = sum_y
@@ -32,13 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import (
-    LinAlgError,
-    MeasureSpace,
-    lp_norm,
-    solve_complex,
-    weighted_symmetric_eig,
-)
+from .measure import MeasureSpace, solve_complex, weighted_symmetric_eig
 
 ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
@@ -53,6 +49,26 @@ class OperatorError(ValueError):
 
 class GraphError(OperatorError):
     """Invalid weight matrix or disconnected graph."""
+
+
+class SpecKeyError(KeyError):
+    """A JSON spec carries keys that nothing reads.
+
+    A misspelled key must not leave its setting at the default, so the spec
+    is rejected; as a KeyError the CLI reports it as a malformed config.
+    """
+
+    def __init__(self, keys, where: str):
+        super().__init__(f"unknown key(s) {', '.join(map(repr, sorted(keys)))} in {where}")
+
+    def __str__(self):
+        return self.args[0]
+
+
+def check_spec_keys(spec: dict, known, where: str) -> None:
+    unknown = set(spec) - set(known)
+    if unknown:
+        raise SpecKeyError(unknown, where)
 
 
 @dataclass
@@ -77,15 +93,6 @@ class SimilarityDiagonal:
 
 
 @dataclass
-class MatrixOnly:
-    mat: np.ndarray
-
-    @property
-    def kind(self):
-        return "matrix"
-
-
-@dataclass
 class KernelProjection:
     """Projector onto N(A); idempotent, annihilated by A."""
 
@@ -105,7 +112,7 @@ def kernel_projection_apply(kp: KernelProjection, x) -> np.ndarray:
 
 @dataclass
 class ModelOperator:
-    form: SpectralSelfAdjoint | SimilarityDiagonal | MatrixOnly
+    form: SpectralSelfAdjoint | SimilarityDiagonal
     measure: MeasureSpace
     sector_angle_hint: float
     injective: bool
@@ -118,19 +125,18 @@ class ModelOperator:
         if not (0.0 <= self.sector_angle_hint < np.pi / 2):
             raise OperatorError("sector angle hint must lie in [0, pi/2)")
         lam = self.eigenvalues_or_none()
-        if lam is not None:
-            nz = lam[np.abs(lam) > ZERO_EIG_TOL * max(np.max(np.abs(lam)), 1e-300)]
-            if nz.size:
-                ang = np.abs(np.angle(nz))
-                if self.bisectorial:
-                    ang = np.minimum(ang, np.pi - ang)
-                if np.max(ang) > self.sector_angle_hint + 1e-12:
-                    raise OperatorError(
-                        f"eigenvalue outside declared sector (angle {np.max(ang):.3f} "
-                        f"> hint {self.sector_angle_hint:.3f})")
-            has_zero = nz.size < lam.size
-            if self.injective == has_zero:
-                raise OperatorError("injective flag contradicts the spectrum")
+        nz = lam[np.abs(lam) > ZERO_EIG_TOL * max(np.max(np.abs(lam)), 1e-300)]
+        if nz.size:
+            ang = np.abs(np.angle(nz))
+            if self.bisectorial:
+                ang = np.minimum(ang, np.pi - ang)
+            if np.max(ang) > self.sector_angle_hint + 1e-12:
+                raise OperatorError(
+                    f"eigenvalue outside declared sector (angle {np.max(ang):.3f} "
+                    f"> hint {self.sector_angle_hint:.3f})")
+        has_zero = nz.size < lam.size
+        if self.injective == has_zero:
+            raise OperatorError("injective flag contradicts the spectrum")
         if isinstance(self.form, SpectralSelfAdjoint):
             q = self.form.eigenvectors
             w = self.measure.weights
@@ -149,11 +155,8 @@ class ModelOperator:
         return self.measure.size
 
     def eigenvalues_or_none(self):
-        if isinstance(self.form, SpectralSelfAdjoint):
-            return self.form.eigenvalues.astype(complex)
-        if isinstance(self.form, SimilarityDiagonal):
-            return self.form.eigenvalues
-        return None
+        """The eigenvalues as a complex array (both forms are diagonal)."""
+        return np.asarray(self.form.eigenvalues, dtype=complex)
 
     @property
     def lambda_min_positive(self) -> float:
@@ -169,45 +172,32 @@ class ModelOperator:
             q, lam = self.form.eigenvectors, self.form.eigenvalues
             w = self.measure.weights
             return (q * lam[None, :]) @ (q.conj().T * w[None, :])
-        if isinstance(self.form, SimilarityDiagonal):
-            return (self.form.s * self.form.eigenvalues[None, :]) @ self.form.s_inv
-        return self.form.mat
+        return (self.form.s * self.form.eigenvalues[None, :]) @ self.form.s_inv
 
     def coefficients(self, x) -> np.ndarray:
         """Expansion coefficients of x in the operator's eigenbasis."""
         x = np.asarray(x, dtype=complex)
         if isinstance(self.form, SpectralSelfAdjoint):
             return self.form.eigenvectors.conj().T @ (self.measure.weights * x)
-        if isinstance(self.form, SimilarityDiagonal):
-            return self.form.s_inv @ x
-        raise OperatorError("matrix-only operator has no eigenbasis")
+        return self.form.s_inv @ x
 
     def synthesize(self, coeffs) -> np.ndarray:
-        if isinstance(self.form, SpectralSelfAdjoint):
-            return self.form.eigenvectors @ np.asarray(coeffs, dtype=complex)
-        if isinstance(self.form, SimilarityDiagonal):
-            return self.form.s @ np.asarray(coeffs, dtype=complex)
-        raise OperatorError("matrix-only operator has no eigenbasis")
+        """Sum of coefficients times eigenvectors; a K x m stack gives n x m."""
+        basis = (self.form.eigenvectors if isinstance(self.form, SpectralSelfAdjoint)
+                 else self.form.s)
+        return basis @ np.asarray(coeffs, dtype=complex)
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if isinstance(self.form, MatrixOnly):
-            return self.form.mat @ x
-        lam = self.eigenvalues_or_none()
-        return self.synthesize(lam * self.coefficients(x))
+        return self.synthesize(self.eigenvalues_or_none() * self.coefficients(x))
 
     def random_vector(self, rng: np.random.Generator) -> np.ndarray:
         """I.i.d. complex Gaussian spectral content (span of the modes)."""
-        if isinstance(self.form, MatrixOnly):
-            return rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
         k = self.eigenvalues_or_none().size
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         return self.synthesize(c)
 
     def kernel_dim(self) -> int:
         lam = self.eigenvalues_or_none()
-        if lam is None:
-            return 0
         scale = max(np.max(np.abs(lam)), 1e-300)
         return int(np.sum(np.abs(lam) <= ZERO_EIG_TOL * scale))
 
@@ -431,20 +421,19 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
 
 # -- resolvent ----------------------------------------------------------------
 
+def check_resolvent_gap(op: ModelOperator, lam) -> None:
+    """Reject points lambda within RESOLVENT_MARGIN * lambda_max of the spectrum."""
+    lam = np.atleast_1d(lam)
+    gap = np.abs(lam[:, None] - op.eigenvalues_or_none()[None, :]).min(axis=1)
+    close = gap <= RESOLVENT_MARGIN * op.lambda_max
+    if np.any(close):
+        raise OperatorError(f"lambda {lam[close][0]} is within tolerance of the spectrum")
+
+
 def resolvent_apply(op: ModelOperator, lam: complex, x) -> np.ndarray:
-    """(lambda - A)^{-1} x via the spectral form when available, else LU."""
-    x = np.asarray(x, dtype=complex)
-    ev = op.eigenvalues_or_none()
-    if ev is not None:
-        gap = np.min(np.abs(lam - ev))
-        if gap <= RESOLVENT_MARGIN * op.lambda_max:
-            raise OperatorError(f"lambda {lam} is within tolerance of the spectrum")
-        return op.synthesize(op.coefficients(x) / (lam - ev))
-    a = lam * np.eye(op.n) - op.form.mat
-    try:
-        return solve_complex(a, x)
-    except LinAlgError as exc:
-        raise OperatorError(f"resolvent solve failed at lambda {lam}: {exc}") from exc
+    """(lambda - A)^{-1} x through the diagonal form."""
+    check_resolvent_gap(op, lam)
+    return op.synthesize(op.coefficients(x) / (lam - op.eigenvalues_or_none()))
 
 
 def resolvent_apply_lu(op: ModelOperator, lam: complex, x) -> np.ndarray:
@@ -456,11 +445,26 @@ def resolvent_apply_lu(op: ModelOperator, lam: complex, x) -> np.ndarray:
 
 # -- JSON construction ---------------------------------------------------------
 
+# Keys each operator kind reads from its JSON spec, besides "kind".
+_SPEC_KEYS = {
+    "dirichlet1d": ("n", "h"),
+    "graph": ("sigma",),
+    "hermite": ("d", "K", "grid"),
+    "schrodinger": ("n", "h", "V"),
+    "nonnormal": ("lambdas", "conditioning", "seed"),
+}
+
+
 def operator_from_spec(spec: dict) -> ModelOperator:
-    """Build an operator from its JSON description (CLI surface)."""
+    """Build an operator from its JSON description (CLI surface).
+
+    Raises SpecKeyError for a key the kind does not read.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise OperatorError("operator spec must be an object with a 'kind'")
     kind = spec["kind"]
+    if kind in _SPEC_KEYS:
+        check_spec_keys(spec, ("kind",) + _SPEC_KEYS[kind], f"{kind} operator spec")
     if kind == "dirichlet1d":
         return build_dirichlet_laplacian_1d(int(spec["n"]), float(spec.get("h", 1.0)))
     if kind == "graph":
@@ -468,13 +472,15 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         return op
     if kind == "hermite":
         g = spec.get("grid", {})
+        check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
         grid = uniform_grid(float(g.get("lo", -12.0)), float(g.get("hi", 12.0)),
                             int(g.get("n", 800)))
         return build_hermite_operator(int(spec["d"]), int(spec["K"]), grid)
     if kind == "schrodinger":
         n, h = int(spec["n"]), float(spec.get("h", 1.0))
         v = spec.get("V", 0.0)
-        if isinstance(v, dict) and "quadratic" in v:
+        if isinstance(v, dict):
+            check_spec_keys(v, ("quadratic",), "schrodinger potential")
             x = (np.arange(1, n + 1) - (n + 1) / 2) * h
             v = (float(v["quadratic"]) * x) ** 2
         elif np.isscalar(v):
@@ -485,7 +491,3 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         return build_nonnormal_sectorial(lam, float(spec.get("conditioning", 1.0)),
                                          int(spec.get("seed", 0)))
     raise OperatorError(f"unknown operator kind {kind!r}")
-
-
-def ambient_norm(op: ModelOperator, x, p=2) -> float:
-    return lp_norm(x, p, op.measure)

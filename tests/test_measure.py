@@ -46,6 +46,19 @@ def test_lp_norm_rejects_bad_inputs():
         MeasureSpace(weights=np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, np.inf])
+def test_lp_norm_row_stack_matches_rows(p):
+    rng = np.random.default_rng(3)
+    m = MeasureSpace(weights=rng.uniform(0.1, 2.0, 9))
+    xs = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    norms = lp_norm(xs, p, m)
+    assert norms.shape == (6,)
+    expected = [lp_norm(row, p, m) for row in xs]
+    assert np.allclose(norms, expected, rtol=1e-15, atol=0)
+    with pytest.raises(MeasureError):
+        lp_norm(np.ones((6, 8)), p, m)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lp_norm_homogeneity_and_triangle(seed):
     rng = np.random.default_rng(seed)

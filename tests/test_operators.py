@@ -8,6 +8,7 @@ from plcalc.operators import (
     GraphError,
     KernelProjection,
     OperatorError,
+    SpecKeyError,
     build_dirichlet_laplacian_1d,
     build_graph_laplacian,
     build_hermite_operator,
@@ -240,6 +241,16 @@ def test_operator_from_spec_roundtrip():
         operator_from_spec({"kind": "unknown"})
     with pytest.raises((OperatorError, KeyError)):
         operator_from_spec({"no_kind": 1})
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "dirichlet1d", "n": 4, "hh": 0.5}, "'hh'"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"lo": -8, "hi": 8, "N": 400}}, "'N'"),
+    ({"kind": "schrodinger", "n": 8, "V": {"quadratic": 0.1, "cubic": 1.0}}, "'cubic'"),
+])
+def test_operator_from_spec_rejects_unknown_keys(spec, key):
+    with pytest.raises(SpecKeyError, match=key):
+        operator_from_spec(spec)
 
 
 def test_injective_operators_have_no_kernel_projection():
