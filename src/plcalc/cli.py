@@ -8,14 +8,15 @@ Subcommands:
   plcalc suite acceptance [--out report.json]
 
 Exit codes: 0 ok, 2 malformed config, 3 operator invariant violation,
-4 norm evaluation error, 5 assert-bracket failure (report still written),
-6 acceptance suite failure.
+4 norm evaluation error or non-finite result, 5 assert-bracket failure
+(report still written), 6 acceptance suite failure.
 
 Reports are byte-identical for identical (config, seed): they embed the
 fully resolved configuration and never a timestamp.  The experiment
 runner also writes a CSV sidecar (sample_id, norm_a, norm_b, ratio) next
 to the JSON report.  A key that a spec's kind does not read is a malformed
-config (exit 2), never silently dropped.
+config (exit 2), never silently dropped.  A report holds finite numbers
+only: NaN or infinity never reaches the JSON.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload: dict, out: str | None, quiet: bool):
-    blob = json.dumps(payload, sort_keys=True, indent=2)
+    blob = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(blob + "\n")
     if not quiet or not out:
@@ -86,10 +87,23 @@ def cmd_op_build(args) -> int:
     return EXIT_OK
 
 
+# Keys each vector kind reads, besides "kind".
+_VECTOR_KEYS = {"random": ("seed", "normalize"), "eigenvector": ("index",),
+                "file": ("path",), "zero": ()}
+
+
 def _resolve_vector(op, vec_spec: dict, seed, pnorm):
+    """The vector of a norm-eval config and its echo.
+
+    Raises KeyError (SpecKeyError for an unread key) on a malformed spec.
+    """
     from .measure import lp_norm
+    from .operators import check_spec_keys
 
     kind = vec_spec.get("kind", "random")
+    if kind not in _VECTOR_KEYS:
+        raise CliExit(EXIT_BAD_CONFIG, f"unknown vector kind {kind!r}")
+    check_spec_keys(vec_spec, ("kind",) + _VECTOR_KEYS[kind], f"{kind} vector spec")
     if kind == "random":
         vseed = vec_spec.get("seed", seed)
         if vseed is None:
@@ -108,17 +122,16 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
         data = _load_json(vec_spec["path"])
         x = np.asarray([complex(re, im) for re, im in data], dtype=complex)
         return x, {"kind": "file", "path": vec_spec["path"]}
-    if kind == "zero":
-        return np.zeros(op.n, dtype=complex), {"kind": "zero"}
-    raise CliExit(EXIT_BAD_CONFIG, f"unknown vector kind {kind!r}")
+    return np.zeros(op.n, dtype=complex), {"kind": "zero"}
 
 
 def cmd_norm_eval(args) -> int:
     from .experiments import _norm_evaluator
-    from .operators import OperatorError, operator_from_spec
+    from .operators import OperatorError, check_spec_keys, operator_from_spec
 
     config = _load_json(args.config)
     try:
+        check_spec_keys(config, ("operator", "norm", "vector", "seed"), "norm eval config")
         op = operator_from_spec(config["operator"])
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed config: {exc}")
@@ -126,7 +139,10 @@ def cmd_norm_eval(args) -> int:
         raise CliExit(EXIT_INVARIANT, str(exc))
     pnorm = config.get("norm", {}).get("pnorm", 2)
     seed = args.seed if args.seed is not None else config.get("seed")
-    x, vec_echo = _resolve_vector(op, config.get("vector", {}), seed, pnorm)
+    try:
+        x, vec_echo = _resolve_vector(op, config.get("vector", {}), seed, pnorm)
+    except KeyError as exc:
+        raise CliExit(EXIT_BAD_CONFIG, f"malformed vector spec: {exc}")
     try:
         evaluator, echo = _norm_evaluator(op, config["norm"],
                                           int(seed) if seed is not None else 0)
@@ -138,6 +154,8 @@ def cmd_norm_eval(args) -> int:
         value = float(evaluator(x))
     except Exception as exc:
         raise CliExit(EXIT_NORM_ERROR, f"norm evaluation failed: {exc}")
+    if not np.isfinite(value):
+        raise CliExit(EXIT_NORM_ERROR, f"norm evaluation gave a non-finite value {value!r}")
     payload = {
         "norm": value,
         "provenance": {"operator": op.spec, "norm": echo, "vector": vec_echo,
@@ -195,7 +213,8 @@ def cmd_suite_acceptance(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        Path(args.out).write_text(
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     if not payload["all_passed"]:
         return EXIT_ACCEPTANCE
     return EXIT_OK

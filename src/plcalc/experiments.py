@@ -30,7 +30,7 @@ from .norms import (
     pl_square_norm,
     real_interpolation_norm,
 )
-from .operators import ModelOperator, SpecKeyError, operator_from_spec
+from .operators import ModelOperator, SpecKeyError, check_spec_keys, operator_from_spec
 from .partitions import (
     build_equidistant,
     build_homogeneous_dyadic,
@@ -162,8 +162,17 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     return evaluate, echo
 
 
+_CONFIG_KEYS = ("name", "operator", "seed", "samples", "pnorm", "norm_a", "norm_b",
+                "assert_bracket")
+
+
 def run_equivalence(config: dict) -> EquivalenceReport:
-    """Ratio statistics of two norms over seeded unit random vectors."""
+    """Ratio statistics of two norms over seeded unit random vectors.
+
+    Raises SpecKeyError for a key nothing reads, and ExperimentError for a
+    norm that fails or a norm or ratio that is not finite.
+    """
+    check_spec_keys(config, _CONFIG_KEYS, "experiment config")
     op = operator_from_spec(config["operator"])
     seed = int(config["seed"])
     samples = int(config.get("samples", 50))
@@ -182,8 +191,11 @@ def run_equivalence(config: dict) -> EquivalenceReport:
             nb = float(eval_b(x))
         except Exception as exc:
             raise ExperimentError(f"norm evaluation failed at sample {i}: {exc}") from exc
-        table.append({"sample_id": i, "norm_a": na, "norm_b": nb,
-                      "ratio": na / nb if nb != 0 else np.inf})
+        ratio = na / nb if nb != 0 else np.inf
+        if not np.all(np.isfinite([na, nb, ratio])):
+            raise ExperimentError(f"non-finite result at sample {i}: norm_a={na!r}, "
+                                  f"norm_b={nb!r}, ratio={ratio!r}")
+        table.append({"sample_id": i, "norm_a": na, "norm_b": nb, "ratio": ratio})
 
     ratios = np.array([row["ratio"] for row in table])
     stats = {"min": float(np.min(ratios)), "median": float(np.median(ratios)),

@@ -22,9 +22,9 @@ a_k = |<x, e_k>| to the one-parameter family
 
     y_k(c) = a_k / (1 + c * lambda_k^(2 (theta0 - theta1))),
 
-with the scalar c fixed by a monotone stationarity equation (golden
-section on the convex objective as fallback, boundary splits when no
-interior stationary point exists).
+with c fixed by the stationarity equation c = nu / (t mu), whose residual
+changes sign at most once: one bracket per t on a shared log c-grid,
+bisected a fixed number of times, against the boundary splits y = a, y = 0.
 
 Everything is deterministic given (inputs, seed): random ensembles are
 seeded, quadrature grids are fixed by their specs, reductions run in a
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .calculus import StripOperator, spectral_multiplier
 from .measure import lp_norm
@@ -140,10 +139,10 @@ def block_indices(op, p: PartitionOfUnity):
         return list(p.indices(lo, hi))
     if p.kind == EQUIDISTANT:
         raise NormsError("equidistant partition applies to strip operators")
-    lam = _spectral_argument(op)
     if p.kind == EVEN_BISECTORIAL:
         mod = np.abs(op.eigenvalues_or_none())
         return list(p.indices(float(np.min(mod)), float(np.max(mod))))
+    _spectral_argument(op)      # rejects a complex spectrum
     return list(p.indices(op.lambda_min_positive, op.lambda_max))
 
 
@@ -335,64 +334,61 @@ def k_functional(op: ModelOperator, x, t: float, theta0: float, theta1: float,
     """K(t, x; theta0, theta1) = inf over x = x0 + x1 of
     ||A^theta0 x0||_2 + t ||A^theta1 x1||_2, on the injective part.
 
-    Only the Hilbert path p = 2 is supported: there the optimal split is
-    diagonal and lies on the one-parameter family y_k(c); the scalar c is
-    found by monotone root finding on the stationarity equation, with a
-    golden-section fallback and the two boundary splits as candidates.
+    Only the Hilbert path p = 2 is supported.  In diagonal coordinates the
+    objective ||u y|| + t ||v (a - y)||, u = lam^theta0, v = lam^theta1, is
+    convex in y and differentiable unless y = 0 or y = a; its stationary
+    points lie on y = a/(1 + c rho), rho = (u/v)^2.  Along that path
+    F(c) = mu + t nu (mu = ||u y||, nu = ||v (a - y)||) has F' = -S r/(mu nu),
+    S > 0, with the residual r = nu - c t mu = c mu (g - t), g = nu/(c mu).
+    g^2 is the mean of rho_k under the weights (u_k a_k/(1 + c rho_k))^2,
+    which shift toward smaller rho as c grows, so g is nonincreasing and r
+    changes sign at most once, from + to -: F falls, then rises.  K is F at
+    that sign change, or, without one, a boundary split (x0 = x or x1 = x).
+    The root is bracketed on a log c-grid and refined by a fixed number of
+    bisections in ln c.
     """
     if pnorm != 2:
         raise NormsError("K-functional is implemented on the p = 2 path only")
     if t <= 0:
         raise NormsError("K-functional time must be > 0")
     lam, a = _diagonal_data(op, x)
-    return _k_functional_diagonal(lam, a, t, theta0, theta1)
+    return float(_k_functional_diagonal(lam, a, np.array([t]), theta0, theta1)[0])
 
 
-def _k_functional_diagonal(lam, a, t: float, theta0: float, theta1: float) -> float:
-    """K(t) from the nonzero eigenvalues lam and coefficient moduli a."""
+def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarray:
+    """K at every entry of the 1-D array t, from the nonzero eigenvalues lam
+    and coefficient moduli a (see k_functional for the method)."""
     if a.size == 0:
-        return 0.0
+        return np.zeros(t.shape)
     u = lam**theta0
     v = lam**theta1
     ratio2 = (u / v) ** 2
+    ua, vr = u * a, v * a * ratio2
 
     def split(c):
-        # y = a/(1 + c rho); the complement a - y = a c rho/(1 + c rho) is
-        # computed directly to avoid cancellation at extreme c
-        denom = 1.0 + c * ratio2
-        mu = np.sqrt(np.sum((u * a / denom) ** 2))
-        nu = np.sqrt(np.sum((v * a * (c * ratio2) / denom) ** 2))
-        return mu, nu
+        # mu^2 = ||u y||^2 and (nu/c)^2 = ||v (a - y)||^2/c^2 at y = a/(1 + c rho);
+        # with a - y = c a rho/(1 + c rho) there is no cancellation at extreme c
+        denom = 1.0 + c[:, None] * ratio2
+        return np.sum((ua / denom) ** 2, axis=1), np.sum((vr / denom) ** 2, axis=1)
 
-    def objective(c):
-        mu, nu = split(c)
-        return mu + t * nu
-
-    # stationarity: c = nu/(t mu); bracket every sign change of r on a log
-    # grid and keep the best stationary point
-    def r(c):
-        mu, nu = split(c)
-        return nu - c * t * mu
-
-    candidates = [float(np.sqrt(np.sum((u * a) ** 2))),            # x0 = x
-                  float(t * np.sqrt(np.sum((v * a) ** 2)))]        # x1 = x
+    # (mu, nu) do not depend on t: one grid serves every t, and r > 0 reads
+    # (nu/c)^2 > t^2 mu^2.  Each t gets the half-decade cell ending at its
+    # first node with r <= 0 (so a root on a node is still an interior
+    # candidate); without a sign change any cell will do, as a boundary
+    # split wins
     cs = np.logspace(-30, 30, 121)
-    denom = 1.0 + cs[:, None] * ratio2[None, :]
-    mus = np.sqrt(np.sum((u * a / denom) ** 2, axis=1))
-    nus = np.sqrt(np.sum((v * a * (cs[:, None] * ratio2) / denom) ** 2, axis=1))
-    rs = nus - cs * t * mus
-    sign_change = np.where(np.sign(rs[:-1]) * np.sign(rs[1:]) < 0)[0]
-    for i in sign_change:
-        c_star = scipy.optimize.brentq(r, cs[int(i)], cs[int(i) + 1],
-                                       xtol=1e-300, rtol=1e-14)
-        candidates.append(objective(c_star))
-    if not sign_change.size:
-        # golden section on the convex objective along the path
-        res = scipy.optimize.minimize_scalar(
-            lambda s: objective(np.exp(s)), bounds=(-70, 70), method="bounded",
-            options={"xatol": 1e-12})
-        candidates.append(float(res.fun))
-    return float(min(candidates))
+    mu2, nuc2 = split(cs)
+    lo = np.log(cs[(nuc2 <= t[:, None] ** 2 * mu2).argmax(axis=1).clip(1) - 1])
+    step = 0.5 * np.log(10.0)
+    for _ in range(30):      # |ln c - ln c*| < 1.1e-9: K exact to second order
+        step *= 0.5
+        mu2, nuc2 = split(np.exp(lo + step))
+        lo = np.where(nuc2 > t**2 * mu2, lo + step, lo)
+    c = np.exp(lo + step)
+    mu2, nuc2 = split(c)
+    boundary = np.minimum(np.sqrt(np.sum(ua**2)),               # x0 = x
+                          t * np.sqrt(np.sum((v * a) ** 2)))    # x1 = x
+    return np.minimum(np.sqrt(mu2) + t * c * np.sqrt(nuc2), boundary)
 
 
 def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,
@@ -477,7 +473,7 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
                               nodes_per_decade=16)
     for _ in range(4):
         t, du = quad.nodes()
-        kvals = np.array([_k_functional_diagonal(lam, a, tj, theta0, theta1) for tj in t])
+        kvals = _k_functional_diagonal(lam, a, t, theta0, theta1)
         if q == np.inf or q == "inf":
             return float(np.max(t**-vartheta * kvals))
         qf = float(q)

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from .operators import check_spec_keys
 from .partitions import HOMOGENEOUS, PartitionOfUnity
 
 _LN2 = float(np.log(2.0))
@@ -306,9 +307,21 @@ def window_symbol(p: PartitionOfUnity, n: int = 0) -> Symbol:
     )
 
 
+# Parameters each shipped kind reads from its JSON spec, besides "kind".
+_SPEC_KEYS = {"power": ("theta",), "rho": (), "exp": (), "psi_exp": ("a", "b", "theta"),
+              "psi_res": ("a", "b", "lambda0", "theta"), "res_frac": ("a", "b", "theta"),
+              "imag_power": ("s",)}
+
+
 def symbol_from_spec(spec: dict) -> Symbol:
+    """Build a shipped symbol from its JSON description.
+
+    Raises SpecKeyError for a key the kind does not read.
+    """
     spec = dict(spec)
     kind = spec.pop("kind")
+    # an unknown kind is left to make_symbol to reject
+    check_spec_keys(spec, _SPEC_KEYS.get(kind, spec), f"{kind} symbol spec")
     return make_symbol(kind, **spec)
 
 

@@ -196,3 +196,65 @@ def test_experiment_run_unknown_norm_key_exits_2(tmp_path, capsys):
     assert main(["experiment", "run", "--config", cfg, "--out", str(tmp_path / "r.json"),
                  "--seed", "5", "--quiet"]) == 2
     assert "'thetta'" in capsys.readouterr().err
+
+
+def norm_eval_config(**changes):
+    config = {"operator": {"kind": "dirichlet1d", "n": 8, "h": 1.0},
+              "norm": {"kind": "pl_square", "pnorm": 2},
+              "vector": {"kind": "zero"}}
+    return {**config, **changes}
+
+
+def run_cli(tmp_path, command, config):
+    cfg = write(tmp_path, "config.json", config)
+    if command == "norm":
+        return main(["norm", "eval", "--config", cfg, "--out", str(tmp_path / "r.json"),
+                     "--quiet"])
+    return main(["experiment", "run", "--config", cfg, "--out", str(tmp_path / "r.json"),
+                 "--seed", "5", "--quiet"])
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("norm", norm_eval_config(norm={"kind": "continuous_square",
+                                    "psi": {"kind": "psi_exp", "a": 1.0, "b": 1.0, "bb": 3}}),
+     "'bb'"),
+    ("experiment", {**experiment_config(None),
+                    "norm_a": {"kind": "besov_continuous", "theta": 0.5,
+                               "f": {"kind": "res_frac", "a": 1.0, "b": 2.0, "aa": 1}}},
+     "'aa'"),
+    ("experiment", {**experiment_config(None), "sampels": 3}, "'sampels'"),
+    ("norm", norm_eval_config(seeed=3), "'seeed'"),
+    ("norm", norm_eval_config(vector={"kind": "random", "seed": 1, "normalise": False}),
+     "'normalise'"),
+    ("norm", norm_eval_config(vector={"kind": "eigenvector"}), "'index'"),
+    ("norm", norm_eval_config(vector={"kind": "file"}), "'path'"),
+], ids=["psi-key", "f-key", "experiment-top-level", "norm-eval-top-level", "vector-key",
+        "eigenvector-without-index", "file-without-path"])
+def test_unknown_or_missing_config_key_exits_2(tmp_path, capsys, command, config, key):
+    assert run_cli(tmp_path, command, config) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, config, reason", [
+    # 2^(2000 n) overflows, so the block norm is NaN
+    ("norm", norm_eval_config(norm={"kind": "pl_square", "theta": 2000},
+                              vector={"kind": "random", "seed": 1}), "non-finite"),
+    ("experiment", {**experiment_config(None), "norm_a": {"kind": "pl_square", "theta": 2000}},
+     "sample 0"),
+    # every block index is >= 2, so 2^(-2000 n) underflows to a zero norm_b
+    ("experiment", {**experiment_config(None),
+                    "operator": {"kind": "nonnormal", "lambdas": [[8.0, 0.0], [16.0, 0.0]]},
+                    "norm_b": {"kind": "pl_square", "theta": -2000}}, "sample 0"),
+], ids=["norm-eval-nan", "experiment-nan-norm", "experiment-zero-denominator"])
+def test_non_finite_result_exits_4_without_report(tmp_path, capsys, command, config, reason):
+    assert run_cli(tmp_path, command, config) == 4
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reports_refuse_non_finite_json(capsys):
+    from plcalc.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"norm": float("nan")}, None, quiet=True)

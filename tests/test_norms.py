@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from plcalc import norms
 from plcalc.calculus import log_operator
 from plcalc.measure import lp_norm
 from plcalc.norms import (
     NormsError,
     QuadratureSpec,
     RandomEnsemble,
+    _diagonal_data,
+    _k_functional_diagonal,
     besov_continuous_norm,
     besov_discrete_norm,
     continuous_square_norm,
@@ -270,6 +273,77 @@ def test_k_functional_monotone_concave():
     assert np.all(np.diff(slopes) <= 1e-9 * np.max(ks))
 
 
+def split_path(lam, a, theta0, theta1, cs):
+    """(mu^2, nu^2/c^2) of the diagonal splits y = a/(1 + c rho), c in cs:
+    mu = ||A^theta0 y||, nu = ||A^theta1 (a - y)||, rho = lam^(2 (theta0 - theta1))."""
+    u, v = lam**theta0, lam**theta1
+    rho = (u / v) ** 2
+    denom = 1 + cs[:, None] * rho
+    return np.sum((u * a / denom) ** 2, axis=1), np.sum((v * a * rho / denom) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
+def test_k_functional_vector_core_vs_dense_scan(n, theta0, theta1):
+    # K at every t is no larger than the least objective on a dense log-c
+    # scan of the split path plus the two boundary splits
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    x = op.random_vector(np.random.default_rng(n))
+    x /= lp_norm(x, 2, op.measure)
+    lam, a = _diagonal_data(op, x)
+    # also every t whose stationarity residual vanishes exactly on a node of
+    # the solver's bracketing grid: it still needs an interior candidate
+    mu2, nu2 = split_path(lam, a, theta0, theta1, np.logspace(-30, 30, 121))
+    on_node = np.sqrt(nu2 / mu2)
+    on_node = on_node[nu2 == on_node**2 * mu2]
+    ts = np.concatenate([np.logspace(-8, 8, 33), on_node])
+    ks = _k_functional_diagonal(lam, a, ts, theta0, theta1)
+    cs = np.logspace(-32, 32, 4097)
+    mu2, nu2 = split_path(lam, a, theta0, theta1, cs)
+    scan = np.min(np.sqrt(mu2) + ts[:, None] * cs * np.sqrt(nu2), axis=1)
+    scan = np.minimum(scan, np.minimum(np.linalg.norm(lam**theta0 * a),      # x0 = x
+                                       ts * np.linalg.norm(lam**theta1 * a)))  # x1 = x
+    assert on_node.size > 20
+    assert np.all(ks <= scan * (1 + 1e-12))
+
+
+def test_k_functional_path_ratio_nonincreasing():
+    # g(c)^2 = nu^2/(c mu)^2 is nonincreasing along the split path, so the
+    # stationarity residual c mu (g - t) changes sign at most once
+    rng = np.random.default_rng(7)
+    cs = np.logspace(-30, 30, 2001)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        lam = np.exp(rng.uniform(-12, 4, n))
+        a = rng.uniform(0, 1, n) * (rng.uniform(size=n) < 0.8)
+        theta0, theta1 = np.sort(rng.uniform(-1.5, 2.0, 2))
+        if not a.any() or theta1 - theta0 < 1e-3:
+            continue
+        mu2, nu2 = split_path(lam, a, theta0, theta1, cs)
+        ok = (mu2 > 0) & (nu2 > 0)
+        assert np.all(np.diff(np.log(nu2[ok] / mu2[ok])) <= 1e-12)
+
+
+def test_real_interpolation_batched_k_matches_scalar(monkeypatch):
+    op = build_dirichlet_laplacian_1d(32, 1.0)
+    x = op.random_vector(np.random.default_rng(2))
+    x /= lp_norm(x, 2, op.measure)
+    calls = []
+
+    def recording(lam, a, t, theta0, theta1):
+        k = _k_functional_diagonal(lam, a, t, theta0, theta1)
+        calls.append((t, k))
+        return k
+
+    monkeypatch.setattr(norms, "_k_functional_diagonal", recording)
+    real_interpolation_norm(op, x, 0.4, 2, -0.5, 1.5)
+    monkeypatch.undo()
+    assert calls and all(t.size > 1 for t, _ in calls)
+    for t, k in calls:
+        scalar = [k_functional(op, x, tj, -0.5, 1.5) for tj in t]
+        np.testing.assert_allclose(k, scalar, rtol=1e-14, atol=0)
+
+
 def test_k_functional_guards():
     op = build_dirichlet_laplacian_1d(4, 1.0)
     x = np.ones(4)
@@ -364,3 +438,17 @@ def test_bisectorial_pl_split_identity(hom):
     cmax = max(np.linalg.norm(q1.p, 2), np.linalg.norm(q2.p, 2))
     assert whole <= split * (1 + 1e-12)      # triangle on the even blocks
     assert split <= 2 * cmax * whole * (1 + 1e-12)
+
+
+def test_even_windows_accept_complex_spectrum(hom):
+    # normal operator with a non-real double-sector spectrum: the even
+    # windows see only |lambda|, so the overlap sandwich holds; the
+    # half-line windows reject the complex spectrum
+    from plcalc.partitions import even_extension
+
+    op = build_nonnormal_sectorial([1 + 0.2j, 2, -1.5 + 0.1j, -3], 1.0, 0)
+    x = op.random_vector(np.random.default_rng(8))
+    x /= lp_norm(x, 2, op.measure)
+    assert SQRT_HALF - 1e-9 <= pl_square_norm(op, even_extension(hom), x, 2) <= 1.0 + 1e-9
+    with pytest.raises(NormsError, match="complex spectrum"):
+        pl_square_norm(op, hom, x, 2)
