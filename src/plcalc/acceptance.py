@@ -272,7 +272,7 @@ def criterion_8_k_functional(seed: int = 18) -> CriterionResult:
     x = op.random_vector(np.random.default_rng(seed + 1))
     x = x / lp_norm(x, 2, op.measure)
     ts = np.logspace(-4, 4, 50)
-    ks = np.array([k_functional(op, x, t, 0.0, 1.0) for t in ts])
+    ks = k_functional(op, x, ts, 0.0, 1.0)
     mono = bool(np.all(np.diff(ks) >= -1e-9 * ks[:-1]))
     # concavity in t: second divided differences nonpositive
     dd = np.diff(ks) / np.diff(ts)

@@ -369,24 +369,24 @@ def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
     Uses the two-window locality of the dyadic family: with s = t 2^-m,
     m = floor(log2 t), only windows m and m+1 are alive and
     f(t) = c_m chi(s) + c_{m+1} (1 - chi(s)), one bump call per point.
+    The coefficients are padded with a zero on both sides, so c_m and
+    c_{m+1} are two gathers at clipped indices: an index outside the
+    blocks lands on a pad and reads 0.
     """
     from .partitions import HOMOGENEOUS
 
     if partition.kind != HOMOGENEOUS:
         raise ExperimentError("sampled symbols use the homogeneous partition")
     bump = partition.bump
-    c_pad = np.concatenate([coeffs.astype(complex), [0.0]])
-    width = coeffs.size
+    c_pad = np.concatenate([[0.0], coeffs.astype(complex), [0.0]])
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
-        m = np.floor(np.log2(np.maximum(t, 1e-300))).astype(int)
-        s = t * np.exp2(-m.astype(float))
-        chi = bump(s)
-        i0 = np.clip(m - n_lo, -1, width)
-        i1 = np.clip(m + 1 - n_lo, -1, width)
-        c0 = np.where((i0 >= 0) & (i0 < width), c_pad[np.clip(i0, 0, width)], 0.0)
-        c1 = np.where((i1 >= 0) & (i1 < width), c_pad[np.clip(i1, 0, width)], 0.0)
+        m = np.floor(np.log2(np.maximum(t, 1e-300)))
+        chi = bump(t * np.exp2(-m))
+        i0 = (m - n_lo + 1).astype(int)   # index of c_m in c_pad
+        c0 = c_pad.take(i0, mode="clip")
+        c1 = c_pad.take(i0 + 1, mode="clip")
         return c0 * chi + c1 * (1.0 - chi)
 
     return Symbol(evaluate=evaluate, name="dyadic_sample",

@@ -165,8 +165,19 @@ def spectral_blocks(op, p: PartitionOfUnity, x, theta: float = 0.0):
     windows = np.array([p.window(n, arg) for n in indices])
     indices = np.array(indices)
     if theta != 0.0:
-        windows *= 2.0 ** (indices * theta)[:, None]
+        windows *= _block_weights(indices, theta)[:, None]
     return indices, spectral_multiplier(op, windows, x)
+
+
+def _block_weights(indices, theta: float) -> np.ndarray:
+    """2^(n theta) at every block index n; an overflow raises NormsError
+    (a weight of inf would turn the zeros of its window into NaN), an
+    underflow to 0 is kept."""
+    with np.errstate(over="ignore"):
+        weights = 2.0 ** (indices * theta)
+    if not np.all(np.isfinite(weights)):
+        raise NormsError(f"non-finite block weights 2^(n theta) at theta={theta}")
+    return weights
 
 
 def pl_square_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
@@ -277,7 +288,7 @@ def _lq_combine(values: np.ndarray, q) -> float:
 def besov_discrete_norm(op, p: PartitionOfUnity, x, theta: float, q, pnorm=2) -> float:
     """( sum_n (2^(n theta) ||window_n(A) x||_p)^q )^(1/q); sup for q = inf."""
     indices, ys = spectral_blocks(op, p, x)
-    return _lq_combine(2.0 ** (indices * theta) * lp_norm(ys, pnorm, op.measure), q)
+    return _lq_combine(_block_weights(indices, theta) * lp_norm(ys, pnorm, op.measure), q)
 
 
 def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
@@ -329,10 +340,13 @@ def _diagonal_data(op: ModelOperator, x):
     return lam[nz], np.abs(coeff[nz])
 
 
-def k_functional(op: ModelOperator, x, t: float, theta0: float, theta1: float,
-                 pnorm=2) -> float:
+def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,
+                 pnorm=2):
     """K(t, x; theta0, theta1) = inf over x = x0 + x1 of
     ||A^theta0 x0||_2 + t ||A^theta1 x1||_2, on the injective part.
+
+    t is a number (K is returned as a float) or a 1-D array (K at every
+    entry, as an array, from one coefficient transform).
 
     Only the Hilbert path p = 2 is supported.  In diagonal coordinates the
     objective ||u y|| + t ||v (a - y)||, u = lam^theta0, v = lam^theta1, is
@@ -349,10 +363,14 @@ def k_functional(op: ModelOperator, x, t: float, theta0: float, theta1: float,
     """
     if pnorm != 2:
         raise NormsError("K-functional is implemented on the p = 2 path only")
-    if t <= 0:
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise NormsError("K-functional times must be a number or a 1-D array")
+    if np.any(ts <= 0):
         raise NormsError("K-functional time must be > 0")
     lam, a = _diagonal_data(op, x)
-    return float(_k_functional_diagonal(lam, a, np.array([t]), theta0, theta1)[0])
+    k = _k_functional_diagonal(lam, a, ts.reshape(-1), theta0, theta1)
+    return float(k[0]) if ts.ndim == 0 else k
 
 
 def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarray:

@@ -4,7 +4,10 @@ Everything is built by telescoping one fixed smooth transition function
 
     chi(t) = g(2-t) / (g(2-t) + g(t-1)),   g(s) = exp(-1/s) for s>0 else 0,
 
-which equals 1 on (-inf,1], 0 on [2,inf) and is C^infinity.  The base
+which equals 1 on (-inf,1], 0 on [2,inf) and is C^infinity.  chi is
+evaluated as the closed form exp(-1/(2-t)) / (exp(-1/(2-t)) + exp(-1/(t-1)))
+at every point, with the two plateaus selected afterwards (no per-point
+masking; a NaN argument gives 1, as t <= 1 does).  The base
 windows and their recorded constants are:
 
     homogeneous dyadic   phi0(t)   = chi(t) - chi(2t),  supp in [1/2, 2],
@@ -35,24 +38,14 @@ _LOG2 = np.log(2.0)
 _EDGE = 1e-12
 
 
-def _g(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def _chi_values(t):
     t = np.asarray(t, dtype=float)
-    num = _g(2.0 - t)
-    den = num + _g(t - 1.0)
-    out = np.ones_like(t)
-    band = t > 1.0
-    out[band] = num[band] / den[band]
-    out[t >= 2.0] = 0.0
-    return out
+    # off the open band (1, 2) the exponentials overflow, divide by zero or
+    # give inf/inf; np.where discards those values for the plateaus
+    with np.errstate(all="ignore"):
+        num = np.exp(-1.0 / (2.0 - t))
+        band = num / (num + np.exp(-1.0 / (t - 1.0)))
+    return np.where(t >= 2.0, 0.0, np.where(t > 1.0, band, 1.0))
 
 
 @dataclass

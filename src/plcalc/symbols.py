@@ -337,11 +337,15 @@ class NormEstimate:
 
 
 def iterated_difference(g: Callable, M: int, h, x) -> np.ndarray:
-    """D_h^M g(x) = sum_j (-1)^(M-j) C(M,j) g(x + j h); broadcasts over h and x."""
+    """D_h^M g(x) = sum_j (-1)^(M-j) C(M,j) g(x + j h); broadcasts over h and x.
+
+    The h-free term g(x) (j = 0) is evaluated once, on x's own shape.
+    """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     out = np.zeros(np.broadcast_shapes(h.shape, x.shape), dtype=complex)
-    for j in range(M + 1):
+    out += (-1.0) ** M * np.asarray(g(x), dtype=complex)
+    for j in range(1, M + 1):
         out += (-1.0) ** (M - j) * math.comb(M, j) * np.asarray(g(x + j * h), dtype=complex)
     return out
 
@@ -375,7 +379,9 @@ def besov_norm_inf_1(g: Callable, alpha: float, M: int | None = None,
     M must exceed alpha (the iterated difference annihilates polynomials of
     degree < M, so the integrand vanishes at h -> 0 for smooth g).  The
     |h| < 1e-6 tail of the integral is dropped: it is O(h_min^(M-alpha))
-    for g with bounded M-th derivative.
+    for g with bounded M-th derivative.  With the stability gate on, the
+    value is the refined one; ``method`` keeps the coarse value and their
+    relative change ``refine_rel``.
     """
     if alpha <= 0:
         raise SymbolError("alpha must be > 0")
@@ -391,6 +397,7 @@ def besov_norm_inf_1(g: Callable, alpha: float, M: int | None = None,
         refined, _ = _besov_value(g, alpha, M, window, 2 * n_x, 2 * n_h)
         rel = abs(refined - value) / max(abs(refined), 1e-300)
         method["coarse"] = value
+        method["refine_rel"] = rel
         if rel > STABILITY_RTOL:
             raise NormStabilityError(
                 f"smoothness norm unstable under grid refinement ({rel:.1%} change)")
@@ -437,6 +444,7 @@ def mihlin_norm(f: Symbol | Callable, alpha: float, M: int | None = None,
     Besides the grid-refinement gate, the estimate is recomputed on a
     window widened by 1 on each side; growth beyond the gate means f is
     not multiplier-bounded near the window (e.g. f(t) = t) and raises.
+    The relative change under widening is kept as ``method["widen_rel"]``.
     """
     ev = f.evaluate if isinstance(f, Symbol) else f
     g = lambda x: np.asarray(ev(np.exp(np.asarray(x, dtype=float))), dtype=complex)
@@ -445,6 +453,7 @@ def mihlin_norm(f: Symbol | Callable, alpha: float, M: int | None = None,
         wide = (window[0] - 1.0, window[1] + 1.0)
         est_wide = besov_norm_inf_1(g, alpha, M, wide, n_x, n_h, check_stability=False)
         rel = abs(est_wide.value - est.value) / max(est_wide.value, 1e-300)
+        est.method["widen_rel"] = rel
         if rel > STABILITY_RTOL:
             raise NormStabilityError(
                 f"multiplier norm grows with the window ({rel:.1%} under widening); "

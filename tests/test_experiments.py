@@ -165,6 +165,19 @@ def test_multiplier_bound_check_stability_small():
     assert max(maxima) / min(maxima) <= 2.0
 
 
+@pytest.mark.parametrize("seed, rows", [
+    (1, [(0.984589759840991, 90.95677371566902, 0.010824809627909843),
+         (0.851449877494776, 90.03497938979379, 0.009456878684989125)]),
+    (2, [(0.9393735172054594, 96.32206527987333, 0.00975242292070894),
+         (0.9181873176745391, 99.98664451339013, 0.009183099624386097)]),
+])
+def test_multiplier_bound_check_pinned_rows(seed, rows):
+    # exact outputs: reordering the estimator's arithmetic moves them by ~1e-9
+    out = multiplier_bound_check(build_dirichlet_laplacian_1d(64, 1.0), 1.5, trials=2, seed=seed)
+    got = [(row["opnorm"], row["mihlin"], row["ratio"]) for row in out["rows"]]
+    np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0)
+
+
 def test_type2_one_sided_recorded():
     op = build_dirichlet_laplacian_1d(48, 1.0)
     out = type2_one_sided_check(op, samples=10, seed=3)

@@ -1,5 +1,7 @@
 """Block norms, continuous square functions, Besov norms, K-functionals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,18 @@ def test_pl_inhomogeneous_zero_vector(hom):
         pl_inhomogeneous_norm(op, inh, np.zeros(8), 2, theta=-1.0)
     with pytest.raises(NormsError):
         pl_inhomogeneous_norm(op, hom, np.zeros(8), 2)
+
+
+def test_overflowing_block_weights_raise_without_warning(hom):
+    # 2^(2000 n) overflows: the norm raises instead of returning NaN
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormsError, match="non-finite.*2000"):
+            pl_square_norm(op, hom, x, 2, theta=2000)
+        with pytest.raises(NormsError, match="non-finite.*2000"):
+            besov_discrete_norm(op, hom, x, 2000, 2)
 
 
 def test_continuous_square_exactness_and_zero():
@@ -267,7 +281,7 @@ def test_k_functional_monotone_concave():
     x = op.random_vector(np.random.default_rng(4))
     x /= lp_norm(x, 2, op.measure)
     ts = np.logspace(-3, 3, 50)
-    ks = np.array([k_functional(op, x, t, 0.0, 1.0) for t in ts])
+    ks = k_functional(op, x, ts, 0.0, 1.0)
     assert np.all(np.diff(ks) >= -1e-9 * ks[:-1])
     slopes = np.diff(ks) / np.diff(ts)
     assert np.all(np.diff(slopes) <= 1e-9 * np.max(ks))
@@ -344,6 +358,18 @@ def test_real_interpolation_batched_k_matches_scalar(monkeypatch):
         np.testing.assert_allclose(k, scalar, rtol=1e-14, atol=0)
 
 
+def test_k_functional_array_of_t_matches_scalar_calls():
+    op = build_dirichlet_laplacian_1d(32, 1.0)
+    x = op.random_vector(np.random.default_rng(5))
+    x /= lp_norm(x, 2, op.measure)
+    ts = np.logspace(-6, 6, 41)
+    for theta0, theta1 in [(0.0, 1.0), (-0.5, 1.5)]:
+        ks = k_functional(op, x, ts, theta0, theta1)
+        scalar = [k_functional(op, x, t, theta0, theta1) for t in ts]
+        assert isinstance(scalar[0], float) and ks.shape == ts.shape
+        np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
+
+
 def test_k_functional_guards():
     op = build_dirichlet_laplacian_1d(4, 1.0)
     x = np.ones(4)
@@ -351,6 +377,10 @@ def test_k_functional_guards():
         k_functional(op, x, 1.0, 0.0, 1.0, pnorm=4)
     with pytest.raises(NormsError):
         k_functional(op, x, -1.0, 0.0, 1.0)
+    with pytest.raises(NormsError):
+        k_functional(op, x, np.array([1.0, 0.0]), 0.0, 1.0)
+    with pytest.raises(NormsError):
+        k_functional(op, x, np.ones((2, 2)), 0.0, 1.0)
 
 
 def test_real_interpolation_eigenvector_scaling():

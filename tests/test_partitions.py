@@ -1,9 +1,12 @@
 """Partition-of-unity construction and identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from plcalc.partitions import (
+    _chi_values,
     build_bump,
     build_equidistant,
     build_homogeneous_dyadic,
@@ -29,6 +32,36 @@ def test_bump_plateaus_and_midpoint(bump):
     assert bump(np.array([2.5]))[0] == 0.0
     # g(2-t) = g(t-1) at t = 3/2 by symmetry of the construction
     assert bump(np.array([1.5]))[0] == pytest.approx(0.5, abs=1e-14)
+
+
+def masked_chi(t):
+    """chi evaluated only where each exponential is defined (g(s) = 0 for s <= 0)."""
+    def g(s):
+        out = np.zeros_like(s)
+        pos = s > 0
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            out[pos] = np.exp(-1.0 / s[pos])
+        return out
+
+    num = g(2.0 - t)
+    den = num + g(t - 1.0)
+    out = np.ones_like(t)
+    band = t > 1.0
+    out[band] = num[band] / den[band]
+    out[t >= 2.0] = 0.0
+    return out
+
+
+def test_chi_closed_form_equals_masked_form():
+    edges = [0.0, 1.0, 2.0, 1e300, -1e300, np.nan]
+    edges += [np.nextafter(e, d) for e in (1.0, 2.0) for d in (0.0, 3.0)]
+    t = np.concatenate([np.linspace(-3.0, 5.0, 80001), 1.0 + np.logspace(-300, 0, 601),
+                        2.0 - np.logspace(-300, 0, 601), edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = _chi_values(t)
+    np.testing.assert_array_equal(v, masked_chi(t))
+    assert np.all(v[np.isnan(t)] == 1.0)     # NaN falls on the t <= 1 plateau
 
 
 def test_bump_monotone_and_bounded(bump):

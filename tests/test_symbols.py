@@ -5,6 +5,7 @@ import pytest
 
 from plcalc.partitions import build_homogeneous_dyadic
 from plcalc.symbols import (
+    STABILITY_RTOL,
     NormStabilityError,
     Symbol,
     SymbolError,
@@ -66,6 +67,28 @@ def test_iterated_difference_annihilates_low_degree():
     g = lambda x: 3.0 - 2.0 * x + 0.5 * x**2
     d = iterated_difference(g, 3, 0.37, np.linspace(-2, 2, 50))
     assert np.max(np.abs(d)) < 1e-12
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_iterated_difference_evaluates_h_free_term_once(M):
+    # the estimator's layout: h as a column, x as a row, both signs of h
+    import math
+
+    points = []
+
+    def g(x):
+        points.append(np.size(x))
+        return np.sin(x) + 1j * np.cos(3 * x)
+
+    xs = np.linspace(-2.0, 2.0, 11)[None, :]
+    for hs in (np.logspace(-6, 0, 7)[:, None], -np.logspace(-6, 0, 7)[:, None]):
+        points.clear()
+        d = iterated_difference(g, M, hs, xs)
+        assert sum(points) == xs.size + M * hs.size * xs.size
+        term_by_term = np.zeros(d.shape, dtype=complex)
+        for j in range(M + 1):
+            term_by_term += (-1.0) ** (M - j) * math.comb(M, j) * g(xs + j * hs)
+        np.testing.assert_array_equal(d, term_by_term)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -142,6 +165,14 @@ def test_mihlin_norm_window_refinement_consistency(hom):
     coarse = mihlin_norm(f, 1.5, window=(-3, 3), n_x=384, n_h=109)
     fine = mihlin_norm(f, 1.5, window=(-3, 3), n_x=768, n_h=217)
     assert abs(coarse.value - fine.value) <= 0.05 * fine.value
+
+
+def test_mihlin_norm_keeps_refinement_and_widening_changes():
+    est = mihlin_norm(make_symbol("rho"), 1.5, window=(-3, 3))
+    for key in ("refine_rel", "widen_rel"):
+        assert 0 <= est.method[key] < STABILITY_RTOL
+    again = mihlin_norm(make_symbol("rho"), 1.5, window=(-3, 3))
+    assert again.method == est.method
 
 
 def test_mihlin_norm_flags_unbounded_symbol():
