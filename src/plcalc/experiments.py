@@ -371,7 +371,8 @@ def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
     f(t) = c_m chi(s) + c_{m+1} (1 - chi(s)), one bump call per point.
     The coefficients are padded with a zero on both sides, so c_m and
     c_{m+1} are two gathers at clipped indices: an index outside the
-    blocks lands on a pad and reads 0.
+    blocks lands on a pad and reads 0.  Points outside every block, t <= 0
+    and t = inf, give 0, and t = NaN gives NaN.
     """
     from .partitions import HOMOGENEOUS
 
@@ -382,6 +383,10 @@ def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
+        inside = (t > 0.0) & (t < np.inf)
+        if not inside.all():
+            return np.where(inside, evaluate(np.where(inside, t, 1.0)),
+                            np.where(np.isnan(t), np.nan, 0.0))
         m = np.floor(np.log2(np.maximum(t, 1e-300)))
         chi = bump(t * np.exp2(-m))
         i0 = (m - n_lo + 1).astype(int)   # index of c_m in c_pad

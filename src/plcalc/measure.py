@@ -7,9 +7,10 @@ w_i; it hosts every L^p norm in the package,
 
 Operators that are self-adjoint with respect to the weighted inner
 product <x,y> = sum_i w_i x_i conj(y_i) are diagonalized by similarity
-with W^(1/2): S = W^(1/2) A W^(-1/2) is Hermitian, so a standard
-Hermitian eigensolver applies and the back-transformed eigenvectors are
-orthonormal in the weighted inner product.
+with W^(1/2): S = W^(1/2) A W^(-1/2) is Hermitian (real symmetric for a
+real A, which then stays real), so a standard Hermitian eigensolver applies
+and the back-transformed eigenvectors are orthonormal in the weighted inner
+product.
 """
 
 from __future__ import annotations
@@ -103,29 +104,38 @@ def lp_norm(x, p, m: MeasureSpace):
     return float(out) if x.ndim == 1 else out
 
 
+def adjoint(b: np.ndarray) -> np.ndarray:
+    """Conjugate transpose; a plain transposed view for a real array (no copy)."""
+    return b.T.conj() if np.iscomplexobj(b) else b.T
+
+
 def weighted_symmetric_eig(a, m: MeasureSpace):
     """Eigendecomposition of an operator self-adjoint wrt the weighted inner product.
 
     Returns (eigenvalues ascending, eigenvectors Q) with Q^H W Q = I and
     A = Q diag(lam) Q^H W up to RECON_RTOL.
 
+    A real matrix stays real (real symmetric eigh, float64 Q); a complex
+    one goes through the Hermitian solver.
+
     Raises LinAlgError if WA is not Hermitian to SYMMETRY_RTOL (relative)
     or if the eigensolver fails to converge.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
     n = m.size
     if a.shape != (n, n):
         raise MeasureError(f"matrix shape {a.shape} does not match measure of size {n}")
     w = m.weights
     wa = w[:, None] * a
-    defect = np.linalg.norm(wa - wa.conj().T) / max(np.linalg.norm(wa), 1e-300)
+    defect = np.linalg.norm(wa - adjoint(wa)) / max(np.linalg.norm(wa), 1e-300)
     if defect > SYMMETRY_RTOL:
         raise LinAlgError(
             f"matrix is not self-adjoint wrt the measure (relative defect {defect:.2e})"
         )
     sqw = np.sqrt(w)
     s = (sqw[:, None] * a) / sqw[None, :]
-    s = 0.5 * (s + s.conj().T)
+    s = 0.5 * (s + adjoint(s))
     try:
         lam, u = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

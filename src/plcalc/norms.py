@@ -33,6 +33,7 @@ fixed order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,12 +437,13 @@ def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,
     best_y = None
     for _ in range(rounds):
         axes = [np.linspace(lo[k], hi[k], grid) for k in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        y = np.stack([m.ravel() for m in mesh], axis=1)   # (grid^n, n)
-        val = (np.sqrt(((y * u) ** 2).sum(axis=1))
-               + t * np.sqrt((((a - y) * v) ** 2).sum(axis=1)))
-        i = int(np.argmin(val))
-        best_y = y[i]
+        # both squared norms are sums of one term per coordinate: outer sums
+        # over the axes give them on the (grid,) * n box without a point list
+        sq0 = functools.reduce(np.add.outer, [(ax * u[k]) ** 2 for k, ax in enumerate(axes)])
+        sq1 = functools.reduce(np.add.outer,
+                               [((a[k] - ax) * v[k]) ** 2 for k, ax in enumerate(axes)])
+        idx = np.unravel_index(np.argmin(np.sqrt(sq0) + t * np.sqrt(sq1)), sq0.shape)
+        best_y = np.array([ax[i] for ax, i in zip(axes, idx)])
         span = (hi - lo) / (grid - 1)
         # re-center; a best point pinned to a box edge that is not the
         # domain boundary means the minimizer drifted (narrow valley), so

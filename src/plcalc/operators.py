@@ -16,6 +16,13 @@ angle for its nonzero spectrum, an injectivity flag and spectral bounds
 Resolvents and every functional calculus go through the diagonal form;
 resolvent_apply_lu solves on the assembled matrix as an independent oracle.
 
+Every builder's operator is real, so its basis (eigenvectors, or S and
+S^{-1}) is stored in float64; only the eigenvalues and the operands are
+complex.  A coefficient transform or a synthesis with a real basis is one
+real GEMM on the interleaved real view of the complex operand (basis_matmul),
+a quarter of the flops of the complex product; a complex basis, which the
+forms still accept, takes the plain complex product.
+
 Builders: 1d Dirichlet Laplacian (closed-form spectrum), weighted graph
 Laplacian I - P (self-adjoint wrt the vertex measure mu(x) = sum_y
 
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasureSpace, solve_complex, weighted_symmetric_eig
+from .measure import MeasureSpace, adjoint, solve_complex, weighted_symmetric_eig
 
 ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
@@ -110,6 +117,22 @@ def kernel_projection_apply(kp: KernelProjection, x) -> np.ndarray:
     return kp.p @ np.asarray(x, dtype=complex)
 
 
+def basis_matmul(b: np.ndarray, z) -> np.ndarray:
+    """b @ z for a complex operand z (a K-vector or a K x m stack).
+
+    A real b multiplies the interleaved view z.view(float), K x 2m, in one
+    real GEMM whose n x 2m result is read back as n x m complex; a complex
+    b takes the plain complex product.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.iscomplexobj(b):
+        return b @ z
+    zr = np.ascontiguousarray(z).view(float)
+    if z.ndim == 1:
+        return (b @ zr.reshape(-1, 2)).view(complex)[:, 0]
+    return (b @ zr).view(complex)
+
+
 @dataclass
 class ModelOperator:
     form: SpectralSelfAdjoint | SimilarityDiagonal
@@ -140,7 +163,7 @@ class ModelOperator:
         if isinstance(self.form, SpectralSelfAdjoint):
             q = self.form.eigenvectors
             w = self.measure.weights
-            gram = q.conj().T @ (w[:, None] * q)
+            gram = adjoint(q) @ (w[:, None] * q)
             if np.max(np.abs(gram - np.eye(q.shape[1]))) > ORTHO_TOL:
                 raise OperatorError("eigenvectors are not orthonormal wrt the measure")
         if isinstance(self.form, SimilarityDiagonal):
@@ -171,21 +194,21 @@ class ModelOperator:
         if isinstance(self.form, SpectralSelfAdjoint):
             q, lam = self.form.eigenvectors, self.form.eigenvalues
             w = self.measure.weights
-            return (q * lam[None, :]) @ (q.conj().T * w[None, :])
+            return (q * lam[None, :]) @ (adjoint(q) * w[None, :])
         return (self.form.s * self.form.eigenvalues[None, :]) @ self.form.s_inv
 
     def coefficients(self, x) -> np.ndarray:
         """Expansion coefficients of x in the operator's eigenbasis."""
         x = np.asarray(x, dtype=complex)
         if isinstance(self.form, SpectralSelfAdjoint):
-            return self.form.eigenvectors.conj().T @ (self.measure.weights * x)
-        return self.form.s_inv @ x
+            return basis_matmul(adjoint(self.form.eigenvectors), self.measure.weights * x)
+        return basis_matmul(self.form.s_inv, x)
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Sum of coefficients times eigenvectors; a K x m stack gives n x m."""
         basis = (self.form.eigenvectors if isinstance(self.form, SpectralSelfAdjoint)
                  else self.form.s)
-        return basis @ np.asarray(coeffs, dtype=complex)
+        return basis_matmul(basis, coeffs)
 
     def apply(self, x) -> np.ndarray:
         return self.synthesize(self.eigenvalues_or_none() * self.coefficients(x))
@@ -227,7 +250,7 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     q = np.sin(np.outer(i, k) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
     m = MeasureSpace(weights=np.full(n, h), points=i * h)
     return ModelOperator(
-        form=SpectralSelfAdjoint(lam, q.astype(complex)),
+        form=SpectralSelfAdjoint(lam, q),
         measure=m, sector_angle_hint=0.0, injective=True,
         spectral_bounds=_bounds_from_eigenvalues(lam),
         spec={"kind": "dirichlet1d", "n": n, "h": h},
@@ -268,7 +291,7 @@ def build_graph_laplacian(sigma) -> tuple:
     proj = np.tile(mu / mu.sum(), (n, 1))       # mu-weighted mean onto constants
     kp = KernelProjection(proj.astype(complex))
     op = ModelOperator(
-        form=SpectralSelfAdjoint(lam, q.astype(complex)),
+        form=SpectralSelfAdjoint(lam, q),
         measure=m, sector_angle_hint=0.0, injective=False,
         spectral_bounds=_bounds_from_eigenvalues(lam),
         kernel_projection=kp,
@@ -301,8 +324,10 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
 
     The grid must be wide and fine enough that the discretized Hermite
     functions are orthonormal wrt the grid weights to ``gram_tol``; they
-    are then re-orthonormalized (modified Gram-Schmidt in the weighted
-    inner product) so the spectral form is exact.
+    are then re-orthonormalized in the weighted inner product so the
+    spectral form is exact: one Householder QR of W^(1/2) V with the
+    column signs fixed so diag(R) > 0, which is the factorization Gram-
+    Schmidt computes, and Q = W^(-1/2) (W^(1/2) V R^-1) is real.
     """
     if d < 1 or num_modes < 1:
         raise OperatorError("need d >= 1 and num_modes >= 1")
@@ -313,11 +338,9 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
     if defect > gram_tol:
         raise OperatorError(
             f"grid too coarse or narrow: Hermite Gram defect {defect:.2e} > {gram_tol:.0e}")
-    q = v.astype(complex).copy()
-    for k in range(num_modes):                         # modified Gram-Schmidt
-        for j in range(k):
-            q[:, k] -= (q[:, j].conj() @ (w * q[:, k])) * q[:, j]
-        q[:, k] /= np.sqrt(np.real(q[:, k].conj() @ (w * q[:, k])))
+    sqw = np.sqrt(w)
+    u, r = np.linalg.qr(sqw[:, None] * v)
+    q = u * np.sign(np.diag(r)) / sqw[:, None]
     lam = d + 2.0 * np.arange(num_modes)
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
@@ -355,31 +378,60 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
     )
 
 
-def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator):
-    """S = Q (I + t N) with ||N||_2 = 1, t bisected so cond(S) ~ kappa."""
+COND_SEARCH_RTOL = 4e-16   # bracket width relative to t that ends the search
+COND_SEARCH_ITERS = 40     # cap on regula falsi steps after the bracket is found
+
+
+def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
+    """Real S = Q (I + t N) with ||N||_2 = 1 and t chosen so cond(S) = kappa.
+
+    Q is orthogonal, so cond(S) = cond(I + t N) and Q is applied once, at
+    the end.  The root of cond(I + t N) - kappa is bracketed by doubling t
+    from 1 (cond(I) = 1 < kappa at t = 0) and then found by Illinois regula
+    falsi: the secant point of the bracket replaces the endpoint of its own
+    sign, and an endpoint kept twice in a row has its residual halved, so
+    both ends converge.  It stops once the bracket is COND_SEARCH_RTOL * t
+    wide, after about a dozen condition numbers where bisection to the
+    same width needs some sixty.
+    """
     qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     nil = np.tril(rng.standard_normal((n, n)), -1)
-    if n > 1:
-        nil /= np.linalg.norm(nil, 2)
-
-    def build(t):
-        s = qmat @ (np.eye(n) + t * nil)
-        return s, np.linalg.cond(s)
-
     if kappa == 1.0 or n == 1:
-        return build(0.0)[0]
-    t_lo, t_hi = 0.0, 1.0
-    while build(t_hi)[1] < kappa:
+        return qmat
+    nil /= np.linalg.norm(nil, 2)
+    eye = np.eye(n)
+
+    def residual(t):
+        return np.linalg.cond(eye + t * nil) - kappa
+
+    t_lo, f_lo = 0.0, 1.0 - kappa
+    t_hi = 1.0
+    f_hi = residual(t_hi)
+    while f_hi < 0.0 and t_hi <= 1e8:
+        t_lo, f_lo = t_hi, f_hi
         t_hi *= 2.0
-        if t_hi > 1e8:
-            break
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        if build(mid)[1] < kappa:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return build(0.5 * (t_lo + t_hi))[0]
+        f_hi = residual(t_hi)
+    t = t_hi
+    if f_hi > 0.0:
+        kept = 0                  # +1 / -1: which end was kept last step
+        for _ in range(COND_SEARCH_ITERS):
+            t = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
+            f = residual(t)
+            if f == 0.0:
+                break
+            if f < 0.0:
+                t_lo, f_lo = t, f
+                if kept == 1:
+                    f_hi *= 0.5
+                kept = 1
+            else:
+                t_hi, f_hi = t, f
+                if kept == -1:
+                    f_lo *= 0.5
+                kept = -1
+            if t_hi - t_lo <= COND_SEARCH_RTOL * t:
+                break
+    return qmat @ (eye + t * nil)
 
 
 def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelOperator:
@@ -405,7 +457,7 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
     if hint >= np.pi / 2:
         raise OperatorError("eigenvalues must lie strictly inside the (double) sector")
     rng = np.random.default_rng(seed)
-    s = _blend_conditioning(lam.size, float(conditioning), rng).astype(complex)
+    s = _blend_conditioning(lam.size, float(conditioning), rng)
     s_inv = np.linalg.inv(s)
     m = MeasureSpace.uniform(lam.size)
     return ModelOperator(

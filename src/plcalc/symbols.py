@@ -342,9 +342,13 @@ def iterated_difference(g: Callable, M: int, h, x) -> np.ndarray:
     The h-free term g(x) (j = 0) is evaluated once, on x's own shape.
     """
     x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
+    return _difference(g, M, np.asarray(h, dtype=float), x, np.asarray(g(x), dtype=complex))
+
+
+def _difference(g: Callable, M: int, h: np.ndarray, x: np.ndarray, gx: np.ndarray):
+    """iterated_difference with its h-free term gx = g(x) given."""
     out = np.zeros(np.broadcast_shapes(h.shape, x.shape), dtype=complex)
-    out += (-1.0) ** M * np.asarray(g(x), dtype=complex)
+    out += (-1.0) ** M * gx
     for j in range(1, M + 1):
         out += (-1.0) ** (M - j) * math.comb(M, j) * np.asarray(g(x + j * h), dtype=complex)
     return out
@@ -355,17 +359,30 @@ def difference_shift(g: Callable, y: float) -> Callable:
     return lambda x: g(np.asarray(x, dtype=float) + y)
 
 
+BLOCK_POINTS = 4096   # points of the (h, x) difference grid evaluated at a time
+
+
 def _besov_value(g, alpha, M, window, n_x, n_h, h_min=1e-6):
-    """One evaluation of the smoothness-norm estimator on fixed grids."""
+    """One evaluation of the smoothness-norm estimator on fixed grids.
+
+    The (n_h, n_x) difference grid is evaluated in blocks of about
+    BLOCK_POINTS points, whole rows each (a row's sup is a max, so the
+    result does not depend on the blocking); g(x), which gives the sup
+    norm and the h-free term of every row, is evaluated once.  Small
+    blocks keep every temporary off the allocator's mmap path.
+    """
     x_lo, x_hi = window
     xg = np.linspace(x_lo, x_hi, n_x)
-    sup_norm = float(np.max(np.abs(np.asarray(g(xg), dtype=complex))))
+    gx = np.asarray(g(xg), dtype=complex)
+    sup_norm = float(np.max(np.abs(gx)))
     hs = np.exp(np.linspace(np.log(h_min), 0.0, n_h))
     du = -np.log(h_min) / (n_h - 1)
+    rows = max(1, BLOCK_POINTS // n_x)
     integral = 0.0
     for sign in (1.0, -1.0):
-        d = iterated_difference(g, M, sign * hs[:, None], xg[None, :])
-        sups = np.max(np.abs(d), axis=1)
+        sups = np.concatenate([
+            np.max(np.abs(_difference(g, M, sign * hs[i:i + rows, None], xg, gx)), axis=1)
+            for i in range(0, n_h, rows)])
         vals = hs**-alpha * sups
         integral += float(du * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
     return sup_norm + integral, sup_norm

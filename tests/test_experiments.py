@@ -13,6 +13,7 @@ from plcalc.experiments import (
     multiplier_bound_check,
     resolvent_scan,
     run_equivalence,
+    sample_dyadic_symbol,
     type2_one_sided_check,
 )
 from plcalc.norms import QuadratureSpec
@@ -196,3 +197,15 @@ def test_norm_evaluation_failure_carries_sample_index():
     }
     with pytest.raises(ExperimentError, match="sample 0"):
         run_equivalence(config)
+
+
+def test_dyadic_sample_outside_the_blocks():
+    # t <= 0 and t = inf lie outside every block (0); NaN stays NaN; the
+    # RuntimeWarning filter of the suite turns any cast warning into a failure
+    f = sample_dyadic_symbol(build_homogeneous_dyadic(), np.array([0.5, -1.0, 0.25j]), -1)
+    t = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -2.0, 1e-310, 0.75, 1.5])
+    out = np.asarray(f(t), dtype=complex)
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:7], 0.0)
+    np.testing.assert_array_equal(out[7:], f(t[7:]))
+    assert np.all(np.abs(out[7:]) <= 1.0) and np.any(out[7:] != 0)

@@ -140,3 +140,21 @@ def test_solve_rejects_singular():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(LinAlgError):
         solve_complex(a, np.ones(2, dtype=complex))
+
+
+def test_eig_real_input_stays_real():
+    rng = np.random.default_rng(5)
+    n = 10
+    w = rng.uniform(0.5, 2.0, n)
+    m = MeasureSpace(weights=w)
+    h = rng.standard_normal((n, n))
+    a = (h + h.T) / w[:, None]
+    lam, q = weighted_symmetric_eig(a, m)
+    assert q.dtype == np.float64 and lam.dtype == np.float64
+    assert np.max(np.abs(q.T @ (w[:, None] * q) - np.eye(n))) < 1e-10
+    recon = (q * lam[None, :]) @ (q.T * w[None, :])
+    assert np.linalg.norm(recon - a) <= 1e-9 * np.linalg.norm(a)
+    # the same matrix through the Hermitian solver: same spectrum
+    lam_c, q_c = weighted_symmetric_eig(a.astype(complex), m)
+    assert q_c.dtype == complex
+    np.testing.assert_allclose(lam, lam_c, rtol=0, atol=1e-12 * np.max(np.abs(lam)))

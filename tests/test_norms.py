@@ -482,3 +482,30 @@ def test_even_windows_accept_complex_spectrum(hom):
     assert SQRT_HALF - 1e-9 <= pl_square_norm(op, even_extension(hom), x, 2) <= 1.0 + 1e-9
     with pytest.raises(NormsError, match="complex spectrum"):
         pl_square_norm(op, hom, x, 2)
+
+
+def _bruteforce_point_list(op, x, t, rounds, grid):
+    """The oracle's search over an explicit (grid^n, n) point list."""
+    lam, a = _diagonal_data(op, x)
+    u, v = lam**0.0, lam**1.0
+    lo, hi = np.zeros(a.size), a.copy()
+    for _ in range(rounds):
+        axes = [np.linspace(lo[k], hi[k], grid) for k in range(a.size)]
+        y = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        val = np.sqrt(((y * u) ** 2).sum(axis=1)) + t * np.sqrt((((a - y) * v) ** 2).sum(axis=1))
+        best = y[int(np.argmin(val))]
+        span = (hi - lo) / (grid - 1)
+        at_edge = ((best <= lo + 1e-30) & (lo > 1e-30)) | ((best >= hi - 1e-30) & (hi < a - 1e-30))
+        width = np.where(at_edge, 4.0 * span, 1.5 * span)
+        lo, hi = np.maximum(best - width, 0.0), np.minimum(best + width, a)
+    return float(np.sqrt(((best * u) ** 2).sum()) + t * np.sqrt((((a - best) * v) ** 2).sum()))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_k_functional_bruteforce_outer_sums_equal_point_list(n):
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for t in (0.1, 0.5, 2.0):
+        assert k_functional_bruteforce(op, x, t, 0.0, 1.0, rounds=8, grid=5) \
+            == _bruteforce_point_list(op, x, t, rounds=8, grid=5)

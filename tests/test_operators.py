@@ -1,5 +1,7 @@
 """Model operator builders, resolvents, kernel projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from plcalc.operators import (
     GraphError,
     KernelProjection,
     OperatorError,
+    SimilarityDiagonal,
     SpecKeyError,
+    SpectralSelfAdjoint,
+    _blend_conditioning,
+    basis_matmul,
     build_dirichlet_laplacian_1d,
     build_graph_laplacian,
     build_hermite_operator,
@@ -257,3 +263,95 @@ def test_injective_operators_have_no_kernel_projection():
     op = build_dirichlet_laplacian_1d(4, 1.0)
     assert op.kernel_projection is None       # absent projection means P = 0
     assert op.kernel_dim() == 0
+
+
+# -- real bases -------------------------------------------------------------------
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_basis_matmul_real_basis_equals_complex_product():
+    rng = np.random.default_rng(3)
+    n, k, m = 40, 24, 7
+    b = rng.standard_normal((n, k))
+    z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    stack = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    rows = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    bc = b.astype(complex)
+    # a vector, a K x m stack and the transposed row stack of spectral_multiplier
+    for operand in (z, stack, rows.T):
+        out = basis_matmul(b, operand)
+        assert out.dtype == complex and out.shape == (bc @ operand).shape
+        assert _rel(out, bc @ operand) <= 1e-15
+    # the transposed view of coefficient transforms, on a complex and a real operand
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert _rel(basis_matmul(b.T, w), bc.T @ w) <= 1e-15
+    assert _rel(basis_matmul(b.T, w.real), bc.T @ w.real) <= 1e-15
+    # a complex basis takes the plain product
+    bz = bc + 1j * rng.standard_normal((n, k))
+    assert np.array_equal(basis_matmul(bz, stack), bz @ stack)
+
+
+_BUILDERS = {
+    "dirichlet": lambda: build_dirichlet_laplacian_1d(16, 0.5),
+    "graph": lambda: build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4)))[0],
+    "hermite": lambda: build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
+    "schrodinger": lambda: build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
+    "nonnormal": lambda: build_nonnormal_sectorial([1 + 0.2j, 1 - 0.2j, 3.0, 0.5], 5.0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_builders_store_real_bases_and_keep_their_checks(name):
+    op = _BUILDERS[name]()
+    form = op.form
+    if isinstance(form, SpectralSelfAdjoint):
+        assert form.eigenvectors.dtype == np.float64
+        assert form.eigenvalues.dtype == np.float64
+        q = form.eigenvectors.copy()
+        q[:, 0] *= 1.0 + 1e-6
+        bad = SpectralSelfAdjoint(form.eigenvalues, q)
+        with pytest.raises(OperatorError, match="orthonormal"):
+            dataclasses.replace(op, form=bad)
+    else:
+        assert form.s.dtype == np.float64 and form.s_inv.dtype == np.float64
+        assert form.eigenvalues.dtype == complex
+        s_inv = form.s_inv.copy()
+        s_inv[0, 0] += 1e-6
+        with pytest.raises(OperatorError, match="similarity"):
+            dataclasses.replace(op, form=SimilarityDiagonal(form.s, s_inv, form.eigenvalues))
+    # transforms still return complex and round-trip
+    x = op.random_vector(np.random.default_rng(1))
+    assert x.dtype == complex
+    assert _rel(op.synthesize(op.coefficients(x)), x) <= 1e-12
+
+
+@pytest.mark.parametrize("n, kappa, seed", [
+    (96, 10.0, 3), (64, 10.0, 12345), (48, 5.0, 7), (16, 100.0, 1), (5, 10.0, 2)])
+def test_conditioning_search_hits_kappa_in_few_condition_numbers(monkeypatch, n, kappa, seed):
+    calls = []
+    cond = np.linalg.cond
+
+    def counting(a, *args):
+        calls.append(1)
+        return cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    s = _blend_conditioning(n, kappa, np.random.default_rng(seed))
+    assert len(calls) <= 20
+    assert s.dtype == np.float64
+    assert abs(cond(s) / kappa - 1.0) <= 1e-12
+
+
+def test_hermite_qr_basis_matches_weighted_gram_schmidt():
+    k = 16
+    grid = uniform_grid(-13.0, 13.0, 640)
+    op = build_hermite_operator(1, k, grid)
+    w = grid.weights
+    q = hermite_functions(k, grid.points).T.copy()
+    for i in range(k):                     # modified Gram-Schmidt, weighted
+        for j in range(i):
+            q[:, i] -= (q[:, j] @ (w * q[:, i])) * q[:, j]
+        q[:, i] /= np.sqrt(q[:, i] @ (w * q[:, i]))
+    assert np.max(np.abs(op.form.eigenvectors - q)) <= 1e-14

@@ -255,3 +255,36 @@ def test_psi_res_values_and_derivative():
     d1_fd = bare.derivative(1, t)
     assert np.max(np.abs(d1 - d1_fd)) < 1e-7
     assert sym.decay is not None and sym.decay.eps0 == 1.0
+
+
+def test_besov_value_row_blocks_are_bit_identical(monkeypatch):
+    # a row's sup is a max, so the blocking cannot move the estimate; g(x)
+    # is evaluated once per grid, the shifts once per point
+    from plcalc import symbols
+
+    points = []
+    rho = make_symbol("rho")
+
+    def g(x):
+        points.append(np.size(x))
+        return np.asarray(rho(np.exp(x)), dtype=complex)
+
+    n_x, n_h, M = 384, 73, 2
+    results = {}
+    for block in (1, 4096, 10**9):           # one row, ~10 rows, one block
+        monkeypatch.setattr(symbols, "BLOCK_POINTS", block)
+        points.clear()
+        results[block] = symbols._besov_value(g, 1.5, M, (-6.0, 6.0), n_x, n_h)
+        assert sum(points) == n_x + 2 * M * n_h * n_x
+    assert results[1] == results[4096] == results[10**9]
+    # the unblocked estimate through the public iterated_difference
+    xg = np.linspace(-6.0, 6.0, n_x)
+    hs = np.exp(np.linspace(np.log(1e-6), 0.0, n_h))
+    du = -np.log(1e-6) / (n_h - 1)
+    integral = 0.0
+    for sign in (1.0, -1.0):
+        vals = hs**-1.5 * np.max(np.abs(iterated_difference(g, M, sign * hs[:, None],
+                                                            xg[None, :])), axis=1)
+        integral += float(du * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
+    sup_norm = float(np.max(np.abs(g(xg))))
+    assert results[4096] == (sup_norm + integral, sup_norm)
