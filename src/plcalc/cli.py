@@ -22,6 +22,7 @@ only: NaN or infinity never reaches the JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -220,6 +221,7 @@ def cmd_suite_acceptance(args) -> int:
     return EXIT_OK
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plcalc",

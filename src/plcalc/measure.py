@@ -15,10 +15,10 @@ product.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 # Tolerances are pinned here so property tests are reproducible.
 SYMMETRY_RTOL = 1e-10      # relative self-adjointness defect allowed on input
@@ -151,7 +151,7 @@ def solve_complex(a, b) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise MeasureError(f"incompatible shapes {a.shape}, {b.shape}")
-    import warnings
+    import scipy.linalg   # imported here: the LU oracle is the package's only scipy user
 
     with warnings.catch_warnings():
         # exact singularity is reported through the pivot check below

@@ -26,15 +26,14 @@ equals 1 on the support of member n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-_LOG2 = np.log(2.0)
+from .taylor import DERIV_MAX_ORDER, taylor_derivative
 
 # Plateau margin: inside this distance of the transition-band edges the
-# symbolic derivative expressions are evaluated, outside they are exactly 0.
+# Taylor-jet derivatives are evaluated, outside they are exactly 0.
 _EDGE = 1e-12
 
 
@@ -48,44 +47,33 @@ def _chi_values(t):
     return np.where(t >= 2.0, 0.0, np.where(t > 1.0, band, 1.0))
 
 
+def _chi_jet(x):
+    g_lo = (-(2 - x) ** -1).exp()
+    return g_lo * (g_lo + (-(x - 1) ** -1).exp()) ** -1
+
+
 @dataclass
 class SmoothBump:
     """C^infinity transition chi: 1 on (-inf,1], 0 on [2,inf), nonincreasing.
 
-    Derivatives up to ``max_order`` come from symbolic differentiation of
-    the closed form, lambdified once per order and evaluated only on the
-    open transition band (they vanish identically on the plateaus).
+    Derivatives up to DERIV_MAX_ORDER come from a Taylor jet of the closed
+    form, evaluated only on the open transition band (they vanish
+    identically on the plateaus).
     """
-
-    max_order: int = 8
-    _deriv_funcs: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, t):
         return _chi_values(t)
 
     def derivative(self, k: int, t):
-        if k < 0 or k > self.max_order:
-            raise ValueError(f"derivative order must be in [0, {self.max_order}]")
+        if k < 0 or k > DERIV_MAX_ORDER:
+            raise ValueError(f"derivative order must be in [0, {DERIV_MAX_ORDER}]")
         if k == 0:
             return _chi_values(t)
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         band = (t > 1.0 + _EDGE) & (t < 2.0 - _EDGE)
-        if np.any(band):
-            out[band] = self._deriv(k)(t[band])
+        out[band] = taylor_derivative(_chi_jet, k, t[band]).real
         return out
-
-    def _deriv(self, k: int) -> Callable:
-        if k not in self._deriv_funcs:
-            import sympy as sp
-
-            x = sp.Symbol("x", real=True)
-            g_lo = sp.exp(-1 / (2 - x))
-            g_hi = sp.exp(-1 / (x - 1))
-            expr = g_lo / (g_lo + g_hi)
-            dk = sp.diff(expr, x, k)
-            self._deriv_funcs[k] = sp.lambdify(x, dk, modules="numpy")
-        return self._deriv_funcs[k]
 
 
 def build_bump() -> SmoothBump:

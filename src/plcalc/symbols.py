@@ -3,8 +3,8 @@
 A Symbol is a scalar function f on (0,inf) bundled with
 
   * optional evaluation on complex sector points (for contour quadrature),
-  * derivatives d^k f / dt^k up to order 8 (closed form for shipped kinds,
-    log-scale central differences otherwise),
+  * derivatives d^k f / dt^k up to order 8 (Taylor jets of the closed form
+    for shipped kinds, log-scale central differences otherwise),
   * an optional decay certificate (eps0, eps_inf, C, sigma_max) asserting
     |f(t)| <= C min(t^eps0, t^-eps_inf) on rays of angle up to sigma_max.
 
@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .operators import check_spec_keys
 from .partitions import HOMOGENEOUS, PartitionOfUnity
+from .taylor import DERIV_MAX_ORDER, taylor_derivative
 
 _LN2 = float(np.log(2.0))
 
-DERIV_MAX_ORDER = 8
 STABILITY_RTOL = 0.05      # refinement gate: <5% change under 2x refinement
 CERT_GRID_POINTS = 200     # log-grid sample backing each decay certificate
 CERT_SLACK = 1.01
@@ -147,23 +148,6 @@ def _certify(f: Callable, eps0: float, eps_inf: float, sigma_max: float) -> Deca
                             c_real=CERT_SLACK * c_real)
 
 
-def _sympy_derivatives(expr_builder) -> Callable:
-    """Lambdified symbolic derivatives of expr_builder(t, sympy), cached per order."""
-    import sympy as sp
-
-    t = sp.Symbol("t", positive=True)
-    expr = expr_builder(t, sp)
-    cache: dict = {}
-
-    def deriv(k, x):
-        if k not in cache:
-            cache[k] = sp.lambdify(t, sp.diff(expr, t, k), modules="numpy")
-        x = np.asarray(x, dtype=float)
-        return np.asarray(cache[k](x), dtype=complex) + np.zeros_like(x, dtype=complex)
-
-    return deriv
-
-
 def make_symbol(kind: str, **params) -> Symbol:
     """Shipped multiplier kinds.
 
@@ -179,33 +163,20 @@ def make_symbol(kind: str, **params) -> Symbol:
     """
     if kind == "power":
         theta = float(params["theta"])
-
-        def d_power(k, x):
-            coef = 1.0
-            for j in range(k):
-                coef *= theta - j
-            return coef * np.asarray(x, dtype=complex) ** (theta - k)
-
         return Symbol(
             evaluate=lambda t: t**theta,
             name="power", params={"theta": theta},
             sector_evaluate=lambda z: np.exp(theta * np.log(z)),
-            derivative_fn=d_power,
+            derivative_fn=partial(taylor_derivative, lambda x: x**theta),
             homogeneous_scaling=True,
         )
 
     if kind == "rho":
-        def d_rho(k, x):
-            x = np.asarray(x, dtype=complex)
-            sign = (-1.0) ** k
-            return sign * (math.factorial(k) * (1 + x) ** (-1 - k)
-                           - math.factorial(k + 1) * (1 + x) ** (-2 - k))
-
         f = lambda z: z * (1 + z) ** -2
         return Symbol(
             evaluate=f, name="rho", params={},
             sector_evaluate=f,
-            derivative_fn=d_rho,
+            derivative_fn=partial(taylor_derivative, f),
             decay=_certify(f, 1.0, 1.0, sigma_max=np.pi / 2 * 0.98),
         )
 
@@ -213,7 +184,7 @@ def make_symbol(kind: str, **params) -> Symbol:
         return Symbol(
             evaluate=lambda t: np.exp(-t), name="exp", params={},
             sector_evaluate=lambda z: np.exp(-z),
-            derivative_fn=lambda k, x: (-1.0) ** k * np.exp(-np.asarray(x, dtype=complex)),
+            derivative_fn=partial(taylor_derivative, lambda x: (-x).exp()),
         )
 
     if kind == "psi_exp":
@@ -222,16 +193,12 @@ def make_symbol(kind: str, **params) -> Symbol:
         if a <= 0 or b <= 0 or a / b <= theta:
             raise SymbolError(f"psi_exp requires a, b > 0 and a/b > theta, got a={a}, b={b}")
         sigma_max = min(np.pi / 2, np.pi / (2 * b)) * 0.9
-
-        def f_sec(z):
-            z = np.asarray(z, dtype=complex)
-            return np.exp(a * np.log(z)) * np.exp(-np.exp(b * np.log(z)))
-
+        f_sec = lambda z: np.exp(a * np.log(z)) * np.exp(-np.exp(b * np.log(z)))
         return Symbol(
             evaluate=lambda t: t**a * np.exp(-(t**b)),
             name="psi_exp", params={"a": a, "b": b},
             sector_evaluate=f_sec,
-            derivative_fn=_sympy_derivatives(lambda t, sp: t**a * sp.exp(-(t**b))),
+            derivative_fn=partial(taylor_derivative, lambda x: x**a * (-(x**b)).exp()),
             decay=_certify(f_sec, a, a + 1.0, sigma_max),
         )
 
@@ -243,18 +210,13 @@ def make_symbol(kind: str, **params) -> Symbol:
             raise SymbolError("psi_res requires lambda0 off [0, inf)")
         if b <= 0 or not (theta < a < b + theta):
             raise SymbolError(f"psi_res requires theta < a < b + theta, got a={a}, b={b}")
-
-        def f_sec(z):
-            z = np.asarray(z, dtype=complex)
-            return z**a * (lam0 - z) ** (-b)
-
+        f = lambda z: z**a * (lam0 - z) ** -b
         return Symbol(
-            evaluate=f_sec, name="psi_res",
+            evaluate=lambda t: f(np.asarray(t, dtype=complex)), name="psi_res",
             params={"a": a, "b": b, "lambda0": lam0},
-            sector_evaluate=f_sec,
-            derivative_fn=_sympy_derivatives(
-                lambda t, sp: t**a * (sp.Float(lam0.real) + sp.I * sp.Float(lam0.imag) - t) ** (-b)),
-            decay=_certify(f_sec, a, b - a, sigma_max=0.3),
+            sector_evaluate=f,
+            derivative_fn=partial(taylor_derivative, f),
+            decay=_certify(f, a, b - a, sigma_max=0.3),
         )
 
     if kind == "res_frac":
@@ -262,34 +224,21 @@ def make_symbol(kind: str, **params) -> Symbol:
         theta = float(params.get("theta", 0.0))
         if not (0 < a - theta < b):
             raise SymbolError(f"res_frac requires 0 < a - theta < b, got a={a}, b={b}")
-
-        def f_sec(z):
-            z = np.asarray(z, dtype=complex)
-            return z**a * (1 + z) ** (-b)
-
+        f = lambda z: z**a * (1 + z) ** -b
         return Symbol(
-            evaluate=lambda t: t**a * (1 + t) ** (-b),
-            name="res_frac", params={"a": a, "b": b},
-            sector_evaluate=f_sec,
-            derivative_fn=_sympy_derivatives(lambda t, sp: t**a * (1 + t) ** (-b)),
-            decay=_certify(f_sec, a, b - a, sigma_max=np.pi / 2 * 0.98),
+            evaluate=f, name="res_frac", params={"a": a, "b": b},
+            sector_evaluate=f,
+            derivative_fn=partial(taylor_derivative, f),
+            decay=_certify(f, a, b - a, sigma_max=np.pi / 2 * 0.98),
         )
 
     if kind == "imag_power":
         s = float(params["s"])
-
-        def d_imag(k, x):
-            coef = 1.0 + 0j
-            for j in range(k):
-                coef *= 1j * s - j
-            x = np.asarray(x, dtype=complex)
-            return coef * x ** (1j * s - k)
-
         return Symbol(
             evaluate=lambda t: np.asarray(t, dtype=complex) ** (1j * s),
             name="imag_power", params={"s": s},
             sector_evaluate=lambda z: np.exp(1j * s * np.log(z)),
-            derivative_fn=d_imag,
+            derivative_fn=partial(taylor_derivative, lambda x: x ** (1j * s)),
             homogeneous_scaling=True,
         )
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from plcalc.cli import main
+from plcalc.cli import build_parser, main
 
 SQRT_HALF = 2.0**-0.5
 
@@ -258,3 +258,23 @@ def test_reports_refuse_non_finite_json(capsys):
 
     with pytest.raises(ValueError):
         _emit({"norm": float("nan")}, None, quiet=True)
+
+
+def test_parser_is_built_once_and_options_do_not_carry(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = write(tmp_path, "norm.json", {
+        "operator": {"kind": "dirichlet1d", "n": 4, "h": 1.0},
+        "norm": {"kind": "pl_square", "pnorm": 2},
+        "vector": {"kind": "random"},
+    })
+    out = str(tmp_path / "r.json")
+    assert main(["norm", "eval", "--config", cfg, "--out", out, "--seed", "3", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["norm", "eval", "--config", cfg, "--out", out]) == 2   # no --seed
+    zero = write(tmp_path, "zero.json", {
+        "operator": {"kind": "dirichlet1d", "n": 4, "h": 1.0},
+        "norm": {"kind": "pl_square", "pnorm": 2},
+        "vector": {"kind": "zero"},
+    })
+    assert main(["norm", "eval", "--config", zero, "--out", out]) == 0   # no --quiet
+    assert json.loads(capsys.readouterr().out)["norm"] == 0.0

@@ -83,6 +83,15 @@ def test_bump_derivative_matches_finite_difference(bump):
     assert np.max(np.abs(bump.derivative(1, t) - fd)) < 1e-6
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_bump_jet_derivative_matches_difference_of_lower_order(bump, k):
+    t = np.linspace(1.05, 1.95, 181)
+    h = 1e-5
+    fd = (bump.derivative(k - 1, t + h) - bump.derivative(k - 1, t - h)) / (2 * h)
+    exact = bump.derivative(k, t)
+    assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
+
+
 def test_homogeneous_window_values(hom):
     assert hom.window(0, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
     assert hom.window(0, np.array([0.4]))[0] == 0.0

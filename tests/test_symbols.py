@@ -1,5 +1,10 @@
 """Symbols, decay certificates, and the multiplier-norm estimators."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,6 +57,77 @@ def test_rho_analytic_derivatives_vs_fd():
         exact = rho.derivative(k, t)
         approx = bare.derivative(k, t)
         assert np.max(np.abs(exact - approx)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+
+def _falling(p, k):
+    return math.prod(p - j for j in range(k))
+
+
+# Exact k-th derivatives (k >= 1) of the kinds with a closed-form rule.
+EXACT_DERIVATIVES = {
+    "power": ({"theta": 0.7}, lambda k, x: _falling(0.7, k) * x ** (0.7 - k)),
+    "exp": ({}, lambda k, x: (-1.0) ** k * np.exp(-x)),
+    "imag_power": ({"s": 0.7}, lambda k, x: _falling(0.7j, k) * x ** (0.7j - k)),
+    "rho": ({}, lambda k, x: (-1.0) ** k * math.factorial(k) * (x - k) * (1 + x) ** (-2.0 - k)),
+}
+# Hand-written first derivatives of the kinds checked against differences.
+FIRST_DERIVATIVES = {
+    "psi_exp": ({"a": 2.0, "b": 0.5},
+                lambda x: (2.0 * x - 0.5 * x**1.5) * np.exp(-np.sqrt(x))),
+    "res_frac": ({"a": 0.5, "b": 2.0},
+                 lambda x: 0.5 * x**-0.5 * (1 + x) ** -2 - 2.0 * x**0.5 * (1 + x) ** -3),
+    "psi_res": ({"a": 0.5, "b": 1.5, "lambda0": -1 + 1j},
+                lambda x: 0.5 * x**-0.5 * (-1 + 1j - x) ** -1.5
+                + 1.5 * x**0.5 * (-1 + 1j - x) ** -2.5),
+}
+
+
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in EXACT_DERIVATIVES for k in range(1, 9)]
+                         + [(kind, k) for kind in FIRST_DERIVATIVES for k in (1, 2, 3)])
+def test_shipped_derivatives_vs_oracles(kind, k):
+    t = np.logspace(-3, 3, 60)
+    if kind in EXACT_DERIVATIVES:
+        params, exact = EXACT_DERIVATIVES[kind]
+        sym = make_symbol(kind, **params)
+        np.testing.assert_allclose(sym.derivative(k, t), exact(k, t.astype(complex)), rtol=1e-12)
+        return
+    params, first = FIRST_DERIVATIVES[kind]
+    sym = make_symbol(kind, **params)
+    if k == 1:
+        np.testing.assert_allclose(sym.derivative(1, t), first(t.astype(complex)), rtol=1e-12)
+    t = np.logspace(-1, 1, 17)   # the difference oracle's range, as for rho above
+    got = sym.derivative(k, t)
+    approx = Symbol(evaluate=sym.evaluate).derivative(k, t)   # finite differences
+    assert np.max(np.abs(got - approx)) < 1e-6 * max(1.0, np.max(np.abs(got)))
+
+
+def test_derivatives_load_no_third_party_package_but_numpy():
+    # covers scipy (wanted only by the LU oracle) and any symbolic package
+    code = """
+import sys
+import numpy as np
+
+before = set(sys.modules)
+import plcalc
+from plcalc.partitions import build_bump
+from plcalc.symbols import make_symbol
+
+t = np.linspace(0.5, 2.5, 41)
+for sym in (make_symbol("psi_exp", a=2.0, b=1.0),
+            make_symbol("psi_res", a=0.5, b=1.5, lambda0=-1 + 1j),
+            make_symbol("res_frac", a=0.5, b=2.0)):
+    assert np.all(np.isfinite(sym.derivative(8, t)))
+assert np.all(np.isfinite(build_bump().derivative(8, t)))
+added = {m.split(".")[0] for m in set(sys.modules) - before}
+third_party = sorted(added - set(sys.stdlib_module_names) - {"numpy", "plcalc"})
+assert not third_party, third_party
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_decay_certificates_hold_on_sample():
