@@ -30,27 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    KernelProjection,
-    ModelOperator,
-    SimilarityDiagonal,
-    SpectralSelfAdjoint,
-    check_resolvent_gap,
-)
+from .operators import KernelProjection, ModelOperator, check_resolvent_gap
 from .symbols import Symbol, make_symbol
 
-DUAL_PATH_TOL = 1e-10
 DEFAULT_SIGMA_FLOOR = 0.15    # contour half-angle floor; see default_contour_spec
 DEFAULT_TAIL_TOL = 1e-9
 
 
 class CalculusError(RuntimeError):
     pass
-
-
-def _kernel_mask(op: ModelOperator, lam):
-    scale = max(np.max(np.abs(lam)), 1e-300)
-    return np.abs(lam) <= 1e-12 * scale
 
 
 def spectral_multiplier(op: ModelOperator, values, x) -> np.ndarray:
@@ -67,28 +55,25 @@ def spectral_multiplier(op: ModelOperator, values, x) -> np.ndarray:
 def apply_spectral(op: ModelOperator, f: Symbol, x, project_kernel: bool = True) -> np.ndarray:
     """f(A)x through the eigenbasis (exact linear-algebra contract).
 
-    For operators with kernel, the kernel coefficients are dropped when
-    ``project_kernel`` (the calculus of the injective part); otherwise f
-    must be finite at 0.
+    On a real spectrum f is evaluated on the real line; a complex spectrum
+    needs the symbol's sector evaluation and raises CalculusError without
+    one.  For operators with kernel, the kernel coefficients are dropped
+    when ``project_kernel`` (the calculus of the injective part); otherwise
+    f must be finite at 0.
     """
-    lam = op.eigenvalues_or_none()
-    mask = _kernel_mask(op, lam)
-    vals = np.empty(lam.shape, dtype=complex)
-    nz = ~mask
-    lam_nz = lam[nz]
-    if isinstance(op.form, SpectralSelfAdjoint):
-        vals[nz] = np.asarray(f(np.real(lam_nz)), dtype=complex)
+    lam_nz = op.eigenvalues_or_none()[op.nonzero]
+    vals = np.zeros(op.nonzero.shape, dtype=complex)
+    if not np.any(np.imag(lam_nz)):
+        vals[op.nonzero] = f(np.real(lam_nz))
+    elif f.sector_evaluate is not None:
+        vals[op.nonzero] = f.on_sector(lam_nz)
     else:
-        vals[nz] = np.asarray(f.on_sector(lam_nz) if f.sector_evaluate is not None
-                              else f(lam_nz), dtype=complex)
-    if np.any(mask):
-        if project_kernel:
-            vals[mask] = 0.0
-        else:
-            v0 = complex(np.asarray(f(np.array([0.0])), dtype=complex)[0])
-            if not np.isfinite(v0):
-                raise CalculusError("symbol undefined at a zero eigenvalue")
-            vals[mask] = v0
+        raise CalculusError(f"symbol {f.name} has no sector evaluation for a complex spectrum")
+    if not project_kernel and not np.all(op.nonzero):
+        v0 = complex(np.asarray(f(np.array([0.0])), dtype=complex)[0])
+        if not np.isfinite(v0):
+            raise CalculusError("symbol undefined at a zero eigenvalue")
+        vals[~op.nonzero] = v0
     if not np.all(np.isfinite(vals)):
         raise CalculusError(f"symbol {f.name} is not finite on the spectrum")
     return spectral_multiplier(op, vals, x)
@@ -144,7 +129,7 @@ def default_contour_spec(op: ModelOperator, f: Symbol, tail_tol: float = DEFAULT
         sigma = 0.5 * (op.sector_angle_hint + f.decay.sigma_max)
         if sigma <= op.sector_angle_hint:
             raise CalculusError("certificate angle does not clear the operator sector")
-    kappa = _basis_conditioning(op)
+    kappa = op.basis_conditioning()
     c, e0, ei = f.decay.C, f.decay.eps0, f.decay.eps_inf
     lam_min, lam_max = op.lambda_min_positive, op.lambda_max
     # invert the tail bounds from the module docstring, with 10% headroom
@@ -163,17 +148,11 @@ def default_contour_spec(op: ModelOperator, f: Symbol, tail_tol: float = DEFAULT
                        nodes_per_decade=nodes_per_decade)
 
 
-def _basis_conditioning(op: ModelOperator) -> float:
-    if isinstance(op.form, SimilarityDiagonal):
-        return float(np.linalg.norm(op.form.s, 2) * np.linalg.norm(op.form.s_inv, 2))
-    return 1.0
-
-
 def contour_tail_bound(op: ModelOperator, f: Symbol, spec: ContourSpec) -> float:
     """A priori bound on the truncated ray tails, per unit ||x||."""
     if f.decay is None:
         raise CalculusError(f"symbol {f.name} carries no decay certificate")
-    kappa = _basis_conditioning(op)
+    kappa = op.basis_conditioning()
     c, e0, ei = f.decay.C, f.decay.eps0, f.decay.eps_inf
     lam_min, lam_max = op.lambda_min_positive, op.lambda_max
     if spec.r_min > lam_min / 2 or spec.r_max < 2 * lam_max:
@@ -315,16 +294,15 @@ def bisectorial_projections(op: ModelOperator):
     P1 + P2 = I and P1 P2 = 0 up to the conditioning of the eigenbasis;
     eigenvalues on the imaginary axis are rejected.
     """
-    if not isinstance(op.form, SimilarityDiagonal):
-        raise CalculusError("double-sector projections need a similarity form")
-    lam = op.form.eigenvalues
+    lam = op.eigenvalues_or_none()
     if np.any(np.abs(np.real(lam)) < 1e-14 * np.max(np.abs(lam))):
         raise CalculusError("eigenvalue on the imaginary axis")
-    right = np.real(lam) > 0
-    s, si = op.form.s, op.form.s_inv
-    p1 = (s * right.astype(complex)[None, :]) @ si
-    p2 = (s * (~right).astype(complex)[None, :]) @ si
-    return KernelProjection(p1), KernelProjection(p2)
+    right = (np.real(lam) > 0)[:, None]
+    # column j holds the coefficients of e_j (the weights of an orthonormal
+    # form scale the diagonal identity alike along either axis)
+    coeffs = op.coefficients(np.eye(op.n))
+    return (KernelProjection(op.synthesize(np.where(right, coeffs, 0.0))),
+            KernelProjection(op.synthesize(np.where(right, 0.0, coeffs))))
 
 
 def even_multiplier_direct(op: ModelOperator, f, x) -> np.ndarray:

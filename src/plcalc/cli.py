@@ -116,9 +116,13 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
         return x, {"kind": "random", "seed": int(vseed)}
     if kind == "eigenvector":
         idx = int(vec_spec["index"])
-        if not hasattr(op.form, "eigenvectors"):
-            raise CliExit(EXIT_BAD_CONFIG, "operator has no eigenvector basis")
-        return op.form.eigenvectors[:, idx], {"kind": "eigenvector", "index": idx}
+        modes = op.eigenvalues_or_none().size
+        if not 0 <= idx < modes:
+            raise CliExit(EXIT_BAD_CONFIG,
+                          f"eigenvector 'index' {idx} outside [0, {modes})")
+        e_k = np.zeros(modes)
+        e_k[idx] = 1.0
+        return op.synthesize(e_k), {"kind": "eigenvector", "index": idx}
     if kind == "file":
         data = _load_json(vec_spec["path"])
         x = np.asarray([complex(re, im) for re, im in data], dtype=complex)

@@ -20,8 +20,11 @@ import numpy as np
 from .calculus import log_operator, spectral_multiplier
 from .measure import lp_norm
 from .norms import (
+    NormsError,
     QuadratureSpec,
     RandomEnsemble,
+    _dilation_table,
+    _spectral_argument,
     besov_continuous_norm,
     besov_discrete_norm,
     continuous_square_norm,
@@ -112,9 +115,7 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "fractional_power":
         theta = float(spec.pop("theta", 1.0))
-        lam = np.real(op.eigenvalues_or_none())
-        nzmask = lam > 1e-12 * max(op.lambda_max, 1e-300)
-        powed = np.where(nzmask, lam, 1.0) ** theta * nzmask
+        powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
         evaluate = lambda x: lp_norm(spectral_multiplier(op, powed, x), pnorm, op.measure)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "kernel_plus_pl":
@@ -170,15 +171,19 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     """Ratio statistics of two norms over seeded unit random vectors.
 
     Raises SpecKeyError for a key nothing reads, and ExperimentError for a
-    norm that fails or a norm or ratio that is not finite.
+    norm that the operator does not admit, a norm that fails, or a norm or
+    ratio that is not finite.
     """
     check_spec_keys(config, _CONFIG_KEYS, "experiment config")
     op = operator_from_spec(config["operator"])
     seed = int(config["seed"])
     samples = int(config.get("samples", 50))
     pnorm = config.get("pnorm", 2)
-    eval_a, echo_a = _norm_evaluator(op, config["norm_a"], seed)
-    eval_b, echo_b = _norm_evaluator(op, config["norm_b"], seed)
+    try:
+        eval_a, echo_a = _norm_evaluator(op, config["norm_a"], seed)
+        eval_b, echo_b = _norm_evaluator(op, config["norm_b"], seed)
+    except NormsError as exc:
+        raise ExperimentError(f"norm not admitted: {exc}") from exc
     bracket = config.get("assert_bracket")
 
     rng = np.random.default_rng(seed)
@@ -226,34 +231,19 @@ def run_equivalence(config: dict) -> EquivalenceReport:
 
 # -- resolvent growth -----------------------------------------------------------
 
-def _opnorm_power_iteration(mat: np.ndarray, iters: int = 50, seed: int = 0) -> float:
-    """2-norm estimate via power iteration on M^H M (largest singular value)."""
-    n = mat.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        sigma = np.linalg.norm(w)
-        if sigma == 0:
-            return 0.0
-        u = mat.conj().T @ w
-        v = u / np.linalg.norm(u)
-    return float(sigma)
-
-
 def resolvent_scan(op: ModelOperator, omegas, points_per_decade: int = 48,
                    margin: float = 2.0**10) -> dict:
     """sup over |lambda| of ||lambda (lambda - A)^{-1}|| per ray arg = omega.
 
-    Normal forms use the exact spectral sup max_k |lambda| / |lambda -
-    lambda_k| (the log grid is augmented with the per-eigenvalue maximizer
-    radii lambda_k / cos omega); similarity forms use a power-iteration
-    estimate on the assembled resolvent.  A least-squares fit of
-    log sup against -log omega estimates the growth order.
+    At every point of the ray the norm is exact: op.multiplier_norm of the
+    multiplier lambda / (lambda - lambda_k).  The log grid is augmented
+    with the radii |lambda_k| / cos(omega - arg lambda_k) where
+    |lambda| / |lambda - lambda_k| peaks, so for a normal operator the
+    sup itself is exact.  A least-squares fit of log sup against
+    -log omega estimates the growth order.
     """
     lam = op.eigenvalues_or_none()
+    lam_nz = lam[op.nonzero]
     rows = []
     for omega in omegas:
         if omega <= op.sector_angle_hint:
@@ -262,20 +252,10 @@ def resolvent_scan(op: ModelOperator, omegas, points_per_decade: int = 48,
                             np.log10(op.lambda_max * margin),
                             int(points_per_decade * (2 * np.log10(margin)
                                 + np.log10(op.lambda_max / op.lambda_min_positive))))
-        if hasattr(op.form, "eigenvectors"):
-            lam_r = np.real(lam)
-            nz = lam_r[lam_r > 1e-12 * op.lambda_max]
-            radii = np.concatenate([radii, nz / np.cos(omega)])
-            z = np.sort(radii)[:, None] * np.exp(1j * omega)
-            sup = float(np.max(np.abs(z) / np.abs(z - lam_r[None, :])))
-        else:
-            mat = op.matrix()
-            eye = np.eye(op.n)
-            sup = 0.0
-            for r in radii:
-                z = r * np.exp(1j * omega)
-                rz = np.linalg.solve(z * eye - mat, eye)
-                sup = max(sup, float(np.abs(z) * _opnorm_power_iteration(rz, iters=50)))
+        cos = np.cos(omega - np.angle(lam_nz))
+        radii = np.concatenate([radii, np.abs(lam_nz[cos > 0]) / cos[cos > 0]])
+        z = np.sort(radii)[:, None] * np.exp(1j * omega)
+        sup = float(np.max(op.multiplier_norm(z / (z - lam[None, :]))))
         rows.append({"omega": float(omega), "sup": sup})
     x = np.array([-np.log(row["omega"]) for row in rows])
     y = np.array([np.log(row["sup"]) for row in rows])
@@ -297,7 +277,7 @@ def convergence_check(op: ModelOperator, partition, x, n_max: int,
     x = np.asarray(x, dtype=complex)
     if op.kernel_projection is not None:
         x = x - op.kernel_projection.p @ x
-    lam = np.real(op.eigenvalues_or_none())
+    lam = _spectral_argument(op)
     nx = np.linalg.norm(x)
     ns = range(-n_max, n_max + 1)
     # row n_max + n holds window_n(A) x
@@ -349,13 +329,9 @@ def mcintosh_check(op: ModelOperator, g: Symbol, x,
     x = np.asarray(x, dtype=complex)
     if op.kernel_projection is not None:
         x = x - op.kernel_projection.p @ x
-    lam = np.real(op.eigenvalues_or_none())
-    nz = lam > 1e-12 * max(op.lambda_max, 1e-300)
     t, du = quad.nodes()
-    gv = np.zeros((t.size, lam.size))
-    gv[:, nz] = np.real(np.asarray(g(np.outer(t, lam[nz])), dtype=complex))
+    gv = np.real(_dilation_table(op, g, t))
     weights = (du[:, None] * gv).sum(axis=0)     # int g(t lambda_k) dt/t per k
-    weights[~nz] = 0.0
     y = spectral_multiplier(op, weights.astype(complex), x)
     nx = np.linalg.norm(x)
     return float(np.linalg.norm(y - x) / max(nx, 1e-300))
@@ -403,16 +379,16 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
     """max over sampled f of ||f(A)||_{2->2} / ||f||_multiplier at p = 2.
 
     Samples put seeded random coefficients (|c_n| <= 1) on the dyadic
-    blocks covering the spectrum; the operator norm is the exact spectral
-    sup for normal forms.  The max ratio should be stable across operator
-    sizes for the bound to be meaningful.
+    blocks covering the spectrum; the operator norm ||f(A)||_2 is exact
+    (op.multiplier_norm), the spectral sup max |f(lambda_k)| only for an
+    orthonormal eigenbasis.  The max ratio should be stable across
+    operator sizes for the bound to be meaningful.
     """
     from .partitions import build_homogeneous_dyadic
 
     hom = build_homogeneous_dyadic()
-    lam = np.real(op.eigenvalues_or_none())
-    nz = lam[lam > 1e-12 * max(op.lambda_max, 1e-300)]
-    n_lo, n_hi = hom.active_range(float(np.min(nz)), float(np.max(nz)))
+    lam = _spectral_argument(op)
+    n_lo, n_hi = hom.active_range(op.lambda_min_positive, op.lambda_max)
     width = n_hi - n_lo + 1
     rng = np.random.default_rng(seed)
     window = (np.log(op.lambda_min_positive) - 3.0, np.log(op.lambda_max) + 3.0)
@@ -422,7 +398,7 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
         mags = rng.uniform(0.2, 1.0, width)
         coeffs = mags * np.exp(1j * phases)
         f = sample_dyadic_symbol(hom, coeffs, n_lo)
-        opnorm = float(np.max(np.abs(np.asarray(f(nz), dtype=complex))))
+        opnorm = float(op.multiplier_norm(np.where(op.nonzero, f(lam), 0.0)))
         mnorm = mihlin_norm(f, alpha, window=window, n_x=n_x, n_h=n_h,
                             check_window_growth=False).value
         rows.append({"trial": trial, "opnorm": opnorm, "mihlin": mnorm,

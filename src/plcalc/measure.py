@@ -22,9 +22,6 @@ import numpy as np
 
 # Tolerances are pinned here so property tests are reproducible.
 SYMMETRY_RTOL = 1e-10      # relative self-adjointness defect allowed on input
-ORTHO_TOL = 1e-10          # weighted orthonormality defect of eigenvectors
-RECON_RTOL = 1e-9          # eigendecomposition reconstruction residual
-SOLVE_RTOL = 1e-10         # linear solve residual on well-conditioned inputs
 PIVOT_RTOL = 1e-14         # LU pivot magnitude relative to matrix scale
 
 
@@ -113,7 +110,7 @@ def weighted_symmetric_eig(a, m: MeasureSpace):
     """Eigendecomposition of an operator self-adjoint wrt the weighted inner product.
 
     Returns (eigenvalues ascending, eigenvectors Q) with Q^H W Q = I and
-    A = Q diag(lam) Q^H W up to RECON_RTOL.
+    A = Q diag(lam) Q^H W.
 
     A real matrix stays real (real symmetric eigh, float64 Q); a complex
     one goes through the Hermitian solver.

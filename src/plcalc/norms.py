@@ -40,7 +40,7 @@ import numpy as np
 
 from .calculus import StripOperator, spectral_multiplier
 from .measure import lp_norm
-from .operators import ModelOperator, SpectralSelfAdjoint
+from .operators import ModelOperator
 from .partitions import EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity
 from .symbols import Symbol
 
@@ -117,18 +117,34 @@ class QuadratureSpec:
 # -- spectral blocks -----------------------------------------------------------
 
 def _spectral_argument(op) -> np.ndarray:
-    """Points where windows are evaluated: eigenvalues (moduli for even kinds).
+    """The real eigenvalues, where half-line symbols are evaluated.
 
-    Windows live on the half-line, so dyadic block machinery requires a
-    real spectrum; genuinely complex spectra go through the even
-    (double-sector) windows instead.
+    The admission rule of every path that reads a real spectrum: windows,
+    square-function and Besov symbols and the K-functional live on the
+    half-line, so a complex or a negative spectrum raises NormsError (the
+    even, double-sector windows take the moduli instead).  A strip
+    operator gives the real parts of its strip spectrum.
     """
     if isinstance(op, StripOperator):
         return np.real(op.mu)
     lam = op.eigenvalues_or_none()
-    if np.max(np.abs(np.imag(lam))) > 1e-12 * max(np.max(np.abs(lam)), 1e-300):
+    tol = 1e-12 * max(np.max(np.abs(lam)), 1e-300)
+    if np.max(np.abs(np.imag(lam))) > tol:
         raise NormsError("complex spectrum: use the even (double-sector) windows")
-    return np.real(lam)
+    lam = np.real(lam)
+    if np.min(lam) < -tol:
+        raise NormsError("negative eigenvalues: half-line symbols need a spectrum in "
+                         "[0, inf); use the even (double-sector) windows")
+    return lam
+
+
+def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
+    """f(t_j lambda_k): row j for the node t_j, column k for the eigenvalue
+    lambda_k; kernel columns are 0."""
+    lam = _spectral_argument(op)
+    table = np.zeros((t.size, lam.size), dtype=complex)
+    table[:, op.nonzero] = np.asarray(f(np.outer(t, lam[op.nonzero])), dtype=complex)
+    return table
 
 
 def block_indices(op, p: PartitionOfUnity):
@@ -143,7 +159,7 @@ def block_indices(op, p: PartitionOfUnity):
     if p.kind == EVEN_BISECTORIAL:
         mod = np.abs(op.eigenvalues_or_none())
         return list(p.indices(float(np.min(mod)), float(np.max(mod))))
-    _spectral_argument(op)      # rejects a complex spectrum
+    _spectral_argument(op)      # rejects a complex or negative spectrum
     return list(p.indices(op.lambda_min_positive, op.lambda_max))
 
 
@@ -249,21 +265,18 @@ def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
             ** (1.0 / (2 * (ei + theta))) if np.isfinite(ei) else 2.0**10
         quad = QuadratureSpec(t_lo=min(s_lo, 2.0**-10) / op.lambda_max,
                               t_hi=max(s_hi, 2.0**10) / op.lambda_min_positive)
-    if not isinstance(op.form, SpectralSelfAdjoint):
-        raise NormsError("continuous square norm needs the spectral form")
-    lam = np.real(op.eigenvalues_or_none())
-    nz = lam > 1e-12 * max(op.lambda_max, 1e-300)
     t, du = quad.nodes()
-    pvals = np.zeros((t.size, lam.size), dtype=complex)
-    pvals[:, nz] = np.asarray(psi(np.outer(t, lam[nz])), dtype=complex)
+    pvals = _dilation_table(op, psi, t)
+    nz = op.nonzero
     # certified tails of int t^(-2 theta) |psi(t lambda)|^2 dt/t, relative to
     # the computed per-eigenvalue integral
     if np.isfinite(e0) and np.isfinite(ei) and np.any(nz):
+        lam = _spectral_argument(op)[nz]
         integ = (du[:, None] * t[:, None] ** (-2 * theta)
                  * np.abs(pvals[:, nz]) ** 2).sum(axis=0)
-        s_lo = t[0] * lam[nz]
-        s_hi = t[-1] * lam[nz]
-        tail = lam[nz] ** (2 * theta) * (
+        s_lo = t[0] * lam
+        s_hi = t[-1] * lam
+        tail = lam ** (2 * theta) * (
             c**2 * s_lo ** (2 * (e0 - theta)) / (2 * (e0 - theta))
             + c**2 * s_hi ** (-2 * (ei + theta)) / (2 * (ei + theta)))
         rel = float(np.max(tail / np.maximum(integ, 1e-300)))
@@ -302,16 +315,10 @@ def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
     certificate with eps0 > theta.
     """
     _check_besov_symbol(f, theta)
-    if not isinstance(op.form, SpectralSelfAdjoint):
-        raise NormsError("continuous Besov norm needs the spectral form")
     if quad is None:
         quad = QuadratureSpec.cover(op)
-    lam = np.real(op.eigenvalues_or_none())
-    nz = lam > 1e-12 * max(op.lambda_max, 1e-300)
     t, du = quad.nodes()
-    pvals = np.zeros((t.size, lam.size), dtype=complex)
-    pvals[:, nz] = np.asarray(f(np.outer(t, lam[nz])), dtype=complex)
-    norms = lp_norm(spectral_multiplier(op, pvals, x), pnorm, op.measure)
+    norms = lp_norm(spectral_multiplier(op, _dilation_table(op, f, t), x), pnorm, op.measure)
     if q == np.inf or q == "inf":
         return float(np.max(t**-theta * norms))
     qf = float(q)
@@ -335,10 +342,9 @@ def _check_besov_symbol(f: Symbol, theta: float):
 # -- K-functional and real interpolation ----------------------------------------
 
 def _diagonal_data(op: ModelOperator, x):
-    lam = np.real(op.eigenvalues_or_none())
-    coeff = op.coefficients(x)
-    nz = lam > 1e-12 * max(op.lambda_max, 1e-300)
-    return lam[nz], np.abs(coeff[nz])
+    """The nonzero eigenvalues and the moduli of x's coefficients on them."""
+    nz = op.nonzero
+    return _spectral_argument(op)[nz], np.abs(op.coefficients(x)[nz])
 
 
 def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,

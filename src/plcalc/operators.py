@@ -1,8 +1,9 @@
 """Finite-dimensional sectorial model operators.
 
 Every operator carries a measure space (hosting the L^p norms), a sector
-angle for its nonzero spectrum, an injectivity flag and spectral bounds
-(lambda_min over the nonzero spectrum, lambda_max).  Two diagonal forms:
+angle for its nonzero spectrum and an injectivity flag; the kernel mask
+and the spectral bounds (lambda_min over the nonzero spectrum, lambda_max)
+are read off the spectrum.  Two diagonal forms:
 
   SpectralSelfAdjoint   eigenvalues >= 0 ascending with eigenvectors
                         orthonormal in the weighted inner product; the
@@ -13,8 +14,13 @@ angle for its nonzero spectrum, an injectivity flag and spectral bounds
                         complex spectrum, used for non-normal and
                         double-sector examples.
 
-Resolvents and every functional calculus go through the diagonal form;
-resolvent_apply_lu solves on the assembled matrix as an independent oracle.
+The diagonal form is private to this module.  Every other layer asks the
+operator through coefficients and synthesize, the eigenvalues and three
+members: ``nonzero`` (the kernel mask, the package's one rule for which
+eigenvalues are zero), ``multiplier_norm`` (the exact L^2 norm of a
+diagonal multiplier) and ``basis_conditioning``.  Resolvents and every
+functional calculus go through the diagonal form; resolvent_apply_lu
+solves on the assembled matrix as an independent oracle.
 
 Every builder's operator is real, so its basis (eigenvectors, or S and
 S^{-1}) is stored in float64; only the eigenvalues and the operands are
@@ -83,20 +89,12 @@ class SpectralSelfAdjoint:
     eigenvalues: np.ndarray        # real, >= 0, ascending, length K
     eigenvectors: np.ndarray       # n x K, orthonormal wrt the measure
 
-    @property
-    def kind(self):
-        return "spectral"
-
 
 @dataclass
 class SimilarityDiagonal:
     s: np.ndarray
     s_inv: np.ndarray
     eigenvalues: np.ndarray        # complex, length n
-
-    @property
-    def kind(self):
-        return "similarity"
 
 
 @dataclass
@@ -139,32 +137,42 @@ class ModelOperator:
     measure: MeasureSpace
     sector_angle_hint: float
     injective: bool
-    spectral_bounds: tuple            # (lambda_min_positive, lambda_max), moduli
     bisectorial: bool = False         # spectrum in a double sector around R
     kernel_projection: KernelProjection | None = None
     spec: dict = field(default_factory=dict)   # construction echo for reports
+    # read off the spectrum: per eigenvalue, whether it lies outside the
+    # kernel (the package's one kernel rule), and the moduli bounds
+    nonzero: np.ndarray = field(init=False, repr=False)
+    lambda_min_positive: float = field(init=False)
+    lambda_max: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.sector_angle_hint < np.pi / 2):
             raise OperatorError("sector angle hint must lie in [0, pi/2)")
         lam = self.eigenvalues_or_none()
-        nz = lam[np.abs(lam) > ZERO_EIG_TOL * max(np.max(np.abs(lam)), 1e-300)]
-        if nz.size:
-            ang = np.abs(np.angle(nz))
-            if self.bisectorial:
-                ang = np.minimum(ang, np.pi - ang)
-            if np.max(ang) > self.sector_angle_hint + 1e-12:
-                raise OperatorError(
-                    f"eigenvalue outside declared sector (angle {np.max(ang):.3f} "
-                    f"> hint {self.sector_angle_hint:.3f})")
-        has_zero = nz.size < lam.size
-        if self.injective == has_zero:
+        mod = np.abs(lam)
+        self.nonzero = mod > ZERO_EIG_TOL * max(np.max(mod), 1e-300)
+        if not np.any(self.nonzero):
+            raise OperatorError("operator has no nonzero spectrum")
+        self.lambda_min_positive = float(np.min(mod[self.nonzero]))
+        self.lambda_max = float(np.max(mod))
+        ang = np.abs(np.angle(lam[self.nonzero]))
+        if self.bisectorial:
+            ang = np.minimum(ang, np.pi - ang)
+        if np.max(ang) > self.sector_angle_hint + 1e-12:
+            raise OperatorError(
+                f"eigenvalue outside declared sector (angle {np.max(ang):.3f} "
+                f"> hint {self.sector_angle_hint:.3f})")
+        if self.injective != np.all(self.nonzero):
             raise OperatorError("injective flag contradicts the spectrum")
         if isinstance(self.form, SpectralSelfAdjoint):
-            q = self.form.eigenvectors
-            w = self.measure.weights
-            gram = adjoint(q) @ (w[:, None] * q)
-            if np.max(np.abs(gram - np.eye(q.shape[1]))) > ORTHO_TOL:
+            # Q^H W Q as one product g^H g of g = W^(1/2) Q (a syrk for real
+            # Q), minus I in place; g is freed first to keep the peak low
+            g = np.sqrt(self.measure.weights)[:, None] * self.form.eigenvectors
+            gram = adjoint(g) @ g
+            del g
+            gram.flat[::gram.shape[0] + 1] -= 1.0
+            if np.max(np.abs(gram)) > ORTHO_TOL:
                 raise OperatorError("eigenvectors are not orthonormal wrt the measure")
         if isinstance(self.form, SimilarityDiagonal):
             s, si = self.form.s, self.form.s_inv
@@ -180,14 +188,6 @@ class ModelOperator:
     def eigenvalues_or_none(self):
         """The eigenvalues as a complex array (both forms are diagonal)."""
         return np.asarray(self.form.eigenvalues, dtype=complex)
-
-    @property
-    def lambda_min_positive(self) -> float:
-        return float(self.spectral_bounds[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.spectral_bounds[1])
 
     def matrix(self) -> np.ndarray:
         """Assemble the dense matrix of A."""
@@ -220,18 +220,28 @@ class ModelOperator:
         return self.synthesize(c)
 
     def kernel_dim(self) -> int:
-        lam = self.eigenvalues_or_none()
-        scale = max(np.max(np.abs(lam)), 1e-300)
-        return int(np.sum(np.abs(lam) <= ZERO_EIG_TOL * scale))
+        return int(np.sum(~self.nonzero))
 
+    def multiplier_norm(self, values):
+        """Exact L^2(measure) operator norm of sum_k values[k] <., e_k> e_k.
 
-def _bounds_from_eigenvalues(lam) -> tuple:
-    mod = np.abs(np.asarray(lam))
-    scale = max(float(np.max(mod)), 1e-300)
-    nz = mod[mod > ZERO_EIG_TOL * scale]
-    if nz.size == 0:
-        raise OperatorError("operator has no nonzero spectrum")
-    return (float(np.min(nz)), float(np.max(mod)))
+        max_k |values[k]| for an orthonormal eigenbasis, otherwise the
+        2-norm of W^(1/2) S diag(values) S^-1 W^(-1/2).  A stack of shape
+        (m, K), one multiplier per row, gives the m norms as an array.
+        """
+        v = np.asarray(values)
+        if isinstance(self.form, SpectralSelfAdjoint):
+            return np.max(np.abs(v), axis=-1)
+        sqw = np.sqrt(self.measure.weights)
+        s, s_inv = sqw[:, None] * self.form.s, self.form.s_inv / sqw[None, :]
+        norms = [np.linalg.norm((s * row) @ s_inv, 2) for row in np.atleast_2d(v)]
+        return np.array(norms) if v.ndim > 1 else norms[0]
+
+    def basis_conditioning(self) -> float:
+        """cond_2 of the eigenbasis: ||S|| ||S^-1||, or 1 if orthonormal."""
+        if isinstance(self.form, SimilarityDiagonal):
+            return float(np.linalg.norm(self.form.s, 2) * np.linalg.norm(self.form.s_inv, 2))
+        return 1.0
 
 
 # -- builders ----------------------------------------------------------------
@@ -252,7 +262,6 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
         measure=m, sector_angle_hint=0.0, injective=True,
-        spectral_bounds=_bounds_from_eigenvalues(lam),
         spec={"kind": "dirichlet1d", "n": n, "h": h},
     )
 
@@ -293,7 +302,6 @@ def build_graph_laplacian(sigma) -> tuple:
     op = ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
         measure=m, sector_angle_hint=0.0, injective=False,
-        spectral_bounds=_bounds_from_eigenvalues(lam),
         kernel_projection=kp,
         spec={"kind": "graph", "sigma": sigma.tolist()},
     )
@@ -345,7 +353,6 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
         measure=grid, sector_angle_hint=0.0, injective=True,
-        spectral_bounds=_bounds_from_eigenvalues(lam),
         spec={"kind": "hermite", "d": d, "K": num_modes},
     )
 
@@ -373,7 +380,6 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
         measure=m, sector_angle_hint=0.0, injective=True,
-        spectral_bounds=_bounds_from_eigenvalues(lam),
         spec={"kind": "schrodinger", "n": n, "h": h, "V": v.tolist()},
     )
 
@@ -463,7 +469,6 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
     return ModelOperator(
         form=SimilarityDiagonal(s, s_inv, lam),
         measure=m, sector_angle_hint=hint, injective=True,
-        spectral_bounds=_bounds_from_eigenvalues(lam),
         bisectorial=bisect,
         spec={"kind": "nonnormal",
               "lambdas": [[z.real, z.imag] for z in lam],

@@ -41,7 +41,6 @@ def diagonal_operator(eigs):
         measure=MeasureSpace.uniform(n),
         sector_angle_hint=0.0,
         injective=bool(np.all(lam > 0)),
-        spectral_bounds=(float(np.min(lam[lam > 0])), float(np.max(lam))),
     )
 
 
@@ -283,3 +282,44 @@ def test_contour_spec_from_json():
     r, du = spec.nodes()
     assert r[0] == pytest.approx(1e-4) and r[-1] == pytest.approx(1e4)
     assert du[0] == pytest.approx(du[1] / 2)
+
+
+def _sample_symbol(hom):
+    from plcalc.experiments import sample_dyadic_symbol
+
+    return sample_dyadic_symbol(hom, np.array([1.0, 0.5j, -0.25]), -1)
+
+
+def _mcintosh_symbol(hom):
+    from plcalc.experiments import make_mcintosh_symbol
+
+    return make_mcintosh_symbol(make_symbol("psi_exp", a=1.0, b=1.0))
+
+
+@pytest.mark.parametrize("make", [lambda hom: window_symbol(hom, 0), _mcintosh_symbol,
+                                  _sample_symbol], ids=["window", "mcintosh", "dyadic-sample"])
+def test_apply_spectral_refuses_complex_spectrum_without_sector_evaluation(hom, make):
+    # evaluating such a symbol at Re(lambda) would be silently wrong
+    f = make(hom)
+    op = build_nonnormal_sectorial([1 + 0.2j, 1 - 0.2j, 2.0], 2.0, seed=1)
+    with pytest.raises(CalculusError, match="no sector evaluation"):
+        apply_spectral(op, f, np.ones(op.n))
+    real = build_nonnormal_sectorial([0.5, 1.0, 2.0], 2.0, seed=1)
+    assert np.all(np.isfinite(apply_spectral(real, f, np.ones(real.n))))
+
+
+def test_apply_spectral_on_real_nonnormal_spectrum_matches_dense_similarity():
+    op = build_nonnormal_sectorial([0.5, 1.0, 2.0, 4.0, 8.0], 10.0, seed=4)
+    f = make_symbol("psi_exp", a=1.0, b=1.0)
+    x = op.random_vector(np.random.default_rng(2))
+    lam = np.real(op.eigenvalues_or_none())
+    dense = (op.form.s * f(lam)) @ op.form.s_inv @ x
+    assert np.linalg.norm(apply_spectral(op, f, x) - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_bisectorial_projections_of_an_orthonormal_form():
+    # a positive spectrum on an orthonormal basis: P1 = I, P2 = 0
+    op = build_dirichlet_laplacian_1d(6, 1.0)
+    p1, p2 = bisectorial_projections(op)
+    assert np.max(np.abs(p1.p - np.eye(op.n))) <= 1e-14
+    assert np.max(np.abs(p2.p)) == 0.0

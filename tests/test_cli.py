@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from plcalc.cli import build_parser, main
+from plcalc.operators import operator_from_spec
 
 SQRT_HALF = 2.0**-0.5
 
@@ -62,6 +64,22 @@ def test_norm_eval_eigenvector_window_value(tmp_path, capsys):
     # eigenvalue 1 sits on the window-0 plateau; the block norm is ||x|| = 1
     assert out["norm"] == pytest.approx(1.0, rel=1e-10)
     assert out["provenance"]["vector"]["kind"] == "eigenvector"
+
+
+def test_norm_eval_eigenvector_of_a_nonnormal_operator(tmp_path, capsys):
+    # column 1 of S: eigenvalue 2 sits on the window-1 plateau, so the
+    # block norm equals the ambient norm of the eigenvector
+    cfg = write(tmp_path, "norm.json", {
+        "operator": {"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]],
+                     "conditioning": 4.0, "seed": 1},
+        "norm": {"kind": "pl_square", "pnorm": 2},
+        "vector": {"kind": "eigenvector", "index": 1},
+    })
+    assert main(["norm", "eval", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    s = operator_from_spec({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]],
+                            "conditioning": 4.0, "seed": 1}).form.s
+    assert out["norm"] == pytest.approx(np.linalg.norm(s[:, 1]), rel=1e-10)
 
 
 def test_norm_eval_zero_vector(tmp_path, capsys):
@@ -227,9 +245,10 @@ def run_cli(tmp_path, command, config):
     ("norm", norm_eval_config(vector={"kind": "random", "seed": 1, "normalise": False}),
      "'normalise'"),
     ("norm", norm_eval_config(vector={"kind": "eigenvector"}), "'index'"),
+    ("norm", norm_eval_config(vector={"kind": "eigenvector", "index": 99}), "'index'"),
     ("norm", norm_eval_config(vector={"kind": "file"}), "'path'"),
 ], ids=["psi-key", "f-key", "experiment-top-level", "norm-eval-top-level", "vector-key",
-        "eigenvector-without-index", "file-without-path"])
+        "eigenvector-without-index", "eigenvector-index-out-of-range", "file-without-path"])
 def test_unknown_or_missing_config_key_exits_2(tmp_path, capsys, command, config, key):
     assert run_cli(tmp_path, command, config) == 2
     assert key in capsys.readouterr().err

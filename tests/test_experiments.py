@@ -209,3 +209,55 @@ def test_dyadic_sample_outside_the_blocks():
     np.testing.assert_array_equal(out[1:7], 0.0)
     np.testing.assert_array_equal(out[7:], f(t[7:]))
     assert np.all(np.abs(out[7:]) <= 1.0) and np.any(out[7:] != 0)
+
+
+def test_multiplier_bound_check_reports_the_operator_norm_of_a_nonnormal_operator():
+    # rebuild the sampled symbols from the same seed and compare each row's
+    # opnorm with ||S diag(f(lambda)) S^-1||_2 on the assembled matrix
+    op = build_nonnormal_sectorial(np.geomspace(0.5, 40.0, 10), 10.0, seed=3)
+    out = multiplier_bound_check(op, 1.5, trials=3, seed=9)
+    hom = build_homogeneous_dyadic()
+    lam = np.real(op.eigenvalues_or_none())
+    n_lo, n_hi = hom.active_range(float(lam.min()), float(lam.max()))
+    rng = np.random.default_rng(9)
+    s, s_inv = op.form.s, op.form.s_inv
+    for row in out["rows"]:
+        phases = rng.uniform(0, 2 * np.pi, n_hi - n_lo + 1)
+        mags = rng.uniform(0.2, 1.0, n_hi - n_lo + 1)
+        vals = sample_dyadic_symbol(hom, mags * np.exp(1j * phases), n_lo)(lam)
+        exact = np.linalg.norm((s * vals) @ s_inv, 2)
+        assert row["opnorm"] == pytest.approx(exact, rel=1e-12)
+        # the spectral sup is only a lower bound here
+        assert row["opnorm"] > np.max(np.abs(vals)) * (1 + 1e-3)
+
+
+def test_resolvent_scan_points_are_exact_operator_norms():
+    # each point of the scan is op.multiplier_norm of lambda/(lambda - lambda_k);
+    # on a non-normal operator that is ||lambda (lambda - A)^-1||_2 of the
+    # assembled matrix
+    op = build_nonnormal_sectorial([0.5, 1.0, 2.0, 4.0], 10.0, seed=2)
+    lam = op.eigenvalues_or_none()
+    z = np.geomspace(0.1, 20.0, 7) * np.exp(0.3j)
+    got = op.multiplier_norm(z[:, None] / (z[:, None] - lam[None, :]))
+    exact = [abs(w) * np.linalg.norm(np.linalg.inv(w * np.eye(op.n) - op.matrix()), 2)
+             for w in z]
+    np.testing.assert_allclose(got, exact, rtol=1e-10)
+    scan = resolvent_scan(op, [0.3, 0.6])
+    assert scan["rows"][0]["sup"] >= max(exact) * (1 - 1e-12)
+
+
+def test_half_line_experiments_reject_a_negative_spectrum():
+    from plcalc.norms import NormsError
+
+    op = build_nonnormal_sectorial([1.0, 2.0, 4.0, -1.0, -2.0, -4.0], 2.0, seed=3)
+    with pytest.raises(NormsError):
+        multiplier_bound_check(op, 1.5, trials=1, seed=0)
+    g = make_mcintosh_symbol(make_symbol("psi_exp", a=1.0, b=1.0))
+    with pytest.raises(NormsError):
+        mcintosh_check(op, g, op.random_vector(np.random.default_rng(0)))
+    config = {**overlap_config(samples=2),
+              "operator": {"kind": "nonnormal",
+                           "lambdas": [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]]},
+              "norm_a": {"kind": "fractional_power", "theta": 0.5}}
+    with pytest.raises(ExperimentError, match="negative eigenvalues"):
+        run_equivalence(config)

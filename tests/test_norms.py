@@ -509,3 +509,30 @@ def test_k_functional_bruteforce_outer_sums_equal_point_list(n):
     for t in (0.1, 0.5, 2.0):
         assert k_functional_bruteforce(op, x, t, 0.0, 1.0, rounds=8, grid=5) \
             == _bruteforce_point_list(op, x, t, rounds=8, grid=5)
+
+
+BISECTORIAL_REAL = [1.0, 2.0, 4.0, -1.0, -2.0, -4.0]
+
+
+@pytest.mark.parametrize("norm", ["pl_square", "k_functional", "real_interpolation"])
+def test_negative_spectrum_is_rejected_by_half_line_norms(hom, norm):
+    # a real double-sector spectrum: the half-line machinery would see only
+    # the positive half, so it must refuse rather than return a number
+    op = build_nonnormal_sectorial(BISECTORIAL_REAL, 2.0, 3)
+    x = op.random_vector(np.random.default_rng(4))
+    x /= lp_norm(x, 2, op.measure)
+    evaluate = {"pl_square": lambda: pl_square_norm(op, hom, x, 2),
+                "k_functional": lambda: k_functional(op, x, 1.0, 0.0, 1.0),
+                "real_interpolation": lambda: real_interpolation_norm(op, x, 0.5, 2)}[norm]
+    with pytest.raises(NormsError, match="negative eigenvalues"):
+        evaluate()
+
+
+def test_continuous_square_on_conditioning_one_nonnormal_operator():
+    # S is orthogonal at conditioning 1, so int |t lambda e^(-t lambda)|^2 dt/t
+    # = 1/4 on every mode gives exactly ||x|| / 2, as on a self-adjoint form
+    op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 12), 1.0, 5)
+    psi = make_symbol("psi_exp", a=1.0, b=1.0)
+    x = op.random_vector(np.random.default_rng(6))
+    val = continuous_square_norm(op, psi, 0.0, x, 2)
+    assert val == pytest.approx(0.5 * lp_norm(x, 2, op.measure), rel=1e-6)

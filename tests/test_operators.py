@@ -355,3 +355,28 @@ def test_hermite_qr_basis_matches_weighted_gram_schmidt():
             q[:, i] -= (q[:, j] @ (w * q[:, i])) * q[:, j]
         q[:, i] /= np.sqrt(q[:, i] @ (w * q[:, i]))
     assert np.max(np.abs(op.form.eigenvectors - q)) <= 1e-14
+
+
+def test_kernel_mask_and_bounds_are_read_off_the_spectrum():
+    op, _ = build_graph_laplacian(np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1))
+    lam = np.real(op.eigenvalues_or_none())
+    assert op.nonzero.tolist() == [False, True, True, True]
+    assert op.kernel_dim() == 1
+    assert op.lambda_min_positive == lam[1] and op.lambda_max == lam[-1]
+    assert build_dirichlet_laplacian_1d(5, 1.0).nonzero.all()
+
+
+def test_multiplier_norm_and_basis_conditioning():
+    rng = np.random.default_rng(3)
+    sa = build_dirichlet_laplacian_1d(6, 1.0)
+    v = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    # orthonormal basis: the sup of |v|, one norm per row of a stack
+    np.testing.assert_array_equal(sa.multiplier_norm(v), np.max(np.abs(v), axis=1))
+    assert sa.multiplier_norm(v[0]) == np.max(np.abs(v[0]))
+    assert sa.basis_conditioning() == 1.0
+    nn = build_nonnormal_sectorial([0.5, 1.0, 2.0, 4.0, 8.0, 16.0], 10.0, seed=1)
+    s, s_inv = nn.form.s, nn.form.s_inv
+    exact = [np.linalg.norm((s * row) @ s_inv, 2) for row in v]
+    np.testing.assert_allclose(nn.multiplier_norm(v), exact, rtol=1e-13)
+    assert nn.multiplier_norm(v[1]) == pytest.approx(exact[1], rel=1e-13)
+    assert nn.basis_conditioning() == pytest.approx(10.0, rel=0.05)
