@@ -24,7 +24,8 @@ a_k = |<x, e_k>| to the one-parameter family
 
 with c fixed by the stationarity equation c = nu / (t mu), whose residual
 changes sign at most once: one bracket per t on a shared log c-grid,
-bisected a fixed number of times, against the boundary splits y = a, y = 0.
+closed by Illinois regula falsi in ln c, against the boundary splits
+y = a, y = 0.
 
 Everything is deterministic given (inputs, seed): random ensembles are
 seeded, quadrature grids are fixed by their specs, reductions run in a
@@ -365,8 +366,10 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,
     which shift toward smaller rho as c grows, so g is nonincreasing and r
     changes sign at most once, from + to -: F falls, then rises.  K is F at
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
-    The root is bracketed on a log c-grid and refined by a fixed number of
-    bisections in ln c.
+    The root is bracketed on a log c-grid shared by every t and refined by
+    Illinois regula falsi in ln c until its bracket is K_ROOT_WIDTH wide,
+    all t at once; each path evaluation is one GEMM (see _split_path and
+    _stationary_splits).
     """
     if pnorm != 2:
         raise NormsError("K-functional is implemented on the p = 2 path only")
@@ -383,37 +386,99 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,
 def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarray:
     """K at every entry of the 1-D array t, from the nonzero eigenvalues lam
     and coefficient moduli a (see k_functional for the method)."""
-    if a.size == 0:
-        return np.zeros(t.shape)
+    # K is positively homogeneous in a: scaling a by a power of two into
+    # [1/2, 1) is exact, and no square of a tiny or huge x under- or overflows
+    _, e = np.frexp(np.max(a, initial=0.0))
+    a = np.ldexp(a, -e)
     u = lam**theta0
     v = lam**theta1
-    ratio2 = (u / v) ** 2
-    ua, vr = u * a, v * a * ratio2
+    rho = (u / v) ** 2
+    sq = np.stack([(u * a) ** 2, (v * a * rho) ** 2], axis=1)
+    k = np.minimum(np.sqrt(np.sum(sq[:, 0])),                 # x0 = x
+                   t * np.sqrt(np.sum((v * a) ** 2)))         # x1 = x
+    idx, _, c, s = _stationary_splits(t, rho, sq)
+    k[idx] = np.minimum(np.sqrt(s[:, 0]) + t[idx] * c * np.sqrt(s[:, 1]), k[idx])
+    return np.ldexp(k, e)
 
-    def split(c):
-        # mu^2 = ||u y||^2 and (nu/c)^2 = ||v (a - y)||^2/c^2 at y = a/(1 + c rho);
-        # with a - y = c a rho/(1 + c rho) there is no cancellation at extreme c
-        denom = 1.0 + c[:, None] * ratio2
-        return np.sum((ua / denom) ** 2, axis=1), np.sum((vr / denom) ** 2, axis=1)
 
-    # (mu, nu) do not depend on t: one grid serves every t, and r > 0 reads
-    # (nu/c)^2 > t^2 mu^2.  Each t gets the half-decade cell ending at its
-    # first node with r <= 0 (so a root on a node is still an interior
-    # candidate); without a sign change any cell will do, as a boundary
-    # split wins
-    cs = np.logspace(-30, 30, 121)
-    mu2, nuc2 = split(cs)
-    lo = np.log(cs[(nuc2 <= t[:, None] ** 2 * mu2).argmax(axis=1).clip(1) - 1])
-    step = 0.5 * np.log(10.0)
-    for _ in range(30):      # |ln c - ln c*| < 1.1e-9: K exact to second order
-        step *= 0.5
-        mu2, nuc2 = split(np.exp(lo + step))
-        lo = np.where(nuc2 > t**2 * mu2, lo + step, lo)
-    c = np.exp(lo + step)
-    mu2, nuc2 = split(c)
-    boundary = np.minimum(np.sqrt(np.sum(ua**2)),               # x0 = x
-                          t * np.sqrt(np.sum((v * a) ** 2)))    # x1 = x
-    return np.minimum(np.sqrt(mu2) + t * c * np.sqrt(nuc2), boundary)
+# The log c-grid that brackets every t's stationary split, half a decade a
+# cell, and the regula falsi that refines it: |ln c - ln c*| <= K_ROOT_WIDTH
+# leaves K exact to second order, and no t has needed more than a dozen steps
+_C_GRID = np.logspace(-30, 30, 121)
+_LN_C_GRID = np.log(_C_GRID)
+K_ROOT_WIDTH = 1e-9
+K_ROOT_ITERS = 40
+
+
+def _split_path(c, rho, sq) -> np.ndarray:
+    """(mu^2, (nu/c)^2) of the split y = a/(1 + c rho) at every entry of c,
+    one row each.  With a - y = c a rho/(1 + c rho) both are sums of
+    w_k = (1 + c rho_k)^-2 times a column of sq = [(u a)^2, (v a rho)^2],
+    so one GEMM gives them and nothing cancels at extreme c."""
+    w = np.multiply.outer(c, rho)
+    w += 1.0
+    np.reciprocal(w, out=w)
+    np.square(w, out=w)
+    return w @ sq
+
+
+def _residual(s, t2) -> np.ndarray:
+    """The stationarity residual nu - c t mu scaled to [-1, 1]:
+    ((nu/c)^2 - t^2 mu^2)/((nu/c)^2 + t^2 mu^2)."""
+    nuc2, tmu2 = s[:, 1], t2 * s[:, 0]
+    return (nuc2 - tmu2) / (nuc2 + tmu2)
+
+
+def _stationary_splits(t, rho, sq):
+    """(idx, bracket, c, s): the entries idx of t whose residual changes
+    sign, the final (2, len(idx)) bracket in ln c of each root, the last
+    point c tried for it and (mu^2, (nu/c)^2) there, one row each.
+
+    (mu, nu) do not depend on t, so one grid serves every t.  Each t takes
+    the half-decade cell ending at its first node with residual <= 0 (a
+    root on a node is still found); a t without a sign change there is
+    left out, as a boundary split wins.  Illinois regula falsi in ln c,
+    vectorised over t: the secant point replaces the end of its own sign,
+    and an end kept twice in a row has its residual halved, so both ends
+    converge.  A t stops once its bracket is K_ROOT_WIDTH wide or its
+    residual vanishes.
+    """
+    t2 = t**2
+    grid = _split_path(_C_GRID, rho, sq)
+    # read without a division: at a = 0 (mu = nu = 0) no t changes sign
+    below = grid[:, 1] <= t2[:, None] * grid[:, 0]
+    node = below.argmax(axis=1)
+    idx = np.flatnonzero(below[np.arange(t.size), node] & (node > 0))
+    node = node[idx]
+    bracket = np.empty((2, idx.size))
+    c = np.empty(idx.size)
+    s = np.empty((idx.size, 2))
+    live = np.arange(idx.size)
+    lnc = _LN_C_GRID[np.stack([node - 1, node])]
+    res = np.array([_residual(grid[node - 1], t2[idx]), _residual(grid[node], t2[idx])])
+    kept = np.full(idx.size, -1)        # the end (0 = lo, 1 = hi) kept last step
+    step = 0
+    while live.size:
+        step += 1
+        x = (lnc[0] * res[1] - lnc[1] * res[0]) / (res[1] - res[0])
+        sx = _split_path(np.exp(x), rho, sq)
+        r = _residual(sx, t2[idx[live]])
+        moved = (r <= 0).astype(int)    # x replaces lo where r > 0, hi where r <= 0
+        cols = np.arange(live.size)
+        stale = kept == 1 - moved       # kept twice in a row: halve its residual
+        res[kept[stale], cols[stale]] *= 0.5
+        lnc[moved, cols] = x
+        res[moved, cols] = r
+        kept = 1 - moved
+        done = (lnc[1] - lnc[0] <= K_ROOT_WIDTH) | (r == 0) | (step == K_ROOT_ITERS)
+        if done.any():
+            at = live[done]
+            # a vanishing residual closes the bracket on its point
+            bracket[:, at] = np.where(r[done] == 0, x[done], lnc[:, done])
+            c[at], s[at] = np.exp(x[done]), sx[done]
+            live = live[~done]
+            lnc, res, kept = lnc[:, ~done], res[:, ~done], kept[~done]
+    return idx, bracket, c, s
 
 
 def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,

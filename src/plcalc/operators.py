@@ -198,10 +198,13 @@ class ModelOperator:
         return (self.form.s * self.form.eigenvalues[None, :]) @ self.form.s_inv
 
     def coefficients(self, x) -> np.ndarray:
-        """Expansion coefficients of x in the operator's eigenbasis."""
+        """Expansion coefficients of x in the operator's eigenbasis; an n x m
+        stack (one vector a column) gives K x m."""
         x = np.asarray(x, dtype=complex)
         if isinstance(self.form, SpectralSelfAdjoint):
-            return basis_matmul(adjoint(self.form.eigenvectors), self.measure.weights * x)
+            w = self.measure.weights
+            return basis_matmul(adjoint(self.form.eigenvectors),
+                                (w if x.ndim == 1 else w[:, None]) * x)
         return basis_matmul(self.form.s_inv, x)
 
     def synthesize(self, coeffs) -> np.ndarray:

@@ -1,10 +1,14 @@
 """CLI surface: exit codes, JSON outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plcalc
 from plcalc.cli import build_parser, main
 from plcalc.operators import operator_from_spec
 
@@ -36,6 +40,22 @@ def test_op_build_graph_kernel_dim(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["kernel_dim"] == 1
     assert out["injective"] is False
+
+
+def test_python_m_plcalc_runs_the_cli(tmp_path):
+    # the package runs as a module from a source checkout, exit code included
+    src = os.path.dirname(os.path.dirname(plcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(cfg):
+        return subprocess.run([sys.executable, "-m", "plcalc", "op", "build", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run(write(tmp_path, "op.json", {"kind": "dirichlet1d", "n": 2, "h": 1.0}))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["lambda_max"] == pytest.approx(3.0)
+    assert run(write(tmp_path, "m.json", {"kind": "dirichlet1d"})).returncode == 2
 
 
 def test_op_build_malformed_exits_2(tmp_path):

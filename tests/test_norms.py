@@ -26,6 +26,7 @@ from plcalc.norms import (
 )
 from plcalc.operators import (
     build_dirichlet_laplacian_1d,
+    build_graph_laplacian,
     build_hermite_operator,
     build_nonnormal_sectorial,
     uniform_grid,
@@ -381,6 +382,110 @@ def test_k_functional_guards():
         k_functional(op, x, np.array([1.0, 0.0]), 0.0, 1.0)
     with pytest.raises(NormsError):
         k_functional(op, x, np.ones((2, 2)), 0.0, 1.0)
+
+
+def test_k_functional_of_zero_and_kernel_vectors():
+    # K = 0 for x = 0 and for coefficients that vanish on every nonzero
+    # eigenvalue, scalar and array t; a RuntimeWarning fails the suite
+    ts = np.logspace(-4, 4, 9)
+    graph, _ = build_graph_laplacian([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]])
+    for op in (build_dirichlet_laplacian_1d(8, 1.0), graph):
+        zero = np.zeros(op.n)
+        assert k_functional(op, zero, 0.5, 0.0, 1.0) == 0.0
+        assert np.all(k_functional(op, zero, ts, -0.5, 1.5) == 0.0)
+        lam, _ = _diagonal_data(op, zero)
+        assert np.all(_k_functional_diagonal(lam, np.zeros(lam.size), ts, 0.0, 1.0) == 0.0)
+    # the graph's constants span its kernel: K is round-off, not NaN
+    assert 0.0 <= k_functional(graph, np.ones(3), 0.5, 0.0, 1.0) <= 1e-15
+    assert np.all(k_functional(graph, np.ones(3), ts, 0.0, 1.0) <= 1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_k_functional_is_homogeneous_at_extreme_scales(scale):
+    # K(t, s x) = s K(t, x): no square of a tiny or huge x under- or overflows
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    ts = np.logspace(-3, 3, 13)
+    for theta0, theta1 in [(0.0, 1.0), (-0.5, 1.5)]:
+        np.testing.assert_allclose(k_functional(op, scale * x, ts, theta0, theta1),
+                                   scale * k_functional(op, x, ts, theta0, theta1),
+                                   rtol=1e-14, atol=0)
+
+
+def _k_root_recorder(monkeypatch):
+    """Count the path evaluations and keep the output of every root solve."""
+    log = {"paths": 0, "solves": []}
+    path, solve = norms._split_path, norms._stationary_splits
+
+    def counting(c, rho, sq):
+        log["paths"] += 1
+        return path(c, rho, sq)
+
+    def recording(t, rho, sq):
+        out = solve(t, rho, sq)
+        log["solves"].append((t, out))
+        return out
+
+    monkeypatch.setattr(norms, "_split_path", counting)
+    monkeypatch.setattr(norms, "_stationary_splits", recording)
+    return log
+
+
+def test_k_root_path_evaluations_pinned(monkeypatch):
+    # one fixed 40-t curve: one grid evaluation, then one per regula falsi
+    # step of its slowest t (vectorised), or of every t (scalar calls)
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    x = op.random_vector(np.random.default_rng(3))
+    x /= lp_norm(x, 2, op.measure)
+    ts = np.logspace(-3, 5, 40)
+    log = _k_root_recorder(monkeypatch)
+    ks = k_functional(op, x, ts, 0.0, 1.0)
+    assert log["paths"] == 9          # 32 for the 30-step bisection
+    log["paths"] = 0
+    scalar = [k_functional(op, x, t, 0.0, 1.0) for t in ts]
+    assert log["paths"] == 114        # 1280 for the 30-step bisection
+    np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
+def test_k_root_brackets_close_under_the_cap(monkeypatch, theta0, theta1):
+    # every t with a sign change ends with a bracket <= K_ROOT_WIDTH in ln c
+    # holding its last point, after at most a dozen steps, far below the cap
+    ts = np.logspace(-3, 5, 81)
+    solved = 0
+    for n in (8, 64, 256):
+        op = build_dirichlet_laplacian_1d(n, 1.0)
+        x = op.random_vector(np.random.default_rng(n))
+        x /= lp_norm(x, 2, op.measure)
+        for t in ts:
+            log = _k_root_recorder(monkeypatch)
+            k_functional(op, x, t, theta0, theta1)
+            (_, (idx, bracket, c, _)), = log["solves"]
+            monkeypatch.undo()
+            assert log["paths"] - 1 <= 12 < norms.K_ROOT_ITERS
+            assert idx.size or log["paths"] == 1
+            width = bracket[1] - bracket[0]
+            assert np.all((0 <= width) & (width <= norms.K_ROOT_WIDTH))
+            assert np.all((np.exp(bracket[0]) <= c) & (c <= np.exp(bracket[1])))
+            solved += idx.size
+    assert solved >= 20
+
+
+def test_k_functional_without_sign_change_is_the_boundary_split(monkeypatch):
+    # t = 1e-8: the residual is > 0 on the whole grid (x1 = x wins);
+    # t = 1e8: it is <= 0 from the first node (x0 = x wins).  Neither is
+    # iterated, and K is the boundary split itself
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    x = op.random_vector(np.random.default_rng(9))
+    x /= lp_norm(x, 2, op.measure)
+    lam, a = _diagonal_data(op, x)
+    ts = np.array([1e-8, 1e8])
+    log = _k_root_recorder(monkeypatch)
+    ks = k_functional(op, x, ts, 0.0, 1.0)
+    (_, (idx, _, _, _)), = log["solves"]
+    assert idx.size == 0 and log["paths"] == 1
+    assert ks[0] == ts[0] * np.sqrt(np.sum((lam * a) ** 2))
+    assert ks[1] == np.sqrt(np.sum(a**2))
 
 
 def test_real_interpolation_eigenvector_scaling():

@@ -380,3 +380,16 @@ def test_multiplier_norm_and_basis_conditioning():
     np.testing.assert_allclose(nn.multiplier_norm(v), exact, rtol=1e-13)
     assert nn.multiplier_norm(v[1]) == pytest.approx(exact[1], rel=1e-13)
     assert nn.basis_conditioning() == pytest.approx(10.0, rel=0.05)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_coefficients_of_a_stack_match_its_columns(m):
+    # the measure weights scale the rows of an n x m stack: a non-uniform
+    # measure (graph degrees 3, 3, 4) and m != n included
+    op, _ = build_graph_laplacian(np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]]))
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    stack = op.coefficients(x)
+    columns = np.stack([op.coefficients(x[:, j]) for j in range(m)], axis=1)
+    assert stack.shape == (3, m)
+    assert np.max(np.abs(stack - columns)) <= 1e-15
