@@ -42,7 +42,7 @@ class CalculusError(RuntimeError):
 
 
 def spectral_multiplier(op: ModelOperator, values, x) -> np.ndarray:
-    """Apply sum_k values[k] <x,e_k> e_k; the one primitive under every norm.
+    """Apply sum_k values[k] <x,e_k> e_k; the one synthesis under every norm.
 
     ``values`` of shape (K,) gives the vector f(A)x.  A stack of shape
     (m, K), one multiplier per row, gives the m outputs f_i(A)x as the rows
@@ -267,6 +267,13 @@ class StripOperator:
 
     def synthesize(self, coeffs):
         return self.base.synthesize(coeffs)
+
+    @property
+    def orthonormal(self) -> bool:
+        return self.base.orthonormal
+
+    def energies(self, values, x):
+        return self.base.energies(values, x)
 
     def apply_function(self, fvals_at_mu, x) -> np.ndarray:
         """f(B)x from the values f(mu_k); a stack of rows gives a row stack."""

@@ -2,12 +2,27 @@
 square functions, discrete/continuous Besov-type norms, K-functionals and
 real interpolation norms.
 
-Every block, square-function and Besov norm is a reduction over the rows
-of one calculus.spectral_multiplier call with a stack of multipliers: the
-weighted windows 2^(n theta) window_n, or the symbol at the quadrature
-nodes, psi(t_j .) or f(t_j .).  A stack costs one coefficient transform and
-one synthesis, whatever its height.  With y_n = window_n(A) x the spectral
-blocks of x, the norms are
+Every block, square-function and Besov norm is a reduction over the
+fields f_j(A)x of one stack of multipliers f_j: the weighted windows
+2^(n theta) window_n, or the symbol at the quadrature nodes, psi(t_j .) or
+f(t_j .).  Each norm has two halves.  Its evaluator (pl_square_evaluator,
+...) builds the stack, which does not depend on x, together with the
+quadrature tail certificate; the closure it returns reduces the
+coefficients of one x.  An experiment builds the stack once and evaluates
+every sample with it; the public norm functions build it per call.
+
+A reduction reads the fields in one of two ways:
+
+  p = 2, orthonormal eigenbasis   by Parseval, ||f_j(A)x||_2^2 =
+                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2
+                                  (ModelOperator.energies): one coefficient
+                                  transform and no synthesis;
+  any other p, or a non-orthonormal basis (S diag S^-1)
+                                  one coefficient transform and one
+                                  synthesis of the whole stack, then L^p
+                                  norms of the fields.
+
+With y_n = window_n(A) x the spectral blocks of x, the norms are
 
   square           || ( sum_n |2^(n theta) y_n|^2 )^(1/2) ||_p
   randomized       E || sum_n eps_n 2^(n theta) y_n ||_p   (Monte Carlo)
@@ -164,14 +179,13 @@ def block_indices(op, p: PartitionOfUnity):
     return list(p.indices(op.lambda_min_positive, op.lambda_max))
 
 
-def spectral_blocks(op, p: PartitionOfUnity, x, theta: float = 0.0):
-    """(indices, Y): the active window indices n and, in row i, the block
-    2^(n theta) window_n(A) x of n = indices[i].
+def block_stack(op, p: PartitionOfUnity, theta: float = 0.0):
+    """(indices, windows): the active window indices n and, in row i, the
+    multiplier 2^(n theta) window_n on the spectrum, n = indices[i].
 
-    One multiplier stack of the weighted windows, so one coefficient
-    transform and one synthesis for all blocks.  Windows vanish at 0, so
-    kernel content never enters any block; the machinery automatically
-    acts on the injective part.
+    The half of every block norm that does not depend on x.  Windows
+    vanish at 0, so kernel content never enters any block; the machinery
+    automatically acts on the injective part.
     """
     if theta != 0.0 and p.kind == EQUIDISTANT:
         raise NormsError("weighted blocks are defined for dyadic partitions")
@@ -184,6 +198,14 @@ def spectral_blocks(op, p: PartitionOfUnity, x, theta: float = 0.0):
     indices = np.array(indices)
     if theta != 0.0:
         windows *= _block_weights(indices, theta)[:, None]
+    return indices, windows
+
+
+def spectral_blocks(op, p: PartitionOfUnity, x, theta: float = 0.0):
+    """(indices, Y): the active window indices n and, in row i, the block
+    2^(n theta) window_n(A) x of n = indices[i], from one coefficient
+    transform and one synthesis of the block stack."""
+    indices, windows = block_stack(op, p, theta)
     return indices, spectral_multiplier(op, windows, x)
 
 
@@ -198,10 +220,43 @@ def _block_weights(indices, theta: float) -> np.ndarray:
     return weights
 
 
+# -- reductions of the fields of a multiplier stack ----------------------------
+
+def _parseval(op, pnorm) -> bool:
+    """Whether L^p norms of fields are read off the coefficient energies:
+    at p = 2 on an eigenbasis orthonormal in L^2(measure)."""
+    return pnorm == 2 and op.orthonormal
+
+
+def field_norms(op, values, x, pnorm):
+    """||f_j(A)x||_p for every row f_j of the multiplier stack ``values``;
+    one multiplier of shape (K,) gives a number."""
+    if _parseval(op, pnorm):
+        return np.sqrt(op.energies(values, x))
+    return lp_norm(spectral_multiplier(op, values, x), pnorm, op.measure)
+
+
+def square_function_norm(op, values, x, pnorm) -> float:
+    """|| (sum_j |f_j(A)x|^2)^(1/2) ||_p over the rows f_j of ``values``.
+
+    At p = 2 its square is the sum of the rows' L^2 energies."""
+    if _parseval(op, pnorm):
+        return float(np.sqrt(np.sum(op.energies(values, x))))
+    fields = spectral_multiplier(op, values, x)
+    return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
+
+
+# -- block norms ----------------------------------------------------------------
+
+def pl_square_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0):
+    """x -> pl_square_norm(op, p, x, pnorm, theta), the window stack built once."""
+    windows = block_stack(op, p, theta)[1]
+    return lambda x: square_function_norm(op, windows, x, pnorm)
+
+
 def pl_square_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
     """|| ( sum_n |2^(n theta) window_n(A) x|^2 )^(1/2) ||_p."""
-    _, ys = spectral_blocks(op, p, x, theta)
-    return lp_norm(np.sqrt(np.sum(np.abs(ys) ** 2, axis=0)), pnorm, op.measure)
+    return pl_square_evaluator(op, p, pnorm, theta)(x)
 
 
 @dataclass
@@ -211,6 +266,34 @@ class PLRandomResult:
     samples: np.ndarray
 
 
+def pl_random_evaluator(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble,
+                        theta: float = 0.0):
+    """x -> pl_random_norm(op, p, x, pnorm, ens, theta), the window stack and
+    the draws built once.
+
+    The sum over blocks of one draw is the field of the multiplier
+    sum_n eps_n 2^(n theta) window_n, so on the Parseval route each draw is
+    one row of that stack; otherwise the blocks are synthesized and the
+    draws combine them.
+    """
+    windows = block_stack(op, p, theta)[1]
+    draws = ens.draws(len(windows))
+    if _parseval(op, pnorm):
+        signed = draws @ windows
+        sample_norms = lambda x: np.sqrt(op.energies(signed, x))
+    else:
+        sample_norms = lambda x: lp_norm(draws @ spectral_multiplier(op, windows, x),
+                                         pnorm, op.measure)
+
+    def evaluate(x) -> PLRandomResult:
+        samples = sample_norms(x)
+        mean = float(np.mean(samples))
+        stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
+        return PLRandomResult(mean, stderr, samples)
+
+    return evaluate
+
+
 def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
                    theta: float = 0.0) -> PLRandomResult:
     """Monte Carlo E || sum_n eps_n 2^(n theta) window_n(A) x ||_p.
@@ -218,40 +301,38 @@ def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
     Returns the sample mean of the norm, its standard error, and the raw
     samples (their squares feed the square-sum consistency check).
     """
-    _, ys = spectral_blocks(op, p, x, theta)
-    samples = lp_norm(ens.draws(len(ys)) @ ys, pnorm, op.measure)
-    mean = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
-    return PLRandomResult(mean, stderr, samples)
+    return pl_random_evaluator(op, p, pnorm, ens, theta)(x)
 
 
-def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0,
-                          variant: str = "square", ens: RandomEnsemble | None = None):
-    """Inhomogeneous variant: blocks phi_n, n >= 0, weights 2^(n theta) >= 1."""
+def pl_inhomogeneous_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0,
+                               variant: str = "square", ens: RandomEnsemble | None = None):
+    """x -> pl_inhomogeneous_norm(op, p, x, ...), the window stack built once."""
     if p.kind != INHOMOGENEOUS:
         raise NormsError("pass the inhomogeneous partition")
     if theta < 0:
         raise NormsError("inhomogeneous weights need theta >= 0")
     if variant == "square":
-        return pl_square_norm(op, p, x, pnorm, theta)
+        return pl_square_evaluator(op, p, pnorm, theta)
     if variant == "random":
         if ens is None:
             raise NormsError("random variant needs an ensemble")
-        return pl_random_norm(op, p, x, pnorm, ens, theta)
+        return pl_random_evaluator(op, p, pnorm, ens, theta)
     raise NormsError(f"unknown variant {variant!r}")
+
+
+def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0,
+                          variant: str = "square", ens: RandomEnsemble | None = None):
+    """Inhomogeneous variant: blocks phi_n, n >= 0, weights 2^(n theta) >= 1."""
+    return pl_inhomogeneous_evaluator(op, p, pnorm, theta, variant, ens)(x)
 
 
 # -- continuous square function -------------------------------------------------
 
-def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
-                           pnorm=2, quad: QuadratureSpec | None = None,
-                           tail_rtol: float = 1e-8) -> float:
-    """|| ( int |t^-theta psi(tA) x|^2 dt/t )^(1/2) ||_p by log-trapezoid.
-
-    psi must certify |psi(t)| <= C min(t^eps0, t^-eps_inf) with eps0 > theta
-    and eps_inf > -theta, so the truncated integrand
-    t^(-2 theta) |psi(t lambda)|^2 has certified geometric tails.
-    """
+def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pnorm=2,
+                                quad: QuadratureSpec | None = None,
+                                tail_rtol: float = 1e-8):
+    """x -> continuous_square_norm(op, psi, theta, x, ...), the weighted
+    dilation table and its tail certificate built once."""
     if psi.decay is None:
         raise NormsError(f"symbol {psi.name} carries no decay certificate")
     e0, ei, c = psi.decay.eps0, psi.decay.eps_inf, psi.decay.real_axis_constant
@@ -285,8 +366,20 @@ def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
             raise NormsError(f"quadrature tail {rel:.2e} above tolerance {tail_rtol:.2e}; "
                              "widen the t-range")
     # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
-    fields = spectral_multiplier(op, (du[:, None] ** 0.5) * t[:, None] ** (-theta) * pvals, x)
-    return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
+    values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * pvals
+    return lambda x: square_function_norm(op, values, x, pnorm)
+
+
+def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
+                           pnorm=2, quad: QuadratureSpec | None = None,
+                           tail_rtol: float = 1e-8) -> float:
+    """|| ( int |t^-theta psi(tA) x|^2 dt/t )^(1/2) ||_p by log-trapezoid.
+
+    psi must certify |psi(t)| <= C min(t^eps0, t^-eps_inf) with eps0 > theta
+    and eps_inf > -theta, so the truncated integrand
+    t^(-2 theta) |psi(t lambda)|^2 has certified geometric tails.
+    """
+    return continuous_square_evaluator(op, psi, theta, pnorm, quad, tail_rtol)(x)
 
 
 # -- Besov-type norms -----------------------------------------------------------
@@ -300,10 +393,38 @@ def _lq_combine(values: np.ndarray, q) -> float:
     return float(np.sum(values**q) ** (1.0 / q))
 
 
+def besov_discrete_evaluator(op, p: PartitionOfUnity, theta: float, q, pnorm=2):
+    """x -> besov_discrete_norm(op, p, x, theta, q, pnorm), the window stack
+    and its weights built once."""
+    indices, windows = block_stack(op, p)
+    weights = _block_weights(indices, theta)
+    return lambda x: _lq_combine(weights * field_norms(op, windows, x, pnorm), q)
+
+
 def besov_discrete_norm(op, p: PartitionOfUnity, x, theta: float, q, pnorm=2) -> float:
     """( sum_n (2^(n theta) ||window_n(A) x||_p)^q )^(1/q); sup for q = inf."""
-    indices, ys = spectral_blocks(op, p, x)
-    return _lq_combine(_block_weights(indices, theta) * lp_norm(ys, pnorm, op.measure), q)
+    return besov_discrete_evaluator(op, p, theta, q, pnorm)(x)
+
+
+def besov_continuous_evaluator(op: ModelOperator, theta: float, q, f: Symbol,
+                               pnorm=2, quad: QuadratureSpec | None = None):
+    """x -> besov_continuous_norm(op, x, theta, q, f, ...), the dilation table
+    built once."""
+    _check_besov_symbol(f, theta)
+    if quad is None:
+        quad = QuadratureSpec.cover(op)
+    t, du = quad.nodes()
+    table = _dilation_table(op, f, t)
+    weights = t**-theta
+
+    def evaluate(x) -> float:
+        norms = field_norms(op, table, x, pnorm)
+        if q == np.inf or q == "inf":
+            return float(np.max(weights * norms))
+        qf = float(q)
+        return float(np.sum(du * (weights * norms) ** qf) ** (1.0 / qf))
+
+    return evaluate
 
 
 def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
@@ -315,16 +436,7 @@ def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
     multiplier criterion holds for these); anything else needs a decay
     certificate with eps0 > theta.
     """
-    _check_besov_symbol(f, theta)
-    if quad is None:
-        quad = QuadratureSpec.cover(op)
-    t, du = quad.nodes()
-    norms = lp_norm(spectral_multiplier(op, _dilation_table(op, f, t), x), pnorm, op.measure)
-    if q == np.inf or q == "inf":
-        return float(np.max(t**-theta * norms))
-    qf = float(q)
-    vals = du * (t**-theta * norms) ** qf
-    return float(np.sum(vals) ** (1.0 / qf))
+    return besov_continuous_evaluator(op, theta, q, f, pnorm, quad)(x)
 
 
 def _check_besov_symbol(f: Symbol, theta: float):
@@ -543,8 +655,14 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
     lam, a = _diagonal_data(op, x)
     if a.size == 0:
         return 0.0
-    n0 = float(np.sqrt(np.sum((lam**theta0 * a) ** 2)))
-    n1 = float(np.sqrt(np.sum((lam**theta1 * a) ** 2)))
+    # the norm is positively homogeneous in a: it is computed for a scaled
+    # by a power of two into [1/2, 1), exactly, so that neither the envelope
+    # norms n0, n1, the t-range sized from them nor the q-th powers of K
+    # under- or overflow for a tiny or huge x
+    _, e = np.frexp(np.max(a))
+    a_unit = np.ldexp(a, -e)
+    n0 = float(np.sqrt(np.sum((lam**theta0 * a_unit) ** 2)))
+    n1 = float(np.sqrt(np.sum((lam**theta1 * a_unit) ** 2)))
     if n0 == 0.0 or n1 == 0.0:
         return 0.0
     auto = quad is None
@@ -564,15 +682,15 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
                               nodes_per_decade=16)
     for _ in range(4):
         t, du = quad.nodes()
-        kvals = _k_functional_diagonal(lam, a, t, theta0, theta1)
+        kvals = np.ldexp(_k_functional_diagonal(lam, a, t, theta0, theta1), -e)
         if q == np.inf or q == "inf":
-            return float(np.max(t**-vartheta * kvals))
+            return float(np.ldexp(np.max(t**-vartheta * kvals), e))
         qf = float(q)
         main = float(np.sum(du * (t**-vartheta * kvals) ** qf))
         tail_lo = (t[0] ** (1 - vartheta) * n1) ** qf / ((1 - vartheta) * qf)
         tail_hi = (t[-1] ** -vartheta * n0) ** qf / (vartheta * qf)
         if (tail_lo + tail_hi) <= tail_rtol * max(main, 1e-300):
-            return float(main ** (1.0 / qf))
+            return float(np.ldexp(main ** (1.0 / qf), e))
         if not auto:
             break
         quad = QuadratureSpec(quad.t_lo * 1e-5, quad.t_hi * 1e5,

@@ -185,6 +185,24 @@ def test_type2_one_sided_recorded():
     assert np.isfinite(out["empirical_C"]) and out["empirical_C"] > 0
 
 
+def test_type2_one_sided_matches_the_per_sample_besov_loop():
+    # the window stack is built once; the constant is bit-identical to the
+    # loop that calls besov_discrete_norm per sample (p = 4, synthesis route)
+    from plcalc.measure import lp_norm
+    from plcalc.norms import besov_discrete_norm
+
+    op = build_dirichlet_laplacian_1d(48, 1.0)
+    out = type2_one_sided_check(op, samples=10, seed=3)
+    hom = build_homogeneous_dyadic()
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(10):
+        x = op.random_vector(rng)
+        x = x / lp_norm(x, 4, op.measure)
+        worst = max(worst, 1.0 / besov_discrete_norm(op, hom, x, theta=0.0, q=2, pnorm=4))
+    assert out["empirical_C"] == worst
+
+
 def test_norm_evaluation_failure_carries_sample_index():
     config = {
         "name": "bad",
@@ -261,3 +279,88 @@ def test_half_line_experiments_reject_a_negative_spectrum():
               "norm_a": {"kind": "fractional_power", "theta": 0.5}}
     with pytest.raises(ExperimentError, match="negative eigenvalues"):
         run_equivalence(config)
+
+
+HOISTED_NORMS = {
+    "pl_square": {"kind": "pl_square", "theta": 0.2},
+    "pl_random": {"kind": "pl_random", "count": 64, "theta": 0.3},
+    "pl_inhomogeneous": {"kind": "pl_inhomogeneous", "theta": 0.5},
+    "besov_discrete": {"kind": "besov_discrete", "theta": 0.4, "q": 3},
+    "continuous_square": {"kind": "continuous_square", "theta": 0.1},
+    "strip_pl_square": {"kind": "strip_pl_square"},
+}
+
+
+def _public_norm(op, spec, x, pnorm, seed):
+    """The norm of one vector through the public norm function."""
+    from plcalc.calculus import log_operator
+    from plcalc.norms import (
+        RandomEnsemble,
+        besov_discrete_norm,
+        continuous_square_norm,
+        pl_inhomogeneous_norm,
+        pl_random_norm,
+        pl_square_norm,
+    )
+    from plcalc.partitions import build_equidistant, to_inhomogeneous
+
+    hom = build_homogeneous_dyadic()
+    kind = spec["kind"]
+    if kind == "pl_square":
+        return pl_square_norm(op, hom, x, pnorm, spec["theta"])
+    if kind == "pl_random":
+        ens = RandomEnsemble(seed=seed + 104729, count=spec["count"])
+        return pl_random_norm(op, hom, x, pnorm, ens, spec["theta"]).mean
+    if kind == "pl_inhomogeneous":
+        return pl_inhomogeneous_norm(op, to_inhomogeneous(hom), x, pnorm, spec["theta"])
+    if kind == "besov_discrete":
+        return besov_discrete_norm(op, hom, x, spec["theta"], spec["q"], pnorm)
+    if kind == "continuous_square":
+        return continuous_square_norm(op, make_symbol("psi_exp", a=1.0, b=1.0),
+                                      spec["theta"], x, pnorm)
+    return pl_square_norm(log_operator(op), build_equidistant(), x, pnorm)
+
+
+@pytest.mark.parametrize("kind", sorted(HOISTED_NORMS))
+@pytest.mark.parametrize("operator, pnorm", [
+    ({"kind": "dirichlet1d", "n": 48, "h": 1.0}, 2),
+    ({"kind": "dirichlet1d", "n": 48, "h": 1.0}, 4),
+    ({"kind": "nonnormal", "lambdas": [[v, 0.0] for v in np.geomspace(0.05, 5.0, 16)],
+      "conditioning": 6.0, "seed": 2}, 2),
+])
+def test_hoisted_evaluator_matches_the_public_norm(kind, operator, pnorm):
+    # regenerate the samples of the report from default_rng(seed): each
+    # row's norm_a is the public norm function of that sample
+    from plcalc.measure import lp_norm
+    from plcalc.operators import operator_from_spec
+
+    seed = 13
+    spec = HOISTED_NORMS[kind]
+    report = run_equivalence({"name": kind, "operator": operator, "seed": seed,
+                              "samples": 4, "pnorm": pnorm,
+                              "norm_a": dict(spec, pnorm=pnorm),
+                              "norm_b": {"kind": "ambient", "pnorm": pnorm}})
+    op = operator_from_spec(operator)
+    rng = np.random.default_rng(seed)
+    for row in report.table:
+        x = op.random_vector(rng)
+        x = x / lp_norm(x, pnorm, op.measure)
+        assert row["norm_a"] == pytest.approx(_public_norm(op, spec, x, pnorm, seed),
+                                              rel=1e-13, abs=0)
+
+
+def test_run_equivalence_builds_each_stack_once(monkeypatch):
+    from plcalc import norms
+
+    calls = {"block_stack": 0, "_dilation_table": 0}
+    for name in calls:
+        original = getattr(norms, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(norms, name, counting)
+    run_equivalence({**overlap_config(samples=5),
+                     "norm_b": {"kind": "continuous_square", "pnorm": 2}})
+    assert calls == {"block_stack": 1, "_dilation_table": 1}

@@ -509,6 +509,19 @@ def test_real_interpolation_zero_vector():
     assert real_interpolation_norm(op, np.zeros(4), 0.5, 2) == 0.0
 
 
+def test_real_interpolation_is_homogeneous_far_from_unit_scale():
+    # the envelope norms and the t-range are sized on coefficients scaled
+    # by a power of two, so tiny and huge vectors neither divide by zero,
+    # underflow to 0 nor overflow into an empty t-range
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    x /= lp_norm(x, 2, op.measure)
+    unit = real_interpolation_norm(op, x, 0.5, 2)
+    for scale in (1e-160, 1e-170, 1e300):
+        assert real_interpolation_norm(op, scale * x, 0.5, 2) \
+            == pytest.approx(scale * unit, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_real_interpolation_vs_besov_bracket(seed, hom):
     op = build_dirichlet_laplacian_1d(48, 1.0)
@@ -641,3 +654,156 @@ def test_continuous_square_on_conditioning_one_nonnormal_operator():
     x = op.random_vector(np.random.default_rng(6))
     val = continuous_square_norm(op, psi, 0.0, x, 2)
     assert val == pytest.approx(0.5 * lp_norm(x, 2, op.measure), rel=1e-6)
+
+
+# -- the Parseval route: p = 2 norms from the coefficient energies -----------------
+
+def _parseval_operators():
+    """Orthonormal forms: Dirichlet, a graph Laplacian (weighted measure with
+    a kernel), Hermite (a rectangular n x K basis) and Schroedinger."""
+    from plcalc.operators import build_schrodinger_1d
+
+    sigma = np.ones((6, 6)) + np.diag(np.arange(6.0))
+    sigma[0, 5] = sigma[5, 0] = 0.0
+    half = np.sqrt(2 * 25.0) + 5.0
+    return {
+        "dirichlet": build_dirichlet_laplacian_1d(40, 0.5),
+        "graph": build_graph_laplacian(sigma)[0],
+        "hermite": build_hermite_operator(1, 12, uniform_grid(-half, half, 500)),
+        "schrodinger": build_schrodinger_1d(30, 1.0, 0.02 * np.arange(30.0) ** 2 / 30),
+    }
+
+
+PARSEVAL_OPERATORS = _parseval_operators()
+
+# every p = 2 norm kind an experiment evaluates; strip operators need an
+# injective base and the kernel split needs a kernel
+NORM_KINDS = [
+    {"kind": "pl_square"}, {"kind": "pl_square", "theta": 0.4},
+    {"kind": "pl_random", "count": 32}, {"kind": "pl_random", "count": 32, "theta": 0.3},
+    {"kind": "pl_inhomogeneous", "theta": 0.5},
+    {"kind": "besov_discrete", "theta": 0.3, "q": 2},
+    {"kind": "besov_discrete", "theta": -0.2, "q": "inf"},
+    {"kind": "besov_continuous", "theta": 0.3, "q": 3},
+    {"kind": "continuous_square", "theta": 0.0}, {"kind": "continuous_square", "theta": 0.3},
+    {"kind": "fractional_power", "theta": 0.5},
+    {"kind": "strip_pl_square"}, {"kind": "kernel_plus_pl"},
+]
+
+
+def _admitted(op, spec):
+    if spec["kind"] == "kernel_plus_pl":
+        return op.kernel_projection is not None
+    return spec["kind"] != "strip_pl_square" or op.injective
+
+
+def _unit_vector(op, seed):
+    x = op.random_vector(np.random.default_rng(seed))
+    return x / lp_norm(x, 2, op.measure)
+
+
+@pytest.mark.parametrize("name", sorted(PARSEVAL_OPERATORS))
+def test_energies_are_the_squared_norms_of_the_synthesized_fields(name):
+    from plcalc.calculus import spectral_multiplier
+
+    op = PARSEVAL_OPERATORS[name]
+    rng = np.random.default_rng(1)
+    k = op.eigenvalues_or_none().size
+    values = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
+    x = _unit_vector(op, 2)
+    fields = spectral_multiplier(op, values, x)
+    np.testing.assert_allclose(op.energies(values, x), lp_norm(fields, 2, op.measure) ** 2,
+                               rtol=1e-13, atol=0)
+    assert op.energies(values[0], x) == pytest.approx(
+        lp_norm(fields[0], 2, op.measure) ** 2, rel=1e-13, abs=0)
+
+
+def test_energies_of_a_nonnormal_operator_synthesize_the_fields():
+    # the same arithmetic as lp_norm at p = 2, so the root is bit-identical
+    from plcalc.calculus import spectral_multiplier
+
+    op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 9), 8.0, 2)
+    values = np.random.default_rng(3).standard_normal((4, 9))
+    x = _unit_vector(op, 4)
+    fields = spectral_multiplier(op, values, x)
+    assert not op.orthonormal
+    np.testing.assert_array_equal(np.sqrt(op.energies(values, x)),
+                                  lp_norm(fields, 2, op.measure))
+
+
+@pytest.mark.parametrize("name", sorted(PARSEVAL_OPERATORS))
+def test_parseval_route_matches_the_synthesis_route(monkeypatch, name):
+    # with the orthonormal flag off, every norm synthesizes its fields and
+    # takes their lp_norm; the energies give the same values to round-off
+    from plcalc.experiments import _norm_evaluator
+    from plcalc.operators import ModelOperator
+
+    op = PARSEVAL_OPERATORS[name]
+    xs = [_unit_vector(op, seed) for seed in range(3)]
+    checked = 0
+    for spec in NORM_KINDS:
+        if not _admitted(op, spec):
+            continue
+        parseval, _ = _norm_evaluator(op, dict(spec, pnorm=2), 7)
+        with monkeypatch.context() as m:
+            m.setattr(ModelOperator, "orthonormal", property(lambda self: False))
+            synthesis, _ = _norm_evaluator(op, dict(spec, pnorm=2), 7)
+            expected = [synthesis(x) for x in xs]
+        np.testing.assert_allclose([parseval(x) for x in xs], expected, rtol=1e-13, atol=0,
+                                   err_msg=str(spec))
+        checked += 1
+    assert checked == len(NORM_KINDS) - 1
+
+
+def _synthesis_refused(monkeypatch):
+    from plcalc.operators import ModelOperator
+
+    def refuse(self, coeffs):
+        raise AssertionError("synthesize called")
+
+    monkeypatch.setattr(ModelOperator, "synthesize", refuse)
+
+
+@pytest.mark.parametrize("spec", NORM_KINDS, ids=lambda s: "-".join(map(str, s.values())))
+def test_p2_norms_on_an_orthonormal_basis_make_no_synthesis(monkeypatch, spec):
+    from plcalc.experiments import _norm_evaluator
+
+    op = PARSEVAL_OPERATORS["graph" if spec["kind"] == "kernel_plus_pl" else "dirichlet"]
+    x = _unit_vector(op, 5)
+    evaluate, _ = _norm_evaluator(op, dict(spec, pnorm=2), 0)
+    p4, _ = _norm_evaluator(op, dict(spec, pnorm=4), 0)
+    with monkeypatch.context() as m:
+        _synthesis_refused(m)
+        assert np.isfinite(evaluate(x))
+        with pytest.raises(AssertionError, match="synthesize called"):
+            p4(x)
+
+
+@pytest.mark.parametrize("spec", [s for s in NORM_KINDS if s["kind"] != "kernel_plus_pl"],
+                         ids=lambda s: "-".join(map(str, s.values())))
+def test_p2_norms_on_a_nonnormal_operator_still_synthesize(monkeypatch, spec):
+    from plcalc.experiments import _norm_evaluator
+
+    op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 12), 4.0, 1)
+    x = _unit_vector(op, 6)
+    evaluate, _ = _norm_evaluator(op, dict(spec, pnorm=2), 0)
+    with monkeypatch.context() as m:
+        _synthesis_refused(m)
+        with pytest.raises(AssertionError, match="synthesize called"):
+            evaluate(x)
+
+
+def test_p2_square_functions_on_a_nonnormal_operator_keep_the_synthesis_arithmetic(hom):
+    # off an orthonormal basis the fields are synthesized and reduced by
+    # the synthesis formula, bit for bit
+    from plcalc.calculus import spectral_multiplier
+
+    op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 12), 4.0, 1)
+    x = _unit_vector(op, 8)
+    windows = norms.block_stack(op, hom, 0.3)[1]
+    fields = spectral_multiplier(op, windows, x)
+    assert pl_square_norm(op, hom, x, 2, 0.3) \
+        == lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), 2, op.measure)
+    ens = RandomEnsemble(seed=4, count=16)
+    np.testing.assert_array_equal(pl_random_norm(op, hom, x, 2, ens, 0.3).samples,
+                                  lp_norm(ens.draws(len(windows)) @ fields, 2, op.measure))
