@@ -11,14 +11,12 @@ interpolation K-functional norms.
 
 from .measure import MeasureSpace, lp_norm, solve_complex, weighted_symmetric_eig
 from .operators import (
-    KernelProjection,
     ModelOperator,
     build_dirichlet_laplacian_1d,
     build_graph_laplacian,
     build_hermite_operator,
     build_nonnormal_sectorial,
     build_schrodinger_1d,
-    kernel_projection_apply,
     operator_from_spec,
     resolvent_apply,
 )

@@ -19,9 +19,10 @@ truncated ray tails can be bounded a priori:
 (kappa = basis conditioning, C/eps from the certificate; r_min <=
 lambda_min/2, r_max >= 2 lambda_max assumed).
 
-Operators that are not injective auto-compose every calculus call with
-I - P (projection off the kernel) unless told otherwise; symbols are then
-only ever evaluated on the nonzero spectrum.
+On an operator that is not injective every calculus call acts on the
+injective part: the kernel coefficients are dropped, which is composing
+with I - P (P = ModelOperator.kernel_component, the projection onto the
+kernel), and symbols are only ever evaluated on the nonzero spectrum.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import KernelProjection, ModelOperator, check_resolvent_gap
+from .operators import ModelOperator, check_resolvent_gap
 from .symbols import Symbol, make_symbol
 
 DEFAULT_SIGMA_FLOOR = 0.15    # contour half-angle floor; see default_contour_spec
@@ -52,14 +53,13 @@ def spectral_multiplier(op: ModelOperator, values, x) -> np.ndarray:
     return op.synthesize(scaled.T).T
 
 
-def apply_spectral(op: ModelOperator, f: Symbol, x, project_kernel: bool = True) -> np.ndarray:
+def apply_spectral(op: ModelOperator, f: Symbol, x) -> np.ndarray:
     """f(A)x through the eigenbasis (exact linear-algebra contract).
 
     On a real spectrum f is evaluated on the real line; a complex spectrum
     needs the symbol's sector evaluation and raises CalculusError without
     one.  For operators with kernel, the kernel coefficients are dropped
-    when ``project_kernel`` (the calculus of the injective part); otherwise
-    f must be finite at 0.
+    (the calculus of the injective part).
     """
     lam_nz = op.eigenvalues_or_none()[op.nonzero]
     vals = np.zeros(op.nonzero.shape, dtype=complex)
@@ -69,11 +69,6 @@ def apply_spectral(op: ModelOperator, f: Symbol, x, project_kernel: bool = True)
         vals[op.nonzero] = f.on_sector(lam_nz)
     else:
         raise CalculusError(f"symbol {f.name} has no sector evaluation for a complex spectrum")
-    if not project_kernel and not np.all(op.nonzero):
-        v0 = complex(np.asarray(f(np.array([0.0])), dtype=complex)[0])
-        if not np.isfinite(v0):
-            raise CalculusError("symbol undefined at a zero eigenvalue")
-        vals[~op.nonzero] = v0
     if not np.all(np.isfinite(vals)):
         raise CalculusError(f"symbol {f.name} is not finite on the spectrum")
     return spectral_multiplier(op, vals, x)
@@ -167,7 +162,7 @@ def contour_tail_bound(op: ModelOperator, f: Symbol, spec: ContourSpec) -> float
 
 
 def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = None,
-                  tail_tol: float = DEFAULT_TAIL_TOL, project_kernel: bool = True):
+                  tail_tol: float = DEFAULT_TAIL_TOL):
     """f(A)x by trapezoid quadrature of the two-ray sector contour.
 
     Requires a sector-analytic symbol with a decay certificate; the
@@ -186,8 +181,7 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     if tail > tail_tol:
         raise CalculusError(f"certified contour tail {tail:.2e} above tolerance {tail_tol:.2e}")
     x = np.asarray(x, dtype=complex)
-    if project_kernel and op.kernel_projection is not None:
-        x = x - op.kernel_projection.p @ x
+    x = x - op.kernel_component(x)
     # on the diagonal form the quadrature sum of f(z_j) z_j du_j (z_j - A)^-1
     # is one scalar weight per eigenvalue; counterclockwise means in along
     # the upper ray and out along the lower, the lower-minus-upper sum below
@@ -204,18 +198,13 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     return spectral_multiplier(op, weights / (2j * np.pi), x), tail
 
 
-def fractional_power_apply(op: ModelOperator, theta: float, x,
-                           project_kernel: bool = True) -> np.ndarray:
-    """A^theta x through the spectral calculus of t -> t^theta."""
+def fractional_power_apply(op: ModelOperator, theta: float, x) -> np.ndarray:
+    """A^theta x through the spectral calculus of t -> t^theta, on the
+    injective part (A^0 = I - P)."""
     if theta == 0.0:
-        out = np.asarray(x, dtype=complex)
-        if project_kernel and op.kernel_projection is not None:
-            out = out - op.kernel_projection.p @ out
-        return out
-    if not op.injective and not project_kernel and theta < 0:
-        raise CalculusError("negative power of a non-injective operator")
-    return apply_spectral(op, make_symbol("power", theta=theta), x,
-                          project_kernel=project_kernel)
+        x = np.asarray(x, dtype=complex)
+        return x - op.kernel_component(x)
+    return apply_spectral(op, make_symbol("power", theta=theta), x)
 
 
 def semigroup_apply(op: ModelOperator, t: float, x) -> np.ndarray:
@@ -296,10 +285,12 @@ def imaginary_power_apply(op: ModelOperator, s: float, x) -> np.ndarray:
 
 
 def bisectorial_projections(op: ModelOperator):
-    """Spectral projections P1 (Re lambda > 0) and P2 (Re lambda < 0).
+    """Spectral projections P1 (Re lambda > 0) and P2 (Re lambda < 0), as
+    n x n arrays.
 
-    P1 + P2 = I and P1 P2 = 0 up to the conditioning of the eigenbasis;
-    eigenvalues on the imaginary axis are rejected.
+    P1 + P2 = I and P1 P2 = 0 up to the conditioning of the eigenbasis
+    (together they make each idempotent); eigenvalues on the imaginary
+    axis are rejected.
     """
     lam = op.eigenvalues_or_none()
     if np.any(np.abs(np.real(lam)) < 1e-14 * np.max(np.abs(lam))):
@@ -308,8 +299,8 @@ def bisectorial_projections(op: ModelOperator):
     # column j holds the coefficients of e_j (the weights of an orthonormal
     # form scale the diagonal identity alike along either axis)
     coeffs = op.coefficients(np.eye(op.n))
-    return (KernelProjection(op.synthesize(np.where(right, coeffs, 0.0))),
-            KernelProjection(op.synthesize(np.where(right, 0.0, coeffs))))
+    return (op.synthesize(np.where(right, coeffs, 0.0)),
+            op.synthesize(np.where(right, 0.0, coeffs)))
 
 
 def even_multiplier_direct(op: ModelOperator, f, x) -> np.ndarray:
@@ -326,6 +317,6 @@ def even_multiplier_via_projections(op: ModelOperator, f, x) -> np.ndarray:
     vals = np.asarray(f(np.abs(lam)), dtype=complex)
     right = np.real(lam) > 0
     x = np.asarray(x, dtype=complex)
-    y1 = spectral_multiplier(op, np.where(right, vals, 0.0), p1.p @ x)
-    y2 = spectral_multiplier(op, np.where(~right, vals, 0.0), p2.p @ x)
+    y1 = spectral_multiplier(op, np.where(right, vals, 0.0), p1 @ x)
+    y2 = spectral_multiplier(op, np.where(~right, vals, 0.0), p2 @ x)
     return y1 + y2

@@ -63,15 +63,13 @@ def _emit(payload: dict, out: str | None, quiet: bool):
 
 
 def cmd_op_build(args) -> int:
-    from .operators import GraphError, OperatorError, operator_from_spec
+    from .operators import OperatorError, operator_from_spec
 
     spec = _load_json(args.config)
     try:
         op = operator_from_spec(spec)
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed operator spec: {exc}")
-    except GraphError as exc:
-        raise CliExit(EXIT_INVARIANT, f"operator invariant violated: {exc}")
     except OperatorError as exc:
         raise CliExit(EXIT_INVARIANT, f"operator invariant violated: {exc}")
     summary = {
@@ -124,9 +122,16 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
         e_k[idx] = 1.0
         return op.synthesize(e_k), {"kind": "eigenvector", "index": idx}
     if kind == "file":
-        data = _load_json(vec_spec["path"])
-        x = np.asarray([complex(re, im) for re, im in data], dtype=complex)
-        return x, {"kind": "file", "path": vec_spec["path"]}
+        path = vec_spec["path"]
+        data = _load_json(path)
+        try:
+            x = np.asarray([complex(re, im) for re, im in data], dtype=complex)
+        except (TypeError, ValueError):
+            x = None
+        if x is None or x.shape != (op.n,):
+            raise CliExit(EXIT_BAD_CONFIG,
+                          f"vector 'path' {path} must hold {op.n} [re, im] pairs")
+        return x, {"kind": "file", "path": path}
     return np.zeros(op.n, dtype=complex), {"kind": "zero"}
 
 

@@ -106,9 +106,9 @@ def _once(build):
 
 
 def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
-    """x -> ||Px||_p + PL(x), P the kernel projection.
+    """x -> ||Px||_p + PL(x), P the kernel projection (op.kernel_component).
 
-    On the Parseval route P is the spectral projection onto the kernel, so
+    P is the spectral projection onto the kernel, so on the Parseval route
     one stack, the windows and the kernel indicator in its last row, gives
     both terms from the energies.
     """
@@ -121,8 +121,8 @@ def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
             return np.sqrt(energies[-1]) + np.sqrt(np.sum(energies[:-1]))
     else:
         def evaluate(x):
-            px = op.kernel_projection.p @ np.asarray(x, dtype=complex)
-            return lp_norm(px, pnorm, op.measure) + square_function_norm(op, windows, x, pnorm)
+            return (lp_norm(op.kernel_component(x), pnorm, op.measure)
+                    + square_function_norm(op, windows, x, pnorm))
 
     return evaluate
 
@@ -165,7 +165,7 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         evaluate = lambda x: field_norms(op, powed, x, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "kernel_plus_pl":
-        if op.kernel_projection is None:
+        if op.injective:
             raise ExperimentError("operator has no kernel projection")
         evaluate = _once(lambda: _kernel_plus_pl(op, hom, pnorm))
         echo = {"kind": kind, "pnorm": pnorm}
@@ -187,12 +187,15 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         evaluate = _once(lambda: besov_continuous_evaluator(op, theta, q, f, pnorm))
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
     elif kind == "real_interpolation":
+        if pnorm != 2:
+            raise NormsError("real interpolation is implemented on the p = 2 path only")
         vartheta = float(spec.pop("vartheta", 0.5))
         q = spec.pop("q", 2)
         theta0 = float(spec.pop("theta0", 0.0))
         theta1 = float(spec.pop("theta1", 1.0))
         evaluate = lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
-        echo = {"kind": kind, "vartheta": vartheta, "q": q, "theta0": theta0, "theta1": theta1}
+        echo = {"kind": kind, "pnorm": pnorm, "vartheta": vartheta, "q": q,
+                "theta0": theta0, "theta1": theta1}
     elif kind == "strip_pl_square":
         strip = log_operator(op)
         equi = build_equidistant()
@@ -317,8 +320,7 @@ def convergence_check(op: ModelOperator, partition, x, n_max: int,
     round-off (finite sums are order-independent).
     """
     x = np.asarray(x, dtype=complex)
-    if op.kernel_projection is not None:
-        x = x - op.kernel_projection.p @ x
+    x = x - op.kernel_component(x)
     lam = _spectral_argument(op)
     nx = np.linalg.norm(x)
     ns = range(-n_max, n_max + 1)
@@ -369,8 +371,7 @@ def mcintosh_check(op: ModelOperator, g: Symbol, x,
     if quad is None:
         quad = QuadratureSpec.cover(op, margin=2.0**14)
     x = np.asarray(x, dtype=complex)
-    if op.kernel_projection is not None:
-        x = x - op.kernel_projection.p @ x
+    x = x - op.kernel_component(x)
     t, du = quad.nodes()
     gv = np.real(_dilation_table(op, g, t))
     weights = (du[:, None] * gv).sum(axis=0)     # int g(t lambda_k) dt/t per k

@@ -1,9 +1,10 @@
 """Finite-dimensional sectorial model operators.
 
-Every operator carries a measure space (hosting the L^p norms), a sector
-angle for its nonzero spectrum and an injectivity flag; the kernel mask
-and the spectral bounds (lambda_min over the nonzero spectrum, lambda_max)
-are read off the spectrum.  Two diagonal forms:
+An operator is its diagonal form, a measure space (hosting the L^p norms)
+and a construction echo.  Everything else is read off the spectrum: the
+kernel mask, injectivity, whether the spectrum is bisectorial (double
+sector), the sector angle of the nonzero spectrum and the spectral bounds
+(lambda_min over the nonzero spectrum, lambda_max).  Two diagonal forms:
 
   SpectralSelfAdjoint   eigenvalues >= 0 ascending with eigenvectors
                         orthonormal in the weighted inner product; the
@@ -15,9 +16,10 @@ are read off the spectrum.  Two diagonal forms:
                         double-sector examples.
 
 The diagonal form is private to this module.  Every other layer asks the
-operator through coefficients and synthesize, the eigenvalues and five
+operator through coefficients and synthesize, the eigenvalues and six
 members: ``nonzero`` (the kernel mask, the package's one rule for which
-eigenvalues are zero), ``multiplier_norm`` (the exact L^2 norm of a
+eigenvalues are zero), ``kernel_component`` (P x, the projection onto the
+kernel along the closed range), ``multiplier_norm`` (the exact L^2 norm of a
 diagonal multiplier), ``energies`` (the squared L^2 norms of the fields
 of a multiplier stack, by Parseval on an orthonormal basis),
 ``orthonormal`` and ``basis_conditioning``.  Resolvents and every
@@ -33,14 +35,15 @@ forms still accept, takes the plain complex product.
 
 Builders: 1d Dirichlet Laplacian (closed-form spectrum), weighted graph
 Laplacian I - P (self-adjoint wrt the vertex measure mu(x) = sum_y
-
 sigma(x,y), kernel = constants), Hermite expansion (eigenvalues d + 2n on
 discretized Hermite functions), Schroedinger -Delta + V, and a synthetic
 non-normal operator with prescribed spectrum and conditioning.
 
-Operators that are not injective expose the projection onto their kernel;
-all downstream block machinery only ever evaluates windows that vanish at
-0, so the injective part needs no special casing there.
+For an operator that is not injective, X = N(A) + cl R(A), and the
+projection P onto the kernel is the spectral projection of the zero
+eigenvalues, so it comes from the same diagonal form; all downstream block
+machinery only ever evaluates windows that vanish at 0, so the injective
+part needs no special casing there.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .measure import MeasureSpace, adjoint, solve_complex, weighted_symmetric_ei
 
 ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
-PROJ_TOL = 1e-10
 RESOLVENT_MARGIN = 1e-12   # reject lambda within this times lambda_max of spectrum
 ZERO_EIG_TOL = 1e-12       # relative threshold deciding kernel membership
 
@@ -99,24 +101,6 @@ class SimilarityDiagonal:
     eigenvalues: np.ndarray        # complex, length n
 
 
-@dataclass
-class KernelProjection:
-    """Projector onto N(A); idempotent, annihilated by A."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=complex)
-        defect = np.linalg.norm(p @ p - p)
-        if defect > PROJ_TOL * max(1.0, np.linalg.norm(p)):
-            raise OperatorError(f"projector is not idempotent (defect {defect:.2e})")
-        self.p = p
-
-
-def kernel_projection_apply(kp: KernelProjection, x) -> np.ndarray:
-    return kp.p @ np.asarray(x, dtype=complex)
-
-
 def basis_matmul(b: np.ndarray, z) -> np.ndarray:
     """b @ z for a complex operand z (a K-vector or a K x m stack).
 
@@ -137,36 +121,36 @@ def basis_matmul(b: np.ndarray, z) -> np.ndarray:
 class ModelOperator:
     form: SpectralSelfAdjoint | SimilarityDiagonal
     measure: MeasureSpace
-    sector_angle_hint: float
-    injective: bool
-    bisectorial: bool = False         # spectrum in a double sector around R
-    kernel_projection: KernelProjection | None = None
     spec: dict = field(default_factory=dict)   # construction echo for reports
     # read off the spectrum: per eigenvalue, whether it lies outside the
-    # kernel (the package's one kernel rule), and the moduli bounds
+    # kernel (the package's one kernel rule); whether the kernel is trivial;
+    # whether some nonzero eigenvalue has a negative real part (a double
+    # sector around R); the largest |arg lambda| over the nonzero spectrum,
+    # folded to the nearer half-axis when bisectorial; the moduli bounds
     nonzero: np.ndarray = field(init=False, repr=False)
+    injective: bool = field(init=False)
+    bisectorial: bool = field(init=False)
+    sector_angle_hint: float = field(init=False)
     lambda_min_positive: float = field(init=False)
     lambda_max: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.sector_angle_hint < np.pi / 2):
-            raise OperatorError("sector angle hint must lie in [0, pi/2)")
         lam = self.eigenvalues_or_none()
         mod = np.abs(lam)
         self.nonzero = mod > ZERO_EIG_TOL * max(np.max(mod), 1e-300)
         if not np.any(self.nonzero):
             raise OperatorError("operator has no nonzero spectrum")
+        self.injective = bool(np.all(self.nonzero))
         self.lambda_min_positive = float(np.min(mod[self.nonzero]))
         self.lambda_max = float(np.max(mod))
-        ang = np.abs(np.angle(lam[self.nonzero]))
+        lam_nz = lam[self.nonzero]
+        self.bisectorial = bool(np.any(np.real(lam_nz) < 0))
+        ang = np.abs(np.angle(lam_nz))
         if self.bisectorial:
             ang = np.minimum(ang, np.pi - ang)
-        if np.max(ang) > self.sector_angle_hint + 1e-12:
-            raise OperatorError(
-                f"eigenvalue outside declared sector (angle {np.max(ang):.3f} "
-                f"> hint {self.sector_angle_hint:.3f})")
-        if self.injective != np.all(self.nonzero):
-            raise OperatorError("injective flag contradicts the spectrum")
+        self.sector_angle_hint = float(np.max(ang))
+        if self.sector_angle_hint >= np.pi / 2:
+            raise OperatorError("eigenvalues must lie strictly inside the (double) sector")
         if isinstance(self.form, SpectralSelfAdjoint):
             # Q^H W Q as one product g^H g of g = W^(1/2) Q (a syrk for real
             # Q), minus I in place; g is freed first to keep the peak low
@@ -226,6 +210,17 @@ class ModelOperator:
 
     def kernel_dim(self) -> int:
         return int(np.sum(~self.nonzero))
+
+    def kernel_component(self, x) -> np.ndarray:
+        """P x, P the projection onto N(A) along cl R(A): the kernel
+        coefficients of x synthesized, and zero for an injective operator,
+        so that x - P x is exactly x there (off-span content included).
+        An n x m stack, one vector a column, gives the n x m projections."""
+        x = np.asarray(x, dtype=complex)
+        if self.injective:
+            return np.zeros_like(x)
+        kernel = ~self.nonzero if x.ndim == 1 else ~self.nonzero[:, None]
+        return self.synthesize(np.where(kernel, self.coefficients(x), 0.0))
 
     def multiplier_norm(self, values):
         """Exact L^2(measure) operator norm of sum_k values[k] <., e_k> e_k.
@@ -288,20 +283,20 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     m = MeasureSpace(weights=np.full(n, h), points=i * h)
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
-        measure=m, sector_angle_hint=0.0, injective=True,
+        measure=m,
         spec={"kind": "dirichlet1d", "n": n, "h": h},
     )
 
 
-def build_graph_laplacian(sigma) -> tuple:
+def build_graph_laplacian(sigma) -> ModelOperator:
     """Graph Laplacian A = I - P for a symmetric weight sigma with loops.
 
     mu(x) = sum_y sigma(x,y), p(x,y) = sigma(x,y)/(mu(x) mu(y)) and
     P f(x) = sum_y p(x,y) f(y) mu(y).  A is self-adjoint wrt mu, has
-    eigenvalue 0 on the constants (P is mu-stochastic), and is returned
-    with the projection onto its kernel.  Raises GraphError for an
-    asymmetric weight, nonpositive loops, or a disconnected graph
-    (eigenvalue 0 of multiplicity > 1).
+    eigenvalue 0 on the constants (P is mu-stochastic); the projection
+    onto the kernel, the mu-weighted mean, is its kernel_component.
+    Raises GraphError for an asymmetric weight, nonpositive loops, or a
+    disconnected graph (eigenvalue 0 of multiplicity > 1).
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0]
@@ -324,15 +319,11 @@ def build_graph_laplacian(sigma) -> tuple:
     order = np.argsort(lam)
     lam, q = lam[order], q[:, order]
     lam[0] = 0.0
-    proj = np.tile(mu / mu.sum(), (n, 1))       # mu-weighted mean onto constants
-    kp = KernelProjection(proj.astype(complex))
-    op = ModelOperator(
+    return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
-        measure=m, sector_angle_hint=0.0, injective=False,
-        kernel_projection=kp,
+        measure=m,
         spec={"kind": "graph", "sigma": sigma.tolist()},
     )
-    return op, kp
 
 
 def hermite_functions(num: int, x: np.ndarray) -> np.ndarray:
@@ -379,7 +370,7 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
     lam = d + 2.0 * np.arange(num_modes)
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
-        measure=grid, sector_angle_hint=0.0, injective=True,
+        measure=grid,
         spec={"kind": "hermite", "d": d, "K": num_modes},
     )
 
@@ -406,7 +397,7 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
     lam, q = weighted_symmetric_eig(a, m)
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
-        measure=m, sector_angle_hint=0.0, injective=True,
+        measure=m,
         spec={"kind": "schrodinger", "n": n, "h": h, "V": v.tolist()},
     )
 
@@ -471,32 +462,25 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
     """A = S diag(lambdas) S^{-1} with cond(S) ~ conditioning.
 
     The spectrum equals ``lambdas`` exactly by construction.  Eigenvalues
-    with negative real part are admitted as a double sector (bisectorial
-    flag set); otherwise all nonzero eigenvalues must satisfy
-    |arg lambda| < pi/2.
+    with negative real part are admitted as a double sector (the operator
+    reads itself bisectorial) and must then keep off the imaginary axis;
+    otherwise all eigenvalues must satisfy |arg lambda| < pi/2, which the
+    operator checks.
     """
     lam = np.asarray(lambdas, dtype=complex)
     if conditioning < 1.0:
         raise OperatorError("conditioning must be >= 1")
     if np.any(np.abs(lam) == 0):
         raise OperatorError("zero eigenvalue not allowed in the synthetic build")
-    ang = np.abs(np.angle(lam))
-    bisect = bool(np.any(np.real(lam) < 0))
-    if bisect:
-        ang = np.minimum(ang, np.pi - ang)
-        if np.any(np.abs(np.real(lam)) < 1e-14 * np.max(np.abs(lam))):
-            raise OperatorError("double-sector spectrum must avoid the imaginary axis")
-    hint = float(np.max(ang))
-    if hint >= np.pi / 2:
-        raise OperatorError("eigenvalues must lie strictly inside the (double) sector")
+    if np.any(np.real(lam) < 0) and np.any(np.abs(np.real(lam)) < 1e-14 * np.max(np.abs(lam))):
+        raise OperatorError("double-sector spectrum must avoid the imaginary axis")
     rng = np.random.default_rng(seed)
     s = _blend_conditioning(lam.size, float(conditioning), rng)
     s_inv = np.linalg.inv(s)
     m = MeasureSpace.uniform(lam.size)
     return ModelOperator(
         form=SimilarityDiagonal(s, s_inv, lam),
-        measure=m, sector_angle_hint=hint, injective=True,
-        bisectorial=bisect,
+        measure=m,
         spec={"kind": "nonnormal",
               "lambdas": [[z.real, z.imag] for z in lam],
               "conditioning": conditioning, "seed": seed},
@@ -552,8 +536,7 @@ def operator_from_spec(spec: dict) -> ModelOperator:
     if kind == "dirichlet1d":
         return build_dirichlet_laplacian_1d(int(spec["n"]), float(spec.get("h", 1.0)))
     if kind == "graph":
-        op, _ = build_graph_laplacian(spec["sigma"])
-        return op
+        return build_graph_laplacian(spec["sigma"])
     if kind == "hermite":
         g = spec.get("grid", {})
         check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")

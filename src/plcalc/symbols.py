@@ -112,7 +112,6 @@ class Symbol:
     sector_evaluate: Callable | None = None
     derivative_fn: Callable | None = None      # (k, t) -> values, analytic
     decay: DecayCertificate | None = None
-    homogeneous_scaling: bool = False
 
     def __call__(self, t):
         return self.evaluate(np.asarray(t, dtype=float))
@@ -168,7 +167,6 @@ def make_symbol(kind: str, **params) -> Symbol:
             name="power", params={"theta": theta},
             sector_evaluate=lambda z: np.exp(theta * np.log(z)),
             derivative_fn=partial(taylor_derivative, lambda x: x**theta),
-            homogeneous_scaling=True,
         )
 
     if kind == "rho":
@@ -239,7 +237,6 @@ def make_symbol(kind: str, **params) -> Symbol:
             name="imag_power", params={"s": s},
             sector_evaluate=lambda z: np.exp(1j * s * np.log(z)),
             derivative_fn=partial(taylor_derivative, lambda x: x ** (1j * s)),
-            homogeneous_scaling=True,
         )
 
     raise SymbolError(f"unknown symbol kind {kind!r}")

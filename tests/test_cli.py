@@ -267,9 +267,18 @@ def run_cli(tmp_path, command, config):
     ("norm", norm_eval_config(vector={"kind": "eigenvector"}), "'index'"),
     ("norm", norm_eval_config(vector={"kind": "eigenvector", "index": 99}), "'index'"),
     ("norm", norm_eval_config(vector={"kind": "file"}), "'path'"),
+    ("norm", norm_eval_config(vector={"kind": "file", "path": "numbers.json"}), "'path'"),
+    ("norm", norm_eval_config(vector={"kind": "file", "path": "short.json"}), "'path'"),
 ], ids=["psi-key", "f-key", "experiment-top-level", "norm-eval-top-level", "vector-key",
-        "eigenvector-without-index", "eigenvector-index-out-of-range", "file-without-path"])
-def test_unknown_or_missing_config_key_exits_2(tmp_path, capsys, command, config, key):
+        "eigenvector-without-index", "eigenvector-index-out-of-range", "file-without-path",
+        "file-of-plain-numbers", "file-of-wrong-length"])
+def test_unknown_or_missing_config_key_exits_2(tmp_path, monkeypatch, capsys, command, config,
+                                               key):
+    # vector files, relative to the working directory: plain numbers
+    # instead of [re, im] pairs, and 3 pairs for an operator of size 8
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "numbers.json", [1, 2, 3])
+    write(tmp_path, "short.json", [[1.0, 0.0]] * 3)
     assert run_cli(tmp_path, command, config) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
@@ -290,6 +299,22 @@ def test_non_finite_result_exits_4_without_report(tmp_path, capsys, command, con
     assert run_cli(tmp_path, command, config) == 4
     assert reason in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_real_interpolation_admits_only_p_2(tmp_path, capsys):
+    # the K-functional is a p = 2 construction: pnorm 4 is refused, not
+    # silently replaced by the p = 2 norm, and the echo carries pnorm
+    rin = {"kind": "real_interpolation", "pnorm": 4}
+    assert run_cli(tmp_path, "norm", norm_eval_config(
+        norm=rin, vector={"kind": "random", "seed": 1})) == 4
+    assert "p = 2" in capsys.readouterr().err
+    assert run_cli(tmp_path, "experiment", {**experiment_config(None), "norm_a": rin}) == 4
+    assert "norm not admitted" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    assert run_cli(tmp_path, "norm", norm_eval_config(
+        norm=dict(rin, pnorm=2), vector={"kind": "random", "seed": 1})) == 0
+    echo = json.loads((tmp_path / "r.json").read_text())["provenance"]["norm"]
+    assert echo["pnorm"] == 2 and echo["kind"] == "real_interpolation"
 
 
 def test_reports_refuse_non_finite_json(capsys):

@@ -1,14 +1,14 @@
-"""Model operator builders, resolvents, kernel projections."""
+"""Model operator builders, resolvents, kernel projections, spectral flags."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from plcalc.measure import weighted_symmetric_eig
+from plcalc.measure import MeasureSpace, weighted_symmetric_eig
 from plcalc.operators import (
     GraphError,
-    KernelProjection,
+    ModelOperator,
     OperatorError,
     SimilarityDiagonal,
     SpecKeyError,
@@ -21,7 +21,6 @@ from plcalc.operators import (
     build_nonnormal_sectorial,
     build_schrodinger_1d,
     hermite_functions,
-    kernel_projection_apply,
     operator_from_spec,
     resolvent_apply,
     resolvent_apply_lu,
@@ -52,11 +51,11 @@ def test_dirichlet_n64_matches_dense_eigensolver():
 
 
 def test_graph_two_node():
-    op, kp = build_graph_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    op = build_graph_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(op.measure.weights, [2.0, 2.0])
     assert np.allclose(np.sort(np.real(op.eigenvalues_or_none())), [0.0, 1.0], atol=1e-12)
     # projection is the mu-weighted mean
-    out = kernel_projection_apply(kp, np.array([0.0, 2.0]))
+    out = op.kernel_component(np.array([0.0, 2.0]))
     assert np.allclose(out, [1.0, 1.0], atol=1e-12)
 
 
@@ -64,12 +63,12 @@ def test_graph_constants_in_kernel_and_idempotent_projection():
     rng = np.random.default_rng(2)
     sigma = rng.uniform(0.0, 1.0, (5, 5))
     sigma = sigma + sigma.T + np.eye(5)
-    op, kp = build_graph_laplacian(sigma)
+    op = build_graph_laplacian(sigma)
     const = np.ones(5, dtype=complex)
     assert np.max(np.abs(op.apply(const))) < 1e-13
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    px = kernel_projection_apply(kp, x)
-    assert np.max(np.abs(kernel_projection_apply(kp, px) - px)) < 1e-10
+    px = op.kernel_component(x)
+    assert np.max(np.abs(op.kernel_component(px) - px)) < 1e-10
     # I - P maps into the span of the nonzero modes: A-block reproduces it
     y = x - px
     lam = np.real(op.eigenvalues_or_none())
@@ -79,7 +78,7 @@ def test_graph_constants_in_kernel_and_idempotent_projection():
 
 def test_graph_path4_spectrum_in_0_2():
     sigma = np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
-    op, _ = build_graph_laplacian(sigma)
+    op = build_graph_laplacian(sigma)
     lam = np.real(op.eigenvalues_or_none())
     assert np.all(lam >= -1e-12) and np.all(lam <= 2.0 + 1e-12)
     # the averaging operator P = I - A is a contraction wrt mu
@@ -166,7 +165,7 @@ def test_nonnormal_rejects_bad_input():
 def test_sector_containment_all_builders():
     ops = [
         build_dirichlet_laplacian_1d(8, 0.5),
-        build_graph_laplacian(np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3)))[0],
+        build_graph_laplacian(np.eye(3) + 0.5 * (np.ones((3, 3)) - np.eye(3))),
         build_hermite_operator(1, 4, uniform_grid(-8, 8, 400)),
         build_nonnormal_sectorial([1 + 0.2j, 1 - 0.2j, 3.0], 5.0, 0),
     ]
@@ -225,13 +224,6 @@ def test_selfadjoint_ray_bound():
         assert sup <= 1.0 / np.sin(omega) + 1e-9
 
 
-def test_kernel_projection_validation():
-    with pytest.raises(OperatorError):
-        KernelProjection(np.array([[0.5, 0.0], [0.0, 0.5]]))
-    kp = KernelProjection(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert np.allclose(kernel_projection_apply(kp, np.array([2.0, 3.0])), [2.0, 0.0])
-
-
 def test_operator_from_spec_roundtrip():
     op = operator_from_spec({"kind": "dirichlet1d", "n": 2, "h": 1.0})
     assert op.lambda_min_positive == pytest.approx(1.0, abs=1e-12)
@@ -260,9 +252,17 @@ def test_operator_from_spec_rejects_unknown_keys(spec, key):
 
 
 def test_injective_operators_have_no_kernel_projection():
+    # P = 0, so x - P x is x bit for bit, off-span content of a Hermite
+    # vector (outside its K-mode span) included
     op = build_dirichlet_laplacian_1d(4, 1.0)
-    assert op.kernel_projection is None       # absent projection means P = 0
     assert op.kernel_dim() == 0
+    herm = build_hermite_operator(1, 6, uniform_grid(-10, 10, 300))
+    rng = np.random.default_rng(4)
+    for a in (op, herm):
+        x = rng.standard_normal(a.n) + 1j * rng.standard_normal(a.n)
+        assert not np.any(a.kernel_component(x))
+        assert np.array_equal(x - a.kernel_component(x), x)
+    assert np.linalg.norm(x - herm.synthesize(herm.coefficients(x))) > 0.1
 
 
 # -- real bases -------------------------------------------------------------------
@@ -295,7 +295,7 @@ def test_basis_matmul_real_basis_equals_complex_product():
 
 _BUILDERS = {
     "dirichlet": lambda: build_dirichlet_laplacian_1d(16, 0.5),
-    "graph": lambda: build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4)))[0],
+    "graph": lambda: build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))),
     "hermite": lambda: build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
     "schrodinger": lambda: build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
     "nonnormal": lambda: build_nonnormal_sectorial([1 + 0.2j, 1 - 0.2j, 3.0, 0.5], 5.0, 0),
@@ -358,7 +358,7 @@ def test_hermite_qr_basis_matches_weighted_gram_schmidt():
 
 
 def test_kernel_mask_and_bounds_are_read_off_the_spectrum():
-    op, _ = build_graph_laplacian(np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1))
+    op = build_graph_laplacian(np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1))
     lam = np.real(op.eigenvalues_or_none())
     assert op.nonzero.tolist() == [False, True, True, True]
     assert op.kernel_dim() == 1
@@ -386,10 +386,75 @@ def test_multiplier_norm_and_basis_conditioning():
 def test_coefficients_of_a_stack_match_its_columns(m):
     # the measure weights scale the rows of an n x m stack: a non-uniform
     # measure (graph degrees 3, 3, 4) and m != n included
-    op, _ = build_graph_laplacian(np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]]))
+    op = build_graph_laplacian(np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]]))
     rng = np.random.default_rng(m)
     x = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
     stack = op.coefficients(x)
     columns = np.stack([op.coefficients(x[:, j]) for j in range(m)], axis=1)
     assert stack.shape == (3, m)
     assert np.max(np.abs(stack - columns)) <= 1e-15
+
+
+# -- what the operator reads off its spectrum ---------------------------------------
+
+def _random_connected_sigma(n, rng):
+    sigma = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.2)
+    sigma = sigma + sigma.T + np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    return sigma
+
+
+@pytest.mark.parametrize("sigma", [
+    np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]]),
+    _random_connected_sigma(48, np.random.default_rng(48)),
+], ids=["3-vertex", "random-48"])
+def test_spectral_kernel_projection_is_the_mu_weighted_mean(sigma):
+    op = build_graph_laplacian(sigma)
+    mu = op.measure.weights
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    x /= np.max(np.abs(x))
+    mean = np.full(op.n, np.sum(mu * x) / np.sum(mu))
+    assert np.max(np.abs(op.kernel_component(x) - mean)) <= 1e-14
+    # a stack of n columns (as many as there are modes) projects column by column
+    stack = rng.standard_normal((op.n, op.n)) + 1j * rng.standard_normal((op.n, op.n))
+    columns = np.stack([op.kernel_component(stack[:, j]) for j in range(op.n)], axis=1)
+    assert np.max(np.abs(op.kernel_component(stack) - columns)) <= 1e-14
+
+
+def _declared_flags(lambdas):
+    # reference flags straight from the eigenvalue list (no zeros): injective;
+    # bisectorial iff some real part is negative; the largest |arg|, folded
+    # to the nearer half-axis when bisectorial
+    lam = np.asarray(lambdas, dtype=complex)
+    ang = np.abs(np.angle(lam))
+    bisect = bool(np.any(np.real(lam) < 0))
+    if bisect:
+        ang = np.minimum(ang, np.pi - ang)
+    return True, bisect, float(np.max(ang))
+
+
+@pytest.mark.parametrize("build, flags", [
+    (_BUILDERS["dirichlet"], (True, False, 0.0)),
+    (_BUILDERS["graph"], (False, False, 0.0)),
+    (_BUILDERS["hermite"], (True, False, 0.0)),
+    (_BUILDERS["schrodinger"], (True, False, 0.0)),
+    (_BUILDERS["nonnormal"], _declared_flags([1 + 0.2j, 1 - 0.2j, 3.0, 0.5])),
+    (lambda: build_nonnormal_sectorial([1.0, 2.0, -1.5 + 0.4j, -4.0, 0.5 - 0.1j], 3.0, 2),
+     _declared_flags([1.0, 2.0, -1.5 + 0.4j, -4.0, 0.5 - 0.1j])),
+], ids=["dirichlet", "graph", "hermite", "schrodinger", "nonnormal", "bisectorial"])
+def test_flags_read_off_the_spectrum_equal_the_builders_values(build, flags):
+    op = build()
+    assert (op.injective, op.bisectorial, op.sector_angle_hint) == flags
+    assert type(op.injective) is bool and type(op.bisectorial) is bool
+
+
+def test_a_spectrum_on_the_sector_boundary_is_rejected():
+    eye = np.eye(2)
+    for lam in ([1.0, 2j], [1.0, -1j]):
+        with pytest.raises(OperatorError, match="strictly inside"):
+            ModelOperator(SimilarityDiagonal(eye, eye, np.array(lam, dtype=complex)),
+                          MeasureSpace.uniform(2))
+    # a negative real part folds the angle to the nearer half-axis
+    op = ModelOperator(SimilarityDiagonal(eye, eye, np.array([1.0, -2.0 + 0.5j])),
+                       MeasureSpace.uniform(2))
+    assert op.bisectorial and op.sector_angle_hint == pytest.approx(np.arctan(0.25))
