@@ -39,11 +39,18 @@ from .norms import (
 )
 from .operators import ModelOperator, SpecKeyError, check_spec_keys, operator_from_spec
 from .partitions import (
+    HOMOGENEOUS,
     build_equidistant,
     build_homogeneous_dyadic,
     to_inhomogeneous,
 )
-from .symbols import Symbol, mihlin_norm, symbol_from_spec, window_symbol
+from .symbols import (
+    FunctionFamily,
+    Symbol,
+    besov_family_norms,
+    symbol_from_spec,
+    window_symbol,
+)
 
 
 class ExperimentError(RuntimeError):
@@ -382,23 +389,45 @@ def mcintosh_check(op: ModelOperator, g: Symbol, x,
 
 # -- converse multiplier bound ----------------------------------------------------
 
+def _dyadic_table(bump, t, n_lo: int, n_pad: int):
+    """(k, chi, 1 - chi) of the two-window form at points t in (0, inf).
+
+    With t = mant 2^e, mant in [1/2, 1) (frexp), the dyadic index is
+    m = e - 1 and s = t 2^-m = 2 mant exactly, so only windows m and m+1
+    are alive and f(t) = c_m chi(s) + c_{m+1} (1 - chi(s)).  The
+    coefficients are padded with two zeros on both sides (n_pad entries
+    in all); k is the index of c_m there, clipped so that c_m and c_{m+1}
+    are both pads, and read 0, for a point outside the blocks.  No
+    coefficient enters the table.
+    """
+    mant, e = np.frexp(t)
+    chi = bump(2.0 * mant)
+    return np.clip(e.astype(np.intp) - (n_lo - 1), 0, n_pad - 2), chi, 1.0 - chi
+
+
+def _two_window(c_pad: np.ndarray, k, chi, rest):
+    """c_m chi + c_{m+1} (1 - chi) from a _dyadic_table: two gathers, at
+    in-range indices, so they skip the bounds check."""
+    out = c_pad[:-1].take(k, mode="wrap")
+    out *= chi
+    upper = c_pad[1:].take(k, mode="wrap")
+    upper *= rest
+    out += upper
+    return out
+
+
 def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
     """f = sum_n c_n window_n with |c_n| <= 1: a multiplier-bounded sample.
 
-    Uses the two-window locality of the dyadic family: with s = t 2^-m,
-    m = floor(log2 t), only windows m and m+1 are alive and
-    f(t) = c_m chi(s) + c_{m+1} (1 - chi(s)), one bump call per point.
-    The coefficients are padded with a zero on both sides, so c_m and
-    c_{m+1} are two gathers at clipped indices: an index outside the
-    blocks lands on a pad and reads 0.  Points outside every block, t <= 0
-    and t = inf, give 0, and t = NaN gives NaN.
+    Uses the two-window locality of the dyadic family (_dyadic_table): one
+    bump call per point, and c_m, c_{m+1} are two gathers from the
+    zero-padded coefficients.  Points outside every block, t <= 0 and
+    t = +-inf, give 0, and t = NaN gives NaN.
     """
-    from .partitions import HOMOGENEOUS
-
     if partition.kind != HOMOGENEOUS:
         raise ExperimentError("sampled symbols use the homogeneous partition")
     bump = partition.bump
-    c_pad = np.concatenate([[0.0], coeffs.astype(complex), [0.0]])
+    c_pad = np.concatenate([[0.0, 0.0], coeffs.astype(complex), [0.0, 0.0]])
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
@@ -406,15 +435,38 @@ def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
         if not inside.all():
             return np.where(inside, evaluate(np.where(inside, t, 1.0)),
                             np.where(np.isnan(t), np.nan, 0.0))
-        m = np.floor(np.log2(np.maximum(t, 1e-300)))
-        chi = bump(t * np.exp2(-m))
-        i0 = (m - n_lo + 1).astype(int)   # index of c_m in c_pad
-        c0 = c_pad.take(i0, mode="clip")
-        c1 = c_pad.take(i0 + 1, mode="clip")
-        return c0 * chi + c1 * (1.0 - chi)
+        return _two_window(c_pad, *_dyadic_table(bump, t, n_lo, c_pad.size))
 
     return Symbol(evaluate=evaluate, name="dyadic_sample",
                   params={"n_lo": n_lo, "coeffs": [[c.real, c.imag] for c in coeffs]})
+
+
+class DyadicSampleFamily(FunctionFamily):
+    """y -> f_k(e^y) for the dyadic samples f_k of the rows of coeffs.
+
+    Member k is the log-scale form of sample_dyadic_symbol(partition,
+    coeffs[k], n_lo), the function mihlin_norm estimates.  Its table at
+    the points y is _dyadic_table at e^y, which no coefficient enters, so
+    the smoothness estimator builds it once per grid block for all the
+    samples; a member then costs two gathers and the two-window sum, the
+    arithmetic of the sample's own evaluate.  On the estimator's windows
+    around a spectrum e^y is positive and finite, so the sample's guards
+    never fire there.
+    """
+
+    def __init__(self, partition, coeffs: np.ndarray, n_lo: int):
+        if partition.kind != HOMOGENEOUS:
+            raise ExperimentError("sampled symbols use the homogeneous partition")
+        self.bump = partition.bump
+        self.c_pad = np.pad(np.asarray(coeffs, dtype=complex), ((0, 0), (2, 2)))
+        self.n_lo = n_lo
+        self.size = self.c_pad.shape[0]
+
+    def table(self, y):
+        return _dyadic_table(self.bump, np.exp(y), self.n_lo, self.c_pad.shape[1])
+
+    def member(self, table, k: int) -> np.ndarray:
+        return _two_window(self.c_pad[k], *table)
 
 
 def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
@@ -426,29 +478,37 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
     (op.multiplier_norm), the spectral sup max |f(lambda_k)| only for an
     orthonormal eigenbasis.  The max ratio should be stable across
     operator sizes for the bound to be meaningful.
-    """
-    from .partitions import build_homogeneous_dyadic
 
+    The multiplier norms of all trials come from one smoothness-estimator
+    sweep per grid (coarse, then refined) over the DyadicSampleFamily of
+    the trials: the bump values and dyadic indices of the grid are shared,
+    and each trial's norm is bit-identical to mihlin_norm of its sample
+    (without the window-growth check).  Each row keeps the trial's
+    refinement change ``refine_rel``, gated at STABILITY_RTOL as before;
+    ``max_refine_rel`` is the largest.
+    """
     hom = build_homogeneous_dyadic()
     lam = _spectral_argument(op)
     n_lo, n_hi = hom.active_range(op.lambda_min_positive, op.lambda_max)
     width = n_hi - n_lo + 1
     rng = np.random.default_rng(seed)
     window = (np.log(op.lambda_min_positive) - 3.0, np.log(op.lambda_max) + 3.0)
-    rows = []
+    coeffs = np.empty((trials, width), dtype=complex)
     for trial in range(trials):
         phases = rng.uniform(0, 2 * np.pi, width)
         mags = rng.uniform(0.2, 1.0, width)
-        coeffs = mags * np.exp(1j * phases)
-        f = sample_dyadic_symbol(hom, coeffs, n_lo)
-        opnorm = float(op.multiplier_norm(np.where(op.nonzero, f(lam), 0.0)))
-        mnorm = mihlin_norm(f, alpha, window=window, n_x=n_x, n_h=n_h,
-                            check_window_growth=False).value
-        rows.append({"trial": trial, "opnorm": opnorm, "mihlin": mnorm,
-                     "ratio": opnorm / mnorm})
+        coeffs[trial] = mags * np.exp(1j * phases)
+    values = [np.where(op.nonzero, sample_dyadic_symbol(hom, c, n_lo)(lam), 0.0) for c in coeffs]
+    opnorms = op.multiplier_norm(np.array(values)).tolist()
+    estimates = besov_family_norms(DyadicSampleFamily(hom, coeffs, n_lo), alpha,
+                                   window=window, n_x=n_x, n_h=n_h)
+    rows = [{"trial": trial, "opnorm": opnorm, "mihlin": est.value,
+             "ratio": opnorm / est.value, "refine_rel": est.method["refine_rel"]}
+            for trial, (opnorm, est) in enumerate(zip(opnorms, estimates))]
     ratios = [row["ratio"] for row in rows]
     return {"rows": rows, "max_ratio": float(np.max(ratios)),
-            "median_ratio": float(np.median(ratios)), "alpha": alpha}
+            "median_ratio": float(np.median(ratios)), "alpha": alpha,
+            "max_refine_rel": max(row["refine_rel"] for row in rows)}
 
 
 def type2_one_sided_check(op: ModelOperator, samples: int, seed: int,

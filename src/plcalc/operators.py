@@ -133,6 +133,7 @@ class ModelOperator:
     sector_angle_hint: float = field(init=False)
     lambda_min_positive: float = field(init=False)
     lambda_max: float = field(init=False)
+    _kappa: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = self.eigenvalues_or_none()
@@ -260,10 +261,17 @@ class ModelOperator:
         return np.sum(self.measure.weights * mod * mod, axis=-1)
 
     def basis_conditioning(self) -> float:
-        """cond_2 of the eigenbasis: ||S|| ||S^-1||, or 1 if orthonormal."""
-        if isinstance(self.form, SimilarityDiagonal):
-            return float(np.linalg.norm(self.form.s, 2) * np.linalg.norm(self.form.s_inv, 2))
-        return 1.0
+        """cond_2 of the eigenbasis: ||S|| ||S^-1||, or 1 if orthonormal.
+
+        The two SVDs run on the first call only; later calls return the
+        same float.
+        """
+        if self._kappa is None:
+            self._kappa = 1.0
+            if isinstance(self.form, SimilarityDiagonal):
+                self._kappa = float(np.linalg.norm(self.form.s, 2)
+                                    * np.linalg.norm(self.form.s_inv, 2))
+        return self._kappa
 
 
 # -- builders ----------------------------------------------------------------

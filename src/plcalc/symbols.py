@@ -20,6 +20,16 @@ where D_h^M is the M-fold iterated difference,
 D_h^1 g(x) = g(x+h) - g(x).  The estimators are meant for ratios and
 finiteness checks, not certified bounds; instability under refinement
 (or under window growth) raises instead of returning a number.
+
+The smoothness norm reduces a FunctionFamily in one sweep of its (h, x)
+grid: per grid block and shift the family builds one table that no
+member's coefficients enter (for the dyadic samples of the converse
+multiplier check: the bump values and dyadic indices), and every member
+is read off it.  A plain callable is a family of one whose table is its
+values.  Each member then runs the arithmetic a lone function runs, in
+the same order (the iterated difference summed in j order, the row max,
+the trapezoid on its own row), so its estimate is bit-identical to the
+estimate of that member alone, for any blocking.
 """
 
 from __future__ import annotations
@@ -288,15 +298,22 @@ def iterated_difference(g: Callable, M: int, h, x) -> np.ndarray:
     The h-free term g(x) (j = 0) is evaluated once, on x's own shape.
     """
     x = np.asarray(x, dtype=float)
-    return _difference(g, M, np.asarray(h, dtype=float), x, np.asarray(g(x), dtype=complex))
+    h = np.asarray(h, dtype=float)
+    return _difference(M, np.asarray(g(x), dtype=complex),
+                       (g(x + j * h) for j in range(1, M + 1)))
 
 
-def _difference(g: Callable, M: int, h: np.ndarray, x: np.ndarray, gx: np.ndarray):
-    """iterated_difference with its h-free term gx = g(x) given."""
-    out = np.zeros(np.broadcast_shapes(h.shape, x.shape), dtype=complex)
-    out += (-1.0) ** M * gx
-    for j in range(1, M + 1):
-        out += (-1.0) ** (M - j) * math.comb(M, j) * np.asarray(g(x + j * h), dtype=complex)
+def _difference(M: int, gx: np.ndarray, shifted) -> np.ndarray:
+    """D_h^M g(x) from gx = g(x) and the values g(x + j h), j = 1..M.
+
+    The terms are added in j order, so every caller of the estimator gets
+    the same bits for the same values.
+    """
+    out = (-1.0) ** M * gx
+    for j, gj in enumerate(shifted, 1):
+        term = (-1.0) ** (M - j) * math.comb(M, j) * np.asarray(gj, dtype=complex)
+        term += out   # out + term: the sum is the same either way round
+        out = term
     return out
 
 
@@ -305,33 +322,111 @@ def difference_shift(g: Callable, y: float) -> Callable:
     return lambda x: g(np.asarray(x, dtype=float) + y)
 
 
+class FunctionFamily:
+    """Functions g_0, ..., g_{size-1} evaluated through one shared table.
+
+    ``table(y)`` computes, at the points y, whatever the members have in
+    common and does not depend on which member is asked for;
+    ``member(table, k)`` reads g_k at those points off the table.  The
+    smoothness estimator builds each table once per block of its grid and
+    reduces every member from it, so work that does not depend on the
+    member is done once, not once per member.
+    """
+
+    size: int = 1
+
+    def table(self, y):
+        raise NotImplementedError
+
+    def member(self, table, k: int) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _OneFunction(FunctionFamily):
+    """A plain callable as a family of one: its table is its values."""
+
+    def __init__(self, g: Callable):
+        self.g = g
+
+    def table(self, y):
+        return self.g(y)
+
+    def member(self, table, k: int) -> np.ndarray:
+        return table
+
+
 BLOCK_POINTS = 4096   # points of the (h, x) difference grid evaluated at a time
 
 
-def _besov_value(g, alpha, M, window, n_x, n_h, h_min=1e-6):
+def _besov_value(family: FunctionFamily, alpha, M, window, n_x, n_h, h_min=1e-6):
     """One evaluation of the smoothness-norm estimator on fixed grids.
 
-    The (n_h, n_x) difference grid is evaluated in blocks of about
-    BLOCK_POINTS points, whole rows each (a row's sup is a max, so the
-    result does not depend on the blocking); g(x), which gives the sup
-    norm and the h-free term of every row, is evaluated once.  Small
-    blocks keep every temporary off the allocator's mmap path.
+    Returns the estimate of every member of the family as an array.  The
+    (n_h, n_x) difference grid is evaluated in blocks of about BLOCK_POINTS
+    points, whole rows each (a row's sup is a max, so the result does not
+    depend on the blocking).  Per block and shift j the family's table at
+    x + j h is built once and shared by every member; each member then
+    runs the same per-point arithmetic, in the same order, as a family of
+    one does, so a member's estimate is bit-identical to the estimate of
+    that member alone.  The tables at x, which give the sup norms and the
+    h-free term of every row, are built once.  Small blocks keep every
+    temporary off the allocator's mmap path, whatever the family's size.
     """
     x_lo, x_hi = window
     xg = np.linspace(x_lo, x_hi, n_x)
-    gx = np.asarray(g(xg), dtype=complex)
-    sup_norm = float(np.max(np.abs(gx)))
+    table_x = family.table(xg)
+    gx = [np.asarray(family.member(table_x, k), dtype=complex) for k in range(family.size)]
+    sup_norms = np.array([np.max(np.abs(v)) for v in gx])
     hs = np.exp(np.linspace(np.log(h_min), 0.0, n_h))
     du = -np.log(h_min) / (n_h - 1)
     rows = max(1, BLOCK_POINTS // n_x)
-    integral = 0.0
+    integrals = np.zeros(family.size)
     for sign in (1.0, -1.0):
-        sups = np.concatenate([
-            np.max(np.abs(_difference(g, M, sign * hs[i:i + rows, None], xg, gx)), axis=1)
-            for i in range(0, n_h, rows)])
+        sups = np.empty((family.size, n_h))
+        for i in range(0, n_h, rows):
+            h = sign * hs[i:i + rows, None]
+            tables = [family.table(xg + j * h) for j in range(1, M + 1)]
+            for k in range(family.size):
+                diff = _difference(M, gx[k], (family.member(t, k) for t in tables))
+                sups[k, i:i + rows] = np.max(np.abs(diff), axis=1)
         vals = hs**-alpha * sups
-        integral += float(du * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
-    return sup_norm + integral, sup_norm
+        for k in range(family.size):   # the trapezoid on a contiguous row
+            integrals[k] += du * (np.sum(vals[k]) - 0.5 * (vals[k, 0] + vals[k, -1]))
+    return sup_norms + integrals
+
+
+def besov_family_norms(family: FunctionFamily, alpha: float, M: int | None = None,
+                       window: tuple = (-12.0, 12.0), n_x: int = 512, n_h: int = 145,
+                       check_stability: bool = True) -> list[NormEstimate]:
+    """besov_norm_inf_1 of every member of a family, one NormEstimate each.
+
+    Each grid is swept once for the whole family (see _besov_value), and
+    each member's estimate is bit-identical to besov_norm_inf_1 of that
+    member alone.  The refinement gate applies to every member: the first
+    member whose estimate changes by more than STABILITY_RTOL raises.
+    """
+    if alpha <= 0:
+        raise SymbolError("alpha must be > 0")
+    if M is None:
+        M = int(np.floor(alpha)) + 1
+    if M <= alpha:
+        raise SymbolError(f"need M > alpha, got M={M}, alpha={alpha}")
+    if window[1] <= window[0]:
+        raise SymbolError("empty evaluation window")
+    values = _besov_value(family, alpha, M, window, n_x, n_h).tolist()
+    method = {"alpha": alpha, "M": M, "window": list(window), "n_x": n_x, "n_h": n_h}
+    if not check_stability:
+        return [NormEstimate(value, dict(method)) for value in values]
+    refined = _besov_value(family, alpha, M, window, 2 * n_x, 2 * n_h).tolist()
+    estimates = []
+    for k, (value, fine) in enumerate(zip(values, refined)):
+        rel = abs(fine - value) / max(abs(fine), 1e-300)
+        if rel > STABILITY_RTOL:
+            member = f" of member {k}" if family.size > 1 else ""
+            raise NormStabilityError(
+                f"smoothness norm{member} unstable under grid refinement ({rel:.1%} change)")
+        estimates.append(NormEstimate(fine, {**method, "coarse": value, "refine_rel": rel}))
+    return estimates
 
 
 def besov_norm_inf_1(g: Callable, alpha: float, M: int | None = None,
@@ -344,28 +439,10 @@ def besov_norm_inf_1(g: Callable, alpha: float, M: int | None = None,
     |h| < 1e-6 tail of the integral is dropped: it is O(h_min^(M-alpha))
     for g with bounded M-th derivative.  With the stability gate on, the
     value is the refined one; ``method`` keeps the coarse value and their
-    relative change ``refine_rel``.
+    relative change ``refine_rel``.  g is a family of one for
+    besov_family_norms.
     """
-    if alpha <= 0:
-        raise SymbolError("alpha must be > 0")
-    if M is None:
-        M = int(np.floor(alpha)) + 1
-    if M <= alpha:
-        raise SymbolError(f"need M > alpha, got M={M}, alpha={alpha}")
-    if window[1] <= window[0]:
-        raise SymbolError("empty evaluation window")
-    value, _ = _besov_value(g, alpha, M, window, n_x, n_h)
-    method = {"alpha": alpha, "M": M, "window": list(window), "n_x": n_x, "n_h": n_h}
-    if check_stability:
-        refined, _ = _besov_value(g, alpha, M, window, 2 * n_x, 2 * n_h)
-        rel = abs(refined - value) / max(abs(refined), 1e-300)
-        method["coarse"] = value
-        method["refine_rel"] = rel
-        if rel > STABILITY_RTOL:
-            raise NormStabilityError(
-                f"smoothness norm unstable under grid refinement ({rel:.1%} change)")
-        value = refined
-    return NormEstimate(value, method)
+    return besov_family_norms(_OneFunction(g), alpha, M, window, n_x, n_h, check_stability)[0]
 
 
 def mihlin_seminorm_classical(f: Symbol, beta: int, scale: float = 1.0,

@@ -21,8 +21,8 @@ from plcalc.operators import (
     build_dirichlet_laplacian_1d,
     build_nonnormal_sectorial,
 )
-from plcalc.partitions import build_homogeneous_dyadic
-from plcalc.symbols import make_symbol, window_symbol
+from plcalc.partitions import _chi_values, build_homogeneous_dyadic
+from plcalc.symbols import NormStabilityError, make_symbol, mihlin_norm, window_symbol
 
 SQRT_HALF = 2.0**-0.5
 
@@ -177,6 +177,85 @@ def test_multiplier_bound_check_pinned_rows(seed, rows):
     out = multiplier_bound_check(build_dirichlet_laplacian_1d(64, 1.0), 1.5, trials=2, seed=seed)
     got = [(row["opnorm"], row["mihlin"], row["ratio"]) for row in out["rows"]]
     np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_multiplier_bound_check_rows_match_mihlin_norm_of_each_sample(n, trials):
+    # one estimator sweep per grid for all trials gives each trial the bits
+    # of mihlin_norm on that trial's sample alone, refinement change included
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    out = multiplier_bound_check(op, 1.5, trials=trials, seed=11)
+    hom = build_homogeneous_dyadic()
+    n_lo, n_hi = hom.active_range(op.lambda_min_positive, op.lambda_max)
+    window = (np.log(op.lambda_min_positive) - 3.0, np.log(op.lambda_max) + 3.0)
+    rng = np.random.default_rng(11)
+    assert len(out["rows"]) == trials
+    for row in out["rows"]:
+        phases = rng.uniform(0, 2 * np.pi, n_hi - n_lo + 1)
+        mags = rng.uniform(0.2, 1.0, n_hi - n_lo + 1)
+        f = sample_dyadic_symbol(hom, mags * np.exp(1j * phases), n_lo)
+        est = mihlin_norm(f, 1.5, window=window, n_x=384, n_h=73, check_window_growth=False)
+        assert row["mihlin"] == est.value
+        assert row["refine_rel"] == est.method["refine_rel"]
+        assert row["opnorm"] == np.max(np.abs(f(op.eigenvalues_or_none().real)))
+    assert out["max_refine_rel"] == max(row["refine_rel"] for row in out["rows"])
+    assert out["max_refine_rel"] <= 0.05
+
+
+def test_multiplier_bound_check_gates_each_trial():
+    # on this coarse grid trial 0 of seed 2 changes by ~2% under refinement
+    # and trial 1 by ~10%: the family sweep still refuses the set
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    with pytest.raises(NormStabilityError, match="member 1 unstable"):
+        multiplier_bound_check(op, 1.5, trials=3, seed=2, n_x=96, n_h=25)
+    alone = multiplier_bound_check(op, 1.5, trials=1, seed=2, n_x=96, n_h=25)
+    assert 0 < alone["max_refine_rel"] <= 0.05
+
+
+def _log2_dyadic_sample(c_pad, n_lo, t):
+    # the sample's evaluate before the frexp table: m = floor(log2 t)
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < np.inf)
+    if not inside.all():
+        return np.where(inside, _log2_dyadic_sample(c_pad, n_lo, np.where(inside, t, 1.0)),
+                        np.where(np.isnan(t), np.nan, 0.0))
+    m = np.floor(np.log2(np.maximum(t, 1e-300)))
+    chi = _chi_values(t * np.exp2(-m))
+    i0 = (m - n_lo + 1).astype(int)
+    return c_pad.take(i0, mode="clip") * chi + c_pad.take(i0 + 1, mode="clip") * (1.0 - chi)
+
+
+@pytest.mark.parametrize("n_lo", [-3, 900])
+def test_dyadic_sample_frexp_index_is_bitwise_the_log2_index(n_lo):
+    # every power of two, both its neighbours, the special values and 10^6
+    # random points, half over all doubles and half over the blocks
+    rng = np.random.default_rng(n_lo + 5)
+    coeffs = rng.uniform(0.2, 1.0, 14) * np.exp(1j * rng.uniform(0, 2 * np.pi, 14))
+    c_pad = np.concatenate([[0.0], coeffs, [0.0]])
+    f = sample_dyadic_symbol(build_homogeneous_dyadic(), coeffs, n_lo)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, 5e-324]
+    points = [np.concatenate([powers, np.nextafter(powers, 0.0),
+                              np.nextafter(powers, np.inf), special])]
+    points += [2.0 ** rng.uniform(-1074, 1024, 100_000) for _ in range(5)]
+    points += [2.0 ** rng.uniform(n_lo - 2, n_lo + 16, 100_000) for _ in range(5)]
+    assert sum(t.size for t in points) == 1_006_301
+    for t in points:
+        new, old = f(t), _log2_dyadic_sample(c_pad, n_lo, t)
+        np.testing.assert_array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def test_dyadic_sample_below_the_log2_clamp_is_the_window_sum():
+    # blocks below 2^-997, where the log2 index was clamped at 1e-300: the
+    # frexp index reads the right pair of windows there
+    hom = build_homogeneous_dyadic()
+    rng = np.random.default_rng(4)
+    coeffs = rng.uniform(0.2, 1.0, 6) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+    t = 2.0 ** rng.uniform(-1003, -993, 2000)
+    exact = sum(c * hom.window(-1001 + k, t) for k, c in enumerate(coeffs))
+    np.testing.assert_allclose(sample_dyadic_symbol(hom, coeffs, -1001)(t), exact,
+                               rtol=0, atol=1e-15)
 
 
 def test_type2_one_sided_recorded():

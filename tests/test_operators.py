@@ -382,6 +382,21 @@ def test_multiplier_norm_and_basis_conditioning():
     assert nn.basis_conditioning() == pytest.approx(10.0, rel=0.05)
 
 
+def test_basis_conditioning_is_computed_once(monkeypatch):
+    # the first call runs the two SVDs; later calls return the same float
+    nn = build_nonnormal_sectorial([0.5, 1.0, 2.0, 4.0], 10.0, seed=2)
+    exact = float(np.linalg.norm(nn.form.s, 2) * np.linalg.norm(nn.form.s_inv, 2))
+    assert nn.basis_conditioning() == exact
+    calls = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a))
+    assert nn.basis_conditioning() == exact and not calls
+    monkeypatch.undo()
+    # a replaced form gets its own value, not the cached one
+    other = build_nonnormal_sectorial([0.5, 1.0, 2.0, 4.0], 3.0, seed=2)
+    moved = dataclasses.replace(nn, form=other.form)
+    assert moved.basis_conditioning() == pytest.approx(3.0, rel=0.05)
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_coefficients_of_a_stack_match_its_columns(m):
     # the measure weights scale the rows of an n x m stack: a non-uniform

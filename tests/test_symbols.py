@@ -337,6 +337,7 @@ def test_besov_value_row_blocks_are_bit_identical(monkeypatch):
     # a row's sup is a max, so the blocking cannot move the estimate; g(x)
     # is evaluated once per grid, the shifts once per point
     from plcalc import symbols
+    from plcalc.experiments import DyadicSampleFamily, sample_dyadic_symbol
 
     points = []
     rho = make_symbol("rho")
@@ -350,7 +351,8 @@ def test_besov_value_row_blocks_are_bit_identical(monkeypatch):
     for block in (1, 4096, 10**9):           # one row, ~10 rows, one block
         monkeypatch.setattr(symbols, "BLOCK_POINTS", block)
         points.clear()
-        results[block] = symbols._besov_value(g, 1.5, M, (-6.0, 6.0), n_x, n_h)
+        results[block] = symbols._besov_value(symbols._OneFunction(g), 1.5, M, (-6.0, 6.0),
+                                              n_x, n_h)
         assert sum(points) == n_x + 2 * M * n_h * n_x
     assert results[1] == results[4096] == results[10**9]
     # the unblocked estimate through the public iterated_difference
@@ -363,4 +365,22 @@ def test_besov_value_row_blocks_are_bit_identical(monkeypatch):
                                                             xg[None, :])), axis=1)
         integral += float(du * (np.sum(vals) - 0.5 * (vals[0] + vals[-1])))
     sup_norm = float(np.max(np.abs(g(xg))))
-    assert results[4096] == (sup_norm + integral, sup_norm)
+    assert results[4096].tolist() == [sup_norm + integral]
+
+    # a family of five dyadic samples: one table per block and shift serves
+    # every member, and each member's estimate has the bits of that member
+    # alone, whatever the blocking
+    hom = build_homogeneous_dyadic()
+    rng = np.random.default_rng(8)
+    coeffs = rng.uniform(0.2, 1.0, (5, 9)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (5, 9)))
+    family = DyadicSampleFamily(hom, coeffs, -4)
+    window = (-5.0, 4.0)
+    alone = []
+    for c in coeffs:
+        ev = sample_dyadic_symbol(hom, c, -4).evaluate
+        one = lambda x, ev=ev: np.asarray(ev(np.exp(np.asarray(x, dtype=float))), dtype=complex)
+        alone += symbols._besov_value(symbols._OneFunction(one), 1.5, M, window, n_x, n_h).tolist()
+    for block in (1, 4096, 10**9):
+        monkeypatch.setattr(symbols, "BLOCK_POINTS", block)
+        assert symbols._besov_value(family, 1.5, M, window, n_x, n_h).tolist() == alone
+    assert len(set(alone)) == 5
