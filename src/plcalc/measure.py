@@ -106,6 +106,18 @@ def adjoint(b: np.ndarray) -> np.ndarray:
     return b.T.conj() if np.iscomplexobj(b) else b.T
 
 
+def nonfinite_note(a, what: str) -> str:
+    """'' if every entry of a is finite, else ': non-finite <what> at' and the
+    indices of the first few, for the message of a failed check."""
+    bad = np.argwhere(~np.isfinite(a))
+    if not bad.size:
+        return ""
+    at = ", ".join(str(tuple(int(i) for i in b)) if b.size > 1 else str(int(b[0]))
+                   for b in bad[:4])
+    more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+    return f": non-finite {what} at {at}{more}"
+
+
 def weighted_symmetric_eig(a, m: MeasureSpace):
     """Eigendecomposition of an operator self-adjoint wrt the weighted inner product.
 
@@ -125,10 +137,12 @@ def weighted_symmetric_eig(a, m: MeasureSpace):
         raise MeasureError(f"matrix shape {a.shape} does not match measure of size {n}")
     w = m.weights
     wa = w[:, None] * a
-    defect = np.linalg.norm(wa - adjoint(wa)) / max(np.linalg.norm(wa), 1e-300)
-    if defect > SYMMETRY_RTOL:
+    with np.errstate(invalid="ignore"):    # inf - inf: the defect is NaN
+        defect = np.linalg.norm(wa - adjoint(wa)) / max(np.linalg.norm(wa), 1e-300)
+    if not (defect <= SYMMETRY_RTOL):      # a NaN defect fails too
         raise LinAlgError(
             f"matrix is not self-adjoint wrt the measure (relative defect {defect:.2e})"
+            + nonfinite_note(a, "matrix entries")
         )
     sqw = np.sqrt(w)
     s = (sqw[:, None] * a) / sqw[None, :]

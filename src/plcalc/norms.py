@@ -38,9 +38,9 @@ a_k = |<x, e_k>| to the one-parameter family
     y_k(c) = a_k / (1 + c * lambda_k^(2 (theta0 - theta1))),
 
 with c fixed by the stationarity equation c = nu / (t mu), whose residual
-changes sign at most once: one bracket per t on a shared log c-grid,
-closed by Illinois regula falsi in ln c, against the boundary splits
-y = a, y = 0.
+changes sign at most once: the path's two ends tell which t have a root,
+a safeguarded Newton iteration in ln c closes it, and K is the lesser of
+that split and the boundary splits y = a, y = 0.
 
 Everything is deterministic given (inputs, seed): random ensembles are
 seeded, quadrature grids are fixed by their specs, reductions run in a
@@ -132,26 +132,28 @@ class QuadratureSpec:
 
 # -- spectral blocks -----------------------------------------------------------
 
+_HALF_LINE_FAULTS = {
+    "complex": "complex spectrum: use the even (double-sector) windows",
+    "negative": "negative eigenvalues: half-line symbols need a spectrum in [0, inf); "
+                "use the even (double-sector) windows",
+}
+
+
 def _spectral_argument(op) -> np.ndarray:
     """The real eigenvalues, where half-line symbols are evaluated.
 
     The admission rule of every path that reads a real spectrum: windows,
     square-function and Besov symbols and the K-functional live on the
     half-line, so a complex or a negative spectrum raises NormsError (the
-    even, double-sector windows take the moduli instead).  A strip
-    operator gives the real parts of its strip spectrum.
+    even, double-sector windows take the moduli instead).  The operator
+    classifies its spectrum once, when it is built (half_line_fault).  A
+    strip operator gives the real parts of its strip spectrum.
     """
     if isinstance(op, StripOperator):
         return np.real(op.mu)
-    lam = op.eigenvalues_or_none()
-    tol = 1e-12 * max(np.max(np.abs(lam)), 1e-300)
-    if np.max(np.abs(np.imag(lam))) > tol:
-        raise NormsError("complex spectrum: use the even (double-sector) windows")
-    lam = np.real(lam)
-    if np.min(lam) < -tol:
-        raise NormsError("negative eigenvalues: half-line symbols need a spectrum in "
-                         "[0, inf); use the even (double-sector) windows")
-    return lam
+    if op.half_line_fault is not None:
+        raise NormsError(_HALF_LINE_FAULTS[op.half_line_fault])
+    return np.real(op.eigenvalues_or_none())
 
 
 def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
@@ -478,10 +480,11 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,
     which shift toward smaller rho as c grows, so g is nonincreasing and r
     changes sign at most once, from + to -: F falls, then rises.  K is F at
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
-    The root is bracketed on a log c-grid shared by every t and refined by
-    Illinois regula falsi in ln c until its bracket is K_ROOT_WIDTH wide,
-    all t at once; each path evaluation is one GEMM (see _split_path and
-    _stationary_splits).
+    The path's two ends, c = 1e-30 and 1e30, tell which t have the sign
+    change; a safeguarded Newton iteration in ln c closes each root to
+    K_ROOT_WIDTH, all t at once, and raises NormsError if one is not closed
+    in K_ROOT_ITERS path evaluations; each path evaluation is one GEMM (see
+    _split_path and _stationary_splits).
     """
     if pnorm != 2:
         raise NormsError("K-functional is implemented on the p = 2 path only")
@@ -504,93 +507,155 @@ def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarra
     a = np.ldexp(a, -e)
     u = lam**theta0
     v = lam**theta1
+    va = v * a
     rho = (u / v) ** 2
-    sq = np.stack([(u * a) ** 2, (v * a * rho) ** 2], axis=1)
+    sq = np.empty((a.size, 2))
+    np.multiply(u, a, out=sq[:, 0])
+    np.multiply(va, rho, out=sq[:, 1])
+    np.square(sq, out=sq)                                     # [(u a)^2, (v a rho)^2]
     k = np.minimum(np.sqrt(np.sum(sq[:, 0])),                 # x0 = x
-                   t * np.sqrt(np.sum((v * a) ** 2)))         # x1 = x
+                   t * np.sqrt(np.sum(va**2)))                # x1 = x
     idx, _, c, s = _stationary_splits(t, rho, sq)
-    k[idx] = np.minimum(np.sqrt(s[:, 0]) + t[idx] * c * np.sqrt(s[:, 1]), k[idx])
+    if idx.size:
+        k[idx] = np.minimum(np.sqrt(s[:, 0]) + t[idx] * c * np.sqrt(s[:, 1]), k[idx])
     return np.ldexp(k, e)
 
 
-# The log c-grid that brackets every t's stationary split, half a decade a
-# cell, and the regula falsi that refines it: |ln c - ln c*| <= K_ROOT_WIDTH
-# leaves K exact to second order, and no t has needed more than a dozen steps
-_C_GRID = np.logspace(-30, 30, 121)
-_LN_C_GRID = np.log(_C_GRID)
+# The root solve of the stationary split: the path's two ends decide which t
+# have a root, and a safeguarded Newton iteration in ln c closes it, mostly
+# in four or five path evaluations.  A root located to K_ROOT_WIDTH in ln c
+# leaves K exact to second order; |phi| <= K_ROOT_FLAT is met only where the
+# path is flat, so that K no longer depends on c; K_ROOT_ITERS evaluations
+# without either raise NormsError
+_C_ENDS = np.logspace(-30, 30, 2)
+_LN_C_ENDS = np.log(_C_ENDS)
 K_ROOT_WIDTH = 1e-9
+K_ROOT_FLAT = 1e-13
 K_ROOT_ITERS = 40
 
 
 def _split_path(c, rho, sq) -> np.ndarray:
-    """(mu^2, (nu/c)^2) of the split y = a/(1 + c rho) at every entry of c,
-    one row each.  With a - y = c a rho/(1 + c rho) both are sums of
-    w_k = (1 + c rho_k)^-2 times a column of sq = [(u a)^2, (v a rho)^2],
-    so one GEMM gives them and nothing cancels at extreme c."""
-    w = np.multiply.outer(c, rho)
-    w += 1.0
-    np.reciprocal(w, out=w)
-    np.square(w, out=w)
-    return w @ sq
+    """(3, len(c), 2): at every entry of c, the sums (mu^2, (nu/c)^2) of the
+    split y = a/(1 + c rho), then the two sums whose multiples by -2 are
+    their first and second derivatives in ln c.
 
-
-def _residual(s, t2) -> np.ndarray:
-    """The stationarity residual nu - c t mu scaled to [-1, 1]:
-    ((nu/c)^2 - t^2 mu^2)/((nu/c)^2 + t^2 mu^2)."""
-    nuc2, tmu2 = s[:, 1], t2 * s[:, 0]
-    return (nuc2 - tmu2) / (nuc2 + tmu2)
+    With a - y = c a rho/(1 + c rho) both are sums over k of
+    w_k = (1 + c rho_k)^-2 times a column of sq = [(u a)^2, (v a rho)^2].
+    With q = c rho/(1 + c rho), dw/d(ln c) = -2 w q and
+    d(w q)/d(ln c) = w q (1 - 3 q), so the weight rows w, w q and
+    w q (1 - 3 q) give all six sums in one GEMM, and nothing cancels at
+    extreme c.
+    """
+    m = c.size
+    w = np.empty((3, m, rho.size))
+    w0, w1, w2 = w
+    np.multiply.outer(c, rho, out=w1)
+    np.add(w1, 1.0, out=w0)
+    np.reciprocal(w0, out=w0)          # 1/(1 + c rho)
+    w1 *= w0                           # q
+    np.square(w0, out=w0)              # w
+    np.multiply(w1, -3.0, out=w2)
+    w2 += 1.0                          # 1 - 3 q
+    w1 *= w0                           # w q
+    w2 *= w1                           # w q (1 - 3 q)
+    return (w.reshape(3 * m, -1) @ sq).reshape(3, m, 2)
 
 
 def _stationary_splits(t, rho, sq):
     """(idx, bracket, c, s): the entries idx of t whose residual changes
-    sign, the final (2, len(idx)) bracket in ln c of each root, the last
-    point c tried for it and (mu^2, (nu/c)^2) there, one row each.
+    sign, a (2, len(idx)) interval in ln c holding each root, the point c
+    taken for it and (mu^2, (nu/c)^2) there, one row each.
 
-    (mu, nu) do not depend on t, so one grid serves every t.  Each t takes
-    the half-decade cell ending at its first node with residual <= 0 (a
-    root on a node is still found); a t without a sign change there is
-    left out, as a boundary split wins.  Illinois regula falsi in ln c,
-    vectorised over t: the secant point replaces the end of its own sign,
-    and an end kept twice in a row has its residual halved, so both ends
-    converge.  A t stops once its bracket is K_ROOT_WIDTH wide or its
-    residual vanishes.
+    The residual phi = ln((nu/c)^2) - ln(t^2 mu^2) is nonincreasing in
+    c and changes sign at most once, so a t has a root exactly when
+    phi > 0 at the path's first end and phi <= 0 at its last: one 2-row
+    path evaluation serves every t, and a t without a sign change is left
+    out, as a boundary split wins.  Each root is then found by a
+    safeguarded Newton iteration in ln c (rtsafe), vectorised over t and
+    started at ln c = -ln t^2.  Its step is Newton's step on the local
+    model phi ~ alpha + beta c^k, k = phi''/phi' (derivatives in ln c),
+    that is, Newton in c^k: near both ends phi approaches its limit like
+    c^(+-1), where the plain step in ln c shrinks by less than half per
+    step and the safeguard would bisect a bracket up to 138 wide.  Where
+    the model has no root (1 + k delta <= 0, delta the plain step) the
+    plain step is proposed.
+
+    Every evaluation narrows its t's bracket by the sign of phi.  Then,
+    before the safeguard, a t stops when its step is at most K_ROOT_WIDTH
+    (interval: the point and the step's end), when |phi| <= K_ROOT_FLAT
+    (the point itself) or when its bracket is K_ROOT_WIDTH wide (the
+    bracket).  Otherwise the step is taken if it lands strictly inside the
+    bracket and is at most half the step before last, and the bracket is
+    bisected if not.  K_ROOT_ITERS evaluations without a stop raise
+    NormsError.
     """
+    ends = _split_path(_C_ENDS, rho, sq)[0]
     t2 = t**2
-    grid = _split_path(_C_GRID, rho, sq)
     # read without a division: at a = 0 (mu = nu = 0) no t changes sign
-    below = grid[:, 1] <= t2[:, None] * grid[:, 0]
-    node = below.argmax(axis=1)
-    idx = np.flatnonzero(below[np.arange(t.size), node] & (node > 0))
-    node = node[idx]
+    idx = np.flatnonzero((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0]))
     bracket = np.empty((2, idx.size))
     c = np.empty(idx.size)
     s = np.empty((idx.size, 2))
+    if not idx.size:
+        return idx, bracket, c, s
+    ln_t2 = np.log(t2[idx])
+    lo, hi = np.repeat(_LN_C_ENDS[:, None], idx.size, axis=1)
+    x = np.where((lo < -ln_t2) & (-ln_t2 < hi), -ln_t2, 0.0)
+    last = hi - lo
+    half_before_last = 0.5 * last
     live = np.arange(idx.size)
-    lnc = _LN_C_GRID[np.stack([node - 1, node])]
-    res = np.array([_residual(grid[node - 1], t2[idx]), _residual(grid[node], t2[idx])])
-    kept = np.full(idx.size, -1)        # the end (0 = lo, 1 = hi) kept last step
-    step = 0
-    while live.size:
-        step += 1
-        x = (lnc[0] * res[1] - lnc[1] * res[0]) / (res[1] - res[0])
-        sx = _split_path(np.exp(x), rho, sq)
-        r = _residual(sx, t2[idx[live]])
-        moved = (r <= 0).astype(int)    # x replaces lo where r > 0, hi where r <= 0
-        cols = np.arange(live.size)
-        stale = kept == 1 - moved       # kept twice in a row: halve its residual
-        res[kept[stale], cols[stale]] *= 0.5
-        lnc[moved, cols] = x
-        res[moved, cols] = r
-        kept = 1 - moved
-        done = (lnc[1] - lnc[0] <= K_ROOT_WIDTH) | (r == 0) | (step == K_ROOT_ITERS)
-        if done.any():
-            at = live[done]
-            # a vanishing residual closes the bracket on its point
-            bracket[:, at] = np.where(r[done] == 0, x[done], lnc[:, done])
-            c[at], s[at] = np.exp(x[done]), sx[done]
-            live = live[~done]
-            lnc, res, kept = lnc[:, ~done], res[:, ~done], kept[~done]
-    return idx, bracket, c, s
+    evaluations = 0
+    # a sum that underflows, a zero slope or k = 0 make the step NaN or
+    # infinite, and the safeguard bisects
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            if evaluations == K_ROOT_ITERS:
+                raise NormsError(f"K-functional root at t = {t[idx[live[0]]]:.17g} not "
+                                 f"closed in {K_ROOT_ITERS} path evaluations")
+            evaluations += 1
+            path = _split_path(np.exp(x), rho, sq)
+            phi = np.log(path[0, :, 1] / path[0, :, 0])
+            phi -= ln_t2
+            ratio = path[1:] / path[0]
+            # phi' = -2 eta, phi'' = -2 zeta - 4 eta (sum of path[1]/path[0])
+            eta, zeta = ratio[..., 1] - ratio[..., 0]
+            sigma = ratio[0, :, 1] + ratio[0, :, 0]
+            k = zeta / eta
+            k += sigma
+            k += sigma
+            delta = phi / (eta + eta)          # the plain Newton step
+            kd = k * delta
+            step = np.log1p(kd) / k
+            np.copyto(step, delta, where=~(kd > -1.0))
+            newton = x + step
+            np.abs(step, out=step)
+            above = phi > 0
+            np.copyto(lo, x, where=above)
+            np.copyto(hi, x, where=~above)
+            done = np.minimum(step, hi - lo) <= K_ROOT_WIDTH
+            done |= np.abs(phi) <= K_ROOT_FLAT
+            finished = np.count_nonzero(done)
+            if finished:
+                # the interval: the point and the step's end, the point alone
+                # on a flat path, or else the bracket
+                end = np.where(above, hi, lo)
+                np.copyto(end, np.minimum(np.maximum(newton, lo), hi), where=step <= K_ROOT_WIDTH)
+                np.copyto(end, x, where=np.abs(phi) <= K_ROOT_FLAT)
+                at, xd, end = live[done], x[done], end[done]
+                bracket[:, at] = np.minimum(xd, end), np.maximum(xd, end)
+                c[at], s[at] = np.exp(xd), path[0, done]
+                if finished == live.size:
+                    return idx, bracket, c, s
+                keep = ~done
+                live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
+                newton, step, ln_t2 = newton[keep], step[keep], ln_t2[keep]
+                last, half_before_last = last[keep], half_before_last[keep]
+            newton_ok = (lo < newton) & (newton < hi) & (step <= half_before_last)
+            nxt = lo + hi
+            nxt *= 0.5
+            np.copyto(nxt, newton, where=newton_ok)
+            half_before_last, last = 0.5 * last, np.abs(nxt - x)
+            x = nxt
 
 
 def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,

@@ -3,8 +3,9 @@
 An operator is its diagonal form, a measure space (hosting the L^p norms)
 and a construction echo.  Everything else is read off the spectrum: the
 kernel mask, injectivity, whether the spectrum is bisectorial (double
-sector), the sector angle of the nonzero spectrum and the spectral bounds
-(lambda_min over the nonzero spectrum, lambda_max).  Two diagonal forms:
+sector), the sector angle of the nonzero spectrum, the spectral bounds
+(lambda_min over the nonzero spectrum, lambda_max) and whether it lies on
+the half-line [0, inf).  Two diagonal forms:
 
   SpectralSelfAdjoint   eigenvalues >= 0 ascending with eigenvectors
                         orthonormal in the weighted inner product; the
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasureSpace, adjoint, solve_complex, weighted_symmetric_eig
+from .measure import MeasureSpace, adjoint, nonfinite_note, solve_complex, weighted_symmetric_eig
 
 ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
@@ -126,13 +127,17 @@ class ModelOperator:
     # kernel (the package's one kernel rule); whether the kernel is trivial;
     # whether some nonzero eigenvalue has a negative real part (a double
     # sector around R); the largest |arg lambda| over the nonzero spectrum,
-    # folded to the nearer half-axis when bisectorial; the moduli bounds
+    # folded to the nearer half-axis when bisectorial; the moduli bounds;
+    # why half-line symbols cannot be evaluated on the spectrum: None when
+    # it lies in [0, inf) up to ZERO_EIG_TOL lambda_max, else "complex" or
+    # "negative"
     nonzero: np.ndarray = field(init=False, repr=False)
     injective: bool = field(init=False)
     bisectorial: bool = field(init=False)
     sector_angle_hint: float = field(init=False)
     lambda_min_positive: float = field(init=False)
     lambda_max: float = field(init=False)
+    half_line_fault: str | None = field(init=False)
     _kappa: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,19 +157,31 @@ class ModelOperator:
         self.sector_angle_hint = float(np.max(ang))
         if self.sector_angle_hint >= np.pi / 2:
             raise OperatorError("eigenvalues must lie strictly inside the (double) sector")
+        tol = ZERO_EIG_TOL * self.lambda_max
+        self.half_line_fault = ("complex" if np.max(np.abs(lam.imag)) > tol
+                                else "negative" if np.min(lam.real) < -tol else None)
+        # the gates read "not (defect <= tol)", so a NaN defect fails them
         if isinstance(self.form, SpectralSelfAdjoint):
             # Q^H W Q as one product g^H g of g = W^(1/2) Q (a syrk for real
-            # Q), minus I in place; g is freed first to keep the peak low
-            g = np.sqrt(self.measure.weights)[:, None] * self.form.eigenvectors
+            # Q), minus I in place; g is freed first to keep the peak low, and
+            # max |Q^H W Q - I| is read without allocating the moduli
+            q = self.form.eigenvectors
+            g = np.sqrt(self.measure.weights)[:, None] * q
             gram = adjoint(g) @ g
             del g
             gram.flat[::gram.shape[0] + 1] -= 1.0
-            if np.max(np.abs(gram)) > ORTHO_TOL:
-                raise OperatorError("eigenvectors are not orthonormal wrt the measure")
+            if np.iscomplexobj(gram):
+                gram = np.abs(gram)
+            defect = np.maximum(gram.max(), -gram.min())
+            if not (defect <= ORTHO_TOL):
+                raise OperatorError("eigenvectors are not orthonormal wrt the measure"
+                                    + nonfinite_note(q, "eigenvector entries"))
         if isinstance(self.form, SimilarityDiagonal):
             s, si = self.form.s, self.form.s_inv
-            if np.linalg.norm(s @ si - np.eye(s.shape[0])) > SIMILARITY_TOL * s.shape[0]:
-                raise OperatorError("similarity inverse fails ||S S^-1 - I|| tolerance")
+            if not (np.linalg.norm(s @ si - np.eye(s.shape[0])) <= SIMILARITY_TOL * s.shape[0]):
+                raise OperatorError("similarity inverse fails ||S S^-1 - I|| tolerance"
+                                    + nonfinite_note(s, "entries of S")
+                                    + nonfinite_note(si, "entries of S^-1"))
 
     # -- basic structure ---------------------------------------------------
 
@@ -286,9 +303,16 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
         raise OperatorError("need n >= 1 and h > 0")
     k = np.arange(1, n + 1)
     lam = (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / h**2
-    i = np.arange(1, n + 1)
-    q = np.sin(np.outer(i, k) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
-    m = MeasureSpace(weights=np.full(n, h), points=i * h)
+    # sin(i k pi/(n+1)) depends on i k mod 2(n+1) only: Q is gathered from one
+    # table of 2(n+1) scaled sines by an exact integer reduction; the index
+    # array is freed before the operator checks its Gram matrix
+    period = 2 * (n + 1)
+    table = np.sin(np.arange(period) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
+    ik = np.outer(k, k)
+    ik %= period
+    q = table[ik]
+    del ik
+    m = MeasureSpace(weights=np.full(n, h), points=k * h)
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
         measure=m,

@@ -42,6 +42,19 @@ def test_op_build_graph_kernel_dim(tmp_path, capsys):
     assert out["injective"] is False
 
 
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy serves only the LU oracle and is imported there, so it adds
+    # nothing to the start-up of a run
+    src = os.path.dirname(os.path.dirname(plcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, plcalc, plcalc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_python_m_plcalc_runs_the_cli(tmp_path):
     # the package runs as a module from a source checkout, exit code included
     src = os.path.dirname(os.path.dirname(plcalc.__file__))

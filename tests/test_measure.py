@@ -122,6 +122,17 @@ def test_eig_rejects_nonsymmetric():
         weighted_symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), m)
 
 
+def test_eig_rejects_non_finite_matrix():
+    # a NaN or inf entry makes the symmetry defect NaN, which fails the gate
+    # instead of reaching the eigensolver
+    m = MeasureSpace.uniform(3)
+    for bad in (np.nan, np.inf):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(LinAlgError, match=r"non-finite matrix entries at \(0, 2\), \(2, 0\)$"):
+            weighted_symmetric_eig(a, m)
+
+
 def test_solve_identity_and_diagonal():
     b = np.array([2.0, 4.0], dtype=complex)
     assert np.allclose(solve_complex(np.eye(2), b), b)

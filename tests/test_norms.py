@@ -432,18 +432,19 @@ def _k_root_recorder(monkeypatch):
 
 
 def test_k_root_path_evaluations_pinned(monkeypatch):
-    # one fixed 40-t curve: one grid evaluation, then one per regula falsi
-    # step of its slowest t (vectorised), or of every t (scalar calls)
+    # one fixed 40-t curve: one evaluation of the path's two ends, then one
+    # per Newton step of its slowest t (vectorised), or of every t (scalar
+    # calls); 28 of the 40 t have no root and take the end evaluation only
     op = build_dirichlet_laplacian_1d(64, 1.0)
     x = op.random_vector(np.random.default_rng(3))
     x /= lp_norm(x, 2, op.measure)
     ts = np.logspace(-3, 5, 40)
     log = _k_root_recorder(monkeypatch)
     ks = k_functional(op, x, ts, 0.0, 1.0)
-    assert log["paths"] == 9          # 32 for the 30-step bisection
+    assert log["paths"] == 6          # 9 by grid and regula falsi, 32 by bisection
     log["paths"] = 0
     scalar = [k_functional(op, x, t, 0.0, 1.0) for t in ts]
-    assert log["paths"] == 114        # 1280 for the 30-step bisection
+    assert log["paths"] == 95         # 114 by grid and regula falsi, 1280 by bisection
     np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
 
 
@@ -486,6 +487,97 @@ def test_k_functional_without_sign_change_is_the_boundary_split(monkeypatch):
     assert idx.size == 0 and log["paths"] == 1
     assert ks[0] == ts[0] * np.sqrt(np.sum((lam * a) ** 2))
     assert ks[1] == np.sqrt(np.sum(a**2))
+
+
+def _dense_scan_k(lam, a, ts, theta0, theta1, cs=np.logspace(-32, 32, 1025)):
+    """The least objective over a log-c scan of the split path and the two
+    boundary splits: an upper bound for K at every t."""
+    mu2, nu2 = split_path(lam, a, theta0, theta1, cs)
+    scan = np.min(np.sqrt(mu2) + ts[:, None] * cs * np.sqrt(nu2), axis=1)
+    return np.minimum(scan, np.minimum(np.linalg.norm(lam**theta0 * a),
+                                       ts * np.linalg.norm(lam**theta1 * a)))
+
+
+KCURVE_T = np.logspace(-3, 5, 40)
+
+
+def _kcurve_faults(op, x, ks, ts=KCURVE_T, tol=1e-9):
+    """The K-curve checks at theta = (0, 1): monotone, concave, at most
+    min(||x||_0, t ||x||_1), at least the p = 2 lower bound
+    (sum_k a_k^2 (t lam_k)^2 / (1 + (t lam_k)^2))^(1/2); the names of the
+    failed ones."""
+    lam, a = _diagonal_data(op, x)
+    n0, n1 = np.sqrt(np.sum(a**2)), np.sqrt(np.sum((lam * a) ** 2))
+    tl2 = (ts[:, None] * lam) ** 2
+    low = np.sqrt(np.sum(a**2 * tl2 / (1 + tl2), axis=1))
+    checks = {"monotone": np.all(np.diff(ks) >= -tol * ks[:-1]),
+              "concave": np.all(np.diff(np.diff(ks) / np.diff(ts)) <= tol * np.max(ks)),
+              "envelope": np.all(ks <= np.minimum(n0, ts * n1) * (1 + tol)),
+              "lower bound": np.all(ks >= low * (1 - tol))}
+    return [name for name, ok in checks.items() if not ok]
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_k_curves_of_random_unit_vectors_pass_the_curve_checks(n):
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    rng = np.random.default_rng(n)
+    for _ in range(600):
+        x = op.random_vector(rng)
+        x /= lp_norm(x, 2, op.measure)
+        assert not _kcurve_faults(op, x, k_functional(op, x, KCURVE_T, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n, seed, j", [(64, 1997, 21), (256, 0, 25)])
+def test_k_root_regressions_of_unguarded_newton(monkeypatch, n, seed, j):
+    # (64, 1997), t ~ 20.3: a plain Newton step without the half-step guard
+    # 2-cycles between ln c ~ -14.13 and -6.05.  (256, 0), t ~ 134: plain
+    # Newton reaches ln c ~ -18.0445, where phi is exactly 0, so its zero
+    # step lands on the point's own bracket end; with the stop tests after
+    # the guard, that step is refused and the bracket bisected into the cap.
+    # Both close in a few evaluations, on a curve that passes the checks
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    x = op.random_vector(np.random.default_rng(seed))
+    x /= lp_norm(x, 2, op.measure)
+    lam, a = _diagonal_data(op, x)
+    log = _k_root_recorder(monkeypatch)
+    k = k_functional(op, x, KCURVE_T[j], 0.0, 1.0)
+    (_, (idx, _, _, _)), = log["solves"]
+    assert idx.size == 1 and log["paths"] - 1 <= 6
+    assert k <= _dense_scan_k(lam, a, KCURVE_T[j:j + 1], 0.0, 1.0)[0] * (1 + 1e-12)
+    monkeypatch.undo()
+    assert not _kcurve_faults(op, x, k_functional(op, x, KCURVE_T, 0.0, 1.0))
+
+
+def test_k_root_solver_on_random_spectra():
+    # spectra e^U(-14, 6), up to 300 of them, a fifth of the coefficients
+    # zero: no root reaches the evaluation cap, and K never exceeds a dense
+    # scan of the split path
+    rng = np.random.default_rng(11)
+    thetas = [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5), (0.3, 1.7), (0.0, 2.0)]
+    for _ in range(30):
+        n = int(rng.integers(1, 301))
+        lam = np.exp(rng.uniform(-14.0, 6.0, n))
+        a = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) >= 0.2)
+        for theta0, theta1 in thetas:
+            n0 = np.linalg.norm(lam**theta0 * a)
+            n1 = np.linalg.norm(lam**theta1 * a)
+            ts = (n0 / n1 if n0 > 0 else 1.0) * np.logspace(-6, 6, 60)
+            ks = _k_functional_diagonal(lam, a, ts, theta0, theta1)
+            assert np.all(ks <= _dense_scan_k(lam, a, ts, theta0, theta1) * (1 + 1e-12))
+
+
+def test_k_root_cap_raises(monkeypatch):
+    # a root not closed in K_ROOT_ITERS path evaluations raises instead of
+    # returning an unconverged split; t without a root never iterate
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    x = op.random_vector(np.random.default_rng(3))
+    x /= lp_norm(x, 2, op.measure)
+    monkeypatch.setattr(norms, "K_ROOT_ITERS", 2)
+    with pytest.raises(NormsError, match="not closed in 2 path evaluations"):
+        k_functional(op, x, 1.0, 0.0, 1.0)
+    with pytest.raises(NormsError):
+        real_interpolation_norm(op, x, 0.5, 2)
+    assert k_functional(op, x, 1e-8, 0.0, 1.0) > 0
 
 
 def test_real_interpolation_eigenvector_scaling():

@@ -50,6 +50,20 @@ def test_dirichlet_n64_matches_dense_eigensolver():
     assert np.allclose(np.diag(mat, 1), -1.0, atol=1e-10)
 
 
+def test_dirichlet_basis_sines_are_exact_to_round_off():
+    # Q is gathered from one table of 2(n+1) sines by the exact reduction of
+    # i k mod 2(n+1): every entry lies within 1e-16 of the extended-precision
+    # sine, where sin(i k pi/(n+1)) at arguments up to n pi is 1e-14 off
+    n = 512
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    k = np.arange(1, n + 1)
+    pi = 4 * np.arctan(np.longdouble(1))
+    exact = np.sin(np.outer(k, k).astype(np.longdouble) * pi / (n + 1)) \
+        * np.sqrt(np.longdouble(2) / (n + 1))
+    assert float(np.max(np.abs(op.form.eigenvectors - exact))) <= 1e-16
+    assert np.max(np.abs(op.form.eigenvectors.T @ op.form.eigenvectors - np.eye(n))) <= 5e-15
+
+
 def test_graph_two_node():
     op = build_graph_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(op.measure.weights, [2.0, 2.0])
@@ -473,3 +487,36 @@ def test_a_spectrum_on_the_sector_boundary_is_rejected():
     op = ModelOperator(SimilarityDiagonal(eye, eye, np.array([1.0, -2.0 + 0.5j])),
                        MeasureSpace.uniform(2))
     assert op.bisectorial and op.sector_angle_hint == pytest.approx(np.arctan(0.25))
+
+
+def test_non_finite_eigenvectors_are_rejected():
+    # a NaN or inf entry makes the Gram defect NaN, which fails the gate
+    op = build_dirichlet_laplacian_1d(6, 1.0)
+    for bad in (np.nan, np.inf):
+        q = op.form.eigenvectors.copy()
+        q[2, 4] = bad
+        with pytest.raises(OperatorError, match=r"non-finite eigenvector entries at \(2, 4\)$"):
+            dataclasses.replace(op, form=SpectralSelfAdjoint(op.form.eigenvalues, q))
+
+
+def test_non_finite_similarity_is_rejected():
+    op = build_nonnormal_sectorial([1.0, 2.0, 3.0], 2.0, 0)
+    s = op.form.s.copy()
+    s[1, 0] = np.nan
+    with pytest.raises(OperatorError, match=r"similarity.*non-finite entries of S at \(1, 0\)$"):
+        dataclasses.replace(op, form=SimilarityDiagonal(s, op.form.s_inv, op.form.eigenvalues))
+
+
+def test_half_line_fault_is_read_off_the_spectrum_once():
+    # complex before negative, both up to ZERO_EIG_TOL lambda_max
+    eye = np.eye(2)
+
+    def fault(lam):
+        form = SimilarityDiagonal(eye, eye, np.array(lam, dtype=complex))
+        return ModelOperator(form, MeasureSpace.uniform(2)).half_line_fault
+
+    assert fault([1.0, 2.0 + 1e-13j]) is None and fault([2.0, -1e-13]) is None
+    assert fault([1.0, 2.0 + 1e-9j]) == "complex"
+    assert fault([1.0, -2.0 + 1e-9j]) == "complex"
+    assert fault([1.0, -2.0]) == "negative"
+    assert build_dirichlet_laplacian_1d(4, 1.0).half_line_fault is None
