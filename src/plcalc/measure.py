@@ -35,7 +35,7 @@ class LinAlgError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class MeasureSpace:
-    """Finite measure space: points with positive weights.
+    """Finite measure space: points with finite positive weights.
 
     ``points`` doubles as coordinates when the space discretizes an
     interval (Hermite grids); by default it is just the index set.
@@ -48,6 +48,8 @@ class MeasureSpace:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise MeasureError("weights must be a nonempty 1d array")
+        if not np.all(np.isfinite(w)):
+            raise MeasureError("weights must be finite" + nonfinite_note(w, "weights"))
         if not np.all(w > 0):
             raise MeasureError("all weights must be strictly positive")
         object.__setattr__(self, "weights", w)

@@ -5,16 +5,41 @@ and a construction echo.  Everything else is read off the spectrum: the
 kernel mask, injectivity, whether the spectrum is bisectorial (double
 sector), the sector angle of the nonzero spectrum, the spectral bounds
 (lambda_min over the nonzero spectrum, lambda_max) and whether it lies on
-the half-line [0, inf).  Two diagonal forms:
+the half-line [0, inf).  Three diagonal forms:
 
   SpectralSelfAdjoint   eigenvalues >= 0 ascending with eigenvectors
                         orthonormal in the weighted inner product; the
                         eigenvector matrix may be rectangular (n x K),
                         in which case the operator lives on the K-mode
                         span inside the ambient grid space (Hermite).
+  FoldedSelfAdjoint     the same for a basis whose vectors are even or odd
+                        under the reflection R: i -> n-1-i, held as two
+                        half-size blocks (the Dirichlet Laplacian from
+                        FOLD_MIN_N points on).
   SimilarityDiagonal    A = S diag(lambda) S^{-1} with controlled cond(S);
                         complex spectrum, used for non-normal and
                         double-sector examples.
+
+A form is a small protocol: ``eigenvalues``, ``orthonormal``, and the
+methods ``check`` (the basis gate, run once by the operator),
+``coefficients``, ``synthesize``, ``matrix``, ``multiplier_norm`` and
+``conditioning``; the operator forwards to them and branches on no form
+type.
+
+The folded form.  With T the top n//2 points, B the bottom n//2 and R
+reversing them, an even vector is (v, R v) (with a middle entry v_mid
+between for odd n) and an odd one (v, -R v) (middle entry 0).  The fold
+x -> (x_T + R x_B, x_T - R x_B), the middle entry going to the even half,
+maps the coefficient transform and the synthesis to one half-size product
+per block, and for even n the two blocks are one 2 x n/2 x n/2 array, so
+each transform is one batched product.  On a mirror-symmetric measure the
+inner product of an even u and an odd v is sum_T w u_T v_T - sum_T w u_T
+v_T = 0 exactly, and that of two even ones is sum_T 2 w u_T v_T + w_mid
+u_mid v_mid.  So the Gram matrix of the implied n x n basis is
+block-diagonal, each block being the Gram matrix of a stored block in the
+folded weights (2 w, and w on the middle row): checking the two blocks at
+ORTHO_TOL is the full check on the same basis, at 2 (n/2)^3 flops instead
+of n^3.
 
 The diagonal form is private to this module.  Every other layer asks the
 operator through coefficients and synthesize, the eigenvalues and six
@@ -59,6 +84,12 @@ ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
 RESOLVENT_MARGIN = 1e-12   # reject lambda within this times lambda_max of spectrum
 ZERO_EIG_TOL = 1e-12       # relative threshold deciding kernel membership
+# Dirichlet size from which the basis is folded.  The fold adds a few
+# vector operations to every transform.  At 256 points they cost a
+# one-vector transform about 15% of its unfolded time while the build
+# takes half as long; at 32 points they double that transform's time
+# (one BLAS thread).
+FOLD_MIN_N = 256
 
 
 class OperatorError(ValueError):
@@ -89,19 +120,6 @@ def check_spec_keys(spec: dict, known, where: str) -> None:
         raise SpecKeyError(unknown, where)
 
 
-@dataclass
-class SpectralSelfAdjoint:
-    eigenvalues: np.ndarray        # real, >= 0, ascending, length K
-    eigenvectors: np.ndarray       # n x K, orthonormal wrt the measure
-
-
-@dataclass
-class SimilarityDiagonal:
-    s: np.ndarray
-    s_inv: np.ndarray
-    eigenvalues: np.ndarray        # complex, length n
-
-
 def basis_matmul(b: np.ndarray, z) -> np.ndarray:
     """b @ z for a complex operand z (a K-vector or a K x m stack).
 
@@ -118,9 +136,178 @@ def basis_matmul(b: np.ndarray, z) -> np.ndarray:
     return (b @ zr).view(complex)
 
 
+def _gram_defect(q: np.ndarray, w: np.ndarray):
+    """max |Q^H W Q - I|, NaN or inf when an entry of Q or w is not finite.
+
+    Q^H W Q is one product g^H g of g = W^(1/2) Q (a syrk for real Q), minus
+    I in place; g is freed first to keep the peak low, and the maximum is
+    read without allocating the moduli.
+    """
+    g = np.sqrt(w)[:, None] * q
+    gram = adjoint(g) @ g
+    del g
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    if np.iscomplexobj(gram):
+        gram = np.abs(gram)
+    return np.maximum(gram.max(), -gram.min())
+
+
+class _OrthonormalBasis:
+    """What the self-adjoint forms share: on an orthonormal basis a diagonal
+    multiplier's L^2 norm is its sup, and the basis has condition number 1."""
+
+    orthonormal = True
+
+    def multiplier_norm(self, values, measure):
+        return np.max(np.abs(values), axis=-1)
+
+    def conditioning(self) -> float:
+        return 1.0
+
+
+@dataclass
+class SpectralSelfAdjoint(_OrthonormalBasis):
+    eigenvalues: np.ndarray        # real, >= 0, ascending, length K
+    eigenvectors: np.ndarray       # n x K, orthonormal wrt the measure
+
+    def check(self, measure: MeasureSpace) -> None:
+        # the gates read "not (defect <= tol)", so a NaN defect fails them
+        if not (_gram_defect(self.eigenvectors, measure.weights) <= ORTHO_TOL):
+            raise OperatorError("eigenvectors are not orthonormal wrt the measure"
+                                + nonfinite_note(self.eigenvectors, "eigenvector entries"))
+
+    def matrix(self, measure: MeasureSpace) -> np.ndarray:
+        q, lam = self.eigenvectors, self.eigenvalues
+        return (q * lam[None, :]) @ (adjoint(q) * measure.weights[None, :])
+
+    def coefficients(self, x: np.ndarray, measure: MeasureSpace) -> np.ndarray:
+        w = measure.weights
+        return basis_matmul(adjoint(self.eigenvectors), (w if x.ndim == 1 else w[:, None]) * x)
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        return basis_matmul(self.eigenvectors, coeffs)
+
+
+@dataclass
+class FoldedSelfAdjoint(_OrthonormalBasis):
+    """A self-adjoint form whose eigenvectors are even or odd under the
+    reflection R: i -> n-1-i, stored as two half-size blocks (the fold and
+    its Gram check are described in the module docstring).
+
+    Eigenvalue 2r belongs to column r of the even block, eigenvalue 2r+1 to
+    column r of the odd block.  The even block holds v and v_mid of each
+    (v, v_mid, R v), the middle row last, and is n - n//2 square; the odd
+    block holds v of each (v, 0, -R v) and is n//2 square.  The blocks are
+    real; given as one 2 x n/2 x n/2 array (even n), each transform is one
+    batched product.  The measure must be mirror-symmetric.
+    """
+
+    eigenvalues: np.ndarray        # real, >= 0, length n, even and odd modes interleaved
+    blocks: tuple                  # (even, odd), or one 2 x n/2 x n/2 array for even n
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self._stack = self.blocks if isinstance(self.blocks, np.ndarray) else None
+        self.blocks = tuple(self.blocks)
+
+    def check(self, measure: MeasureSpace) -> None:
+        even, odd = self.blocks
+        w = measure.weights
+        n, m = w.size, w.size // 2
+        if even.shape != (n - m, n - m) or odd.shape != (m, m):
+            raise OperatorError("folded blocks must be square halves of the measure's points")
+        if not np.array_equal(w, w[::-1]):
+            raise OperatorError("a folded form needs a mirror-symmetric measure")
+        wf = 2.0 * w[:n - m]
+        wf[m:] = w[m:n - m]
+        # a NaN defect of either block fails the gate
+        if not (_gram_defect(even, wf) <= ORTHO_TOL and _gram_defect(odd, wf[:m]) <= ORTHO_TOL):
+            raise OperatorError("eigenvectors are not orthonormal wrt the measure"
+                                + nonfinite_note(even, "entries of the even block")
+                                + nonfinite_note(odd, "entries of the odd block"))
+
+    def matrix(self, measure: MeasureSpace) -> np.ndarray:
+        q = self.synthesize(np.eye(self.eigenvalues.size)).real
+        return SpectralSelfAdjoint(self.eigenvalues, q).matrix(measure)
+
+    # Both transforms fold in complex arithmetic and multiply the blocks into
+    # the interleaved real view of the folded operand (as basis_matmul
+    # does), n x 2m for an n x m stack, where the even half lies above the
+    # odd half; modes 2r and 2r+1 are row r of the two halves.
+
+    def coefficients(self, x: np.ndarray, measure: MeasureSpace) -> np.ndarray:
+        w = measure.weights
+        n, m = x.shape[0], x.shape[0] // 2
+        wx = (w if x.ndim == 1 else w[:, None]) * x
+        top, bottom = wx[:m], wx[::-1][:m]
+        f = np.concatenate((top + bottom, wx[m:n - m], top - bottom)).view(float)
+        f = f.reshape(n, -1)
+        if self._stack is not None:
+            c = np.matmul(self._stack.transpose(0, 2, 1), f.reshape(2, m, -1))
+            c = c.transpose(1, 0, 2).reshape(n, -1)
+        else:
+            even, odd = self.blocks
+            c = np.empty_like(f)
+            np.matmul(even.T, f[:n - m], out=c[0::2])
+            np.matmul(odd.T, f[n - m:], out=c[1::2])
+        c = c.view(complex)
+        return c[:, 0] if x.ndim == 1 else c
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        z = np.ascontiguousarray(coeffs).view(float).reshape(coeffs.shape[0], -1)
+        n, m = z.shape[0], z.shape[0] // 2
+        if self._stack is not None:
+            y = np.matmul(self._stack, z.reshape(m, 2, -1).transpose(1, 0, 2)).reshape(n, -1)
+        else:
+            y = np.concatenate((self.blocks[0] @ z[0::2], self.blocks[1] @ z[1::2]))
+        y = y.view(complex)
+        if coeffs.ndim == 1:
+            y = y[:, 0]
+        even, odd = y[:m], y[n - m:]
+        return np.concatenate((even + odd, y[m:n - m], (even - odd)[::-1]))
+
+
+@dataclass
+class SimilarityDiagonal:
+    s: np.ndarray
+    s_inv: np.ndarray
+    eigenvalues: np.ndarray        # complex, length n
+
+    orthonormal = False
+
+    def check(self, measure: MeasureSpace) -> None:
+        s, si = self.s, self.s_inv
+        if not (np.linalg.norm(s @ si - np.eye(s.shape[0])) <= SIMILARITY_TOL * s.shape[0]):
+            raise OperatorError("similarity inverse fails ||S S^-1 - I|| tolerance"
+                                + nonfinite_note(s, "entries of S")
+                                + nonfinite_note(si, "entries of S^-1"))
+
+    def matrix(self, measure: MeasureSpace) -> np.ndarray:
+        return (self.s * self.eigenvalues[None, :]) @ self.s_inv
+
+    def coefficients(self, x: np.ndarray, measure: MeasureSpace) -> np.ndarray:
+        return basis_matmul(self.s_inv, x)
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        return basis_matmul(self.s, coeffs)
+
+    def multiplier_norm(self, values, measure):
+        """The 2-norm of W^(1/2) S diag(values) S^-1 W^(-1/2), per row of a
+        stack of shape (m, K)."""
+        sqw = np.sqrt(measure.weights)
+        s, s_inv = sqw[:, None] * self.s, self.s_inv / sqw[None, :]
+        norms = [np.linalg.norm((s * row) @ s_inv, 2) for row in np.atleast_2d(values)]
+        return np.array(norms) if values.ndim > 1 else norms[0]
+
+    def conditioning(self) -> float:
+        """||S|| ||S^-1||, two SVDs."""
+        return float(np.linalg.norm(self.s, 2) * np.linalg.norm(self.s_inv, 2))
+
+
 @dataclass
 class ModelOperator:
-    form: SpectralSelfAdjoint | SimilarityDiagonal
+    form: SpectralSelfAdjoint | FoldedSelfAdjoint | SimilarityDiagonal
     measure: MeasureSpace
     spec: dict = field(default_factory=dict)   # construction echo for reports
     # read off the spectrum: per eigenvalue, whether it lies outside the
@@ -142,6 +329,9 @@ class ModelOperator:
 
     def __post_init__(self):
         lam = self.eigenvalues_or_none()
+        if not np.all(np.isfinite(lam)):
+            raise OperatorError("operator spectrum is not finite"
+                                + nonfinite_note(lam, "eigenvalues"))
         mod = np.abs(lam)
         self.nonzero = mod > ZERO_EIG_TOL * max(np.max(mod), 1e-300)
         if not np.any(self.nonzero):
@@ -160,28 +350,7 @@ class ModelOperator:
         tol = ZERO_EIG_TOL * self.lambda_max
         self.half_line_fault = ("complex" if np.max(np.abs(lam.imag)) > tol
                                 else "negative" if np.min(lam.real) < -tol else None)
-        # the gates read "not (defect <= tol)", so a NaN defect fails them
-        if isinstance(self.form, SpectralSelfAdjoint):
-            # Q^H W Q as one product g^H g of g = W^(1/2) Q (a syrk for real
-            # Q), minus I in place; g is freed first to keep the peak low, and
-            # max |Q^H W Q - I| is read without allocating the moduli
-            q = self.form.eigenvectors
-            g = np.sqrt(self.measure.weights)[:, None] * q
-            gram = adjoint(g) @ g
-            del g
-            gram.flat[::gram.shape[0] + 1] -= 1.0
-            if np.iscomplexobj(gram):
-                gram = np.abs(gram)
-            defect = np.maximum(gram.max(), -gram.min())
-            if not (defect <= ORTHO_TOL):
-                raise OperatorError("eigenvectors are not orthonormal wrt the measure"
-                                    + nonfinite_note(q, "eigenvector entries"))
-        if isinstance(self.form, SimilarityDiagonal):
-            s, si = self.form.s, self.form.s_inv
-            if not (np.linalg.norm(s @ si - np.eye(s.shape[0])) <= SIMILARITY_TOL * s.shape[0]):
-                raise OperatorError("similarity inverse fails ||S S^-1 - I|| tolerance"
-                                    + nonfinite_note(s, "entries of S")
-                                    + nonfinite_note(si, "entries of S^-1"))
+        self.form.check(self.measure)
 
     # -- basic structure ---------------------------------------------------
 
@@ -190,32 +359,21 @@ class ModelOperator:
         return self.measure.size
 
     def eigenvalues_or_none(self):
-        """The eigenvalues as a complex array (both forms are diagonal)."""
+        """The eigenvalues as a complex array (every form is diagonal)."""
         return np.asarray(self.form.eigenvalues, dtype=complex)
 
     def matrix(self) -> np.ndarray:
         """Assemble the dense matrix of A."""
-        if isinstance(self.form, SpectralSelfAdjoint):
-            q, lam = self.form.eigenvectors, self.form.eigenvalues
-            w = self.measure.weights
-            return (q * lam[None, :]) @ (adjoint(q) * w[None, :])
-        return (self.form.s * self.form.eigenvalues[None, :]) @ self.form.s_inv
+        return self.form.matrix(self.measure)
 
     def coefficients(self, x) -> np.ndarray:
         """Expansion coefficients of x in the operator's eigenbasis; an n x m
         stack (one vector a column) gives K x m."""
-        x = np.asarray(x, dtype=complex)
-        if isinstance(self.form, SpectralSelfAdjoint):
-            w = self.measure.weights
-            return basis_matmul(adjoint(self.form.eigenvectors),
-                                (w if x.ndim == 1 else w[:, None]) * x)
-        return basis_matmul(self.form.s_inv, x)
+        return self.form.coefficients(np.asarray(x, dtype=complex), self.measure)
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Sum of coefficients times eigenvectors; a K x m stack gives n x m."""
-        basis = (self.form.eigenvectors if isinstance(self.form, SpectralSelfAdjoint)
-                 else self.form.s)
-        return basis_matmul(basis, coeffs)
+        return self.form.synthesize(coeffs)
 
     def apply(self, x) -> np.ndarray:
         return self.synthesize(self.eigenvalues_or_none() * self.coefficients(x))
@@ -247,19 +405,13 @@ class ModelOperator:
         2-norm of W^(1/2) S diag(values) S^-1 W^(-1/2).  A stack of shape
         (m, K), one multiplier per row, gives the m norms as an array.
         """
-        v = np.asarray(values)
-        if isinstance(self.form, SpectralSelfAdjoint):
-            return np.max(np.abs(v), axis=-1)
-        sqw = np.sqrt(self.measure.weights)
-        s, s_inv = sqw[:, None] * self.form.s, self.form.s_inv / sqw[None, :]
-        norms = [np.linalg.norm((s * row) @ s_inv, 2) for row in np.atleast_2d(v)]
-        return np.array(norms) if v.ndim > 1 else norms[0]
+        return self.form.multiplier_norm(np.asarray(values), self.measure)
 
     @property
     def orthonormal(self) -> bool:
         """Whether the eigenbasis is orthonormal in L^2(measure), so that
         Parseval's identity holds for every diagonal multiplier."""
-        return isinstance(self.form, SpectralSelfAdjoint)
+        return self.form.orthonormal
 
     def energies(self, values, x):
         """Squared L^2(measure) norm of each field sum_k values[k] <x, e_k> e_k.
@@ -284,10 +436,7 @@ class ModelOperator:
         same float.
         """
         if self._kappa is None:
-            self._kappa = 1.0
-            if isinstance(self.form, SimilarityDiagonal):
-                self._kappa = float(np.linalg.norm(self.form.s, 2)
-                                    * np.linalg.norm(self.form.s_inv, 2))
+            self._kappa = self.form.conditioning()
         return self._kappa
 
 
@@ -297,27 +446,40 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     """Tridiagonal (2,-1,-1)/h^2 with closed-form spectrum.
 
     Eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2 and sine eigenvectors,
-    orthonormal wrt the grid measure w_i = h.
+    orthonormal wrt the grid measure w_i = h.  Mode k is even under the
+    reflection for odd k and odd for even k, so from FOLD_MIN_N points on
+    the form is folded: only the top half of each mode is stored.
     """
     if n < 1 or h <= 0:
         raise OperatorError("need n >= 1 and h > 0")
     k = np.arange(1, n + 1)
     lam = (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / h**2
-    # sin(i k pi/(n+1)) depends on i k mod 2(n+1) only: Q is gathered from one
-    # table of 2(n+1) scaled sines by an exact integer reduction; the index
-    # array is freed before the operator checks its Gram matrix
+    # sin(i k pi/(n+1)) depends on i k mod 2(n+1) only: the basis is gathered
+    # from one table of 2(n+1) scaled sines by an exact integer reduction; the
+    # index arrays are freed before the operator checks its Gram matrices
     period = 2 * (n + 1)
     table = np.sin(np.arange(period) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
-    ik = np.outer(k, k)
-    ik %= period
-    q = table[ik]
-    del ik
-    m = MeasureSpace(weights=np.full(n, h), points=k * h)
-    return ModelOperator(
-        form=SpectralSelfAdjoint(lam, q),
-        measure=m,
-        spec={"kind": "dirichlet1d", "n": n, "h": h},
-    )
+    measure = MeasureSpace(weights=np.full(n, h), points=k * h)
+    spec = {"kind": "dirichlet1d", "n": n, "h": h}
+    if n < FOLD_MIN_N:
+        ik = np.outer(k, k)
+        ik %= period
+        q = table[ik]
+        del ik
+        return ModelOperator(SpectralSelfAdjoint(lam, q), measure, spec)
+    half = n - n // 2
+    kk = k.astype(np.int32 if n * n < 2**31 else np.int64)
+    i = kk[:half]
+    if n % 2 == 0:
+        # rows i <= n/2 of the odd-k and of the even-k modes, one 2 x n/2 x n/2 array
+        ik = np.multiply(kk.reshape(-1, 2).T[:, None, :], i[:, None], order="C")
+        ik %= period
+        blocks = table[ik]
+        del ik
+    else:
+        blocks = tuple(table[np.multiply.outer(i[:rows], kk[p::2]) % period]
+                       for p, rows in ((0, half), (1, n // 2)))
+    return ModelOperator(FoldedSelfAdjoint(lam, blocks), measure, spec)
 
 
 def build_graph_laplacian(sigma) -> ModelOperator:

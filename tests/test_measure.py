@@ -24,6 +24,16 @@ def test_lp_norm_normalized_measure_of_ones():
         assert lp_norm(np.ones(7), p, m) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_measure_rejects_non_finite_weights_and_names_them():
+    # inf > 0 holds, so the positivity check alone let [inf, 1] through and
+    # every L^p norm over it came out inf
+    with pytest.raises(MeasureError, match=r"weights must be finite: non-finite weights at 0$"):
+        MeasureSpace(weights=[np.inf, 1.0])
+    with pytest.raises(MeasureError, match=r"non-finite weights at 1, 3$"):
+        MeasureSpace(weights=[1.0, np.nan, 2.0, -np.inf])
+    assert MeasureSpace(weights=[1e300, 1e-300]).size == 2
+
+
 def test_lp_norm_matches_bruteforce_loop():
     rng = np.random.default_rng(0)
     w = rng.uniform(0.1, 2.0, 13)

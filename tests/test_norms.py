@@ -37,6 +37,12 @@ from plcalc.symbols import make_symbol, window_symbol
 SQRT_HALF = 2.0**-0.5
 
 
+def _mode(op, k):
+    """Eigenvector k of op, read through the operator: the synthesis of the
+    k-th unit coefficient vector."""
+    return op.synthesize(np.eye(op.eigenvalues_or_none().size)[k])
+
+
 @pytest.fixture(scope="module")
 def hom():
     return build_homogeneous_dyadic()
@@ -51,7 +57,7 @@ def hermite16():
 def test_pl_square_eigenvector_plateau(hom):
     # eigenvector at lambda = 1: window 0 equals 1 there, neighbours vanish
     op = build_dirichlet_laplacian_1d(2, 1.0)    # eigenvalues 1 and 3
-    x = op.form.eigenvectors[:, 0]
+    x = _mode(op, 0)
     val = pl_square_norm(op, hom, x, 2)
     assert val == pytest.approx(lp_norm(x, 2, op.measure), rel=1e-12)
 
@@ -69,7 +75,7 @@ def test_pl_square_overlap_bracket(seed, hom):
 
 def test_pl_random_single_block_has_zero_stderr(hom):
     op = build_dirichlet_laplacian_1d(2, 1.0)
-    x = op.form.eigenvectors[:, 0]
+    x = _mode(op, 0)
     res = pl_random_norm(op, hom, x, 2, RandomEnsemble(seed=1, count=64))
     assert res.stderr == pytest.approx(0.0, abs=1e-14)
     assert res.mean == pytest.approx(lp_norm(x, 2, op.measure), rel=1e-12)
@@ -119,7 +125,7 @@ def test_pl_inhomogeneous_eigenvector_block_weight(hom, hermite16):
         op = build_nonnormal_sectorial([4.0], 1.0, 0)
         x = np.array([1.0 + 0j])
     else:
-        op, x = hermite16, hermite16.form.eigenvectors[:, int(np.argmax(hit))]
+        op, x = hermite16, _mode(hermite16, int(np.argmax(hit)))
     val = pl_inhomogeneous_norm(op, inh, x, 2, theta=1.0)
     assert val == pytest.approx(4.0 * lp_norm(x, 2, op.measure), rel=1e-10)
 
@@ -162,7 +168,7 @@ def test_continuous_square_eigenvector_weighted():
     psi = make_symbol("psi_exp", a=1.0, b=1.0)
     lam = np.real(op.eigenvalues_or_none())
     k = 20
-    x = op.form.eigenvectors[:, k]
+    x = _mode(op, k)
     theta = 0.5
     got = continuous_square_norm(op, psi, theta, x, 2)
     # substitution: value = lambda^theta * (int |s^-theta psi(s)|^2 ds/s)^(1/2)
@@ -223,7 +229,7 @@ def test_besov_continuous_eigenvector_substitution(hom, hermite16):
     consts = []
     for target in (1.0, 3.0, 9.0):
         k = int(np.argmin(np.abs(lam - target)))
-        x = hermite16.form.eigenvectors[:, k]
+        x = _mode(hermite16, k)
         val = besov_continuous_norm(hermite16, x, theta, q, f0, 2,
                                     base.scaled(1.0 / lam[k]))
         consts.append(val / lam[k] ** theta)

@@ -7,6 +7,8 @@ import pytest
 
 from plcalc.measure import MeasureSpace, weighted_symmetric_eig
 from plcalc.operators import (
+    FOLD_MIN_N,
+    FoldedSelfAdjoint,
     GraphError,
     ModelOperator,
     OperatorError,
@@ -26,6 +28,21 @@ from plcalc.operators import (
     resolvent_apply_lu,
     uniform_grid,
 )
+
+
+def _basis(op):
+    """The eigenvectors of a real operator as the columns of an n x K array,
+    read through the operator: the synthesis of unit coefficient vectors."""
+    synth = op.synthesize(np.eye(op.eigenvalues_or_none().size))
+    assert not np.any(synth.imag)
+    return synth.real
+
+
+def _with_block_entry(op, block, index, value):
+    """op with one entry of one stored basis block replaced."""
+    blocks = [b.copy() for b in op.form.blocks]
+    blocks[block][index] = value
+    return dataclasses.replace(op, form=dataclasses.replace(op.form, blocks=tuple(blocks)))
 
 
 def test_dirichlet_n1_single_eigenvalue():
@@ -60,8 +77,9 @@ def test_dirichlet_basis_sines_are_exact_to_round_off():
     pi = 4 * np.arctan(np.longdouble(1))
     exact = np.sin(np.outer(k, k).astype(np.longdouble) * pi / (n + 1)) \
         * np.sqrt(np.longdouble(2) / (n + 1))
-    assert float(np.max(np.abs(op.form.eigenvectors - exact))) <= 1e-16
-    assert np.max(np.abs(op.form.eigenvectors.T @ op.form.eigenvectors - np.eye(n))) <= 5e-15
+    q = _basis(op)
+    assert float(np.max(np.abs(q - exact))) <= 1e-16
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 5e-15
 
 
 def test_graph_two_node():
@@ -124,7 +142,7 @@ def test_hermite_gram_after_orthonormalization():
     gram_raw = v.T @ (grid.weights[:, None] * v)
     assert np.max(np.abs(gram_raw - np.eye(8))) < 1e-6
     op = build_hermite_operator(1, 8, grid)
-    q = op.form.eigenvectors
+    q = _basis(op)
     gram = q.conj().T @ (grid.weights[:, None] * q)
     assert np.max(np.abs(gram - np.eye(8))) < 1e-6
 
@@ -196,7 +214,7 @@ def test_resolvent_scalar_and_diagonal():
     assert y[0] == pytest.approx(-0.5, abs=1e-14)
     op2 = build_dirichlet_laplacian_1d(2, 1.0)   # eigenvalues 1, 2... no: 1, 3
     lam = np.real(op2.eigenvalues_or_none())
-    x = op2.form.eigenvectors[:, 0]
+    x = _basis(op2)[:, 0]
     y = resolvent_apply(op2, 3j, x)
     assert np.allclose(y, x / (3j - lam[0]), atol=1e-12)
 
@@ -309,6 +327,7 @@ def test_basis_matmul_real_basis_equals_complex_product():
 
 _BUILDERS = {
     "dirichlet": lambda: build_dirichlet_laplacian_1d(16, 0.5),
+    "dirichlet_folded": lambda: build_dirichlet_laplacian_1d(FOLD_MIN_N + 1, 0.5),
     "graph": lambda: build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))),
     "hermite": lambda: build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
     "schrodinger": lambda: build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
@@ -328,6 +347,12 @@ def test_builders_store_real_bases_and_keep_their_checks(name):
         bad = SpectralSelfAdjoint(form.eigenvalues, q)
         with pytest.raises(OperatorError, match="orthonormal"):
             dataclasses.replace(op, form=bad)
+    elif isinstance(form, FoldedSelfAdjoint):
+        assert all(b.dtype == np.float64 for b in form.blocks)
+        assert form.eigenvalues.dtype == np.float64
+        for block in (0, 1):
+            with pytest.raises(OperatorError, match="orthonormal"):
+                _with_block_entry(op, block, (0, 0), form.blocks[block][0, 0] * (1.0 + 1e-6))
     else:
         assert form.s.dtype == np.float64 and form.s_inv.dtype == np.float64
         assert form.eigenvalues.dtype == complex
@@ -368,7 +393,7 @@ def test_hermite_qr_basis_matches_weighted_gram_schmidt():
         for j in range(i):
             q[:, i] -= (q[:, j] @ (w * q[:, i])) * q[:, j]
         q[:, i] /= np.sqrt(q[:, i] @ (w * q[:, i]))
-    assert np.max(np.abs(op.form.eigenvectors - q)) <= 1e-14
+    assert np.max(np.abs(_basis(op) - q)) <= 1e-14
 
 
 def test_kernel_mask_and_bounds_are_read_off_the_spectrum():
@@ -497,6 +522,14 @@ def test_non_finite_eigenvectors_are_rejected():
         q[2, 4] = bad
         with pytest.raises(OperatorError, match=r"non-finite eigenvector entries at \(2, 4\)$"):
             dataclasses.replace(op, form=SpectralSelfAdjoint(op.form.eigenvalues, q))
+    # a folded form names the block and the entry within it, for even and odd n
+    for n, block, index in ((6, 0, (2, 1)), (6, 1, (0, 2)), (7, 0, (3, 0)), (7, 1, (2, 2))):
+        folded = _folded_dirichlet(n, 1.0)
+        name = ("even", "odd")[block]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(OperatorError, match=rf"non-finite entries of the {name} block "
+                                                    rf"at \({index[0]}, {index[1]}\)$"):
+                _with_block_entry(folded, block, index, bad)
 
 
 def test_non_finite_similarity_is_rejected():
@@ -520,3 +553,114 @@ def test_half_line_fault_is_read_off_the_spectrum_once():
     assert fault([1.0, -2.0 + 1e-9j]) == "complex"
     assert fault([1.0, -2.0]) == "negative"
     assert build_dirichlet_laplacian_1d(4, 1.0).half_line_fault is None
+
+
+def test_non_finite_eigenvalues_are_named_not_read_as_an_empty_spectrum():
+    # a NaN or inf eigenvalue made the kernel threshold NaN or inf, so every
+    # eigenvalue counted as zero and the message blamed the spectrum's zeros
+    eye = np.eye(2)
+    for lam in ([1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(OperatorError, match=r"not finite: non-finite eigenvalues at 1$"):
+            ModelOperator(SimilarityDiagonal(eye, eye, np.array(lam, dtype=complex)),
+                          MeasureSpace.uniform(2))
+    op = _folded_dirichlet(6, 1.0)
+    lam = op.form.eigenvalues.copy()
+    lam[3] = np.nan
+    with pytest.raises(OperatorError, match=r"non-finite eigenvalues at 3$"):
+        dataclasses.replace(op, form=dataclasses.replace(op.form, eigenvalues=lam))
+
+
+# -- the folded (even/odd) form, against a dense construction -----------------
+
+def _dense_dirichlet(n, h):
+    """The unfolded Dirichlet eigenbasis: every sin(i k pi/(n+1)) from the same
+    table of 2(n+1) scaled sines, and the closed-form eigenvalues."""
+    k = np.arange(1, n + 1)
+    table = np.sin(np.arange(2 * (n + 1)) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
+    return (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / h**2, table[np.outer(k, k) % (2 * (n + 1))]
+
+
+def _folded_dirichlet(n, h):
+    """The Dirichlet operator at any n >= 2 in the folded form, its blocks cut
+    from the dense basis: the top rows of the odd-k (even) modes, middle row
+    included, and of the even-k (odd) modes."""
+    lam, q = _dense_dirichlet(n, h)
+    blocks = (q[:n - n // 2, 0::2].copy(), q[:n // 2, 1::2].copy())
+    return ModelOperator(FoldedSelfAdjoint(lam, blocks), MeasureSpace(np.full(n, h)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, FOLD_MIN_N - 1, FOLD_MIN_N, FOLD_MIN_N + 1, 512])
+def test_dirichlet_matches_the_dense_basis_folded_or_not(n):
+    h = 0.75
+    built = build_dirichlet_laplacian_1d(n, h)
+    assert isinstance(built.form, FoldedSelfAdjoint) == (n >= FOLD_MIN_N)
+    lam, q = _dense_dirichlet(n, h)
+    w = built.measure.weights
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    c = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for op in [built] + ([_folded_dirichlet(n, h)] if n >= 2 else []):
+        assert _rel(np.real(op.eigenvalues_or_none()), lam) <= 1e-14
+        assert _rel(op.coefficients(x), q.T @ (w[:, None] * x)) <= 1e-14
+        assert _rel(op.coefficients(x[:, 1]), q.T @ (w * x[:, 1])) <= 1e-14
+        assert _rel(op.synthesize(c), q @ c) <= 1e-14
+        assert _rel(op.synthesize(c[:, 2]), q @ c[:, 2]) <= 1e-14
+        assert _rel(op.matrix(), (q * lam) @ (q.T * w)) <= 1e-14
+        assert _rel(_basis(op), q) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, FOLD_MIN_N, FOLD_MIN_N + 1])
+def test_folded_block_grams_are_the_dense_gram_of_the_implied_basis(n):
+    # the Gram matrix of the implied basis is block-diagonal: even modes
+    # (0, 2, 4, ...) against odd modes (1, 3, ...) vanish, and each diagonal
+    # block is the Gram matrix of its stored block in the folded weights
+    op = _folded_dirichlet(n, 0.75) if n < FOLD_MIN_N else build_dirichlet_laplacian_1d(n, 0.75)
+    q, w = _basis(op), op.measure.weights
+    gram = q.T @ (w[:, None] * q)
+    even, odd = op.form.blocks
+    wf = 2.0 * w[:even.shape[0]]
+    wf[n // 2:] = w[n // 2:n - n // 2]         # the middle row of odd n
+    scale = np.max(np.abs(gram))
+    assert np.max(np.abs(gram[0::2, 0::2] - even.T @ (wf[:, None] * even))) <= 1e-14 * scale
+    assert np.max(np.abs(gram[1::2, 1::2] - odd.T @ (wf[:n // 2, None] * odd))) <= 1e-14 * scale
+    assert np.max(np.abs(gram[0::2, 1::2])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [16, 17, FOLD_MIN_N, FOLD_MIN_N + 1])
+def test_folded_gram_gate_fails_on_one_bad_entry_in_either_block(n):
+    op = _folded_dirichlet(n, 1.0) if n < FOLD_MIN_N else build_dirichlet_laplacian_1d(n, 1.0)
+    for block in (0, 1):
+        rows = op.form.blocks[block].shape[0]
+        for index in ((0, 0), (rows - 1, 2)):
+            entry = op.form.blocks[block][index]
+            for bad in (entry * (1.0 + 1e-6), entry + 1e-6, np.nan):
+                with pytest.raises(OperatorError, match="orthonormal"):
+                    _with_block_entry(op, block, index, bad)
+    # an untouched copy of the blocks passes
+    assert _with_block_entry(op, 0, (0, 0), op.form.blocks[0][0, 0]).n == n
+
+
+def test_folded_form_needs_a_mirror_symmetric_measure_and_matching_blocks():
+    op = _folded_dirichlet(6, 1.0)
+    w = op.measure.weights.copy()
+    w[0] *= 1.0 + 1e-15
+    with pytest.raises(OperatorError, match="mirror-symmetric"):
+        dataclasses.replace(op, measure=MeasureSpace(w))
+    with pytest.raises(OperatorError, match="square halves"):
+        dataclasses.replace(op, measure=MeasureSpace.uniform(7))
+
+
+def test_only_large_dirichlet_operators_are_folded():
+    sym = (np.arange(1, 17) - 8.5) ** 2 / 64.0
+    one_block = [
+        build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))),
+        build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
+        build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
+        build_schrodinger_1d(16, 1.0, sym),
+        build_dirichlet_laplacian_1d(FOLD_MIN_N - 1, 1.0),
+    ]
+    assert all(isinstance(op.form, SpectralSelfAdjoint) for op in one_block)
+    even, odd = build_dirichlet_laplacian_1d(FOLD_MIN_N + 1, 1.0).form.blocks
+    assert even.shape == (FOLD_MIN_N // 2 + 1,) * 2 and odd.shape == (FOLD_MIN_N // 2,) * 2
+    assert build_dirichlet_laplacian_1d(FOLD_MIN_N, 1.0).form._stack.shape == \
+        (2, FOLD_MIN_N // 2, FOLD_MIN_N // 2)
