@@ -21,7 +21,6 @@ from .calculus import (
     default_contour_spec,
     even_multiplier_direct,
     even_multiplier_via_projections,
-    log_operator,
 )
 from .experiments import (
     make_mcintosh_symbol,
@@ -326,14 +325,13 @@ def criterion_11_strip_bisectorial(seed: int = 21) -> CriterionResult:
     """Equidistant blocks of log(A) obey the sandwich; double-sector
     projections resolve the identity and agree with the direct route."""
     op = build_hermite_operator(1, 24, _hermite_grid(24))
-    strip = log_operator(op)
     equi = build_equidistant()
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, -np.inf
     for _ in range(25):
         x = op.random_vector(rng)
         x = x / lp_norm(x, 2, op.measure)
-        r = pl_square_norm(strip, equi, x, 2)
+        r = pl_square_norm(op, equi, x, 2)
         lo, hi = min(lo, r), max(hi, r)
     ok = lo >= SQRT_HALF - 1e-9 and hi <= 1.0 + 1e-9
     # double sector
@@ -403,7 +401,7 @@ def criterion_13_multiplier_bound(seed: int = 23) -> CriterionResult:
         "max ratios " + ", ".join(f"n={n}: {v:.4f}" for n, v in maxima.items()))
 
 
-def criterion_14_determinism(seed: int = 24, tmpdir: str | None = None) -> CriterionResult:
+def criterion_14_determinism(seed: int = 24) -> CriterionResult:
     """Same config, same seed: byte-identical experiment reports."""
     config = {
         "name": "determinism-probe",

@@ -1,5 +1,5 @@
-"""Functional calculus: spectral route, contour quadrature, strip and
-double-sector variants.
+"""Functional calculus: spectral route, contour quadrature, the group
+calculus of log A and double-sector variants.
 
 For diagonalizable forms f(A)x = sum_k f(lambda_k) <x, e_k> e_k is exact
 linear algebra.  The quadrature route discretizes the boundary-of-sector
@@ -23,6 +23,11 @@ On an operator that is not injective every calculus call acts on the
 injective part: the kernel coefficients are dropped, which is composing
 with I - P (P = ModelOperator.kernel_component, the projection onto the
 kernel), and symbols are only ever evaluated on the nonzero spectrum.
+
+For the strip-type variant, StripOperator holds the spectrum mu = log
+lambda of B = log A and applies f(B) = (f o log)(A) (the group A^{is} is
+one such f).  Block norms of B are not computed here: they are the
+equidistant windows applied to A, which norms evaluates at Re log lambda.
 """
 
 from __future__ import annotations
@@ -229,7 +234,8 @@ def derivative_check(op: ModelOperator, g: Symbol, t: float, x,
 
 @dataclass
 class StripOperator:
-    """B = log(A) for injective A: strip spectrum mu_k = log lambda_k."""
+    """B = log(A) for injective A: strip spectrum mu_k = log lambda_k, and
+    the group calculus f(B) = (f o log)(A) through A's eigenbasis."""
 
     base: ModelOperator
     mu: np.ndarray = field(init=False)
@@ -240,29 +246,8 @@ class StripOperator:
         self.mu = np.log(self.base.eigenvalues_or_none())
 
     @property
-    def measure(self):
-        return self.base.measure
-
-    @property
     def strip_halfwidth(self) -> float:
         return float(np.max(np.abs(np.imag(self.mu)))) if self.mu.size else 0.0
-
-    def strip_bounds(self) -> tuple:
-        re = np.real(self.mu)
-        return (float(np.min(re)), float(np.max(re)))
-
-    def coefficients(self, x):
-        return self.base.coefficients(x)
-
-    def synthesize(self, coeffs):
-        return self.base.synthesize(coeffs)
-
-    @property
-    def orthonormal(self) -> bool:
-        return self.base.orthonormal
-
-    def energies(self, values, x):
-        return self.base.energies(values, x)
 
     def apply_function(self, fvals_at_mu, x) -> np.ndarray:
         """f(B)x from the values f(mu_k); a stack of rows gives a row stack."""

@@ -2,10 +2,13 @@
 
 Subcommands:
 
-  plcalc op build        --config op.json [--out out.json]
-  plcalc norm eval       --config norm.json [--out out.json] [--seed N]
-  plcalc experiment run  --config exp.json --out report.json [--seed N]
-  plcalc suite acceptance [--out report.json]
+  plcalc op build        --config op.json [--out out.json] [--quiet]
+  plcalc norm eval       --config norm.json [--out out.json] [--seed N] [--quiet]
+  plcalc experiment run  --config exp.json --out report.json [--seed N] [--quiet]
+  plcalc suite acceptance [--out report.json] [--quiet]
+
+A subcommand takes only the options it reads; any other, or a missing
+--config, is a usage error (exit 2).
 
 Exit codes: 0 ok, 2 malformed config, 3 operator invariant violation,
 4 norm evaluation error or non-finite result, 5 assert-bracket failure
@@ -237,46 +240,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="dyadic spectral decompositions and norm-equivalence experiments")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=False)
+    def command(group, action, help_text, fn, options):
+        """One subcommand with --out, --quiet and the options it reads."""
+        p = group.add_parser(action, help=help_text)
+        if "config" in options:
+            p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
+        p.set_defaults(fn=fn)
 
     op = sub.add_parser("op", help="operator tools").add_subparsers(
         dest="action", required=True)
-    p = op.add_parser("build", help="build an operator and print its summary")
-    common(p)
-    p.set_defaults(fn=cmd_op_build)
+    command(op, "build", "build an operator and print its summary", cmd_op_build, ("config",))
 
     norm = sub.add_parser("norm", help="norm tools").add_subparsers(
         dest="action", required=True)
-    p = norm.add_parser("eval", help="evaluate one norm of one vector")
-    common(p)
-    p.set_defaults(fn=cmd_norm_eval)
+    command(norm, "eval", "evaluate one norm of one vector", cmd_norm_eval, ("config", "seed"))
 
     exp = sub.add_parser("experiment", help="experiment tools").add_subparsers(
         dest="action", required=True)
-    p = exp.add_parser("run", help="run an equivalence experiment")
-    common(p)
-    p.set_defaults(fn=cmd_experiment_run)
+    command(exp, "run", "run an equivalence experiment", cmd_experiment_run, ("config", "seed"))
 
     suite = sub.add_parser("suite", help="batteries").add_subparsers(
         dest="action", required=True)
-    p = suite.add_parser("acceptance", help="run the acceptance battery")
-    common(p)
-    p.set_defaults(fn=cmd_suite_acceptance)
+    command(suite, "acceptance", "run the acceptance battery", cmd_suite_acceptance, ())
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "fn", None) in (cmd_op_build, cmd_norm_eval, cmd_experiment_run):
-        if not args.config:
-            print("plcalc: --config is required", file=sys.stderr)
-            return EXIT_BAD_CONFIG
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_BAD_CONFIG

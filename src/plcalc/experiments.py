@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import log_operator, spectral_multiplier
+from .calculus import spectral_multiplier
 from .measure import lp_norm
 from .norms import (
     NormsError,
@@ -26,6 +26,7 @@ from .norms import (
     _dilation_table,
     _parseval,
     _spectral_argument,
+    _window_grid,
     besov_continuous_evaluator,
     besov_discrete_evaluator,
     block_stack,
@@ -95,23 +96,6 @@ _PARTITION_CONSTANTS = {
 }
 
 
-def _once(build):
-    """x -> build()(x), with build() run once, at the first evaluation.
-
-    The x-independent half of a norm (its multiplier stack) is built once
-    per experiment, and a stack that cannot be built fails at sample 0.
-    """
-    evaluate = None
-
-    def call(x):
-        nonlocal evaluate
-        if evaluate is None:
-            evaluate = build()
-        return evaluate(x)
-
-    return call
-
-
 def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
     """x -> ||Px||_p + PL(x), P the kernel projection (op.kernel_component).
 
@@ -137,9 +121,9 @@ def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
 def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     """Closure computing one named norm of a vector; echoes resolved params.
 
-    The closure builds the norm's multiplier stack at its first call and
-    reuses it for every later vector.  Raises SpecKeyError for a key the
-    kind does not read.
+    The norm's multiplier stack is built here, once, and the closure reuses
+    it for every vector.  Raises SpecKeyError for a key the kind does not
+    read, and the norm's own error for a stack that cannot be built.
     """
     spec = dict(spec)
     kind = spec.pop("kind")
@@ -151,20 +135,20 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         echo = {"kind": kind, "pnorm": pnorm}
     elif kind == "pl_square":
         theta = float(spec.pop("theta", 0.0))
-        evaluate = _once(lambda: pl_square_evaluator(op, hom, pnorm, theta))
+        evaluate = pl_square_evaluator(op, hom, pnorm, theta)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "pl_random":
         theta = float(spec.pop("theta", 0.0))
         ens = RandomEnsemble(seed=int(spec.pop("ensemble_seed", seed + 104729)),
                              count=int(spec.pop("count", 256)),
                              kind=spec.pop("sign_kind", "rademacher"))
-        random_norm = _once(lambda: pl_random_evaluator(op, hom, pnorm, ens, theta))
+        random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
         evaluate = lambda x: random_norm(x).mean
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
     elif kind == "pl_inhomogeneous":
         theta = float(spec.pop("theta", 0.0))
         inh = to_inhomogeneous(hom)
-        evaluate = _once(lambda: pl_inhomogeneous_evaluator(op, inh, pnorm, theta))
+        evaluate = pl_inhomogeneous_evaluator(op, inh, pnorm, theta)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "fractional_power":
         theta = float(spec.pop("theta", 1.0))
@@ -174,24 +158,24 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     elif kind == "kernel_plus_pl":
         if op.injective:
             raise ExperimentError("operator has no kernel projection")
-        evaluate = _once(lambda: _kernel_plus_pl(op, hom, pnorm))
+        evaluate = _kernel_plus_pl(op, hom, pnorm)
         echo = {"kind": kind, "pnorm": pnorm}
     elif kind == "continuous_square":
         theta = float(spec.pop("theta", 0.0))
         psi = symbol_from_spec(spec.pop("psi", {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
-        evaluate = _once(lambda: continuous_square_evaluator(op, psi, theta, pnorm))
+        evaluate = continuous_square_evaluator(op, psi, theta, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
     elif kind == "besov_discrete":
         theta = float(spec.pop("theta", 0.0))
         q = spec.pop("q", 2)
-        evaluate = _once(lambda: besov_discrete_evaluator(op, hom, theta, q, pnorm))
+        evaluate = besov_discrete_evaluator(op, hom, theta, q, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
     elif kind == "besov_continuous":
         theta = float(spec.pop("theta", 0.0))
         q = spec.pop("q", 2)
         fspec = spec.pop("f", None)
         f = symbol_from_spec(fspec) if fspec else window_symbol(hom, 0)
-        evaluate = _once(lambda: besov_continuous_evaluator(op, theta, q, f, pnorm))
+        evaluate = besov_continuous_evaluator(op, theta, q, f, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
     elif kind == "real_interpolation":
         if pnorm != 2:
@@ -204,9 +188,8 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         echo = {"kind": kind, "pnorm": pnorm, "vartheta": vartheta, "q": q,
                 "theta0": theta0, "theta1": theta1}
     elif kind == "strip_pl_square":
-        strip = log_operator(op)
-        equi = build_equidistant()
-        evaluate = _once(lambda: pl_square_evaluator(strip, equi, pnorm))
+        # the square function of the equidistant blocks of B = log A
+        evaluate = pl_square_evaluator(op, build_equidistant(), pnorm)
         echo = {"kind": kind, "pnorm": pnorm}
     else:
         raise ExperimentError(f"unknown norm kind {kind!r}")
@@ -223,8 +206,9 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     """Ratio statistics of two norms over seeded unit random vectors.
 
     Raises SpecKeyError for a key nothing reads, and ExperimentError for a
-    norm that the operator does not admit, a norm that fails, or a norm or
-    ratio that is not finite.
+    norm whose stack cannot be built for the operator ("norm not admitted"),
+    a norm that fails on a sample, or a norm or ratio that is not finite
+    (both name the sample).
     """
     check_spec_keys(config, _CONFIG_KEYS, "experiment config")
     op = operator_from_spec(config["operator"])
@@ -234,7 +218,9 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     try:
         eval_a, echo_a = _norm_evaluator(op, config["norm_a"], seed)
         eval_b, echo_b = _norm_evaluator(op, config["norm_b"], seed)
-    except NormsError as exc:
+    except (KeyError, TypeError):
+        raise
+    except Exception as exc:
         raise ExperimentError(f"norm not admitted: {exc}") from exc
     bracket = config.get("assert_bracket")
 
@@ -321,18 +307,21 @@ def convergence_check(op: ModelOperator, partition, x, n_max: int,
                       permute_seed: int | None = None) -> dict:
     """Defect ||x - sum_{|n|<=N} window_n(A) x|| / ||x|| per N.
 
-    Once N covers the spectral range the defect must reach round-off.
+    The windows are evaluated where the partition's kind places them on the
+    spectrum, as in every block norm (norms._window_grid): the even windows
+    at |lambda|, so a double-sector operator is admitted.  Once N covers the
+    spectral range the defect must reach round-off.
     As an unconditionality probe, the fully-covered partial sum is also
     accumulated in a random order; the defect must not change beyond
     round-off (finite sums are order-independent).
     """
     x = np.asarray(x, dtype=complex)
     x = x - op.kernel_component(x)
-    lam = _spectral_argument(op)
+    points = _window_grid(op, partition)[0]
     nx = np.linalg.norm(x)
     ns = range(-n_max, n_max + 1)
     # row n_max + n holds window_n(A) x
-    blocks = spectral_multiplier(op, np.array([partition.window(n, lam) for n in ns]), x)
+    blocks = spectral_multiplier(op, np.array([partition.window(n, points) for n in ns]), x)
     curve = []
     for n_cap in range(n_max + 1):
         acc = blocks[n_max - n_cap:n_max + n_cap + 1].sum(axis=0)
@@ -473,8 +462,9 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
                            seed: int, n_h: int = 73, n_x: int = 384) -> dict:
     """max over sampled f of ||f(A)||_{2->2} / ||f||_multiplier at p = 2.
 
-    Samples put seeded random coefficients (|c_n| <= 1) on the dyadic
-    blocks covering the spectrum; the operator norm ||f(A)||_2 is exact
+    Samples put seeded random coefficients (|c_n| <= 1) on the homogeneous
+    blocks active on the spectrum, placed by the rule of every block norm
+    (norms._window_grid); the operator norm ||f(A)||_2 is exact
     (op.multiplier_norm), the spectral sup max |f(lambda_k)| only for an
     orthonormal eigenbasis.  The max ratio should be stable across
     operator sizes for the bound to be meaningful.
@@ -488,9 +478,8 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
     ``max_refine_rel`` is the largest.
     """
     hom = build_homogeneous_dyadic()
-    lam = _spectral_argument(op)
-    n_lo, n_hi = hom.active_range(op.lambda_min_positive, op.lambda_max)
-    width = n_hi - n_lo + 1
+    lam, indices = _window_grid(op, hom)
+    n_lo, width = indices.start, len(indices)
     rng = np.random.default_rng(seed)
     window = (np.log(op.lambda_min_positive) - 3.0, np.log(op.lambda_max) + 3.0)
     coeffs = np.empty((trials, width), dtype=complex)

@@ -11,6 +11,20 @@ quadrature tail certificate; the closure it returns reduces the
 coefficients of one x.  An experiment builds the stack once and evaluates
 every sample with it; the public norm functions build it per call.
 
+Where a partition's windows sit on the spectrum, and which of their
+indices are active, is one rule (_window_grid), read off the partition
+kind and never off the operator's type:
+
+  homogeneous, inhomogeneous   at the real eigenvalues (a complex or
+                               negative spectrum is refused), active over
+                               the moduli bounds [lambda_min, lambda_max];
+  even                         at |lambda|, over the same bounds: the
+                               double-sector (bisectorial) variant;
+  equidistant                  at Re log lambda, over its min and max: the
+                               strip variant, the blocks of B = log A (an
+                               operator with a kernel has no logarithm and
+                               is refused).
+
 A reduction reads the fields in one of two ways:
 
   p = 2, orthonormal eigenbasis   by Parseval, ||f_j(A)x||_2^2 =
@@ -54,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import StripOperator, spectral_multiplier
+from .calculus import spectral_multiplier
 from .measure import lp_norm
 from .operators import ModelOperator
 from .partitions import EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity
@@ -96,7 +110,6 @@ class QuadratureSpec:
     t_lo: float
     t_hi: float
     nodes_per_decade: int = 64
-    rule: str = "log-trapezoid"
 
     def __post_init__(self):
         if not (0 < self.t_lo < self.t_hi):
@@ -122,12 +135,7 @@ class QuadratureSpec:
                               nodes_per_decade=nodes_per_decade)
 
     def scaled(self, factor: float) -> "QuadratureSpec":
-        return QuadratureSpec(self.t_lo * factor, self.t_hi * factor,
-                              self.nodes_per_decade, self.rule)
-
-    def to_json(self) -> dict:
-        return {"t_lo": self.t_lo, "t_hi": self.t_hi,
-                "nodes_per_decade": self.nodes_per_decade, "rule": self.rule}
+        return QuadratureSpec(self.t_lo * factor, self.t_hi * factor, self.nodes_per_decade)
 
 
 # -- spectral blocks -----------------------------------------------------------
@@ -139,18 +147,15 @@ _HALF_LINE_FAULTS = {
 }
 
 
-def _spectral_argument(op) -> np.ndarray:
+def _spectral_argument(op: ModelOperator) -> np.ndarray:
     """The real eigenvalues, where half-line symbols are evaluated.
 
-    The admission rule of every path that reads a real spectrum: windows,
-    square-function and Besov symbols and the K-functional live on the
-    half-line, so a complex or a negative spectrum raises NormsError (the
-    even, double-sector windows take the moduli instead).  The operator
-    classifies its spectrum once, when it is built (half_line_fault).  A
-    strip operator gives the real parts of its strip spectrum.
+    The admission rule of every path that reads a real spectrum: dyadic
+    windows, square-function and Besov symbols and the K-functional live
+    on the half-line, so a complex or a negative spectrum raises NormsError.
+    The operator classifies its spectrum once, when it is built
+    (half_line_fault).
     """
-    if isinstance(op, StripOperator):
-        return np.real(op.mu)
     if op.half_line_fault is not None:
         raise NormsError(_HALF_LINE_FAULTS[op.half_line_fault])
     return np.real(op.eigenvalues_or_none())
@@ -165,38 +170,41 @@ def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
     return table
 
 
-def block_indices(op, p: PartitionOfUnity):
-    """Active window indices for the operator's spectral range."""
-    if isinstance(op, StripOperator):
-        if p.kind != EQUIDISTANT:
-            raise NormsError("strip operators use the equidistant partition")
-        lo, hi = op.strip_bounds()
-        return list(p.indices(lo, hi))
+def _window_grid(op: ModelOperator, p: PartitionOfUnity):
+    """(points, indices): the point of every eigenvalue at which the windows
+    of p are evaluated, and the range of window indices active there (the
+    rule in the module docstring).
+
+    Dyadic windows vanish at 0, so kernel content never enters a block;
+    equidistant windows read the logarithm, so an operator with a kernel
+    is refused.
+    """
     if p.kind == EQUIDISTANT:
-        raise NormsError("equidistant partition applies to strip operators")
-    if p.kind == EVEN_BISECTORIAL:
-        mod = np.abs(op.eigenvalues_or_none())
-        return list(p.indices(float(np.min(mod)), float(np.max(mod))))
-    _spectral_argument(op)      # rejects a complex or negative spectrum
-    return list(p.indices(op.lambda_min_positive, op.lambda_max))
+        if not op.injective:
+            raise NormsError("equidistant windows sit on Re log A, which needs an "
+                             "injective operator")
+        points = np.real(np.log(op.eigenvalues_or_none()))
+        return points, p.indices(float(np.min(points)), float(np.max(points)))
+    points = (np.abs(op.eigenvalues_or_none()) if p.kind == EVEN_BISECTORIAL
+              else _spectral_argument(op))
+    return points, p.indices(op.lambda_min_positive, op.lambda_max)
 
 
-def block_stack(op, p: PartitionOfUnity, theta: float = 0.0):
+def block_indices(op: ModelOperator, p: PartitionOfUnity):
+    """Active window indices for the operator's spectral range."""
+    return list(_window_grid(op, p)[1])
+
+
+def block_stack(op: ModelOperator, p: PartitionOfUnity, theta: float = 0.0):
     """(indices, windows): the active window indices n and, in row i, the
     multiplier 2^(n theta) window_n on the spectrum, n = indices[i].
 
-    The half of every block norm that does not depend on x.  Windows
-    vanish at 0, so kernel content never enters any block; the machinery
-    automatically acts on the injective part.
+    The half of every block norm that does not depend on x.
     """
     if theta != 0.0 and p.kind == EQUIDISTANT:
         raise NormsError("weighted blocks are defined for dyadic partitions")
-    indices = block_indices(op, p)
-    # a strip operator only admits the equidistant partition, so the even
-    # kind always sits on a model operator
-    arg = (np.abs(op.eigenvalues_or_none()) if p.kind == EVEN_BISECTORIAL
-           else _spectral_argument(op))
-    windows = np.array([p.window(n, arg) for n in indices])
+    points, indices = _window_grid(op, p)
+    windows = np.array([p.window(n, points) for n in indices])
     indices = np.array(indices)
     if theta != 0.0:
         windows *= _block_weights(indices, theta)[:, None]
@@ -306,26 +314,18 @@ def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
     return pl_random_evaluator(op, p, pnorm, ens, theta)(x)
 
 
-def pl_inhomogeneous_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0,
-                               variant: str = "square", ens: RandomEnsemble | None = None):
-    """x -> pl_inhomogeneous_norm(op, p, x, ...), the window stack built once."""
+def pl_inhomogeneous_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0):
+    """x -> pl_inhomogeneous_norm(op, p, x, pnorm, theta), the window stack built once."""
     if p.kind != INHOMOGENEOUS:
         raise NormsError("pass the inhomogeneous partition")
     if theta < 0:
         raise NormsError("inhomogeneous weights need theta >= 0")
-    if variant == "square":
-        return pl_square_evaluator(op, p, pnorm, theta)
-    if variant == "random":
-        if ens is None:
-            raise NormsError("random variant needs an ensemble")
-        return pl_random_evaluator(op, p, pnorm, ens, theta)
-    raise NormsError(f"unknown variant {variant!r}")
+    return pl_square_evaluator(op, p, pnorm, theta)
 
 
-def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0,
-                          variant: str = "square", ens: RandomEnsemble | None = None):
+def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
     """Inhomogeneous variant: blocks phi_n, n >= 0, weights 2^(n theta) >= 1."""
-    return pl_inhomogeneous_evaluator(op, p, pnorm, theta, variant, ens)(x)
+    return pl_inhomogeneous_evaluator(op, p, pnorm, theta)(x)
 
 
 # -- continuous square function -------------------------------------------------

@@ -14,8 +14,8 @@ the half-line [0, inf).  Three diagonal forms:
                         span inside the ambient grid space (Hermite).
   FoldedSelfAdjoint     the same for a basis whose vectors are even or odd
                         under the reflection R: i -> n-1-i, held as two
-                        half-size blocks (the Dirichlet Laplacian from
-                        FOLD_MIN_N points on).
+                        half-size blocks (the Dirichlet Laplacian at an
+                        even number of points from FOLD_MIN_N on).
   SimilarityDiagonal    A = S diag(lambda) S^{-1} with controlled cond(S);
                         complex spectrum, used for non-normal and
                         double-sector examples.
@@ -26,20 +26,18 @@ methods ``check`` (the basis gate, run once by the operator),
 ``conditioning``; the operator forwards to them and branches on no form
 type.
 
-The folded form.  With T the top n//2 points, B the bottom n//2 and R
-reversing them, an even vector is (v, R v) (with a middle entry v_mid
-between for odd n) and an odd one (v, -R v) (middle entry 0).  The fold
-x -> (x_T + R x_B, x_T - R x_B), the middle entry going to the even half,
-maps the coefficient transform and the synthesis to one half-size product
-per block, and for even n the two blocks are one 2 x n/2 x n/2 array, so
-each transform is one batched product.  On a mirror-symmetric measure the
-inner product of an even u and an odd v is sum_T w u_T v_T - sum_T w u_T
-v_T = 0 exactly, and that of two even ones is sum_T 2 w u_T v_T + w_mid
-u_mid v_mid.  So the Gram matrix of the implied n x n basis is
-block-diagonal, each block being the Gram matrix of a stored block in the
-folded weights (2 w, and w on the middle row): checking the two blocks at
-ORTHO_TOL is the full check on the same basis, at 2 (n/2)^3 flops instead
-of n^3.
+The folded form, for an even number n of points.  With T the top n/2
+points, B the bottom n/2 and R reversing them, an even vector is (v, R v)
+and an odd one (v, -R v).  The fold x -> (x_T + R x_B, x_T - R x_B) maps
+the coefficient transform and the synthesis to one half-size product per
+block, and the two blocks are one 2 x n/2 x n/2 array, so each transform
+is one batched product.  On a mirror-symmetric measure the inner product
+of an even u and an odd v is sum_T w u_T v_T - sum_T w u_T v_T = 0
+exactly, and that of two even ones is sum_T 2 w u_T v_T.  So the Gram
+matrix of the implied n x n basis is block-diagonal, each block being the
+Gram matrix of a stored block in the folded weights 2 w: checking the two
+blocks at ORTHO_TOL is the full check on the same basis, at 2 (n/2)^3
+flops instead of n^3.
 
 The diagonal form is private to this module.  Every other layer asks the
 operator through coefficients and synthesize, the eigenvalues and six
@@ -61,8 +59,8 @@ forms still accept, takes the plain complex product.
 
 Builders: 1d Dirichlet Laplacian (closed-form spectrum), weighted graph
 Laplacian I - P (self-adjoint wrt the vertex measure mu(x) = sum_y
-sigma(x,y), kernel = constants), Hermite expansion (eigenvalues d + 2n on
-discretized Hermite functions), Schroedinger -Delta + V, and a synthetic
+sigma(x,y), kernel = constants), 1-D Hermite expansion (eigenvalues 1 + 2n
+on discretized Hermite functions), Schroedinger -Delta + V, and a synthetic
 non-normal operator with prescribed spectrum and conditioning.
 
 For an operator that is not injective, X = N(A) + cl R(A), and the
@@ -84,11 +82,11 @@ ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
 RESOLVENT_MARGIN = 1e-12   # reject lambda within this times lambda_max of spectrum
 ZERO_EIG_TOL = 1e-12       # relative threshold deciding kernel membership
-# Dirichlet size from which the basis is folded.  The fold adds a few
-# vector operations to every transform.  At 256 points they cost a
-# one-vector transform about 15% of its unfolded time while the build
-# takes half as long; at 32 points they double that transform's time
-# (one BLAS thread).
+# Dirichlet size from which the basis is folded (even sizes only; an odd
+# size keeps one block).  The fold adds a few vector operations to every
+# transform.  At 256 points they cost a one-vector transform about 15% of
+# its unfolded time while the build takes half as long; at 32 points they
+# double that transform's time (one BLAS thread).
 FOLD_MIN_N = 256
 
 
@@ -190,38 +188,33 @@ class SpectralSelfAdjoint(_OrthonormalBasis):
 
 @dataclass
 class FoldedSelfAdjoint(_OrthonormalBasis):
-    """A self-adjoint form whose eigenvectors are even or odd under the
-    reflection R: i -> n-1-i, stored as two half-size blocks (the fold and
-    its Gram check are described in the module docstring).
+    """A self-adjoint form on an even number n of points whose eigenvectors
+    are even or odd under the reflection R: i -> n-1-i, stored as the top
+    halves of the modes (the fold and its Gram check are described in the
+    module docstring).
 
-    Eigenvalue 2r belongs to column r of the even block, eigenvalue 2r+1 to
-    column r of the odd block.  The even block holds v and v_mid of each
-    (v, v_mid, R v), the middle row last, and is n - n//2 square; the odd
-    block holds v of each (v, 0, -R v) and is n//2 square.  The blocks are
-    real; given as one 2 x n/2 x n/2 array (even n), each transform is one
-    batched product.  The measure must be mirror-symmetric.
+    ``blocks`` is one real 2 x n/2 x n/2 array: block 0 holds v of each even
+    mode (v, R v), block 1 v of each odd mode (v, -R v).  Eigenvalue 2r
+    belongs to column r of block 0, eigenvalue 2r+1 to column r of block 1.
+    The measure must be mirror-symmetric.
     """
 
     eigenvalues: np.ndarray        # real, >= 0, length n, even and odd modes interleaved
-    blocks: tuple                  # (even, odd), or one 2 x n/2 x n/2 array for even n
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self._stack = self.blocks if isinstance(self.blocks, np.ndarray) else None
-        self.blocks = tuple(self.blocks)
+    blocks: np.ndarray             # 2 x n/2 x n/2: (even, odd)
 
     def check(self, measure: MeasureSpace) -> None:
-        even, odd = self.blocks
         w = measure.weights
-        n, m = w.size, w.size // 2
-        if even.shape != (n - m, n - m) or odd.shape != (m, m):
-            raise OperatorError("folded blocks must be square halves of the measure's points")
+        m = w.size // 2
+        if (w.size % 2 or not isinstance(self.blocks, np.ndarray)
+                or self.blocks.shape != (2, m, m)):
+            raise OperatorError("folded blocks must be one 2 x n/2 x n/2 array, "
+                                "for an even number n of points")
         if not np.array_equal(w, w[::-1]):
             raise OperatorError("a folded form needs a mirror-symmetric measure")
-        wf = 2.0 * w[:n - m]
-        wf[m:] = w[m:n - m]
+        even, odd = self.blocks
+        wf = 2.0 * w[:m]
         # a NaN defect of either block fails the gate
-        if not (_gram_defect(even, wf) <= ORTHO_TOL and _gram_defect(odd, wf[:m]) <= ORTHO_TOL):
+        if not (_gram_defect(even, wf) <= ORTHO_TOL and _gram_defect(odd, wf) <= ORTHO_TOL):
             raise OperatorError("eigenvectors are not orthonormal wrt the measure"
                                 + nonfinite_note(even, "entries of the even block")
                                 + nonfinite_note(odd, "entries of the odd block"))
@@ -237,35 +230,24 @@ class FoldedSelfAdjoint(_OrthonormalBasis):
 
     def coefficients(self, x: np.ndarray, measure: MeasureSpace) -> np.ndarray:
         w = measure.weights
-        n, m = x.shape[0], x.shape[0] // 2
+        m = x.shape[0] // 2
         wx = (w if x.ndim == 1 else w[:, None]) * x
         top, bottom = wx[:m], wx[::-1][:m]
-        f = np.concatenate((top + bottom, wx[m:n - m], top - bottom)).view(float)
-        f = f.reshape(n, -1)
-        if self._stack is not None:
-            c = np.matmul(self._stack.transpose(0, 2, 1), f.reshape(2, m, -1))
-            c = c.transpose(1, 0, 2).reshape(n, -1)
-        else:
-            even, odd = self.blocks
-            c = np.empty_like(f)
-            np.matmul(even.T, f[:n - m], out=c[0::2])
-            np.matmul(odd.T, f[n - m:], out=c[1::2])
-        c = c.view(complex)
+        f = np.concatenate((top + bottom, top - bottom)).view(float).reshape(2, m, -1)
+        c = np.matmul(self.blocks.transpose(0, 2, 1), f)
+        c = c.transpose(1, 0, 2).reshape(2 * m, -1).view(complex)
         return c[:, 0] if x.ndim == 1 else c
 
     def synthesize(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=complex)
         z = np.ascontiguousarray(coeffs).view(float).reshape(coeffs.shape[0], -1)
         n, m = z.shape[0], z.shape[0] // 2
-        if self._stack is not None:
-            y = np.matmul(self._stack, z.reshape(m, 2, -1).transpose(1, 0, 2)).reshape(n, -1)
-        else:
-            y = np.concatenate((self.blocks[0] @ z[0::2], self.blocks[1] @ z[1::2]))
+        y = np.matmul(self.blocks, z.reshape(m, 2, -1).transpose(1, 0, 2)).reshape(n, -1)
         y = y.view(complex)
         if coeffs.ndim == 1:
             y = y[:, 0]
-        even, odd = y[:m], y[n - m:]
-        return np.concatenate((even + odd, y[m:n - m], (even - odd)[::-1]))
+        even, odd = y[:m], y[m:]
+        return np.concatenate((even + odd, (even - odd)[::-1]))
 
 
 @dataclass
@@ -447,8 +429,9 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
 
     Eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2 and sine eigenvectors,
     orthonormal wrt the grid measure w_i = h.  Mode k is even under the
-    reflection for odd k and odd for even k, so from FOLD_MIN_N points on
-    the form is folded: only the top half of each mode is stored.
+    reflection for odd k and odd for even k, so at an even n from
+    FOLD_MIN_N on the form is folded: only the top half of each mode is
+    stored.
     """
     if n < 1 or h <= 0:
         raise OperatorError("need n >= 1 and h > 0")
@@ -461,24 +444,18 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     table = np.sin(np.arange(period) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
     measure = MeasureSpace(weights=np.full(n, h), points=k * h)
     spec = {"kind": "dirichlet1d", "n": n, "h": h}
-    if n < FOLD_MIN_N:
+    if n < FOLD_MIN_N or n % 2:
         ik = np.outer(k, k)
         ik %= period
         q = table[ik]
         del ik
         return ModelOperator(SpectralSelfAdjoint(lam, q), measure, spec)
-    half = n - n // 2
+    # rows i <= n/2 of the odd-k and of the even-k modes, one 2 x n/2 x n/2 array
     kk = k.astype(np.int32 if n * n < 2**31 else np.int64)
-    i = kk[:half]
-    if n % 2 == 0:
-        # rows i <= n/2 of the odd-k and of the even-k modes, one 2 x n/2 x n/2 array
-        ik = np.multiply(kk.reshape(-1, 2).T[:, None, :], i[:, None], order="C")
-        ik %= period
-        blocks = table[ik]
-        del ik
-    else:
-        blocks = tuple(table[np.multiply.outer(i[:rows], kk[p::2]) % period]
-                       for p, rows in ((0, half), (1, n // 2)))
+    ik = np.multiply(kk.reshape(-1, 2).T[:, None, :], kk[:n // 2, None], order="C")
+    ik %= period
+    blocks = table[ik]
+    del ik
     return ModelOperator(FoldedSelfAdjoint(lam, blocks), measure, spec)
 
 
@@ -540,7 +517,12 @@ def hermite_functions(num: int, x: np.ndarray) -> np.ndarray:
 
 def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
                            gram_tol: float = 1e-6) -> ModelOperator:
-    """Eigenvalues d, d+2, ..., d+2(K-1) on discretized Hermite functions.
+    """The 1-D Hermite operator -d^2/dx^2 + x^2: eigenvalues 1, 3, ..., 2K-1
+    on discretized Hermite functions.
+
+    d is the dimension, and only d = 1 is built: the d-dimensional operator
+    has eigenvalue d + 2k with multiplicity binomial(k + d - 1, d - 1), not
+    the 1-D spectrum shifted by d - 1, so any other d raises OperatorError.
 
     The grid must be wide and fine enough that the discretized Hermite
     functions are orthonormal wrt the grid weights to ``gram_tol``; they
@@ -549,8 +531,10 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
     column signs fixed so diag(R) > 0, which is the factorization Gram-
     Schmidt computes, and Q = W^(-1/2) (W^(1/2) V R^-1) is real.
     """
-    if d < 1 or num_modes < 1:
-        raise OperatorError("need d >= 1 and num_modes >= 1")
+    if d != 1:
+        raise OperatorError(f"hermite dimension d = {d} is not built: only d = 1")
+    if num_modes < 1:
+        raise OperatorError("need num_modes >= 1")
     v = hermite_functions(num_modes, grid.points).T    # n x K
     w = grid.weights
     gram = v.T @ (w[:, None] * v)

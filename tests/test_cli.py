@@ -301,8 +301,9 @@ def test_unknown_or_missing_config_key_exits_2(tmp_path, monkeypatch, capsys, co
     # 2^(2000 n) overflows, so the block norm is NaN
     ("norm", norm_eval_config(norm={"kind": "pl_square", "theta": 2000},
                               vector={"kind": "random", "seed": 1}), "non-finite"),
+    # at theta = 2000 the block weights overflow, so the stack is refused at set-up
     ("experiment", {**experiment_config(None), "norm_a": {"kind": "pl_square", "theta": 2000}},
-     "sample 0"),
+     "norm not admitted: non-finite block weights"),
     # every block index is >= 2, so 2^(-2000 n) underflows to a zero norm_b
     ("experiment", {**experiment_config(None),
                     "operator": {"kind": "nonnormal", "lambdas": [[8.0, 0.0], [16.0, 0.0]]},
@@ -312,6 +313,45 @@ def test_non_finite_result_exits_4_without_report(tmp_path, capsys, command, con
     assert run_cli(tmp_path, command, config) == 4
     assert reason in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+_GRAPH = {"kind": "graph", "sigma": [[1, 1], [1, 1]]}
+_NEGATIVE_PSI = {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": -1.0, "b": 1.0}}
+
+
+@pytest.mark.parametrize("command, config, reason", [
+    # the strip windows sit on log A, which an operator with a kernel lacks
+    ("experiment", {**experiment_config(None), "operator": _GRAPH, "samples": 2,
+                    "norm_a": {"kind": "strip_pl_square"}},
+     "norm not admitted: equidistant windows sit on Re log A, which needs an injective"),
+    ("norm", norm_eval_config(operator=_GRAPH, norm={"kind": "strip_pl_square"}), "injective"),
+    ("experiment", {**experiment_config(None), "norm_a": _NEGATIVE_PSI},
+     "norm not admitted: psi_exp requires a, b > 0"),
+    ("norm", norm_eval_config(norm=_NEGATIVE_PSI), "psi_exp requires a, b > 0"),
+], ids=["experiment-strip-graph", "norm-eval-strip-graph", "experiment-bad-symbol",
+        "norm-eval-bad-symbol"])
+def test_refused_norm_exits_4_and_names_the_refusal(tmp_path, capsys, command, config, reason):
+    assert run_cli(tmp_path, command, config) == 4
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_subcommands_take_only_the_options_they_read(tmp_path, monkeypatch, capsys):
+    from plcalc import acceptance
+
+    def battery_ran(echo=None):
+        raise AssertionError("the acceptance battery ran")
+
+    monkeypatch.setattr(acceptance, "run_all", battery_ran)
+    cfg = write(tmp_path, "op.json", {"kind": "dirichlet1d", "n": 2, "h": 1.0})
+    assert main(["op", "build"]) == 2                                     # --config required
+    assert "--config" in capsys.readouterr().err
+    assert main(["op", "build", "--config", cfg, "--seed", "1"]) == 2     # op build reads no seed
+    assert main(["suite", "acceptance", "--seed", "1"]) == 2
+    assert main(["suite", "acceptance", "--config", cfg]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["op", "build", "--config", cfg, "--quiet"]) == 0
 
 
 def test_real_interpolation_admits_only_p_2(tmp_path, capsys):

@@ -125,6 +125,19 @@ def test_convergence_check_hits_roundoff_once_covered():
     assert first > 0.1
 
 
+def test_convergence_check_takes_even_windows_on_a_double_sector_operator():
+    # the even windows are evaluated at |lambda|, as in every block norm,
+    # so a spectrum with negative eigenvalues is admitted
+    from plcalc.partitions import even_extension
+
+    op = build_nonnormal_sectorial([1.0, 2.0, -1.5, -3.0], 2.0, 0)
+    x = op.random_vector(np.random.default_rng(4))
+    out = convergence_check(op, even_extension(build_homogeneous_dyadic()), x, 6,
+                            permute_seed=1)
+    assert out["final_defect"] <= 1e-12
+    assert out["permuted_defect"] <= 1e-12
+
+
 def test_mcintosh_reproduction_and_refinement():
     op = build_dirichlet_laplacian_1d(48, 1.0)
     g = make_mcintosh_symbol(make_symbol("psi_exp", a=1.0, b=1.0))
@@ -292,7 +305,16 @@ def test_norm_evaluation_failure_carries_sample_index():
         "samples": 2,
         "seed": 0,
     }
-    with pytest.raises(ExperimentError, match="sample 0"):
+    # a stack that cannot be built is refused when the experiment is set up
+    with pytest.raises(ExperimentError,
+                       match="^norm not admitted: symbol exp carries no decay certificate$"):
+        run_equivalence(config)
+    # a failure on a sample names it: every block index is >= 2, so
+    # 2^(-2000 n) underflows to a zero norm_b
+    config.update(operator={"kind": "nonnormal", "lambdas": [[8.0, 0.0], [16.0, 0.0]]},
+                  norm_a={"kind": "ambient", "pnorm": 2},
+                  norm_b={"kind": "pl_square", "theta": -2000})
+    with pytest.raises(ExperimentError, match="^non-finite result at sample 0"):
         run_equivalence(config)
 
 
@@ -372,7 +394,6 @@ HOISTED_NORMS = {
 
 def _public_norm(op, spec, x, pnorm, seed):
     """The norm of one vector through the public norm function."""
-    from plcalc.calculus import log_operator
     from plcalc.norms import (
         RandomEnsemble,
         besov_discrete_norm,
@@ -397,7 +418,7 @@ def _public_norm(op, spec, x, pnorm, seed):
     if kind == "continuous_square":
         return continuous_square_norm(op, make_symbol("psi_exp", a=1.0, b=1.0),
                                       spec["theta"], x, pnorm)
-    return pl_square_norm(log_operator(op), build_equidistant(), x, pnorm)
+    return pl_square_norm(op, build_equidistant(), x, pnorm)
 
 
 @pytest.mark.parametrize("kind", sorted(HOISTED_NORMS))

@@ -634,16 +634,23 @@ def test_real_interpolation_vs_besov_bracket(seed, hom):
 def test_strip_square_norm_sandwich():
     half = np.sqrt(2 * 25.0) + 5.0
     op = build_hermite_operator(1, 12, uniform_grid(-half, half, 600))
-    strip = log_operator(op)
     equi = build_equidistant()
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = op.random_vector(rng)
         x /= lp_norm(x, 2, op.measure)
-        r = pl_square_norm(strip, equi, x, 2)
+        r = pl_square_norm(op, equi, x, 2)
         assert SQRT_HALF - 1e-9 <= r <= 1.0 + 1e-9
-    with pytest.raises(NormsError):
-        pl_square_norm(strip, build_homogeneous_dyadic(), x, 2)
+    # the windows sit on the strip spectrum Re mu of B = log A, active
+    # over its range
+    mu = np.real(log_operator(op).mu)
+    indices, windows = norms.block_stack(op, equi)
+    assert list(indices) == list(equi.indices(float(np.min(mu)), float(np.max(mu))))
+    np.testing.assert_array_equal(windows, [equi.window(n, mu) for n in indices])
+    # an operator with a kernel has no logarithm
+    graph = build_graph_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(NormsError, match="injective"):
+        pl_square_norm(graph, equi, graph.random_vector(rng), 2)
 
 
 def test_quadrature_spec_validation():
@@ -698,6 +705,25 @@ def test_even_windows_accept_complex_spectrum(hom):
     assert SQRT_HALF - 1e-9 <= pl_square_norm(op, even_extension(hom), x, 2) <= 1.0 + 1e-9
     with pytest.raises(NormsError, match="complex spectrum"):
         pl_square_norm(op, hom, x, 2)
+
+
+def test_even_windows_on_a_half_line_spectrum_are_the_homogeneous_windows(hom):
+    # the path graph has a kernel and a spectrum in [0, inf), where
+    # |lambda| = lambda: the even windows read the same floats as the
+    # homogeneous ones, over the same active range (min |lambda| over the
+    # nonzero spectrum, not the kernel's 0)
+    from plcalc.partitions import even_extension
+
+    op = build_graph_laplacian(np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1))
+    even = even_extension(hom)
+    assert norms.block_indices(op, even) == norms.block_indices(op, hom)
+    np.testing.assert_array_equal(norms.block_stack(op, even, 0.3)[1],
+                                  norms.block_stack(op, hom, 0.3)[1])
+    x = _unit_vector(op, 9)
+    for pnorm in (2, 4):
+        assert pl_square_norm(op, even, x, pnorm) == pl_square_norm(op, hom, x, pnorm)
+        assert besov_discrete_norm(op, even, x, 0.3, 2, pnorm) \
+            == besov_discrete_norm(op, hom, x, 0.3, 2, pnorm)
 
 
 def _bruteforce_point_list(op, x, t, rounds, grid):
@@ -774,8 +800,8 @@ def _parseval_operators():
 
 PARSEVAL_OPERATORS = _parseval_operators()
 
-# every p = 2 norm kind an experiment evaluates; strip operators need an
-# injective base and the kernel split needs a kernel
+# every p = 2 norm kind an experiment evaluates; the strip (equidistant)
+# windows need an injective operator and the kernel split needs a kernel
 NORM_KINDS = [
     {"kind": "pl_square"}, {"kind": "pl_square", "theta": 0.4},
     {"kind": "pl_random", "count": 32}, {"kind": "pl_random", "count": 32, "theta": 0.3},

@@ -40,9 +40,9 @@ def _basis(op):
 
 def _with_block_entry(op, block, index, value):
     """op with one entry of one stored basis block replaced."""
-    blocks = [b.copy() for b in op.form.blocks]
+    blocks = op.form.blocks.copy()
     blocks[block][index] = value
-    return dataclasses.replace(op, form=dataclasses.replace(op.form, blocks=tuple(blocks)))
+    return dataclasses.replace(op, form=dataclasses.replace(op.form, blocks=blocks))
 
 
 def test_dirichlet_n1_single_eigenvalue():
@@ -131,8 +131,13 @@ def test_hermite_eigenvalues():
     grid = uniform_grid(-8, 8, 400)
     op = build_hermite_operator(1, 3, grid)
     assert np.allclose(np.real(op.eigenvalues_or_none()), [1.0, 3.0, 5.0])
-    op2 = build_hermite_operator(2, 1, grid)
-    assert np.allclose(np.real(op2.eigenvalues_or_none()), [2.0])
+    # the 2-D operator has eigenvalue 2 + 2k with multiplicity k + 1, not the
+    # 1-D spectrum shifted by one: any d other than 1 is refused, not built
+    for d in (0, 2, 3):
+        with pytest.raises(OperatorError, match=f"dimension d = {d}"):
+            build_hermite_operator(d, 1, grid)
+        with pytest.raises(OperatorError, match=f"dimension d = {d}"):
+            operator_from_spec({"kind": "hermite", "d": d, "K": 2})
 
 
 def test_hermite_gram_after_orthonormalization():
@@ -327,7 +332,7 @@ def test_basis_matmul_real_basis_equals_complex_product():
 
 _BUILDERS = {
     "dirichlet": lambda: build_dirichlet_laplacian_1d(16, 0.5),
-    "dirichlet_folded": lambda: build_dirichlet_laplacian_1d(FOLD_MIN_N + 1, 0.5),
+    "dirichlet_folded": lambda: build_dirichlet_laplacian_1d(FOLD_MIN_N, 0.5),
     "graph": lambda: build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))),
     "hermite": lambda: build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
     "schrodinger": lambda: build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
@@ -348,7 +353,7 @@ def test_builders_store_real_bases_and_keep_their_checks(name):
         with pytest.raises(OperatorError, match="orthonormal"):
             dataclasses.replace(op, form=bad)
     elif isinstance(form, FoldedSelfAdjoint):
-        assert all(b.dtype == np.float64 for b in form.blocks)
+        assert form.blocks.dtype == np.float64
         assert form.eigenvalues.dtype == np.float64
         for block in (0, 1):
             with pytest.raises(OperatorError, match="orthonormal"):
@@ -522,8 +527,8 @@ def test_non_finite_eigenvectors_are_rejected():
         q[2, 4] = bad
         with pytest.raises(OperatorError, match=r"non-finite eigenvector entries at \(2, 4\)$"):
             dataclasses.replace(op, form=SpectralSelfAdjoint(op.form.eigenvalues, q))
-    # a folded form names the block and the entry within it, for even and odd n
-    for n, block, index in ((6, 0, (2, 1)), (6, 1, (0, 2)), (7, 0, (3, 0)), (7, 1, (2, 2))):
+    # a folded form names the block and the entry within it
+    for n, block, index in ((6, 0, (2, 1)), (6, 1, (0, 2)), (8, 0, (3, 0)), (8, 1, (2, 2))):
         folded = _folded_dirichlet(n, 1.0)
         name = ("even", "odd")[block]
         for bad in (np.nan, np.inf):
@@ -581,25 +586,36 @@ def _dense_dirichlet(n, h):
 
 
 def _folded_dirichlet(n, h):
-    """The Dirichlet operator at any n >= 2 in the folded form, its blocks cut
-    from the dense basis: the top rows of the odd-k (even) modes, middle row
-    included, and of the even-k (odd) modes."""
+    """The Dirichlet operator at an even n >= 2 in the folded form, its blocks
+    cut from the dense basis: the top rows of the odd-k (even) modes and of
+    the even-k (odd) modes.  At an odd n the cut is the two unequal blocks
+    (the middle row with the even modes), which the form refuses."""
     lam, q = _dense_dirichlet(n, h)
-    blocks = (q[:n - n // 2, 0::2].copy(), q[:n // 2, 1::2].copy())
+    if n % 2:
+        blocks = (q[:n - n // 2, 0::2].copy(), q[:n // 2, 1::2].copy())
+    else:
+        blocks = np.stack((q[:n // 2, 0::2], q[:n // 2, 1::2]))
     return ModelOperator(FoldedSelfAdjoint(lam, blocks), MeasureSpace(np.full(n, h)))
+
+
+def _assert_odd_fold_refused(n, h):
+    with pytest.raises(OperatorError, match="2 x n/2 x n/2 array"):
+        _folded_dirichlet(n, h)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, FOLD_MIN_N - 1, FOLD_MIN_N, FOLD_MIN_N + 1, 512])
 def test_dirichlet_matches_the_dense_basis_folded_or_not(n):
     h = 0.75
     built = build_dirichlet_laplacian_1d(n, h)
-    assert isinstance(built.form, FoldedSelfAdjoint) == (n >= FOLD_MIN_N)
+    assert isinstance(built.form, FoldedSelfAdjoint) == (n >= FOLD_MIN_N and n % 2 == 0)
+    if n % 2:
+        _assert_odd_fold_refused(n, h)
     lam, q = _dense_dirichlet(n, h)
     w = built.measure.weights
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     c = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    for op in [built] + ([_folded_dirichlet(n, h)] if n >= 2 else []):
+    for op in [built] + ([_folded_dirichlet(n, h)] if n % 2 == 0 else []):
         assert _rel(np.real(op.eigenvalues_or_none()), lam) <= 1e-14
         assert _rel(op.coefficients(x), q.T @ (w[:, None] * x)) <= 1e-14
         assert _rel(op.coefficients(x[:, 1]), q.T @ (w * x[:, 1])) <= 1e-14
@@ -613,21 +629,29 @@ def test_dirichlet_matches_the_dense_basis_folded_or_not(n):
 def test_folded_block_grams_are_the_dense_gram_of_the_implied_basis(n):
     # the Gram matrix of the implied basis is block-diagonal: even modes
     # (0, 2, 4, ...) against odd modes (1, 3, ...) vanish, and each diagonal
-    # block is the Gram matrix of its stored block in the folded weights
+    # block is the Gram matrix of its stored block in the folded weights;
+    # an odd n keeps one block
+    if n % 2:
+        assert isinstance(build_dirichlet_laplacian_1d(n, 0.75).form, SpectralSelfAdjoint)
+        _assert_odd_fold_refused(n, 0.75)
+        return
     op = _folded_dirichlet(n, 0.75) if n < FOLD_MIN_N else build_dirichlet_laplacian_1d(n, 0.75)
     q, w = _basis(op), op.measure.weights
     gram = q.T @ (w[:, None] * q)
     even, odd = op.form.blocks
-    wf = 2.0 * w[:even.shape[0]]
-    wf[n // 2:] = w[n // 2:n - n // 2]         # the middle row of odd n
+    wf = 2.0 * w[:n // 2]
     scale = np.max(np.abs(gram))
     assert np.max(np.abs(gram[0::2, 0::2] - even.T @ (wf[:, None] * even))) <= 1e-14 * scale
-    assert np.max(np.abs(gram[1::2, 1::2] - odd.T @ (wf[:n // 2, None] * odd))) <= 1e-14 * scale
+    assert np.max(np.abs(gram[1::2, 1::2] - odd.T @ (wf[:, None] * odd))) <= 1e-14 * scale
     assert np.max(np.abs(gram[0::2, 1::2])) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n", [16, 17, FOLD_MIN_N, FOLD_MIN_N + 1])
 def test_folded_gram_gate_fails_on_one_bad_entry_in_either_block(n):
+    if n % 2:
+        assert isinstance(build_dirichlet_laplacian_1d(n, 1.0).form, SpectralSelfAdjoint)
+        _assert_odd_fold_refused(n, 1.0)
+        return
     op = _folded_dirichlet(n, 1.0) if n < FOLD_MIN_N else build_dirichlet_laplacian_1d(n, 1.0)
     for block in (0, 1):
         rows = op.form.blocks[block].shape[0]
@@ -646,8 +670,14 @@ def test_folded_form_needs_a_mirror_symmetric_measure_and_matching_blocks():
     w[0] *= 1.0 + 1e-15
     with pytest.raises(OperatorError, match="mirror-symmetric"):
         dataclasses.replace(op, measure=MeasureSpace(w))
-    with pytest.raises(OperatorError, match="square halves"):
+    with pytest.raises(OperatorError, match="2 x n/2 x n/2 array"):
+        dataclasses.replace(op, measure=MeasureSpace.uniform(8))
+    # any other shape of the blocks: an odd n, a tuple of blocks, one block
+    with pytest.raises(OperatorError, match="2 x n/2 x n/2 array"):
         dataclasses.replace(op, measure=MeasureSpace.uniform(7))
+    for blocks in (tuple(op.form.blocks), op.form.blocks[:1], op.form.blocks[:, :2]):
+        with pytest.raises(OperatorError, match="2 x n/2 x n/2 array"):
+            dataclasses.replace(op, form=dataclasses.replace(op.form, blocks=blocks))
 
 
 def test_only_large_dirichlet_operators_are_folded():
@@ -658,9 +688,8 @@ def test_only_large_dirichlet_operators_are_folded():
         build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
         build_schrodinger_1d(16, 1.0, sym),
         build_dirichlet_laplacian_1d(FOLD_MIN_N - 1, 1.0),
+        build_dirichlet_laplacian_1d(FOLD_MIN_N + 1, 1.0),      # odd n keeps one block
     ]
     assert all(isinstance(op.form, SpectralSelfAdjoint) for op in one_block)
-    even, odd = build_dirichlet_laplacian_1d(FOLD_MIN_N + 1, 1.0).form.blocks
-    assert even.shape == (FOLD_MIN_N // 2 + 1,) * 2 and odd.shape == (FOLD_MIN_N // 2,) * 2
-    assert build_dirichlet_laplacian_1d(FOLD_MIN_N, 1.0).form._stack.shape == \
-        (2, FOLD_MIN_N // 2, FOLD_MIN_N // 2)
+    for n in (FOLD_MIN_N, FOLD_MIN_N + 2):
+        assert build_dirichlet_laplacian_1d(n, 1.0).form.blocks.shape == (2, n // 2, n // 2)
