@@ -97,26 +97,29 @@ _VECTOR_KEYS = {"random": ("seed", "normalize"), "eigenvector": ("index",),
 def _resolve_vector(op, vec_spec: dict, seed, pnorm):
     """The vector of a norm-eval config and its echo.
 
-    Raises KeyError (SpecKeyError for an unread key) on a malformed spec.
+    Raises KeyError (SpecKeyError for an unread key, SpecValueError for a
+    value that is not an integer) on a malformed spec.
     """
     from .measure import lp_norm
-    from .operators import check_spec_keys
+    from .operators import check_spec_keys, spec_value
 
     kind = vec_spec.get("kind", "random")
     if kind not in _VECTOR_KEYS:
         raise CliExit(EXIT_BAD_CONFIG, f"unknown vector kind {kind!r}")
-    check_spec_keys(vec_spec, ("kind",) + _VECTOR_KEYS[kind], f"{kind} vector spec")
+    where = f"{kind} vector spec"
+    check_spec_keys(vec_spec, ("kind",) + _VECTOR_KEYS[kind], where)
     if kind == "random":
         vseed = vec_spec.get("seed", seed)
         if vseed is None:
             raise CliExit(EXIT_BAD_CONFIG,
                                   "stochastic vector needs a seed (config or --seed)")
-        x = op.random_vector(np.random.default_rng(int(vseed)))
+        vseed = spec_value(vseed, int, "seed", where)
+        x = op.random_vector(np.random.default_rng(vseed))
         if vec_spec.get("normalize", True):
             x = x / lp_norm(x, pnorm, op.measure)
-        return x, {"kind": "random", "seed": int(vseed)}
+        return x, {"kind": "random", "seed": vseed}
     if kind == "eigenvector":
-        idx = int(vec_spec["index"])
+        idx = spec_value(vec_spec["index"], int, "index", where)
         modes = op.eigenvalues_or_none().size
         if not 0 <= idx < modes:
             raise CliExit(EXIT_BAD_CONFIG,
@@ -140,29 +143,29 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
 
 def cmd_norm_eval(args) -> int:
     from .experiments import _norm_evaluator
-    from .operators import OperatorError, check_spec_keys, operator_from_spec
+    from .operators import OperatorError, check_spec_keys, operator_from_spec, spec_value
 
     config = _load_json(args.config)
+    seed = args.seed if args.seed is not None else config.get("seed")
     try:
         check_spec_keys(config, ("operator", "norm", "vector", "seed"), "norm eval config")
+        norm_seed = 0 if seed is None else spec_value(seed, int, "seed", "norm eval config")
         op = operator_from_spec(config["operator"])
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed config: {exc}")
     except OperatorError as exc:
         raise CliExit(EXIT_INVARIANT, str(exc))
-    pnorm = config.get("norm", {}).get("pnorm", 2)
-    seed = args.seed if args.seed is not None else config.get("seed")
+    # the norm spec is read first: its pnorm also normalizes a random vector
     try:
-        x, vec_echo = _resolve_vector(op, config.get("vector", {}), seed, pnorm)
-    except KeyError as exc:
-        raise CliExit(EXIT_BAD_CONFIG, f"malformed vector spec: {exc}")
-    try:
-        evaluator, echo = _norm_evaluator(op, config["norm"],
-                                          int(seed) if seed is not None else 0)
+        evaluator, echo = _norm_evaluator(op, config["norm"], norm_seed)
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed norm spec: {exc}")
     except Exception as exc:
         raise CliExit(EXIT_NORM_ERROR, f"norm evaluation failed: {exc}")
+    try:
+        x, vec_echo = _resolve_vector(op, config.get("vector", {}), seed, echo["pnorm"])
+    except KeyError as exc:
+        raise CliExit(EXIT_BAD_CONFIG, f"malformed vector spec: {exc}")
     try:
         value = float(evaluator(x))
     except Exception as exc:

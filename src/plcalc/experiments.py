@@ -38,7 +38,14 @@ from .norms import (
     real_interpolation_norm,
     square_function_norm,
 )
-from .operators import ModelOperator, SpecKeyError, check_spec_keys, operator_from_spec
+from .operators import (
+    ModelOperator,
+    SpecKeyError,
+    SpecValueError,
+    check_spec_keys,
+    operator_from_spec,
+    spec_value,
+)
 from .partitions import (
     HOMOGENEOUS,
     build_equidistant,
@@ -118,40 +125,59 @@ def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
     return evaluate
 
 
+def _exponent(value, key: str, where: str):
+    """An exponent p or q of a spec as given (a number, or "inf" for
+    infinity, which the reports echo as the string), once it reads as a
+    float >= 1."""
+    if not spec_value(value, float, key, where) >= 1.0:
+        raise SpecValueError(key, where, f"must be >= 1 or inf, got {value!r}")
+    return value
+
+
+def _float_pair(value) -> tuple:
+    lo, hi = map(float, value)
+    return lo, hi
+
+
 def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     """Closure computing one named norm of a vector; echoes resolved params.
 
     The norm's multiplier stack is built here, once, and the closure reuses
     it for every vector.  Raises SpecKeyError for a key the kind does not
-    read, and the norm's own error for a stack that cannot be built.
+    read, SpecValueError for a value that does not read as a number, and
+    the norm's own error for a stack that cannot be built.
     """
     spec = dict(spec)
     kind = spec.pop("kind")
-    pnorm = spec.pop("pnorm", 2)
+    where = f"{kind} norm spec"
+    pnorm = _exponent(spec.pop("pnorm", 2), "pnorm", where)
     hom = build_homogeneous_dyadic()
+
+    def number(key, default, convert=float):
+        return spec_value(spec.pop(key, default), convert, key, where)
 
     if kind == "ambient":
         evaluate = lambda x: lp_norm(x, pnorm, op.measure)
         echo = {"kind": kind, "pnorm": pnorm}
     elif kind == "pl_square":
-        theta = float(spec.pop("theta", 0.0))
+        theta = number("theta", 0.0)
         evaluate = pl_square_evaluator(op, hom, pnorm, theta)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "pl_random":
-        theta = float(spec.pop("theta", 0.0))
-        ens = RandomEnsemble(seed=int(spec.pop("ensemble_seed", seed + 104729)),
-                             count=int(spec.pop("count", 256)),
+        theta = number("theta", 0.0)
+        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, int),
+                             count=number("count", 256, int),
                              kind=spec.pop("sign_kind", "rademacher"))
         random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
         evaluate = lambda x: random_norm(x).mean
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
     elif kind == "pl_inhomogeneous":
-        theta = float(spec.pop("theta", 0.0))
+        theta = number("theta", 0.0)
         inh = to_inhomogeneous(hom)
         evaluate = pl_inhomogeneous_evaluator(op, inh, pnorm, theta)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "fractional_power":
-        theta = float(spec.pop("theta", 1.0))
+        theta = number("theta", 1.0)
         powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
         evaluate = lambda x: field_norms(op, powed, x, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
@@ -161,18 +187,18 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         evaluate = _kernel_plus_pl(op, hom, pnorm)
         echo = {"kind": kind, "pnorm": pnorm}
     elif kind == "continuous_square":
-        theta = float(spec.pop("theta", 0.0))
+        theta = number("theta", 0.0)
         psi = symbol_from_spec(spec.pop("psi", {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
         evaluate = continuous_square_evaluator(op, psi, theta, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
     elif kind == "besov_discrete":
-        theta = float(spec.pop("theta", 0.0))
-        q = spec.pop("q", 2)
+        theta = number("theta", 0.0)
+        q = _exponent(spec.pop("q", 2), "q", where)
         evaluate = besov_discrete_evaluator(op, hom, theta, q, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
     elif kind == "besov_continuous":
-        theta = float(spec.pop("theta", 0.0))
-        q = spec.pop("q", 2)
+        theta = number("theta", 0.0)
+        q = _exponent(spec.pop("q", 2), "q", where)
         fspec = spec.pop("f", None)
         f = symbol_from_spec(fspec) if fspec else window_symbol(hom, 0)
         evaluate = besov_continuous_evaluator(op, theta, q, f, pnorm)
@@ -180,10 +206,10 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     elif kind == "real_interpolation":
         if pnorm != 2:
             raise NormsError("real interpolation is implemented on the p = 2 path only")
-        vartheta = float(spec.pop("vartheta", 0.5))
-        q = spec.pop("q", 2)
-        theta0 = float(spec.pop("theta0", 0.0))
-        theta1 = float(spec.pop("theta1", 1.0))
+        vartheta = number("vartheta", 0.5)
+        q = _exponent(spec.pop("q", 2), "q", where)
+        theta0 = number("theta0", 0.0)
+        theta1 = number("theta1", 1.0)
         evaluate = lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
         echo = {"kind": kind, "pnorm": pnorm, "vartheta": vartheta, "q": q,
                 "theta0": theta0, "theta1": theta1}
@@ -194,7 +220,7 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     else:
         raise ExperimentError(f"unknown norm kind {kind!r}")
     if spec:
-        raise SpecKeyError(spec, f"{kind} norm spec")
+        raise SpecKeyError(spec, where)
     return evaluate, echo
 
 
@@ -210,11 +236,12 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     a norm that fails on a sample, or a norm or ratio that is not finite
     (both name the sample).
     """
-    check_spec_keys(config, _CONFIG_KEYS, "experiment config")
+    where = "experiment config"
+    check_spec_keys(config, _CONFIG_KEYS, where)
     op = operator_from_spec(config["operator"])
-    seed = int(config["seed"])
-    samples = int(config.get("samples", 50))
-    pnorm = config.get("pnorm", 2)
+    seed = spec_value(config["seed"], int, "seed", where)
+    samples = spec_value(config.get("samples", 50), int, "samples", where)
+    pnorm = _exponent(config.get("pnorm", 2), "pnorm", where)
     try:
         eval_a, echo_a = _norm_evaluator(op, config["norm_a"], seed)
         eval_b, echo_b = _norm_evaluator(op, config["norm_b"], seed)
@@ -246,7 +273,7 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     passed = True
     violations = []
     if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
+        lo, hi = spec_value(bracket, _float_pair, "assert_bracket", where)
         for row in table:
             row["in_bracket"] = bool(lo <= row["ratio"] <= hi)
             if not row["in_bracket"]:
@@ -307,10 +334,12 @@ def convergence_check(op: ModelOperator, partition, x, n_max: int,
                       permute_seed: int | None = None) -> dict:
     """Defect ||x - sum_{|n|<=N} window_n(A) x|| / ||x|| per N.
 
-    The windows are evaluated where the partition's kind places them on the
-    spectrum, as in every block norm (norms._window_grid): the even windows
-    at |lambda|, so a double-sector operator is admitted.  Once N covers the
-    spectral range the defect must reach round-off.
+    The sum runs over the partition's indices, n >= 0 for the
+    inhomogeneous kind (partition.first_index).  The windows are evaluated
+    where the partition's kind places them on the spectrum, as in every
+    block norm (norms._window_grid): the even windows at |lambda|, so a
+    double-sector operator is admitted.  Once N covers the spectral range
+    the defect must reach round-off.
     As an unconditionality probe, the fully-covered partial sum is also
     accumulated in a random order; the defect must not change beyond
     round-off (finite sums are order-independent).
@@ -319,12 +348,13 @@ def convergence_check(op: ModelOperator, partition, x, n_max: int,
     x = x - op.kernel_component(x)
     points = _window_grid(op, partition)[0]
     nx = np.linalg.norm(x)
-    ns = range(-n_max, n_max + 1)
-    # row n_max + n holds window_n(A) x
+    first = partition.first_index
+    ns = np.arange(-n_max if first is None else max(first, -n_max), n_max + 1)
+    # row i holds window_n(A) x for n = ns[i]
     blocks = spectral_multiplier(op, np.array([partition.window(n, points) for n in ns]), x)
     curve = []
     for n_cap in range(n_max + 1):
-        acc = blocks[n_max - n_cap:n_max + n_cap + 1].sum(axis=0)
+        acc = blocks[np.abs(ns) <= n_cap].sum(axis=0)
         curve.append({"N": n_cap, "defect": float(np.linalg.norm(x - acc) / max(nx, 1e-300))})
     order = np.arange(len(ns)) if permute_seed is None \
         else np.random.default_rng(permute_seed).permutation(len(ns))

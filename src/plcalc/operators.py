@@ -5,7 +5,7 @@ and a construction echo.  Everything else is read off the spectrum: the
 kernel mask, injectivity, whether the spectrum is bisectorial (double
 sector), the sector angle of the nonzero spectrum, the spectral bounds
 (lambda_min over the nonzero spectrum, lambda_max) and whether it lies on
-the half-line [0, inf).  Three diagonal forms:
+the half-line [0, inf).  Four diagonal forms:
 
   SpectralSelfAdjoint   eigenvalues >= 0 ascending with eigenvectors
                         orthonormal in the weighted inner product; the
@@ -14,8 +14,9 @@ the half-line [0, inf).  Three diagonal forms:
                         span inside the ambient grid space (Hermite).
   FoldedSelfAdjoint     the same for a basis whose vectors are even or odd
                         under the reflection R: i -> n-1-i, held as two
-                        half-size blocks (the Dirichlet Laplacian at an
-                        even number of points from FOLD_MIN_N on).
+                        half-size blocks.
+  SineTransform         the Dirichlet sine basis, never stored: every
+                        transform is a DST-I, one FFT.
   SimilarityDiagonal    A = S diag(lambda) S^{-1} with controlled cond(S);
                         complex spectrum, used for non-normal and
                         double-sector examples.
@@ -25,6 +26,14 @@ methods ``check`` (the basis gate, run once by the operator),
 ``coefficients``, ``synthesize``, ``matrix``, ``multiplier_norm`` and
 ``conditioning``; the operator forwards to them and branches on no form
 type.
+
+The Dirichlet Laplacian on n points takes one of three forms by size:
+the stored basis below FOLD_MIN_N points and at an odd n below
+SINE_MIN_N, the folded form at an even n from FOLD_MIN_N on, and the sine
+transform from SINE_MIN_N points on at any parity.  The fold stays at 256
+points because the FFT of length 2(n+1) = 514 = 2 x 257 falls back to
+Bluestein's algorithm for the prime 257, and a one-vector transform then
+takes about four times as long as the folded product.
 
 The folded form, for an even number n of points.  With T the top n/2
 points, B the bottom n/2 and R reversing them, an even vector is (v, R v)
@@ -39,6 +48,19 @@ Gram matrix of a stored block in the folded weights 2 w: checking the two
 blocks at ORTHO_TOL is the full check on the same basis, at 2 (n/2)^3
 flops instead of n^3.
 
+The sine transform.  Mode k of the Dirichlet Laplacian with spacing h is
+q_k(i) = sqrt(2/((n+1) h)) sin(i k pi/(n+1)), so the coefficients of x
+are sqrt(2h/(n+1)) times its DST-I, y_k = sum_i x_i sin(i k pi/(n+1)),
+and the synthesis of c is sqrt(2/((n+1) h)) times the DST-I of c.  The
+DST-I is read off one real FFT of the odd extension (0, x, 0, -R x) of
+length 2(n+1), whose rows 1..n are -2i y; an n x m stack is transformed
+along axis 0 in one call, on the interleaved real view of the complex
+operand (as basis_matmul), so a real operand gives imaginary parts that
+are exactly zero.  With no stored basis there is no Gram matrix to check;
+the gate checks what orthonormality rests on instead: n points, a measure
+exactly uniform with weight h, a finite h > 0, and one round trip of a
+fixed probe vector that keeps its Parseval identity, both at ORTHO_TOL.
+
 The diagonal form is private to this module.  Every other layer asks the
 operator through coefficients and synthesize, the eigenvalues and six
 members: ``nonzero`` (the kernel mask, the package's one rule for which
@@ -50,8 +72,8 @@ of a multiplier stack, by Parseval on an orthonormal basis),
 functional calculus go through the diagonal form; resolvent_apply_lu
 solves on the assembled matrix as an independent oracle.
 
-Every builder's operator is real, so its basis (eigenvectors, or S and
-S^{-1}) is stored in float64; only the eigenvalues and the operands are
+Every builder's operator is real, so a stored basis (eigenvectors, or S
+and S^{-1}) is float64; only the eigenvalues and the operands are
 complex.  A coefficient transform or a synthesis with a real basis is one
 real GEMM on the interleaved real view of the complex operand (basis_matmul),
 a quarter of the flops of the complex product; a complex basis, which the
@@ -88,6 +110,13 @@ ZERO_EIG_TOL = 1e-12       # relative threshold deciding kernel membership
 # its unfolded time while the build takes half as long; at 32 points they
 # double that transform's time (one BLAS thread).
 FOLD_MIN_N = 256
+# Dirichlet size from which the basis is a sine transform, at any parity.
+# On a 2-vCPU x86_64 host (numpy 2.4, one BLAS thread) a one-vector
+# coefficient transform takes 26 us against 34 us folded at 512 points and
+# 55 us against 245 us at 1024, and a build 0.17 ms against 2.9 ms and
+# 0.28 ms against 16 ms.  At 256 points the transform would take 60 us
+# against 13 us folded (see the module docstring).
+SINE_MIN_N = 512
 
 
 class OperatorError(ValueError):
@@ -98,24 +127,45 @@ class GraphError(OperatorError):
     """Invalid weight matrix or disconnected graph."""
 
 
-class SpecKeyError(KeyError):
+class SpecError(KeyError):
+    """A malformed JSON spec; as a KeyError the CLI reports it as a
+    malformed config (exit 2).  The message is the first argument."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+class SpecKeyError(SpecError):
     """A JSON spec carries keys that nothing reads.
 
     A misspelled key must not leave its setting at the default, so the spec
-    is rejected; as a KeyError the CLI reports it as a malformed config.
+    is rejected.
     """
 
     def __init__(self, keys, where: str):
         super().__init__(f"unknown key(s) {', '.join(map(repr, sorted(keys)))} in {where}")
 
-    def __str__(self):
-        return self.args[0]
+
+class SpecValueError(SpecError):
+    """A JSON spec value that does not read as what its key needs."""
+
+    def __init__(self, key: str, where: str, reason):
+        super().__init__(f"{key!r} in {where}: {reason}")
 
 
 def check_spec_keys(spec: dict, known, where: str) -> None:
     unknown = set(spec) - set(known)
     if unknown:
         raise SpecKeyError(unknown, where)
+
+
+def spec_value(value, convert, key: str, where: str):
+    """convert(value), the value of ``key`` in a spec; a value that convert
+    refuses (TypeError or ValueError) raises SpecValueError naming the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecValueError(key, where, exc) from None
 
 
 def basis_matmul(b: np.ndarray, z) -> np.ndarray:
@@ -152,7 +202,9 @@ def _gram_defect(q: np.ndarray, w: np.ndarray):
 
 class _OrthonormalBasis:
     """What the self-adjoint forms share: on an orthonormal basis a diagonal
-    multiplier's L^2 norm is its sup, and the basis has condition number 1."""
+    multiplier's L^2 norm is its sup, and the basis has condition number 1.
+    A form that stores no n x K basis assembles its matrix from the basis
+    its synthesis implies."""
 
     orthonormal = True
 
@@ -161,6 +213,10 @@ class _OrthonormalBasis:
 
     def conditioning(self) -> float:
         return 1.0
+
+    def matrix(self, measure: MeasureSpace) -> np.ndarray:
+        q = self.synthesize(np.eye(self.eigenvalues.size)).real
+        return SpectralSelfAdjoint(self.eigenvalues, q).matrix(measure)
 
 
 @dataclass
@@ -219,10 +275,6 @@ class FoldedSelfAdjoint(_OrthonormalBasis):
                                 + nonfinite_note(even, "entries of the even block")
                                 + nonfinite_note(odd, "entries of the odd block"))
 
-    def matrix(self, measure: MeasureSpace) -> np.ndarray:
-        q = self.synthesize(np.eye(self.eigenvalues.size)).real
-        return SpectralSelfAdjoint(self.eigenvalues, q).matrix(measure)
-
     # Both transforms fold in complex arithmetic and multiply the blocks into
     # the interleaved real view of the folded operand (as basis_matmul
     # does), n x 2m for an n x m stack, where the even half lies above the
@@ -248,6 +300,64 @@ class FoldedSelfAdjoint(_OrthonormalBasis):
             y = y[:, 0]
         even, odd = y[:m], y[m:]
         return np.concatenate((even + odd, (even - odd)[::-1]))
+
+
+@dataclass
+class SineTransform(_OrthonormalBasis):
+    """The Dirichlet eigenbasis on n points with spacing h, applied as a
+    DST-I and never stored (the transform and its gate are described in
+    the module docstring).  Eigenvalue k - 1 belongs to the mode
+    sin(i k pi/(n+1)), k = 1..n; the measure must be h at every point."""
+
+    eigenvalues: np.ndarray        # real, length n, mode k = 1..n in order
+    h: float                       # grid spacing, the weight of every point
+
+    def check(self, measure: MeasureSpace) -> None:
+        n, h, w = self.eigenvalues.size, self.h, measure.weights
+        if w.size != n:
+            raise OperatorError(f"a sine transform of {n} modes needs {n} points, "
+                                f"not {w.size}")
+        if not 0.0 < h < np.inf:
+            raise OperatorError(f"a sine transform needs a finite spacing h > 0, not {h!r}")
+        if not np.all(w == h):
+            raise OperatorError(f"a sine transform needs the uniform measure of weight h = {h!r}")
+        rng = np.random.default_rng(0)
+        probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = self.coefficients(probe, measure)
+        energy = h * np.vdot(probe, probe).real
+        round_trip = np.max(np.abs(self.synthesize(c) - probe)) / np.max(np.abs(probe))
+        parseval = abs(np.vdot(c, c).real - energy) / energy
+        # a NaN defect fails the gate
+        if not (round_trip <= ORTHO_TOL and parseval <= ORTHO_TOL):
+            raise OperatorError("sine transform is not orthonormal wrt the measure "
+                                f"(round trip {round_trip:.1e}, Parseval {parseval:.1e})")
+
+    def coefficients(self, x: np.ndarray, measure: MeasureSpace) -> np.ndarray:
+        n = x.shape[0]
+        return _dst1(x, np.sqrt(2.0 * self.h / (n + 1)))
+
+    def synthesize(self, coeffs) -> np.ndarray:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        n = coeffs.shape[0]
+        return _dst1(coeffs, np.sqrt(2.0 / ((n + 1) * self.h)))
+
+
+def _dst1(z: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the DST-I sum_i z_i sin(i k pi/(n+1)), k = 1..n, of a
+    complex n-vector or of each column of an n x m stack.
+
+    The interleaved real view of z, n x 2m, is extended to the odd
+    (0, z, 0, -R z) of length 2(n+1) along axis 0, and one real FFT gives
+    -2i times the DST-I in its rows 1..n.
+    """
+    n = z.shape[0]
+    zr = np.ascontiguousarray(z).view(float).reshape(n, -1)
+    odd = np.empty((2 * (n + 1), zr.shape[1]))
+    odd[0] = odd[n + 1] = 0.0
+    odd[1:n + 1] = zr
+    np.negative(zr[::-1], out=odd[n + 2:])
+    y = (np.fft.rfft(odd, axis=0)[1:n + 1].imag * (-0.5 * scale)).view(complex)
+    return y[:, 0] if z.ndim == 1 else y
 
 
 @dataclass
@@ -289,7 +399,7 @@ class SimilarityDiagonal:
 
 @dataclass
 class ModelOperator:
-    form: SpectralSelfAdjoint | FoldedSelfAdjoint | SimilarityDiagonal
+    form: SpectralSelfAdjoint | FoldedSelfAdjoint | SineTransform | SimilarityDiagonal
     measure: MeasureSpace
     spec: dict = field(default_factory=dict)   # construction echo for reports
     # read off the spectrum: per eigenvalue, whether it lies outside the
@@ -428,22 +538,25 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     """Tridiagonal (2,-1,-1)/h^2 with closed-form spectrum.
 
     Eigenvalues (2 - 2 cos(k pi/(n+1)))/h^2 and sine eigenvectors,
-    orthonormal wrt the grid measure w_i = h.  Mode k is even under the
-    reflection for odd k and odd for even k, so at an even n from
-    FOLD_MIN_N on the form is folded: only the top half of each mode is
-    stored.
+    orthonormal wrt the grid measure w_i = h.  From SINE_MIN_N points on
+    the basis is not stored: the form is a sine transform.  Below that,
+    mode k is even under the reflection for odd k and odd for even k, so at
+    an even n from FOLD_MIN_N on the form is folded and only the top half
+    of each mode is stored.
     """
-    if n < 1 or h <= 0:
-        raise OperatorError("need n >= 1 and h > 0")
+    if n < 1 or not 0 < h < np.inf:
+        raise OperatorError("need n >= 1 and a finite h > 0")
     k = np.arange(1, n + 1)
     lam = (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / h**2
+    measure = MeasureSpace(weights=np.full(n, h), points=k * h)
+    spec = {"kind": "dirichlet1d", "n": n, "h": h}
+    if n >= SINE_MIN_N:
+        return ModelOperator(SineTransform(lam, float(h)), measure, spec)
     # sin(i k pi/(n+1)) depends on i k mod 2(n+1) only: the basis is gathered
     # from one table of 2(n+1) scaled sines by an exact integer reduction; the
     # index arrays are freed before the operator checks its Gram matrices
     period = 2 * (n + 1)
     table = np.sin(np.arange(period) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
-    measure = MeasureSpace(weights=np.full(n, h), points=k * h)
-    spec = {"kind": "dirichlet1d", "n": n, "h": h}
     if n < FOLD_MIN_N or n % 2:
         ik = np.outer(k, k)
         ik %= period
@@ -701,38 +814,56 @@ _SPEC_KEYS = {
 }
 
 
+def _real_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _complex_pairs(value) -> list:
+    return [complex(re, im) for re, im in value]
+
+
 def operator_from_spec(spec: dict) -> ModelOperator:
     """Build an operator from its JSON description (CLI surface).
 
-    Raises SpecKeyError for a key the kind does not read.
+    Raises SpecKeyError for a key the kind does not read, and
+    SpecValueError for a value that does not read as its key's type.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise OperatorError("operator spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if kind in _SPEC_KEYS:
-        check_spec_keys(spec, ("kind",) + _SPEC_KEYS[kind], f"{kind} operator spec")
+    if kind not in _SPEC_KEYS:
+        raise OperatorError(f"unknown operator kind {kind!r}")
+    where = f"{kind} operator spec"
+    check_spec_keys(spec, ("kind",) + _SPEC_KEYS[kind], where)
+
+    def read(key, convert, *default, source=spec, where=where):
+        """convert(source[key]), or of its default when the key is absent."""
+        return spec_value(source.get(key, *default) if default else source[key],
+                          convert, key, where)
+
     if kind == "dirichlet1d":
-        return build_dirichlet_laplacian_1d(int(spec["n"]), float(spec.get("h", 1.0)))
+        return build_dirichlet_laplacian_1d(read("n", int), read("h", float, 1.0))
     if kind == "graph":
-        return build_graph_laplacian(spec["sigma"])
+        return build_graph_laplacian(read("sigma", _real_array))
     if kind == "hermite":
         g = spec.get("grid", {})
         check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
-        grid = uniform_grid(float(g.get("lo", -12.0)), float(g.get("hi", 12.0)),
-                            int(g.get("n", 800)))
-        return build_hermite_operator(int(spec["d"]), int(spec["K"]), grid)
+        grid = uniform_grid(read("lo", float, -12.0, source=g, where="hermite grid"),
+                            read("hi", float, 12.0, source=g, where="hermite grid"),
+                            read("n", int, 800, source=g, where="hermite grid"))
+        return build_hermite_operator(read("d", int), read("K", int), grid)
     if kind == "schrodinger":
-        n, h = int(spec["n"]), float(spec.get("h", 1.0))
+        n, h = read("n", int), read("h", float, 1.0)
         v = spec.get("V", 0.0)
         if isinstance(v, dict):
             check_spec_keys(v, ("quadratic",), "schrodinger potential")
             x = (np.arange(1, n + 1) - (n + 1) / 2) * h
-            v = (float(v["quadratic"]) * x) ** 2
-        elif np.isscalar(v):
-            v = np.full(n, float(v))
-        return build_schrodinger_1d(n, h, np.asarray(v, dtype=float))
-    if kind == "nonnormal":
-        lam = [complex(re, im) for re, im in spec["lambdas"]]
-        return build_nonnormal_sectorial(lam, float(spec.get("conditioning", 1.0)),
-                                         int(spec.get("seed", 0)))
-    raise OperatorError(f"unknown operator kind {kind!r}")
+            v = (read("quadratic", float, source=v, where="schrodinger potential") * x) ** 2
+        else:
+            v = read("V", _real_array, 0.0)
+            if v.ndim == 0:
+                v = np.full(n, v)
+        return build_schrodinger_1d(n, h, v)
+    lam = read("lambdas", _complex_pairs)
+    return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
+                                     read("seed", int, 0))

@@ -105,6 +105,12 @@ class PartitionOfUnity:
     bump: SmoothBump
     base_kind: str | None = None   # underlying dyadic kind of an even extension
 
+    @property
+    def first_index(self) -> int | None:
+        """The smallest member index: 0 for the inhomogeneous kind and its
+        even extension, None where the index runs over Z."""
+        return 0 if INHOMOGENEOUS in (self.kind, self.base_kind) else None
+
     def window(self, n: int, t):
         t = np.asarray(t, dtype=float)
         if self.kind == HOMOGENEOUS:
@@ -206,7 +212,7 @@ def tilde(p: PartitionOfUnity, n: int):
     Satisfies tilde(n) * member(n) = member(n) pointwise and
     tilde(m) * member(n) = 0 for |m - n| >= 2.
     """
-    lo = 0 if p.kind == INHOMOGENEOUS else None
+    lo = p.first_index
 
     def widened(t):
         t = np.asarray(t, dtype=float)

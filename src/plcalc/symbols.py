@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import check_spec_keys
+from .operators import check_spec_keys, spec_value
 from .partitions import HOMOGENEOUS, PartitionOfUnity
 from .taylor import DERIV_MAX_ORDER, taylor_derivative
 
@@ -272,12 +272,18 @@ _SPEC_KEYS = {"power": ("theta",), "rho": (), "exp": (), "psi_exp": ("a", "b", "
 def symbol_from_spec(spec: dict) -> Symbol:
     """Build a shipped symbol from its JSON description.
 
-    Raises SpecKeyError for a key the kind does not read.
+    Raises SpecKeyError for a key the kind does not read, and
+    SpecValueError for a parameter that does not read as a number (complex
+    for ``lambda0``, real for the others).
     """
     spec = dict(spec)
     kind = spec.pop("kind")
     # an unknown kind is left to make_symbol to reject
-    check_spec_keys(spec, _SPEC_KEYS.get(kind, spec), f"{kind} symbol spec")
+    if kind in _SPEC_KEYS:
+        where = f"{kind} symbol spec"
+        check_spec_keys(spec, _SPEC_KEYS[kind], where)
+        spec = {key: spec_value(value, complex if key == "lambda0" else float, key, where)
+                for key, value in spec.items()}
     return make_symbol(kind, **spec)
 
 

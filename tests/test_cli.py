@@ -395,3 +395,81 @@ def test_parser_is_built_once_and_options_do_not_carry(tmp_path, capsys):
     })
     assert main(["norm", "eval", "--config", zero, "--out", out]) == 0   # no --quiet
     assert json.loads(capsys.readouterr().out)["norm"] == 0.0
+
+
+# -- values that do not read as numbers ----------------------------------------
+
+_NON_NUMERIC_OPERATORS = [
+    ({"kind": "dirichlet1d", "n": "abc"}, "'n' in dirichlet1d operator spec"),
+    ({"kind": "dirichlet1d", "n": 8, "h": "wide"}, "'h' in dirichlet1d operator spec"),
+    ({"kind": "graph", "sigma": [["a", 1], [1, 1]]}, "'sigma' in graph operator spec"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": "many"}}, "'n' in hermite grid"),
+    ({"kind": "schrodinger", "n": 8, "V": {"quadratic": "x"}},
+     "'quadratic' in schrodinger potential"),
+    ({"kind": "nonnormal", "lambdas": [[1.0, 0.0, 2.0]]}, "'lambdas' in nonnormal operator spec"),
+]
+_OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "schrodinger-V",
+                 "nonnormal-lambdas"]
+
+
+@pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
+def test_op_build_names_a_non_numeric_operator_value_and_exits_2(tmp_path, capsys, spec, named):
+    cfg = write(tmp_path, "op.json", spec)
+    assert main(["op", "build", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
+def test_norm_eval_names_a_non_numeric_operator_value_and_exits_2(tmp_path, capsys, spec,
+                                                                   named):
+    assert run_cli(tmp_path, "norm", norm_eval_config(operator=spec)) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
+def test_experiment_run_names_a_non_numeric_operator_value_and_exits_2(tmp_path, capsys, spec,
+                                                                       named):
+    assert run_cli(tmp_path, "experiment", {**experiment_config(None), "operator": spec}) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("norm, named", [
+    ({"kind": "pl_square", "theta": "abc"}, "'theta' in pl_square norm spec"),
+    ({"kind": "pl_square", "pnorm": "two"}, "'pnorm' in pl_square norm spec"),
+    ({"kind": "pl_square", "pnorm": 0.5}, "'pnorm' in pl_square norm spec: must be >= 1"),
+    ({"kind": "pl_random", "count": "many"}, "'count' in pl_random norm spec"),
+    ({"kind": "besov_discrete", "q": "x"}, "'q' in besov_discrete norm spec"),
+    ({"kind": "real_interpolation", "vartheta": [0.5]}, "'vartheta' in real_interpolation"),
+    ({"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": "x", "b": 1.0}},
+     "'a' in psi_exp symbol spec"),
+], ids=["theta", "pnorm", "pnorm-below-1", "count", "q", "vartheta", "psi-parameter"])
+@pytest.mark.parametrize("command", ["norm", "experiment"])
+def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, command, norm, named):
+    # exit 2 and the key named, not exit 4: the norm was never refused
+    config = (norm_eval_config(norm=norm) if command == "norm"
+              else {**experiment_config(None), "norm_a": norm})
+    assert run_cli(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert named in err and "norm evaluation failed" not in err and "not admitted" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("norm", {**norm_eval_config(), "seed": "abc"}, "'seed' in norm eval config"),
+    ("norm", norm_eval_config(vector={"kind": "eigenvector", "index": "first"}),
+     "'index' in eigenvector vector spec"),
+    ("norm", norm_eval_config(vector={"kind": "random", "seed": "s"}),
+     "'seed' in random vector spec"),
+    ("experiment", {**experiment_config(None), "samples": "ten"},
+     "'samples' in experiment config"),
+    ("experiment", {**experiment_config([0.5]), "samples": 2},
+     "'assert_bracket' in experiment config"),
+], ids=["norm-eval-seed", "vector-index", "vector-seed", "samples", "bracket"])
+def test_a_non_numeric_config_value_is_named(tmp_path, capsys, command, config, named):
+    assert run_cli(tmp_path, command, config) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

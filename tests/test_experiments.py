@@ -21,7 +21,7 @@ from plcalc.operators import (
     build_dirichlet_laplacian_1d,
     build_nonnormal_sectorial,
 )
-from plcalc.partitions import _chi_values, build_homogeneous_dyadic
+from plcalc.partitions import _chi_values, build_homogeneous_dyadic, to_inhomogeneous
 from plcalc.symbols import NormStabilityError, make_symbol, mihlin_norm, window_symbol
 
 SQRT_HALF = 2.0**-0.5
@@ -136,6 +136,23 @@ def test_convergence_check_takes_even_windows_on_a_double_sector_operator():
                             permute_seed=1)
     assert out["final_defect"] <= 1e-12
     assert out["permuted_defect"] <= 1e-12
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_convergence_check_sums_the_inhomogeneous_windows_from_0(even):
+    # the inhomogeneous windows have indices n >= 0 only: phi_0 covers
+    # (0, 2], so n_max = 4 reaches lambda_max < 4 of dirichlet n = 16
+    from plcalc.partitions import even_extension
+
+    inh = to_inhomogeneous(build_homogeneous_dyadic())
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    x = op.random_vector(np.random.default_rng(2))
+    out = convergence_check(op, even_extension(inh) if even else inh, x, n_max=4,
+                            permute_seed=5)
+    assert [row["N"] for row in out["curve"]] == [0, 1, 2, 3, 4]
+    assert out["curve"][0]["defect"] > 0.1
+    assert out["final_defect"] <= 1e-14
+    assert out["permuted_defect"] <= 1e-14
 
 
 def test_mcintosh_reproduction_and_refinement():

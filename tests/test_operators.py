@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from plcalc.measure import MeasureSpace, weighted_symmetric_eig
+from plcalc import operators
 from plcalc.operators import (
     FOLD_MIN_N,
+    SINE_MIN_N,
     FoldedSelfAdjoint,
     GraphError,
     ModelOperator,
     OperatorError,
     SimilarityDiagonal,
+    SineTransform,
     SpecKeyError,
     SpectralSelfAdjoint,
     _blend_conditioning,
@@ -333,6 +336,7 @@ def test_basis_matmul_real_basis_equals_complex_product():
 _BUILDERS = {
     "dirichlet": lambda: build_dirichlet_laplacian_1d(16, 0.5),
     "dirichlet_folded": lambda: build_dirichlet_laplacian_1d(FOLD_MIN_N, 0.5),
+    "dirichlet_sine": lambda: build_dirichlet_laplacian_1d(SINE_MIN_N, 0.5),
     "graph": lambda: build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))),
     "hermite": lambda: build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
     "schrodinger": lambda: build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
@@ -358,6 +362,12 @@ def test_builders_store_real_bases_and_keep_their_checks(name):
         for block in (0, 1):
             with pytest.raises(OperatorError, match="orthonormal"):
                 _with_block_entry(op, block, (0, 0), form.blocks[block][0, 0] * (1.0 + 1e-6))
+    elif isinstance(form, SineTransform):
+        # no basis is stored: the gate checks the measure and a round trip
+        assert form.eigenvalues.dtype == np.float64
+        assert not any(np.ndim(v) == 2 for v in vars(form).values())
+        with pytest.raises(OperatorError, match="uniform measure"):
+            dataclasses.replace(op, form=SineTransform(form.eigenvalues, form.h * (1.0 + 1e-6)))
     else:
         assert form.s.dtype == np.float64 and form.s_inv.dtype == np.float64
         assert form.eigenvalues.dtype == complex
@@ -603,11 +613,18 @@ def _assert_odd_fold_refused(n, h):
         _folded_dirichlet(n, h)
 
 
+def _dirichlet_form(n):
+    """The form the Dirichlet builder picks at n points."""
+    if n >= SINE_MIN_N:
+        return SineTransform
+    return FoldedSelfAdjoint if n >= FOLD_MIN_N and n % 2 == 0 else SpectralSelfAdjoint
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, FOLD_MIN_N - 1, FOLD_MIN_N, FOLD_MIN_N + 1, 512])
 def test_dirichlet_matches_the_dense_basis_folded_or_not(n):
     h = 0.75
     built = build_dirichlet_laplacian_1d(n, h)
-    assert isinstance(built.form, FoldedSelfAdjoint) == (n >= FOLD_MIN_N and n % 2 == 0)
+    assert type(built.form) is _dirichlet_form(n)
     if n % 2:
         _assert_odd_fold_refused(n, h)
     lam, q = _dense_dirichlet(n, h)
@@ -693,3 +710,92 @@ def test_only_large_dirichlet_operators_are_folded():
     assert all(isinstance(op.form, SpectralSelfAdjoint) for op in one_block)
     for n in (FOLD_MIN_N, FOLD_MIN_N + 2):
         assert build_dirichlet_laplacian_1d(n, 1.0).form.blocks.shape == (2, n // 2, n // 2)
+
+
+# -- the sine transform (no stored basis), against the dense basis ------------
+
+@pytest.mark.parametrize("n, form", [
+    (SINE_MIN_N - 2, FoldedSelfAdjoint),
+    (SINE_MIN_N - 1, SpectralSelfAdjoint),
+    (SINE_MIN_N, SineTransform),
+    (SINE_MIN_N + 1, SineTransform),
+])
+def test_dirichlet_form_at_the_sine_transform_boundary(n, form):
+    assert type(build_dirichlet_laplacian_1d(n, 1.0).form) is form
+
+
+@pytest.mark.parametrize("h", [0.75, 1.0])
+@pytest.mark.parametrize("n", [512, 513, 700, 1024])
+def test_sine_transform_matches_the_dense_basis(n, h):
+    op = build_dirichlet_laplacian_1d(n, h)
+    assert isinstance(op.form, SineTransform)
+    lam, q = _dense_dirichlet(n, h)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    c = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    assert _rel(np.real(op.eigenvalues_or_none()), lam) <= 1e-14
+    assert _rel(op.coefficients(x), q.T @ (h * x)) <= 1e-14
+    assert _rel(op.coefficients(x[:, 1]), q.T @ (h * x[:, 1])) <= 1e-14
+    assert _rel(op.synthesize(c), q @ c) <= 1e-14
+    assert _rel(op.synthesize(c[:, 2]), q @ c[:, 2]) <= 1e-14
+    assert _rel(op.matrix(), (q * lam) @ (q.T * h)) <= 1e-14
+    # Parseval energies of a multiplier stack, one row a multiplier
+    values = np.vstack([np.exp(-lam), lam / (1.0 + lam), np.ones(n)])
+    dense = np.square(np.abs(values)) @ np.square(np.abs(q.T @ (h * x[:, 0])))
+    assert _rel(op.energies(values, x[:, 0]), dense) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [SINE_MIN_N, SINE_MIN_N + 1])
+def test_sine_transform_of_a_real_operand_is_exactly_real(n):
+    op = build_dirichlet_laplacian_1d(n, 0.75)
+    rng = np.random.default_rng(1)
+    for real in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        for out in (op.coefficients(real), op.synthesize(real)):
+            assert out.dtype == complex and out.shape == real.shape
+            assert not np.any(out.imag)
+    assert not np.any(op.synthesize(np.eye(n)).imag)
+
+
+def test_sine_transform_gate_refuses_a_measure_or_scale_it_does_not_fit():
+    n, h = SINE_MIN_N, 0.75
+    op = build_dirichlet_laplacian_1d(n, h)
+    lam = op.form.eigenvalues
+    w = np.full(n, h)
+    w[7] *= 1.0 + 1e-15
+    with pytest.raises(OperatorError, match="uniform measure"):
+        dataclasses.replace(op, measure=MeasureSpace(w))
+    for size in (n - 1, n + 1):
+        with pytest.raises(OperatorError, match=f"needs {n} points, not {size}"):
+            dataclasses.replace(op, measure=MeasureSpace(np.full(size, h)))
+    for scale in (2.0 * h, 0.5 * h, h * (1.0 + 1e-15)):
+        with pytest.raises(OperatorError, match="uniform measure"):
+            dataclasses.replace(op, form=SineTransform(lam, scale))
+    for scale in (0.0, -h, np.inf, np.nan):
+        with pytest.raises(OperatorError, match="finite spacing"):
+            dataclasses.replace(op, form=SineTransform(lam, scale))
+    # the untouched form passes
+    assert dataclasses.replace(op, form=SineTransform(lam, h)).n == n
+
+
+class _Skewed(SineTransform):
+    """Coefficients twice and synthesis half the sine transform's: every
+    round trip is exact, but the coefficients' energy is four times too
+    large."""
+
+    def coefficients(self, x, measure):
+        return 2.0 * super().coefficients(x, measure)
+
+    def synthesize(self, coeffs):
+        return super().synthesize(0.5 * np.asarray(coeffs))
+
+
+def test_sine_transform_gate_checks_the_round_trip_and_parseval(monkeypatch):
+    op = build_dirichlet_laplacian_1d(SINE_MIN_N, 1.0)
+    lam = op.form.eigenvalues
+    with pytest.raises(OperatorError, match=r"orthonormal .*Parseval 3\.0e\+00"):
+        dataclasses.replace(op, form=_Skewed(lam, 1.0))
+    dst1 = operators._dst1
+    for broken in (lambda z, s: 1.001 * dst1(z, s), lambda z, s: np.full_like(dst1(z, s), np.nan)):
+        monkeypatch.setattr(operators, "_dst1", broken)
+        with pytest.raises(OperatorError, match="orthonormal"):
+            dataclasses.replace(op, form=SineTransform(lam, 1.0))
