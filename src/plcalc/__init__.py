@@ -37,21 +37,17 @@ from .symbols import (
     Symbol,
     besov_norm_inf_1,
     make_symbol,
-    mihlin_l1_norm,
     mihlin_norm,
-    mihlin_seminorm_classical,
     window_symbol,
 )
 from .calculus import (
     ContourSpec,
-    StripOperator,
     apply_contour,
     apply_spectral,
     bisectorial_projections,
     default_contour_spec,
     derivative_check,
     fractional_power_apply,
-    log_operator,
     semigroup_apply,
 )
 from .norms import (

@@ -1,5 +1,5 @@
-"""Functional calculus: spectral route, contour quadrature, the group
-calculus of log A and double-sector variants.
+"""Functional calculus: spectral route, contour quadrature and
+double-sector variants.
 
 For diagonalizable forms f(A)x = sum_k f(lambda_k) <x, e_k> e_k is exact
 linear algebra.  The quadrature route discretizes the boundary-of-sector
@@ -24,15 +24,15 @@ injective part: the kernel coefficients are dropped, which is composing
 with I - P (P = ModelOperator.kernel_component, the projection onto the
 kernel), and symbols are only ever evaluated on the nonzero spectrum.
 
-For the strip-type variant, StripOperator holds the spectrum mu = log
-lambda of B = log A and applies f(B) = (f o log)(A) (the group A^{is} is
-one such f).  Block norms of B are not computed here: they are the
-equidistant windows applied to A, which norms evaluates at Re log lambda.
+The strip-type calculus of B = log A needs no operator of its own: f(B)
+is (f o log)(A) through apply_spectral (the group A^{is} is the
+imag_power symbol), and the block norms of B are the equidistant windows
+applied to A, which norms evaluates at Re log lambda.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,18 @@ def apply_spectral(op: ModelOperator, f: Symbol, x) -> np.ndarray:
     return spectral_multiplier(op, vals, x)
 
 
+def log_trapezoid(lo: float, hi: float, nodes_per_decade: int):
+    """Trapezoid rule in u = log r on [lo, hi]: the nodes r and weights du,
+    at least nodes_per_decade nodes per decade and never fewer than two."""
+    decades = np.log10(hi / lo)
+    n = max(int(np.ceil(decades * nodes_per_decade)) + 1, 2)
+    u = np.linspace(np.log(lo), np.log(hi), n)
+    du = np.full(n, u[1] - u[0])
+    du[0] *= 0.5
+    du[-1] *= 0.5
+    return np.exp(u), du
+
+
 @dataclass
 class ContourSpec:
     """Two-ray boundary-of-sector contour in log-radius coordinates."""
@@ -97,19 +109,7 @@ class ContourSpec:
             raise CalculusError("need at least 8 nodes per decade")
 
     def nodes(self):
-        decades = np.log10(self.r_max / self.r_min)
-        n = max(int(np.ceil(decades * self.nodes_per_decade)) + 1, 2)
-        u = np.linspace(np.log(self.r_min), np.log(self.r_max), n)
-        du = np.full(n, u[1] - u[0])
-        du[0] *= 0.5
-        du[-1] *= 0.5
-        return np.exp(u), du
-
-    @staticmethod
-    def from_json(d: dict) -> "ContourSpec":
-        return ContourSpec(sigma=float(d["sigma"]), r_min=float(d["rmin"]),
-                           r_max=float(d["rmax"]),
-                           nodes_per_decade=int(d.get("nodes_per_decade", 64)))
+        return log_trapezoid(self.r_min, self.r_max, self.nodes_per_decade)
 
 
 def default_contour_spec(op: ModelOperator, f: Symbol, tail_tol: float = DEFAULT_TAIL_TOL,
@@ -230,43 +230,6 @@ def derivative_check(op: ModelOperator, g: Symbol, t: float, x,
     cd = (plus - minus) / (2 * h)
     nx = np.linalg.norm(np.asarray(x, dtype=complex))
     return float(np.linalg.norm(cd - exact) / max(nx, 1e-300))
-
-
-@dataclass
-class StripOperator:
-    """B = log(A) for injective A: strip spectrum mu_k = log lambda_k, and
-    the group calculus f(B) = (f o log)(A) through A's eigenbasis."""
-
-    base: ModelOperator
-    mu: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.base.injective:
-            raise CalculusError("logarithm needs an injective operator")
-        self.mu = np.log(self.base.eigenvalues_or_none())
-
-    @property
-    def strip_halfwidth(self) -> float:
-        return float(np.max(np.abs(np.imag(self.mu)))) if self.mu.size else 0.0
-
-    def apply_function(self, fvals_at_mu, x) -> np.ndarray:
-        """f(B)x from the values f(mu_k); a stack of rows gives a row stack."""
-        return spectral_multiplier(self.base, fvals_at_mu, x)
-
-    def apply_symbol(self, f, x) -> np.ndarray:
-        """f(B)x = (f o log)(A)x for a scalar function f on the strip."""
-        vals = np.asarray(f(np.real(self.mu)) if self.strip_halfwidth == 0
-                          else f(self.mu), dtype=complex)
-        return self.apply_function(vals, x)
-
-
-def log_operator(op: ModelOperator) -> StripOperator:
-    return StripOperator(op)
-
-
-def imaginary_power_apply(op: ModelOperator, s: float, x) -> np.ndarray:
-    """A^{is} x (the group generated by log(A), through the spectral route)."""
-    return apply_spectral(op, make_symbol("imag_power", s=s), x)
 
 
 def bisectorial_projections(op: ModelOperator):

@@ -101,7 +101,7 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
     value that is not an integer) on a malformed spec.
     """
     from .measure import lp_norm
-    from .operators import check_spec_keys, spec_value
+    from .operators import check_spec_keys, integer, spec_value
 
     kind = vec_spec.get("kind", "random")
     if kind not in _VECTOR_KEYS:
@@ -113,13 +113,13 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
         if vseed is None:
             raise CliExit(EXIT_BAD_CONFIG,
                                   "stochastic vector needs a seed (config or --seed)")
-        vseed = spec_value(vseed, int, "seed", where)
+        vseed = spec_value(vseed, integer, "seed", where)
         x = op.random_vector(np.random.default_rng(vseed))
         if vec_spec.get("normalize", True):
             x = x / lp_norm(x, pnorm, op.measure)
         return x, {"kind": "random", "seed": vseed}
     if kind == "eigenvector":
-        idx = spec_value(vec_spec["index"], int, "index", where)
+        idx = spec_value(vec_spec["index"], integer, "index", where)
         modes = op.eigenvalues_or_none().size
         if not 0 <= idx < modes:
             raise CliExit(EXIT_BAD_CONFIG,
@@ -143,13 +143,14 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
 
 def cmd_norm_eval(args) -> int:
     from .experiments import _norm_evaluator
-    from .operators import OperatorError, check_spec_keys, operator_from_spec, spec_value
+    from .operators import (OperatorError, check_spec_keys, integer, operator_from_spec,
+                            spec_value)
 
     config = _load_json(args.config)
     seed = args.seed if args.seed is not None else config.get("seed")
     try:
         check_spec_keys(config, ("operator", "norm", "vector", "seed"), "norm eval config")
-        norm_seed = 0 if seed is None else spec_value(seed, int, "seed", "norm eval config")
+        norm_seed = 0 if seed is None else spec_value(seed, integer, "seed", "norm eval config")
         op = operator_from_spec(config["operator"])
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed config: {exc}")

@@ -20,6 +20,7 @@ import numpy as np
 from .calculus import spectral_multiplier
 from .measure import lp_norm
 from .norms import (
+    ENSEMBLE_KINDS,
     NormsError,
     QuadratureSpec,
     RandomEnsemble,
@@ -43,6 +44,7 @@ from .operators import (
     SpecKeyError,
     SpecValueError,
     check_spec_keys,
+    integer,
     operator_from_spec,
     spec_value,
 )
@@ -165,9 +167,15 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "pl_random":
         theta = number("theta", 0.0)
-        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, int),
-                             count=number("count", 256, int),
-                             kind=spec.pop("sign_kind", "rademacher"))
+        count = number("count", 256, integer)
+        if count < 1:
+            raise SpecValueError("count", where, f"must be >= 1, got {count}")
+        sign_kind = spec.pop("sign_kind", "rademacher")
+        if sign_kind not in ENSEMBLE_KINDS:
+            raise SpecValueError("sign_kind", where,
+                                 f"must be one of {', '.join(ENSEMBLE_KINDS)}, got {sign_kind!r}")
+        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, integer),
+                             count=count, kind=sign_kind)
         random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
         evaluate = lambda x: random_norm(x).mean
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
@@ -239,8 +247,10 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     where = "experiment config"
     check_spec_keys(config, _CONFIG_KEYS, where)
     op = operator_from_spec(config["operator"])
-    seed = spec_value(config["seed"], int, "seed", where)
-    samples = spec_value(config.get("samples", 50), int, "samples", where)
+    seed = spec_value(config["seed"], integer, "seed", where)
+    samples = spec_value(config.get("samples", 50), integer, "samples", where)
+    if samples < 1:
+        raise SpecValueError("samples", where, f"must be >= 1, got {samples}")
     pnorm = _exponent(config.get("pnorm", 2), "pnorm", where)
     try:
         eval_a, echo_a = _norm_evaluator(op, config["norm_a"], seed)
@@ -528,21 +538,3 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
     return {"rows": rows, "max_ratio": float(np.max(ratios)),
             "median_ratio": float(np.median(ratios)), "alpha": alpha,
             "max_refine_rel": max(row["refine_rel"] for row in rows)}
-
-
-def type2_one_sided_check(op: ModelOperator, samples: int, seed: int,
-                          pnorm=4) -> dict:
-    """Empirical C in ||x||_p <= C (sum_n ||block_n x||_p^2)^(1/2) at p = 4.
-
-    The constant is recorded, never asserted against a universal value.
-    The window stack is built once for all samples.
-    """
-    block_sum = besov_discrete_evaluator(op, build_homogeneous_dyadic(), theta=0.0, q=2,
-                                         pnorm=pnorm)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = op.random_vector(rng)
-        x = x / lp_norm(x, pnorm, op.measure)
-        worst = max(worst, 1.0 / block_sum(x))
-    return {"empirical_C": worst, "pnorm": pnorm, "samples": samples}

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import spectral_multiplier
+from .calculus import log_trapezoid, spectral_multiplier
 from .measure import lp_norm
 from .operators import ModelOperator
 from .partitions import EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity
@@ -79,18 +79,21 @@ class NormsError(ValueError):
     pass
 
 
+ENSEMBLE_KINDS = ("rademacher", "gaussian")
+
+
 @dataclass(frozen=True)
 class RandomEnsemble:
     """Seeded sign/gaussian ensemble; the stream is reproducible from the seed."""
 
     seed: int
     count: int = 256
-    kind: str = "rademacher"     # or "gaussian"
+    kind: str = "rademacher"     # one of ENSEMBLE_KINDS
 
     def __post_init__(self):
         if self.count < 1:
             raise NormsError("ensemble count must be >= 1")
-        if self.kind not in ("rademacher", "gaussian"):
+        if self.kind not in ENSEMBLE_KINDS:
             raise NormsError(f"unknown ensemble kind {self.kind!r}")
 
     def draws(self, width: int) -> np.ndarray:
@@ -118,13 +121,7 @@ class QuadratureSpec:
             raise NormsError("need at least 4 nodes per decade")
 
     def nodes(self):
-        decades = np.log10(self.t_hi / self.t_lo)
-        n = max(int(np.ceil(decades * self.nodes_per_decade)) + 1, 2)
-        u = np.linspace(np.log(self.t_lo), np.log(self.t_hi), n)
-        du = np.full(n, u[1] - u[0])
-        du[0] *= 0.5
-        du[-1] *= 0.5
-        return np.exp(u), du
+        return log_trapezoid(self.t_lo, self.t_hi, self.nodes_per_decade)
 
     @staticmethod
     def cover(op: ModelOperator, margin: float = 2.0**10,

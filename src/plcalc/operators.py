@@ -168,6 +168,20 @@ def spec_value(value, convert, key: str, where: str):
         raise SpecValueError(key, where, exc) from None
 
 
+def integer(value) -> int:
+    """A spec value that names an integer exactly (8, 8.0 or "8"), as int.
+
+    The converter spec_value takes for every integer key: int() alone
+    would read 8.7 as 8 and True as 1, so a non-integral number (inf and
+    nan included) raises ValueError and a boolean TypeError.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def basis_matmul(b: np.ndarray, z) -> np.ndarray:
     """b @ z for a complex operand z (a K-vector or a K x m stack).
 
@@ -842,7 +856,7 @@ def operator_from_spec(spec: dict) -> ModelOperator:
                           convert, key, where)
 
     if kind == "dirichlet1d":
-        return build_dirichlet_laplacian_1d(read("n", int), read("h", float, 1.0))
+        return build_dirichlet_laplacian_1d(read("n", integer), read("h", float, 1.0))
     if kind == "graph":
         return build_graph_laplacian(read("sigma", _real_array))
     if kind == "hermite":
@@ -850,10 +864,10 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
         grid = uniform_grid(read("lo", float, -12.0, source=g, where="hermite grid"),
                             read("hi", float, 12.0, source=g, where="hermite grid"),
-                            read("n", int, 800, source=g, where="hermite grid"))
-        return build_hermite_operator(read("d", int), read("K", int), grid)
+                            read("n", integer, 800, source=g, where="hermite grid"))
+        return build_hermite_operator(read("d", integer), read("K", integer), grid)
     if kind == "schrodinger":
-        n, h = read("n", int), read("h", float, 1.0)
+        n, h = read("n", integer), read("h", float, 1.0)
         v = spec.get("V", 0.0)
         if isinstance(v, dict):
             check_spec_keys(v, ("quadratic",), "schrodinger potential")
@@ -866,4 +880,4 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         return build_schrodinger_1d(n, h, v)
     lam = read("lambdas", _complex_pairs)
     return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
-                                     read("seed", int, 0))
+                                     read("seed", integer, 0))

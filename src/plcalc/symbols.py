@@ -3,22 +3,22 @@
 A Symbol is a scalar function f on (0,inf) bundled with
 
   * optional evaluation on complex sector points (for contour quadrature),
-  * derivatives d^k f / dt^k up to order 8 (Taylor jets of the closed form
-    for shipped kinds, log-scale central differences otherwise),
+  * derivatives d^k f / dt^k up to order 8, from a derivative_fn (Taylor
+    jets of the closed form for the shipped kinds and the partition
+    windows); a symbol without one has only its values,
   * an optional decay certificate (eps0, eps_inf, C, sigma_max) asserting
     |f(t)| <= C min(t^eps0, t^-eps_inf) on rays of angle up to sigma_max.
 
-The norm estimators are grid estimators with a refinement stability gate:
+The one multiplier-class (Hoermander-Mihlin type) estimator is a grid
+estimator with a refinement stability gate:
 
-  classical multiplier seminorm   sup_{t, k<=beta} |t^k f^(k)(t)|
   smoothness norm (alpha, M)      ||g||_inf + int_{|h|<=1} |h|^-alpha
                                       sup_x |D_h^M g(x)|  dh/|h|
-  dyadic multiplier norm          the smoothness norm of f(e^x)
-  block-summed multiplier norm    sum_n ||f * window_n|| over dyadic blocks
+  dyadic multiplier norm          the smoothness norm of f(e^x) (mihlin_norm)
 
 where D_h^M is the M-fold iterated difference,
-D_h^1 g(x) = g(x+h) - g(x).  The estimators are meant for ratios and
-finiteness checks, not certified bounds; instability under refinement
+D_h^1 g(x) = g(x+h) - g(x).  The estimate is meant for ratios and
+finiteness checks, not a certified bound; instability under refinement
 (or under window growth) raises instead of returning a number.
 
 The smoothness norm reduces a FunctionFamily in one sweep of its (h, x)
@@ -42,10 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .operators import check_spec_keys, spec_value
-from .partitions import HOMOGENEOUS, PartitionOfUnity
+from .partitions import PartitionOfUnity
 from .taylor import DERIV_MAX_ORDER, taylor_derivative
-
-_LN2 = float(np.log(2.0))
 
 STABILITY_RTOL = 0.05      # refinement gate: <5% change under 2x refinement
 CERT_GRID_POINTS = 200     # log-grid sample backing each decay certificate
@@ -85,33 +83,6 @@ class DecayCertificate:
             return self.C * np.minimum(r**self.eps0, r**-self.eps_inf)
 
 
-def _fd_weights(order: int, stencil: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at 0 on the stencil."""
-    n = stencil.size
-    a = np.vander(stencil, n, increasing=True).T   # a[i, j] = stencil[j]**i
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(a, rhs)
-
-
-def _fd_derivative(f: Callable, k: int, t: np.ndarray) -> np.ndarray:
-    """Central differences on log scale (step ~ t), one Richardson step."""
-    t = np.asarray(t, dtype=float)
-    half = (k + 5) // 2 + 1
-    offsets = np.arange(-half, half + 1, dtype=float)
-    w = _fd_weights(k, offsets)
-    delta = (2.2e-16) ** (1.0 / (k + 4))
-
-    def stencil_eval(d):
-        h = t * d
-        vals = np.stack([np.asarray(f(t + j * h), dtype=complex) for j in offsets])
-        return (w[:, None] * vals).sum(axis=0) / h**k
-
-    coarse = stencil_eval(2 * delta)
-    fine = stencil_eval(delta)
-    return (16.0 * fine - coarse) / 15.0
-
-
 @dataclass
 class Symbol:
     """Scalar multiplier with derivative access and decay metadata."""
@@ -131,9 +102,9 @@ class Symbol:
             raise SymbolError(f"derivative order must be in [0, {DERIV_MAX_ORDER}]")
         if k == 0:
             return self(t)
-        if self.derivative_fn is not None:
-            return self.derivative_fn(k, np.asarray(t, dtype=float))
-        return _fd_derivative(self.evaluate, k, np.asarray(t, dtype=float))
+        if self.derivative_fn is None:
+            raise SymbolError(f"symbol {self.name} has no derivative formula")
+        return self.derivative_fn(k, np.asarray(t, dtype=float))
 
     def on_sector(self, z):
         if self.sector_evaluate is None:
@@ -323,11 +294,6 @@ def _difference(M: int, gx: np.ndarray, shifted) -> np.ndarray:
     return out
 
 
-def difference_shift(g: Callable, y: float) -> Callable:
-    """Translation tau_y g = g(. + y), companion of iterated_difference."""
-    return lambda x: g(np.asarray(x, dtype=float) + y)
-
-
 class FunctionFamily:
     """Functions g_0, ..., g_{size-1} evaluated through one shared table.
 
@@ -451,35 +417,6 @@ def besov_norm_inf_1(g: Callable, alpha: float, M: int | None = None,
     return besov_family_norms(_OneFunction(g), alpha, M, window, n_x, n_h, check_stability)[0]
 
 
-def mihlin_seminorm_classical(f: Symbol, beta: int, scale: float = 1.0,
-                              points_per_decade: int = 64) -> NormEstimate:
-    """sup over t and k <= beta of |t^k f^(k)(t)| on a wide log grid.
-
-    The grid spans scale * [2^-40, 2^40] and is refined once; a change
-    above the stability gate raises NormStabilityError.
-    """
-    if beta < 0:
-        raise SymbolError("beta must be >= 0")
-    decades = int(np.ceil(80 * np.log10(2.0)))
-
-    def estimate(ppd):
-        t = scale * np.logspace(-40 * np.log10(2.0), 40 * np.log10(2.0), decades * ppd)
-        best = 0.0
-        for k in range(beta + 1):
-            vals = np.abs(np.asarray(f.derivative(k, t), dtype=complex))
-            best = max(best, float(np.max(t**k * vals)))
-        return best
-
-    v1 = estimate(points_per_decade)
-    v2 = estimate(2 * points_per_decade)
-    rel = abs(v2 - v1) / max(v2, 1e-300)
-    if rel > STABILITY_RTOL:
-        raise NormStabilityError(
-            f"classical multiplier seminorm unstable under refinement ({rel:.1%})")
-    return NormEstimate(v2, {"beta": beta, "scale": scale,
-                             "points_per_decade": 2 * points_per_decade})
-
-
 def mihlin_norm(f: Symbol | Callable, alpha: float, M: int | None = None,
                 window: tuple = (-12.0, 12.0), n_x: int = 512, n_h: int = 145,
                 check_window_growth: bool = True) -> NormEstimate:
@@ -507,70 +444,3 @@ def mihlin_norm(f: Symbol | Callable, alpha: float, M: int | None = None,
     est.method["kind"] = "mihlin"
     est.method["window"] = list(window)
     return est
-
-
-def mihlin_l1_norm(f: Symbol, alpha: float, partition: PartitionOfUnity,
-                   M: int | None = None, n_range: tuple | None = None,
-                   n_x: int = 256, n_h: int = 97) -> NormEstimate:
-    """Block-summed multiplier norm: sum_n ||f * window_n|| over dyadic blocks.
-
-    Needs either an explicit ``n_range`` or a decay certificate on f to
-    bound the truncation tail; blocks on which f vanishes identically are
-    skipped.  Without a certificate, a non-negligible tail at the
-    truncation edge raises.
-    """
-    if partition.kind != HOMOGENEOUS:
-        raise SymbolError("block-summed norm uses the homogeneous dyadic partition")
-    if M is None:
-        M = int(np.floor(alpha)) + 1
-    explicit_range = n_range is not None
-    compact = f.decay is not None and not np.isfinite(f.decay.eps0)
-    if n_range is None:
-        if f.decay is not None and np.isfinite(f.decay.eps0) and f.decay.eps0 > 0:
-            # range beyond which the certified envelope is below 2^-46
-            n_lo = int(np.floor(-(np.log2(max(f.decay.C, 1e-300)) + 46) / f.decay.eps0)) - 1
-            n_hi = int(np.ceil((np.log2(max(f.decay.C, 1e-300)) + 46) / f.decay.eps_inf)) + 1
-            n_range = (max(n_lo, -60), min(n_hi, 60))
-        else:
-            n_range = (-60, 60)   # compact support or uncertified: rely on skipping
-    total = 0.0
-    blocks: dict = {}
-    for n in range(n_range[0], n_range[1] + 1):
-        lo, hi = partition.support(n)
-        sample = np.abs(np.asarray(f(np.linspace(lo, hi, 33)), dtype=complex))
-        if float(np.max(sample)) < 1e-300:
-            continue
-
-        def block(x, n=n):
-            t = np.exp(np.asarray(x, dtype=float))
-            return np.asarray(f(t), dtype=complex) * partition.window(n, t)
-
-        win = ((n - 1) * _LN2 - 1.5, (n + 1) * _LN2 + 1.5)
-        est = besov_norm_inf_1(block, alpha, M, win, n_x, n_h, check_stability=False)
-        blocks[n] = est.value
-        total += est.value
-    if f.decay is None and not explicit_range:
-        ns = sorted(blocks)
-        edge = max(blocks[ns[0]], blocks[ns[-1]]) if ns else 0.0
-        if edge > 1e-3 * max(total, 1e-300):
-            raise SymbolError(
-                "no decay certificate and non-negligible tail at the truncation edge")
-        tail = edge
-    elif f.decay is None or compact:
-        tail = 0.0
-    else:
-        # geometric tail from the certificate envelope; the block-norm to
-        # envelope proportionality is calibrated on the outermost blocks
-        ns = sorted(blocks)
-        cal = 1.0
-        for n in (ns[0], ns[-1]) if ns else ():
-            env = float(f.decay.bound(2.0**n))
-            if env > 0 and blocks[n] > 0:
-                cal = max(cal, blocks[n] / env)
-        e0, ei = f.decay.eps0, f.decay.eps_inf
-        tail = 2 * cal * f.decay.C * (
-            2.0 ** (n_range[0] * e0) / (1 - 2.0**-e0)
-            + 2.0 ** (-n_range[1] * ei) / (1 - 2.0**-ei))
-    return NormEstimate(total, {"kind": "mihlin_l1", "alpha": alpha, "M": M,
-                                "n_range": list(n_range), "blocks": blocks,
-                                "tail_bound": tail})

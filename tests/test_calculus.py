@@ -14,8 +14,6 @@ from plcalc.calculus import (
     even_multiplier_direct,
     even_multiplier_via_projections,
     fractional_power_apply,
-    imaginary_power_apply,
-    log_operator,
     semigroup_apply,
     spectral_multiplier,
 )
@@ -28,7 +26,8 @@ from plcalc.operators import (
     build_nonnormal_sectorial,
     build_schrodinger_1d,
 )
-from plcalc.partitions import build_equidistant, build_homogeneous_dyadic, tilde
+from plcalc.norms import QuadratureSpec
+from plcalc.partitions import build_homogeneous_dyadic, tilde
 from plcalc.symbols import Symbol, make_symbol, window_symbol
 
 
@@ -227,28 +226,15 @@ def test_derivative_check_exp():
 
 
 def test_log_operator_and_group():
+    # A^{is} x = e^{i s log A} x: the imag_power symbol against the group
+    # written through log
     op = diagonal_operator([1.0, np.e, np.e**2])
-    strip = log_operator(op)
-    assert np.allclose(np.real(strip.mu), [0.0, 1.0, 2.0], atol=1e-14)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    # f(B) x = (f o log)(A) x for an equidistant window
-    equi = build_equidistant()
-    f = lambda s: equi.window(0, s)
-    ya = strip.apply_symbol(f, x)
-    yb = apply_spectral(op, Symbol(evaluate=lambda t: f(np.log(t))), x)
-    assert np.linalg.norm(ya - yb) <= 1e-10 * np.linalg.norm(x)
-    # A^{is} x = e^{i s B} x
     s = 0.7
-    za = imaginary_power_apply(op, s, x)
-    zb = strip.apply_function(np.exp(1j * s * strip.mu), x)
+    za = apply_spectral(op, make_symbol("imag_power", s=s), x)
+    zb = apply_spectral(op, Symbol(evaluate=lambda t: np.exp(1j * s * np.log(t))), x)
     assert np.linalg.norm(za - zb) <= 1e-10 * np.linalg.norm(x)
-
-
-def test_log_operator_requires_injective():
-    op = build_graph_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(CalculusError):
-        log_operator(op)
 
 
 def test_bisectorial_projections_normal_case():
@@ -287,13 +273,28 @@ def test_bisectorial_rejects_imaginary_axis():
         bisectorial_projections(op)
 
 
-def test_contour_spec_from_json():
-    spec = ContourSpec.from_json({"sigma": 0.4, "rmin": 1e-4, "rmax": 1e4,
-                                  "nodes_per_decade": 32})
-    assert spec.sigma == 0.4
-    r, du = spec.nodes()
-    assert r[0] == pytest.approx(1e-4) and r[-1] == pytest.approx(1e4)
-    assert du[0] == pytest.approx(du[1] / 2)
+def _log_trapezoid_inline(lo, hi, nodes_per_decade):
+    # the rule both specs computed inline before they shared one function
+    decades = np.log10(hi / lo)
+    n = max(int(np.ceil(decades * nodes_per_decade)) + 1, 2)
+    u = np.linspace(np.log(lo), np.log(hi), n)
+    du = np.full(n, u[1] - u[0])
+    du[0] *= 0.5
+    du[-1] *= 0.5
+    return np.exp(u), du
+
+
+@pytest.mark.parametrize("lo, hi, per_decade", [(1e-4, 1e4, 32), (0.37, 0.41, 8),
+                                                (2.0**-30, 3.0e5, 64)],
+                         ids=["eight-decades", "two-nodes", "binary-lo"])
+def test_contour_and_quadrature_nodes_are_one_log_trapezoid(lo, hi, per_decade):
+    want = _log_trapezoid_inline(lo, hi, per_decade)
+    for r, du in (ContourSpec(0.4, lo, hi, per_decade).nodes(),
+                  QuadratureSpec(lo, hi, per_decade).nodes()):
+        np.testing.assert_array_equal(r, want[0])
+        np.testing.assert_array_equal(du, want[1])
+    assert r[0] == pytest.approx(lo) and r[-1] == pytest.approx(hi) and r.size >= 2
+    assert du[0] == du[-1] and np.sum(du) == pytest.approx(np.log(hi / lo))
 
 
 def _sample_symbol(hom):

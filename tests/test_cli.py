@@ -261,8 +261,9 @@ def run_cli(tmp_path, command, config):
     if command == "norm":
         return main(["norm", "eval", "--config", cfg, "--out", str(tmp_path / "r.json"),
                      "--quiet"])
+    seed = [] if "seed" in config else ["--seed", "5"]   # --seed would replace the config's
     return main(["experiment", "run", "--config", cfg, "--out", str(tmp_path / "r.json"),
-                 "--seed", "5", "--quiet"])
+                 "--quiet"] + seed)
 
 
 @pytest.mark.parametrize("command, config, key", [
@@ -407,9 +408,19 @@ _NON_NUMERIC_OPERATORS = [
     ({"kind": "schrodinger", "n": 8, "V": {"quadratic": "x"}},
      "'quadratic' in schrodinger potential"),
     ({"kind": "nonnormal", "lambdas": [[1.0, 0.0, 2.0]]}, "'lambdas' in nonnormal operator spec"),
+    # integer keys refuse a fraction, which int() would truncate, and a boolean
+    ({"kind": "dirichlet1d", "n": 8.7}, "'n' in dirichlet1d operator spec"),
+    ({"kind": "schrodinger", "n": 8.5}, "'n' in schrodinger operator spec"),
+    ({"kind": "hermite", "d": True, "K": 4}, "'d' in hermite operator spec"),
+    ({"kind": "hermite", "d": 1, "K": 4.5}, "'K' in hermite operator spec"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 600.5}}, "'n' in hermite grid"),
+    ({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]], "seed": 0.5},
+     "'seed' in nonnormal operator spec"),
 ]
 _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "schrodinger-V",
-                 "nonnormal-lambdas"]
+                 "nonnormal-lambdas", "dirichlet-n-fraction", "schrodinger-n-fraction",
+                 "hermite-d-boolean", "hermite-K-fraction", "hermite-grid-fraction",
+                 "nonnormal-seed-fraction"]
 
 
 @pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
@@ -442,11 +453,16 @@ def test_experiment_run_names_a_non_numeric_operator_value_and_exits_2(tmp_path,
     ({"kind": "pl_square", "pnorm": "two"}, "'pnorm' in pl_square norm spec"),
     ({"kind": "pl_square", "pnorm": 0.5}, "'pnorm' in pl_square norm spec: must be >= 1"),
     ({"kind": "pl_random", "count": "many"}, "'count' in pl_random norm spec"),
+    ({"kind": "pl_random", "count": 2.5}, "'count' in pl_random norm spec"),
+    ({"kind": "pl_random", "count": 0}, "'count' in pl_random norm spec: must be >= 1"),
+    ({"kind": "pl_random", "ensemble_seed": True}, "'ensemble_seed' in pl_random norm spec"),
+    ({"kind": "pl_random", "sign_kind": "bogus"}, "'sign_kind' in pl_random norm spec"),
     ({"kind": "besov_discrete", "q": "x"}, "'q' in besov_discrete norm spec"),
     ({"kind": "real_interpolation", "vartheta": [0.5]}, "'vartheta' in real_interpolation"),
     ({"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": "x", "b": 1.0}},
      "'a' in psi_exp symbol spec"),
-], ids=["theta", "pnorm", "pnorm-below-1", "count", "q", "vartheta", "psi-parameter"])
+], ids=["theta", "pnorm", "pnorm-below-1", "count", "count-fraction", "count-below-1",
+        "ensemble-seed-boolean", "sign-kind", "q", "vartheta", "psi-parameter"])
 @pytest.mark.parametrize("command", ["norm", "experiment"])
 def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, command, norm, named):
     # exit 2 and the key named, not exit 4: the norm was never refused
@@ -468,7 +484,22 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
      "'samples' in experiment config"),
     ("experiment", {**experiment_config([0.5]), "samples": 2},
      "'assert_bracket' in experiment config"),
-], ids=["norm-eval-seed", "vector-index", "vector-seed", "samples", "bracket"])
+    ("norm", {**norm_eval_config(), "seed": 1.5}, "'seed' in norm eval config"),
+    ("norm", norm_eval_config(vector={"kind": "eigenvector", "index": 0.5}),
+     "'index' in eigenvector vector spec"),
+    ("norm", norm_eval_config(vector={"kind": "eigenvector", "index": True}),
+     "'index' in eigenvector vector spec"),
+    ("norm", norm_eval_config(vector={"kind": "random", "seed": 2.5}),
+     "'seed' in random vector spec"),
+    ("experiment", {**experiment_config(None), "seed": 3.5}, "'seed' in experiment config"),
+    ("experiment", {**experiment_config(None), "samples": 10.5},
+     "'samples' in experiment config"),
+    ("experiment", {**experiment_config(None), "samples": 0},
+     "'samples' in experiment config: must be >= 1"),
+], ids=["norm-eval-seed", "vector-index", "vector-seed", "samples", "bracket",
+        "norm-eval-seed-fraction", "vector-index-fraction", "vector-index-boolean",
+        "vector-seed-fraction", "experiment-seed-fraction", "samples-fraction",
+        "samples-below-1"])
 def test_a_non_numeric_config_value_is_named(tmp_path, capsys, command, config, named):
     assert run_cli(tmp_path, command, config) == 2
     assert named in capsys.readouterr().err

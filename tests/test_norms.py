@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from plcalc import norms
-from plcalc.calculus import log_operator
 from plcalc.measure import lp_norm
 from plcalc.norms import (
     NormsError,
@@ -643,7 +642,7 @@ def test_strip_square_norm_sandwich():
         assert SQRT_HALF - 1e-9 <= r <= 1.0 + 1e-9
     # the windows sit on the strip spectrum Re mu of B = log A, active
     # over its range
-    mu = np.real(log_operator(op).mu)
+    mu = np.real(np.log(op.eigenvalues_or_none()))
     indices, windows = norms.block_stack(op, equi)
     assert list(indices) == list(equi.indices(float(np.min(mu)), float(np.max(mu))))
     np.testing.assert_array_equal(windows, [equi.window(n, mu) for n in indices])

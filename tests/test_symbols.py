@@ -15,12 +15,9 @@ from plcalc.symbols import (
     Symbol,
     SymbolError,
     besov_norm_inf_1,
-    difference_shift,
     iterated_difference,
     make_symbol,
-    mihlin_l1_norm,
     mihlin_norm,
-    mihlin_seminorm_classical,
     window_symbol,
 )
 
@@ -49,16 +46,6 @@ def test_symbol_parameter_validation():
         make_symbol("res_frac", a=0.5, b=0.2, theta=0.5)   # a - theta <= 0
 
 
-def test_rho_analytic_derivatives_vs_fd():
-    rho = make_symbol("rho")
-    bare = Symbol(evaluate=rho.evaluate)      # finite-difference fallback
-    t = np.logspace(-1, 1, 17)
-    for k in (1, 2, 3):
-        exact = rho.derivative(k, t)
-        approx = bare.derivative(k, t)
-        assert np.max(np.abs(exact - approx)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
-
-
 def _falling(p, k):
     return math.prod(p - j for j in range(k))
 
@@ -70,7 +57,8 @@ EXACT_DERIVATIVES = {
     "imag_power": ({"s": 0.7}, lambda k, x: _falling(0.7j, k) * x ** (0.7j - k)),
     "rho": ({}, lambda k, x: (-1.0) ** k * math.factorial(k) * (x - k) * (1 + x) ** (-2.0 - k)),
 }
-# Hand-written first derivatives of the kinds checked against differences.
+# Hand-written first derivatives of the kinds whose higher jets are checked
+# against differences of the jet one order lower.
 FIRST_DERIVATIVES = {
     "psi_exp": ({"a": 2.0, "b": 0.5},
                 lambda x: (2.0 * x - 0.5 * x**1.5) * np.exp(-np.sqrt(x))),
@@ -95,10 +83,20 @@ def test_shipped_derivatives_vs_oracles(kind, k):
     sym = make_symbol(kind, **params)
     if k == 1:
         np.testing.assert_allclose(sym.derivative(1, t), first(t.astype(complex)), rtol=1e-12)
-    t = np.logspace(-1, 1, 17)   # the difference oracle's range, as for rho above
+    # a central difference of the order-(k-1) jet, step relative to t
+    t = np.logspace(-1, 1, 17)
+    h = 1e-5 * t
     got = sym.derivative(k, t)
-    approx = Symbol(evaluate=sym.evaluate).derivative(k, t)   # finite differences
+    approx = (sym.derivative(k - 1, t + h) - sym.derivative(k - 1, t - h)) / (2 * h)
     assert np.max(np.abs(got - approx)) < 1e-6 * max(1.0, np.max(np.abs(got)))
+
+
+def test_a_symbol_without_a_derivative_formula_has_only_its_values():
+    bare = Symbol(evaluate=make_symbol("rho").evaluate)
+    t = np.array([0.5, 2.0])
+    np.testing.assert_array_equal(bare.derivative(0, t), make_symbol("rho")(t))
+    with pytest.raises(SymbolError, match="no derivative formula"):
+        bare.derivative(1, t)
 
 
 def test_derivatives_load_no_third_party_package_but_numpy():
@@ -183,7 +181,7 @@ def test_difference_product_rule(seed):
     rhs = np.zeros_like(lhs)
     for m in range(M + 1):
         rhs += (math.comb(M, m) * iterated_difference(g, m, h, x)
-                * iterated_difference(difference_shift(k, m * h), M - m, h, x))
+                * iterated_difference(lambda y, m=m: k(y + m * h), M - m, h, x))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -215,20 +213,6 @@ def test_besov_sin_finite_and_monotone_in_alpha():
 def test_besov_requires_m_above_alpha():
     with pytest.raises(SymbolError):
         besov_norm_inf_1(np.sin, alpha=2.0, M=2)
-
-
-def test_classical_seminorm_constant_and_imag_power():
-    one = Symbol(evaluate=lambda t: np.ones_like(t),
-                 derivative_fn=lambda k, t: np.zeros_like(t, dtype=complex))
-    assert mihlin_seminorm_classical(one, 2).value == pytest.approx(1.0, abs=1e-12)
-    # |t^k d^k t^(is)| = |is (is-1) ... (is-k+1)|; s=1, k=1 gives 1
-    est = mihlin_seminorm_classical(make_symbol("imag_power", s=1.0), 1)
-    assert est.value == pytest.approx(1.0, rel=1e-12)
-
-
-def test_classical_seminorm_rho_stable():
-    est = mihlin_seminorm_classical(make_symbol("rho"), 2)
-    assert np.isfinite(est.value) and est.value > 0
 
 
 def test_mihlin_norm_of_one_is_one():
@@ -269,55 +253,9 @@ def test_mihlin_norm_dilation_invariance(hom):
         assert val == pytest.approx(base, rel=1e-9)
 
 
-def test_mihlin_l1_compact_support_three_blocks(hom):
-    f = window_symbol(hom, 0)   # supported in [1/2, 2]
-    est = mihlin_l1_norm(f, 1.5, hom)
-    assert set(est.method["blocks"]) <= {-1, 0, 1}
-    assert est.method["tail_bound"] == 0.0
-
-
-def test_mihlin_l1_rho_tail_decays(hom):
-    est = mihlin_l1_norm(make_symbol("rho"), 1.5, hom)
-    blocks = est.method["blocks"]
-    assert np.isfinite(est.value)
-    ns = sorted(blocks)
-    # the outermost blocks decay at least like (1+|n|)^(-1-eps): compare
-    # geometric-mean decay over the last decade of indices
-    assert blocks[ns[-1]] < blocks[ns[-10]] / 4
-    assert blocks[ns[0]] < blocks[ns[9]] / 4
-    assert est.method["tail_bound"] < 1e-6 * est.value
-
-
-def test_mihlin_l1_subadditive(hom):
-    rng = np.random.default_rng(3)
-
-    def rand_compact(seed):
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(3)
-        return Symbol(
-            evaluate=lambda t: c[0] * hom.window(-1, t) + c[1] * hom.window(0, t)
-            + c[2] * hom.window(1, t))
-
-    f, g = rand_compact(1), rand_compact(2)
-    fg = Symbol(evaluate=lambda t: f(t) + g(t))
-    rng_range = (-3, 3)
-    nf = mihlin_l1_norm(f, 1.5, hom, n_range=rng_range).value
-    ng = mihlin_l1_norm(g, 1.5, hom, n_range=rng_range).value
-    nfg = mihlin_l1_norm(fg, 1.5, hom, n_range=rng_range).value
-    assert nfg <= nf + ng + 1e-9
-
-
-def test_mihlin_l1_uncertified_nondecaying_tail_raises(hom):
-    ident = Symbol(evaluate=lambda t: t)   # no certificate, no decay
-    with pytest.raises(SymbolError):
-        mihlin_l1_norm(ident, 1.5, hom)
-
-
-def test_classical_implies_besov_for_shipped_kinds():
-    # finiteness chain: classical seminorm finite => multiplier norm finite
-    # (alpha below beta); realized as: the estimator gates pass
+def test_mihlin_norm_finite_for_shipped_kinds():
+    # the estimator's refinement and widening gates pass on a wide window
     for sym in (make_symbol("rho"), make_symbol("res_frac", a=1.0, b=2.0)):
-        assert mihlin_seminorm_classical(sym, 3).value < np.inf
         assert mihlin_norm(sym, alpha=1.5, window=(-8, 8)).value < np.inf
 
 
@@ -326,10 +264,9 @@ def test_psi_res_values_and_derivative():
     t = np.array([1.0, 2.0])
     want = t / (-1.0 - t) ** 2
     assert np.allclose(np.real(sym(t)), want, rtol=1e-12)
-    bare = Symbol(evaluate=sym.evaluate)
-    d1 = sym.derivative(1, t)
-    d1_fd = bare.derivative(1, t)
-    assert np.max(np.abs(d1 - d1_fd)) < 1e-7
+    # d/dt t (lambda0 - t)^-2 = (lambda0 - t)^-2 + 2 t (lambda0 - t)^-3
+    d1 = (-1.0 - t) ** -2 + 2.0 * t * (-1.0 - t) ** -3
+    np.testing.assert_allclose(sym.derivative(1, t), d1, rtol=1e-12)
     assert sym.decay is not None and sym.decay.eps0 == 1.0
 
 
