@@ -23,7 +23,6 @@ from .operators import (
 from .partitions import (
     PartitionOfUnity,
     SmoothBump,
-    build_bump,
     build_equidistant,
     build_homogeneous_dyadic,
     even_extension,
@@ -46,7 +45,6 @@ from .calculus import (
     apply_spectral,
     bisectorial_projections,
     default_contour_spec,
-    derivative_check,
     fractional_power_apply,
     semigroup_apply,
 )

@@ -77,11 +77,11 @@ def _hermite_grid(num_modes: int):
     return uniform_grid(-half, half, max(500, 40 * num_modes))
 
 
-def criterion_1_overlap_sandwich(seed: int = 11) -> CriterionResult:
+def criterion_1_overlap_sandwich() -> CriterionResult:
     """Square-block norm of any unit vector sits in [2^-1/2, 1] at p = 2."""
     op = build_dirichlet_laplacian_1d(256, 1.0)
     hom = build_homogeneous_dyadic()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     lo, hi = np.inf, -np.inf
     for _ in range(100):
         x = op.random_vector(rng)
@@ -94,12 +94,12 @@ def criterion_1_overlap_sandwich(seed: int = 11) -> CriterionResult:
                            f"[{SQRT_HALF:.12f}, 1] (100 samples)")
 
 
-def criterion_2_fractional_sandwich(seed: int = 12) -> CriterionResult:
+def criterion_2_fractional_sandwich() -> CriterionResult:
     """Weighted blocks vs ||A^theta x||: within [2^(-|t|-1/2), 2^|t|]."""
     op = build_hermite_operator(1, 32, _hermite_grid(32))
     hom = build_homogeneous_dyadic()
     lam = np.real(op.eigenvalues_or_none())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(12)
     details = []
     ok = True
     for theta in (-1.0, 0.5, 1.0):
@@ -117,7 +117,7 @@ def criterion_2_fractional_sandwich(seed: int = 12) -> CriterionResult:
     return CriterionResult(2, "fractional sandwich", ok, "; ".join(details))
 
 
-def criterion_3_contour_vs_spectral(seed: int = 13) -> CriterionResult:
+def criterion_3_contour_vs_spectral() -> CriterionResult:
     """Quadrature route matches the spectral route and refines monotonically.
 
     The certified radii push the truncation tail to ~1e-12 so node error
@@ -130,7 +130,7 @@ def criterion_3_contour_vs_spectral(seed: int = 13) -> CriterionResult:
     n = 128
     xg = (np.arange(1, n + 1) - (n + 1) / 2) * (4.0 / (n + 1))
     op = build_schrodinger_1d(n, 1.0, xg**2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     x = op.random_vector(rng)
     x = x / lp_norm(x, 2, op.measure)
     ok = True
@@ -150,11 +150,11 @@ def criterion_3_contour_vs_spectral(seed: int = 13) -> CriterionResult:
     return CriterionResult(3, "contour vs spectral", ok, "; ".join(details))
 
 
-def criterion_4_continuous_square_exactness(seed: int = 14) -> CriterionResult:
+def criterion_4_continuous_square_exactness() -> CriterionResult:
     """psi(t) = t e^-t at p inner 2, theta 0: value = 0.5 ||x|| to 1e-6."""
     op = build_dirichlet_laplacian_1d(64, 1.0)
     psi = make_symbol("psi_exp", a=1.0, b=1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(14)
     worst = 0.0
     for _ in range(10):
         x = op.random_vector(rng)
@@ -165,11 +165,11 @@ def criterion_4_continuous_square_exactness(seed: int = 14) -> CriterionResult:
                            f"max |value - 1/2| = {worst:.2e} over 10 unit vectors")
 
 
-def criterion_5_mcintosh(seed: int = 15) -> CriterionResult:
+def criterion_5_mcintosh() -> CriterionResult:
     """Normalized |psi|^2 scale integral reproduces x to 1e-6."""
     op = build_dirichlet_laplacian_1d(96, 1.0)
     g = make_mcintosh_symbol(make_symbol("psi_exp", a=1.0, b=1.0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(15)
     worst = 0.0
     for _ in range(20):
         x = op.random_vector(rng)
@@ -178,18 +178,18 @@ def criterion_5_mcintosh(seed: int = 15) -> CriterionResult:
                            f"max residual {worst:.2e} over 20 vectors")
 
 
-def criterion_6_rademacher_square(seed: int = 16) -> CriterionResult:
+def criterion_6_rademacher_square() -> CriterionResult:
     """MC mean of squared random block sums matches sum of squared block
     norms within 3 standard errors, 256 samples, 20 vectors."""
     op = build_dirichlet_laplacian_1d(128, 1.0)
     hom = build_homogeneous_dyadic()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(16)
     worst = 0.0
     ok = True
     for k in range(20):
         x = op.random_vector(rng)
         x = x / lp_norm(x, 2, op.measure)
-        res = pl_random_norm(op, hom, x, 2, RandomEnsemble(seed=seed * 1000 + k, count=256))
+        res = pl_random_norm(op, hom, x, 2, RandomEnsemble(seed=16000 + k, count=256))
         sq_samples = res.samples**2
         mc_mean = float(np.mean(sq_samples))
         mc_se = float(np.std(sq_samples, ddof=1) / np.sqrt(sq_samples.size))
@@ -201,7 +201,7 @@ def criterion_6_rademacher_square(seed: int = 16) -> CriterionResult:
                            f"max |z| = {worst:.2f} (3 sigma gate, 20 vectors)")
 
 
-def criterion_7_besov_continuous_discrete(seed: int = 17) -> CriterionResult:
+def criterion_7_besov_continuous_discrete() -> CriterionResult:
     """Continuous Besov norm: substitution identity on eigenvectors and a
     size-stable ratio bracket against the discrete block norm."""
     hom = build_homogeneous_dyadic()
@@ -224,7 +224,7 @@ def criterion_7_besov_continuous_discrete(seed: int = 17) -> CriterionResult:
     brackets = {}
     for modes in (8, 16, 32):
         op = build_hermite_operator(1, modes, _hermite_grid(modes))
-        rng = np.random.default_rng(seed + modes)
+        rng = np.random.default_rng(17 + modes)
         ratios = []
         for _ in range(15):
             x = op.random_vector(rng)
@@ -242,10 +242,10 @@ def criterion_7_besov_continuous_discrete(seed: int = 17) -> CriterionResult:
         + ", ".join(f"K={m}: {v:.4f}" for m, v in med.items()))
 
 
-def criterion_8_k_functional(seed: int = 18) -> CriterionResult:
+def criterion_8_k_functional() -> CriterionResult:
     """Scalar closed form, brute-force oracle at n <= 6, concavity."""
     # scalar case: K(t) = min(1, t lambda) |x|
-    op1 = build_nonnormal_sectorial([2.0 + 0j], 1.0, seed)
+    op1 = build_nonnormal_sectorial([2.0 + 0j], 1.0, 18)
     x1 = np.array([1.0 + 0j])
     worst_scalar = 0.0
     for t in np.logspace(-3, 3, 25):
@@ -255,7 +255,7 @@ def criterion_8_k_functional(seed: int = 18) -> CriterionResult:
     # brute force agreement in the balanced regime (see the oracle docstring)
     op6 = build_dirichlet_laplacian_1d(6, 1.0)
     lam6 = np.real(op6.eigenvalues_or_none())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(18)
     worst_bf = 0.0
     for _ in range(5):
         x = op6.random_vector(rng)
@@ -268,7 +268,7 @@ def criterion_8_k_functional(seed: int = 18) -> CriterionResult:
     ok = ok and worst_bf <= 1e-6
     # monotone nondecreasing and concave on a 50-point log grid
     op = build_dirichlet_laplacian_1d(32, 1.0)
-    x = op.random_vector(np.random.default_rng(seed + 1))
+    x = op.random_vector(np.random.default_rng(19))
     x = x / lp_norm(x, 2, op.measure)
     ts = np.logspace(-4, 4, 50)
     ks = k_functional(op, x, ts, 0.0, 1.0)
@@ -283,13 +283,13 @@ def criterion_8_k_functional(seed: int = 18) -> CriterionResult:
         f"monotone={mono}, concave={concave}")
 
 
-def criterion_9_interpolation_identification(seed: int = 19) -> CriterionResult:
+def criterion_9_interpolation_identification() -> CriterionResult:
     """Interpolation norm vs discrete Besov norm: bracket stable in size."""
     hom = build_homogeneous_dyadic()
     med = {}
     for n in (64, 128, 256):
         op = build_dirichlet_laplacian_1d(n, 1.0)
-        rng = np.random.default_rng(seed + n)
+        rng = np.random.default_rng(19 + n)
         ratios = []
         for _ in range(10):
             x = op.random_vector(rng)
@@ -304,7 +304,7 @@ def criterion_9_interpolation_identification(seed: int = 19) -> CriterionResult:
         "median ratios " + ", ".join(f"n={n}: {v:.4f}" for n, v in med.items()))
 
 
-def criterion_10_resolvent_scan(seed: int = 20) -> CriterionResult:
+def criterion_10_resolvent_scan() -> CriterionResult:
     """Self-adjoint rays obey sup <= 1/sin(omega); fitted growth order ~ 1."""
     op = build_dirichlet_laplacian_1d(64, 1.0)
     omegas = np.linspace(0.01, 0.5, 9)
@@ -321,12 +321,12 @@ def criterion_10_resolvent_scan(seed: int = 20) -> CriterionResult:
                            f"max (sup - 1/sin) = {worst:.2e}, fitted alpha = {alpha:.3f}")
 
 
-def criterion_11_strip_bisectorial(seed: int = 21) -> CriterionResult:
+def criterion_11_strip_bisectorial() -> CriterionResult:
     """Equidistant blocks of log(A) obey the sandwich; double-sector
     projections resolve the identity and agree with the direct route."""
     op = build_hermite_operator(1, 24, _hermite_grid(24))
     equi = build_equidistant()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(21)
     lo, hi = np.inf, -np.inf
     for _ in range(25):
         x = op.random_vector(rng)
@@ -336,7 +336,7 @@ def criterion_11_strip_bisectorial(seed: int = 21) -> CriterionResult:
     ok = lo >= SQRT_HALF - 1e-9 and hi <= 1.0 + 1e-9
     # double sector
     lams = [1.0, 2.0, 4.0, -1.0, -2.0, -4.0, 1.5, -3.0]
-    bis = build_nonnormal_sectorial(lams, 5.0, seed)
+    bis = build_nonnormal_sectorial(lams, 5.0, 21)
     p1, p2 = bisectorial_projections(bis)
     resolution = float(np.linalg.norm(p1 + p2 - np.eye(bis.n)))
     hom = build_homogeneous_dyadic()
@@ -355,7 +355,7 @@ def criterion_11_strip_bisectorial(seed: int = 21) -> CriterionResult:
         f"even dual-path gap {worst_dual:.1e}")
 
 
-def criterion_12_noninjective(seed: int = 22) -> CriterionResult:
+def criterion_12_noninjective() -> CriterionResult:
     """Graph Laplacians: kernel split norm is a reproducible finite bracket
     and the constants really are in the kernel."""
     hom = build_homogeneous_dyadic()
@@ -370,7 +370,7 @@ def criterion_12_noninjective(seed: int = 22) -> CriterionResult:
         kernel_ok = float(np.max(np.abs(az))) <= 1e-13
         brackets = []
         for rep in range(2):
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(22)
             ratios = []
             for _ in range(40):
                 x = op.random_vector(rng)
@@ -388,12 +388,12 @@ def criterion_12_noninjective(seed: int = 22) -> CriterionResult:
     return CriterionResult(12, "non-injective handling", ok, "; ".join(details))
 
 
-def criterion_13_multiplier_bound(seed: int = 23) -> CriterionResult:
+def criterion_13_multiplier_bound() -> CriterionResult:
     """Converse direction: ||f(A)|| / ||f|| stable across operator sizes."""
     maxima = {}
     for n in (64, 128, 256):
         op = build_dirichlet_laplacian_1d(n, 1.0)
-        out = multiplier_bound_check(op, alpha=1.5, trials=100, seed=seed)
+        out = multiplier_bound_check(op, alpha=1.5, trials=100, seed=23)
         maxima[n] = out["max_ratio"]
     stable = max(maxima.values()) / min(maxima.values()) <= 2.0
     return CriterionResult(
@@ -401,7 +401,7 @@ def criterion_13_multiplier_bound(seed: int = 23) -> CriterionResult:
         "max ratios " + ", ".join(f"n={n}: {v:.4f}" for n, v in maxima.items()))
 
 
-def criterion_14_determinism(seed: int = 24) -> CriterionResult:
+def criterion_14_determinism() -> CriterionResult:
     """Same config, same seed: byte-identical experiment reports."""
     config = {
         "name": "determinism-probe",
@@ -409,7 +409,7 @@ def criterion_14_determinism(seed: int = 24) -> CriterionResult:
         "norm_a": {"kind": "pl_square", "pnorm": 2},
         "norm_b": {"kind": "ambient", "pnorm": 2},
         "samples": 25,
-        "seed": seed,
+        "seed": 24,
         "assert_bracket": [SQRT_HALF - 1e-9, 1.0 + 1e-9],
     }
     blob_a = json.dumps(run_equivalence(config).to_json(), sort_keys=True, indent=2)

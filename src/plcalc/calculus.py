@@ -220,18 +220,6 @@ def semigroup_apply(op: ModelOperator, t: float, x) -> np.ndarray:
     return spectral_multiplier(op, np.exp(-t * lam), x)
 
 
-def derivative_check(op: ModelOperator, g: Symbol, t: float, x,
-                     h: float = 1e-4) -> float:
-    """|| central-difference d/dt g(tA)x  -  A g'(tA) x || / ||x||."""
-    lam = op.eigenvalues_or_none()
-    lam_r = np.real(lam)
-    plus, minus, exact = spectral_multiplier(
-        op, [g((t + h) * lam_r), g((t - h) * lam_r), lam * g.derivative(1, t * lam_r)], x)
-    cd = (plus - minus) / (2 * h)
-    nx = np.linalg.norm(np.asarray(x, dtype=complex))
-    return float(np.linalg.norm(cd - exact) / max(nx, 1e-300))
-
-
 def bisectorial_projections(op: ModelOperator):
     """Spectral projections P1 (Re lambda > 0) and P2 (Re lambda < 0), as
     n x n arrays.

@@ -46,6 +46,7 @@ from .operators import (
     check_spec_keys,
     integer,
     operator_from_spec,
+    spec_kind,
     spec_value,
 )
 from .partitions import (
@@ -146,11 +147,12 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
 
     The norm's multiplier stack is built here, once, and the closure reuses
     it for every vector.  Raises SpecKeyError for a key the kind does not
-    read, SpecValueError for a value that does not read as a number, and
-    the norm's own error for a stack that cannot be built.
+    read, SpecValueError for a spec that is not an object of a known kind
+    or a value that does not read as a number, and the norm's own error for
+    a stack that cannot be built.
     """
-    spec = dict(spec)
-    kind = spec.pop("kind")
+    kind = spec_kind(spec, "norm")
+    spec = {key: value for key, value in spec.items() if key != "kind"}
     where = f"{kind} norm spec"
     pnorm = _exponent(spec.pop("pnorm", 2), "pnorm", where)
     hom = build_homogeneous_dyadic()
@@ -226,7 +228,7 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         evaluate = pl_square_evaluator(op, build_equidistant(), pnorm)
         echo = {"kind": kind, "pnorm": pnorm}
     else:
-        raise ExperimentError(f"unknown norm kind {kind!r}")
+        raise SpecValueError("kind", "norm spec", f"unknown norm kind {kind!r}")
     if spec:
         raise SpecKeyError(spec, where)
     return evaluate, echo
@@ -306,8 +308,11 @@ def run_equivalence(config: dict) -> EquivalenceReport:
 
 # -- resolvent growth -----------------------------------------------------------
 
-def resolvent_scan(op: ModelOperator, omegas, points_per_decade: int = 48,
-                   margin: float = 2.0**10) -> dict:
+SCAN_POINTS_PER_DECADE = 48   # radii of resolvent_scan's log grid per decade
+SCAN_MARGIN = 2.0**10         # the grid spans [lambda_min / margin, margin lambda_max]
+
+
+def resolvent_scan(op: ModelOperator, omegas) -> dict:
     """sup over |lambda| of ||lambda (lambda - A)^{-1}|| per ray arg = omega.
 
     At every point of the ray the norm is exact: op.multiplier_norm of the
@@ -323,9 +328,9 @@ def resolvent_scan(op: ModelOperator, omegas, points_per_decade: int = 48,
     for omega in omegas:
         if omega <= op.sector_angle_hint:
             raise ExperimentError(f"ray angle {omega} intersects the spectral sector")
-        radii = np.logspace(np.log10(op.lambda_min_positive / margin),
-                            np.log10(op.lambda_max * margin),
-                            int(points_per_decade * (2 * np.log10(margin)
+        radii = np.logspace(np.log10(op.lambda_min_positive / SCAN_MARGIN),
+                            np.log10(op.lambda_max * SCAN_MARGIN),
+                            int(SCAN_POINTS_PER_DECADE * (2 * np.log10(SCAN_MARGIN)
                                 + np.log10(op.lambda_max / op.lambda_min_positive))))
         cos = np.cos(omega - np.angle(lam_nz))
         radii = np.concatenate([radii, np.abs(lam_nz[cos > 0]) / cos[cos > 0]])

@@ -67,12 +67,11 @@ class MeasureSpace:
         return self.weights.size
 
     @staticmethod
-    def uniform(n: int, total: float | None = None) -> "MeasureSpace":
-        """Unit weights, or weights total/n when ``total`` is given."""
+    def uniform(n: int) -> "MeasureSpace":
+        """Unit weights."""
         if n < 1:
             raise MeasureError("n must be >= 1")
-        w = np.ones(n) if total is None else np.full(n, total / n)
-        return MeasureSpace(weights=w)
+        return MeasureSpace(weights=np.ones(n))
 
 
 def _check_vec(x, m: MeasureSpace) -> np.ndarray:

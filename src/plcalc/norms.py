@@ -124,12 +124,10 @@ class QuadratureSpec:
         return log_trapezoid(self.t_lo, self.t_hi, self.nodes_per_decade)
 
     @staticmethod
-    def cover(op: ModelOperator, margin: float = 2.0**10,
-              nodes_per_decade: int = 64) -> "QuadratureSpec":
+    def cover(op: ModelOperator, margin: float = 2.0**10) -> "QuadratureSpec":
         """Default coverage t in [1/(margin lambda_max), margin/lambda_min]."""
         return QuadratureSpec(t_lo=1.0 / (margin * op.lambda_max),
-                              t_hi=margin / op.lambda_min_positive,
-                              nodes_per_decade=nodes_per_decade)
+                              t_hi=margin / op.lambda_min_positive)
 
     def scaled(self, factor: float) -> "QuadratureSpec":
         return QuadratureSpec(self.t_lo * factor, self.t_hi * factor, self.nodes_per_decade)
@@ -327,9 +325,11 @@ def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.
 
 # -- continuous square function -------------------------------------------------
 
+SQUARE_TAIL_RTOL = 1e-8   # certified quadrature tails relative to the integral
+
+
 def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pnorm=2,
-                                quad: QuadratureSpec | None = None,
-                                tail_rtol: float = 1e-8):
+                                quad: QuadratureSpec | None = None):
     """x -> continuous_square_norm(op, psi, theta, x, ...), the weighted
     dilation table and its tail certificate built once."""
     if psi.decay is None:
@@ -338,11 +338,11 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
     if not (e0 > theta and ei > -theta):
         raise NormsError("certificate does not support this weight theta")
     if quad is None:
-        # range sized so the certified tails undercut tail_rtol with margin,
+        # range sized so the certified tails undercut SQUARE_TAIL_RTOL with margin,
         # assuming the integral itself is not much below c^2 * s-range mass
-        s_lo = (0.01 * tail_rtol * (e0 - theta) / max(c, 1e-300) ** 2) \
+        s_lo = (0.01 * SQUARE_TAIL_RTOL * (e0 - theta) / max(c, 1e-300) ** 2) \
             ** (1.0 / (2 * (e0 - theta))) if np.isfinite(e0) else 2.0**-10
-        s_hi = (max(c, 1e-300) ** 2 / (0.01 * tail_rtol * (ei + theta))) \
+        s_hi = (max(c, 1e-300) ** 2 / (0.01 * SQUARE_TAIL_RTOL * (ei + theta))) \
             ** (1.0 / (2 * (ei + theta))) if np.isfinite(ei) else 2.0**10
         quad = QuadratureSpec(t_lo=min(s_lo, 2.0**-10) / op.lambda_max,
                               t_hi=max(s_hi, 2.0**10) / op.lambda_min_positive)
@@ -361,8 +361,8 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
             c**2 * s_lo ** (2 * (e0 - theta)) / (2 * (e0 - theta))
             + c**2 * s_hi ** (-2 * (ei + theta)) / (2 * (ei + theta)))
         rel = float(np.max(tail / np.maximum(integ, 1e-300)))
-        if rel > tail_rtol:
-            raise NormsError(f"quadrature tail {rel:.2e} above tolerance {tail_rtol:.2e}; "
+        if rel > SQUARE_TAIL_RTOL:
+            raise NormsError(f"quadrature tail {rel:.2e} above tolerance {SQUARE_TAIL_RTOL:.2e}; "
                              "widen the t-range")
     # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
     values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * pvals
@@ -370,15 +370,14 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
 
 
 def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
-                           pnorm=2, quad: QuadratureSpec | None = None,
-                           tail_rtol: float = 1e-8) -> float:
+                           pnorm=2, quad: QuadratureSpec | None = None) -> float:
     """|| ( int |t^-theta psi(tA) x|^2 dt/t )^(1/2) ||_p by log-trapezoid.
 
     psi must certify |psi(t)| <= C min(t^eps0, t^-eps_inf) with eps0 > theta
     and eps_inf > -theta, so the truncated integrand
     t^(-2 theta) |psi(t lambda)|^2 has certified geometric tails.
     """
-    return continuous_square_evaluator(op, psi, theta, pnorm, quad, tail_rtol)(x)
+    return continuous_square_evaluator(op, psi, theta, pnorm, quad)(x)
 
 
 # -- Besov-type norms -----------------------------------------------------------
@@ -459,8 +458,7 @@ def _diagonal_data(op: ModelOperator, x):
     return _spectral_argument(op)[nz], np.abs(op.coefficients(x)[nz])
 
 
-def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,
-                 pnorm=2):
+def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     """K(t, x; theta0, theta1) = inf over x = x0 + x1 of
     ||A^theta0 x0||_2 + t ||A^theta1 x1||_2, on the injective part.
 
@@ -483,8 +481,6 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float,
     in K_ROOT_ITERS path evaluations; each path evaluation is one GEMM (see
     _split_path and _stationary_splits).
     """
-    if pnorm != 2:
-        raise NormsError("K-functional is implemented on the p = 2 path only")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise NormsError("K-functional times must be a number or a 1-D array")
@@ -702,10 +698,12 @@ def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,
                  + t * np.sqrt((((a - best_y) * v) ** 2).sum()))
 
 
+INTERPOLATION_TAIL_RTOL = 1e-9   # certified t-tails relative to the integral
+
+
 def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
                             theta0: float = 0.0, theta1: float = 1.0,
-                            quad: QuadratureSpec | None = None,
-                            tail_rtol: float = 1e-9) -> float:
+                            quad: QuadratureSpec | None = None) -> float:
     """( int (t^-vartheta K(t,x))^q dt/t )^(1/q) by log-trapezoid.
 
     Tails are certified by K(t) <= min(||A^theta0 x||, t ||A^theta1 x||):
@@ -735,7 +733,7 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
         center = n0 / max(n1, 1e-300)
         m_env = n0**qf0 * center ** (-vartheta * qf0) \
             * (1.0 / ((1 - vartheta) * qf0) + 1.0 / (vartheta * qf0))
-        budget = tail_rtol * m_env / 100.0
+        budget = INTERPOLATION_TAIL_RTOL * m_env / 100.0
         t_lo = (budget * (1 - vartheta) * qf0) ** (1.0 / ((1 - vartheta) * qf0)) \
             / n1 ** (1.0 / (1 - vartheta))
         t_hi = (n0**qf0 / (budget * vartheta * qf0)) ** (1.0 / (vartheta * qf0))
@@ -751,7 +749,7 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
         main = float(np.sum(du * (t**-vartheta * kvals) ** qf))
         tail_lo = (t[0] ** (1 - vartheta) * n1) ** qf / ((1 - vartheta) * qf)
         tail_hi = (t[-1] ** -vartheta * n0) ** qf / (vartheta * qf)
-        if (tail_lo + tail_hi) <= tail_rtol * max(main, 1e-300):
+        if (tail_lo + tail_hi) <= INTERPOLATION_TAIL_RTOL * max(main, 1e-300):
             return float(np.ldexp(main ** (1.0 / qf), e))
         if not auto:
             break

@@ -117,6 +117,10 @@ FOLD_MIN_N = 256
 # 0.28 ms against 16 ms.  At 256 points the transform would take 60 us
 # against 13 us folded (see the module docstring).
 SINE_MIN_N = 512
+# The largest array, in float64 entries (128 MB), that an operator spec may
+# ask for: n^2 for the dense kinds, grid n times K for hermite, and n for
+# dirichlet1d, whose dense basis below SINE_MIN_N points is small anyway.
+MAX_ENTRIES = 2**24
 
 
 class OperatorError(ValueError):
@@ -157,6 +161,14 @@ def check_spec_keys(spec: dict, known, where: str) -> None:
     unknown = set(spec) - set(known)
     if unknown:
         raise SpecKeyError(unknown, where)
+
+
+def spec_kind(spec, what: str) -> str:
+    """The "kind" of a JSON spec; SpecValueError unless spec is an object with one."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise SpecValueError("kind", f"{what} spec",
+                             f"expected an object with a 'kind', got {spec!r}")
+    return spec["kind"]
 
 
 def spec_value(value, convert, key: str, where: str):
@@ -642,8 +654,10 @@ def hermite_functions(num: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
-                           gram_tol: float = 1e-6) -> ModelOperator:
+HERMITE_GRAM_TOL = 1e-6   # largest accepted Gram defect of the sampled Hermite functions
+
+
+def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace) -> ModelOperator:
     """The 1-D Hermite operator -d^2/dx^2 + x^2: eigenvalues 1, 3, ..., 2K-1
     on discretized Hermite functions.
 
@@ -652,7 +666,7 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
     the 1-D spectrum shifted by d - 1, so any other d raises OperatorError.
 
     The grid must be wide and fine enough that the discretized Hermite
-    functions are orthonormal wrt the grid weights to ``gram_tol``; they
+    functions are orthonormal wrt the grid weights to HERMITE_GRAM_TOL; they
     are then re-orthonormalized in the weighted inner product so the
     spectral form is exact: one Householder QR of W^(1/2) V with the
     column signs fixed so diag(R) > 0, which is the factorization Gram-
@@ -666,9 +680,9 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace,
     w = grid.weights
     gram = v.T @ (w[:, None] * v)
     defect = float(np.max(np.abs(gram - np.eye(num_modes))))
-    if defect > gram_tol:
-        raise OperatorError(
-            f"grid too coarse or narrow: Hermite Gram defect {defect:.2e} > {gram_tol:.0e}")
+    if defect > HERMITE_GRAM_TOL:
+        raise OperatorError(f"grid too coarse or narrow: Hermite Gram defect "
+                            f"{defect:.2e} > {HERMITE_GRAM_TOL:.0e}")
     sqw = np.sqrt(w)
     u, r = np.linalg.qr(sqw[:, None] * v)
     q = u * np.sign(np.diag(r)) / sqw[:, None]
@@ -840,13 +854,13 @@ def operator_from_spec(spec: dict) -> ModelOperator:
     """Build an operator from its JSON description (CLI surface).
 
     Raises SpecKeyError for a key the kind does not read, and
-    SpecValueError for a value that does not read as its key's type.
+    SpecValueError for a spec that is not an object of a known kind, a
+    value that does not read as its key's type, or a size whose arrays
+    would exceed MAX_ENTRIES entries.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise OperatorError("operator spec must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = spec_kind(spec, "operator")
     if kind not in _SPEC_KEYS:
-        raise OperatorError(f"unknown operator kind {kind!r}")
+        raise SpecValueError("kind", "operator spec", f"unknown operator kind {kind!r}")
     where = f"{kind} operator spec"
     check_spec_keys(spec, ("kind",) + _SPEC_KEYS[kind], where)
 
@@ -855,19 +869,30 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         return spec_value(source.get(key, *default) if default else source[key],
                           convert, key, where)
 
+    def capped(key, entries, where=where):
+        if entries > MAX_ENTRIES:
+            raise SpecValueError(key, where, f"{entries} array entries exceed the cap "
+                                             f"{MAX_ENTRIES}")
+
     if kind == "dirichlet1d":
-        return build_dirichlet_laplacian_1d(read("n", integer), read("h", float, 1.0))
+        n = read("n", integer)
+        capped("n", n)
+        return build_dirichlet_laplacian_1d(n, read("h", float, 1.0))
     if kind == "graph":
         return build_graph_laplacian(read("sigma", _real_array))
     if kind == "hermite":
         g = spec.get("grid", {})
         check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
-        grid = uniform_grid(read("lo", float, -12.0, source=g, where="hermite grid"),
-                            read("hi", float, 12.0, source=g, where="hermite grid"),
-                            read("n", integer, 800, source=g, where="hermite grid"))
-        return build_hermite_operator(read("d", integer), read("K", integer), grid)
+        lo = read("lo", float, -12.0, source=g, where="hermite grid")
+        hi = read("hi", float, 12.0, source=g, where="hermite grid")
+        n = read("n", integer, 800, source=g, where="hermite grid")
+        capped("n", n, "hermite grid")
+        d, modes = read("d", integer), read("K", integer)
+        capped("K", n * modes)
+        return build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
     if kind == "schrodinger":
         n, h = read("n", integer), read("h", float, 1.0)
+        capped("n", max(n, 0) ** 2)
         v = spec.get("V", 0.0)
         if isinstance(v, dict):
             check_spec_keys(v, ("quadratic",), "schrodinger potential")
@@ -879,5 +904,6 @@ def operator_from_spec(spec: dict) -> ModelOperator:
                 v = np.full(n, v)
         return build_schrodinger_1d(n, h, v)
     lam = read("lambdas", _complex_pairs)
+    capped("lambdas", len(lam) ** 2)
     return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
                                      read("seed", integer, 0))

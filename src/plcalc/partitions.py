@@ -30,12 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylor import DERIV_MAX_ORDER, taylor_derivative
-
-# Plateau margin: inside this distance of the transition-band edges the
-# Taylor-jet derivatives are evaluated, outside they are exactly 0.
-_EDGE = 1e-12
-
 
 def _chi_values(t):
     t = np.asarray(t, dtype=float)
@@ -47,38 +41,12 @@ def _chi_values(t):
     return np.where(t >= 2.0, 0.0, np.where(t > 1.0, band, 1.0))
 
 
-def _chi_jet(x):
-    g_lo = (-(2 - x) ** -1).exp()
-    return g_lo * (g_lo + (-(x - 1) ** -1).exp()) ** -1
-
-
 @dataclass
 class SmoothBump:
-    """C^infinity transition chi: 1 on (-inf,1], 0 on [2,inf), nonincreasing.
-
-    Derivatives up to DERIV_MAX_ORDER come from a Taylor jet of the closed
-    form, evaluated only on the open transition band (they vanish
-    identically on the plateaus).
-    """
+    """C^infinity transition chi: 1 on (-inf,1], 0 on [2,inf), nonincreasing."""
 
     def __call__(self, t):
         return _chi_values(t)
-
-    def derivative(self, k: int, t):
-        if k < 0 or k > DERIV_MAX_ORDER:
-            raise ValueError(f"derivative order must be in [0, {DERIV_MAX_ORDER}]")
-        if k == 0:
-            return _chi_values(t)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        band = (t > 1.0 + _EDGE) & (t < 2.0 - _EDGE)
-        out[band] = taylor_derivative(_chi_jet, k, t[band]).real
-        return out
-
-
-def build_bump() -> SmoothBump:
-    """The package-wide transition function (all constants recorded above)."""
-    return SmoothBump()
 
 
 class PartitionError(ValueError):
@@ -133,22 +101,6 @@ class PartitionOfUnity:
             return base.window(n, np.abs(t))
         raise PartitionError(f"unknown partition kind {self.kind}")
 
-    def window_derivative(self, n: int, k: int, t):
-        """k-th derivative of member n (dyadic kinds, chain rule on the bump)."""
-        t = np.asarray(t, dtype=float)
-        if k == 0:
-            return self.window(n, t)
-        if self.kind == HOMOGENEOUS or (self.kind == INHOMOGENEOUS and n >= 1):
-            a = 2.0 ** (-n)
-            s = t * a
-            return a**k * (self.bump.derivative(k, s) - 2.0**k * self.bump.derivative(k, 2.0 * s))
-        if self.kind == INHOMOGENEOUS and n == 0:
-            return self.bump.derivative(k, t)
-        if self.kind == EQUIDISTANT:
-            s = t - n
-            return self.bump.derivative(k, s + 1.0) - self.bump.derivative(k, s + 2.0)
-        raise PartitionError(f"window_derivative unsupported for kind {self.kind}")
-
     def support(self, n: int):
         """Closed support interval of member n (in |t| for the even kind)."""
         if self.kind == HOMOGENEOUS:
@@ -182,9 +134,9 @@ class PartitionOfUnity:
         return range(n0, n1 + 1)
 
 
-def build_homogeneous_dyadic(bump: SmoothBump | None = None) -> PartitionOfUnity:
+def build_homogeneous_dyadic() -> PartitionOfUnity:
     """phi0 = chi - chi(2 .): supp in [1/2,2], telescoping sum 1 on (0,inf)."""
-    return PartitionOfUnity(HOMOGENEOUS, bump or build_bump())
+    return PartitionOfUnity(HOMOGENEOUS, SmoothBump())
 
 
 def to_inhomogeneous(p: PartitionOfUnity) -> PartitionOfUnity:
@@ -194,9 +146,9 @@ def to_inhomogeneous(p: PartitionOfUnity) -> PartitionOfUnity:
     return PartitionOfUnity(INHOMOGENEOUS, p.bump)
 
 
-def build_equidistant(bump: SmoothBump | None = None) -> PartitionOfUnity:
+def build_equidistant() -> PartitionOfUnity:
     """psi(t) = chi(t+1) - chi(t+2): supp in [-1,1], sum_n psi(t-n) = 1 on R."""
-    return PartitionOfUnity(EQUIDISTANT, bump or build_bump())
+    return PartitionOfUnity(EQUIDISTANT, SmoothBump())
 
 
 def even_extension(p: PartitionOfUnity) -> PartitionOfUnity:
@@ -234,8 +186,11 @@ class PartitionReport:
     ok: bool
 
 
-def validate_partition(p: PartitionOfUnity, grid, sum_tol: float = 1e-10,
-                       zero_tol: float = 1e-14) -> PartitionReport:
+SUM_TOL = 1e-10    # largest accepted |sum of the members - 1|
+ZERO_TOL = 1e-14   # member values above this count as nonzero
+
+
+def validate_partition(p: PartitionOfUnity, grid) -> PartitionReport:
     """Check sum-to-one, <=2 strictly-positive members per point, supports.
 
     The even kind sums to one on R minus the origin only, so zeros are
@@ -254,7 +209,7 @@ def validate_partition(p: PartitionOfUnity, grid, sum_tol: float = 1e-10,
     for n in range(n0, n1 + 1):
         v = p.window(n, grid)
         total += v
-        count += (v > zero_tol).astype(int)
+        count += (v > ZERO_TOL).astype(int)
         lo, hi = p.support(n)
         where = np.abs(grid) if p.kind == EVEN_BISECTORIAL else grid
         outside = (where < lo - 1e-15) | (where > hi + 1e-15)
@@ -262,5 +217,5 @@ def validate_partition(p: PartitionOfUnity, grid, sum_tol: float = 1e-10,
             support_violation = max(support_violation, float(np.max(np.abs(v[outside]))))
     max_defect = float(np.max(np.abs(total - 1.0)))
     max_count = int(np.max(count)) if count.size else 0
-    ok = max_defect <= sum_tol and max_count <= 2 and support_violation <= zero_tol
+    ok = max_defect <= SUM_TOL and max_count <= 2 and support_violation <= ZERO_TOL
     return PartitionReport(max_defect, max_count, support_violation, ok)

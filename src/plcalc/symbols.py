@@ -3,9 +3,6 @@
 A Symbol is a scalar function f on (0,inf) bundled with
 
   * optional evaluation on complex sector points (for contour quadrature),
-  * derivatives d^k f / dt^k up to order 8, from a derivative_fn (Taylor
-    jets of the closed form for the shipped kinds and the partition
-    windows); a symbol without one has only its values,
   * an optional decay certificate (eps0, eps_inf, C, sigma_max) asserting
     |f(t)| <= C min(t^eps0, t^-eps_inf) on rays of angle up to sigma_max.
 
@@ -36,14 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .operators import check_spec_keys, spec_value
+from .operators import SpecValueError, check_spec_keys, spec_kind, spec_value
 from .partitions import PartitionOfUnity
-from .taylor import DERIV_MAX_ORDER, taylor_derivative
 
 STABILITY_RTOL = 0.05      # refinement gate: <5% change under 2x refinement
 CERT_GRID_POINTS = 200     # log-grid sample backing each decay certificate
@@ -77,34 +72,19 @@ class DecayCertificate:
     def real_axis_constant(self) -> float:
         return self.C if self.c_real is None else self.c_real
 
-    def bound(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore"):
-            return self.C * np.minimum(r**self.eps0, r**-self.eps_inf)
-
 
 @dataclass
 class Symbol:
-    """Scalar multiplier with derivative access and decay metadata."""
+    """Scalar multiplier with optional sector evaluation and decay metadata."""
 
     evaluate: Callable
     name: str = "symbol"
     params: dict = field(default_factory=dict)
     sector_evaluate: Callable | None = None
-    derivative_fn: Callable | None = None      # (k, t) -> values, analytic
     decay: DecayCertificate | None = None
 
     def __call__(self, t):
         return self.evaluate(np.asarray(t, dtype=float))
-
-    def derivative(self, k: int, t):
-        if k < 0 or k > DERIV_MAX_ORDER:
-            raise SymbolError(f"derivative order must be in [0, {DERIV_MAX_ORDER}]")
-        if k == 0:
-            return self(t)
-        if self.derivative_fn is None:
-            raise SymbolError(f"symbol {self.name} has no derivative formula")
-        return self.derivative_fn(k, np.asarray(t, dtype=float))
 
     def on_sector(self, z):
         if self.sector_evaluate is None:
@@ -147,7 +127,6 @@ def make_symbol(kind: str, **params) -> Symbol:
             evaluate=lambda t: t**theta,
             name="power", params={"theta": theta},
             sector_evaluate=lambda z: np.exp(theta * np.log(z)),
-            derivative_fn=partial(taylor_derivative, lambda x: x**theta),
         )
 
     if kind == "rho":
@@ -155,7 +134,6 @@ def make_symbol(kind: str, **params) -> Symbol:
         return Symbol(
             evaluate=f, name="rho", params={},
             sector_evaluate=f,
-            derivative_fn=partial(taylor_derivative, f),
             decay=_certify(f, 1.0, 1.0, sigma_max=np.pi / 2 * 0.98),
         )
 
@@ -163,7 +141,6 @@ def make_symbol(kind: str, **params) -> Symbol:
         return Symbol(
             evaluate=lambda t: np.exp(-t), name="exp", params={},
             sector_evaluate=lambda z: np.exp(-z),
-            derivative_fn=partial(taylor_derivative, lambda x: (-x).exp()),
         )
 
     if kind == "psi_exp":
@@ -177,7 +154,6 @@ def make_symbol(kind: str, **params) -> Symbol:
             evaluate=lambda t: t**a * np.exp(-(t**b)),
             name="psi_exp", params={"a": a, "b": b},
             sector_evaluate=f_sec,
-            derivative_fn=partial(taylor_derivative, lambda x: x**a * (-(x**b)).exp()),
             decay=_certify(f_sec, a, a + 1.0, sigma_max),
         )
 
@@ -194,7 +170,6 @@ def make_symbol(kind: str, **params) -> Symbol:
             evaluate=lambda t: f(np.asarray(t, dtype=complex)), name="psi_res",
             params={"a": a, "b": b, "lambda0": lam0},
             sector_evaluate=f,
-            derivative_fn=partial(taylor_derivative, f),
             decay=_certify(f, a, b - a, sigma_max=0.3),
         )
 
@@ -207,7 +182,6 @@ def make_symbol(kind: str, **params) -> Symbol:
         return Symbol(
             evaluate=f, name="res_frac", params={"a": a, "b": b},
             sector_evaluate=f,
-            derivative_fn=partial(taylor_derivative, f),
             decay=_certify(f, a, b - a, sigma_max=np.pi / 2 * 0.98),
         )
 
@@ -217,19 +191,17 @@ def make_symbol(kind: str, **params) -> Symbol:
             evaluate=lambda t: np.asarray(t, dtype=complex) ** (1j * s),
             name="imag_power", params={"s": s},
             sector_evaluate=lambda z: np.exp(1j * s * np.log(z)),
-            derivative_fn=partial(taylor_derivative, lambda x: x ** (1j * s)),
         )
 
     raise SymbolError(f"unknown symbol kind {kind!r}")
 
 
 def window_symbol(p: PartitionOfUnity, n: int = 0) -> Symbol:
-    """A partition window as a Symbol (compactly supported, all derivatives)."""
+    """A partition window as a Symbol (compactly supported and C^infinity)."""
     lo, _ = p.support(n)
     return Symbol(
         evaluate=lambda t: p.window(n, t),
         name=f"{p.kind}_window", params={"n": n},
-        derivative_fn=lambda k, t: p.window_derivative(n, k, t),
         decay=DecayCertificate(eps0=np.inf, eps_inf=np.inf, C=1.0) if lo > 0 else None,
     )
 
@@ -244,18 +216,18 @@ def symbol_from_spec(spec: dict) -> Symbol:
     """Build a shipped symbol from its JSON description.
 
     Raises SpecKeyError for a key the kind does not read, and
-    SpecValueError for a parameter that does not read as a number (complex
-    for ``lambda0``, real for the others).
+    SpecValueError for a spec that is not an object of a shipped kind or a
+    parameter that does not read as a number (complex for ``lambda0``,
+    real for the others).
     """
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    # an unknown kind is left to make_symbol to reject
-    if kind in _SPEC_KEYS:
-        where = f"{kind} symbol spec"
-        check_spec_keys(spec, _SPEC_KEYS[kind], where)
-        spec = {key: spec_value(value, complex if key == "lambda0" else float, key, where)
-                for key, value in spec.items()}
-    return make_symbol(kind, **spec)
+    kind = spec_kind(spec, "symbol")
+    if kind not in _SPEC_KEYS:
+        raise SpecValueError("kind", "symbol spec", f"unknown symbol kind {kind!r}")
+    where = f"{kind} symbol spec"
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    check_spec_keys(params, _SPEC_KEYS[kind], where)
+    return make_symbol(kind, **{key: spec_value(value, complex if key == "lambda0" else float,
+                                                key, where) for key, value in params.items()})
 
 
 @dataclass

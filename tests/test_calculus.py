@@ -10,7 +10,6 @@ from plcalc.calculus import (
     apply_spectral,
     bisectorial_projections,
     default_contour_spec,
-    derivative_check,
     even_multiplier_direct,
     even_multiplier_via_projections,
     fractional_power_apply,
@@ -207,22 +206,6 @@ def test_semigroup_rejects_negative_time():
     op = diagonal_operator([1.0])
     with pytest.raises(CalculusError):
         semigroup_apply(op, -0.1, np.array([1.0 + 0j]))
-
-
-def test_derivative_check_exp():
-    op = build_dirichlet_laplacian_1d(16, 1.0)
-    rng = np.random.default_rng(4)
-    x = op.random_vector(rng)
-    x /= np.linalg.norm(x)
-    g = make_symbol("exp")
-    assert derivative_check(op, g, 0.5, x, h=1e-4) <= 1e-6
-    const = Symbol(evaluate=lambda t: np.ones_like(t),
-                   derivative_fn=lambda k, t: np.zeros_like(t, dtype=complex))
-    assert derivative_check(op, const, 0.5, x) <= 1e-12
-    ident = Symbol(evaluate=lambda t: t,
-                   derivative_fn=lambda k, t: np.ones_like(t, dtype=complex)
-                   if k == 1 else np.zeros_like(t, dtype=complex))
-    assert derivative_check(op, ident, 0.5, x) <= 1e-9
 
 
 def test_log_operator_and_group():

@@ -416,11 +416,24 @@ _NON_NUMERIC_OPERATORS = [
     ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 600.5}}, "'n' in hermite grid"),
     ({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]], "seed": 0.5},
      "'seed' in nonnormal operator spec"),
+    # a spec that is not an object of a known kind
+    ("x", "'kind' in operator spec"),
+    ({"n": 8}, "'kind' in operator spec"),
+    ({"kind": "dirichlet2d"}, "unknown operator kind 'dirichlet2d'"),
+    # sizes whose arrays would exceed MAX_ENTRIES entries
+    ({"kind": "dirichlet1d", "n": 1e30}, "'n' in dirichlet1d operator spec"),
+    ({"kind": "schrodinger", "n": 100000}, "'n' in schrodinger operator spec"),
+    ({"kind": "hermite", "d": 1, "K": 30000}, "'K' in hermite operator spec"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 10**9}}, "'n' in hermite grid"),
+    ({"kind": "nonnormal", "lambdas": [[1.0, 0.0]] * 4097},
+     "'lambdas' in nonnormal operator spec"),
 ]
 _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "schrodinger-V",
                  "nonnormal-lambdas", "dirichlet-n-fraction", "schrodinger-n-fraction",
                  "hermite-d-boolean", "hermite-K-fraction", "hermite-grid-fraction",
-                 "nonnormal-seed-fraction"]
+                 "nonnormal-seed-fraction", "not-an-object", "no-kind", "unknown-kind",
+                 "dirichlet-n-too-large", "schrodinger-n-too-large", "hermite-K-too-large",
+                 "hermite-grid-too-large", "nonnormal-lambdas-too-many"]
 
 
 @pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
@@ -461,8 +474,14 @@ def test_experiment_run_names_a_non_numeric_operator_value_and_exits_2(tmp_path,
     ({"kind": "real_interpolation", "vartheta": [0.5]}, "'vartheta' in real_interpolation"),
     ({"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": "x", "b": 1.0}},
      "'a' in psi_exp symbol spec"),
+    ("pl_square", "'kind' in norm spec"),
+    ({"pnorm": 2}, "'kind' in norm spec"),
+    ({"kind": "bogus"}, "unknown norm kind 'bogus'"),
+    ({"kind": "continuous_square", "psi": {"kind": "bogus"}}, "unknown symbol kind 'bogus'"),
+    ({"kind": "continuous_square", "psi": "rho"}, "'kind' in symbol spec"),
 ], ids=["theta", "pnorm", "pnorm-below-1", "count", "count-fraction", "count-below-1",
-        "ensemble-seed-boolean", "sign-kind", "q", "vartheta", "psi-parameter"])
+        "ensemble-seed-boolean", "sign-kind", "q", "vartheta", "psi-parameter", "not-an-object",
+        "no-kind", "unknown-kind", "psi-unknown-kind", "psi-not-an-object"])
 @pytest.mark.parametrize("command", ["norm", "experiment"])
 def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, command, norm, named):
     # exit 2 and the key named, not exit 4: the norm was never refused

@@ -20,7 +20,7 @@ def test_lp_norm_pythagorean():
 
 def test_lp_norm_normalized_measure_of_ones():
     for p in (1, 2, 3.5, np.inf):
-        m = MeasureSpace.uniform(7, total=1.0)
+        m = MeasureSpace(weights=np.full(7, 1.0 / 7))
         assert lp_norm(np.ones(7), p, m) == pytest.approx(1.0, abs=1e-14)
 
 

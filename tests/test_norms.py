@@ -380,8 +380,6 @@ def test_k_functional_guards():
     op = build_dirichlet_laplacian_1d(4, 1.0)
     x = np.ones(4)
     with pytest.raises(NormsError):
-        k_functional(op, x, 1.0, 0.0, 1.0, pnorm=4)
-    with pytest.raises(NormsError):
         k_functional(op, x, -1.0, 0.0, 1.0)
     with pytest.raises(NormsError):
         k_functional(op, x, np.array([1.0, 0.0]), 0.0, 1.0)

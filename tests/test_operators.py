@@ -17,6 +17,7 @@ from plcalc.operators import (
     SimilarityDiagonal,
     SineTransform,
     SpecKeyError,
+    SpecValueError,
     SpectralSelfAdjoint,
     _blend_conditioning,
     basis_matmul,
@@ -275,9 +276,9 @@ def test_operator_from_spec_roundtrip():
                              "lambdas": [[1.0, 0.0], [2.0, 0.5]],
                              "conditioning": 3.0, "seed": 1})
     assert op.n == 2
-    with pytest.raises(OperatorError):
+    with pytest.raises(SpecValueError, match="unknown operator kind 'unknown'"):
         operator_from_spec({"kind": "unknown"})
-    with pytest.raises((OperatorError, KeyError)):
+    with pytest.raises(SpecValueError, match="an object with a 'kind'"):
         operator_from_spec({"no_kind": 1})
 
 

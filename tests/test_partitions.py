@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from plcalc.partitions import (
+    SmoothBump,
     _chi_values,
-    build_bump,
     build_equidistant,
     build_homogeneous_dyadic,
     even_extension,
@@ -19,12 +19,12 @@ from plcalc.partitions import (
 
 @pytest.fixture(scope="module")
 def bump():
-    return build_bump()
+    return SmoothBump()
 
 
 @pytest.fixture(scope="module")
-def hom(bump):
-    return build_homogeneous_dyadic(bump)
+def hom():
+    return build_homogeneous_dyadic()
 
 
 def test_bump_plateaus_and_midpoint(bump):
@@ -71,27 +71,6 @@ def test_bump_monotone_and_bounded(bump):
     assert np.all(np.diff(v) <= 1e-15)
 
 
-def test_bump_derivatives_vanish_on_plateaus(bump):
-    for k in range(1, 9):
-        assert np.all(bump.derivative(k, np.array([0.3, 0.999, 2.001, 5.0])) == 0.0)
-
-
-def test_bump_derivative_matches_finite_difference(bump):
-    t = np.linspace(1.05, 1.95, 41)
-    h = 1e-6
-    fd = (bump(t + h) - bump(t - h)) / (2 * h)
-    assert np.max(np.abs(bump.derivative(1, t) - fd)) < 1e-6
-
-
-@pytest.mark.parametrize("k", range(2, 9))
-def test_bump_jet_derivative_matches_difference_of_lower_order(bump, k):
-    t = np.linspace(1.05, 1.95, 181)
-    h = 1e-5
-    fd = (bump.derivative(k - 1, t + h) - bump.derivative(k - 1, t - h)) / (2 * h)
-    exact = bump.derivative(k, t)
-    assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
-
-
 def test_homogeneous_window_values(hom):
     assert hom.window(0, np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-15)
     assert hom.window(0, np.array([0.4]))[0] == 0.0
@@ -127,8 +106,8 @@ def test_inhomogeneous_sum_to_one(hom):
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
-def test_equidistant_sum_support_and_center(bump):
-    equi = build_equidistant(bump)
+def test_equidistant_sum_support_and_center():
+    equi = build_equidistant()
     t = np.linspace(-10, 10, 2001)
     total = sum(equi.window(n, t) for n in range(-12, 13))
     assert np.max(np.abs(total - 1.0)) < 1e-12
