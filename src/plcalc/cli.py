@@ -57,6 +57,16 @@ def _load_json(path: str) -> dict:
         raise CliExit(EXIT_BAD_CONFIG, f"cannot read config {path}: {exc}")
 
 
+def _load_config(path: str, where: str) -> dict:
+    """The JSON object of a config file; any other JSON value is a
+    malformed config (exit 2)."""
+    config = _load_json(path)
+    if not isinstance(config, dict):
+        raise CliExit(EXIT_BAD_CONFIG, f"malformed config: {where} must be a JSON object, "
+                                       f"got {config!r}")
+    return config
+
+
 def _emit(payload: dict, out: str | None, quiet: bool):
     blob = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if out:
@@ -98,13 +108,16 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
     """The vector of a norm-eval config and its echo.
 
     Raises KeyError (SpecKeyError for an unread key, SpecValueError for a
-    value that is not an integer) on a malformed spec.
+    spec that is not an object or a value that is not an integer) on a
+    malformed spec.
     """
     from .measure import lp_norm
-    from .operators import check_spec_keys, integer, spec_value
+    from .operators import check_spec_keys, integer, spec_kind, spec_value
 
-    kind = vec_spec.get("kind", "random")
-    if kind not in _VECTOR_KEYS:
+    if isinstance(vec_spec, dict):
+        vec_spec = {"kind": "random", **vec_spec}
+    kind = spec_kind(vec_spec, "vector")
+    if not isinstance(kind, str) or kind not in _VECTOR_KEYS:
         raise CliExit(EXIT_BAD_CONFIG, f"unknown vector kind {kind!r}")
     where = f"{kind} vector spec"
     check_spec_keys(vec_spec, ("kind",) + _VECTOR_KEYS[kind], where)
@@ -146,7 +159,7 @@ def cmd_norm_eval(args) -> int:
     from .operators import (OperatorError, check_spec_keys, integer, operator_from_spec,
                             spec_value)
 
-    config = _load_json(args.config)
+    config = _load_config(args.config, "norm eval config")
     seed = args.seed if args.seed is not None else config.get("seed")
     try:
         check_spec_keys(config, ("operator", "norm", "vector", "seed"), "norm eval config")
@@ -186,7 +199,7 @@ def cmd_experiment_run(args) -> int:
     from .experiments import ExperimentError, run_equivalence
     from .operators import OperatorError
 
-    config = _load_json(args.config)
+    config = _load_config(args.config, "experiment config")
     if args.seed is not None:
         config["seed"] = args.seed
     if "seed" not in config or config["seed"] is None:

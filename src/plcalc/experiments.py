@@ -24,7 +24,9 @@ from .norms import (
     NormsError,
     QuadratureSpec,
     RandomEnsemble,
+    _coefficient_energies,
     _dilation_table,
+    _field_evaluator,
     _parseval,
     _spectral_argument,
     _window_grid,
@@ -32,7 +34,6 @@ from .norms import (
     besov_discrete_evaluator,
     block_stack,
     continuous_square_evaluator,
-    field_norms,
     pl_inhomogeneous_evaluator,
     pl_random_evaluator,
     pl_square_evaluator,
@@ -53,6 +54,7 @@ from .partitions import (
     HOMOGENEOUS,
     build_equidistant,
     build_homogeneous_dyadic,
+    padded_rows,
     to_inhomogeneous,
 )
 from .symbols import (
@@ -110,22 +112,16 @@ def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
     """x -> ||Px||_p + PL(x), P the kernel projection (op.kernel_component).
 
     P is the spectral projection onto the kernel, so on the Parseval route
-    one stack, the windows and the kernel indicator in its last row, gives
-    both terms from the energies.
+    both terms are square roots of weighted sums of |<x, e_k>|^2: the
+    kernel indicator and the windows' squares summed over the blocks, two
+    rows squared once and read by one GEMV.
     """
     windows = block_stack(op, partition)[1]
     if _parseval(op, pnorm):
-        stack = np.vstack([windows, ~op.nonzero])
-
-        def evaluate(x):
-            energies = op.energies(stack, x)
-            return np.sqrt(energies[-1]) + np.sqrt(np.sum(energies[:-1]))
-    else:
-        def evaluate(x):
-            return (lp_norm(op.kernel_component(x), pnorm, op.measure)
-                    + square_function_norm(op, windows, x, pnorm))
-
-    return evaluate
+        weights = np.vstack([~op.nonzero, np.square(windows).sum(axis=0)])
+        return lambda x: float(np.sum(np.sqrt(weights @ _coefficient_energies(op, x))))
+    return lambda x: (lp_norm(op.kernel_component(x), pnorm, op.measure)
+                      + square_function_norm(op, windows, x, pnorm))
 
 
 def _exponent(value, key: str, where: str):
@@ -189,7 +185,7 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     elif kind == "fractional_power":
         theta = number("theta", 1.0)
         powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
-        evaluate = lambda x: field_norms(op, powed, x, pnorm)
+        evaluate = _field_evaluator(op, powed, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "kernel_plus_pl":
         if op.injective:
@@ -423,20 +419,17 @@ def mcintosh_check(op: ModelOperator, g: Symbol, x,
 
 # -- converse multiplier bound ----------------------------------------------------
 
-def _dyadic_table(bump, t, n_lo: int, n_pad: int):
-    """(k, chi, 1 - chi) of the two-window form at points t in (0, inf).
-
-    With t = mant 2^e, mant in [1/2, 1) (frexp), the dyadic index is
-    m = e - 1 and s = t 2^-m = 2 mant exactly, so only windows m and m+1
-    are alive and f(t) = c_m chi(s) + c_{m+1} (1 - chi(s)).  The
-    coefficients are padded with two zeros on both sides (n_pad entries
-    in all); k is the index of c_m there, clipped so that c_m and c_{m+1}
-    are both pads, and read 0, for a point outside the blocks.  No
-    coefficient enters the table.
+def _dyadic_table(partition, t, n_lo: int, n_pad: int):
+    """(k, chi, 1 - chi) of the partition's two-window rule at points t in
+    (0, inf): f(t) = c_m chi + c_{m+1} (1 - chi), m its first live window
+    (PartitionOfUnity.two_windows).  The coefficients are padded with two
+    zeros on both sides (n_pad entries in all); k is the index of c_m
+    there (partitions.padded_rows), clipped so that c_m and c_{m+1} are
+    both pads, and read 0, for a point outside the blocks.  No coefficient
+    enters the table.
     """
-    mant, e = np.frexp(t)
-    chi = bump(2.0 * mant)
-    return np.clip(e.astype(np.intp) - (n_lo - 1), 0, n_pad - 2), chi, 1.0 - chi
+    m, chi, rest = partition.two_windows(t)
+    return padded_rows(m, n_lo, n_pad - 4), chi, rest
 
 
 def _two_window(c_pad: np.ndarray, k, chi, rest):
@@ -453,14 +446,13 @@ def _two_window(c_pad: np.ndarray, k, chi, rest):
 def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
     """f = sum_n c_n window_n with |c_n| <= 1: a multiplier-bounded sample.
 
-    Uses the two-window locality of the dyadic family (_dyadic_table): one
-    bump call per point, and c_m, c_{m+1} are two gathers from the
-    zero-padded coefficients.  Points outside every block, t <= 0 and
+    Uses the two-window rule of the partition (_dyadic_table): one bump
+    call per point, and c_m, c_{m+1} are two gathers from the zero-padded
+    coefficients.  Points outside every block, t <= 0 and
     t = +-inf, give 0, and t = NaN gives NaN.
     """
     if partition.kind != HOMOGENEOUS:
         raise ExperimentError("sampled symbols use the homogeneous partition")
-    bump = partition.bump
     c_pad = np.concatenate([[0.0, 0.0], coeffs.astype(complex), [0.0, 0.0]])
 
     def evaluate(t):
@@ -469,7 +461,7 @@ def sample_dyadic_symbol(partition, coeffs: np.ndarray, n_lo: int) -> Symbol:
         if not inside.all():
             return np.where(inside, evaluate(np.where(inside, t, 1.0)),
                             np.where(np.isnan(t), np.nan, 0.0))
-        return _two_window(c_pad, *_dyadic_table(bump, t, n_lo, c_pad.size))
+        return _two_window(c_pad, *_dyadic_table(partition, t, n_lo, c_pad.size))
 
     return Symbol(evaluate=evaluate, name="dyadic_sample",
                   params={"n_lo": n_lo, "coeffs": [[c.real, c.imag] for c in coeffs]})
@@ -491,13 +483,13 @@ class DyadicSampleFamily(FunctionFamily):
     def __init__(self, partition, coeffs: np.ndarray, n_lo: int):
         if partition.kind != HOMOGENEOUS:
             raise ExperimentError("sampled symbols use the homogeneous partition")
-        self.bump = partition.bump
+        self.partition = partition
         self.c_pad = np.pad(np.asarray(coeffs, dtype=complex), ((0, 0), (2, 2)))
         self.n_lo = n_lo
         self.size = self.c_pad.shape[0]
 
     def table(self, y):
-        return _dyadic_table(self.bump, np.exp(y), self.n_lo, self.c_pad.shape[1])
+        return _dyadic_table(self.partition, np.exp(y), self.n_lo, self.c_pad.shape[1])
 
     def member(self, table, k: int) -> np.ndarray:
         return _two_window(self.c_pad[k], *table)

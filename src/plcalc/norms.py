@@ -6,10 +6,12 @@ Every block, square-function and Besov norm is a reduction over the
 fields f_j(A)x of one stack of multipliers f_j: the weighted windows
 2^(n theta) window_n, or the symbol at the quadrature nodes, psi(t_j .) or
 f(t_j .).  Each norm has two halves.  Its evaluator (pl_square_evaluator,
-...) builds the stack, which does not depend on x, together with the
-quadrature tail certificate; the closure it returns reduces the
-coefficients of one x.  An experiment builds the stack once and evaluates
-every sample with it; the public norm functions build it per call.
+...) builds the half that does not depend on x, in one pass, together with
+the quadrature tail certificate; the closure it returns reduces the
+coefficients of one x.  An experiment builds that half once and evaluates
+every sample with it; the public norm functions build it per call.  A
+window stack is scattered from the partition's two-window rule, one bump
+call for all windows (block_stack).
 
 Where a partition's windows sit on the spectrum, and which of their
 indices are active, is one rule (_window_grid), read off the partition
@@ -28,9 +30,16 @@ kind and never off the operator's type:
 A reduction reads the fields in one of two ways:
 
   p = 2, orthonormal eigenbasis   by Parseval, ||f_j(A)x||_2^2 =
-                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2
-                                  (ModelOperator.energies): one coefficient
-                                  transform and no synthesis;
+                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2: the
+                                  evaluator squares its stack once (and sums
+                                  it over j for a square function), so a
+                                  vector costs one coefficient transform and
+                                  one GEMV, and no synthesis.  The
+                                  continuous square function's weights,
+                                  sum_j du_j t_j^(-2 theta) |psi(t_j lambda_k)|^2,
+                                  are the integrals its tail certificate
+                                  divides by, reduced over node blocks
+                                  without a table;
   any other p, or a non-orthonormal basis (S diag S^-1)
                                   one coefficient transform and one
                                   synthesis of the whole stack, then L^p
@@ -71,8 +80,9 @@ import numpy as np
 from .calculus import log_trapezoid, spectral_multiplier
 from .measure import lp_norm
 from .operators import ModelOperator
-from .partitions import EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity
-from .symbols import Symbol
+from .partitions import (EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity,
+                         padded_rows)
+from .symbols import BLOCK_POINTS, Symbol
 
 
 class NormsError(ValueError):
@@ -165,6 +175,22 @@ def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
     return table
 
 
+def _dilation_integrals(f, t, w, lam) -> np.ndarray:
+    """sum_j w_j |f(t_j lam_k)|^2 for every entry lam_k of lam.
+
+    The nodes t_j are taken in blocks of about symbols.BLOCK_POINTS points
+    of the (node, eigenvalue) grid, and each block is reduced by one GEMV,
+    so no table of f(t_j lam_k) is held.
+    """
+    out = np.zeros(lam.size)
+    rows = max(1, BLOCK_POINTS // lam.size)
+    for j in range(0, t.size, rows):
+        vals = np.abs(f(np.outer(t[j:j + rows], lam)))
+        np.square(vals, out=vals)
+        out += w[j:j + rows] @ vals
+    return out
+
+
 def _window_grid(op: ModelOperator, p: PartitionOfUnity):
     """(points, indices): the point of every eigenvalue at which the windows
     of p are evaluated, and the range of window indices active there (the
@@ -194,12 +220,20 @@ def block_stack(op: ModelOperator, p: PartitionOfUnity, theta: float = 0.0):
     """(indices, windows): the active window indices n and, in row i, the
     multiplier 2^(n theta) window_n on the spectrum, n = indices[i].
 
-    The half of every block norm that does not depend on x.
+    The half of every block norm that does not depend on x, scattered from
+    the partition's two-window rule: one bump call for the whole stack.
     """
     if theta != 0.0 and p.kind == EQUIDISTANT:
         raise NormsError("weighted blocks are defined for dyadic partitions")
     points, indices = _window_grid(op, p)
-    windows = np.array([p.window(n, points) for n in indices])
+    k, chi, rest = p.two_windows(points)
+    width = len(indices)
+    rows = padded_rows(k, indices.start, width)
+    cols = np.arange(points.size)
+    padded = np.zeros((width + 4, points.size))
+    padded[rows, cols] = chi
+    padded[rows + 1, cols] = rest
+    windows = padded[2:-2]
     indices = np.array(indices)
     if theta != 0.0:
         windows *= _block_weights(indices, theta)[:, None]
@@ -251,12 +285,42 @@ def square_function_norm(op, values, x, pnorm) -> float:
     return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
 
 
+def _coefficient_energies(op, x) -> np.ndarray:
+    """|<x, e_k>|^2 for every eigenvalue: the x-dependent half of a norm on
+    the Parseval route, from one coefficient transform."""
+    return np.square(np.abs(op.coefficients(x)))
+
+
+def _field_evaluator(op, values, pnorm):
+    """x -> field_norms(op, values, x, pnorm).  On the Parseval route the
+    stack is squared once, |f_j(lambda_k)|^2, and a vector costs one
+    coefficient transform and one GEMV."""
+    if _parseval(op, pnorm):
+        weights = np.square(np.abs(values))
+        return lambda x: np.sqrt(weights @ _coefficient_energies(op, x))
+    return lambda x: field_norms(op, values, x, pnorm)
+
+
+def _square_evaluator(op, values, pnorm):
+    """x -> square_function_norm(op, values, x, pnorm).  On the Parseval
+    route the stack is squared and summed over its rows once, to the weights
+    sum_j |f_j(lambda_k)|^2, and a vector costs one coefficient transform
+    and one dot product."""
+    if _parseval(op, pnorm):
+        return _parseval_square(op, np.square(np.abs(values)).sum(axis=0))
+    return lambda x: square_function_norm(op, values, x, pnorm)
+
+
+def _parseval_square(op, weights):
+    """x -> (sum_k weights_k |<x, e_k>|^2)^(1/2)."""
+    return lambda x: float(np.sqrt(weights @ _coefficient_energies(op, x)))
+
+
 # -- block norms ----------------------------------------------------------------
 
 def pl_square_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0):
     """x -> pl_square_norm(op, p, x, pnorm, theta), the window stack built once."""
-    windows = block_stack(op, p, theta)[1]
-    return lambda x: square_function_norm(op, windows, x, pnorm)
+    return _square_evaluator(op, block_stack(op, p, theta)[1], pnorm)
 
 
 def pl_square_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
@@ -278,14 +342,13 @@ def pl_random_evaluator(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble,
 
     The sum over blocks of one draw is the field of the multiplier
     sum_n eps_n 2^(n theta) window_n, so on the Parseval route each draw is
-    one row of that stack; otherwise the blocks are synthesized and the
-    draws combine them.
+    one row of that signed stack, squared once; otherwise the blocks are
+    synthesized and the draws combine them.
     """
     windows = block_stack(op, p, theta)[1]
     draws = ens.draws(len(windows))
     if _parseval(op, pnorm):
-        signed = draws @ windows
-        sample_norms = lambda x: np.sqrt(op.energies(signed, x))
+        sample_norms = _field_evaluator(op, draws @ windows, pnorm)
     else:
         sample_norms = lambda x: lp_norm(draws @ spectral_multiplier(op, windows, x),
                                          pnorm, op.measure)
@@ -330,8 +393,16 @@ SQUARE_TAIL_RTOL = 1e-8   # certified quadrature tails relative to the integral
 
 def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pnorm=2,
                                 quad: QuadratureSpec | None = None):
-    """x -> continuous_square_norm(op, psi, theta, x, ...), the weighted
-    dilation table and its tail certificate built once."""
+    """x -> continuous_square_norm(op, psi, theta, x, ...), its x-independent
+    half built once.
+
+    That half is the per-eigenvalue integral
+    I_k = sum_j du_j t_j^(-2 theta) |psi(t_j lambda_k)|^2, reduced over node
+    blocks (_dilation_integrals) without a (node, eigenvalue) table: it is
+    both the denominator of the tail certificate and, on the Parseval route,
+    the weight of |<x, e_k>|^2.  Only the synthesis route builds the table
+    of the fields' multipliers.
+    """
     if psi.decay is None:
         raise NormsError(f"symbol {psi.name} carries no decay certificate")
     e0, ei, c = psi.decay.eps0, psi.decay.eps_inf, psi.decay.real_axis_constant
@@ -347,25 +418,26 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
         quad = QuadratureSpec(t_lo=min(s_lo, 2.0**-10) / op.lambda_max,
                               t_hi=max(s_hi, 2.0**10) / op.lambda_min_positive)
     t, du = quad.nodes()
-    pvals = _dilation_table(op, psi, t)
     nz = op.nonzero
+    lam = _spectral_argument(op)[nz]
+    integ = np.zeros(nz.size)          # kernel weights are 0
+    integ[nz] = _dilation_integrals(psi, t, du * t ** (-2 * theta), lam)
     # certified tails of int t^(-2 theta) |psi(t lambda)|^2 dt/t, relative to
     # the computed per-eigenvalue integral
     if np.isfinite(e0) and np.isfinite(ei) and np.any(nz):
-        lam = _spectral_argument(op)[nz]
-        integ = (du[:, None] * t[:, None] ** (-2 * theta)
-                 * np.abs(pvals[:, nz]) ** 2).sum(axis=0)
         s_lo = t[0] * lam
         s_hi = t[-1] * lam
         tail = lam ** (2 * theta) * (
             c**2 * s_lo ** (2 * (e0 - theta)) / (2 * (e0 - theta))
             + c**2 * s_hi ** (-2 * (ei + theta)) / (2 * (ei + theta)))
-        rel = float(np.max(tail / np.maximum(integ, 1e-300)))
+        rel = float(np.max(tail / np.maximum(integ[nz], 1e-300)))
         if rel > SQUARE_TAIL_RTOL:
             raise NormsError(f"quadrature tail {rel:.2e} above tolerance {SQUARE_TAIL_RTOL:.2e}; "
                              "widen the t-range")
+    if _parseval(op, pnorm):
+        return _parseval_square(op, integ)
     # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
-    values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * pvals
+    values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * _dilation_table(op, psi, t)
     return lambda x: square_function_norm(op, values, x, pnorm)
 
 
@@ -396,7 +468,8 @@ def besov_discrete_evaluator(op, p: PartitionOfUnity, theta: float, q, pnorm=2):
     and its weights built once."""
     indices, windows = block_stack(op, p)
     weights = _block_weights(indices, theta)
-    return lambda x: _lq_combine(weights * field_norms(op, windows, x, pnorm), q)
+    field_norm = _field_evaluator(op, windows, pnorm)
+    return lambda x: _lq_combine(weights * field_norm(x), q)
 
 
 def besov_discrete_norm(op, p: PartitionOfUnity, x, theta: float, q, pnorm=2) -> float:
@@ -412,11 +485,11 @@ def besov_continuous_evaluator(op: ModelOperator, theta: float, q, f: Symbol,
     if quad is None:
         quad = QuadratureSpec.cover(op)
     t, du = quad.nodes()
-    table = _dilation_table(op, f, t)
+    field_norm = _field_evaluator(op, _dilation_table(op, f, t), pnorm)
     weights = t**-theta
 
     def evaluate(x) -> float:
-        norms = field_norms(op, table, x, pnorm)
+        norms = field_norm(x)
         if q == np.inf or q == "inf":
             return float(np.max(weights * norms))
         qf = float(q)

@@ -22,6 +22,22 @@ Each family sums to 1 on its domain by telescoping, and at any point at
 most two members are nonzero (window supports only overlap between
 neighbours).  The widened window  tilde(n) = sum_{k=-1..1} member(n+k)
 equals 1 on the support of member n.
+
+The two-window rule (PartitionOfUnity.two_windows) reads all members at a
+point from one bump value: the point's first live member k holds
+chi = bump(s) and member k+1 holds 1 - chi, where
+
+    homogeneous, even    t = mant 2^e (frexp, |t| for the even kind):
+                         k = e - 1, s = 2 mant = t 2^-k exactly
+    inhomogeneous        the same k clipped at 0, s = t 2^-k: below t = 1
+                         member 0 holds chi = 1
+    equidistant          k = floor t, s = (t - k) + 1
+
+and every other member is 0; so is every member at a dyadic point t <= 0
+(a kernel zero).  window(n, t) stays the defining formula: the rule
+reproduces it bit for bit on the dyadic kinds, and on the equidistant kind
+member k+1 differs by at most one rounding, as (t - k - 1) + 2 is not
+always (t - k) + 1.
 """
 
 from __future__ import annotations
@@ -79,6 +95,10 @@ class PartitionOfUnity:
         even extension, None where the index runs over Z."""
         return 0 if INHOMOGENEOUS in (self.kind, self.base_kind) else None
 
+    def _base(self) -> "PartitionOfUnity":
+        """The dyadic partition that the even kind evaluates at |t|."""
+        return PartitionOfUnity(self.base_kind or HOMOGENEOUS, self.bump)
+
     def window(self, n: int, t):
         t = np.asarray(t, dtype=float)
         if self.kind == HOMOGENEOUS:
@@ -97,9 +117,35 @@ class PartitionOfUnity:
             s = t - n
             return self.bump(s + 1.0) - self.bump(s + 2.0)
         if self.kind == EVEN_BISECTORIAL:
-            base = PartitionOfUnity(self.base_kind or HOMOGENEOUS, self.bump)
-            return base.window(n, np.abs(t))
+            return self._base().window(n, np.abs(t))
         raise PartitionError(f"unknown partition kind {self.kind}")
+
+    def two_windows(self, t):
+        """(k, chi, rest): at every point t, the first live member k, the
+        value chi of member k and rest = 1 - chi of member k+1, by the
+        two-window rule of the module docstring (one bump call).  Every
+        other member vanishes at t; at a dyadic point t <= 0 all do, and
+        chi = rest = 0 there."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == EQUIDISTANT:
+            k = np.floor(t)
+            chi = self.bump((t - k) + 1.0)
+            return k.astype(np.intp), chi, 1.0 - chi
+        if self.kind == EVEN_BISECTORIAL:
+            return self._base().two_windows(np.abs(t))
+        if self.kind not in (HOMOGENEOUS, INHOMOGENEOUS):
+            raise PartitionError(f"unknown partition kind {self.kind}")
+        mant, e = np.frexp(t)
+        k = e.astype(np.intp)
+        k -= 1
+        if self.kind == INHOMOGENEOUS:
+            np.maximum(k, 0, out=k)
+            chi = self.bump(np.ldexp(t, -k))
+        else:
+            chi = self.bump(2.0 * mant)
+        rest = 1.0 - chi          # 0 where t <= 0, as chi = bump(s <= 0) = 1
+        np.copyto(chi, 0.0, where=t <= 0)
+        return k, chi, rest
 
     def support(self, n: int):
         """Closed support interval of member n (in |t| for the even kind)."""
@@ -110,7 +156,7 @@ class PartitionOfUnity:
         if self.kind == EQUIDISTANT:
             return (n - 1.0, n + 1.0)
         if self.kind == EVEN_BISECTORIAL:
-            return PartitionOfUnity(self.base_kind or HOMOGENEOUS, self.bump).support(n)
+            return self._base().support(n)
         raise PartitionError(f"unknown partition kind {self.kind}")
 
     def active_range(self, lo: float, hi: float):
@@ -119,7 +165,9 @@ class PartitionOfUnity:
         For dyadic kinds the interval is a spectral range 0 < lo <= hi; for
         the equidistant kind it is a real interval (strip spectrum).
         """
-        if self.kind in (HOMOGENEOUS, EVEN_BISECTORIAL):
+        if self.kind == EVEN_BISECTORIAL:
+            return self._base().active_range(lo, hi)
+        if self.kind == HOMOGENEOUS:
             if lo <= 0:
                 raise PartitionError("dyadic active range needs lo > 0")
             return (int(np.floor(np.log2(lo))) - 1, int(np.ceil(np.log2(hi))) + 1)
@@ -132,6 +180,15 @@ class PartitionOfUnity:
     def indices(self, lo: float, hi: float):
         n0, n1 = self.active_range(lo, hi)
         return range(n0, n1 + 1)
+
+
+def padded_rows(k, n_lo: int, width: int):
+    """The row of member k in a table of the members n_lo, ...,
+    n_lo + width - 1 stored with two zero rows of padding on both sides,
+    clipped to width + 2.  Members k and k+1 of two_windows then sit in rows
+    r and r+1, and a member outside the stored ones in the padding."""
+    # np.minimum/np.maximum: np.clip costs more on the small index arrays
+    return np.minimum(np.maximum(k - (n_lo - 2), 0), width + 2)
 
 
 def build_homogeneous_dyadic() -> PartitionOfUnity:

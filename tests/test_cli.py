@@ -515,11 +515,18 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
      "'samples' in experiment config"),
     ("experiment", {**experiment_config(None), "samples": 0},
      "'samples' in experiment config: must be >= 1"),
+    # a vector spec or a whole config that is not an object
+    ("norm", norm_eval_config(vector="x"), "'kind' in vector spec"),
+    ("norm", norm_eval_config(vector={"kind": ["random"]}), "unknown vector kind"),
+    ("norm", [1, 2], "norm eval config must be a JSON object"),
+    ("experiment", [1, 2], "experiment config must be a JSON object"),
 ], ids=["norm-eval-seed", "vector-index", "vector-seed", "samples", "bracket",
         "norm-eval-seed-fraction", "vector-index-fraction", "vector-index-boolean",
         "vector-seed-fraction", "experiment-seed-fraction", "samples-fraction",
-        "samples-below-1"])
+        "samples-below-1", "vector-not-an-object", "vector-kind-not-a-string",
+        "norm-eval-config-not-an-object", "experiment-config-not-an-object"])
 def test_a_non_numeric_config_value_is_named(tmp_path, capsys, command, config, named):
     assert run_cli(tmp_path, command, config) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()

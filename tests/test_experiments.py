@@ -453,17 +453,32 @@ def test_hoisted_evaluator_matches_the_public_norm(kind, operator, pnorm):
 
 
 def test_run_equivalence_builds_each_stack_once(monkeypatch):
+    # every x-independent stage (the window stack, the dilation table and
+    # the continuous-square integrals) runs once per run, however many
+    # samples it has: the counts at 1 and at 5 samples are the same
     from plcalc import norms
 
-    calls = {"block_stack": 0, "_dilation_table": 0}
-    for name in calls:
-        original = getattr(norms, name)
+    def count(samples, norm_b):
+        calls = {"block_stack": 0, "_dilation_table": 0, "_dilation_integrals": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                original = getattr(norms, name)
 
-        def counting(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
+                def counting(*args, _original=original, _name=name):
+                    calls[_name] += 1
+                    return _original(*args)
 
-        monkeypatch.setattr(norms, name, counting)
-    run_equivalence({**overlap_config(samples=5),
-                     "norm_b": {"kind": "continuous_square", "pnorm": 2}})
-    assert calls == {"block_stack": 1, "_dilation_table": 1}
+                patch.setattr(norms, name, counting)
+            run_equivalence({**overlap_config(samples=samples), "norm_b": norm_b})
+        return calls
+
+    square = {"kind": "continuous_square", "pnorm": 2}
+    assert count(1, square) == count(5, square) == {
+        "block_stack": 1, "_dilation_table": 0, "_dilation_integrals": 1}
+    # the synthesis route of the continuous square function, and the
+    # continuous Besov norm, read the table, and only once
+    square4 = {"kind": "continuous_square", "pnorm": 4}
+    besov = {"kind": "besov_continuous", "theta": 0.5, "q": 2,
+             "f": {"kind": "res_frac", "a": 1.0, "b": 2.0}}
+    for norm_b in (square4, besov):
+        assert count(1, norm_b)["_dilation_table"] == count(5, norm_b)["_dilation_table"] == 1

@@ -928,3 +928,167 @@ def test_p2_square_functions_on_a_nonnormal_operator_keep_the_synthesis_arithmet
     ens = RandomEnsemble(seed=4, count=16)
     np.testing.assert_array_equal(pl_random_norm(op, hom, x, 2, ens, 0.3).samples,
                                   lp_norm(ens.draws(len(windows)) @ fields, 2, op.measure))
+
+
+# -- the x-independent half: two-window stacks and Parseval weights --------------
+
+def _diagonal_operator(eigs):
+    """Coordinate eigenvectors, unit weights, the given (real) spectrum."""
+    from plcalc.measure import MeasureSpace
+    from plcalc.operators import ModelOperator, SpectralSelfAdjoint
+
+    lam = np.asarray(eigs, dtype=float)
+    return ModelOperator(form=SpectralSelfAdjoint(lam, np.eye(lam.size, dtype=complex)),
+                         measure=MeasureSpace.uniform(lam.size))
+
+
+def _stack_spectra():
+    """Spectra for the stack oracle: exact powers of two with points between
+    them, kernel zeros, a double-sector spectrum, and the same spectrum
+    scaled by 2^400 and 2^-400."""
+    powers = np.concatenate([2.0 ** np.arange(-6.0, 7.0), 1.37 ** np.arange(-15.0, 16.0)])
+    return {
+        "powers": powers,
+        "kernel": np.concatenate([[0.0, 0.0], powers]),
+        "double-sector": np.concatenate([-powers, powers]),
+        "up-2^400": powers * 2.0**400,
+        "down-2^400": powers * 2.0**-400,
+    }
+
+
+STACK_SPECTRA = _stack_spectra()
+
+
+def _window_stack(op, p, theta=0.0):
+    """The stack of the active windows, each from the defining formula
+    PartitionOfUnity.window, weighted by 2^(n theta)."""
+    points, indices = norms._window_grid(op, p)
+    weights = norms._block_weights(np.array(indices), theta)
+    return np.array([p.window(n, points) for n in indices]) * weights[:, None]
+
+
+@pytest.mark.parametrize("spectrum", sorted(STACK_SPECTRA))
+def test_block_stack_is_the_per_window_stack(hom, spectrum):
+    from plcalc.partitions import even_extension
+
+    op = _diagonal_operator(STACK_SPECTRA[spectrum])
+    inh = to_inhomogeneous(hom)
+    kinds = [even_extension(hom), even_extension(inh)]
+    if not op.bisectorial:
+        kinds += [hom, inh]
+    for p in kinds:
+        for theta in (0.0, 0.3):
+            np.testing.assert_array_equal(norms.block_stack(op, p, theta)[1],
+                                          _window_stack(op, p, theta), err_msg=p.kind)
+    if op.injective and not op.bisectorial:
+        equi = build_equidistant()
+        np.testing.assert_allclose(norms.block_stack(op, equi)[1], _window_stack(op, equi),
+                                   rtol=0, atol=np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", [1024, 256])
+def test_block_stack_of_operators_is_the_per_window_stack(hom, hermite16, n):
+    from plcalc.partitions import even_extension
+
+    for op in (build_dirichlet_laplacian_1d(n, 1.0), hermite16, PARSEVAL_OPERATORS["graph"]):
+        for p in (hom, to_inhomogeneous(hom), even_extension(hom)):
+            np.testing.assert_array_equal(norms.block_stack(op, p)[1], _window_stack(op, p))
+        if op.injective:
+            equi = build_equidistant()
+            np.testing.assert_allclose(norms.block_stack(op, equi)[1], _window_stack(op, equi),
+                                       rtol=0, atol=np.finfo(float).eps)
+
+
+def test_block_stack_calls_the_bump_once(monkeypatch, hom):
+    from plcalc.partitions import SmoothBump, even_extension
+
+    calls = []
+    original = SmoothBump.__call__
+    monkeypatch.setattr(SmoothBump, "__call__",
+                        lambda self, t: calls.append(1) or original(self, t))
+    for n in (2, 64, 1024):
+        op = build_dirichlet_laplacian_1d(n, 1.0)
+        for p in (hom, to_inhomogeneous(hom), even_extension(hom), build_equidistant()):
+            calls.clear()
+            width = len(norms.block_stack(op, p)[0])
+            assert len(calls) == 1, (n, p.kind, width)
+
+
+def _oracle_operators(hermite16):
+    return {
+        "dirichlet": build_dirichlet_laplacian_1d(40, 0.5),
+        "hermite": hermite16,
+        "graph": PARSEVAL_OPERATORS["graph"],
+        "nonnormal": build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 12), 4.0, 1),
+    }
+
+
+@pytest.mark.parametrize("pnorm", [2, 4])
+@pytest.mark.parametrize("name", ["dirichlet", "hermite", "graph", "nonnormal"])
+def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
+    # every evaluator against square_function_norm / field_norms of the
+    # stack built per window (or the dilation table): at p = 2 on an
+    # orthonormal basis the evaluator reads weights squared once, elsewhere
+    # it synthesizes as the reference does
+    from plcalc.calculus import spectral_multiplier
+
+    op = _oracle_operators(hermite16)[name]
+    inh = to_inhomogeneous(hom)
+    psi = make_symbol("psi_exp", a=1.0, b=1.0)
+    f = make_symbol("res_frac", a=1.0, b=2.0)
+    ens = RandomEnsemble(seed=3, count=24)
+    quad = QuadratureSpec.cover(op, margin=2.0**24)
+    t, du = quad.nodes()
+    table = norms._dilation_table(op, psi, t)
+    square_values = du[:, None] ** 0.5 * t[:, None] ** -0.3 * table
+    cover_t, cover_du = QuadratureSpec.cover(op).nodes()
+    f_table = norms._dilation_table(op, f, cover_t)
+    windows = _window_stack(op, hom, 0.4)
+    draws = ens.draws(len(windows))
+
+    def random_reference(x):
+        if norms._parseval(op, pnorm):
+            return norms.field_norms(op, draws @ windows, x, pnorm)
+        return lp_norm(draws @ spectral_multiplier(op, windows, x), pnorm, op.measure)
+
+    cases = {
+        "pl_square": (norms.pl_square_evaluator(op, hom, pnorm, 0.4),
+                      lambda x: norms.square_function_norm(op, windows, x, pnorm)),
+        "pl_inhomogeneous": (
+            norms.pl_inhomogeneous_evaluator(op, inh, pnorm, 0.5),
+            lambda x: norms.square_function_norm(op, _window_stack(op, inh, 0.5), x, pnorm)),
+        "pl_random": (lambda x: norms.pl_random_evaluator(op, hom, pnorm, ens, 0.4)(x).samples,
+                      random_reference),
+        "besov_discrete": (
+            norms.besov_discrete_evaluator(op, hom, 0.3, 3, pnorm),
+            lambda x: np.sum((2.0 ** (0.3 * np.array(norms.block_indices(op, hom)))
+                              * norms.field_norms(op, _window_stack(op, hom), x, pnorm)) ** 3)
+            ** (1 / 3)),
+        "besov_continuous": (
+            norms.besov_continuous_evaluator(op, 0.5, 2, f, pnorm),
+            lambda x: np.sum(cover_du * (cover_t**-0.5
+                                         * norms.field_norms(op, f_table, x, pnorm)) ** 2) ** 0.5),
+        "continuous_square": (
+            norms.continuous_square_evaluator(op, psi, 0.3, pnorm, quad),
+            lambda x: norms.square_function_norm(op, square_values, x, pnorm)),
+    }
+    for seed in range(3):
+        x = _unit_vector(op, seed)
+        for kind, (evaluate, reference) in cases.items():
+            np.testing.assert_allclose(evaluate(x), reference(x), rtol=1e-14, atol=0,
+                                       err_msg=kind)
+
+
+def test_continuous_square_integrals_do_not_depend_on_the_blocking(monkeypatch):
+    # the per-eigenvalue integrals, reduced over node blocks, equal the
+    # column sums of the whole table to round-off, for any block size
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    psi = make_symbol("psi_exp", a=1.0, b=1.0)
+    t, du = QuadratureSpec.cover(op, margin=2.0**16).nodes()
+    lam = np.real(op.eigenvalues_or_none())
+    w = du * t**-0.6
+    whole = (w[:, None] * np.abs(norms._dilation_table(op, psi, t)) ** 2).sum(axis=0)
+    for block in (1, 64, 1000, 10**7):
+        monkeypatch.setattr(norms, "BLOCK_POINTS", block)
+        np.testing.assert_allclose(norms._dilation_integrals(psi, t, w, lam), whole,
+                                   rtol=1e-14, atol=0)

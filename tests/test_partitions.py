@@ -175,3 +175,40 @@ def test_validate_partition_report(hom):
     assert rep.max_sum_defect <= 1e-10
     assert rep.max_overlap_count == 2
     assert rep.support_violation == 0.0
+
+
+def _kinds(hom):
+    inh = to_inhomogeneous(hom)
+    return {"homogeneous": hom, "inhomogeneous": inh, "even": even_extension(hom),
+            "even-inhomogeneous": even_extension(inh), "equidistant": build_equidistant()}
+
+
+@pytest.mark.parametrize("name", ["homogeneous", "inhomogeneous", "even",
+                                  "even-inhomogeneous", "equidistant"])
+def test_two_window_rule_reproduces_every_window(hom, name):
+    # members k and k+1 hold chi and 1 - chi, every other member is 0: bit
+    # for bit on the dyadic kinds (0 at the kernel point t = 0 and at t < 0
+    # outside the even kind), within one rounding of member k+1 on the
+    # equidistant kind
+    p = _kinds(hom)[name]
+    pos = np.concatenate([np.logspace(-9, 9, 3001), 2.0 ** np.arange(-30.0, 31.0),
+                          [2.0**-400, 3.0 * 2.0**400, 1.0, 1.5, 2.0]])
+    t = np.concatenate([pos, [0.0], -pos]) if name != "equidistant" \
+        else np.concatenate([np.linspace(-40.0, 40.0, 4001), np.arange(-30.0, 31.0)])
+    k, chi, rest = p.two_windows(t)
+    tol = 0.0 if name != "equidistant" else np.finfo(float).eps
+    first = p.first_index
+    # the few windows around the extreme points are checked near them only
+    for n in np.unique(np.concatenate([k - 1, k, k + 1, k + 2])):
+        if first is not None and n < first:
+            continue
+        near = np.abs(k - n) <= 2
+        expected = np.where(k == n, chi, np.where(k + 1 == n, rest, 0.0))[near]
+        np.testing.assert_allclose(p.window(int(n), t[near]), expected, rtol=0, atol=tol)
+
+
+def test_even_inhomogeneous_active_range_starts_at_zero(hom):
+    ev = even_extension(to_inhomogeneous(hom))
+    assert ev.active_range(0.01, 40.0) == to_inhomogeneous(hom).active_range(0.01, 40.0)
+    assert validate_partition(ev, np.concatenate([-np.logspace(-3, 3, 400),
+                                                  np.logspace(-3, 3, 400)])).ok
