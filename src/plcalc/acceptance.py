@@ -36,6 +36,7 @@ from .norms import (
     besov_continuous_norm,
     besov_discrete_norm,
     continuous_square_norm,
+    fractional_power_evaluator,
     k_functional,
     k_functional_bruteforce,
     pl_random_norm,
@@ -254,13 +255,13 @@ def criterion_8_k_functional() -> CriterionResult:
     ok = worst_scalar <= 1e-10
     # brute force agreement in the balanced regime (see the oracle docstring)
     op6 = build_dirichlet_laplacian_1d(6, 1.0)
-    lam6 = np.real(op6.eigenvalues_or_none())
+    norm_ax = fractional_power_evaluator(op6, 1.0, 2)
     rng = np.random.default_rng(18)
     worst_bf = 0.0
     for _ in range(5):
         x = op6.random_vector(rng)
         x = x / lp_norm(x, 2, op6.measure)
-        n1 = float(np.sqrt(np.sum(np.abs(lam6 * op6.coefficients(x)) ** 2)))
+        n1 = norm_ax(x)
         for t in (0.3 / n1, 0.5 / n1, 1.0 / n1):
             ka = k_functional(op6, x, t, 0.0, 1.0)
             kb = k_functional_bruteforce(op6, x, t, 0.0, 1.0)

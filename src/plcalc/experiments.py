@@ -24,21 +24,17 @@ from .norms import (
     NormsError,
     QuadratureSpec,
     RandomEnsemble,
-    _coefficient_energies,
-    _dilation_table,
-    _field_evaluator,
-    _parseval,
-    _spectral_argument,
+    _dilation_integrals,
     _window_grid,
     besov_continuous_evaluator,
     besov_discrete_evaluator,
-    block_stack,
     continuous_square_evaluator,
+    fractional_power_evaluator,
+    kernel_plus_pl_evaluator,
     pl_inhomogeneous_evaluator,
     pl_random_evaluator,
     pl_square_evaluator,
     real_interpolation_norm,
-    square_function_norm,
 )
 from .operators import (
     ModelOperator,
@@ -108,22 +104,6 @@ _PARTITION_CONSTANTS = {
 }
 
 
-def _kernel_plus_pl(op: ModelOperator, partition, pnorm):
-    """x -> ||Px||_p + PL(x), P the kernel projection (op.kernel_component).
-
-    P is the spectral projection onto the kernel, so on the Parseval route
-    both terms are square roots of weighted sums of |<x, e_k>|^2: the
-    kernel indicator and the windows' squares summed over the blocks, two
-    rows squared once and read by one GEMV.
-    """
-    windows = block_stack(op, partition)[1]
-    if _parseval(op, pnorm):
-        weights = np.vstack([~op.nonzero, np.square(windows).sum(axis=0)])
-        return lambda x: float(np.sum(np.sqrt(weights @ _coefficient_energies(op, x))))
-    return lambda x: (lp_norm(op.kernel_component(x), pnorm, op.measure)
-                      + square_function_norm(op, windows, x, pnorm))
-
-
 def _exponent(value, key: str, where: str):
     """An exponent p or q of a spec as given (a number, or "inf" for
     infinity, which the reports echo as the string), once it reads as a
@@ -141,11 +121,12 @@ def _float_pair(value) -> tuple:
 def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
     """Closure computing one named norm of a vector; echoes resolved params.
 
-    The norm's multiplier stack is built here, once, and the closure reuses
-    it for every vector.  Raises SpecKeyError for a key the kind does not
-    read, SpecValueError for a spec that is not an object of a known kind
-    or a value that does not read as a number, and the norm's own error for
-    a stack that cannot be built.
+    The closure is the evaluator of norms that the kind names: its
+    multiplier stack is built here, once, and reused for every vector.
+    Raises SpecKeyError for a key the kind does not read, SpecValueError
+    for a spec that is not an object of a known kind or a value that does
+    not read as a number, and the norm's own error for a stack that cannot
+    be built.
     """
     kind = spec_kind(spec, "norm")
     spec = {key: value for key, value in spec.items() if key != "kind"}
@@ -184,13 +165,10 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "fractional_power":
         theta = number("theta", 1.0)
-        powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
-        evaluate = _field_evaluator(op, powed, pnorm)
+        evaluate = fractional_power_evaluator(op, theta, pnorm)
         echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
     elif kind == "kernel_plus_pl":
-        if op.injective:
-            raise ExperimentError("operator has no kernel projection")
-        evaluate = _kernel_plus_pl(op, hom, pnorm)
+        evaluate = kernel_plus_pl_evaluator(op, hom, pnorm)
         echo = {"kind": kind, "pnorm": pnorm}
     elif kind == "continuous_square":
         theta = number("theta", 0.0)
@@ -410,8 +388,7 @@ def mcintosh_check(op: ModelOperator, g: Symbol, x,
     x = np.asarray(x, dtype=complex)
     x = x - op.kernel_component(x)
     t, du = quad.nodes()
-    gv = np.real(_dilation_table(op, g, t))
-    weights = (du[:, None] * gv).sum(axis=0)     # int g(t lambda_k) dt/t per k
+    weights = _dilation_integrals(op, g, t, du)     # int g(t lambda_k) dt/t per k
     y = spectral_multiplier(op, weights.astype(complex), x)
     nx = np.linalg.norm(x)
     return float(np.linalg.norm(y - x) / max(nx, 1e-300))

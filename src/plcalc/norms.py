@@ -1,6 +1,6 @@
 """Block-decomposition norms: square sums, randomized sums, continuous
-square functions, discrete/continuous Besov-type norms, K-functionals and
-real interpolation norms.
+square functions, discrete/continuous Besov-type norms, fractional powers,
+the kernel split, K-functionals and real interpolation norms.
 
 Every block, square-function and Besov norm is a reduction over the
 fields f_j(A)x of one stack of multipliers f_j: the weighted windows
@@ -27,19 +27,23 @@ kind and never off the operator's type:
                                operator with a kernel has no logarithm and
                                is refused).
 
-A reduction reads the fields in one of two ways:
+A reduction reads the fields in one of two ways, and this module is the
+one place that chooses (_parseval):
 
   p = 2, orthonormal eigenbasis   by Parseval, ||f_j(A)x||_2^2 =
-                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2: the
-                                  evaluator squares its stack once (and sums
-                                  it over j for a square function), so a
-                                  vector costs one coefficient transform and
-                                  one GEMV, and no synthesis.  The
-                                  continuous square function's weights,
-                                  sum_j du_j t_j^(-2 theta) |psi(t_j lambda_k)|^2,
-                                  are the integrals its tail certificate
-                                  divides by, reduced over node blocks
-                                  without a table;
+                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2: every
+                                  norm hands its weights, built once, to the
+                                  one energy reduction (_energy_reduction),
+                                  so a vector costs one coefficient
+                                  transform and one GEMV, and no synthesis.
+                                  The weights are the stack squared (field
+                                  norms) or summed over its rows (square
+                                  functions); the continuous square
+                                  function's are the integrals
+                                  sum_j du_j t_j^(-2 theta) |psi(t_j lambda_k)|^2
+                                  that its tail certificate divides by,
+                                  reduced over node blocks without a table
+                                  (_dilation_integrals);
   any other p, or a non-orthonormal basis (S diag S^-1)
                                   one coefficient transform and one
                                   synthesis of the whole stack, then L^p
@@ -52,8 +56,13 @@ With y_n = window_n(A) x the spectral blocks of x, the norms are
   continuous sq.   || ( int_0^inf |t^-theta psi(tA)x|^2 dt/t )^(1/2) ||_p
   Besov discrete   ( sum_n (2^(n theta) ||y_n||_p)^q )^(1/q)
   Besov continuous ( int_0^inf (t^-theta ||f(tA)x||_p)^q dt/t )^(1/q)
+  fractional power || A^theta x ||_p
+  kernel split     || P x ||_p + || ( sum_n |y_n|^2 )^(1/2) ||_p,  P onto N(A)
   K-functional     K(t,x) = inf_{x0+x1=x} ||A^t0 x0||_2 + t ||A^t1 x1||_2
   interpolation    ( int_0^inf (t^-vartheta K(t,x))^q dt/t )^(1/q)
+
+with one rule for the exponent of every l^q or L^q(dt/t) combination:
+q >= 1 or inf (_lq_exponent).
 
 At p = 2 the optimal K-functional split reduces in diagonal coordinates
 a_k = |<x, e_k>| to the one-parameter family
@@ -168,26 +177,31 @@ def _spectral_argument(op: ModelOperator) -> np.ndarray:
 
 def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
     """f(t_j lambda_k): row j for the node t_j, column k for the eigenvalue
-    lambda_k; kernel columns are 0."""
+    lambda_k, in the symbol's dtype (a real symbol gives a real table);
+    kernel columns are 0."""
     lam = _spectral_argument(op)
-    table = np.zeros((t.size, lam.size), dtype=complex)
-    table[:, op.nonzero] = np.asarray(f(np.outer(t, lam[op.nonzero])), dtype=complex)
+    values = np.asarray(f(np.outer(t, lam[op.nonzero])))
+    table = np.zeros((t.size, lam.size), dtype=values.dtype)
+    table[:, op.nonzero] = values
     return table
 
 
-def _dilation_integrals(f, t, w, lam) -> np.ndarray:
-    """sum_j w_j |f(t_j lam_k)|^2 for every entry lam_k of lam.
+def _dilation_integrals(op: ModelOperator, f, t, w) -> np.ndarray:
+    """sum_j w_j f(t_j lambda_k) for every eigenvalue lambda_k, 0 on the
+    kernel, for a real integrand f.
 
     The nodes t_j are taken in blocks of about symbols.BLOCK_POINTS points
     of the (node, eigenvalue) grid, and each block is reduced by one GEMV,
-    so no table of f(t_j lam_k) is held.
+    so no table of f(t_j lambda_k) is held.
     """
-    out = np.zeros(lam.size)
+    nz = op.nonzero
+    lam = _spectral_argument(op)[nz]
+    acc = np.zeros(lam.size)
     rows = max(1, BLOCK_POINTS // lam.size)
     for j in range(0, t.size, rows):
-        vals = np.abs(f(np.outer(t[j:j + rows], lam)))
-        np.square(vals, out=vals)
-        out += w[j:j + rows] @ vals
+        acc += w[j:j + rows] @ f(np.outer(t[j:j + rows], lam))
+    out = np.zeros(nz.size)
+    out[nz] = acc
     return out
 
 
@@ -267,53 +281,39 @@ def _parseval(op, pnorm) -> bool:
     return pnorm == 2 and op.orthonormal
 
 
-def field_norms(op, values, x, pnorm):
-    """||f_j(A)x||_p for every row f_j of the multiplier stack ``values``;
-    one multiplier of shape (K,) gives a number."""
-    if _parseval(op, pnorm):
-        return np.sqrt(op.energies(values, x))
-    return lp_norm(spectral_multiplier(op, values, x), pnorm, op.measure)
+def _energy_reduction(op, weights):
+    """x -> (weights @ |<x, e_k>|^2)^(1/2), the one Parseval reduction: a
+    (K,) weight vector gives a float, an (m, K) matrix the m norms, from
+    one coefficient transform and one GEMV."""
 
+    def evaluate(x):
+        out = np.sqrt(weights @ np.square(np.abs(op.coefficients(x))))
+        return out if out.ndim else float(out)
 
-def square_function_norm(op, values, x, pnorm) -> float:
-    """|| (sum_j |f_j(A)x|^2)^(1/2) ||_p over the rows f_j of ``values``.
-
-    At p = 2 its square is the sum of the rows' L^2 energies."""
-    if _parseval(op, pnorm):
-        return float(np.sqrt(np.sum(op.energies(values, x))))
-    fields = spectral_multiplier(op, values, x)
-    return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
-
-
-def _coefficient_energies(op, x) -> np.ndarray:
-    """|<x, e_k>|^2 for every eigenvalue: the x-dependent half of a norm on
-    the Parseval route, from one coefficient transform."""
-    return np.square(np.abs(op.coefficients(x)))
+    return evaluate
 
 
 def _field_evaluator(op, values, pnorm):
-    """x -> field_norms(op, values, x, pnorm).  On the Parseval route the
-    stack is squared once, |f_j(lambda_k)|^2, and a vector costs one
-    coefficient transform and one GEMV."""
+    """x -> ||f_j(A)x||_p for every row f_j of the multiplier stack
+    ``values``; one multiplier of shape (K,) gives a number.  On the
+    Parseval route the stack is squared once, |f_j(lambda_k)|^2."""
     if _parseval(op, pnorm):
-        weights = np.square(np.abs(values))
-        return lambda x: np.sqrt(weights @ _coefficient_energies(op, x))
-    return lambda x: field_norms(op, values, x, pnorm)
+        return _energy_reduction(op, np.square(np.abs(values)))
+    return lambda x: lp_norm(spectral_multiplier(op, values, x), pnorm, op.measure)
 
 
 def _square_evaluator(op, values, pnorm):
-    """x -> square_function_norm(op, values, x, pnorm).  On the Parseval
-    route the stack is squared and summed over its rows once, to the weights
-    sum_j |f_j(lambda_k)|^2, and a vector costs one coefficient transform
-    and one dot product."""
+    """x -> || (sum_j |f_j(A)x|^2)^(1/2) ||_p over the rows f_j of
+    ``values``.  On the Parseval route the stack is squared and summed over
+    its rows once, to the weights sum_j |f_j(lambda_k)|^2."""
     if _parseval(op, pnorm):
-        return _parseval_square(op, np.square(np.abs(values)).sum(axis=0))
-    return lambda x: square_function_norm(op, values, x, pnorm)
+        return _energy_reduction(op, np.square(np.abs(values)).sum(axis=0))
 
+    def evaluate(x):
+        fields = spectral_multiplier(op, values, x)
+        return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
 
-def _parseval_square(op, weights):
-    """x -> (sum_k weights_k |<x, e_k>|^2)^(1/2)."""
-    return lambda x: float(np.sqrt(weights @ _coefficient_energies(op, x)))
+    return evaluate
 
 
 # -- block norms ----------------------------------------------------------------
@@ -348,7 +348,7 @@ def pl_random_evaluator(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble,
     windows = block_stack(op, p, theta)[1]
     draws = ens.draws(len(windows))
     if _parseval(op, pnorm):
-        sample_norms = _field_evaluator(op, draws @ windows, pnorm)
+        sample_norms = _energy_reduction(op, np.square(draws @ windows))
     else:
         sample_norms = lambda x: lp_norm(draws @ spectral_multiplier(op, windows, x),
                                          pnorm, op.measure)
@@ -386,6 +386,32 @@ def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.
     return pl_inhomogeneous_evaluator(op, p, pnorm, theta)(x)
 
 
+def kernel_plus_pl_evaluator(op, p: PartitionOfUnity, pnorm):
+    """x -> ||Px||_p + || (sum_n |window_n(A) x|^2)^(1/2) ||_p, P the
+    projection onto the kernel (op.kernel_component), for an operator with
+    a kernel.
+
+    P is the spectral projection onto the kernel, so on the Parseval route
+    both terms are energy reductions, of two weight rows: the kernel
+    indicator and the windows' squares summed over the blocks.
+    """
+    if op.injective:
+        raise NormsError("operator has no kernel projection")
+    windows = block_stack(op, p)[1]
+    if _parseval(op, pnorm):
+        terms = _energy_reduction(op, np.vstack([~op.nonzero, np.square(windows).sum(axis=0)]))
+        return lambda x: float(np.sum(terms(x)))
+    square = _square_evaluator(op, windows, pnorm)
+    return lambda x: lp_norm(op.kernel_component(x), pnorm, op.measure) + square(x)
+
+
+def fractional_power_evaluator(op, theta: float, pnorm):
+    """x -> ||A^theta x||_p, A^theta taken on the injective part (0 on the
+    kernel)."""
+    powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
+    return _field_evaluator(op, powed, pnorm)
+
+
 # -- continuous square function -------------------------------------------------
 
 SQUARE_TAIL_RTOL = 1e-8   # certified quadrature tails relative to the integral
@@ -420,8 +446,8 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
     t, du = quad.nodes()
     nz = op.nonzero
     lam = _spectral_argument(op)[nz]
-    integ = np.zeros(nz.size)          # kernel weights are 0
-    integ[nz] = _dilation_integrals(psi, t, du * t ** (-2 * theta), lam)
+    integ = _dilation_integrals(op, lambda s: np.square(np.abs(psi(s))), t,
+                                du * t ** (-2 * theta))
     # certified tails of int t^(-2 theta) |psi(t lambda)|^2 dt/t, relative to
     # the computed per-eigenvalue integral
     if np.isfinite(e0) and np.isfinite(ei) and np.any(nz):
@@ -435,10 +461,10 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
             raise NormsError(f"quadrature tail {rel:.2e} above tolerance {SQUARE_TAIL_RTOL:.2e}; "
                              "widen the t-range")
     if _parseval(op, pnorm):
-        return _parseval_square(op, integ)
+        return _energy_reduction(op, integ)
     # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
     values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * _dilation_table(op, psi, t)
-    return lambda x: square_function_norm(op, values, x, pnorm)
+    return _square_evaluator(op, values, pnorm)
 
 
 def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
@@ -454,22 +480,30 @@ def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
 
 # -- Besov-type norms -----------------------------------------------------------
 
-def _lq_combine(values: np.ndarray, q) -> float:
-    if q == np.inf or q == "inf":
-        return float(np.max(values)) if values.size else 0.0
-    q = float(q)
-    if q < 1:
+def _lq_exponent(q) -> float:
+    """q as a float, inf for "inf": the one exponent rule of the Besov and
+    interpolation norms, q >= 1."""
+    q = np.inf if q == "inf" else float(q)
+    if not q >= 1:
         raise NormsError("q must be >= 1 or inf")
-    return float(np.sum(values**q) ** (1.0 / q))
+    return q
+
+
+def _lq_combine(values: np.ndarray, q: float, du) -> float:
+    """(sum_j du_j values_j^q)^(1/q), the max for q = inf; q from _lq_exponent."""
+    if q == np.inf:
+        return float(np.max(values)) if values.size else 0.0
+    return float(np.sum(du * values**q) ** (1.0 / q))
 
 
 def besov_discrete_evaluator(op, p: PartitionOfUnity, theta: float, q, pnorm=2):
     """x -> besov_discrete_norm(op, p, x, theta, q, pnorm), the window stack
     and its weights built once."""
+    q = _lq_exponent(q)
     indices, windows = block_stack(op, p)
     weights = _block_weights(indices, theta)
     field_norm = _field_evaluator(op, windows, pnorm)
-    return lambda x: _lq_combine(weights * field_norm(x), q)
+    return lambda x: _lq_combine(weights * field_norm(x), q, 1.0)
 
 
 def besov_discrete_norm(op, p: PartitionOfUnity, x, theta: float, q, pnorm=2) -> float:
@@ -482,20 +516,13 @@ def besov_continuous_evaluator(op: ModelOperator, theta: float, q, f: Symbol,
     """x -> besov_continuous_norm(op, x, theta, q, f, ...), the dilation table
     built once."""
     _check_besov_symbol(f, theta)
+    q = _lq_exponent(q)
     if quad is None:
         quad = QuadratureSpec.cover(op)
     t, du = quad.nodes()
     field_norm = _field_evaluator(op, _dilation_table(op, f, t), pnorm)
     weights = t**-theta
-
-    def evaluate(x) -> float:
-        norms = field_norm(x)
-        if q == np.inf or q == "inf":
-            return float(np.max(weights * norms))
-        qf = float(q)
-        return float(np.sum(du * (weights * norms) ** qf) ** (1.0 / qf))
-
-    return evaluate
+    return lambda x: _lq_combine(weights * field_norm(x), q, du)
 
 
 def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
@@ -785,6 +812,7 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
     """
     if not (0 < vartheta < 1):
         raise NormsError("vartheta must lie in (0, 1)")
+    q = _lq_exponent(q)
     lam, a = _diagonal_data(op, x)
     if a.size == 0:
         return 0.0
@@ -802,7 +830,7 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
     if auto:
         # size the range from the envelope K(t) <= min(n0, t n1): its
         # integral M_env is closed-form and bounds the true one from above
-        qf0 = 2.0 if q in (np.inf, "inf") else float(q)
+        qf0 = 2.0 if q == np.inf else q
         center = n0 / max(n1, 1e-300)
         m_env = n0**qf0 * center ** (-vartheta * qf0) \
             * (1.0 / ((1 - vartheta) * qf0) + 1.0 / (vartheta * qf0))
@@ -815,15 +843,14 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
                               nodes_per_decade=16)
     for _ in range(4):
         t, du = quad.nodes()
-        kvals = np.ldexp(_k_functional_diagonal(lam, a, t, theta0, theta1), -e)
-        if q == np.inf or q == "inf":
+        kvals = _k_functional_diagonal(lam, a_unit, t, theta0, theta1)
+        if q == np.inf:
             return float(np.ldexp(np.max(t**-vartheta * kvals), e))
-        qf = float(q)
-        main = float(np.sum(du * (t**-vartheta * kvals) ** qf))
-        tail_lo = (t[0] ** (1 - vartheta) * n1) ** qf / ((1 - vartheta) * qf)
-        tail_hi = (t[-1] ** -vartheta * n0) ** qf / (vartheta * qf)
+        main = float(np.sum(du * (t**-vartheta * kvals) ** q))
+        tail_lo = (t[0] ** (1 - vartheta) * n1) ** q / ((1 - vartheta) * q)
+        tail_hi = (t[-1] ** -vartheta * n0) ** q / (vartheta * q)
         if (tail_lo + tail_hi) <= INTERPOLATION_TAIL_RTOL * max(main, 1e-300):
-            return float(np.ldexp(main ** (1.0 / qf), e))
+            return float(np.ldexp(main ** (1.0 / q), e))
         if not auto:
             break
         quad = QuadratureSpec(quad.t_lo * 1e-5, quad.t_hi * 1e5,

@@ -62,15 +62,14 @@ exactly uniform with weight h, a finite h > 0, and one round trip of a
 fixed probe vector that keeps its Parseval identity, both at ORTHO_TOL.
 
 The diagonal form is private to this module.  Every other layer asks the
-operator through coefficients and synthesize, the eigenvalues and six
+operator through coefficients and synthesize, the eigenvalues and five
 members: ``nonzero`` (the kernel mask, the package's one rule for which
 eigenvalues are zero), ``kernel_component`` (P x, the projection onto the
 kernel along the closed range), ``multiplier_norm`` (the exact L^2 norm of a
-diagonal multiplier), ``energies`` (the squared L^2 norms of the fields
-of a multiplier stack, by Parseval on an orthonormal basis),
-``orthonormal`` and ``basis_conditioning``.  Resolvents and every
-functional calculus go through the diagonal form; resolvent_apply_lu
-solves on the assembled matrix as an independent oracle.
+diagonal multiplier), ``orthonormal`` (whether Parseval's identity holds,
+which norms reads to skip synthesis at p = 2) and ``basis_conditioning``.
+Resolvents and every functional calculus go through the diagonal form;
+resolvent_apply_lu solves on the assembled matrix as an independent oracle.
 
 Every builder's operator is real, so a stored basis (eigenvectors, or S
 and S^{-1}) is float64; only the eigenvalues and the operands are
@@ -530,22 +529,6 @@ class ModelOperator:
         """Whether the eigenbasis is orthonormal in L^2(measure), so that
         Parseval's identity holds for every diagonal multiplier."""
         return self.form.orthonormal
-
-    def energies(self, values, x):
-        """Squared L^2(measure) norm of each field sum_k values[k] <x, e_k> e_k.
-
-        On an orthonormal eigenbasis this is Parseval's identity,
-        |values|^2 @ |coefficients(x)|^2, and no field is synthesized;
-        otherwise the fields are synthesized and their weighted energies
-        summed, the arithmetic of measure.lp_norm at p = 2.  A stack of
-        shape (m, K), one multiplier per row, gives the m energies.
-        """
-        v = np.asarray(values)
-        a = self.coefficients(x)
-        if self.orthonormal:
-            return np.square(np.abs(v)) @ np.square(np.abs(a))
-        mod = np.abs(self.synthesize((v * a).T).T)
-        return np.sum(self.measure.weights * mod * mod, axis=-1)
 
     def basis_conditioning(self) -> float:
         """cond_2 of the eigenbasis: ||S|| ||S^-1||, or 1 if orthonormal.

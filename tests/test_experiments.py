@@ -454,11 +454,11 @@ def test_hoisted_evaluator_matches_the_public_norm(kind, operator, pnorm):
 
 def test_run_equivalence_builds_each_stack_once(monkeypatch):
     # every x-independent stage (the window stack, the dilation table and
-    # the continuous-square integrals) runs once per run, however many
-    # samples it has: the counts at 1 and at 5 samples are the same
-    from plcalc import norms
+    # the dilation integrals) runs once per run, however many samples it
+    # has: the counts at 1 and at 5 samples are the same
+    from plcalc import experiments, norms
 
-    def count(samples, norm_b):
+    def calls_of(run):
         calls = {"block_stack": 0, "_dilation_table": 0, "_dilation_integrals": 0}
         with monkeypatch.context() as patch:
             for name in calls:
@@ -468,9 +468,15 @@ def test_run_equivalence_builds_each_stack_once(monkeypatch):
                     calls[_name] += 1
                     return _original(*args)
 
-                patch.setattr(norms, name, counting)
-            run_equivalence({**overlap_config(samples=samples), "norm_b": norm_b})
+                for module in (norms, experiments):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, counting)
+            run()
         return calls
+
+    def count(samples, norm_b):
+        return calls_of(lambda: run_equivalence({**overlap_config(samples=samples),
+                                                 "norm_b": norm_b}))
 
     square = {"kind": "continuous_square", "pnorm": 2}
     assert count(1, square) == count(5, square) == {
@@ -482,3 +488,9 @@ def test_run_equivalence_builds_each_stack_once(monkeypatch):
              "f": {"kind": "res_frac", "a": 1.0, "b": 2.0}}
     for norm_b in (square4, besov):
         assert count(1, norm_b)["_dilation_table"] == count(5, norm_b)["_dilation_table"] == 1
+    # the reproduction check reduces its integrals over node blocks, with no table
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    g = make_mcintosh_symbol(make_symbol("psi_exp", a=1.0, b=1.0))
+    x = op.random_vector(np.random.default_rng(0))
+    assert calls_of(lambda: mcintosh_check(op, g, x)) == {
+        "block_stack": 0, "_dilation_table": 0, "_dilation_integrals": 1}

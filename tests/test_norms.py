@@ -247,6 +247,21 @@ def test_besov_continuous_zero_and_admission(hom):
         besov_continuous_norm(op, np.ones(8), 1.5, 2, psi, 2)
 
 
+@pytest.mark.parametrize("q", [0.5, 0, -1])
+@pytest.mark.parametrize("kind", ["besov_discrete", "besov_continuous", "real_interpolation"])
+def test_q_below_one_is_refused_by_every_lq_norm(hom, kind, q):
+    # one exponent rule for the l^q and L^q(dt/t) combinations
+    op = build_dirichlet_laplacian_1d(32, 1.0)
+    x = op.random_vector(np.random.default_rng(1))
+    norm = {
+        "besov_discrete": lambda: besov_discrete_norm(op, hom, x, 0.3, q, 2),
+        "besov_continuous": lambda: besov_continuous_norm(op, x, 0.3, q, window_symbol(hom, 0), 2),
+        "real_interpolation": lambda: real_interpolation_norm(op, x, 0.5, q),
+    }[kind]
+    with pytest.raises(NormsError, match=r"q must be >= 1 or inf"):
+        norm()
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_besov_continuous_vs_discrete_bracket(seed, hom, hermite16):
     f0 = window_symbol(hom, 0)
@@ -359,9 +374,11 @@ def test_real_interpolation_batched_k_matches_scalar(monkeypatch):
     real_interpolation_norm(op, x, 0.4, 2, -0.5, 1.5)
     monkeypatch.undo()
     assert calls and all(t.size > 1 for t, _ in calls)
+    # the norm hands over the coefficient moduli scaled by 2^-e into [1/2, 1)
+    _, e = np.frexp(np.max(_diagonal_data(op, x)[1]))
     for t, k in calls:
         scalar = [k_functional(op, x, tj, -0.5, 1.5) for tj in t]
-        np.testing.assert_allclose(k, scalar, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(np.ldexp(k, e), scalar, rtol=1e-14, atol=0)
 
 
 def test_k_functional_array_of_t_matches_scalar_calls():
@@ -825,6 +842,8 @@ def _unit_vector(op, seed):
 
 @pytest.mark.parametrize("name", sorted(PARSEVAL_OPERATORS))
 def test_energies_are_the_squared_norms_of_the_synthesized_fields(name):
+    # the p = 2 field norms read off the coefficient energies, squared,
+    # against the squared norms of the synthesized fields
     from plcalc.calculus import spectral_multiplier
 
     op = PARSEVAL_OPERATORS[name]
@@ -833,14 +852,15 @@ def test_energies_are_the_squared_norms_of_the_synthesized_fields(name):
     values = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
     x = _unit_vector(op, 2)
     fields = spectral_multiplier(op, values, x)
-    np.testing.assert_allclose(op.energies(values, x), lp_norm(fields, 2, op.measure) ** 2,
-                               rtol=1e-13, atol=0)
-    assert op.energies(values[0], x) == pytest.approx(
+    np.testing.assert_allclose(norms._field_evaluator(op, values, 2)(x) ** 2,
+                               lp_norm(fields, 2, op.measure) ** 2, rtol=1e-13, atol=0)
+    assert norms._field_evaluator(op, values[0], 2)(x) ** 2 == pytest.approx(
         lp_norm(fields[0], 2, op.measure) ** 2, rel=1e-13, abs=0)
 
 
 def test_energies_of_a_nonnormal_operator_synthesize_the_fields():
-    # the same arithmetic as lp_norm at p = 2, so the root is bit-identical
+    # off an orthonormal basis the p = 2 field norms are lp_norm of the
+    # synthesized fields, bit for bit
     from plcalc.calculus import spectral_multiplier
 
     op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 9), 8.0, 2)
@@ -848,7 +868,7 @@ def test_energies_of_a_nonnormal_operator_synthesize_the_fields():
     x = _unit_vector(op, 4)
     fields = spectral_multiplier(op, values, x)
     assert not op.orthonormal
-    np.testing.assert_array_equal(np.sqrt(op.energies(values, x)),
+    np.testing.assert_array_equal(norms._field_evaluator(op, values, 2)(x),
                                   lp_norm(fields, 2, op.measure))
 
 
@@ -1023,10 +1043,38 @@ def _oracle_operators(hermite16):
     }
 
 
+def _stack_energies(op, values, x):
+    """||f_j(A)x||_2^2 of every row f_j of values, by Parseval from the
+    whole stack and the coefficients of x (an orthonormal basis)."""
+    return np.square(np.abs(values)) @ np.square(np.abs(op.coefficients(x)))
+
+
+def _field_norms(op, values, x, pnorm):
+    """||f_j(A)x||_p of every row f_j of the stack values, from the stack
+    itself: its energies at p = 2 on an orthonormal basis, the synthesized
+    fields otherwise."""
+    from plcalc.calculus import spectral_multiplier
+
+    if pnorm == 2 and op.orthonormal:
+        return np.sqrt(_stack_energies(op, values, x))
+    return lp_norm(spectral_multiplier(op, values, x), pnorm, op.measure)
+
+
+def _square_function_norm(op, values, x, pnorm):
+    """|| (sum_j |f_j(A)x|^2)^(1/2) ||_p over the rows f_j of values, from the
+    stack itself, as _field_norms."""
+    from plcalc.calculus import spectral_multiplier
+
+    if pnorm == 2 and op.orthonormal:
+        return float(np.sqrt(np.sum(_stack_energies(op, values, x))))
+    fields = spectral_multiplier(op, values, x)
+    return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
+
+
 @pytest.mark.parametrize("pnorm", [2, 4])
 @pytest.mark.parametrize("name", ["dirichlet", "hermite", "graph", "nonnormal"])
 def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
-    # every evaluator against square_function_norm / field_norms of the
+    # every evaluator against _square_function_norm / _field_norms of the
     # stack built per window (or the dilation table): at p = 2 on an
     # orthonormal basis the evaluator reads weights squared once, elsewhere
     # it synthesizes as the reference does
@@ -1047,30 +1095,30 @@ def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
     draws = ens.draws(len(windows))
 
     def random_reference(x):
-        if norms._parseval(op, pnorm):
-            return norms.field_norms(op, draws @ windows, x, pnorm)
+        if pnorm == 2 and op.orthonormal:
+            return _field_norms(op, draws @ windows, x, pnorm)
         return lp_norm(draws @ spectral_multiplier(op, windows, x), pnorm, op.measure)
 
     cases = {
         "pl_square": (norms.pl_square_evaluator(op, hom, pnorm, 0.4),
-                      lambda x: norms.square_function_norm(op, windows, x, pnorm)),
+                      lambda x: _square_function_norm(op, windows, x, pnorm)),
         "pl_inhomogeneous": (
             norms.pl_inhomogeneous_evaluator(op, inh, pnorm, 0.5),
-            lambda x: norms.square_function_norm(op, _window_stack(op, inh, 0.5), x, pnorm)),
+            lambda x: _square_function_norm(op, _window_stack(op, inh, 0.5), x, pnorm)),
         "pl_random": (lambda x: norms.pl_random_evaluator(op, hom, pnorm, ens, 0.4)(x).samples,
                       random_reference),
         "besov_discrete": (
             norms.besov_discrete_evaluator(op, hom, 0.3, 3, pnorm),
             lambda x: np.sum((2.0 ** (0.3 * np.array(norms.block_indices(op, hom)))
-                              * norms.field_norms(op, _window_stack(op, hom), x, pnorm)) ** 3)
+                              * _field_norms(op, _window_stack(op, hom), x, pnorm)) ** 3)
             ** (1 / 3)),
         "besov_continuous": (
             norms.besov_continuous_evaluator(op, 0.5, 2, f, pnorm),
             lambda x: np.sum(cover_du * (cover_t**-0.5
-                                         * norms.field_norms(op, f_table, x, pnorm)) ** 2) ** 0.5),
+                                         * _field_norms(op, f_table, x, pnorm)) ** 2) ** 0.5),
         "continuous_square": (
             norms.continuous_square_evaluator(op, psi, 0.3, pnorm, quad),
-            lambda x: norms.square_function_norm(op, square_values, x, pnorm)),
+            lambda x: _square_function_norm(op, square_values, x, pnorm)),
     }
     for seed in range(3):
         x = _unit_vector(op, seed)
@@ -1081,14 +1129,22 @@ def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
 
 def test_continuous_square_integrals_do_not_depend_on_the_blocking(monkeypatch):
     # the per-eigenvalue integrals, reduced over node blocks, equal the
-    # column sums of the whole table to round-off, for any block size
-    op = build_dirichlet_laplacian_1d(64, 1.0)
+    # column sums of the whole table to round-off, for any block size, for
+    # the continuous square's integrand |psi|^2 and the reproduction check's
+    # normalized g; kernel entries are 0
+    from plcalc.experiments import make_mcintosh_symbol
+
     psi = make_symbol("psi_exp", a=1.0, b=1.0)
-    t, du = QuadratureSpec.cover(op, margin=2.0**16).nodes()
-    lam = np.real(op.eigenvalues_or_none())
-    w = du * t**-0.6
-    whole = (w[:, None] * np.abs(norms._dilation_table(op, psi, t)) ** 2).sum(axis=0)
-    for block in (1, 64, 1000, 10**7):
-        monkeypatch.setattr(norms, "BLOCK_POINTS", block)
-        np.testing.assert_allclose(norms._dilation_integrals(psi, t, w, lam), whole,
-                                   rtol=1e-14, atol=0)
+    integrands = {"|psi|^2": lambda s: np.square(np.abs(psi(s))),
+                  "mcintosh g": make_mcintosh_symbol(psi)}
+    for op in (build_dirichlet_laplacian_1d(64, 1.0), PARSEVAL_OPERATORS["graph"]):
+        t, du = QuadratureSpec.cover(op, margin=2.0**16).nodes()
+        w = du * t**-0.6
+        for name, f in integrands.items():
+            whole = (w[:, None] * norms._dilation_table(op, f, t)).sum(axis=0)
+            assert whole.dtype == float
+            for block in (1, 64, 1000, 10**7):
+                monkeypatch.setattr(norms, "BLOCK_POINTS", block)
+                integrals = norms._dilation_integrals(op, f, t, w)
+                np.testing.assert_allclose(integrals, whole, rtol=1e-14, atol=0, err_msg=name)
+                assert not np.any(integrals[~op.nonzero])
