@@ -4,6 +4,12 @@ promises, runnable as one suite with a pass/fail line per criterion.
 Each criterion function returns a CriterionResult; run_all executes the
 battery in order.  The pytest acceptance module asserts each result, the
 CLI subcommand ``suite acceptance`` prints them.
+
+The sampled two-sided equivalences (criteria 1, 4, 7, 9, the strip half of
+11, and 12) are experiment configs: each runs run_equivalence, the path of
+``plcalc experiment run``, on operators built from their JSON specs, gates
+a bracket through the config's assert_bracket and reads the report's ratio
+statistics.
 """
 
 from __future__ import annotations
@@ -34,27 +40,25 @@ from .norms import (
     QuadratureSpec,
     RandomEnsemble,
     besov_continuous_norm,
-    besov_discrete_norm,
-    continuous_square_norm,
     fractional_power_evaluator,
     k_functional,
     k_functional_bruteforce,
     pl_random_norm,
+    pl_square_evaluator,
     pl_square_norm,
-    real_interpolation_norm,
 )
 from .operators import (
     build_dirichlet_laplacian_1d,
-    build_graph_laplacian,
-    build_hermite_operator,
     build_nonnormal_sectorial,
     build_schrodinger_1d,
-    uniform_grid,
+    operator_from_spec,
 )
-from .partitions import build_equidistant, build_homogeneous_dyadic
+from .partitions import build_homogeneous_dyadic
 from .symbols import make_symbol, window_symbol
 
 SQRT_HALF = 2.0**-0.5
+SANDWICH = [SQRT_HALF - 1e-9, 1.0 + 1e-9]   # the square function against the ambient norm
+AMBIENT = {"kind": "ambient"}
 
 
 @dataclass
@@ -72,46 +76,42 @@ class CriterionResult:
         return f"[{tag}] criterion {self.number:2d} {self.name}: {self.detail}"
 
 
-def _hermite_grid(num_modes: int):
+def _hermite_spec(num_modes: int) -> dict:
     # width ~ sqrt(2 lambda_max) + margin keeps the Gram defect under 1e-6
     half = np.sqrt(2.0 * (2.0 * num_modes + 1.0)) + 5.0
-    return uniform_grid(-half, half, max(500, 40 * num_modes))
+    return {"kind": "hermite", "d": 1, "K": num_modes,
+            "grid": {"lo": -half, "hi": half, "n": max(500, 40 * num_modes)}}
 
 
 def criterion_1_overlap_sandwich() -> CriterionResult:
     """Square-block norm of any unit vector sits in [2^-1/2, 1] at p = 2."""
-    op = build_dirichlet_laplacian_1d(256, 1.0)
-    hom = build_homogeneous_dyadic()
-    rng = np.random.default_rng(11)
-    lo, hi = np.inf, -np.inf
-    for _ in range(100):
-        x = op.random_vector(rng)
-        x = x / lp_norm(x, 2, op.measure)
-        r = pl_square_norm(op, hom, x, 2)
-        lo, hi = min(lo, r), max(hi, r)
-    ok = lo >= SQRT_HALF - 1e-9 and hi <= 1.0 + 1e-9
-    return CriterionResult(1, "overlap sandwich", ok,
+    report = run_equivalence({
+        "operator": {"kind": "dirichlet1d", "n": 256, "h": 1.0},
+        "norm_a": {"kind": "pl_square"}, "norm_b": AMBIENT,
+        "samples": 100, "seed": 11, "assert_bracket": SANDWICH})
+    lo, hi = report.ratios["min"], report.ratios["max"]
+    return CriterionResult(1, "overlap sandwich", report.passed,
                            f"ratio range [{lo:.12f}, {hi:.12f}] in "
                            f"[{SQRT_HALF:.12f}, 1] (100 samples)")
 
 
 def criterion_2_fractional_sandwich() -> CriterionResult:
     """Weighted blocks vs ||A^theta x||: within [2^(-|t|-1/2), 2^|t|]."""
-    op = build_hermite_operator(1, 32, _hermite_grid(32))
+    op = operator_from_spec(_hermite_spec(32))
     hom = build_homogeneous_dyadic()
-    lam = np.real(op.eigenvalues_or_none())
     rng = np.random.default_rng(12)
     details = []
     ok = True
     for theta in (-1.0, 0.5, 1.0):
         lo_b = 2.0 ** (-abs(theta)) * SQRT_HALF * (1 - 1e-9)
         hi_b = 2.0 ** abs(theta) * (1 + 1e-9)
+        square = pl_square_evaluator(op, hom, 2, theta)
+        frac = fractional_power_evaluator(op, theta, 2)
         lo, hi = np.inf, -np.inf
         for _ in range(50):
             x = op.random_vector(rng)
             x = x / lp_norm(x, 2, op.measure)
-            frac = lp_norm(op.synthesize(lam**theta * op.coefficients(x)), 2, op.measure)
-            ratio = pl_square_norm(op, hom, x, 2, theta=theta) / frac
+            ratio = square(x) / frac(x)
             lo, hi = min(lo, ratio), max(hi, ratio)
         ok = ok and lo >= lo_b and hi <= hi_b
         details.append(f"theta={theta:+.1f}: [{lo:.6f}, {hi:.6f}] in [{lo_b:.6f}, {hi_b:.6f}]")
@@ -153,16 +153,12 @@ def criterion_3_contour_vs_spectral() -> CriterionResult:
 
 def criterion_4_continuous_square_exactness() -> CriterionResult:
     """psi(t) = t e^-t at p inner 2, theta 0: value = 0.5 ||x|| to 1e-6."""
-    op = build_dirichlet_laplacian_1d(64, 1.0)
-    psi = make_symbol("psi_exp", a=1.0, b=1.0)
-    rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(10):
-        x = op.random_vector(rng)
-        x = x / lp_norm(x, 2, op.measure)
-        val = continuous_square_norm(op, psi, 0.0, x, 2)
-        worst = max(worst, abs(val - 0.5))
-    return CriterionResult(4, "continuous square exactness", worst <= 1e-6,
+    report = run_equivalence({
+        "operator": {"kind": "dirichlet1d", "n": 64, "h": 1.0},
+        "norm_a": {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": 1.0, "b": 1.0}},
+        "norm_b": AMBIENT, "samples": 10, "seed": 14, "assert_bracket": [0.5 - 1e-6, 0.5 + 1e-6]})
+    worst = max(abs(report.ratios["min"] - 0.5), abs(report.ratios["max"] - 0.5))
+    return CriterionResult(4, "continuous square exactness", report.passed,
                            f"max |value - 1/2| = {worst:.2e} over 10 unit vectors")
 
 
@@ -205,11 +201,10 @@ def criterion_6_rademacher_square() -> CriterionResult:
 def criterion_7_besov_continuous_discrete() -> CriterionResult:
     """Continuous Besov norm: substitution identity on eigenvectors and a
     size-stable ratio bracket against the discrete block norm."""
-    hom = build_homogeneous_dyadic()
-    f0 = window_symbol(hom, 0)
+    f0 = window_symbol(build_homogeneous_dyadic(), 0)
     theta, q = 0.5, 2
     # eigenvector substitution identity across lambda in {1, 3, 9, 27}
-    op16 = build_hermite_operator(1, 16, _hermite_grid(16))
+    op16 = operator_from_spec(_hermite_spec(16))
     lam = np.real(op16.eigenvalues_or_none())
     base = QuadratureSpec.cover(op16)
     consts = []
@@ -220,21 +215,13 @@ def criterion_7_besov_continuous_discrete() -> CriterionResult:
         consts.append(val / lam[k] ** theta)
     spread = (max(consts) - min(consts)) / max(consts)
     ok = spread <= 1e-6
-    # random-vector bracket across mode counts
-    med = {}
-    brackets = {}
-    for modes in (8, 16, 32):
-        op = build_hermite_operator(1, modes, _hermite_grid(modes))
-        rng = np.random.default_rng(17 + modes)
-        ratios = []
-        for _ in range(15):
-            x = op.random_vector(rng)
-            x = x / lp_norm(x, 2, op.measure)
-            num = besov_continuous_norm(op, x, theta, q, f0, 2, QuadratureSpec.cover(op))
-            den = besov_discrete_norm(op, hom, x, theta, q, 2)
-            ratios.append(num / den)
-        med[modes] = float(np.median(ratios))
-        brackets[modes] = (float(np.min(ratios)), float(np.max(ratios)))
+    # random-vector ratio across mode counts; f defaults to window 0 of the
+    # homogeneous partition and the quadrature to QuadratureSpec.cover
+    med = {modes: run_equivalence({
+        "operator": _hermite_spec(modes),
+        "norm_a": {"kind": "besov_continuous", "theta": theta, "q": q},
+        "norm_b": {"kind": "besov_discrete", "theta": theta, "q": q},
+        "samples": 15, "seed": 17 + modes}).ratios["median"] for modes in (8, 16, 32)}
     stable = max(med.values()) / min(med.values()) <= 2.0
     ok = ok and stable
     return CriterionResult(
@@ -286,19 +273,12 @@ def criterion_8_k_functional() -> CriterionResult:
 
 def criterion_9_interpolation_identification() -> CriterionResult:
     """Interpolation norm vs discrete Besov norm: bracket stable in size."""
-    hom = build_homogeneous_dyadic()
-    med = {}
-    for n in (64, 128, 256):
-        op = build_dirichlet_laplacian_1d(n, 1.0)
-        rng = np.random.default_rng(19 + n)
-        ratios = []
-        for _ in range(10):
-            x = op.random_vector(rng)
-            x = x / lp_norm(x, 2, op.measure)
-            num = real_interpolation_norm(op, x, 0.5, 2, 0.0, 1.0)
-            den = besov_discrete_norm(op, hom, x, 0.5, 2, 2)
-            ratios.append(num / den)
-        med[n] = float(np.median(ratios))
+    med = {n: run_equivalence({
+        "operator": {"kind": "dirichlet1d", "n": n, "h": 1.0},
+        "norm_a": {"kind": "real_interpolation", "vartheta": 0.5, "q": 2,
+                   "theta0": 0.0, "theta1": 1.0},
+        "norm_b": {"kind": "besov_discrete", "theta": 0.5, "q": 2},
+        "samples": 10, "seed": 19 + n}).ratios["median"] for n in (64, 128, 256)}
     stable = max(med.values()) / min(med.values()) <= 2.0
     return CriterionResult(
         9, "real interpolation identification", stable,
@@ -325,17 +305,12 @@ def criterion_10_resolvent_scan() -> CriterionResult:
 def criterion_11_strip_bisectorial() -> CriterionResult:
     """Equidistant blocks of log(A) obey the sandwich; double-sector
     projections resolve the identity and agree with the direct route."""
-    op = build_hermite_operator(1, 24, _hermite_grid(24))
-    equi = build_equidistant()
-    rng = np.random.default_rng(21)
-    lo, hi = np.inf, -np.inf
-    for _ in range(25):
-        x = op.random_vector(rng)
-        x = x / lp_norm(x, 2, op.measure)
-        r = pl_square_norm(op, equi, x, 2)
-        lo, hi = min(lo, r), max(hi, r)
-    ok = lo >= SQRT_HALF - 1e-9 and hi <= 1.0 + 1e-9
+    strip = run_equivalence({
+        "operator": _hermite_spec(24), "norm_a": {"kind": "strip_pl_square"},
+        "norm_b": AMBIENT, "samples": 25, "seed": 21, "assert_bracket": SANDWICH})
+    lo, hi = strip.ratios["min"], strip.ratios["max"]
     # double sector
+    rng = np.random.default_rng(21)
     lams = [1.0, 2.0, 4.0, -1.0, -2.0, -4.0, 1.5, -3.0]
     bis = build_nonnormal_sectorial(lams, 5.0, 21)
     p1, p2 = bisectorial_projections(bis)
@@ -349,7 +324,7 @@ def criterion_11_strip_bisectorial() -> CriterionResult:
         ya = even_multiplier_direct(bis, f, x)
         yb = even_multiplier_via_projections(bis, f, x)
         worst_dual = max(worst_dual, float(np.linalg.norm(ya - yb)))
-    ok = ok and resolution <= 1e-10 and worst_dual <= 1e-10
+    ok = strip.passed and resolution <= 1e-10 and worst_dual <= 1e-10
     return CriterionResult(
         11, "strip and double-sector variants", ok,
         f"strip sandwich [{lo:.6f}, {hi:.6f}]; ||P1+P2-I|| = {resolution:.1e}; "
@@ -359,32 +334,23 @@ def criterion_11_strip_bisectorial() -> CriterionResult:
 def criterion_12_noninjective() -> CriterionResult:
     """Graph Laplacians: kernel split norm is a reproducible finite bracket
     and the constants really are in the kernel."""
-    hom = build_homogeneous_dyadic()
-    two = np.array([[1.0, 1.0], [1.0, 1.0]])
-    path4 = np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+    two = [[1.0, 1.0], [1.0, 1.0]]
+    path4 = (np.eye(4) + np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)).tolist()
     ok = True
     details = []
     for name, sigma in (("two-node", two), ("path-4", path4)):
-        op = build_graph_laplacian(sigma)
-        const = np.ones(op.n, dtype=complex)
-        az = op.apply(const)
+        spec = {"kind": "graph", "sigma": sigma}
+        op = operator_from_spec(spec)
+        az = op.apply(np.ones(op.n, dtype=complex))
         kernel_ok = float(np.max(np.abs(az))) <= 1e-13
-        brackets = []
-        for rep in range(2):
-            rng = np.random.default_rng(22)
-            ratios = []
-            for _ in range(40):
-                x = op.random_vector(rng)
-                x = x / lp_norm(x, 2, op.measure)
-                split = (lp_norm(op.kernel_component(x), 2, op.measure)
-                         + pl_square_norm(op, hom, x, 2))
-                ratios.append(split)
-            brackets.append((float(np.min(ratios)), float(np.max(ratios))))
-        reproducible = brackets[0] == brackets[1]
-        lo, hi = brackets[0]
-        finite = np.isfinite(lo) and np.isfinite(hi) and lo > 0
-        in_theory = lo >= SQRT_HALF - 1e-9 and hi <= np.sqrt(2.0) + 1e-9
-        ok = ok and kernel_ok and reproducible and finite and in_theory
+        # run_equivalence refuses a non-finite ratio, and the bracket is positive
+        config = {"operator": spec, "norm_a": {"kind": "kernel_plus_pl"}, "norm_b": AMBIENT,
+                  "samples": 40, "seed": 22,
+                  "assert_bracket": [SQRT_HALF - 1e-9, np.sqrt(2.0) + 1e-9]}
+        first, second = run_equivalence(config), run_equivalence(config)
+        reproducible = first.table == second.table
+        lo, hi = first.ratios["min"], first.ratios["max"]
+        ok = ok and kernel_ok and reproducible and first.passed
         details.append(f"{name}: bracket [{lo:.6f}, {hi:.6f}], A(const)={float(np.max(np.abs(az))):.1e}")
     return CriterionResult(12, "non-injective handling", ok, "; ".join(details))
 

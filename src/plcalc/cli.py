@@ -49,11 +49,22 @@ class CliExit(SystemExit):
         super().__init__(code)
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not standard JSON")
+
+
+# json accepts the non-standard tokens NaN, Infinity and -Infinity, and
+# hands only those to parse_constant
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _load_json(path: str) -> dict:
+    """The JSON value of a file; an unreadable file, malformed JSON or a
+    non-standard token is exit 2."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return _DECODER.decode(fh.read())
+    except (OSError, ValueError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"cannot read config {path}: {exc}")
 
 
@@ -112,7 +123,7 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
     malformed spec.
     """
     from .measure import lp_norm
-    from .operators import check_spec_keys, integer, spec_kind, spec_value
+    from .operators import check_spec_keys, integer, non_negative, spec_kind, spec_value
 
     if isinstance(vec_spec, dict):
         vec_spec = {"kind": "random", **vec_spec}
@@ -126,9 +137,9 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
         if vseed is None:
             raise CliExit(EXIT_BAD_CONFIG,
                                   "stochastic vector needs a seed (config or --seed)")
-        vseed = spec_value(vseed, integer, "seed", where)
+        vseed = spec_value(vseed, non_negative, "seed", where)
         x = op.random_vector(np.random.default_rng(vseed))
-        if vec_spec.get("normalize", True):
+        if spec_value(vec_spec.get("normalize", True), _boolean, "normalize", where):
             x = x / lp_norm(x, pnorm, op.measure)
         return x, {"kind": "random", "seed": vseed}
     if kind == "eigenvector":
@@ -154,16 +165,24 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
     return np.zeros(op.n, dtype=complex), {"kind": "zero"}
 
 
+def _boolean(value) -> bool:
+    """A spec value that is a JSON boolean: "false" is a string, not false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def cmd_norm_eval(args) -> int:
     from .experiments import _norm_evaluator
-    from .operators import (OperatorError, check_spec_keys, integer, operator_from_spec,
+    from .operators import (OperatorError, check_spec_keys, non_negative, operator_from_spec,
                             spec_value)
 
     config = _load_config(args.config, "norm eval config")
     seed = args.seed if args.seed is not None else config.get("seed")
     try:
         check_spec_keys(config, ("operator", "norm", "vector", "seed"), "norm eval config")
-        norm_seed = 0 if seed is None else spec_value(seed, integer, "seed", "norm eval config")
+        norm_seed = 0 if seed is None else spec_value(seed, non_negative, "seed",
+                                                      "norm eval config")
         op = operator_from_spec(config["operator"])
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed config: {exc}")

@@ -42,6 +42,7 @@ from .operators import (
     SpecValueError,
     check_spec_keys,
     integer,
+    non_negative,
     operator_from_spec,
     spec_kind,
     spec_value,
@@ -115,6 +116,8 @@ def _exponent(value, key: str, where: str):
 
 def _float_pair(value) -> tuple:
     lo, hi = map(float, value)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"bounds must be finite, got {value!r}")
     return lo, hi
 
 
@@ -153,7 +156,7 @@ def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
         if sign_kind not in ENSEMBLE_KINDS:
             raise SpecValueError("sign_kind", where,
                                  f"must be one of {', '.join(ENSEMBLE_KINDS)}, got {sign_kind!r}")
-        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, integer),
+        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, non_negative),
                              count=count, kind=sign_kind)
         random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
         evaluate = lambda x: random_norm(x).mean
@@ -223,7 +226,7 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     where = "experiment config"
     check_spec_keys(config, _CONFIG_KEYS, where)
     op = operator_from_spec(config["operator"])
-    seed = spec_value(config["seed"], integer, "seed", where)
+    seed = spec_value(config["seed"], non_negative, "seed", where)
     samples = spec_value(config.get("samples", 50), integer, "samples", where)
     if samples < 1:
         raise SpecValueError("samples", where, f"must be >= 1, got {samples}")
@@ -236,6 +239,8 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     except Exception as exc:
         raise ExperimentError(f"norm not admitted: {exc}") from exc
     bracket = config.get("assert_bracket")
+    if bracket is not None:
+        lo, hi = spec_value(bracket, _float_pair, "assert_bracket", where)
 
     rng = np.random.default_rng(seed)
     table = []
@@ -259,7 +264,6 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     passed = True
     violations = []
     if bracket is not None:
-        lo, hi = spec_value(bracket, _float_pair, "assert_bracket", where)
         for row in table:
             row["in_bracket"] = bool(lo <= row["ratio"] <= hi)
             if not row["in_bracket"]:

@@ -175,14 +175,27 @@ def _spectral_argument(op: ModelOperator) -> np.ndarray:
     return np.real(op.eigenvalues_or_none())
 
 
+def _dilation_blocks(op: ModelOperator, f, t):
+    """(rows, f(t_j lambda_k)) for the nodes t_j of each block of rows and
+    every nonzero eigenvalue lambda_k: the (node, eigenvalue) grid walked in
+    blocks of about symbols.BLOCK_POINTS points, so that f's temporaries
+    stay block-sized."""
+    lam = _spectral_argument(op)[op.nonzero]
+    step = max(1, BLOCK_POINTS // lam.size)
+    for j in range(0, t.size, step):
+        rows = slice(j, j + step)
+        yield rows, np.asarray(f(np.outer(t[rows], lam)))
+
+
 def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
     """f(t_j lambda_k): row j for the node t_j, column k for the eigenvalue
     lambda_k, in the symbol's dtype (a real symbol gives a real table);
-    kernel columns are 0."""
-    lam = _spectral_argument(op)
-    values = np.asarray(f(np.outer(t, lam[op.nonzero])))
-    table = np.zeros((t.size, lam.size), dtype=values.dtype)
-    table[:, op.nonzero] = values
+    kernel columns are 0.  Filled per node block (_dilation_blocks)."""
+    table = None
+    for rows, values in _dilation_blocks(op, f, t):
+        if table is None:
+            table = np.zeros((t.size, op.nonzero.size), dtype=values.dtype)
+        table[rows, op.nonzero] = values
     return table
 
 
@@ -190,18 +203,14 @@ def _dilation_integrals(op: ModelOperator, f, t, w) -> np.ndarray:
     """sum_j w_j f(t_j lambda_k) for every eigenvalue lambda_k, 0 on the
     kernel, for a real integrand f.
 
-    The nodes t_j are taken in blocks of about symbols.BLOCK_POINTS points
-    of the (node, eigenvalue) grid, and each block is reduced by one GEMV,
-    so no table of f(t_j lambda_k) is held.
+    Each node block (_dilation_blocks) is reduced by one GEMV, so no table
+    of f(t_j lambda_k) is held.
     """
-    nz = op.nonzero
-    lam = _spectral_argument(op)[nz]
-    acc = np.zeros(lam.size)
-    rows = max(1, BLOCK_POINTS // lam.size)
-    for j in range(0, t.size, rows):
-        acc += w[j:j + rows] @ f(np.outer(t[j:j + rows], lam))
-    out = np.zeros(nz.size)
-    out[nz] = acc
+    acc = 0.0
+    for rows, values in _dilation_blocks(op, f, t):
+        acc = acc + w[rows] @ values
+    out = np.zeros(op.nonzero.size)
+    out[op.nonzero] = acc
     return out
 
 

@@ -97,7 +97,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasureSpace, adjoint, nonfinite_note, solve_complex, weighted_symmetric_eig
+from .measure import (MeasureError, MeasureSpace, adjoint, nonfinite_note, solve_complex,
+                      weighted_symmetric_eig)
 
 ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
@@ -172,10 +173,11 @@ def spec_kind(spec, what: str) -> str:
 
 def spec_value(value, convert, key: str, where: str):
     """convert(value), the value of ``key`` in a spec; a value that convert
-    refuses (TypeError or ValueError) raises SpecValueError naming the key."""
+    refuses (TypeError or ValueError, or OverflowError for an integer too
+    large for a float) raises SpecValueError naming the key."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecValueError(key, where, exc) from None
 
 
@@ -191,6 +193,15 @@ def integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def non_negative(value) -> int:
+    """integer(value), refused below 0: the converter of every seed key
+    (numpy's generators take no negative seed)."""
+    value = integer(value)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
 
 
 def basis_matmul(b: np.ndarray, z) -> np.ndarray:
@@ -693,8 +704,11 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
         raise OperatorError("negative potential entries are out of scope")
     if n < 1 or h <= 0:
         raise OperatorError("need n >= 1 and h > 0")
-    a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
-         - np.diag(np.ones(n - 1), -1)) / h**2 + np.diag(v)
+    # an h whose 1/h^2 is not finite leaves non-finite entries, which
+    # weighted_symmetric_eig names and refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+             - np.diag(np.ones(n - 1), -1)) / h**2 + np.diag(v)
     m = MeasureSpace(weights=np.full(n, h), points=(np.arange(1, n + 1)) * h)
     lam, q = weighted_symmetric_eig(a, m)
     return ModelOperator(
@@ -770,8 +784,8 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
     operator checks.
     """
     lam = np.asarray(lambdas, dtype=complex)
-    if conditioning < 1.0:
-        raise OperatorError("conditioning must be >= 1")
+    if not 1.0 <= conditioning < np.inf:
+        raise OperatorError(f"conditioning must be finite and >= 1, got {conditioning!r}")
     if np.any(np.abs(lam) == 0):
         raise OperatorError("zero eigenvalue not allowed in the synthetic build")
     if np.any(np.real(lam) < 0) and np.any(np.abs(np.real(lam)) < 1e-14 * np.max(np.abs(lam))):
@@ -836,10 +850,11 @@ def _complex_pairs(value) -> list:
 def operator_from_spec(spec: dict) -> ModelOperator:
     """Build an operator from its JSON description (CLI surface).
 
-    Raises SpecKeyError for a key the kind does not read, and
+    Raises SpecKeyError for a key the kind does not read,
     SpecValueError for a spec that is not an object of a known kind, a
     value that does not read as its key's type, or a size whose arrays
-    would exceed MAX_ENTRIES entries.
+    would exceed MAX_ENTRIES entries, and OperatorError for a spec that
+    builds no valid operator.
     """
     kind = spec_kind(spec, "operator")
     if kind not in _SPEC_KEYS:
@@ -857,36 +872,41 @@ def operator_from_spec(spec: dict) -> ModelOperator:
             raise SpecValueError(key, where, f"{entries} array entries exceed the cap "
                                              f"{MAX_ENTRIES}")
 
-    if kind == "dirichlet1d":
-        n = read("n", integer)
-        capped("n", n)
-        return build_dirichlet_laplacian_1d(n, read("h", float, 1.0))
-    if kind == "graph":
-        return build_graph_laplacian(read("sigma", _real_array))
-    if kind == "hermite":
-        g = spec.get("grid", {})
-        check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
-        lo = read("lo", float, -12.0, source=g, where="hermite grid")
-        hi = read("hi", float, 12.0, source=g, where="hermite grid")
-        n = read("n", integer, 800, source=g, where="hermite grid")
-        capped("n", n, "hermite grid")
-        d, modes = read("d", integer), read("K", integer)
-        capped("K", n * modes)
-        return build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
-    if kind == "schrodinger":
-        n, h = read("n", integer), read("h", float, 1.0)
-        capped("n", max(n, 0) ** 2)
-        v = spec.get("V", 0.0)
-        if isinstance(v, dict):
-            check_spec_keys(v, ("quadratic",), "schrodinger potential")
-            x = (np.arange(1, n + 1) - (n + 1) / 2) * h
-            v = (read("quadratic", float, source=v, where="schrodinger potential") * x) ** 2
-        else:
-            v = read("V", _real_array, 0.0)
-            if v.ndim == 0:
-                v = np.full(n, v)
-        return build_schrodinger_1d(n, h, v)
-    lam = read("lambdas", _complex_pairs)
-    capped("lambdas", len(lam) ** 2)
-    return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
-                                     read("seed", integer, 0))
+    # a grid or matrix the substrate refuses (MeasureError, LinAlgError) is
+    # an invariant violation of the spec, with the substrate's reason
+    try:
+        if kind == "dirichlet1d":
+            n = read("n", integer)
+            capped("n", n)
+            return build_dirichlet_laplacian_1d(n, read("h", float, 1.0))
+        if kind == "graph":
+            return build_graph_laplacian(read("sigma", _real_array))
+        if kind == "hermite":
+            g = spec.get("grid", {})
+            check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
+            lo = read("lo", float, -12.0, source=g, where="hermite grid")
+            hi = read("hi", float, 12.0, source=g, where="hermite grid")
+            n = read("n", integer, 800, source=g, where="hermite grid")
+            capped("n", n, "hermite grid")
+            d, modes = read("d", integer), read("K", integer)
+            capped("K", n * modes)
+            return build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
+        if kind == "schrodinger":
+            n, h = read("n", integer), read("h", float, 1.0)
+            capped("n", max(n, 0) ** 2)
+            v = spec.get("V", 0.0)
+            if isinstance(v, dict):
+                check_spec_keys(v, ("quadratic",), "schrodinger potential")
+                x = (np.arange(1, n + 1) - (n + 1) / 2) * h
+                v = (read("quadratic", float, source=v, where="schrodinger potential") * x) ** 2
+            else:
+                v = read("V", _real_array, 0.0)
+                if v.ndim == 0:
+                    v = np.full(n, v)
+            return build_schrodinger_1d(n, h, v)
+        lam = read("lambdas", _complex_pairs)
+        capped("lambdas", len(lam) ** 2)
+        return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
+                                         read("seed", non_negative, 0))
+    except (MeasureError, np.linalg.LinAlgError) as exc:
+        raise OperatorError(str(exc)) from exc

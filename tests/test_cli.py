@@ -79,10 +79,24 @@ def test_op_build_malformed_exits_2(tmp_path):
     assert main(["op", "build", "--config", missing]) == 2
 
 
-def test_op_build_invariant_violation_exits_3(tmp_path):
-    cfg = write(tmp_path, "disc.json", {"kind": "graph",
-                                        "sigma": [[1.0, 0.0], [0.0, 1.0]]})
-    assert main(["op", "build", "--config", cfg]) == 3
+def test_op_build_invariant_violation_exits_3(tmp_path, capsys):
+    # a spec that reads but builds no valid operator exits 3 in every
+    # subcommand, with the builder's or the substrate's reason
+    invalid = [
+        ({"kind": "graph", "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "disconnected"),
+        # 1/h^2 overflows, and the eigensolver refuses the non-finite matrix
+        ({"kind": "schrodinger", "n": 8, "h": 1e-200}, "non-finite matrix entries"),
+        # a reversed grid has negative cell weights, which the measure refuses
+        ({"kind": "hermite", "d": 1, "K": 4, "grid": {"lo": 5, "hi": -5}},
+         "all weights must be strictly positive"),
+    ]
+    for spec, reason in invalid:
+        codes = [main(["op", "build", "--config", write(tmp_path, "op.json", spec)]),
+                 run_cli(tmp_path, "norm", norm_eval_config(operator=spec)),
+                 run_cli(tmp_path, "experiment", {**experiment_config(None), "operator": spec})]
+        assert codes == [3, 3, 3], reason
+        err = capsys.readouterr().err
+        assert err.count(reason) == 3 and "Traceback" not in err
 
 
 def test_norm_eval_eigenvector_window_value(tmp_path, capsys):
@@ -283,9 +297,11 @@ def run_cli(tmp_path, command, config):
     ("norm", norm_eval_config(vector={"kind": "file"}), "'path'"),
     ("norm", norm_eval_config(vector={"kind": "file", "path": "numbers.json"}), "'path'"),
     ("norm", norm_eval_config(vector={"kind": "file", "path": "short.json"}), "'path'"),
+    ("norm", norm_eval_config(vector={"kind": "file", "path": "nan.json"}),
+     "nan.json: NaN is not standard JSON"),
 ], ids=["psi-key", "f-key", "experiment-top-level", "norm-eval-top-level", "vector-key",
         "eigenvector-without-index", "eigenvector-index-out-of-range", "file-without-path",
-        "file-of-plain-numbers", "file-of-wrong-length"])
+        "file-of-plain-numbers", "file-of-wrong-length", "file-holding-nan"])
 def test_unknown_or_missing_config_key_exits_2(tmp_path, monkeypatch, capsys, command, config,
                                                key):
     # vector files, relative to the working directory: plain numbers
@@ -293,6 +309,7 @@ def test_unknown_or_missing_config_key_exits_2(tmp_path, monkeypatch, capsys, co
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "numbers.json", [1, 2, 3])
     write(tmp_path, "short.json", [[1.0, 0.0]] * 3)
+    write(tmp_path, "nan.json", [[float("nan"), 0.0]] * 8)
     assert run_cli(tmp_path, command, config) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
@@ -416,6 +433,14 @@ _NON_NUMERIC_OPERATORS = [
     ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 600.5}}, "'n' in hermite grid"),
     ({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]], "seed": 0.5},
      "'seed' in nonnormal operator spec"),
+    # seeds are >= 0: numpy's generators take no negative seed
+    ({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]], "seed": -1},
+     "'seed' in nonnormal operator spec: expected an integer >= 0"),
+    # json reads NaN, which no comparison refuses, so the file is refused
+    ({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]], "conditioning": float("nan")},
+     "NaN is not standard JSON"),
+    # an integer too large for a float
+    ({"kind": "dirichlet1d", "n": 8, "h": 10**400}, "'h' in dirichlet1d operator spec"),
     # a spec that is not an object of a known kind
     ("x", "'kind' in operator spec"),
     ({"n": 8}, "'kind' in operator spec"),
@@ -431,7 +456,9 @@ _NON_NUMERIC_OPERATORS = [
 _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "schrodinger-V",
                  "nonnormal-lambdas", "dirichlet-n-fraction", "schrodinger-n-fraction",
                  "hermite-d-boolean", "hermite-K-fraction", "hermite-grid-fraction",
-                 "nonnormal-seed-fraction", "not-an-object", "no-kind", "unknown-kind",
+                 "nonnormal-seed-fraction", "nonnormal-seed-negative",
+                 "nonnormal-conditioning-nan", "dirichlet-h-integer-overflow", "not-an-object",
+                 "no-kind", "unknown-kind",
                  "dirichlet-n-too-large", "schrodinger-n-too-large", "hermite-K-too-large",
                  "hermite-grid-too-large", "nonnormal-lambdas-too-many"]
 
@@ -520,11 +547,39 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
     ("norm", norm_eval_config(vector={"kind": ["random"]}), "unknown vector kind"),
     ("norm", [1, 2], "norm eval config must be a JSON object"),
     ("experiment", [1, 2], "experiment config must be a JSON object"),
+    # the non-standard tokens NaN, Infinity and -Infinity are refused when read
+    ("experiment", experiment_config([float("nan"), 1.0]),
+     "config.json: NaN is not standard JSON"),
+    ("experiment", experiment_config([float("-inf"), 1.0]),
+     "config.json: -Infinity is not standard JSON"),
+    # bracket bounds are finite numbers
+    ("experiment", experiment_config([0.5, "1e400"]),
+     "'assert_bracket' in experiment config: bounds must be finite"),
+    ("experiment", experiment_config([0.5, 10**400]), "'assert_bracket' in experiment config"),
+    # seeds are >= 0
+    ("experiment", {**experiment_config(None), "seed": -1},
+     "'seed' in experiment config: expected an integer >= 0"),
+    ("norm", {**norm_eval_config(vector={"kind": "random"}), "seed": -3},
+     "'seed' in norm eval config: expected an integer >= 0"),
+    ("norm", norm_eval_config(vector={"kind": "random", "seed": -3}),
+     "'seed' in random vector spec: expected an integer >= 0"),
+    ("norm", norm_eval_config(norm={"kind": "pl_random", "ensemble_seed": -1}),
+     "'ensemble_seed' in pl_random norm spec: expected an integer >= 0"),
+    ("experiment", {**experiment_config(None),
+                    "norm_a": {"kind": "pl_random", "ensemble_seed": -1}},
+     "'ensemble_seed' in pl_random norm spec: expected an integer >= 0"),
+    # "false" is a string, which would read as true
+    ("norm", norm_eval_config(vector={"kind": "random", "seed": 1, "normalize": "false"}),
+     "'normalize' in random vector spec: expected true or false"),
 ], ids=["norm-eval-seed", "vector-index", "vector-seed", "samples", "bracket",
         "norm-eval-seed-fraction", "vector-index-fraction", "vector-index-boolean",
         "vector-seed-fraction", "experiment-seed-fraction", "samples-fraction",
         "samples-below-1", "vector-not-an-object", "vector-kind-not-a-string",
-        "norm-eval-config-not-an-object", "experiment-config-not-an-object"])
+        "norm-eval-config-not-an-object", "experiment-config-not-an-object",
+        "bracket-nan-token", "bracket-minus-infinity-token", "bracket-overflow",
+        "bracket-integer-overflow", "experiment-seed-negative", "norm-eval-seed-negative",
+        "vector-seed-negative", "norm-eval-ensemble-seed-negative",
+        "experiment-ensemble-seed-negative", "vector-normalize-string"])
 def test_a_non_numeric_config_value_is_named(tmp_path, capsys, command, config, named):
     assert run_cli(tmp_path, command, config) == 2
     err = capsys.readouterr().err

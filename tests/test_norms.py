@@ -1130,21 +1130,32 @@ def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
 def test_continuous_square_integrals_do_not_depend_on_the_blocking(monkeypatch):
     # the per-eigenvalue integrals, reduced over node blocks, equal the
     # column sums of the whole table to round-off, for any block size, for
-    # the continuous square's integrand |psi|^2 and the reproduction check's
-    # normalized g; kernel entries are 0
+    # the continuous square's integrand |psi|^2, the reproduction check's
+    # normalized g and the continuous Besov norm's window; kernel entries
+    # are 0.  The table, filled per node block, is the table of one call
+    # of the symbol on the whole (node, eigenvalue) grid bit for bit, and
+    # no call of the symbol sees more than a block.
     from plcalc.experiments import make_mcintosh_symbol
 
     psi = make_symbol("psi_exp", a=1.0, b=1.0)
     integrands = {"|psi|^2": lambda s: np.square(np.abs(psi(s))),
-                  "mcintosh g": make_mcintosh_symbol(psi)}
+                  "mcintosh g": make_mcintosh_symbol(psi),
+                  "window 0": window_symbol(build_homogeneous_dyadic(), 0)}
     for op in (build_dirichlet_laplacian_1d(64, 1.0), PARSEVAL_OPERATORS["graph"]):
         t, du = QuadratureSpec.cover(op, margin=2.0**16).nodes()
         w = du * t**-0.6
+        lam = np.real(op.eigenvalues_or_none())[op.nonzero]
         for name, f in integrands.items():
-            whole = (w[:, None] * norms._dilation_table(op, f, t)).sum(axis=0)
-            assert whole.dtype == float
+            table = np.zeros((t.size, op.n))
+            table[:, op.nonzero] = f(np.outer(t, lam))
+            whole = (w[:, None] * table).sum(axis=0)
             for block in (1, 64, 1000, 10**7):
                 monkeypatch.setattr(norms, "BLOCK_POINTS", block)
+                sizes = []
+                blocked = norms._dilation_table(op, lambda s: sizes.append(s.size) or f(s), t)
+                assert max(sizes) <= max(block, lam.size)   # one node row at least
+                assert blocked.dtype == float
+                np.testing.assert_array_equal(blocked, table, err_msg=name)
                 integrals = norms._dilation_integrals(op, f, t, w)
                 np.testing.assert_allclose(integrals, whole, rtol=1e-14, atol=0, err_msg=name)
                 assert not np.any(integrals[~op.nonzero])

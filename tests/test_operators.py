@@ -202,6 +202,10 @@ def test_nonnormal_rejects_bad_input():
         build_nonnormal_sectorial([0.0, 1.0], 2.0, seed=0)
     with pytest.raises(OperatorError):
         build_nonnormal_sectorial([1j], 2.0, seed=0)   # on the imaginary axis
+    # a conditioning that is not a finite number >= 1 is refused, not blended
+    for conditioning in (np.nan, np.inf):
+        with pytest.raises(OperatorError, match="conditioning must be finite and >= 1"):
+            build_nonnormal_sectorial([1.0, 2.0], conditioning, seed=0)
 
 
 def test_sector_containment_all_builders():

@@ -50,6 +50,11 @@ SET_BY_TESTS = {
     "k_functional_bruteforce.grid": "search grid of the K-functional oracle",
     "convergence_check.permute_seed": "oracle: the order of the permuted partial sum",
     "continuous_square_norm.quad": "entry point: a given quadrature instead of the certified one",
+    "continuous_square_norm.pnorm": "entry point: the one-shot continuous_square_evaluator, "
+                                    "which runs set",
+    "besov_discrete_norm.pnorm": "entry point: the one-shot besov_discrete_evaluator, "
+                                 "which runs set",
+    "pl_square_norm.theta": "entry point: the one-shot pl_square_evaluator, which runs set",
     "mcintosh_check.quad": "oracle: a given quadrature instead of the certified one",
     "pl_random_norm.theta": "entry point: the one-shot pl_random_evaluator, which runs set",
     "pl_inhomogeneous_norm.pnorm": "entry point: the one-shot pl_inhomogeneous_evaluator",
