@@ -33,7 +33,12 @@ SINE_MIN_N, the folded form at an even n from FOLD_MIN_N on, and the sine
 transform from SINE_MIN_N points on at any parity.  The fold stays at 256
 points because the FFT of length 2(n+1) = 514 = 2 x 257 falls back to
 Bluestein's algorithm for the prime 257, and a one-vector transform then
-takes about four times as long as the folded product.
+takes about four times as long as the folded product.  A Schroedinger
+operator -Delta + V is folded at an even n from FOLD_MIN_N on when V is
+exactly mirror-symmetric (v == v[::-1]), with no upper size: its two half
+blocks are two half-size eigensolves in place of one whole one.  Any other
+Schroedinger operator (odd n, fewer points, an asymmetric V) keeps the
+stored basis of one dense eigensolve.
 
 The folded form, for an even number n of points.  With T the top n/2
 points, B the bottom n/2 and R reversing them, an even vector is (v, R v)
@@ -104,11 +109,12 @@ ORTHO_TOL = 1e-10
 SIMILARITY_TOL = 1e-10
 RESOLVENT_MARGIN = 1e-12   # reject lambda within this times lambda_max of spectrum
 ZERO_EIG_TOL = 1e-12       # relative threshold deciding kernel membership
-# Dirichlet size from which the basis is folded (even sizes only; an odd
-# size keeps one block).  The fold adds a few vector operations to every
-# transform.  At 256 points they cost a one-vector transform about 15% of
-# its unfolded time while the build takes half as long; at 32 points they
-# double that transform's time (one BLAS thread).
+# Size from which a Dirichlet basis, or a Schroedinger basis with a
+# mirror-symmetric V, is folded (even sizes only; an odd size keeps one
+# block).  The fold adds a few vector operations to every transform.  At
+# 256 points they cost a one-vector transform about 15% of its unfolded
+# time while the build takes half as long; at 32 points they double that
+# transform's time (one BLAS thread).
 FOLD_MIN_N = 256
 # Dirichlet size from which the basis is a sine transform, at any parity.
 # On a 2-vCPU x86_64 host (numpy 2.4, one BLAS thread) a one-vector
@@ -567,7 +573,11 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     if n < 1 or not 0 < h < np.inf:
         raise OperatorError("need n >= 1 and a finite h > 0")
     k = np.arange(1, n + 1)
-    lam = (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / h**2
+    # an h whose 1/h^2 is not finite leaves a non-finite spectrum, which
+    # the operator names and refuses before it reads the basis
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / h**2
+        scale = np.sqrt(2.0 / ((n + 1) * h))
     measure = MeasureSpace(weights=np.full(n, h), points=k * h)
     spec = {"kind": "dirichlet1d", "n": n, "h": h}
     if n >= SINE_MIN_N:
@@ -576,7 +586,7 @@ def build_dirichlet_laplacian_1d(n: int, h: float) -> ModelOperator:
     # from one table of 2(n+1) scaled sines by an exact integer reduction; the
     # index arrays are freed before the operator checks its Gram matrices
     period = 2 * (n + 1)
-    table = np.sin(np.arange(period) * np.pi / (n + 1)) * np.sqrt(2.0 / ((n + 1) * h))
+    table = np.sin(np.arange(period) * np.pi / (n + 1)) * scale
     if n < FOLD_MIN_N or n % 2:
         ik = np.outer(k, k)
         ik %= period
@@ -662,9 +672,9 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace) -> ModelO
     The grid must be wide and fine enough that the discretized Hermite
     functions are orthonormal wrt the grid weights to HERMITE_GRAM_TOL; they
     are then re-orthonormalized in the weighted inner product so the
-    spectral form is exact: one Householder QR of W^(1/2) V with the
-    column signs fixed so diag(R) > 0, which is the factorization Gram-
-    Schmidt computes, and Q = W^(-1/2) (W^(1/2) V R^-1) is real.
+    spectral form is exact: the Gram matrix G = V^T W V that the defect
+    check forms is R^T R for its Cholesky factor R, upper triangular with
+    diag(R) > 0 (the R that Gram-Schmidt computes), and Q = V R^-1 is real.
     """
     if d != 1:
         raise OperatorError(f"hermite dimension d = {d} is not built: only d = 1")
@@ -677,9 +687,7 @@ def build_hermite_operator(d: int, num_modes: int, grid: MeasureSpace) -> ModelO
     if defect > HERMITE_GRAM_TOL:
         raise OperatorError(f"grid too coarse or narrow: Hermite Gram defect "
                             f"{defect:.2e} > {HERMITE_GRAM_TOL:.0e}")
-    sqw = np.sqrt(w)
-    u, r = np.linalg.qr(sqw[:, None] * v)
-    q = u * np.sign(np.diag(r)) / sqw[:, None]
+    q = v @ np.linalg.inv(np.linalg.cholesky(gram)).T
     lam = d + 2.0 * np.arange(num_modes)
     return ModelOperator(
         form=SpectralSelfAdjoint(lam, q),
@@ -695,8 +703,27 @@ def uniform_grid(lo: float, hi: float, n: int) -> MeasureSpace:
     return MeasureSpace(weights=np.full(n, dx), points=pts)
 
 
+def _schrodinger_generator(n: int, h: float, v: np.ndarray, corner: float = 2.0) -> np.ndarray:
+    """The tridiagonal (-1, 2, -1)/h^2 + diag(v) on n points, with
+    corner/h^2 in place of the last diagonal 2/h^2."""
+    t = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+    t[-1, -1] = corner
+    # an h whose 1/h^2 is not finite leaves non-finite entries, which
+    # weighted_symmetric_eig names and refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return t / h**2 + np.diag(v)
+
+
 def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
-    """Discrete -Delta + V for entrywise nonnegative V (keeps sectoriality)."""
+    """Discrete -Delta + V for entrywise nonnegative V (keeps sectoriality).
+
+    At an even n from FOLD_MIN_N on, a mirror-symmetric V (v == v[::-1]
+    exactly) gives an operator that commutes with the reflection R, and the
+    form is folded: the half blocks A_TT -+ A_TB R are the generator on the
+    top n/2 points with -+1/h^2 added at the middle point, and each is one
+    half-size eigensolve in the folded weights 2h.  Any other operator is
+    one eigensolve of the whole generator.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise OperatorError(f"potential must have length {n}")
@@ -704,18 +731,21 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
         raise OperatorError("negative potential entries are out of scope")
     if n < 1 or h <= 0:
         raise OperatorError("need n >= 1 and h > 0")
-    # an h whose 1/h^2 is not finite leaves non-finite entries, which
-    # weighted_symmetric_eig names and refuses
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
-             - np.diag(np.ones(n - 1), -1)) / h**2 + np.diag(v)
     m = MeasureSpace(weights=np.full(n, h), points=(np.arange(1, n + 1)) * h)
-    lam, q = weighted_symmetric_eig(a, m)
-    return ModelOperator(
-        form=SpectralSelfAdjoint(lam, q),
-        measure=m,
-        spec={"kind": "schrodinger", "n": n, "h": h, "V": v.tolist()},
-    )
+    spec = {"kind": "schrodinger", "n": n, "h": h, "V": v.tolist()}
+    if n < FOLD_MIN_N or n % 2 or not np.array_equal(v, v[::-1]):
+        lam, q = weighted_symmetric_eig(_schrodinger_generator(n, h, v), m)
+        return ModelOperator(SpectralSelfAdjoint(lam, q), m, spec)
+    half = n // 2
+    folded = MeasureSpace(weights=np.full(half, 2.0 * h))
+    lam = np.empty(n)
+    blocks = np.empty((2, half, half))
+    # the middle point of an even mode (u, R u) sees -1/h^2 from its mirror
+    # image, that of an odd mode (u, -R u) +1/h^2
+    for parity, corner in enumerate((1.0, 3.0)):
+        a = _schrodinger_generator(half, h, v[:half], corner)
+        lam[parity::2], blocks[parity] = weighted_symmetric_eig(a, folded)
+    return ModelOperator(FoldedSelfAdjoint(lam, blocks), m, spec)
 
 
 COND_SEARCH_RTOL = 4e-16   # bracket width relative to t that ends the search

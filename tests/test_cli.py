@@ -86,6 +86,8 @@ def test_op_build_invariant_violation_exits_3(tmp_path, capsys):
         ({"kind": "graph", "sigma": [[1.0, 0.0], [0.0, 1.0]]}, "disconnected"),
         # 1/h^2 overflows, and the eigensolver refuses the non-finite matrix
         ({"kind": "schrodinger", "n": 8, "h": 1e-200}, "non-finite matrix entries"),
+        # the same h gives the Dirichlet operator an infinite spectrum
+        ({"kind": "dirichlet1d", "n": 8, "h": 1e-200}, "operator spectrum is not finite"),
         # a reversed grid has negative cell weights, which the measure refuses
         ({"kind": "hermite", "d": 1, "K": 4, "grid": {"lo": 5, "hi": -5}},
          "all weights must be strictly positive"),
@@ -96,7 +98,7 @@ def test_op_build_invariant_violation_exits_3(tmp_path, capsys):
                  run_cli(tmp_path, "experiment", {**experiment_config(None), "operator": spec})]
         assert codes == [3, 3, 3], reason
         err = capsys.readouterr().err
-        assert err.count(reason) == 3 and "Traceback" not in err
+        assert err.count(reason) == 3 and "Traceback" not in err and "Warning" not in err
 
 
 def test_norm_eval_eigenvector_window_value(tmp_path, capsys):
@@ -388,11 +390,79 @@ def test_real_interpolation_admits_only_p_2(tmp_path, capsys):
     assert echo["pnorm"] == 2 and echo["kind"] == "real_interpolation"
 
 
-def test_reports_refuse_non_finite_json(capsys):
+def test_reports_refuse_non_finite_json(tmp_path, capsys):
     from plcalc.cli import _emit
 
     with pytest.raises(ValueError):
         _emit({"norm": float("nan")}, None, quiet=True)
+    # the report is encoded before anything is written
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        _emit({"norm": float("inf")}, str(out), quiet=False)
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def _indented(payload):
+    """The report encoding before reports became one line: json's
+    pure-Python encoder, keys sorted, two-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _fake_battery(echo=None):
+    from plcalc.acceptance import CriterionResult
+
+    return [CriterionResult(1, "overlap sandwich", True, "ratio range [0.8, 0.9]"),
+            CriterionResult(2, "fractional sandwich", True, "theta=+0.5: [0.8, 0.9]")]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["op", "build"], {"kind": "graph", "sigma": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5],
+                                                  [0.0, 0.5, 1.0]]}),
+    (["norm", "eval", "--seed", "7"],
+     {"operator": {"kind": "schrodinger", "n": 8, "h": 0.5, "V": {"quadratic": 0.3}},
+      "norm": {"kind": "besov_discrete", "pnorm": 4, "theta": 0.5, "q": 2},
+      "vector": {"kind": "random"}}),
+    (["experiment", "run", "--seed", "21"], experiment_config([SQRT_HALF - 1e-9, 1 + 1e-9])),
+    (["suite", "acceptance"], None),
+], ids=["op-build", "norm-eval", "experiment-run", "suite-acceptance"])
+def test_a_report_is_one_json_line_with_sorted_keys(tmp_path, monkeypatch, capsys, argv, config):
+    from plcalc import acceptance, cli
+
+    monkeypatch.setattr(acceptance, "run_all", _fake_battery)
+    payloads = []
+    encode = cli._encode
+
+    def recorded(payload):
+        payloads.append(payload)
+        return encode(payload)
+
+    monkeypatch.setattr(cli, "_encode", recorded)
+    reports = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        cfg = [] if config is None else ["--config", write(tmp_path, "config.json", config)]
+        assert main(argv + cfg + ["--out", str(out), "--quiet"]) == 0
+        reports.append(out.read_bytes())
+    assert capsys.readouterr().out == ""
+    # two runs of one (config, seed) write the same bytes
+    assert reports[0] == reports[1]
+    text = reports[0].decode()
+    assert text.endswith("\n") and text.count("\n") == 1
+    parsed = json.loads(text)
+    # the same values as the indented encoding of the same payload, and
+    # nothing but the layout differs: the keys are sorted
+    assert len(payloads) == 2 and parsed == json.loads(_indented(payloads[0]))
+    assert text == json.dumps(parsed, sort_keys=True) + "\n"
+    assert "".join(text.split()) == "".join(_indented(payloads[0]).split())
+
+
+def test_a_printed_report_is_the_written_line(tmp_path, capsys):
+    cfg = write(tmp_path, "op.json", {"kind": "dirichlet1d", "n": 4, "h": 0.5})
+    out = tmp_path / "r.json"
+    assert main(["op", "build", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(["op", "build", "--config", cfg]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_parser_is_built_once_and_options_do_not_carry(tmp_path, capsys):

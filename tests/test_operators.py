@@ -1,15 +1,18 @@
 """Model operator builders, resolvents, kernel projections, spectral flags."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from plcalc.measure import MeasureSpace, weighted_symmetric_eig
-from plcalc.norms import _field_evaluator
+from plcalc.norms import _field_evaluator, besov_discrete_norm, k_functional, pl_square_norm
+from plcalc.partitions import build_homogeneous_dyadic
 from plcalc import operators
 from plcalc.operators import (
     FOLD_MIN_N,
+    ORTHO_TOL,
     SINE_MIN_N,
     FoldedSelfAdjoint,
     GraphError,
@@ -703,19 +706,94 @@ def test_folded_form_needs_a_mirror_symmetric_measure_and_matching_blocks():
             dataclasses.replace(op, form=dataclasses.replace(op.form, blocks=blocks))
 
 
-def test_only_large_dirichlet_operators_are_folded():
+def test_only_large_mirror_symmetric_operators_are_folded():
     sym = (np.arange(1, 17) - 8.5) ** 2 / 64.0
+    # criterion 3's operator, below FOLD_MIN_N
+    xg = (np.arange(1, 129) - 64.5) * (4.0 / 129)
+    # one entry of a symmetric potential moved by one ulp breaks the symmetry
+    skew = _quadratic_potential(FOLD_MIN_N, 1.0)
+    skew[3] = np.nextafter(skew[3], np.inf)
     one_block = [
         build_graph_laplacian(np.eye(4) + 0.5 * (np.ones((4, 4)) - np.eye(4))),
         build_hermite_operator(1, 8, uniform_grid(-10, 10, 400)),
         build_schrodinger_1d(16, 1.0, np.linspace(0.0, 1.0, 16)),
         build_schrodinger_1d(16, 1.0, sym),
+        build_schrodinger_1d(128, 1.0, xg**2),
+        build_schrodinger_1d(FOLD_MIN_N - 2, 1.0, _quadratic_potential(FOLD_MIN_N - 2, 1.0)),
+        build_schrodinger_1d(FOLD_MIN_N + 1, 1.0, _quadratic_potential(FOLD_MIN_N + 1, 1.0)),
+        build_schrodinger_1d(FOLD_MIN_N, 1.0, skew),
         build_dirichlet_laplacian_1d(FOLD_MIN_N - 1, 1.0),
         build_dirichlet_laplacian_1d(FOLD_MIN_N + 1, 1.0),      # odd n keeps one block
     ]
     assert all(isinstance(op.form, SpectralSelfAdjoint) for op in one_block)
     for n in (FOLD_MIN_N, FOLD_MIN_N + 2):
         assert build_dirichlet_laplacian_1d(n, 1.0).form.blocks.shape == (2, n // 2, n // 2)
+    for n in (FOLD_MIN_N, FOLD_MIN_N + 2, 512):
+        op = build_schrodinger_1d(n, 1.0, _quadratic_potential(n, 1.0))
+        assert op.form.blocks.shape == (2, n // 2, n // 2)
+
+
+# -- Schroedinger with a mirror-symmetric potential, folded --------------------
+
+def _quadratic_potential(n, h):
+    """V = (0.03 x)^2 on the centred grid, the potential of the
+    {"quadratic": 0.03} spec: mirror-symmetric exactly."""
+    return (0.03 * ((np.arange(1, n + 1) - (n + 1) / 2) * h)) ** 2
+
+
+def _schrodinger_generator(n, h, v):
+    return (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+            - np.diag(np.ones(n - 1), -1)) / h**2 + np.diag(v)
+
+
+@pytest.mark.parametrize("n", [FOLD_MIN_N, FOLD_MIN_N + 2, 512])
+def test_folded_schrodinger_matches_the_dense_build(n):
+    hom = build_homogeneous_dyadic()
+    h = 0.9
+    v = _quadratic_potential(n, h)
+    op = build_schrodinger_1d(n, h, v)
+    assert isinstance(op.form, FoldedSelfAdjoint)
+    a = _schrodinger_generator(n, h, v)
+    dense_lam, dense_q = weighted_symmetric_eig(a, op.measure)
+    dense = ModelOperator(SpectralSelfAdjoint(dense_lam, dense_q), op.measure)
+    assert op.form.blocks.dtype == np.float64 and op.form.eigenvalues.dtype == np.float64
+    assert _rel(op.matrix(), a) <= 1e-13
+    assert _rel(np.sort(op.form.eigenvalues), dense_lam) <= 1e-13
+    # the Gram gate sees one entry of either block off by 1e-6 (the largest:
+    # the modes decay where V is large)
+    for block in (0, 1):
+        index = np.unravel_index(np.argmax(np.abs(op.form.blocks[block])), (n // 2, n // 2))
+        with pytest.raises(OperatorError, match="orthonormal"):
+            _with_block_entry(op, block, index, op.form.blocks[block][index] * (1.0 + 1e-6))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    assert _rel(op.synthesize(op.coefficients(x)), x) <= ORTHO_TOL
+    assert _rel(op.coefficients(op.synthesize(x)), x) <= ORTHO_TOL
+    # p = 2 norms read |coefficients| against the eigenvalues only, so they
+    # do not see the eigenvector signs; one fixed vector for both builds
+    # (a random_vector draw would depend on the basis)
+    t = np.arange(n) / n
+    x = np.exp(-((t - 0.4) / 0.15) ** 2) + 0.3j * np.sin(7.0 * np.pi * t)
+    values = [(pl_square_norm(o, hom, x, 2), besov_discrete_norm(o, hom, x, 0.5, 2, 2),
+               k_functional(o, x, 0.3, 0.0, 1.0)) for o in (op, dense)]
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
+
+
+def test_folded_schrodinger_refuses_a_non_finite_generator():
+    spec = {"kind": "schrodinger", "n": FOLD_MIN_N, "h": 1e-200, "V": {"quadratic": 0.03}}
+    with pytest.raises(OperatorError, match="non-finite matrix entries"):
+        operator_from_spec(spec)
+
+
+@pytest.mark.parametrize("n", [8, 300, 600])
+def test_dirichlet_refuses_an_h_whose_spectrum_is_not_finite(n):
+    # one size per form (stored, folded, sine transform); 1/h^2 overflows,
+    # and the refusal comes without a RuntimeWarning
+    assert type(build_dirichlet_laplacian_1d(n, 1.0).form) is _dirichlet_form(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorError, match="spectrum is not finite"):
+            build_dirichlet_laplacian_1d(n, 1e-200)
 
 
 # -- the sine transform (no stored basis), against the dense basis ------------
