@@ -14,7 +14,6 @@ statistics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +27,7 @@ from .calculus import (
     even_multiplier_direct,
     even_multiplier_via_projections,
 )
+from .cli import _encode
 from .experiments import (
     make_mcintosh_symbol,
     mcintosh_check,
@@ -379,10 +379,12 @@ def criterion_14_determinism() -> CriterionResult:
         "seed": 24,
         "assert_bracket": [SQRT_HALF - 1e-9, 1.0 + 1e-9],
     }
-    blob_a = json.dumps(run_equivalence(config).to_json(), sort_keys=True, indent=2)
-    blob_b = json.dumps(run_equivalence(config).to_json(), sort_keys=True, indent=2)
-    ok = blob_a.encode() == blob_b.encode()
-    passed = ok and run_equivalence(config).passed
+    # the bytes `plcalc experiment run` writes for each report
+    first = run_equivalence(config)
+    blob_a = _encode(first.to_json()).encode()
+    blob_b = _encode(run_equivalence(config).to_json()).encode()
+    ok = blob_a == blob_b
+    passed = ok and first.passed
     return CriterionResult(14, "determinism", passed,
                            f"byte-identical={ok}, bracket passed={passed}")
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ModelOperator, check_resolvent_gap
+from .operators import RESOLVENT_MARGIN, ModelOperator, check_resolvent_gap
 from .symbols import Symbol, make_symbol
 
 DEFAULT_SIGMA_FLOOR = 0.15    # contour half-angle floor; see default_contour_spec
@@ -166,6 +166,13 @@ def contour_tail_bound(op: ModelOperator, f: Symbol, spec: ContourSpec) -> float
     return tail
 
 
+def _ray_distance(lam, ray: complex, r_lo: float, r_hi: float) -> np.ndarray:
+    """Distance of each point lam to the segment [r_lo, r_hi] * ray (|ray| = 1):
+    rotate onto the positive axis, clamp along it, take the hypotenuse."""
+    w = np.asarray(lam) * np.conj(ray)
+    return np.hypot(w.real - np.clip(w.real, r_lo, r_hi), w.imag)
+
+
 def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = None,
                   tail_tol: float = DEFAULT_TAIL_TOL):
     """f(A)x by trapezoid quadrature of the two-ray sector contour.
@@ -173,6 +180,14 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     Requires a sector-analytic symbol with a decay certificate; the
     truncation tail estimate is attached to the result metadata and must
     stay below ``tail_tol``.  Returns (y, tail_bound).
+
+    Every node must keep RESOLVENT_MARGIN * lambda_max away from the
+    spectrum (check_resolvent_gap).  Per ray a geometric certificate comes
+    first: the nodes lie on the segment [r_0, r_last] e^{+-i sigma}, so
+    when every eigenvalue is more than twice that margin from the segment
+    (_ray_distance, O(K)), no node can be within the margin, rounding of
+    the nodes included, and the O(nodes x K) scan is skipped.  Otherwise
+    the scan runs and raises as it always has.
     """
     if f.sector_evaluate is None:
         raise CalculusError(f"symbol {f.name} has no sector-analytic evaluation")
@@ -194,10 +209,12 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     r, du = spec.nodes()
     weights = np.zeros(lam.shape, dtype=complex)
     for sign in (-1.0, +1.0):
-        z = r * np.exp(1j * sign * spec.sigma)
+        ray = np.exp(1j * sign * spec.sigma)
+        z = r * ray
         fv = np.asarray(f.on_sector(z), dtype=complex)
         live = fv != 0.0
-        check_resolvent_gap(op, z[live])
+        if np.min(_ray_distance(lam, ray, r[0], r[-1])) <= 2.0 * RESOLVENT_MARGIN * op.lambda_max:
+            check_resolvent_gap(op, z[live])
         c = (du * fv * z)[live]
         weights += -sign * (c @ (1.0 / (z[live, None] - lam[None, :])))
     return spectral_multiplier(op, weights / (2j * np.pi), x), tail

@@ -459,6 +459,14 @@ class DyadicSampleFamily(FunctionFamily):
     arithmetic of the sample's own evaluate.  On the estimator's windows
     around a spectrum e^y is positive and finite, so the sample's guards
     never fire there.
+
+    The support is the blocks' union, y in (ln2 (n_lo - 1), ln2 (n_lo +
+    width)).  Outside it the table points into the zero padding.  Near its
+    ends only the end block's window is live, and it holds 1 - chi(s) at
+    s = 1 + d or chi(s) at s = 2 - d, where d is about the distance to
+    the end: exp(-1/d) underflows to 0 for d below ~1e-3, so chi is
+    exactly 1 or 0 and the sample exactly 0 (well beyond the
+    SUPPORT_MARGIN the estimator needs).
     """
 
     def __init__(self, partition, coeffs: np.ndarray, n_lo: int):
@@ -467,7 +475,8 @@ class DyadicSampleFamily(FunctionFamily):
         self.partition = partition
         self.c_pad = np.pad(np.asarray(coeffs, dtype=complex), ((0, 0), (2, 2)))
         self.n_lo = n_lo
-        self.size = self.c_pad.shape[0]
+        self.size, width = np.shape(coeffs)
+        self.support = (np.log(2.0) * (n_lo - 1), np.log(2.0) * (n_lo + width))
 
     def table(self, y):
         return _dyadic_table(self.partition, np.exp(y), self.n_lo, self.c_pad.shape[1])

@@ -884,7 +884,8 @@ def operator_from_spec(spec: dict) -> ModelOperator:
     SpecValueError for a spec that is not an object of a known kind, a
     value that does not read as its key's type, or a size whose arrays
     would exceed MAX_ENTRIES entries, and OperatorError for a spec that
-    builds no valid operator.
+    builds no valid operator (a measure or matrix the substrate refuses,
+    or a value that overflows the float range).
     """
     kind = spec_kind(spec, "operator")
     if kind not in _SPEC_KEYS:
@@ -903,7 +904,8 @@ def operator_from_spec(spec: dict) -> ModelOperator:
                                              f"{MAX_ENTRIES}")
 
     # a grid or matrix the substrate refuses (MeasureError, LinAlgError) is
-    # an invariant violation of the spec, with the substrate's reason
+    # an invariant violation of the spec, with the substrate's reason; so is
+    # a spacing whose h**2 leaves the float range (Python raises OverflowError)
     try:
         if kind == "dirichlet1d":
             n = read("n", integer)
@@ -940,3 +942,5 @@ def operator_from_spec(spec: dict) -> ModelOperator:
                                          read("seed", non_negative, 0))
     except (MeasureError, np.linalg.LinAlgError) as exc:
         raise OperatorError(str(exc)) from exc
+    except OverflowError as exc:
+        raise OperatorError("a spec value overflows the float range") from exc

@@ -6,8 +6,9 @@ Everything is built by telescoping one fixed smooth transition function
 
 which equals 1 on (-inf,1], 0 on [2,inf) and is C^infinity.  chi is
 evaluated as the closed form exp(-1/(2-t)) / (exp(-1/(2-t)) + exp(-1/(t-1)))
-at every point, with the two plateaus selected afterwards (no per-point
-masking; a NaN argument gives 1, as t <= 1 does).  The base
+at every point, in place in one output array, and the two plateaus are then
+set by two np.copyto calls (no per-point masking, no third array; a NaN
+argument gives 1, as t <= 1 does).  The base
 windows and their recorded constants are:
 
     homogeneous dyadic   phi0(t)   = chi(t) - chi(2t),  supp in [1/2, 2],
@@ -49,12 +50,23 @@ import numpy as np
 
 def _chi_values(t):
     t = np.asarray(t, dtype=float)
-    # off the open band (1, 2) the exponentials overflow, divide by zero or
-    # give inf/inf; np.where discards those values for the plateaus
+    out = np.empty_like(t)      # ufuncs given out= keep a 0-d input an array
+    low = np.empty_like(t)
+    # the band formula in place: off the open band (1, 2) the exponentials
+    # overflow, divide by zero or give inf/inf, and the plateaus overwrite
+    # those values
     with np.errstate(all="ignore"):
-        num = np.exp(-1.0 / (2.0 - t))
-        band = num / (num + np.exp(-1.0 / (t - 1.0)))
-    return np.where(t >= 2.0, 0.0, np.where(t > 1.0, band, 1.0))
+        np.subtract(2.0, t, out=out)
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)                  # exp(-1/(2-t))
+        np.subtract(t, 1.0, out=low)
+        np.divide(-1.0, low, out=low)
+        np.exp(low, out=low)                  # exp(-1/(t-1))
+        low += out
+        out /= low
+    np.copyto(out, 1.0, where=~(t > 1.0))     # t <= 1, and NaN
+    np.copyto(out, 0.0, where=t >= 2.0)
+    return out
 
 
 @dataclass
@@ -142,7 +154,8 @@ class PartitionOfUnity:
             np.maximum(k, 0, out=k)
             chi = self.bump(np.ldexp(t, -k))
         else:
-            chi = self.bump(2.0 * mant)
+            mant *= 2.0           # s = 2 mant, in place
+            chi = self.bump(mant)
         rest = 1.0 - chi          # 0 where t <= 0, as chi = bump(s <= 0) = 1
         np.copyto(chi, 0.0, where=t <= 0)
         return k, chi, rest

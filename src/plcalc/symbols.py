@@ -275,9 +275,15 @@ class FunctionFamily:
     smoothness estimator builds each table once per block of its grid and
     reduces every member from it, so work that does not depend on the
     member is done once, not once per member.
+
+    ``support`` is None, or an interval (lo, hi) in y outside which every
+    member reads exactly 0, and also within SUPPORT_MARGIN of either end:
+    the estimator then skips the grid points whose differences cannot
+    reach it (see _besov_value).
     """
 
     size: int = 1
+    support: tuple[float, float] | None = None
 
     def table(self, y):
         raise NotImplementedError
@@ -299,7 +305,21 @@ class _OneFunction(FunctionFamily):
         return table
 
 
-BLOCK_POINTS = 4096   # points of the (h, x) difference grid evaluated at a time
+BLOCK_POINTS = 8192   # points of the (h, x) difference grid evaluated at a time
+SUPPORT_MARGIN = 1e-9   # slack of a family's support (FunctionFamily.support)
+
+
+def _live_columns(xg, support, reach):
+    """The slice of the sorted grid xg whose points x can see the support
+    (lo, hi) from some x + s, 0 <= s <= reach (reach < 0: reach <= s <= 0),
+    with SUPPORT_MARGIN of slack on every side; all of xg without a
+    support."""
+    if support is None:
+        return slice(0, xg.size)
+    lo, hi = support
+    lo, hi = lo - SUPPORT_MARGIN - max(reach, 0.0), hi + SUPPORT_MARGIN - min(reach, 0.0)
+    return slice(int(np.searchsorted(xg, lo, side="right")),
+                 int(np.searchsorted(xg, hi, side="left")))
 
 
 def _besov_value(family: FunctionFamily, alpha, M, window, n_x, n_h, h_min=1e-6):
@@ -315,6 +335,14 @@ def _besov_value(family: FunctionFamily, alpha, M, window, n_x, n_h, h_min=1e-6)
     that member alone.  The tables at x, which give the sup norms and the
     h-free term of every row, are built once.  Small blocks keep every
     temporary off the allocator's mmap path, whatever the family's size.
+
+    A family with a support is swept, per block and sign of h, only over
+    the contiguous columns x where some x + j h (j = 0..M, h in the block)
+    comes within SUPPORT_MARGIN of it (_live_columns, with the block's
+    largest |h|).  At any other column every g(x + j h) is exactly 0, so
+    D_h^M g is exactly 0 there and no row's sup moves; a block with no
+    live column has sup 0.  The margin is far above the rounding of
+    x + j h, so the estimate keeps every bit of the full sweep.
     """
     x_lo, x_hi = window
     xg = np.linspace(x_lo, x_hi, n_x)
@@ -326,12 +354,16 @@ def _besov_value(family: FunctionFamily, alpha, M, window, n_x, n_h, h_min=1e-6)
     rows = max(1, BLOCK_POINTS // n_x)
     integrals = np.zeros(family.size)
     for sign in (1.0, -1.0):
-        sups = np.empty((family.size, n_h))
+        sups = np.zeros((family.size, n_h))
         for i in range(0, n_h, rows):
             h = sign * hs[i:i + rows, None]
-            tables = [family.table(xg + j * h) for j in range(1, M + 1)]
+            live = _live_columns(xg, family.support, M * h[-1, 0])   # the largest |h|
+            if live.start >= live.stop:
+                continue
+            x = xg[live]
+            tables = [family.table(x + j * h) for j in range(1, M + 1)]
             for k in range(family.size):
-                diff = _difference(M, gx[k], (family.member(t, k) for t in tables))
+                diff = _difference(M, gx[k][live], (family.member(t, k) for t in tables))
                 sups[k, i:i + rows] = np.max(np.abs(diff), axis=1)
         vals = hs**-alpha * sups
         for k in range(family.size):   # the trapezoid on a contiguous row

@@ -319,3 +319,49 @@ def test_bisectorial_projections_of_an_orthonormal_form():
     p1, p2 = bisectorial_projections(op)
     assert np.max(np.abs(p1 - np.eye(op.n))) <= 1e-14
     assert np.max(np.abs(p2)) == 0.0
+
+
+def _certificate_operators():
+    n = 128
+    xg = (np.arange(1, n + 1) - (n + 1) / 2) * (4.0 / (n + 1))
+    rng = np.random.default_rng(7)
+    lams = np.geomspace(0.05, 4.0, 48) * np.exp(1j * rng.uniform(-0.3, 0.3, 48))
+    path = np.eye(12) + np.diag(np.ones(11), 1) + np.diag(np.ones(11), -1)
+    return {"nonnormal": build_nonnormal_sectorial(lams, 5.0, 7),
+            "schrodinger": build_schrodinger_1d(n, 1.0, xg**2),
+            "graph": build_graph_laplacian(path)}
+
+
+@pytest.mark.parametrize("name", ["nonnormal", "schrodinger", "graph"])
+def test_contour_gap_certificate_keeps_every_bit_and_skips_the_scan(monkeypatch, name):
+    # where every eigenvalue keeps clear of both rays the node-by-eigenvalue
+    # scan cannot fire, so it does not run, and nothing else moves
+    from plcalc import calculus
+
+    op = _certificate_operators()[name]
+    x = op.random_vector(np.random.default_rng(5))
+    calls = []
+    scan = calculus.check_resolvent_gap
+    monkeypatch.setattr(calculus, "check_resolvent_gap",
+                        lambda *args: calls.append(1) or scan(*args))
+    symbols = [make_symbol("rho"), make_symbol("psi_exp", a=2.0, b=1.0)]
+    certified = [apply_contour(op, f, x) for f in symbols]
+    assert calls == []
+    # the certificate forced off: every ray runs the scan
+    monkeypatch.setattr(calculus, "_ray_distance", lambda lam, *args: np.zeros(np.shape(lam)))
+    for f, (y, tail) in zip(symbols, certified):
+        y_scan, tail_scan = apply_contour(op, f, x)
+        assert y.tobytes() == y_scan.tobytes() and tail == tail_scan
+    assert len(calls) == 2 * len(symbols)
+
+
+def test_contour_node_on_the_kernel_still_raises():
+    # a graph's kernel eigenvalue 0 within RESOLVENT_MARGIN lambda_max of the
+    # first node: the certificate cannot clear it, and the scan refuses
+    from plcalc.operators import RESOLVENT_MARGIN, OperatorError
+
+    op = _certificate_operators()["graph"]
+    spec = ContourSpec(sigma=0.3, r_min=0.5 * RESOLVENT_MARGIN * op.lambda_max,
+                       r_max=1e12 * op.lambda_max)
+    with pytest.raises(OperatorError, match="is within tolerance of the spectrum"):
+        apply_contour(op, make_symbol("rho"), np.ones(op.n), spec)

@@ -88,6 +88,9 @@ def test_op_build_invariant_violation_exits_3(tmp_path, capsys):
         ({"kind": "schrodinger", "n": 8, "h": 1e-200}, "non-finite matrix entries"),
         # the same h gives the Dirichlet operator an infinite spectrum
         ({"kind": "dirichlet1d", "n": 8, "h": 1e-200}, "operator spectrum is not finite"),
+        # h**2 leaves the float range: Python's OverflowError, not inf
+        ({"kind": "schrodinger", "n": 8, "h": 1e200}, "overflows the float range"),
+        ({"kind": "dirichlet1d", "n": 8, "h": 1e200}, "overflows the float range"),
         # a reversed grid has negative cell weights, which the measure refuses
         ({"kind": "hermite", "d": 1, "K": 4, "grid": {"lo": 5, "hi": -5}},
          "all weights must be strictly positive"),

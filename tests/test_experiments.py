@@ -208,6 +208,25 @@ def test_multiplier_bound_check_pinned_rows(seed, rows):
     np.testing.assert_allclose(got, rows, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n, seed, rows", [
+    (64, 1, [("0x1.f81c2624fcb2ap-1", "0x1.6bd3bc7d29e22p+6", "0x1.62b515ab2c9aap-7"),
+             ("0x1.b3f13d040be9fp-1", "0x1.6823d1a31ccb2p+6", "0x1.35e20c564e681p-7")]),
+    (64, 2, [("0x1.e0f590ce407b6p-1", "0x1.8149cb7b10eeap+6", "0x1.3f9140c027822p-7"),
+             ("0x1.d61ca5ea07393p-1", "0x1.8ff252f077276p+6", "0x1.2ce96c4804dafp-7")]),
+    (128, 1, [("0x1.f5ac518436ec3p-1", "0x1.8d9fd91785af1p+6", "0x1.42fd3098a7fb4p-7"),
+              ("0x1.cd6df9eaf1ab4p-1", "0x1.2dc14310ec89ep+6", "0x1.877699e5a292fp-7")]),
+    (128, 2, [("0x1.e0f59014d9388p-1", "0x1.5415e3e6f8b2fp+6", "0x1.6a0aff26caafdp-7"),
+              ("0x1.f2e42db7827ebp-1", "0x1.7b204f1a183f4p+6", "0x1.50deacc72a642p-7")]),
+])
+def test_multiplier_bound_check_rows_are_bit_exact(n, seed, rows):
+    # (opnorm, mihlin, ratio) to the last bit: skipping grid work that reads
+    # only exact zeros, or regrouping the sweep, must not move a row
+    out = multiplier_bound_check(build_dirichlet_laplacian_1d(n, 1.0), 1.5, trials=2, seed=seed)
+    got = [tuple(float(row[key]).hex() for key in ("opnorm", "mihlin", "ratio"))
+           for row in out["rows"]]
+    assert got == rows
+
+
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("trials", [1, 3])
 def test_multiplier_bound_check_rows_match_mihlin_norm_of_each_sample(n, trials):

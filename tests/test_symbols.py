@@ -276,3 +276,68 @@ def test_besov_value_row_blocks_are_bit_identical(monkeypatch):
         monkeypatch.setattr(symbols, "BLOCK_POINTS", block)
         assert symbols._besov_value(family, 1.5, M, window, n_x, n_h).tolist() == alone
     assert len(set(alone)) == 5
+
+
+def _dyadic_family():
+    from plcalc.experiments import DyadicSampleFamily
+
+    rng = np.random.default_rng(9)
+    coeffs = rng.uniform(0.2, 1.0, (3, 9)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 9)))
+    return DyadicSampleFamily(build_homogeneous_dyadic(), coeffs, -4), coeffs
+
+
+def test_dyadic_family_is_exactly_zero_off_its_support():
+    # the support (ln2 (n_lo - 1), ln2 (n_lo + width)) and SUPPORT_MARGIN
+    # inside either end: every member reads exactly 0 there
+    from plcalc import symbols
+
+    family, _ = _dyadic_family()
+    lo, hi = family.support
+    assert (lo, hi) == (np.log(2.0) * -5, np.log(2.0) * 5)
+    dense = np.linspace(lo - 4.0, hi + 4.0, 20001)
+    near = np.array([d * s for d in (0.0, 1e-15, 1e-12, 1e-10, symbols.SUPPORT_MARGIN)
+                     for s in (1.0, -1.0)])
+    y = np.concatenate([dense[(dense <= lo) | (dense >= hi)], lo + near, hi + near])
+    table = family.table(y)
+    for k in range(family.size):
+        assert not np.any(family.member(table, k))
+    # (1 - chi rounds to 0 within about 0.026 of the lower end)
+    inside = family.table(dense[(dense > lo + 0.1) & (dense < hi - 0.1)])
+    assert all(np.all(family.member(inside, k) != 0) for k in range(family.size))
+
+
+@pytest.mark.parametrize("window", [
+    (-8.0, 7.0),    # the support lies inside the window
+    (-2.0, 2.5),    # the support covers the window
+    (4.0, 9.0),     # right of the support: the small-|h| row blocks see nothing
+])
+def test_besov_value_live_columns_keep_every_bit(monkeypatch, window):
+    # the sweep over the columns that can reach the support gives the bits
+    # of the full sweep (support None) and of each member alone, whatever
+    # the blocking
+    from plcalc import symbols
+    from plcalc.experiments import sample_dyadic_symbol
+
+    family, coeffs = _dyadic_family()
+    n_x, n_h, M = 256, 49, 2
+    alone = []
+    for c in coeffs:
+        ev = sample_dyadic_symbol(family.partition, c, -4).evaluate
+        one = lambda x, ev=ev: np.asarray(ev(np.exp(np.asarray(x, dtype=float))), dtype=complex)
+        alone += symbols._besov_value(symbols._OneFunction(one), 1.5, M, window, n_x, n_h).tolist()
+    points = []
+    table = family.table
+    monkeypatch.setattr(family, "table", lambda y: points.append(np.size(y)) or table(y))
+    support = family.support
+    for block in (1, symbols.BLOCK_POINTS, 10**9):
+        monkeypatch.setattr(symbols, "BLOCK_POINTS", block)
+        family.support = None
+        full = symbols._besov_value(family, 1.5, M, window, n_x, n_h).tolist()
+        family.support = support
+        points.clear()
+        assert symbols._besov_value(family, 1.5, M, window, n_x, n_h).tolist() == full == alone
+        # only a window inside the support keeps every column of every row
+        swept = sum(points) - n_x
+        assert (swept == 2 * M * n_h * n_x) == (window == (-2.0, 2.5))
+    if window == (4.0, 9.0):
+        assert 0.0 < alone[0]       # the large negative shifts reach the support
