@@ -184,7 +184,7 @@ def _boolean(value) -> bool:
 
 
 def cmd_norm_eval(args) -> int:
-    from .experiments import _norm_evaluator
+    from .norms import evaluator_from_spec
     from .operators import (OperatorError, check_spec_keys, non_negative, operator_from_spec,
                             spec_value)
 
@@ -201,7 +201,7 @@ def cmd_norm_eval(args) -> int:
         raise CliExit(EXIT_INVARIANT, str(exc))
     # the norm spec is read first: its pnorm also normalizes a random vector
     try:
-        evaluator, echo = _norm_evaluator(op, config["norm"], norm_seed)
+        evaluator, echo = evaluator_from_spec(op, config["norm"], norm_seed)
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed norm spec: {exc}")
     except Exception as exc:

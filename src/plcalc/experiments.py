@@ -19,48 +19,18 @@ import numpy as np
 
 from .calculus import spectral_multiplier
 from .measure import lp_norm
-from .norms import (
-    ENSEMBLE_KINDS,
-    NormsError,
-    QuadratureSpec,
-    RandomEnsemble,
-    _dilation_integrals,
-    _window_grid,
-    besov_continuous_evaluator,
-    besov_discrete_evaluator,
-    continuous_square_evaluator,
-    fractional_power_evaluator,
-    kernel_plus_pl_evaluator,
-    pl_inhomogeneous_evaluator,
-    pl_random_evaluator,
-    pl_square_evaluator,
-    real_interpolation_norm,
-)
+from .norms import QuadratureSpec, _dilation_integrals, _window_grid, evaluator_from_spec
 from .operators import (
     ModelOperator,
-    SpecKeyError,
-    SpecValueError,
+    array_size,
     check_spec_keys,
-    integer,
+    exponent,
     non_negative,
     operator_from_spec,
-    spec_kind,
     spec_value,
 )
-from .partitions import (
-    HOMOGENEOUS,
-    build_equidistant,
-    build_homogeneous_dyadic,
-    padded_rows,
-    to_inhomogeneous,
-)
-from .symbols import (
-    FunctionFamily,
-    Symbol,
-    besov_family_norms,
-    symbol_from_spec,
-    window_symbol,
-)
+from .partitions import HOMOGENEOUS, build_homogeneous_dyadic, padded_rows
+from .symbols import FunctionFamily, Symbol, besov_family_norms
 
 
 class ExperimentError(RuntimeError):
@@ -105,110 +75,13 @@ _PARTITION_CONSTANTS = {
 }
 
 
-def _exponent(value, key: str, where: str):
-    """An exponent p or q of a spec as given (a number, or "inf" for
-    infinity, which the reports echo as the string), once it reads as a
-    float >= 1."""
-    if not spec_value(value, float, key, where) >= 1.0:
-        raise SpecValueError(key, where, f"must be >= 1 or inf, got {value!r}")
-    return value
-
-
 def _float_pair(value) -> tuple:
     lo, hi = map(float, value)
     if not np.isfinite([lo, hi]).all():
         raise ValueError(f"bounds must be finite, got {value!r}")
+    if lo > hi:
+        raise ValueError(f"lower bound above upper bound, got {value!r}")
     return lo, hi
-
-
-def _norm_evaluator(op: ModelOperator, spec: dict, seed: int):
-    """Closure computing one named norm of a vector; echoes resolved params.
-
-    The closure is the evaluator of norms that the kind names: its
-    multiplier stack is built here, once, and reused for every vector.
-    Raises SpecKeyError for a key the kind does not read, SpecValueError
-    for a spec that is not an object of a known kind or a value that does
-    not read as a number, and the norm's own error for a stack that cannot
-    be built.
-    """
-    kind = spec_kind(spec, "norm")
-    spec = {key: value for key, value in spec.items() if key != "kind"}
-    where = f"{kind} norm spec"
-    pnorm = _exponent(spec.pop("pnorm", 2), "pnorm", where)
-    hom = build_homogeneous_dyadic()
-
-    def number(key, default, convert=float):
-        return spec_value(spec.pop(key, default), convert, key, where)
-
-    if kind == "ambient":
-        evaluate = lambda x: lp_norm(x, pnorm, op.measure)
-        echo = {"kind": kind, "pnorm": pnorm}
-    elif kind == "pl_square":
-        theta = number("theta", 0.0)
-        evaluate = pl_square_evaluator(op, hom, pnorm, theta)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
-    elif kind == "pl_random":
-        theta = number("theta", 0.0)
-        count = number("count", 256, integer)
-        if count < 1:
-            raise SpecValueError("count", where, f"must be >= 1, got {count}")
-        sign_kind = spec.pop("sign_kind", "rademacher")
-        if sign_kind not in ENSEMBLE_KINDS:
-            raise SpecValueError("sign_kind", where,
-                                 f"must be one of {', '.join(ENSEMBLE_KINDS)}, got {sign_kind!r}")
-        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, non_negative),
-                             count=count, kind=sign_kind)
-        random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
-        evaluate = lambda x: random_norm(x).mean
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
-    elif kind == "pl_inhomogeneous":
-        theta = number("theta", 0.0)
-        inh = to_inhomogeneous(hom)
-        evaluate = pl_inhomogeneous_evaluator(op, inh, pnorm, theta)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
-    elif kind == "fractional_power":
-        theta = number("theta", 1.0)
-        evaluate = fractional_power_evaluator(op, theta, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
-    elif kind == "kernel_plus_pl":
-        evaluate = kernel_plus_pl_evaluator(op, hom, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm}
-    elif kind == "continuous_square":
-        theta = number("theta", 0.0)
-        psi = symbol_from_spec(spec.pop("psi", {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
-        evaluate = continuous_square_evaluator(op, psi, theta, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
-    elif kind == "besov_discrete":
-        theta = number("theta", 0.0)
-        q = _exponent(spec.pop("q", 2), "q", where)
-        evaluate = besov_discrete_evaluator(op, hom, theta, q, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
-    elif kind == "besov_continuous":
-        theta = number("theta", 0.0)
-        q = _exponent(spec.pop("q", 2), "q", where)
-        fspec = spec.pop("f", None)
-        f = symbol_from_spec(fspec) if fspec else window_symbol(hom, 0)
-        evaluate = besov_continuous_evaluator(op, theta, q, f, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
-    elif kind == "real_interpolation":
-        if pnorm != 2:
-            raise NormsError("real interpolation is implemented on the p = 2 path only")
-        vartheta = number("vartheta", 0.5)
-        q = _exponent(spec.pop("q", 2), "q", where)
-        theta0 = number("theta0", 0.0)
-        theta1 = number("theta1", 1.0)
-        evaluate = lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
-        echo = {"kind": kind, "pnorm": pnorm, "vartheta": vartheta, "q": q,
-                "theta0": theta0, "theta1": theta1}
-    elif kind == "strip_pl_square":
-        # the square function of the equidistant blocks of B = log A
-        evaluate = pl_square_evaluator(op, build_equidistant(), pnorm)
-        echo = {"kind": kind, "pnorm": pnorm}
-    else:
-        raise SpecValueError("kind", "norm spec", f"unknown norm kind {kind!r}")
-    if spec:
-        raise SpecKeyError(spec, where)
-    return evaluate, echo
 
 
 _CONFIG_KEYS = ("name", "operator", "seed", "samples", "pnorm", "norm_a", "norm_b",
@@ -227,13 +100,11 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     check_spec_keys(config, _CONFIG_KEYS, where)
     op = operator_from_spec(config["operator"])
     seed = spec_value(config["seed"], non_negative, "seed", where)
-    samples = spec_value(config.get("samples", 50), integer, "samples", where)
-    if samples < 1:
-        raise SpecValueError("samples", where, f"must be >= 1, got {samples}")
-    pnorm = _exponent(config.get("pnorm", 2), "pnorm", where)
+    samples = spec_value(config.get("samples", 50), array_size, "samples", where)
+    pnorm = spec_value(config.get("pnorm", 2), exponent, "pnorm", where)
     try:
-        eval_a, echo_a = _norm_evaluator(op, config["norm_a"], seed)
-        eval_b, echo_b = _norm_evaluator(op, config["norm_b"], seed)
+        eval_a, echo_a = evaluator_from_spec(op, config["norm_a"], seed)
+        eval_b, echo_b = evaluator_from_spec(op, config["norm_b"], seed)
     except (KeyError, TypeError):
         raise
     except Exception as exc:

@@ -9,7 +9,8 @@ f(t_j .).  Each norm has two halves.  Its evaluator (pl_square_evaluator,
 ...) builds the half that does not depend on x, in one pass, together with
 the quadrature tail certificate; the closure it returns reduces the
 coefficients of one x.  An experiment builds that half once and evaluates
-every sample with it; the public norm functions build it per call.  A
+every sample with it; the public norm functions build it per call.  A JSON
+norm spec names its evaluator through one reader (evaluator_from_spec).  A
 window stack is scattered from the partition's two-window rule, one bump
 call for all windows (block_stack).
 
@@ -88,10 +89,12 @@ import numpy as np
 
 from .calculus import log_trapezoid, spectral_multiplier
 from .measure import lp_norm
-from .operators import ModelOperator
+from .operators import (ModelOperator, SpecKeyError, SpecValueError, array_size, exponent,
+                        non_negative, spec_kind, spec_value)
 from .partitions import (EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity,
-                         padded_rows)
-from .symbols import BLOCK_POINTS, Symbol
+                         build_equidistant, build_homogeneous_dyadic, padded_rows,
+                         to_inhomogeneous)
+from .symbols import BLOCK_POINTS, Symbol, symbol_from_spec, window_symbol
 
 
 class NormsError(ValueError):
@@ -271,15 +274,19 @@ def spectral_blocks(op, p: PartitionOfUnity, x, theta: float = 0.0):
     return indices, spectral_multiplier(op, windows, x)
 
 
+def _finite(values, what: str):
+    """values, formed under np.errstate(over="ignore"); one that overflowed
+    raises NormsError naming ``what`` (an inf would turn the zeros it
+    multiplies into NaN).  An underflow to 0 is kept."""
+    if not np.all(np.isfinite(values)):
+        raise NormsError(f"non-finite {what}")
+    return values
+
+
 def _block_weights(indices, theta: float) -> np.ndarray:
-    """2^(n theta) at every block index n; an overflow raises NormsError
-    (a weight of inf would turn the zeros of its window into NaN), an
-    underflow to 0 is kept."""
+    """2^(n theta) at every block index n (_finite)."""
     with np.errstate(over="ignore"):
-        weights = 2.0 ** (indices * theta)
-    if not np.all(np.isfinite(weights)):
-        raise NormsError(f"non-finite block weights 2^(n theta) at theta={theta}")
-    return weights
+        return _finite(2.0 ** (indices * theta), f"block weights 2^(n theta) at theta={theta}")
 
 
 # -- reductions of the fields of a multiplier stack ----------------------------
@@ -293,7 +300,10 @@ def _parseval(op, pnorm) -> bool:
 def _energy_reduction(op, weights):
     """x -> (weights @ |<x, e_k>|^2)^(1/2), the one Parseval reduction: a
     (K,) weight vector gives a float, an (m, K) matrix the m norms, from
-    one coefficient transform and one GEMV."""
+    one coefficient transform and one GEMV.  The weights are squares of
+    multipliers, formed under np.errstate(over="ignore") and refused here
+    if one overflowed (_finite)."""
+    _finite(weights, "Parseval weights |f(lambda_k)|^2: a multiplier squared overflows")
 
     def evaluate(x):
         out = np.sqrt(weights @ np.square(np.abs(op.coefficients(x))))
@@ -307,7 +317,8 @@ def _field_evaluator(op, values, pnorm):
     ``values``; one multiplier of shape (K,) gives a number.  On the
     Parseval route the stack is squared once, |f_j(lambda_k)|^2."""
     if _parseval(op, pnorm):
-        return _energy_reduction(op, np.square(np.abs(values)))
+        with np.errstate(over="ignore"):
+            return _energy_reduction(op, np.square(np.abs(values)))
     return lambda x: lp_norm(spectral_multiplier(op, values, x), pnorm, op.measure)
 
 
@@ -316,7 +327,8 @@ def _square_evaluator(op, values, pnorm):
     ``values``.  On the Parseval route the stack is squared and summed over
     its rows once, to the weights sum_j |f_j(lambda_k)|^2."""
     if _parseval(op, pnorm):
-        return _energy_reduction(op, np.square(np.abs(values)).sum(axis=0))
+        with np.errstate(over="ignore"):
+            return _energy_reduction(op, np.square(np.abs(values)).sum(axis=0))
 
     def evaluate(x):
         fields = spectral_multiplier(op, values, x)
@@ -357,7 +369,8 @@ def pl_random_evaluator(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble,
     windows = block_stack(op, p, theta)[1]
     draws = ens.draws(len(windows))
     if _parseval(op, pnorm):
-        sample_norms = _energy_reduction(op, np.square(draws @ windows))
+        with np.errstate(over="ignore"):
+            sample_norms = _energy_reduction(op, np.square(draws @ windows))
     else:
         sample_norms = lambda x: lp_norm(draws @ spectral_multiplier(op, windows, x),
                                          pnorm, op.measure)
@@ -417,8 +430,9 @@ def kernel_plus_pl_evaluator(op, p: PartitionOfUnity, pnorm):
 def fractional_power_evaluator(op, theta: float, pnorm):
     """x -> ||A^theta x||_p, A^theta taken on the injective part (0 on the
     kernel)."""
-    powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
-    return _field_evaluator(op, powed, pnorm)
+    with np.errstate(over="ignore"):
+        powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
+    return _field_evaluator(op, _finite(powed, f"weights lambda^theta at theta={theta}"), pnorm)
 
 
 # -- continuous square function -------------------------------------------------
@@ -499,10 +513,12 @@ def _lq_exponent(q) -> float:
 
 
 def _lq_combine(values: np.ndarray, q: float, du) -> float:
-    """(sum_j du_j values_j^q)^(1/q), the max for q = inf; q from _lq_exponent."""
+    """(sum_j du_j values_j^q)^(1/q), the max for q = inf; q from _lq_exponent.
+    A q-th power that overflows gives inf, which the caller refuses."""
     if q == np.inf:
         return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(du * values**q) ** (1.0 / q))
+    with np.errstate(over="ignore"):
+        return float(np.sum(du * values**q) ** (1.0 / q))
 
 
 def besov_discrete_evaluator(op, p: PartitionOfUnity, theta: float, q, pnorm=2):
@@ -529,8 +545,9 @@ def besov_continuous_evaluator(op: ModelOperator, theta: float, q, f: Symbol,
     if quad is None:
         quad = QuadratureSpec.cover(op)
     t, du = quad.nodes()
+    with np.errstate(over="ignore"):
+        weights = _finite(t**-theta, f"weights t^-theta at theta={theta}")
     field_norm = _field_evaluator(op, _dilation_table(op, f, t), pnorm)
-    weights = t**-theta
     return lambda x: _lq_combine(weights * field_norm(x), q, du)
 
 
@@ -831,8 +848,11 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
     # under- or overflow for a tiny or huge x
     _, e = np.frexp(np.max(a))
     a_unit = np.ldexp(a, -e)
-    n0 = float(np.sqrt(np.sum((lam**theta0 * a_unit) ** 2)))
-    n1 = float(np.sqrt(np.sum((lam**theta1 * a_unit) ** 2)))
+    with np.errstate(over="ignore"):
+        n0 = float(np.sqrt(np.sum((lam**theta0 * a_unit) ** 2)))
+        n1 = float(np.sqrt(np.sum((lam**theta1 * a_unit) ** 2)))
+    _finite([n0, n1], f"envelope norms ||A^theta0 x||_2, ||A^theta1 x||_2 at "
+                      f"theta0={theta0}, theta1={theta1}")
     if n0 == 0.0 or n1 == 0.0:
         return 0.0
     auto = quad is None
@@ -865,3 +885,93 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
         quad = QuadratureSpec(quad.t_lo * 1e-5, quad.t_hi * 1e5,
                               quad.nodes_per_decade)
     raise NormsError("interpolation quadrature tails above tolerance; widen the range")
+
+
+# -- norm specs -------------------------------------------------------------------
+
+def evaluator_from_spec(op: ModelOperator, spec: dict, seed: int):
+    """(evaluate, echo): the evaluator of the norm a JSON spec names, and the
+    spec with every parameter resolved, for the report.
+
+    The one reader of a norm spec: its multiplier stack is built here, once,
+    and reused for every vector.  Raises SpecKeyError for a key the kind does
+    not read, SpecValueError for a spec that is not an object of a known
+    kind or a value that does not read as its key needs, and the norm's own
+    error for a stack that cannot be built.
+    """
+    kind = spec_kind(spec, "norm")
+    spec = {key: value for key, value in spec.items() if key != "kind"}
+    where = f"{kind} norm spec"
+
+    def number(key, default, convert=float):
+        return spec_value(spec.pop(key, default), convert, key, where)
+
+    pnorm = number("pnorm", 2, exponent)
+    hom = build_homogeneous_dyadic()
+    if kind == "ambient":
+        evaluate = lambda x: lp_norm(x, pnorm, op.measure)
+        echo = {"kind": kind, "pnorm": pnorm}
+    elif kind == "pl_square":
+        theta = number("theta", 0.0)
+        evaluate = pl_square_evaluator(op, hom, pnorm, theta)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+    elif kind == "pl_random":
+        theta = number("theta", 0.0)
+        # the draws and their norms are count x blocks and count x n arrays
+        count = number("count", 256, lambda v: array_size(v, per=op.n))
+        sign_kind = spec.pop("sign_kind", "rademacher")
+        if sign_kind not in ENSEMBLE_KINDS:
+            raise SpecValueError("sign_kind", where,
+                                 f"must be one of {', '.join(ENSEMBLE_KINDS)}, got {sign_kind!r}")
+        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, non_negative),
+                             count=count, kind=sign_kind)
+        random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
+        evaluate = lambda x: random_norm(x).mean
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
+    elif kind == "pl_inhomogeneous":
+        theta = number("theta", 0.0)
+        evaluate = pl_inhomogeneous_evaluator(op, to_inhomogeneous(hom), pnorm, theta)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+    elif kind == "fractional_power":
+        theta = number("theta", 1.0)
+        evaluate = fractional_power_evaluator(op, theta, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+    elif kind == "kernel_plus_pl":
+        evaluate = kernel_plus_pl_evaluator(op, hom, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm}
+    elif kind == "continuous_square":
+        theta = number("theta", 0.0)
+        psi = symbol_from_spec(spec.pop("psi", {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
+        evaluate = continuous_square_evaluator(op, psi, theta, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
+    elif kind == "besov_discrete":
+        theta = number("theta", 0.0)
+        q = number("q", 2, exponent)
+        evaluate = besov_discrete_evaluator(op, hom, theta, q, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
+    elif kind == "besov_continuous":
+        theta = number("theta", 0.0)
+        q = number("q", 2, exponent)
+        fspec = spec.pop("f", None)
+        f = symbol_from_spec(fspec) if fspec else window_symbol(hom, 0)
+        evaluate = besov_continuous_evaluator(op, theta, q, f, pnorm)
+        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
+    elif kind == "real_interpolation":
+        if pnorm != 2:
+            raise NormsError("real interpolation is implemented on the p = 2 path only")
+        vartheta = number("vartheta", 0.5)
+        q = number("q", 2, exponent)
+        theta0 = number("theta0", 0.0)
+        theta1 = number("theta1", 1.0)
+        evaluate = lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
+        echo = {"kind": kind, "pnorm": pnorm, "vartheta": vartheta, "q": q,
+                "theta0": theta0, "theta1": theta1}
+    elif kind == "strip_pl_square":
+        # the square function of the equidistant blocks of B = log A
+        evaluate = pl_square_evaluator(op, build_equidistant(), pnorm)
+        echo = {"kind": kind, "pnorm": pnorm}
+    else:
+        raise SpecValueError("kind", "norm spec", f"unknown norm kind {kind!r}")
+    if spec:
+        raise SpecKeyError(spec, where)
+    return evaluate, echo

@@ -210,6 +210,27 @@ def non_negative(value) -> int:
     return value
 
 
+def exponent(value):
+    """An exponent p or q of a spec as given (a number, or "inf" for
+    infinity, which the reports echo as the string), once it reads as a
+    float >= 1: the converter of every pnorm and q key."""
+    if not float(value) >= 1.0:
+        raise ValueError(f"must be >= 1 or inf, got {value!r}")
+    return value
+
+
+def array_size(value, per: int = 1) -> int:
+    """integer(value) as a size: the converter of every key that sizes an
+    array of value * per float64 entries, refused below 1 and above
+    MAX_ENTRIES entries."""
+    value = integer(value)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    if value * per > MAX_ENTRIES:
+        raise ValueError(f"{value * per} array entries exceed the cap {MAX_ENTRIES}")
+    return value
+
+
 def basis_matmul(b: np.ndarray, z) -> np.ndarray:
     """b @ z for a complex operand z (a K-vector or a K x m stack).
 
@@ -882,10 +903,10 @@ def operator_from_spec(spec: dict) -> ModelOperator:
 
     Raises SpecKeyError for a key the kind does not read,
     SpecValueError for a spec that is not an object of a known kind, a
-    value that does not read as its key's type, or a size whose arrays
-    would exceed MAX_ENTRIES entries, and OperatorError for a spec that
-    builds no valid operator (a measure or matrix the substrate refuses,
-    or a value that overflows the float range).
+    value that does not read as its key's type, or a size below 1 or whose
+    arrays would exceed MAX_ENTRIES entries (array_size), and OperatorError
+    for a spec that builds no valid operator (a measure or matrix the
+    substrate refuses, or a value that overflows the float range).
     """
     kind = spec_kind(spec, "operator")
     if kind not in _SPEC_KEYS:
@@ -898,19 +919,12 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         return spec_value(source.get(key, *default) if default else source[key],
                           convert, key, where)
 
-    def capped(key, entries, where=where):
-        if entries > MAX_ENTRIES:
-            raise SpecValueError(key, where, f"{entries} array entries exceed the cap "
-                                             f"{MAX_ENTRIES}")
-
     # a grid or matrix the substrate refuses (MeasureError, LinAlgError) is
     # an invariant violation of the spec, with the substrate's reason; so is
     # a spacing whose h**2 leaves the float range (Python raises OverflowError)
     try:
         if kind == "dirichlet1d":
-            n = read("n", integer)
-            capped("n", n)
-            return build_dirichlet_laplacian_1d(n, read("h", float, 1.0))
+            return build_dirichlet_laplacian_1d(read("n", array_size), read("h", float, 1.0))
         if kind == "graph":
             return build_graph_laplacian(read("sigma", _real_array))
         if kind == "hermite":
@@ -918,14 +932,12 @@ def operator_from_spec(spec: dict) -> ModelOperator:
             check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
             lo = read("lo", float, -12.0, source=g, where="hermite grid")
             hi = read("hi", float, 12.0, source=g, where="hermite grid")
-            n = read("n", integer, 800, source=g, where="hermite grid")
-            capped("n", n, "hermite grid")
-            d, modes = read("d", integer), read("K", integer)
-            capped("K", n * modes)
+            n = read("n", array_size, 800, source=g, where="hermite grid")
+            d, modes = read("d", integer), read("K", lambda v: array_size(v, per=n))
             return build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
         if kind == "schrodinger":
-            n, h = read("n", integer), read("h", float, 1.0)
-            capped("n", max(n, 0) ** 2)
+            n = read("n", lambda v: array_size(v, per=integer(v)))   # dense: n x n
+            h = read("h", float, 1.0)
             v = spec.get("V", 0.0)
             if isinstance(v, dict):
                 check_spec_keys(v, ("quadratic",), "schrodinger potential")
@@ -937,7 +949,7 @@ def operator_from_spec(spec: dict) -> ModelOperator:
                     v = np.full(n, v)
             return build_schrodinger_1d(n, h, v)
         lam = read("lambdas", _complex_pairs)
-        capped("lambdas", len(lam) ** 2)
+        spec_value(len(lam), lambda m: array_size(m, per=m), "lambdas", where)   # dense
         return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
                                          read("seed", non_negative, 0))
     except (MeasureError, np.linalg.LinAlgError) as exc:

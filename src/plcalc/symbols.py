@@ -114,13 +114,20 @@ def make_symbol(kind: str, **params) -> Symbol:
     power        t^theta                      (params: theta)
     rho          t (1+t)^-2
     exp          e^-t
-    psi_exp      t^a exp(-t^b)                (a, b > 0; a/b > theta for use
-                                               at weight theta)
-    psi_res      t^a (lambda0 - t)^-b         (lambda0 off [0,inf),
-                                               theta < a < b + theta)
-    res_frac     t^a (1+t)^-b                 (0 < a - theta < b)
+    psi_exp      t^a exp(-t^b)                (a, b > 0)
+    psi_res      t^a (lambda0 - t)^-b         (lambda0 off [0,inf), 0 < a < b)
+    res_frac     t^a (1+t)^-b                 (0 < a < b)
     imag_power   t^(i s)                      (params: s)
+
+    A symbol takes only its own parameters (_SPEC_KEYS).  Whether it is
+    admitted at a weight theta is for the norm that applies the weight to
+    decide, from its decay certificate or its parameters.
     """
+    if kind not in _SPEC_KEYS:
+        raise SymbolError(f"unknown symbol kind {kind!r}")
+    unknown = set(params) - set(_SPEC_KEYS[kind])
+    if unknown:
+        raise SymbolError(f"{kind} takes no parameter(s) {', '.join(sorted(unknown))}")
     if kind == "power":
         theta = float(params["theta"])
         return Symbol(
@@ -145,9 +152,8 @@ def make_symbol(kind: str, **params) -> Symbol:
 
     if kind == "psi_exp":
         a, b = float(params["a"]), float(params["b"])
-        theta = float(params.get("theta", 0.0))
-        if a <= 0 or b <= 0 or a / b <= theta:
-            raise SymbolError(f"psi_exp requires a, b > 0 and a/b > theta, got a={a}, b={b}")
+        if a <= 0 or b <= 0:
+            raise SymbolError(f"psi_exp requires a, b > 0, got a={a}, b={b}")
         sigma_max = min(np.pi / 2, np.pi / (2 * b)) * 0.9
         f_sec = lambda z: np.exp(a * np.log(z)) * np.exp(-np.exp(b * np.log(z)))
         return Symbol(
@@ -160,11 +166,10 @@ def make_symbol(kind: str, **params) -> Symbol:
     if kind == "psi_res":
         a, b = float(params["a"]), float(params["b"])
         lam0 = complex(params["lambda0"])
-        theta = float(params.get("theta", 0.0))
         if lam0.imag == 0 and lam0.real >= 0:
             raise SymbolError("psi_res requires lambda0 off [0, inf)")
-        if b <= 0 or not (theta < a < b + theta):
-            raise SymbolError(f"psi_res requires theta < a < b + theta, got a={a}, b={b}")
+        if not 0 < a < b:
+            raise SymbolError(f"psi_res requires 0 < a < b, got a={a}, b={b}")
         f = lambda z: z**a * (lam0 - z) ** -b
         return Symbol(
             evaluate=lambda t: f(np.asarray(t, dtype=complex)), name="psi_res",
@@ -175,9 +180,8 @@ def make_symbol(kind: str, **params) -> Symbol:
 
     if kind == "res_frac":
         a, b = float(params["a"]), float(params["b"])
-        theta = float(params.get("theta", 0.0))
-        if not (0 < a - theta < b):
-            raise SymbolError(f"res_frac requires 0 < a - theta < b, got a={a}, b={b}")
+        if not 0 < a < b:
+            raise SymbolError(f"res_frac requires 0 < a < b, got a={a}, b={b}")
         f = lambda z: z**a * (1 + z) ** -b
         return Symbol(
             evaluate=f, name="res_frac", params={"a": a, "b": b},
@@ -193,8 +197,6 @@ def make_symbol(kind: str, **params) -> Symbol:
             sector_evaluate=lambda z: np.exp(1j * s * np.log(z)),
         )
 
-    raise SymbolError(f"unknown symbol kind {kind!r}")
-
 
 def window_symbol(p: PartitionOfUnity, n: int = 0) -> Symbol:
     """A partition window as a Symbol (compactly supported and C^infinity)."""
@@ -206,10 +208,10 @@ def window_symbol(p: PartitionOfUnity, n: int = 0) -> Symbol:
     )
 
 
-# Parameters each shipped kind reads from its JSON spec, besides "kind".
-_SPEC_KEYS = {"power": ("theta",), "rho": (), "exp": (), "psi_exp": ("a", "b", "theta"),
-              "psi_res": ("a", "b", "lambda0", "theta"), "res_frac": ("a", "b", "theta"),
-              "imag_power": ("s",)}
+# The parameters of each shipped kind: all that make_symbol takes, and all that
+# its JSON spec holds besides "kind".
+_SPEC_KEYS = {"power": ("theta",), "rho": (), "exp": (), "psi_exp": ("a", "b"),
+              "psi_res": ("a", "b", "lambda0"), "res_frac": ("a", "b"), "imag_power": ("s",)}
 
 
 def symbol_from_spec(spec: dict) -> Symbol:

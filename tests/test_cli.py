@@ -342,6 +342,30 @@ _GRAPH = {"kind": "graph", "sigma": [[1, 1], [1, 1]]}
 _NEGATIVE_PSI = {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": -1.0, "b": 1.0}}
 
 
+@pytest.mark.parametrize("norm, reason", [
+    ({"kind": "fractional_power", "theta": 1e6}, "non-finite weights lambda^theta"),
+    ({"kind": "fractional_power", "theta": -400}, "non-finite weights lambda^theta"),
+    ({"kind": "pl_inhomogeneous", "theta": 300}, "non-finite Parseval weights"),
+    ({"kind": "real_interpolation", "theta1": 400}, "non-finite envelope norms"),
+    ({"kind": "real_interpolation", "theta0": -300}, "non-finite envelope norms"),
+    ({"kind": "besov_continuous", "theta": 300}, "non-finite weights t^-theta"),
+    # an l^q sum whose q-th powers overflow is refused as a non-finite value
+    ({"kind": "besov_discrete", "theta": 1, "q": 1e308}, "non-finite value inf"),
+], ids=["fractional-power-high", "fractional-power-low", "pl-inhomogeneous",
+        "real-interpolation-theta1", "real-interpolation-theta0", "besov-continuous",
+        "besov-discrete-q"])
+def test_a_weight_that_overflows_is_refused_by_name_without_a_warning(tmp_path, capsys, norm,
+                                                                      reason):
+    # under the suite's warnings-as-errors filter a numpy warning would itself
+    # become the reason
+    config = norm_eval_config(operator={"kind": "dirichlet1d", "n": 16}, norm=norm,
+                              vector={"kind": "random", "seed": 1})
+    assert run_cli(tmp_path, "norm", config) == 4
+    err = capsys.readouterr().err
+    assert reason in err and "overflow encountered" not in err and "Warning" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command, config, reason", [
     # the strip windows sit on log A, which an operator with a kernel lacks
     ("experiment", {**experiment_config(None), "operator": _GRAPH, "samples": 2,
@@ -525,6 +549,10 @@ _NON_NUMERIC_OPERATORS = [
     ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 10**9}}, "'n' in hermite grid"),
     ({"kind": "nonnormal", "lambdas": [[1.0, 0.0]] * 4097},
      "'lambdas' in nonnormal operator spec"),
+    # sizes below 1
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 0}}, "'n' in hermite grid: must be >= 1"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": -5}}, "'n' in hermite grid: must be >= 1"),
+    ({"kind": "schrodinger", "n": -3}, "'n' in schrodinger operator spec: must be >= 1"),
 ]
 _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "schrodinger-V",
                  "nonnormal-lambdas", "dirichlet-n-fraction", "schrodinger-n-fraction",
@@ -533,7 +561,8 @@ _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "s
                  "nonnormal-conditioning-nan", "dirichlet-h-integer-overflow", "not-an-object",
                  "no-kind", "unknown-kind",
                  "dirichlet-n-too-large", "schrodinger-n-too-large", "hermite-K-too-large",
-                 "hermite-grid-too-large", "nonnormal-lambdas-too-many"]
+                 "hermite-grid-too-large", "nonnormal-lambdas-too-many", "hermite-grid-zero",
+                 "hermite-grid-negative", "schrodinger-n-negative"]
 
 
 @pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
@@ -579,9 +608,15 @@ def test_experiment_run_names_a_non_numeric_operator_value_and_exits_2(tmp_path,
     ({"kind": "bogus"}, "unknown norm kind 'bogus'"),
     ({"kind": "continuous_square", "psi": {"kind": "bogus"}}, "unknown symbol kind 'bogus'"),
     ({"kind": "continuous_square", "psi": "rho"}, "'kind' in symbol spec"),
+    # a symbol takes no weight: the norm that applies theta admits it or not
+    ({"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": 1.0, "b": 1.0, "theta": 0.5}},
+     "unknown key(s) 'theta' in psi_exp symbol spec"),
+    ({"kind": "besov_continuous", "f": {"kind": "res_frac", "a": 1.0, "b": 2.0, "theta": 0.5}},
+     "unknown key(s) 'theta' in res_frac symbol spec"),
 ], ids=["theta", "pnorm", "pnorm-below-1", "count", "count-fraction", "count-below-1",
         "ensemble-seed-boolean", "sign-kind", "q", "vartheta", "psi-parameter", "not-an-object",
-        "no-kind", "unknown-kind", "psi-unknown-kind", "psi-not-an-object"])
+        "no-kind", "unknown-kind", "psi-unknown-kind", "psi-not-an-object", "psi-theta",
+        "f-theta"])
 @pytest.mark.parametrize("command", ["norm", "experiment"])
 def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, command, norm, named):
     # exit 2 and the key named, not exit 4: the norm was never refused
@@ -591,6 +626,11 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert named in err and "norm evaluation failed" not in err and "not admitted" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+_LARGE_DIRICHLET = {"kind": "dirichlet1d", "n": 4096}
+_LARGE_COUNT = {"kind": "pl_random", "count": 4097}
+_COUNT_CAPPED = "'count' in pl_random norm spec: 16781312 array entries exceed the cap 16777216"
 
 
 @pytest.mark.parametrize("command, config, named", [
@@ -629,6 +669,9 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
     ("experiment", experiment_config([0.5, "1e400"]),
      "'assert_bracket' in experiment config: bounds must be finite"),
     ("experiment", experiment_config([0.5, 10**400]), "'assert_bracket' in experiment config"),
+    # and in order: a reversed bracket would fail every sample
+    ("experiment", experiment_config([1, 0]),
+     "'assert_bracket' in experiment config: lower bound above upper bound"),
     # seeds are >= 0
     ("experiment", {**experiment_config(None), "seed": -1},
      "'seed' in experiment config: expected an integer >= 0"),
@@ -641,6 +684,10 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
     ("experiment", {**experiment_config(None),
                     "norm_a": {"kind": "pl_random", "ensemble_seed": -1}},
      "'ensemble_seed' in pl_random norm spec: expected an integer >= 0"),
+    # count x n = 4097 x 4096 float64 entries, refused before any draw
+    ("norm", norm_eval_config(operator=_LARGE_DIRICHLET, norm=_LARGE_COUNT), _COUNT_CAPPED),
+    ("experiment", {**experiment_config(None), "operator": _LARGE_DIRICHLET,
+                    "norm_a": _LARGE_COUNT}, _COUNT_CAPPED),
     # "false" is a string, which would read as true
     ("norm", norm_eval_config(vector={"kind": "random", "seed": 1, "normalize": "false"}),
      "'normalize' in random vector spec: expected true or false"),
@@ -650,9 +697,10 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
         "samples-below-1", "vector-not-an-object", "vector-kind-not-a-string",
         "norm-eval-config-not-an-object", "experiment-config-not-an-object",
         "bracket-nan-token", "bracket-minus-infinity-token", "bracket-overflow",
-        "bracket-integer-overflow", "experiment-seed-negative", "norm-eval-seed-negative",
+        "bracket-integer-overflow", "bracket-reversed", "experiment-seed-negative", "norm-eval-seed-negative",
         "vector-seed-negative", "norm-eval-ensemble-seed-negative",
-        "experiment-ensemble-seed-negative", "vector-normalize-string"])
+        "experiment-ensemble-seed-negative", "norm-eval-count-too-large",
+        "experiment-count-too-large", "vector-normalize-string"])
 def test_a_non_numeric_config_value_is_named(tmp_path, capsys, command, config, named):
     assert run_cli(tmp_path, command, config) == 2
     err = capsys.readouterr().err

@@ -876,7 +876,7 @@ def test_energies_of_a_nonnormal_operator_synthesize_the_fields():
 def test_parseval_route_matches_the_synthesis_route(monkeypatch, name):
     # with the orthonormal flag off, every norm synthesizes its fields and
     # takes their lp_norm; the energies give the same values to round-off
-    from plcalc.experiments import _norm_evaluator
+    from plcalc.norms import evaluator_from_spec
     from plcalc.operators import ModelOperator
 
     op = PARSEVAL_OPERATORS[name]
@@ -885,10 +885,10 @@ def test_parseval_route_matches_the_synthesis_route(monkeypatch, name):
     for spec in NORM_KINDS:
         if not _admitted(op, spec):
             continue
-        parseval, _ = _norm_evaluator(op, dict(spec, pnorm=2), 7)
+        parseval, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 7)
         with monkeypatch.context() as m:
             m.setattr(ModelOperator, "orthonormal", property(lambda self: False))
-            synthesis, _ = _norm_evaluator(op, dict(spec, pnorm=2), 7)
+            synthesis, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 7)
             expected = [synthesis(x) for x in xs]
         np.testing.assert_allclose([parseval(x) for x in xs], expected, rtol=1e-13, atol=0,
                                    err_msg=str(spec))
@@ -907,12 +907,12 @@ def _synthesis_refused(monkeypatch):
 
 @pytest.mark.parametrize("spec", NORM_KINDS, ids=lambda s: "-".join(map(str, s.values())))
 def test_p2_norms_on_an_orthonormal_basis_make_no_synthesis(monkeypatch, spec):
-    from plcalc.experiments import _norm_evaluator
+    from plcalc.norms import evaluator_from_spec
 
     op = PARSEVAL_OPERATORS["graph" if spec["kind"] == "kernel_plus_pl" else "dirichlet"]
     x = _unit_vector(op, 5)
-    evaluate, _ = _norm_evaluator(op, dict(spec, pnorm=2), 0)
-    p4, _ = _norm_evaluator(op, dict(spec, pnorm=4), 0)
+    evaluate, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 0)
+    p4, _ = evaluator_from_spec(op, dict(spec, pnorm=4), 0)
     with monkeypatch.context() as m:
         _synthesis_refused(m)
         assert np.isfinite(evaluate(x))
@@ -923,11 +923,11 @@ def test_p2_norms_on_an_orthonormal_basis_make_no_synthesis(monkeypatch, spec):
 @pytest.mark.parametrize("spec", [s for s in NORM_KINDS if s["kind"] != "kernel_plus_pl"],
                          ids=lambda s: "-".join(map(str, s.values())))
 def test_p2_norms_on_a_nonnormal_operator_still_synthesize(monkeypatch, spec):
-    from plcalc.experiments import _norm_evaluator
+    from plcalc.norms import evaluator_from_spec
 
     op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 12), 4.0, 1)
     x = _unit_vector(op, 6)
-    evaluate, _ = _norm_evaluator(op, dict(spec, pnorm=2), 0)
+    evaluate, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 0)
     with monkeypatch.context() as m:
         _synthesis_refused(m)
         with pytest.raises(AssertionError, match="synthesize called"):

@@ -12,6 +12,10 @@ class, or of a public class's constructor (a dataclass field included) must
 be passed, by keyword or by position, by some call in src/ or perfbench/.
 Calls are matched by the callee's name.  A setting that only tests change
 is a constant, or goes; the exceptions are listed in SET_BY_TESTS only.
+
+A module imports no _-prefixed name from another module of the package: a
+helper that two modules share is public where it lives.  The exceptions
+are listed in PRIVATE_IMPORTS only.
 """
 
 import ast
@@ -208,3 +212,32 @@ def test_every_defaulted_parameter_is_set_or_listed():
     assert unset == [], "defaulted parameters that only tests set: " + ", ".join(unset)
     stale = sorted(key for key in SET_BY_TESTS if key not in params or is_set(key))
     assert stale == []
+
+
+# Private names one module imports from another, one reason each.
+PRIVATE_IMPORTS = {
+    "experiments: norms._dilation_integrals": "mcintosh_check reduces the dilation integrals "
+                                              "of the continuous square function",
+    "experiments: norms._window_grid": "the oracles place windows by the rule of every block norm",
+    "acceptance: cli._encode": "criterion 14 checks the bytes a report is written as",
+}
+
+
+def _private_imports() -> set:
+    """Every _-prefixed name that a module of src/plcalc imports from
+    another, as "importer: module.name"."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.ImportFrom) and (n.level or (n.module or "").startswith("plcalc")):
+                module = (n.module or "").rsplit(".", 1)[-1]
+                out |= {f"{path.stem}: {module}.{a.name}" for a in n.names
+                        if a.name.startswith("_") and module != path.stem}
+    return out
+
+
+def test_no_module_imports_a_private_name_of_another_or_it_is_listed():
+    found = _private_imports()
+    assert sorted(found - set(PRIVATE_IMPORTS)) == [], "private names imported across modules"
+    # an entry that no module imports any longer has no place in the list
+    assert sorted(set(PRIVATE_IMPORTS) - found) == []

@@ -37,13 +37,13 @@ def test_shipped_symbol_values():
 
 def test_symbol_parameter_validation():
     with pytest.raises(SymbolError):
-        make_symbol("psi_exp", a=1.0, b=1.0, theta=2.0)   # a/b <= theta
+        make_symbol("psi_exp", a=1.0, b=1.0, theta=2.0)   # theta is the norm's weight
     with pytest.raises(SymbolError):
         make_symbol("psi_res", a=1.0, b=0.5, lambda0=2.0)  # lambda0 on [0, inf)
     with pytest.raises(SymbolError):
-        make_symbol("psi_res", a=2.0, b=0.5, lambda0=-1.0)  # a >= b + theta
+        make_symbol("psi_res", a=2.0, b=0.5, lambda0=-1.0)  # a >= b
     with pytest.raises(SymbolError):
-        make_symbol("res_frac", a=0.5, b=0.2, theta=0.5)   # a - theta <= 0
+        make_symbol("res_frac", a=0.5, b=0.2)   # a >= b
 
 
 def test_derivatives_load_no_third_party_package_but_numpy():
