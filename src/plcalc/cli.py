@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -121,40 +122,32 @@ def cmd_op_build(args) -> int:
     return EXIT_OK
 
 
-# Keys each vector kind reads, besides "kind".
-_VECTOR_KEYS = {"random": ("seed", "normalize"), "eigenvector": ("index",),
-                "file": ("path",), "zero": ()}
-
-
 def _resolve_vector(op, vec_spec: dict, seed, pnorm):
     """The vector of a norm-eval config and its echo.
 
     Raises KeyError (SpecKeyError for an unread key, SpecValueError for a
-    spec that is not an object or a value that is not an integer) on a
-    malformed spec.
+    spec that is not an object of a known kind or a value that is not
+    an integer) on a malformed spec.
     """
     from .measure import lp_norm
-    from .operators import check_spec_keys, integer, non_negative, spec_kind, spec_value
+    from .operators import SpecReader, integer, non_negative
 
     if isinstance(vec_spec, dict):
         vec_spec = {"kind": "random", **vec_spec}
-    kind = spec_kind(vec_spec, "vector")
-    if not isinstance(kind, str) or kind not in _VECTOR_KEYS:
-        raise CliExit(EXIT_BAD_CONFIG, f"unknown vector kind {kind!r}")
-    where = f"{kind} vector spec"
-    check_spec_keys(vec_spec, ("kind",) + _VECTOR_KEYS[kind], where)
-    if kind == "random":
-        vseed = vec_spec.get("seed", seed)
+    read = SpecReader(vec_spec, "vector spec", ("random", "eigenvector", "file", "zero"))
+    if read.kind == "random":
+        vseed = read("seed", lambda v: None if v is None else non_negative(v), seed)
+        normalize = read("normalize", _boolean, True)
+        read.done()
         if vseed is None:
-            raise CliExit(EXIT_BAD_CONFIG,
-                                  "stochastic vector needs a seed (config or --seed)")
-        vseed = spec_value(vseed, non_negative, "seed", where)
+            raise CliExit(EXIT_BAD_CONFIG, "stochastic vector needs a seed (config or --seed)")
         x = op.random_vector(np.random.default_rng(vseed))
-        if spec_value(vec_spec.get("normalize", True), _boolean, "normalize", where):
+        if normalize:
             x = x / lp_norm(x, pnorm, op.measure)
         return x, {"kind": "random", "seed": vseed}
-    if kind == "eigenvector":
-        idx = spec_value(vec_spec["index"], integer, "index", where)
+    if read.kind == "eigenvector":
+        idx = read("index", integer)
+        read.done()
         modes = op.eigenvalues_or_none().size
         if not 0 <= idx < modes:
             raise CliExit(EXIT_BAD_CONFIG,
@@ -162,8 +155,9 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
         e_k = np.zeros(modes)
         e_k[idx] = 1.0
         return op.synthesize(e_k), {"kind": "eigenvector", "index": idx}
-    if kind == "file":
-        path = vec_spec["path"]
+    if read.kind == "file":
+        path = read("path", os.fspath)   # a number would name an open file descriptor
+        read.done()
         data = _load_json(path)
         try:
             x = np.asarray([complex(re, im) for re, im in data], dtype=complex)
@@ -173,6 +167,7 @@ def _resolve_vector(op, vec_spec: dict, seed, pnorm):
             raise CliExit(EXIT_BAD_CONFIG,
                           f"vector 'path' {path} must hold {op.n} [re, im] pairs")
         return x, {"kind": "file", "path": path}
+    read.done()
     return np.zeros(op.n, dtype=complex), {"kind": "zero"}
 
 
@@ -185,29 +180,32 @@ def _boolean(value) -> bool:
 
 def cmd_norm_eval(args) -> int:
     from .norms import evaluator_from_spec
-    from .operators import (OperatorError, check_spec_keys, non_negative, operator_from_spec,
+    from .operators import (OperatorError, SpecReader, non_negative, operator_from_spec,
                             spec_value)
 
     config = _load_config(args.config, "norm eval config")
-    seed = args.seed if args.seed is not None else config.get("seed")
     try:
-        check_spec_keys(config, ("operator", "norm", "vector", "seed"), "norm eval config")
-        norm_seed = 0 if seed is None else spec_value(seed, non_negative, "seed",
-                                                      "norm eval config")
-        op = operator_from_spec(config["operator"])
+        read = SpecReader(config, "norm eval config")
+        op_spec, norm_spec, vec_spec = read("operator"), read("norm"), read("vector", None, {})
+        seed = read("seed", None, None)
+        if args.seed is not None:   # --seed overrides the config's seed
+            seed = args.seed
+        norm_seed = 0 if seed is None else spec_value(seed, non_negative, "seed", read.where)
+        read.done()
+        op = operator_from_spec(op_spec)
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed config: {exc}")
     except OperatorError as exc:
         raise CliExit(EXIT_INVARIANT, str(exc))
     # the norm spec is read first: its pnorm also normalizes a random vector
     try:
-        evaluator, echo = evaluator_from_spec(op, config["norm"], norm_seed)
+        evaluator, echo = evaluator_from_spec(op, norm_spec, norm_seed)
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed norm spec: {exc}")
     except Exception as exc:
         raise CliExit(EXIT_NORM_ERROR, f"norm evaluation failed: {exc}")
     try:
-        x, vec_echo = _resolve_vector(op, config.get("vector", {}), seed, echo["pnorm"])
+        x, vec_echo = _resolve_vector(op, vec_spec, seed, echo["pnorm"])
     except KeyError as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed vector spec: {exc}")
     try:

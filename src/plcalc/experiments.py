@@ -19,15 +19,14 @@ import numpy as np
 
 from .calculus import spectral_multiplier
 from .measure import lp_norm
-from .norms import QuadratureSpec, _dilation_integrals, _window_grid, evaluator_from_spec
+from .norms import QuadratureSpec, _dilation_integrals, _window_grid, norm_from_spec
 from .operators import (
     ModelOperator,
+    SpecReader,
     array_size,
-    check_spec_keys,
     exponent,
     non_negative,
     operator_from_spec,
-    spec_value,
 )
 from .partitions import HOMOGENEOUS, build_homogeneous_dyadic, padded_rows
 from .symbols import FunctionFamily, Symbol, besov_family_norms
@@ -75,43 +74,40 @@ _PARTITION_CONSTANTS = {
 }
 
 
-def _float_pair(value) -> tuple:
-    lo, hi = map(float, value)
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError(f"bounds must be finite, got {value!r}")
-    if lo > hi:
-        raise ValueError(f"lower bound above upper bound, got {value!r}")
-    return lo, hi
-
-
-_CONFIG_KEYS = ("name", "operator", "seed", "samples", "pnorm", "norm_a", "norm_b",
-                "assert_bracket")
+def _bracket(value):
+    """The bracket as given, or None, once it reads as two finite floats in order."""
+    if value is not None:
+        lo, hi = map(float, value)
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError(f"bounds must be finite, got {value!r}")
+        if lo > hi:
+            raise ValueError(f"lower bound above upper bound, got {value!r}")
+    return value
 
 
 def run_equivalence(config: dict) -> EquivalenceReport:
     """Ratio statistics of two norms over seeded unit random vectors.
 
-    Raises SpecKeyError for a key nothing reads, and ExperimentError for a
-    norm whose stack cannot be built for the operator ("norm not admitted"),
-    a norm that fails on a sample, or a norm or ratio that is not finite
-    (both name the sample).
+    The config and both norm specs are read in full before either norm is
+    built.  Raises SpecKeyError for a key nothing reads, and
+    ExperimentError for a norm whose stack cannot be built for the operator
+    ("norm not admitted"), a norm that fails on a sample, or a norm or ratio
+    that is not finite (both name the sample).
     """
-    where = "experiment config"
-    check_spec_keys(config, _CONFIG_KEYS, where)
-    op = operator_from_spec(config["operator"])
-    seed = spec_value(config["seed"], non_negative, "seed", where)
-    samples = spec_value(config.get("samples", 50), array_size, "samples", where)
-    pnorm = spec_value(config.get("pnorm", 2), exponent, "pnorm", where)
+    read = SpecReader(config, "experiment config")
+    name, op_spec = read("name", str, "equivalence"), read("operator")
+    seed, samples = read("seed", non_negative), read("samples", array_size, 50)
+    pnorm = read("pnorm", exponent, 2)
+    spec_a, spec_b = read("norm_a"), read("norm_b")
+    bracket = read("assert_bracket", _bracket, None)
+    read.done()
+    op = operator_from_spec(op_spec)
+    build_a, build_b = norm_from_spec(op, spec_a, seed), norm_from_spec(op, spec_b, seed)
     try:
-        eval_a, echo_a = evaluator_from_spec(op, config["norm_a"], seed)
-        eval_b, echo_b = evaluator_from_spec(op, config["norm_b"], seed)
-    except (KeyError, TypeError):
-        raise
+        eval_a, echo_a = build_a()
+        eval_b, echo_b = build_b()
     except Exception as exc:
         raise ExperimentError(f"norm not admitted: {exc}") from exc
-    bracket = config.get("assert_bracket")
-    if bracket is not None:
-        lo, hi = spec_value(bracket, _float_pair, "assert_bracket", where)
 
     rng = np.random.default_rng(seed)
     table = []
@@ -135,13 +131,14 @@ def run_equivalence(config: dict) -> EquivalenceReport:
     passed = True
     violations = []
     if bracket is not None:
+        lo, hi = map(float, bracket)
         for row in table:
             row["in_bracket"] = bool(lo <= row["ratio"] <= hi)
             if not row["in_bracket"]:
                 violations.append(row["sample_id"])
         passed = not violations
     report = EquivalenceReport(
-        name=str(config.get("name", "equivalence")),
+        name=name,
         operator_spec=op.spec, norm_a=echo_a, norm_b=echo_b,
         samples=samples, seed=seed, ratios=stats, table=table,
         assert_bracket=list(bracket) if bracket is not None else None,

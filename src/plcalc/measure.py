@@ -85,7 +85,7 @@ def lp_norm(x, p, m: MeasureSpace):
     """Weighted L^p norm of x over the measure space, p in [1, inf].
 
     A stack of vectors (... x n) gets one norm per row, as an array; a
-    single vector gets a float.
+    single vector gets a float.  A power that overflows gives inf.
     """
     x = _check_vec(x, m)
     if p == np.inf or p == "inf":
@@ -95,10 +95,11 @@ def lp_norm(x, p, m: MeasureSpace):
         if p < 1:
             raise MeasureError(f"p must be >= 1 or inf, got {p}")
         a = np.abs(x)
-        if p == 2.0:
-            out = np.sqrt(np.sum(m.weights * a * a, axis=-1))
-        else:
-            out = np.sum(m.weights * a**p, axis=-1) ** (1.0 / p)
+        with np.errstate(over="ignore"):
+            if p == 2.0:
+                out = np.sqrt(np.sum(m.weights * a * a, axis=-1))
+            else:
+                out = np.sum(m.weights * a**p, axis=-1) ** (1.0 / p)
     return float(out) if x.ndim == 1 else out
 
 

@@ -10,7 +10,7 @@ f(t_j .).  Each norm has two halves.  Its evaluator (pl_square_evaluator,
 the quadrature tail certificate; the closure it returns reduces the
 coefficients of one x.  An experiment builds that half once and evaluates
 every sample with it; the public norm functions build it per call.  A JSON
-norm spec names its evaluator through one reader (evaluator_from_spec).  A
+norm spec names its evaluator through one reader (norm_from_spec).  A
 window stack is scattered from the partition's two-window rule, one bump
 call for all windows (block_stack).
 
@@ -89,8 +89,7 @@ import numpy as np
 
 from .calculus import log_trapezoid, spectral_multiplier
 from .measure import lp_norm
-from .operators import (ModelOperator, SpecKeyError, SpecValueError, array_size, exponent,
-                        non_negative, spec_kind, spec_value)
+from .operators import ModelOperator, SpecReader, array_size, exponent, non_negative
 from .partitions import (EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity,
                          build_equidistant, build_homogeneous_dyadic, padded_rows,
                          to_inhomogeneous)
@@ -332,7 +331,8 @@ def _square_evaluator(op, values, pnorm):
 
     def evaluate(x):
         fields = spectral_multiplier(op, values, x)
-        return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
+        with np.errstate(over="ignore"):   # inf, which the caller refuses
+            return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
 
     return evaluate
 
@@ -378,7 +378,8 @@ def pl_random_evaluator(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble,
     def evaluate(x) -> PLRandomResult:
         samples = sample_norms(x)
         mean = float(np.mean(samples))
-        stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
+        with np.errstate(invalid="ignore"):   # an inf sample: an inf mean, which is refused
+            stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
         return PLRandomResult(mean, stderr, samples)
 
     return evaluate
@@ -861,12 +862,15 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
         # integral M_env is closed-form and bounds the true one from above
         qf0 = 2.0 if q == np.inf else q
         center = n0 / max(n1, 1e-300)
-        m_env = n0**qf0 * center ** (-vartheta * qf0) \
-            * (1.0 / ((1 - vartheta) * qf0) + 1.0 / (vartheta * qf0))
-        budget = INTERPOLATION_TAIL_RTOL * m_env / 100.0
-        t_lo = (budget * (1 - vartheta) * qf0) ** (1.0 / ((1 - vartheta) * qf0)) \
-            / n1 ** (1.0 / (1 - vartheta))
-        t_hi = (n0**qf0 / (budget * vartheta * qf0)) ** (1.0 / (vartheta * qf0))
+        try:   # Python floats: an overflow raises, an underflow to 0 makes a division raise
+            m_env = n0**qf0 * center ** (-vartheta * qf0) \
+                * (1.0 / ((1 - vartheta) * qf0) + 1.0 / (vartheta * qf0))
+            budget = INTERPOLATION_TAIL_RTOL * m_env / 100.0
+            t_lo = (budget * (1 - vartheta) * qf0) ** (1.0 / ((1 - vartheta) * qf0)) \
+                / n1 ** (1.0 / (1 - vartheta))
+            t_hi = (n0**qf0 / (budget * vartheta * qf0)) ** (1.0 / (vartheta * qf0))
+        except ArithmeticError:
+            raise NormsError(f"q={q} is too large: its powers leave the float range") from None
         quad = QuadratureSpec(t_lo=min(t_lo, center * 1e-4),
                               t_hi=max(t_hi, center * 1e4),
                               nodes_per_decade=16)
@@ -875,9 +879,10 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
         kvals = _k_functional_diagonal(lam, a_unit, t, theta0, theta1)
         if q == np.inf:
             return float(np.ldexp(np.max(t**-vartheta * kvals), e))
-        main = float(np.sum(du * (t**-vartheta * kvals) ** q))
-        tail_lo = (t[0] ** (1 - vartheta) * n1) ** q / ((1 - vartheta) * q)
-        tail_hi = (t[-1] ** -vartheta * n0) ** q / (vartheta * q)
+        with np.errstate(over="ignore"):   # inf, which the caller refuses
+            main = float(np.sum(du * (t**-vartheta * kvals) ** q))
+            tail_lo = (t[0] ** (1 - vartheta) * n1) ** q / ((1 - vartheta) * q)
+            tail_hi = (t[-1] ** -vartheta * n0) ** q / (vartheta * q)
         if (tail_lo + tail_hi) <= INTERPOLATION_TAIL_RTOL * max(main, 1e-300):
             return float(np.ldexp(main ** (1.0 / q), e))
         if not auto:
@@ -889,89 +894,85 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
 
 # -- norm specs -------------------------------------------------------------------
 
-def evaluator_from_spec(op: ModelOperator, spec: dict, seed: int):
-    """(evaluate, echo): the evaluator of the norm a JSON spec names, and the
-    spec with every parameter resolved, for the report.
+def _ensemble_kind(value) -> str:
+    if value not in ENSEMBLE_KINDS:
+        raise ValueError(f"must be one of {', '.join(ENSEMBLE_KINDS)}, got {value!r}")
+    return value
 
-    The one reader of a norm spec: its multiplier stack is built here, once,
-    and reused for every vector.  Raises SpecKeyError for a key the kind does
-    not read, SpecValueError for a spec that is not an object of a known
-    kind or a value that does not read as its key needs, and the norm's own
-    error for a stack that cannot be built.
+
+def norm_from_spec(op: ModelOperator, spec: dict, seed: int):
+    """The one reader of a norm spec.  The spec is read in full, and a
+    function of no arguments is returned that builds (evaluate, echo): the
+    evaluator, and the spec with every parameter resolved, for the report.
+
+    Raises SpecKeyError for a key the kind does not read and SpecValueError
+    for a spec that is not an object of a known kind or a value that does
+    not read as its key needs; the build raises the norm's own error.
     """
-    kind = spec_kind(spec, "norm")
-    spec = {key: value for key, value in spec.items() if key != "kind"}
-    where = f"{kind} norm spec"
-
-    def number(key, default, convert=float):
-        return spec_value(spec.pop(key, default), convert, key, where)
-
-    pnorm = number("pnorm", 2, exponent)
+    read = SpecReader(spec, "norm spec", (
+        "ambient", "pl_square", "pl_random", "pl_inhomogeneous", "fractional_power",
+        "kernel_plus_pl", "continuous_square", "besov_discrete", "besov_continuous",
+        "real_interpolation", "strip_pl_square"))
+    kind, pnorm = read.kind, read("pnorm", exponent, 2)
+    echo = {"kind": kind, "pnorm": pnorm}
+    if kind not in ("ambient", "kernel_plus_pl", "real_interpolation", "strip_pl_square"):
+        theta = echo["theta"] = read("theta", float, 1.0 if kind == "fractional_power" else 0.0)
+    if kind in ("besov_discrete", "besov_continuous", "real_interpolation"):
+        q = echo["q"] = read("q", exponent, 2)
     hom = build_homogeneous_dyadic()
     if kind == "ambient":
-        evaluate = lambda x: lp_norm(x, pnorm, op.measure)
-        echo = {"kind": kind, "pnorm": pnorm}
+        make = lambda: lambda x: lp_norm(x, pnorm, op.measure)
     elif kind == "pl_square":
-        theta = number("theta", 0.0)
-        evaluate = pl_square_evaluator(op, hom, pnorm, theta)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+        make = lambda: pl_square_evaluator(op, hom, pnorm, theta)
     elif kind == "pl_random":
-        theta = number("theta", 0.0)
         # the draws and their norms are count x blocks and count x n arrays
-        count = number("count", 256, lambda v: array_size(v, per=op.n))
-        sign_kind = spec.pop("sign_kind", "rademacher")
-        if sign_kind not in ENSEMBLE_KINDS:
-            raise SpecValueError("sign_kind", where,
-                                 f"must be one of {', '.join(ENSEMBLE_KINDS)}, got {sign_kind!r}")
-        ens = RandomEnsemble(seed=number("ensemble_seed", seed + 104729, non_negative),
-                             count=count, kind=sign_kind)
-        random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
-        evaluate = lambda x: random_norm(x).mean
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "ensemble": ens.to_json()}
+        ens = RandomEnsemble(count=read("count", lambda v: array_size(v, per=op.n), 256),
+                             kind=read("sign_kind", _ensemble_kind, "rademacher"),
+                             seed=read("ensemble_seed", non_negative, seed + 104729))
+        echo["ensemble"] = ens.to_json()
+
+        def make():
+            random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
+            return lambda x: random_norm(x).mean
     elif kind == "pl_inhomogeneous":
-        theta = number("theta", 0.0)
-        evaluate = pl_inhomogeneous_evaluator(op, to_inhomogeneous(hom), pnorm, theta)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+        make = lambda: pl_inhomogeneous_evaluator(op, to_inhomogeneous(hom), pnorm, theta)
     elif kind == "fractional_power":
-        theta = number("theta", 1.0)
-        evaluate = fractional_power_evaluator(op, theta, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta}
+        make = lambda: fractional_power_evaluator(op, theta, pnorm)
     elif kind == "kernel_plus_pl":
-        evaluate = kernel_plus_pl_evaluator(op, hom, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm}
+        make = lambda: kernel_plus_pl_evaluator(op, hom, pnorm)
     elif kind == "continuous_square":
-        theta = number("theta", 0.0)
-        psi = symbol_from_spec(spec.pop("psi", {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
-        evaluate = continuous_square_evaluator(op, psi, theta, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "psi": psi.name}
+        make_psi = symbol_from_spec(read("psi", None, {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
+
+        def make():
+            psi = make_psi()
+            echo["psi"] = psi.name
+            return continuous_square_evaluator(op, psi, theta, pnorm)
     elif kind == "besov_discrete":
-        theta = number("theta", 0.0)
-        q = number("q", 2, exponent)
-        evaluate = besov_discrete_evaluator(op, hom, theta, q, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q}
+        make = lambda: besov_discrete_evaluator(op, hom, theta, q, pnorm)
     elif kind == "besov_continuous":
-        theta = number("theta", 0.0)
-        q = number("q", 2, exponent)
-        fspec = spec.pop("f", None)
-        f = symbol_from_spec(fspec) if fspec else window_symbol(hom, 0)
-        evaluate = besov_continuous_evaluator(op, theta, q, f, pnorm)
-        echo = {"kind": kind, "pnorm": pnorm, "theta": theta, "q": q, "f": f.name}
+        fspec = read("f", None, None)
+        make_f = symbol_from_spec(fspec) if fspec else lambda: window_symbol(hom, 0)
+
+        def make():
+            f = make_f()
+            echo["f"] = f.name
+            return besov_continuous_evaluator(op, theta, q, f, pnorm)
     elif kind == "real_interpolation":
-        if pnorm != 2:
-            raise NormsError("real interpolation is implemented on the p = 2 path only")
-        vartheta = number("vartheta", 0.5)
-        q = number("q", 2, exponent)
-        theta0 = number("theta0", 0.0)
-        theta1 = number("theta1", 1.0)
-        evaluate = lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
-        echo = {"kind": kind, "pnorm": pnorm, "vartheta": vartheta, "q": q,
-                "theta0": theta0, "theta1": theta1}
-    elif kind == "strip_pl_square":
-        # the square function of the equidistant blocks of B = log A
-        evaluate = pl_square_evaluator(op, build_equidistant(), pnorm)
-        echo = {"kind": kind, "pnorm": pnorm}
+        vartheta = echo["vartheta"] = read("vartheta", float, 0.5)
+        theta0 = echo["theta0"] = read("theta0", float, 0.0)
+        theta1 = echo["theta1"] = read("theta1", float, 1.0)
+
+        def make():
+            if pnorm != 2:
+                raise NormsError("real interpolation is implemented on the p = 2 path only")
+            return lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
     else:
-        raise SpecValueError("kind", "norm spec", f"unknown norm kind {kind!r}")
-    if spec:
-        raise SpecKeyError(spec, where)
-    return evaluate, echo
+        # the square function of the equidistant blocks of B = log A
+        make = lambda: pl_square_evaluator(op, build_equidistant(), pnorm)
+    read.done()
+    return lambda: (make(), echo)
+
+
+def evaluator_from_spec(op: ModelOperator, spec: dict, seed: int):
+    """(evaluate, echo) of a JSON norm spec, read in full and then built."""
+    return norm_from_spec(op, spec, seed)()

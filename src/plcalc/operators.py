@@ -163,18 +163,41 @@ class SpecValueError(SpecError):
         super().__init__(f"{key!r} in {where}: {reason}")
 
 
-def check_spec_keys(spec: dict, known, where: str) -> None:
-    unknown = set(spec) - set(known)
-    if unknown:
-        raise SpecKeyError(unknown, where)
+class SpecReader:
+    """A JSON object, read one key at a time.
 
+    With ``kinds`` its "kind" (``kind``) must be one of them, and its keys
+    are read in "<kind> <where>".  A call takes one key: convert(value)
+    through spec_value, the default in place of an absent key (KeyError
+    without one), the value as given without convert.  done() raises
+    SpecKeyError for every key no call took, so a spec accepts exactly the
+    keys its reader reads; a reader calls it before it builds.
+    """
 
-def spec_kind(spec, what: str) -> str:
-    """The "kind" of a JSON spec; SpecValueError unless spec is an object with one."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecValueError("kind", f"{what} spec",
-                             f"expected an object with a 'kind', got {spec!r}")
-    return spec["kind"]
+    def __init__(self, spec: dict, where: str, kinds=None):
+        self.kind = None
+        if kinds is None and not isinstance(spec, dict):
+            raise TypeError(f"{where} must be an object, got {spec!r}")
+        if kinds is not None:
+            if not isinstance(spec, dict) or "kind" not in spec:
+                raise SpecValueError("kind", where,
+                                     f"expected an object with a 'kind', got {spec!r}")
+            self.kind = spec["kind"]
+            if not isinstance(self.kind, str) or self.kind not in kinds:
+                raise SpecValueError("kind", where, f"unknown {where.removesuffix(' spec')} "
+                                                    f"kind {self.kind!r}")
+            where = f"{self.kind} {where}"
+        self.spec, self.where = spec, where
+        self.unread = set(spec) - {"kind"} if kinds is not None else set(spec)
+
+    def __call__(self, key: str, convert=None, *default):
+        self.unread.discard(key)
+        value = self.spec.get(key, *default) if default else self.spec[key]
+        return value if convert is None else spec_value(value, convert, key, self.where)
+
+    def done(self) -> None:
+        if self.unread:
+            raise SpecKeyError(self.unread, self.where)
 
 
 def spec_value(value, convert, key: str, where: str):
@@ -880,16 +903,6 @@ def resolvent_apply_lu(op: ModelOperator, lam: complex, x) -> np.ndarray:
 
 # -- JSON construction ---------------------------------------------------------
 
-# Keys each operator kind reads from its JSON spec, besides "kind".
-_SPEC_KEYS = {
-    "dirichlet1d": ("n", "h"),
-    "graph": ("sigma",),
-    "hermite": ("d", "K", "grid"),
-    "schrodinger": ("n", "h", "V"),
-    "nonnormal": ("lambdas", "conditioning", "seed"),
-}
-
-
 def _real_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -908,50 +921,40 @@ def operator_from_spec(spec: dict) -> ModelOperator:
     for a spec that builds no valid operator (a measure or matrix the
     substrate refuses, or a value that overflows the float range).
     """
-    kind = spec_kind(spec, "operator")
-    if kind not in _SPEC_KEYS:
-        raise SpecValueError("kind", "operator spec", f"unknown operator kind {kind!r}")
-    where = f"{kind} operator spec"
-    check_spec_keys(spec, ("kind",) + _SPEC_KEYS[kind], where)
-
-    def read(key, convert, *default, source=spec, where=where):
-        """convert(source[key]), or of its default when the key is absent."""
-        return spec_value(source.get(key, *default) if default else source[key],
-                          convert, key, where)
-
+    read = SpecReader(spec, "operator spec",
+                      ("dirichlet1d", "graph", "hermite", "schrodinger", "nonnormal"))
+    if read.kind == "dirichlet1d":
+        build, args = build_dirichlet_laplacian_1d, (read("n", array_size), read("h", float, 1.0))
+    elif read.kind == "graph":
+        build, args = build_graph_laplacian, (read("sigma", _real_array),)
+    elif read.kind == "hermite":
+        grid = SpecReader(read("grid", None, {}), "hermite grid")
+        lo, hi, n = grid("lo", float, -12.0), grid("hi", float, 12.0), grid("n", array_size, 800)
+        grid.done()
+        build = lambda d, modes: build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
+        args = read("d", integer), read("K", lambda v: array_size(v, per=n))
+    elif read.kind == "schrodinger":
+        n = read("n", lambda v: array_size(v, per=integer(v)))   # dense: n x n
+        h, v = read("h", float, 1.0), read("V", None, 0.0)
+        if isinstance(v, dict):
+            potential = SpecReader(v, "schrodinger potential")
+            quadratic = potential("quadratic", float)
+            potential.done()
+            v = (quadratic * ((np.arange(1, n + 1) - (n + 1) / 2) * h)) ** 2
+        else:
+            v = read("V", _real_array, 0.0)
+        build, args = build_schrodinger_1d, (n, h, np.full(n, v) if v.ndim == 0 else v)
+    else:
+        lam = read("lambdas", _complex_pairs)
+        spec_value(len(lam), lambda m: array_size(m, per=m), "lambdas", read.where)   # dense
+        build = build_nonnormal_sectorial
+        args = lam, read("conditioning", float, 1.0), read("seed", non_negative, 0)
+    read.done()
     # a grid or matrix the substrate refuses (MeasureError, LinAlgError) is
     # an invariant violation of the spec, with the substrate's reason; so is
     # a spacing whose h**2 leaves the float range (Python raises OverflowError)
     try:
-        if kind == "dirichlet1d":
-            return build_dirichlet_laplacian_1d(read("n", array_size), read("h", float, 1.0))
-        if kind == "graph":
-            return build_graph_laplacian(read("sigma", _real_array))
-        if kind == "hermite":
-            g = spec.get("grid", {})
-            check_spec_keys(g, ("lo", "hi", "n"), "hermite grid")
-            lo = read("lo", float, -12.0, source=g, where="hermite grid")
-            hi = read("hi", float, 12.0, source=g, where="hermite grid")
-            n = read("n", array_size, 800, source=g, where="hermite grid")
-            d, modes = read("d", integer), read("K", lambda v: array_size(v, per=n))
-            return build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
-        if kind == "schrodinger":
-            n = read("n", lambda v: array_size(v, per=integer(v)))   # dense: n x n
-            h = read("h", float, 1.0)
-            v = spec.get("V", 0.0)
-            if isinstance(v, dict):
-                check_spec_keys(v, ("quadratic",), "schrodinger potential")
-                x = (np.arange(1, n + 1) - (n + 1) / 2) * h
-                v = (read("quadratic", float, source=v, where="schrodinger potential") * x) ** 2
-            else:
-                v = read("V", _real_array, 0.0)
-                if v.ndim == 0:
-                    v = np.full(n, v)
-            return build_schrodinger_1d(n, h, v)
-        lam = read("lambdas", _complex_pairs)
-        spec_value(len(lam), lambda m: array_size(m, per=m), "lambdas", where)   # dense
-        return build_nonnormal_sectorial(lam, read("conditioning", float, 1.0),
-                                         read("seed", non_negative, 0))
+        return build(*args)
     except (MeasureError, np.linalg.LinAlgError) as exc:
         raise OperatorError(str(exc)) from exc
     except OverflowError as exc:

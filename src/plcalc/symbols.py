@@ -31,13 +31,14 @@ estimate of that member alone, for any blocking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .operators import SpecValueError, check_spec_keys, spec_kind, spec_value
+from .operators import SpecReader
 from .partitions import PartitionOfUnity
 
 STABILITY_RTOL = 0.05      # refinement gate: <5% change under 2x refinement
@@ -92,20 +93,20 @@ class Symbol:
         return self.sector_evaluate(np.asarray(z, dtype=complex))
 
 
-def _certify(f: Callable, eps0: float, eps_inf: float, sigma_max: float) -> DecayCertificate:
-    """Fit the certificate constants on a log grid sample."""
+def _certify(kind: str, f: Callable, eps0: float, eps_inf: float,
+             sigma_max: float) -> DecayCertificate:
+    """Fit the certificate constants on a log grid sample; SymbolError naming
+    the kind when an over- or underflow makes the sample inf or NaN."""
     r = np.logspace(-8, 8, CERT_GRID_POINTS)
-    envelope = np.minimum(r**eps0, r**-eps_inf)
     angles = [0.0] if sigma_max == 0.0 else [0.0, sigma_max / 2, sigma_max]
-    c = c_real = 0.0
-    for ang in angles:
-        vals = np.abs(np.asarray(f(r * np.exp(1j * ang)), dtype=complex))
-        worst = float(np.max(vals / envelope))
-        c = max(c, worst)
-        if ang == 0.0:
-            c_real = worst
-    return DecayCertificate(eps0, eps_inf, CERT_SLACK * c, sigma_max,
-                            c_real=CERT_SLACK * c_real)
+    with np.errstate(all="ignore"):
+        envelope = np.minimum(r**eps0, r**-eps_inf)
+        worst = [float(np.max(np.abs(np.asarray(f(r * np.exp(1j * ang)), dtype=complex))
+                              / envelope)) for ang in angles]
+    if not np.isfinite(worst).all():
+        raise SymbolError(f"{kind} has no finite decay certificate: its constant overflows")
+    return DecayCertificate(eps0, eps_inf, CERT_SLACK * max(worst), sigma_max,
+                            c_real=CERT_SLACK * worst[0])
 
 
 def make_symbol(kind: str, **params) -> Symbol:
@@ -141,7 +142,7 @@ def make_symbol(kind: str, **params) -> Symbol:
         return Symbol(
             evaluate=f, name="rho", params={},
             sector_evaluate=f,
-            decay=_certify(f, 1.0, 1.0, sigma_max=np.pi / 2 * 0.98),
+            decay=_certify(kind, f, 1.0, 1.0, sigma_max=np.pi / 2 * 0.98),
         )
 
     if kind == "exp":
@@ -160,7 +161,7 @@ def make_symbol(kind: str, **params) -> Symbol:
             evaluate=lambda t: t**a * np.exp(-(t**b)),
             name="psi_exp", params={"a": a, "b": b},
             sector_evaluate=f_sec,
-            decay=_certify(f_sec, a, a + 1.0, sigma_max),
+            decay=_certify(kind, f_sec, a, a + 1.0, sigma_max),
         )
 
     if kind == "psi_res":
@@ -175,7 +176,7 @@ def make_symbol(kind: str, **params) -> Symbol:
             evaluate=lambda t: f(np.asarray(t, dtype=complex)), name="psi_res",
             params={"a": a, "b": b, "lambda0": lam0},
             sector_evaluate=f,
-            decay=_certify(f, a, b - a, sigma_max=0.3),
+            decay=_certify(kind, f, a, b - a, sigma_max=0.3),
         )
 
     if kind == "res_frac":
@@ -186,7 +187,7 @@ def make_symbol(kind: str, **params) -> Symbol:
         return Symbol(
             evaluate=f, name="res_frac", params={"a": a, "b": b},
             sector_evaluate=f,
-            decay=_certify(f, a, b - a, sigma_max=np.pi / 2 * 0.98),
+            decay=_certify(kind, f, a, b - a, sigma_max=np.pi / 2 * 0.98),
         )
 
     if kind == "imag_power":
@@ -214,22 +215,20 @@ _SPEC_KEYS = {"power": ("theta",), "rho": (), "exp": (), "psi_exp": ("a", "b"),
               "psi_res": ("a", "b", "lambda0"), "res_frac": ("a", "b"), "imag_power": ("s",)}
 
 
-def symbol_from_spec(spec: dict) -> Symbol:
-    """Build a shipped symbol from its JSON description.
+def symbol_from_spec(spec: dict) -> Callable[[], Symbol]:
+    """A shipped symbol's JSON description, read in full: a function of no
+    arguments that builds the symbol (make_symbol).
 
     Raises SpecKeyError for a key the kind does not read, and
     SpecValueError for a spec that is not an object of a shipped kind or a
     parameter that does not read as a number (complex for ``lambda0``,
     real for the others).
     """
-    kind = spec_kind(spec, "symbol")
-    if kind not in _SPEC_KEYS:
-        raise SpecValueError("kind", "symbol spec", f"unknown symbol kind {kind!r}")
-    where = f"{kind} symbol spec"
-    params = {key: value for key, value in spec.items() if key != "kind"}
-    check_spec_keys(params, _SPEC_KEYS[kind], where)
-    return make_symbol(kind, **{key: spec_value(value, complex if key == "lambda0" else float,
-                                                key, where) for key, value in params.items()})
+    read = SpecReader(spec, "symbol spec", _SPEC_KEYS)
+    params = {key: read(key, complex if key == "lambda0" else float)
+              for key in _SPEC_KEYS[read.kind]}
+    read.done()
+    return functools.partial(make_symbol, read.kind, **params)
 
 
 @dataclass

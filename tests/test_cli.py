@@ -300,13 +300,14 @@ def run_cli(tmp_path, command, config):
     ("norm", norm_eval_config(vector={"kind": "eigenvector"}), "'index'"),
     ("norm", norm_eval_config(vector={"kind": "eigenvector", "index": 99}), "'index'"),
     ("norm", norm_eval_config(vector={"kind": "file"}), "'path'"),
+    ("norm", norm_eval_config(vector={"kind": "file", "path": 0}), "'path' in file vector spec"),
     ("norm", norm_eval_config(vector={"kind": "file", "path": "numbers.json"}), "'path'"),
     ("norm", norm_eval_config(vector={"kind": "file", "path": "short.json"}), "'path'"),
     ("norm", norm_eval_config(vector={"kind": "file", "path": "nan.json"}),
      "nan.json: NaN is not standard JSON"),
 ], ids=["psi-key", "f-key", "experiment-top-level", "norm-eval-top-level", "vector-key",
         "eigenvector-without-index", "eigenvector-index-out-of-range", "file-without-path",
-        "file-of-plain-numbers", "file-of-wrong-length", "file-holding-nan"])
+        "file-path-not-a-string", "file-of-plain-numbers", "file-of-wrong-length", "file-holding-nan"])
 def test_unknown_or_missing_config_key_exits_2(tmp_path, monkeypatch, capsys, command, config,
                                                key):
     # vector files, relative to the working directory: plain numbers
@@ -351,9 +352,24 @@ _NEGATIVE_PSI = {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": -1
     ({"kind": "besov_continuous", "theta": 300}, "non-finite weights t^-theta"),
     # an l^q sum whose q-th powers overflow is refused as a non-finite value
     ({"kind": "besov_discrete", "theta": 1, "q": 1e308}, "non-finite value inf"),
+    # a decay certificate whose constant (about 1e376) is not a float
+    ({"kind": "continuous_square", "theta": 99, "psi": {"kind": "psi_exp", "a": 100, "b": 1}},
+     "psi_exp has no finite decay certificate"),
+    # on the synthesis route (p != 2) fields whose squares or p-th powers
+    # overflow give an inf norm, refused as a non-finite value
+    ({"kind": "pl_square", "theta": 300, "pnorm": 4}, "non-finite value inf"),
+    ({"kind": "pl_random", "theta": 300, "count": 8, "pnorm": 4}, "non-finite value inf"),
+    ({"kind": "fractional_power", "theta": 200, "pnorm": 4}, "non-finite value inf"),
+    ({"kind": "continuous_square", "theta": 0.5, "pnorm": 4,
+      "psi": {"kind": "psi_exp", "a": 60, "b": 1}}, "psi_exp has no finite decay certificate"),
+    # the t-range of an interpolation norm is sized from q-th powers
+    ({"kind": "real_interpolation", "q": 1e4}, "q=10000.0 is too large"),
+    ({"kind": "real_interpolation", "q": 1e308}, "q=1e+308 is too large"),
 ], ids=["fractional-power-high", "fractional-power-low", "pl-inhomogeneous",
         "real-interpolation-theta1", "real-interpolation-theta0", "besov-continuous",
-        "besov-discrete-q"])
+        "besov-discrete-q", "psi-certificate", "pl-square-synthesis", "pl-random-synthesis",
+        "fractional-power-synthesis", "continuous-square-synthesis",
+        "real-interpolation-q-1e4", "real-interpolation-q-1e308"])
 def test_a_weight_that_overflows_is_refused_by_name_without_a_warning(tmp_path, capsys, norm,
                                                                       reason):
     # under the suite's warnings-as-errors filter a numpy warning would itself
@@ -551,6 +567,7 @@ _NON_NUMERIC_OPERATORS = [
      "'lambdas' in nonnormal operator spec"),
     # sizes below 1
     ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": 0}}, "'n' in hermite grid: must be >= 1"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": []}, "hermite grid must be an object"),
     ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": -5}}, "'n' in hermite grid: must be >= 1"),
     ({"kind": "schrodinger", "n": -3}, "'n' in schrodinger operator spec: must be >= 1"),
 ]
@@ -562,6 +579,7 @@ _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "s
                  "no-kind", "unknown-kind",
                  "dirichlet-n-too-large", "schrodinger-n-too-large", "hermite-K-too-large",
                  "hermite-grid-too-large", "nonnormal-lambdas-too-many", "hermite-grid-zero",
+                 "hermite-grid-not-an-object",
                  "hermite-grid-negative", "schrodinger-n-negative"]
 
 
@@ -613,10 +631,15 @@ def test_experiment_run_names_a_non_numeric_operator_value_and_exits_2(tmp_path,
      "unknown key(s) 'theta' in psi_exp symbol spec"),
     ({"kind": "besov_continuous", "f": {"kind": "res_frac", "a": 1.0, "b": 2.0, "theta": 0.5}},
      "unknown key(s) 'theta' in res_frac symbol spec"),
+    # the spec is read in full before its stack is built, which would fail
+    ({"kind": "pl_square", "theta": 1e6, "thetta": 1},
+     "unknown key(s) 'thetta' in pl_square norm spec"),
+    ({"kind": "real_interpolation", "pnorm": 4, "varthetta": 0.5},
+     "unknown key(s) 'varthetta' in real_interpolation norm spec"),
 ], ids=["theta", "pnorm", "pnorm-below-1", "count", "count-fraction", "count-below-1",
         "ensemble-seed-boolean", "sign-kind", "q", "vartheta", "psi-parameter", "not-an-object",
         "no-kind", "unknown-kind", "psi-unknown-kind", "psi-not-an-object", "psi-theta",
-        "f-theta"])
+        "f-theta", "misspelled-key-of-a-refused-weight", "misspelled-key-of-a-refused-pnorm"])
 @pytest.mark.parametrize("command", ["norm", "experiment"])
 def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, command, norm, named):
     # exit 2 and the key named, not exit 4: the norm was never refused
@@ -626,6 +649,18 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert named in err and "norm evaluation failed" not in err and "not admitted" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_both_norm_specs_are_read_before_either_is_built(tmp_path, capsys):
+    # norm_a alone would be refused ("norm not admitted"), but norm_b holds
+    # a misspelled key, which is the reason given
+    config = {**experiment_config(None), "norm_a": {"kind": "pl_square", "theta": 1e6},
+              "norm_b": {"kind": "ambient", "pnrom": 2}}
+    assert run_cli(tmp_path, "experiment", config) == 2
+    err = capsys.readouterr().err
+    assert "unknown key(s) 'pnrom' in ambient norm spec" in err
+    assert "norm evaluation failed" not in err and "not admitted" not in err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
 
 
 _LARGE_DIRICHLET = {"kind": "dirichlet1d", "n": 4096}

@@ -33,3 +33,29 @@ def test_every_traced_benchmark_target_resolves():
     assert done.returncode == 0, done.stderr
     found = json.loads(done.stdout)
     assert found["targets"] > 0 and found["missing"] == []
+
+
+# one pass of every workload at the default seed, checked as a benchmark run
+# checks it: every job's own check, then the digests against reference.json
+_REFERENCE_PASS = """
+import json, tempfile, worker
+from workloads import DEFAULT_SEED, WORKLOADS
+problems = {}
+with tempfile.TemporaryDirectory() as workdir:
+    for name, workload in WORKLOADS.items():
+        done = worker.run_pass(workload(), DEFAULT_SEED, 0, workdir)
+        problems[name] = done.problems + worker.reference_problems(name, done.digests)
+print(json.dumps(problems))
+"""
+
+
+@pytest.mark.skipif(not (PERFBENCH / "worker.py").is_file(), reason="no perfbench/ here")
+def test_default_seed_digests_match_the_benchmark_reference(tmp_path):
+    # a change that moves a recorded digest would read correct: false in a
+    # benchmark run; the pass runs in its own process, as the benchmark's does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(PERFBENCH)]))
+    done = subprocess.run([sys.executable, "-c", _REFERENCE_PASS], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=600)
+    assert done.returncode == 0, done.stderr
+    problems = json.loads(done.stdout)
+    assert problems and problems == {name: [] for name in problems}

@@ -88,6 +88,16 @@ def test_decay_certificates_hold_on_sample():
         assert np.all(vals <= envelope * (1 + 1e-12))
 
 
+def test_a_certificate_that_leaves_the_float_range_is_refused_by_kind():
+    # the constant of psi_exp(100, 1) is about 1e376; its sample over- and
+    # underflows to inf and NaN, which once read as the constant 0
+    with pytest.raises(SymbolError, match="^psi_exp has no finite decay certificate"):
+        make_symbol("psi_exp", a=100.0, b=1.0)
+    # an envelope power that overflows where the other one is the minimum
+    # leaves the constant finite, and is fitted without a warning
+    assert 0 < make_symbol("psi_exp", a=38.0, b=1.0).decay.C < np.inf
+
+
 def test_iterated_difference_annihilates_low_degree():
     g = lambda x: 3.0 - 2.0 * x + 0.5 * x**2
     d = iterated_difference(g, 3, 0.37, np.linspace(-2, 2, 50))
