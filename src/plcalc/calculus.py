@@ -19,6 +19,10 @@ truncated ray tails can be bounded a priori:
 (kappa = basis conditioning, C/eps from the certificate; r_min <=
 lambda_min/2, r_max >= 2 lambda_max assumed).
 
+Every quadrature over the spectrum (these contour weights, the dilation
+tables and integrals of the norms, the resolvent scan) is one walk over
+node blocks (node_blocks, node_sums) that holds no (node x eigenvalue) table.
+
 On an operator that is not injective every calculus call acts on the
 injective part: the kernel coefficients are dropped, which is composing
 with I - P (P = ModelOperator.kernel_component, the projection onto the
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import RESOLVENT_MARGIN, ModelOperator, check_resolvent_gap
-from .symbols import Symbol, make_symbol
+from .symbols import BLOCK_POINTS, Symbol, make_symbol
 
 DEFAULT_SIGMA_FLOOR = 0.15    # contour half-angle floor; see default_contour_spec
 DEFAULT_TAIL_TOL = 1e-9
@@ -77,6 +81,19 @@ def apply_spectral(op: ModelOperator, f: Symbol, x) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise CalculusError(f"symbol {f.name} is not finite on the spectrum")
     return spectral_multiplier(op, vals, x)
+
+
+def node_blocks(nodes, lam, g):
+    """(rows, g(nodes[rows, None], lam[None, :])) per block of rows of about
+    BLOCK_POINTS grid points, so that g's temporaries stay block-sized."""
+    step = max(1, BLOCK_POINTS // lam.size)
+    for j in range(0, nodes.size, step):
+        yield slice(j, j + step), np.asarray(g(nodes[j:j + step, None], lam[None, :]))
+
+
+def node_sums(w, nodes, lam, g):
+    """sum_j w_j g(nodes_j, lam_k) for every lam_k, one GEMV per node block."""
+    return sum(w[rows] @ values for rows, values in node_blocks(nodes, lam, g))
 
 
 def log_trapezoid(lo: float, hi: float, nodes_per_decade: int):
@@ -181,6 +198,9 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     truncation tail estimate is attached to the result metadata and must
     stay below ``tail_tol``.  Returns (y, tail_bound).
 
+    The weights are node sums (node_sums) on the nonzero eigenvalues; the
+    kernel's weight is 0, so its coefficients drop as in apply_spectral.
+
     Every node must keep RESOLVENT_MARGIN * lambda_max away from the
     spectrum (check_resolvent_gap).  Per ray a geometric certificate comes
     first: the nodes lie on the segment [r_0, r_last] e^{+-i sigma}, so
@@ -200,8 +220,6 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     tail = contour_tail_bound(op, f, spec)
     if tail > tail_tol:
         raise CalculusError(f"certified contour tail {tail:.2e} above tolerance {tail_tol:.2e}")
-    x = np.asarray(x, dtype=complex)
-    x = x - op.kernel_component(x)
     # on the diagonal form the quadrature sum of f(z_j) z_j du_j (z_j - A)^-1
     # is one scalar weight per eigenvalue; counterclockwise means in along
     # the upper ray and out along the lower, the lower-minus-upper sum below
@@ -215,8 +233,8 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
         live = fv != 0.0
         if np.min(_ray_distance(lam, ray, r[0], r[-1])) <= 2.0 * RESOLVENT_MARGIN * op.lambda_max:
             check_resolvent_gap(op, z[live])
-        c = (du * fv * z)[live]
-        weights += -sign * (c @ (1.0 / (z[live, None] - lam[None, :])))
+        weights[op.nonzero] -= sign * node_sums((du * fv * z)[live], z[live], lam[op.nonzero],
+                                                lambda z, mu: 1.0 / (z - mu))
     return spectral_multiplier(op, weights / (2j * np.pi), x), tail
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import spectral_multiplier
+from .calculus import node_blocks, spectral_multiplier
 from .measure import lp_norm
 from .norms import QuadratureSpec, _dilation_integrals, _window_grid, norm_from_spec
 from .operators import (
@@ -162,11 +162,12 @@ def resolvent_scan(op: ModelOperator, omegas) -> dict:
     """sup over |lambda| of ||lambda (lambda - A)^{-1}|| per ray arg = omega.
 
     At every point of the ray the norm is exact: op.multiplier_norm of the
-    multiplier lambda / (lambda - lambda_k).  The log grid is augmented
-    with the radii |lambda_k| / cos(omega - arg lambda_k) where
-    |lambda| / |lambda - lambda_k| peaks, so for a normal operator the
-    sup itself is exact.  A least-squares fit of log sup against
-    -log omega estimates the growth order.
+    multiplier lambda / (lambda - lambda_k), per block of radii
+    (calculus.node_blocks).  The log grid is augmented with the radii
+    |lambda_k| / cos(omega - arg lambda_k) where |lambda| / |lambda -
+    lambda_k| peaks, so for a normal operator the sup itself is exact.  A
+    least-squares fit of log sup against -log omega estimates the growth
+    order.
     """
     lam = op.eigenvalues_or_none()
     lam_nz = lam[op.nonzero]
@@ -180,8 +181,9 @@ def resolvent_scan(op: ModelOperator, omegas) -> dict:
                                 + np.log10(op.lambda_max / op.lambda_min_positive))))
         cos = np.cos(omega - np.angle(lam_nz))
         radii = np.concatenate([radii, np.abs(lam_nz[cos > 0]) / cos[cos > 0]])
-        z = np.sort(radii)[:, None] * np.exp(1j * omega)
-        sup = float(np.max(op.multiplier_norm(z / (z - lam[None, :]))))
+        z = np.sort(radii) * np.exp(1j * omega)
+        sup = float(np.max([np.max(op.multiplier_norm(values))
+                            for _, values in node_blocks(z, lam, lambda z, mu: z / (z - mu))]))
         rows.append({"omega": float(omega), "sup": sup})
     x = np.array([-np.log(row["omega"]) for row in rows])
     y = np.array([np.log(row["sup"]) for row in rows])

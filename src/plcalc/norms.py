@@ -44,7 +44,7 @@ one place that chooses (_parseval):
                                   sum_j du_j t_j^(-2 theta) |psi(t_j lambda_k)|^2
                                   that its tail certificate divides by,
                                   reduced over node blocks without a table
-                                  (_dilation_integrals);
+                                  (_dilation_integrals, calculus.node_sums);
   any other p, or a non-orthonormal basis (S diag S^-1)
                                   one coefficient transform and one
                                   synthesis of the whole stack, then L^p
@@ -87,13 +87,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import log_trapezoid, spectral_multiplier
+from .calculus import log_trapezoid, node_blocks, node_sums, spectral_multiplier
 from .measure import lp_norm
-from .operators import ModelOperator, SpecReader, array_size, exponent, non_negative
+from .operators import ModelOperator, SpecReader, array_size, exponent, finite, non_negative
 from .partitions import (EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity,
                          build_equidistant, build_homogeneous_dyadic, padded_rows,
                          to_inhomogeneous)
-from .symbols import BLOCK_POINTS, Symbol, symbol_from_spec, window_symbol
+from .symbols import Symbol, symbol_from_spec, window_symbol
 
 
 class NormsError(ValueError):
@@ -177,24 +177,13 @@ def _spectral_argument(op: ModelOperator) -> np.ndarray:
     return np.real(op.eigenvalues_or_none())
 
 
-def _dilation_blocks(op: ModelOperator, f, t):
-    """(rows, f(t_j lambda_k)) for the nodes t_j of each block of rows and
-    every nonzero eigenvalue lambda_k: the (node, eigenvalue) grid walked in
-    blocks of about symbols.BLOCK_POINTS points, so that f's temporaries
-    stay block-sized."""
-    lam = _spectral_argument(op)[op.nonzero]
-    step = max(1, BLOCK_POINTS // lam.size)
-    for j in range(0, t.size, step):
-        rows = slice(j, j + step)
-        yield rows, np.asarray(f(np.outer(t[rows], lam)))
-
-
 def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
     """f(t_j lambda_k): row j for the node t_j, column k for the eigenvalue
     lambda_k, in the symbol's dtype (a real symbol gives a real table);
-    kernel columns are 0.  Filled per node block (_dilation_blocks)."""
+    kernel columns are 0.  Filled per node block (calculus.node_blocks)."""
     table = None
-    for rows, values in _dilation_blocks(op, f, t):
+    for rows, values in node_blocks(t, _spectral_argument(op)[op.nonzero],
+                                    lambda t, lam: f(t * lam)):
         if table is None:
             table = np.zeros((t.size, op.nonzero.size), dtype=values.dtype)
         table[rows, op.nonzero] = values
@@ -203,16 +192,10 @@ def _dilation_table(op: ModelOperator, f, t) -> np.ndarray:
 
 def _dilation_integrals(op: ModelOperator, f, t, w) -> np.ndarray:
     """sum_j w_j f(t_j lambda_k) for every eigenvalue lambda_k, 0 on the
-    kernel, for a real integrand f.
-
-    Each node block (_dilation_blocks) is reduced by one GEMV, so no table
-    of f(t_j lambda_k) is held.
-    """
-    acc = 0.0
-    for rows, values in _dilation_blocks(op, f, t):
-        acc = acc + w[rows] @ values
+    kernel, for a real integrand f: node sums (calculus.node_sums)."""
     out = np.zeros(op.nonzero.size)
-    out[op.nonzero] = acc
+    out[op.nonzero] = node_sums(w, t, _spectral_argument(op)[op.nonzero],
+                                lambda t, lam: f(t * lam))
     return out
 
 
@@ -470,8 +453,9 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
     t, du = quad.nodes()
     nz = op.nonzero
     lam = _spectral_argument(op)[nz]
-    integ = _dilation_integrals(op, lambda s: np.square(np.abs(psi(s))), t,
-                                du * t ** (-2 * theta))
+    with np.errstate(over="ignore"):
+        weights = _finite(du * t ** (-2 * theta), f"weights t^(-2 theta) at theta={theta}")
+    integ = _dilation_integrals(op, lambda s: np.square(np.abs(psi(s))), t, weights)
     # certified tails of int t^(-2 theta) |psi(t lambda)|^2 dt/t, relative to
     # the computed per-eigenvalue integral
     if np.isfinite(e0) and np.isfinite(ei) and np.any(nz):
@@ -487,8 +471,10 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
     if _parseval(op, pnorm):
         return _energy_reduction(op, integ)
     # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
-    values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * _dilation_table(op, psi, t)
-    return _square_evaluator(op, values, pnorm)
+    with np.errstate(over="ignore"):
+        values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * _dilation_table(op, psi, t)
+    return _square_evaluator(op, _finite(values, f"multipliers t^-theta psi(t lambda) at "
+                                                 f"theta={theta}"), pnorm)
 
 
 def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
@@ -916,7 +902,7 @@ def norm_from_spec(op: ModelOperator, spec: dict, seed: int):
     kind, pnorm = read.kind, read("pnorm", exponent, 2)
     echo = {"kind": kind, "pnorm": pnorm}
     if kind not in ("ambient", "kernel_plus_pl", "real_interpolation", "strip_pl_square"):
-        theta = echo["theta"] = read("theta", float, 1.0 if kind == "fractional_power" else 0.0)
+        theta = echo["theta"] = read("theta", finite, 1.0 if kind == "fractional_power" else 0.0)
     if kind in ("besov_discrete", "besov_continuous", "real_interpolation"):
         q = echo["q"] = read("q", exponent, 2)
     hom = build_homogeneous_dyadic()
@@ -958,9 +944,9 @@ def norm_from_spec(op: ModelOperator, spec: dict, seed: int):
             echo["f"] = f.name
             return besov_continuous_evaluator(op, theta, q, f, pnorm)
     elif kind == "real_interpolation":
-        vartheta = echo["vartheta"] = read("vartheta", float, 0.5)
-        theta0 = echo["theta0"] = read("theta0", float, 0.0)
-        theta1 = echo["theta1"] = read("theta1", float, 1.0)
+        vartheta = echo["vartheta"] = read("vartheta", finite, 0.5)
+        theta0 = echo["theta0"] = read("theta0", finite, 0.0)
+        theta1 = echo["theta1"] = read("theta1", finite, 1.0)
 
         def make():
             if pnorm != 2:

@@ -233,11 +233,21 @@ def non_negative(value) -> int:
     return value
 
 
+def finite(value, number=float):
+    """number(value) (float, or complex), refused unless finite: the
+    converter of every scalar float key.  A JSON number beyond the float
+    range, such as 1e999, decodes to +-inf, which no comparison refuses."""
+    value = number(value)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
 def exponent(value):
-    """An exponent p or q of a spec as given (a number, or "inf" for
+    """An exponent p or q of a spec as given (a finite number, or "inf" for
     infinity, which the reports echo as the string), once it reads as a
     float >= 1: the converter of every pnorm and q key."""
-    if not float(value) >= 1.0:
+    if value != "inf" and not finite(value) >= 1.0:
         raise ValueError(f"must be >= 1 or inf, got {value!r}")
     return value
 
@@ -924,21 +934,21 @@ def operator_from_spec(spec: dict) -> ModelOperator:
     read = SpecReader(spec, "operator spec",
                       ("dirichlet1d", "graph", "hermite", "schrodinger", "nonnormal"))
     if read.kind == "dirichlet1d":
-        build, args = build_dirichlet_laplacian_1d, (read("n", array_size), read("h", float, 1.0))
+        build, args = build_dirichlet_laplacian_1d, (read("n", array_size), read("h", finite, 1.0))
     elif read.kind == "graph":
         build, args = build_graph_laplacian, (read("sigma", _real_array),)
     elif read.kind == "hermite":
         grid = SpecReader(read("grid", None, {}), "hermite grid")
-        lo, hi, n = grid("lo", float, -12.0), grid("hi", float, 12.0), grid("n", array_size, 800)
+        lo, hi, n = grid("lo", finite, -12.0), grid("hi", finite, 12.0), grid("n", array_size, 800)
         grid.done()
         build = lambda d, modes: build_hermite_operator(d, modes, uniform_grid(lo, hi, n))
         args = read("d", integer), read("K", lambda v: array_size(v, per=n))
     elif read.kind == "schrodinger":
         n = read("n", lambda v: array_size(v, per=integer(v)))   # dense: n x n
-        h, v = read("h", float, 1.0), read("V", None, 0.0)
+        h, v = read("h", finite, 1.0), read("V", None, 0.0)
         if isinstance(v, dict):
             potential = SpecReader(v, "schrodinger potential")
-            quadratic = potential("quadratic", float)
+            quadratic = potential("quadratic", finite)
             potential.done()
             v = (quadratic * ((np.arange(1, n + 1) - (n + 1) / 2) * h)) ** 2
         else:
@@ -948,7 +958,7 @@ def operator_from_spec(spec: dict) -> ModelOperator:
         lam = read("lambdas", _complex_pairs)
         spec_value(len(lam), lambda m: array_size(m, per=m), "lambdas", read.where)   # dense
         build = build_nonnormal_sectorial
-        args = lam, read("conditioning", float, 1.0), read("seed", non_negative, 0)
+        args = lam, read("conditioning", finite, 1.0), read("seed", non_negative, 0)
     read.done()
     # a grid or matrix the substrate refuses (MeasureError, LinAlgError) is
     # an invariant violation of the spec, with the substrate's reason; so is

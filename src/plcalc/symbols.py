@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import SpecReader
+from .operators import SpecReader, finite
 from .partitions import PartitionOfUnity
 
 STABILITY_RTOL = 0.05      # refinement gate: <5% change under 2x refinement
@@ -221,11 +221,11 @@ def symbol_from_spec(spec: dict) -> Callable[[], Symbol]:
 
     Raises SpecKeyError for a key the kind does not read, and
     SpecValueError for a spec that is not an object of a shipped kind or a
-    parameter that does not read as a number (complex for ``lambda0``,
-    real for the others).
+    parameter that does not read as a finite number (complex for
+    ``lambda0``, real for the others).
     """
     read = SpecReader(spec, "symbol spec", _SPEC_KEYS)
-    params = {key: read(key, complex if key == "lambda0" else float)
+    params = {key: read(key, lambda v: finite(v, complex if key == "lambda0" else float))
               for key in _SPEC_KEYS[read.kind]}
     read.done()
     return functools.partial(make_symbol, read.kind, **params)

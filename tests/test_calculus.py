@@ -365,3 +365,58 @@ def test_contour_node_on_the_kernel_still_raises():
                        r_max=1e12 * op.lambda_max)
     with pytest.raises(OperatorError, match="is within tolerance of the spectrum"):
         apply_contour(op, make_symbol("rho"), np.ones(op.n), spec)
+
+
+@pytest.mark.parametrize("name", ["nonnormal", "schrodinger", "graph"])
+def test_contour_does_not_depend_on_the_blocking(monkeypatch, name):
+    # the contour weights are node sums over blocks of BLOCK_POINTS grid
+    # points; any block size gives the same f(A)x to round-off, and 10^7
+    # holds the whole grid in one block
+    from plcalc import calculus
+
+    op = _certificate_operators()[name]
+    x = op.random_vector(np.random.default_rng(5))
+    for f in (make_symbol("rho"), make_symbol("psi_exp", a=2.0, b=1.0)):
+        results = []
+        for block in (1, 64, 1000, 10**7):
+            monkeypatch.setattr(calculus, "BLOCK_POINTS", block)
+            results.append(apply_contour(op, f, x))
+        y_whole, tail_whole = results[-1]
+        for y, tail in results:
+            assert tail == tail_whole
+            assert np.max(np.abs(y - y_whole)) <= 1e-14 * np.max(np.abs(y_whole))
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes of this process's traced allocations during call()."""
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_no_spectral_quadrature_holds_a_node_by_eigenvalue_table():
+    # a (node x eigenvalue) complex table is 919 x 128 x 16 bytes (1.9 MB) per
+    # ray for rho on the 128-point Schroedinger operator and 1136 x 600 x 16
+    # bytes (10.9 MB) per angle for the scan of the 600-point Dirichlet
+    # operator; node blocks stay below 1 MB
+    from plcalc.experiments import resolvent_scan
+
+    ops = _certificate_operators()
+    dirichlet = build_dirichlet_laplacian_1d(600, 1.0)
+    rho = make_symbol("rho")
+    calls = {"contour schrodinger": lambda: apply_contour(ops["schrodinger"], rho, np.ones(128)),
+             "contour nonnormal": lambda: apply_contour(ops["nonnormal"], rho, np.ones(48)),
+             "resolvent scan": lambda: resolvent_scan(dirichlet, [0.3, 0.6])}
+    for name, call in calls.items():
+        call()   # warm-up: lazy operator fields and first-call caches
+        assert _traced_peak(call) < 1_000_000, name

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,11 +14,15 @@ from plcalc.cli import build_parser, main
 from plcalc.operators import operator_from_spec
 
 SQRT_HALF = 2.0**-0.5
+# json.dumps writes a float beyond the float range as Infinity, a token the
+# decoder refuses; these stand for the standard JSON numbers 1e999 and
+# -1e999, which decode to +-inf, and write() puts them in as raw text
+BIG, NEG_BIG = "<1e999>", "<-1e999>"
 
 
 def write(tmp_path, name, payload):
     p = tmp_path / name
-    p.write_text(json.dumps(payload))
+    p.write_text(re.sub(r'"<(-?1e999)>"', r"\1", json.dumps(payload)))
     return str(p)
 
 
@@ -362,6 +367,16 @@ _NEGATIVE_PSI = {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": -1
     ({"kind": "fractional_power", "theta": 200, "pnorm": 4}, "non-finite value inf"),
     ({"kind": "continuous_square", "theta": 0.5, "pnorm": 4,
       "psi": {"kind": "psi_exp", "a": 60, "b": 1}}, "psi_exp has no finite decay certificate"),
+    # du t^(-2 theta) overflows at the ends of the t-range, on both routes
+    ({"kind": "continuous_square", "theta": 30, "psi": {"kind": "psi_exp", "a": 38, "b": 1}},
+     "non-finite weights t^(-2 theta) at theta=30.0"),
+    ({"kind": "continuous_square", "theta": 30, "pnorm": 4,
+      "psi": {"kind": "psi_exp", "a": 38, "b": 1}},
+     "non-finite weights t^(-2 theta) at theta=30.0"),
+    ({"kind": "continuous_square", "theta": -30, "psi": {"kind": "psi_exp", "a": 38, "b": 1}},
+     "non-finite weights t^(-2 theta) at theta=-30.0"),
+    ({"kind": "continuous_square", "theta": -30, "psi": {"kind": "psi_exp", "a": 30, "b": 1}},
+     "non-finite weights t^(-2 theta) at theta=-30.0"),
     # the t-range of an interpolation norm is sized from q-th powers
     ({"kind": "real_interpolation", "q": 1e4}, "q=10000.0 is too large"),
     ({"kind": "real_interpolation", "q": 1e308}, "q=1e+308 is too large"),
@@ -369,6 +384,8 @@ _NEGATIVE_PSI = {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": -1
         "real-interpolation-theta1", "real-interpolation-theta0", "besov-continuous",
         "besov-discrete-q", "psi-certificate", "pl-square-synthesis", "pl-random-synthesis",
         "fractional-power-synthesis", "continuous-square-synthesis",
+        "continuous-square-weights", "continuous-square-weights-synthesis",
+        "continuous-square-weights-negative-theta", "continuous-square-weights-a-30",
         "real-interpolation-q-1e4", "real-interpolation-q-1e308"])
 def test_a_weight_that_overflows_is_refused_by_name_without_a_warning(tmp_path, capsys, norm,
                                                                       reason):
@@ -570,6 +587,17 @@ _NON_NUMERIC_OPERATORS = [
     ({"kind": "hermite", "d": 1, "K": 4, "grid": []}, "hermite grid must be an object"),
     ({"kind": "hermite", "d": 1, "K": 4, "grid": {"n": -5}}, "'n' in hermite grid: must be >= 1"),
     ({"kind": "schrodinger", "n": -3}, "'n' in schrodinger operator spec: must be >= 1"),
+    # a number beyond the float range decodes to +-inf, which a scalar key refuses
+    ({"kind": "dirichlet1d", "n": 8, "h": BIG}, "'h' in dirichlet1d operator spec: must be finite"),
+    ({"kind": "schrodinger", "n": 8, "h": BIG}, "'h' in schrodinger operator spec: must be finite"),
+    ({"kind": "schrodinger", "n": 8, "V": {"quadratic": NEG_BIG}},
+     "'quadratic' in schrodinger potential: must be finite"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"lo": NEG_BIG}},
+     "'lo' in hermite grid: must be finite"),
+    ({"kind": "hermite", "d": 1, "K": 4, "grid": {"hi": BIG}},
+     "'hi' in hermite grid: must be finite"),
+    ({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]], "conditioning": BIG},
+     "'conditioning' in nonnormal operator spec: must be finite"),
 ]
 _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "schrodinger-V",
                  "nonnormal-lambdas", "dirichlet-n-fraction", "schrodinger-n-fraction",
@@ -580,7 +608,9 @@ _OPERATOR_IDS = ["dirichlet-n", "dirichlet-h", "graph-sigma", "hermite-grid", "s
                  "dirichlet-n-too-large", "schrodinger-n-too-large", "hermite-K-too-large",
                  "hermite-grid-too-large", "nonnormal-lambdas-too-many", "hermite-grid-zero",
                  "hermite-grid-not-an-object",
-                 "hermite-grid-negative", "schrodinger-n-negative"]
+                 "hermite-grid-negative", "schrodinger-n-negative", "dirichlet-h-1e999",
+                 "schrodinger-h-1e999", "schrodinger-quadratic-1e999", "hermite-lo-1e999",
+                 "hermite-hi-1e999", "nonnormal-conditioning-1e999"]
 
 
 @pytest.mark.parametrize("spec, named", _NON_NUMERIC_OPERATORS, ids=_OPERATOR_IDS)
@@ -636,10 +666,33 @@ def test_experiment_run_names_a_non_numeric_operator_value_and_exits_2(tmp_path,
      "unknown key(s) 'thetta' in pl_square norm spec"),
     ({"kind": "real_interpolation", "pnorm": 4, "varthetta": 0.5},
      "unknown key(s) 'varthetta' in real_interpolation norm spec"),
+    # a number beyond the float range decodes to +-inf: infinity is "inf" only
+    ({"kind": "pl_square", "pnorm": BIG}, "'pnorm' in pl_square norm spec: must be finite"),
+    ({"kind": "besov_discrete", "q": BIG}, "'q' in besov_discrete norm spec: must be finite"),
+    ({"kind": "real_interpolation", "q": BIG}, "'q' in real_interpolation norm spec"),
+    ({"kind": "pl_square", "theta": BIG}, "'theta' in pl_square norm spec: must be finite"),
+    ({"kind": "besov_discrete", "theta": NEG_BIG}, "'theta' in besov_discrete norm spec"),
+    ({"kind": "real_interpolation", "vartheta": BIG}, "'vartheta' in real_interpolation"),
+    ({"kind": "real_interpolation", "theta0": NEG_BIG}, "'theta0' in real_interpolation"),
+    ({"kind": "real_interpolation", "theta1": BIG}, "'theta1' in real_interpolation"),
+    ({"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": BIG, "b": 1.0}},
+     "'a' in psi_exp symbol spec: must be finite"),
+    ({"kind": "besov_continuous", "f": {"kind": "res_frac", "a": 1.0, "b": BIG}},
+     "'b' in res_frac symbol spec: must be finite"),
+    ({"kind": "continuous_square", "psi": {"kind": "imag_power", "s": NEG_BIG}},
+     "'s' in imag_power symbol spec: must be finite"),
+    ({"kind": "besov_continuous", "f": {"kind": "power", "theta": BIG}},
+     "'theta' in power symbol spec: must be finite"),
+    ({"kind": "continuous_square",
+      "psi": {"kind": "psi_res", "a": 1.0, "b": 2.0, "lambda0": NEG_BIG}},
+     "'lambda0' in psi_res symbol spec: must be finite"),
 ], ids=["theta", "pnorm", "pnorm-below-1", "count", "count-fraction", "count-below-1",
         "ensemble-seed-boolean", "sign-kind", "q", "vartheta", "psi-parameter", "not-an-object",
         "no-kind", "unknown-kind", "psi-unknown-kind", "psi-not-an-object", "psi-theta",
-        "f-theta", "misspelled-key-of-a-refused-weight", "misspelled-key-of-a-refused-pnorm"])
+        "f-theta", "misspelled-key-of-a-refused-weight", "misspelled-key-of-a-refused-pnorm",
+        "pnorm-1e999", "besov-q-1e999", "interpolation-q-1e999", "theta-1e999",
+        "theta-minus-1e999", "vartheta-1e999", "theta0-1e999", "theta1-1e999", "psi-a-1e999",
+        "f-b-1e999", "imag-power-s-1e999", "power-theta-1e999", "psi-res-lambda0-1e999"])
 @pytest.mark.parametrize("command", ["norm", "experiment"])
 def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, command, norm, named):
     # exit 2 and the key named, not exit 4: the norm was never refused
@@ -726,6 +779,9 @@ _COUNT_CAPPED = "'count' in pl_random norm spec: 16781312 array entries exceed t
     # "false" is a string, which would read as true
     ("norm", norm_eval_config(vector={"kind": "random", "seed": 1, "normalize": "false"}),
      "'normalize' in random vector spec: expected true or false"),
+    # a number beyond the float range decodes to inf: infinity is "inf" only
+    ("experiment", {**experiment_config(None), "pnorm": BIG},
+     "'pnorm' in experiment config: must be finite"),
 ], ids=["norm-eval-seed", "vector-index", "vector-seed", "samples", "bracket",
         "norm-eval-seed-fraction", "vector-index-fraction", "vector-index-boolean",
         "vector-seed-fraction", "experiment-seed-fraction", "samples-fraction",
@@ -735,7 +791,7 @@ _COUNT_CAPPED = "'count' in pl_random norm spec: 16781312 array entries exceed t
         "bracket-integer-overflow", "bracket-reversed", "experiment-seed-negative", "norm-eval-seed-negative",
         "vector-seed-negative", "norm-eval-ensemble-seed-negative",
         "experiment-ensemble-seed-negative", "norm-eval-count-too-large",
-        "experiment-count-too-large", "vector-normalize-string"])
+        "experiment-count-too-large", "vector-normalize-string", "experiment-pnorm-1e999"])
 def test_a_non_numeric_config_value_is_named(tmp_path, capsys, command, config, named):
     assert run_cli(tmp_path, command, config) == 2
     err = capsys.readouterr().err

@@ -387,6 +387,20 @@ def test_resolvent_scan_points_are_exact_operator_norms():
     assert scan["rows"][0]["sup"] >= max(exact) * (1 - 1e-12)
 
 
+def test_resolvent_scan_does_not_depend_on_the_blocking(monkeypatch):
+    # the scan's multipliers are formed per block of radii; the sup over
+    # the blocks is the sup over the whole grid bit for bit, and 10^7 holds
+    # the whole grid in one block
+    from plcalc import calculus
+
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    scans = []
+    for block in (1, 64, 1000, 10**7):
+        monkeypatch.setattr(calculus, "BLOCK_POINTS", block)
+        scans.append(resolvent_scan(op, [0.3, 0.6, 1.2]))
+    assert all(scan == scans[-1] for scan in scans)
+
+
 def test_half_line_experiments_reject_a_negative_spectrum():
     from plcalc.norms import NormsError
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plcalc import norms
+from plcalc import calculus, norms
 from plcalc.measure import lp_norm
 from plcalc.norms import (
     NormsError,
@@ -1150,7 +1150,7 @@ def test_continuous_square_integrals_do_not_depend_on_the_blocking(monkeypatch):
             table[:, op.nonzero] = f(np.outer(t, lam))
             whole = (w[:, None] * table).sum(axis=0)
             for block in (1, 64, 1000, 10**7):
-                monkeypatch.setattr(norms, "BLOCK_POINTS", block)
+                monkeypatch.setattr(calculus, "BLOCK_POINTS", block)
                 sizes = []
                 blocked = norms._dilation_table(op, lambda s: sizes.append(s.size) or f(s), t)
                 assert max(sizes) <= max(block, lam.size)   # one node row at least
