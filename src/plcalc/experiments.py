@@ -167,8 +167,11 @@ def resolvent_scan(op: ModelOperator, omegas) -> dict:
     |lambda_k| / cos(omega - arg lambda_k) where |lambda| / |lambda -
     lambda_k| peaks, so for a normal operator the sup itself is exact.  A
     least-squares fit of log sup against -log omega estimates the growth
-    order.
+    order; it needs at least two distinct angles, or refuses before any scan.
     """
+    if np.unique(np.asarray(omegas, dtype=float)).size < 2:
+        raise ExperimentError(f"fitting alpha needs at least two distinct ray angles, "
+                              f"got {[float(w) for w in omegas]}")
     lam = op.eigenvalues_or_none()
     lam_nz = lam[op.nonzero]
     rows = []

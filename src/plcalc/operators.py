@@ -467,9 +467,11 @@ class SimilarityDiagonal:
     def check(self, measure: MeasureSpace) -> None:
         s, si = self.s, self.s_inv
         if not (np.linalg.norm(s @ si - np.eye(s.shape[0])) <= SIMILARITY_TOL * s.shape[0]):
-            raise OperatorError("similarity inverse fails ||S S^-1 - I|| tolerance"
-                                + nonfinite_note(s, "entries of S")
-                                + nonfinite_note(si, "entries of S^-1"))
+            note = nonfinite_note(s, "entries of S") + nonfinite_note(si, "entries of S^-1")
+            if not note:
+                cond = np.linalg.norm(s, 2) * np.linalg.norm(si, 2)
+                note = f": cond(S) = ||S||_2 ||S^-1||_2 = {cond:.3g}"
+            raise OperatorError("similarity inverse fails ||S S^-1 - I|| tolerance" + note)
 
     def matrix(self, measure: MeasureSpace) -> np.ndarray:
         return (self.s * self.eigenvalues[None, :]) @ self.s_inv
@@ -802,21 +804,28 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
     return ModelOperator(FoldedSelfAdjoint(lam, blocks), m, spec)
 
 
-COND_SEARCH_RTOL = 4e-16   # bracket width relative to t that ends the search
-COND_SEARCH_ITERS = 40     # cap on regula falsi steps after the bracket is found
+COND_SEARCH_ITERS = 40     # cap on condition numbers one search may take
+COND_SEARCH_STEP = 1e-13   # a secant step this small, relative to t, is the last
 
 
 def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
     """Real S = Q (I + t N) with ||N||_2 = 1 and t chosen so cond(S) = kappa.
 
     Q is orthogonal, so cond(S) = cond(I + t N) and Q is applied once, at
-    the end.  The root of cond(I + t N) - kappa is bracketed by doubling t
-    from 1 (cond(I) = 1 < kappa at t = 0) and then found by Illinois regula
-    falsi: the secant point of the bracket replaces the endpoint of its own
-    sign, and an endpoint kept twice in a row has its residual halved, so
-    both ends converge.  It stops once the bracket is COND_SEARCH_RTOL * t
-    wide, after about a dozen condition numbers where bisection to the
-    same width needs some sixty.
+    the end.  t is the root of phi(t) = ln cond(I + t N) - ln kappa, found
+    by a safeguarded secant from the two points (0, -ln kappa) and
+    (1, phi(1)): each new point is the secant root of the last two.  Every
+    sign change of phi narrows a bracket; a step that leaves the bracket is
+    replaced by its midpoint, or, while no point with phi > 0 is known, by
+    twice the largest point with phi < 0.  The search stops at |phi| <=
+    eps kappa (eps = 2^-52; at most 1e-4), the relative rounding of an SVD
+    condition number, or when the next secant step is at most
+    COND_SEARCH_STEP * t, a step taken without evaluating it.  That takes
+    about six condition numbers at kappa = 10 and at most 16 up to
+    kappa = 1e8 (n <= 200), and leaves |cond(S) / kappa - 1| <=
+    4 eps kappa + 4 eps.  A search that
+    has not stopped after COND_SEARCH_ITERS condition numbers raises
+    OperatorError naming kappa and the cond(S) it reached.
     """
     qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     nil = np.tril(rng.standard_normal((n, n)), -1)
@@ -824,42 +833,45 @@ def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator) -> np.nd
         return qmat
     nil /= np.linalg.norm(nil, 2)
     eye = np.eye(n)
-
-    def residual(t):
-        return np.linalg.cond(eye + t * nil) - kappa
-
-    t_lo, f_lo = 0.0, 1.0 - kappa
-    t_hi = 1.0
-    f_hi = residual(t_hi)
-    while f_hi < 0.0 and t_hi <= 1e8:
-        t_lo, f_lo = t_hi, f_hi
-        t_hi *= 2.0
-        f_hi = residual(t_hi)
-    t = t_hi
-    if f_hi > 0.0:
-        kept = 0                  # +1 / -1: which end was kept last step
-        for _ in range(COND_SEARCH_ITERS):
-            t = (t_lo * f_hi - t_hi * f_lo) / (f_hi - f_lo)
-            f = residual(t)
-            if f == 0.0:
-                break
-            if f < 0.0:
-                t_lo, f_lo = t, f
-                if kept == 1:
-                    f_hi *= 0.5
-                kept = 1
-            else:
-                t_hi, f_hi = t, f
-                if kept == -1:
-                    f_lo *= 0.5
-                kept = -1
-            if t_hi - t_lo <= COND_SEARCH_RTOL * t:
-                break
-    return qmat @ (eye + t * nil)
+    log_kappa = np.log(kappa)
+    # the relative rounding of an SVD condition number, capped at 1e-4 (from
+    # kappa = 4.5e11 on), so that a kappa float64 cannot resolve ends in the
+    # refusal below, not at whichever t rounds close enough
+    tol = min(np.finfo(float).eps * kappa, 1e-4)
+    lo, hi = 0.0, np.inf              # phi(lo) < 0 < phi(hi)
+    t_prev, f_prev = 0.0, -log_kappa
+    t = 1.0
+    for _ in range(COND_SEARCH_ITERS):
+        cond = np.linalg.cond(eye + t * nil)
+        f = np.log(cond) - log_kappa
+        if abs(f) <= tol:
+            return qmat @ (eye + t * nil)
+        if not np.isfinite(f):        # no secant through it: bisect
+            hi, t = t, 0.5 * (lo + t)
+            continue
+        if f < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = f * (t - t_prev) / (f_prev - f) if f != f_prev else np.nan
+        if abs(step) <= COND_SEARCH_STEP * t:
+            return qmat @ (eye + (t + step) * nil)
+        t_prev, f_prev = t, f
+        t += step
+        if not lo < t < hi:           # also a NaN step
+            t = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
+    raise OperatorError(f"conditioning search for kappa = {kappa!r} did not close within "
+                        f"{COND_SEARCH_ITERS} condition numbers; cond(S) reached {float(cond)!r}")
 
 
 def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelOperator:
-    """A = S diag(lambdas) S^{-1} with cond(S) ~ conditioning.
+    """A = S diag(lambdas) S^{-1} with cond(S) = conditioning to its rounding.
+
+    S comes from _blend_conditioning: |cond(S) / conditioning - 1| is at
+    most about 4 eps conditioning + 4 eps (eps = 2^-52), the rounding of an
+    SVD condition number.  A conditioning whose search does not close, or
+    whose S has no float64 inverse within SIMILARITY_TOL, is refused with
+    OperatorError; the latter names cond(S).
 
     The spectrum equals ``lambdas`` exactly by construction.  Eigenvalues
     with negative real part are admitted as a double sector (the operator

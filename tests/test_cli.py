@@ -109,6 +109,17 @@ def test_op_build_invariant_violation_exits_3(tmp_path, capsys):
         assert err.count(reason) == 3 and "Traceback" not in err and "Warning" not in err
 
 
+def test_op_build_names_the_conditioning_an_inverse_cannot_support(tmp_path, capsys):
+    # a float64 inverse of an 8 x 8 S with cond(S) = 1e12 misses I by far more
+    # than the similarity tolerance; the refusal says how ill-conditioned S is
+    spec = {"kind": "nonnormal", "lambdas": [[float(k), 0.0] for k in range(1, 9)],
+            "conditioning": 1e12, "seed": 0}
+    assert main(["op", "build", "--config", write(tmp_path, "op.json", spec)]) == 3
+    err = capsys.readouterr().err
+    assert ("similarity inverse fails ||S S^-1 - I|| tolerance: "
+            "cond(S) = ||S||_2 ||S^-1||_2 = 1e+12") in err
+
+
 def test_norm_eval_eigenvector_window_value(tmp_path, capsys):
     cfg = write(tmp_path, "norm.json", {
         "operator": {"kind": "dirichlet1d", "n": 2, "h": 1.0},

@@ -107,8 +107,16 @@ def test_resolvent_scan_nonnormal_within_conditioning():
     for row in scan["rows"]:
         normal_bound = 1.0 / np.sin(row["omega"])
         assert row["sup"] <= kappa * normal_bound * (1 + 1e-6)
-    with pytest.raises(ExperimentError):
-        resolvent_scan(build_nonnormal_sectorial([1 + 0.5j, 1 - 0.5j], 1.0, 0), [0.05])
+    with pytest.raises(ExperimentError, match="intersects the spectral sector"):
+        resolvent_scan(build_nonnormal_sectorial([1 + 0.5j, 1 - 0.5j], 1.0, 0), [0.05, 0.6])
+
+
+@pytest.mark.parametrize("omegas", [[0.5], [0.5, 0.5]])
+def test_resolvent_scan_refuses_a_fit_through_one_angle(monkeypatch, omegas):
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    monkeypatch.setattr(op, "multiplier_norm", None)    # no scan may run
+    with pytest.raises(ExperimentError, match="at least two distinct ray angles"):
+        resolvent_scan(op, omegas)
 
 
 def test_convergence_check_hits_roundoff_once_covered():

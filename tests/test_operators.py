@@ -1,6 +1,8 @@
 """Model operator builders, resolvents, kernel projections, spectral flags."""
 
 import dataclasses
+import json
+import re
 import warnings
 
 import numpy as np
@@ -390,9 +392,8 @@ def test_builders_store_real_bases_and_keep_their_checks(name):
     assert _rel(op.synthesize(op.coefficients(x)), x) <= 1e-12
 
 
-@pytest.mark.parametrize("n, kappa, seed", [
-    (96, 10.0, 3), (64, 10.0, 12345), (48, 5.0, 7), (16, 100.0, 1), (5, 10.0, 2)])
-def test_conditioning_search_hits_kappa_in_few_condition_numbers(monkeypatch, n, kappa, seed):
+def _counting_cond(monkeypatch):
+    """Patch np.linalg.cond to record its calls; returns the list and the original."""
     calls = []
     cond = np.linalg.cond
 
@@ -401,10 +402,52 @@ def test_conditioning_search_hits_kappa_in_few_condition_numbers(monkeypatch, n,
         return cond(a, *args)
 
     monkeypatch.setattr(np.linalg, "cond", counting)
+    return calls, cond
+
+
+@pytest.mark.parametrize("n, kappa, seed", [
+    (96, 10.0, 3), (64, 10.0, 12345), (48, 5.0, 7), (16, 100.0, 1), (5, 10.0, 2)])
+def test_conditioning_search_hits_kappa_in_few_condition_numbers(monkeypatch, n, kappa, seed):
+    calls, cond = _counting_cond(monkeypatch)
     s = _blend_conditioning(n, kappa, np.random.default_rng(seed))
     assert len(calls) <= 20
     assert s.dtype == np.float64
     assert abs(cond(s) / kappa - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 7, 12345])
+@pytest.mark.parametrize("kappa", [1 + 1e-9, 1.01, 10.0, 100.0, 1e4, 1e8])
+@pytest.mark.parametrize("n", [2, 8, 48, 96, 200])
+def test_conditioning_search_stops_at_the_rounding_of_cond(monkeypatch, n, kappa, seed):
+    calls, cond = _counting_cond(monkeypatch)
+    s = _blend_conditioning(n, kappa, np.random.default_rng(seed))
+    eps = np.finfo(float).eps
+    assert abs(cond(s) / kappa - 1.0) <= 4 * eps * kappa + 4 * eps
+    # a count of condition numbers, deterministic for a seed; not a timing
+    assert len(calls) <= 16
+
+
+def test_conditioning_search_cost_at_the_benchmark_spec(monkeypatch):
+    calls, _ = _counting_cond(monkeypatch)
+    _blend_conditioning(96, 10.0, np.random.default_rng(3))
+    assert len(calls) <= 8
+    calls.clear()
+    for seed in range(3, 11):
+        _blend_conditioning(96, 10.0, np.random.default_rng(seed))
+    assert len(calls) <= 7 * 8
+
+
+def test_conditioning_search_that_does_not_close_is_refused(monkeypatch, tmp_path, capsys):
+    from plcalc.cli import main
+    monkeypatch.setattr(operators, "COND_SEARCH_ITERS", 1)
+    with pytest.raises(OperatorError, match=r"kappa = 10\.0 did not close .* cond\(S\) reached"):
+        build_nonnormal_sectorial([1.0, 2.0, 4.0], 10.0, seed=1)
+    cfg = tmp_path / "op.json"
+    cfg.write_text(json.dumps({"kind": "nonnormal", "lambdas": [[1.0, 0.0], [2.0, 0.0]],
+                               "conditioning": 10.0, "seed": 1}))
+    assert main(["op", "build", "--config", str(cfg)]) == 3
+    assert re.search(r"kappa = 10\.0 did not close within 1 condition numbers; "
+                     r"cond\(S\) reached \d", capsys.readouterr().err)
 
 
 def test_hermite_qr_basis_matches_weighted_gram_schmidt():
