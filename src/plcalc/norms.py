@@ -83,6 +83,7 @@ fixed order.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -576,7 +577,10 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     ||A^theta0 x0||_2 + t ||A^theta1 x1||_2, on the injective part.
 
     t is a number (K is returned as a float) or a 1-D array (K at every
-    entry, as an array, from one coefficient transform).
+    entry, as an array, from one coefficient transform).  A t that is not
+    finite and > 0, or a theta that is not finite, raises NormsError; so
+    does a theta whose powers lam^theta, or whose ratio
+    rho = lam^(2 (theta0 - theta1)), leave the float range on the spectrum.
 
     Only the Hilbert path p = 2 is supported.  In diagonal coordinates the
     objective ||u y|| + t ||v (a - y)||, u = lam^theta0, v = lam^theta1, is
@@ -590,17 +594,25 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
     The path's two ends, c = 1e-30 and 1e30, tell which t have the sign
     change; a safeguarded Newton iteration in ln c closes each root to
-    K_ROOT_WIDTH, all t at once, and raises NormsError if one is not closed
-    in K_ROOT_ITERS path evaluations; each path evaluation is one GEMM (see
-    _split_path and _stationary_splits).
+    K_ROOT_WIDTH and raises NormsError if one is not closed in K_ROOT_ITERS
+    path evaluations.  Each round of it is one path evaluation for every
+    open root at once (one GEMM, see _split_path); each root's step,
+    bracket and stop test are then a few operations on Python floats (see
+    _stationary_splits), so a scalar t pays numpy's dispatch once per
+    round, not once per step of the bookkeeping.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise NormsError("K-functional times must be a number or a 1-D array")
-    if np.any(ts <= 0):
-        raise NormsError("K-functional time must be > 0")
+    tv = ts.reshape(-1)
+    if not (0.0 < tv.min(initial=1.0) and tv.max(initial=1.0) < np.inf):   # NaN fails both
+        bad = tv[~((tv > 0.0) & (tv < np.inf))][0]
+        raise NormsError(f"K-functional time must be finite and > 0, got {bad}")
+    for name, theta in (("theta0", theta0), ("theta1", theta1)):
+        if not math.isfinite(theta):
+            raise NormsError(f"K-functional exponent {name} must be finite, got {theta}")
     lam, a = _diagonal_data(op, x)
-    k = _k_functional_diagonal(lam, a, ts.reshape(-1), theta0, theta1)
+    k = _k_functional_diagonal(lam, a, tv, theta0, theta1)
     return float(k[0]) if ts.ndim == 0 else k
 
 
@@ -609,22 +621,39 @@ def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarra
     and coefficient moduli a (see k_functional for the method)."""
     # K is positively homogeneous in a: scaling a by a power of two into
     # [1/2, 1) is exact, and no square of a tiny or huge x under- or overflows
-    _, e = np.frexp(np.max(a, initial=0.0))
+    _, e = math.frexp(a.max(initial=0.0))
     a = np.ldexp(a, -e)
-    u = lam**theta0
-    v = lam**theta1
-    va = v * a
-    rho = (u / v) ** 2
-    sq = np.empty((a.size, 2))
-    np.multiply(u, a, out=sq[:, 0])
-    np.multiply(va, rho, out=sq[:, 1])
-    np.square(sq, out=sq)                                     # [(u a)^2, (v a rho)^2]
-    k = np.minimum(np.sqrt(np.sum(sq[:, 0])),                 # x0 = x
-                   t * np.sqrt(np.sum(va**2)))                # x1 = x
-    idx, _, c, s = _stationary_splits(t, rho, sq)
-    if idx.size:
-        k[idx] = np.minimum(np.sqrt(s[:, 0]) + t[idx] * c * np.sqrt(s[:, 1]), k[idx])
+    # an overflow or a zero divisor is read as inf or NaN: a power or rho out
+    # of range is refused below, a t beyond 1e154 squares to inf and has no
+    # root, and t ||A^theta1 x|| = inf leaves x0 = x; the root solve's own
+    # quotients are bisected (_stationary_splits)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = lam**theta0
+        v = lam**theta1
+        rho = np.square(u / v)
+        if not (0.0 < rho.min(initial=1.0) and rho.max(initial=1.0) < np.inf):
+            raise NormsError(_exponent_range_fault(lam, u, v, theta0, theta1))
+        va = v * a
+        sq = np.empty((a.size, 2))
+        np.multiply(u, a, out=sq[:, 0])
+        np.multiply(va, rho, out=sq[:, 1])
+        np.square(sq, out=sq)                                 # [(u a)^2, (v a rho)^2]
+        k = np.minimum(math.sqrt(sq[:, 0].sum()),             # x0 = x
+                       t * math.sqrt(np.square(va).sum()))    # x1 = x
+        idx, _, c, s = _stationary_splits(t, rho, sq)
+        if idx.size:
+            k[idx] = np.minimum(np.sqrt(s[:, 0]) + t[idx] * c * np.sqrt(s[:, 1]), k[idx])
     return np.ldexp(k, e)
+
+
+def _exponent_range_fault(lam, u, v, theta0, theta1) -> str:
+    """The message for a theta whose powers or ratio leave the float range."""
+    spectrum = f"on the spectrum [{lam.min():.6g}, {lam.max():.6g}]"
+    for name, theta, power in (("theta0", theta0, u), ("theta1", theta1, v)):
+        if not (0.0 < power.min() and power.max() < np.inf):
+            return f"K-functional exponent {name}={theta}: lam^{name} leaves the float range {spectrum}"
+    return (f"K-functional exponents theta0={theta0}, theta1={theta1}: the ratio "
+            f"rho = lam^(2 (theta0 - theta1)) leaves the float range {spectrum}")
 
 
 # The root solve of the stationary split: the path's two ends decide which t
@@ -634,7 +663,7 @@ def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarra
 # path is flat, so that K no longer depends on c; K_ROOT_ITERS evaluations
 # without either raise NormsError
 _C_ENDS = np.logspace(-30, 30, 2)
-_LN_C_ENDS = np.log(_C_ENDS)
+_LN_C_LO, _LN_C_HI = np.log(_C_ENDS).tolist()
 K_ROOT_WIDTH = 1e-9
 K_ROOT_FLAT = 1e-13
 K_ROOT_ITERS = 40
@@ -677,14 +706,14 @@ def _stationary_splits(t, rho, sq):
     phi > 0 at the path's first end and phi <= 0 at its last: one 2-row
     path evaluation serves every t, and a t without a sign change is left
     out, as a boundary split wins.  Each root is then found by a
-    safeguarded Newton iteration in ln c (rtsafe), vectorised over t and
-    started at ln c = -ln t^2.  Its step is Newton's step on the local
-    model phi ~ alpha + beta c^k, k = phi''/phi' (derivatives in ln c),
-    that is, Newton in c^k: near both ends phi approaches its limit like
-    c^(+-1), where the plain step in ln c shrinks by less than half per
-    step and the safeguard would bisect a bracket up to 138 wide.  Where
-    the model has no root (1 + k delta <= 0, delta the plain step) the
-    plain step is proposed.
+    safeguarded Newton iteration in ln c (rtsafe), started at
+    ln c = -ln t^2.  Its step is Newton's step on the local model
+    phi ~ alpha + beta c^k, k = phi''/phi' (derivatives in ln c), that is,
+    Newton in c^k: near both ends phi approaches its limit like c^(+-1),
+    where the plain step in ln c shrinks by less than half per step and
+    the safeguard would bisect a bracket up to 138 wide.  Where the model
+    has no root (1 + k delta <= 0, delta the plain step) the plain step is
+    proposed.
 
     Every evaluation narrows its t's bracket by the sign of phi.  Then,
     before the safeguard, a t stops when its step is at most K_ROOT_WIDTH
@@ -694,74 +723,89 @@ def _stationary_splits(t, rho, sq):
     bracket and is at most half the step before last, and the bracket is
     bisected if not.  K_ROOT_ITERS evaluations without a stop raise
     NormsError.
+
+    A round is one array evaluation: _split_path at every open root's
+    point, and from it phi, phi' and phi'' of every open root, as arrays.
+    Each root's step, bracket update, stop test and safeguard are then
+    scalar work on Python floats, with numpy's IEEE results: a zero slope,
+    a sum that underflows or k = 0 make the step NaN or infinite, and the
+    safeguard bisects.  The caller ignores numpy's floating-point warnings
+    (_k_functional_diagonal).
     """
     ends = _split_path(_C_ENDS, rho, sq)[0]
-    t2 = t**2
+    t2 = np.square(t)
     # read without a division: at a = 0 (mu = nu = 0) no t changes sign
-    idx = np.flatnonzero((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0]))
-    bracket = np.empty((2, idx.size))
-    c = np.empty(idx.size)
-    s = np.empty((idx.size, 2))
-    if not idx.size:
-        return idx, bracket, c, s
-    ln_t2 = np.log(t2[idx])
-    lo, hi = np.repeat(_LN_C_ENDS[:, None], idx.size, axis=1)
-    x = np.where((lo < -ln_t2) & (-ln_t2 < hi), -ln_t2, 0.0)
-    last = hi - lo
-    half_before_last = 0.5 * last
-    live = np.arange(idx.size)
+    idx = ((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0])).nonzero()[0]
+    m = idx.size
+    s = np.empty((m, 2))
+    if not m:
+        return idx, np.empty((2, 0)), np.empty(0), s
+    ln_t2 = np.log(t2[idx]).tolist()
+    lo, hi = [_LN_C_LO] * m, [_LN_C_HI] * m
+    x = [-v if _LN_C_LO < -v < _LN_C_HI else 0.0 for v in ln_t2]
+    last = [_LN_C_HI - _LN_C_LO] * m
+    half_before_last = [0.5 * last[0]] * m
+    other = [0.0] * m                      # each root's other end of its interval
+    live = list(range(m))
     evaluations = 0
-    # a sum that underflows, a zero slope or k = 0 make the step NaN or
-    # infinite, and the safeguard bisects
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            if evaluations == K_ROOT_ITERS:
-                raise NormsError(f"K-functional root at t = {t[idx[live[0]]]:.17g} not "
-                                 f"closed in {K_ROOT_ITERS} path evaluations")
-            evaluations += 1
-            path = _split_path(np.exp(x), rho, sq)
-            phi = np.log(path[0, :, 1] / path[0, :, 0])
-            phi -= ln_t2
-            ratio = path[1:] / path[0]
-            # phi' = -2 eta, phi'' = -2 zeta - 4 eta (sum of path[1]/path[0])
-            eta, zeta = ratio[..., 1] - ratio[..., 0]
-            sigma = ratio[0, :, 1] + ratio[0, :, 0]
-            k = zeta / eta
-            k += sigma
-            k += sigma
-            delta = phi / (eta + eta)          # the plain Newton step
+    while live:
+        if evaluations == K_ROOT_ITERS:
+            raise NormsError(f"K-functional root at t = {t[idx[live[0]]]:.17g} not "
+                             f"closed in {K_ROOT_ITERS} path evaluations")
+        evaluations += 1
+        path = _split_path(np.exp([x[r] for r in live]), rho, sq)
+        ln_g2 = np.log(path[0, :, 1] / path[0, :, 0]).tolist()
+        ratio = path[1:] / path[0]
+        # phi' = -2 eta, phi'' = -2 zeta - 4 eta (sum of path[1]/path[0])
+        eta, zeta = (ratio[..., 1] - ratio[..., 0]).tolist()
+        sigma = (ratio[0, :, 1] + ratio[0, :, 0]).tolist()
+        done, still = [], []
+        for j, (r, g2, d1, d2, sg) in enumerate(zip(live, ln_g2, eta, zeta, sigma)):
+            xr, phi = x[r], g2 - ln_t2[r]
+            if d1:
+                k = d2 / d1 + sg + sg
+                delta = phi / (d1 + d1)        # the plain Newton step
+            else:                              # numpy's inf or NaN quotients
+                k = float(np.divide(d2, d1)) + sg + sg
+                delta = float(np.divide(phi, d1 + d1))
             kd = k * delta
-            step = np.log1p(kd) / k
-            np.copyto(step, delta, where=~(kd > -1.0))
-            newton = x + step
-            np.abs(step, out=step)
-            above = phi > 0
-            np.copyto(lo, x, where=above)
-            np.copyto(hi, x, where=~above)
-            done = np.minimum(step, hi - lo) <= K_ROOT_WIDTH
-            done |= np.abs(phi) <= K_ROOT_FLAT
-            finished = np.count_nonzero(done)
-            if finished:
-                # the interval: the point and the step's end, the point alone
-                # on a flat path, or else the bracket
-                end = np.where(above, hi, lo)
-                np.copyto(end, np.minimum(np.maximum(newton, lo), hi), where=step <= K_ROOT_WIDTH)
-                np.copyto(end, x, where=np.abs(phi) <= K_ROOT_FLAT)
-                at, xd, end = live[done], x[done], end[done]
-                bracket[:, at] = np.minimum(xd, end), np.maximum(xd, end)
-                c[at], s[at] = np.exp(xd), path[0, done]
-                if finished == live.size:
-                    return idx, bracket, c, s
-                keep = ~done
-                live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
-                newton, step, ln_t2 = newton[keep], step[keep], ln_t2[keep]
-                last, half_before_last = last[keep], half_before_last[keep]
-            newton_ok = (lo < newton) & (newton < hi) & (step <= half_before_last)
-            nxt = lo + hi
-            nxt *= 0.5
-            np.copyto(nxt, newton, where=newton_ok)
-            half_before_last, last = 0.5 * last, np.abs(nxt - x)
-            x = nxt
+            if kd > -1.0:
+                step = math.log1p(kd) / k if k else math.nan
+            else:
+                step = delta
+            newton = xr + step
+            step = abs(step)
+            if phi > 0:
+                lo[r] = lr = xr
+                hr = hi[r]
+            else:
+                hi[r] = hr = xr
+                lr = lo[r]
+            # a stop takes the interval: the point alone on a flat path, the
+            # point and the step's end, or else the bracket, which a NaN
+            # step does not close
+            if abs(phi) <= K_ROOT_FLAT:
+                other[r] = xr
+            elif step <= K_ROOT_WIDTH:
+                other[r] = min(max(newton, lr), hr)
+            elif step == step and hr - lr <= K_ROOT_WIDTH:
+                other[r] = hr if phi > 0 else lr
+            else:
+                if lr < newton < hr and step <= half_before_last[r]:
+                    x[r] = newton
+                else:
+                    x[r] = (lr + hr) * 0.5
+                half_before_last[r], last[r] = 0.5 * last[r], abs(x[r] - xr)
+                still.append(r)
+                continue
+            done.append(j)
+        if done:
+            s[[live[j] for j in done]] = path[0, done]
+        live = still
+    c = np.exp(x)
+    bracket = np.array([[min(xr, end) for xr, end in zip(x, other)],
+                        [max(xr, end) for xr, end in zip(x, other)]])
+    return idx, bracket, c, s
 
 
 def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,

@@ -381,16 +381,22 @@ def test_real_interpolation_batched_k_matches_scalar(monkeypatch):
         np.testing.assert_allclose(np.ldexp(k, e), scalar, rtol=1e-14, atol=0)
 
 
-def test_k_functional_array_of_t_matches_scalar_calls():
-    op = build_dirichlet_laplacian_1d(32, 1.0)
-    x = op.random_vector(np.random.default_rng(5))
-    x /= lp_norm(x, 2, op.measure)
-    ts = np.logspace(-6, 6, 41)
-    for theta0, theta1 in [(0.0, 1.0), (-0.5, 1.5)]:
-        ks = k_functional(op, x, ts, theta0, theta1)
-        scalar = [k_functional(op, x, t, theta0, theta1) for t in ts]
-        assert isinstance(scalar[0], float) and ks.shape == ts.shape
-        np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
+def test_k_functional_array_of_t_matches_scalar_calls(monkeypatch):
+    # n = 256 is the folded basis, on the 40 t of a benchmark K-curve: one
+    # solve with every root open at once against one solve per t
+    for n, ts, roots in [(32, np.logspace(-6, 6, 41), 1), (256, np.logspace(-3, 5, 40), 14)]:
+        op = build_dirichlet_laplacian_1d(n, 1.0)
+        x = op.random_vector(np.random.default_rng(5))
+        x /= lp_norm(x, 2, op.measure)
+        for theta0, theta1 in [(0.0, 1.0), (-0.5, 1.5)]:
+            log = _k_root_recorder(monkeypatch)
+            ks = k_functional(op, x, ts, theta0, theta1)
+            (_, (idx, _, _, _)), = log["solves"]
+            monkeypatch.undo()
+            scalar = [k_functional(op, x, t, theta0, theta1) for t in ts]
+            assert isinstance(scalar[0], float) and ks.shape == ts.shape
+            assert idx.size >= roots
+            np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
 
 
 def test_k_functional_guards():
@@ -402,6 +408,32 @@ def test_k_functional_guards():
         k_functional(op, x, np.array([1.0, 0.0]), 0.0, 1.0)
     with pytest.raises(NormsError):
         k_functional(op, x, np.ones((2, 2)), 0.0, 1.0)
+    # a t that is not finite and > 0 and a theta that is not finite are
+    # refused by value; a theta whose powers lam^theta or ratio rho leave
+    # the float range (Dirichlet n = 8: lam in [0.12, 3.9]) by name
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    for t, theta0, theta1, match in [
+            (np.nan, 0.0, 1.0, "time must be finite and > 0, got nan"),
+            (np.array([1.0, np.nan]), 0.0, 1.0, "got nan"),
+            (np.inf, 0.0, 1.0, "got inf"),
+            (np.array([1.0, -np.inf]), 0.0, 1.0, "got -inf"),
+            (1.0, np.nan, 1.0, "theta0 must be finite, got nan"),
+            (1.0, 0.0, np.inf, "theta1 must be finite, got inf"),
+            (1.0, 0.0, 400.0, r"theta1=400.0: lam\^theta1 leaves the float range"),
+            (1.0, -400.0, 1.0, r"theta0=-400.0: lam\^theta0 leaves the float range"),
+            (1.0, -150.0, 150.0, r"ratio rho = lam\^\(2 \(theta0 - theta1\)\) leaves")]:
+        with pytest.raises(NormsError, match=match):
+            k_functional(op, x, t, theta0, theta1)
+    # a finite huge t is no error and no overflow warning: K = ||x||_0
+    # (x0 = x), as it is at a t far beyond the last root
+    n0 = np.linalg.norm(_diagonal_data(op, x)[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e300, np.finfo(float).max):
+            assert k_functional(op, x, t, 0.0, 1.0) == pytest.approx(n0, rel=1e-15)
+        ks = k_functional(op, x, np.array([1e8, 1e300, np.finfo(float).max]), 0.0, 1.0)
+        assert np.all(ks == ks[0]) and ks[0] == pytest.approx(n0, rel=1e-15)
 
 
 def test_k_functional_of_zero_and_kernel_vectors():
@@ -466,6 +498,28 @@ def test_k_root_path_evaluations_pinned(monkeypatch):
     scalar = [k_functional(op, x, t, 0.0, 1.0) for t in ts]
     assert log["paths"] == 95         # 114 by grid and regula falsi, 1280 by bisection
     np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("theta0, theta1, t, paths, k", [
+    (0.0, 1.0, 0.3296964866070465, 8, 0.6890186999628805),
+    (0.0, 1.0, 0.3296946576409375, 7, 0.6890148777398005),
+    (0.0, 1.0, 0.32969465764075645, 5, 0.689014877739422),
+    (0.0, 0.5, 0.6188659092380747, 7, 0.8004050304317806)])
+def test_k_root_nonfinite_steps_and_bisections_pinned(monkeypatch, theta0, theta1, t, paths, k):
+    # t whose residual vanishes on a node of a log-c grid (see
+    # test_k_functional_vector_core_vs_dense_scan): each solve bisects its
+    # bracket once or twice and meets one non-finite step, -inf from a zero
+    # slope phi' = 0 (the first and last t) or NaN from k = 0 (the middle
+    # two), which the safeguard bisects.  The path evaluations and K are
+    # pinned to a solve that formed every step on numpy arrays; K may move
+    # only where math.log1p and numpy's log1p round apart
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    x = op.random_vector(np.random.default_rng(8))
+    x /= lp_norm(x, 2, op.measure)
+    log = _k_root_recorder(monkeypatch)
+    assert k_functional(op, x, t, theta0, theta1) == pytest.approx(k, rel=1e-15, abs=0)
+    (_, (idx, _, _, _)), = log["solves"]
+    assert idx.size == 1 and log["paths"] == paths
 
 
 @pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
