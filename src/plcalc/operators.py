@@ -805,33 +805,54 @@ def build_schrodinger_1d(n: int, h: float, v) -> ModelOperator:
 
 
 COND_SEARCH_ITERS = 40     # cap on condition numbers one search may take
-COND_SEARCH_STEP = 1e-13   # a secant step this small, relative to t, is the last
+COND_SEARCH_STEP = 1e-13   # a step this small, relative to t, is the last
+
+
+def _root_step(points) -> float:
+    """The step from the newest (t, phi) point to the root of the inverse
+    quadratic t(phi) through three points, or of the secant through the
+    newest two where only two are given or two of the three phi are equal;
+    NaN where the newest two phi are equal."""
+    (t1, f1), (t2, f2) = points[-2:]
+    if len(points) == 3:
+        t0, f0 = points[0]
+        if f0 != f1 and f0 != f2 and f1 != f2:
+            return f2 * ((t0 - t2) * f1 / ((f0 - f1) * (f0 - f2))
+                         + (t1 - t2) * f0 / ((f1 - f0) * (f1 - f2)))
+    return f2 * (t2 - t1) / (f1 - f2) if f1 != f2 else np.nan
 
 
 def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
-    """Real S = Q (I + t N) with ||N||_2 = 1 and t chosen so cond(S) = kappa.
+    """Real S = Q (I + t N) with ||N||_F = 1 and t chosen so cond(S) = kappa.
 
     Q is orthogonal, so cond(S) = cond(I + t N) and Q is applied once, at
-    the end.  t is the root of phi(t) = ln cond(I + t N) - ln kappa, found
-    by a safeguarded secant from the two points (0, -ln kappa) and
-    (1, phi(1)): each new point is the secant root of the last two.  Every
-    sign change of phi narrows a bracket; a step that leaves the bracket is
-    replaced by its midpoint, or, while no point with phi > 0 is known, by
-    twice the largest point with phi < 0.  The search stops at |phi| <=
-    eps kappa (eps = 2^-52; at most 1e-4), the relative rounding of an SVD
-    condition number, or when the next secant step is at most
+    the end.  N is Gaussian and strictly lower triangular.  t is the root
+    of phi(t) = ln cond(I + t N) - ln kappa.  To first order in t, ln cond
+    is t times the spread lambda_max - lambda_min of H = (N + N^T) / 2,
+    whose semicircle spread is about 2 sqrt(2) / sqrt(n) at ||N||_F = 1;
+    the search starts at that model's root t1 = ln kappa sqrt(n) / (2 sqrt 2).
+    The first step is the secant through (0, -ln kappa) and (t1, phi(t1));
+    each later step is inverse quadratic interpolation through the last
+    three points, or the secant through the last two where two of the
+    three phi are equal.  Every sign change of phi narrows a bracket; a
+    step that leaves the bracket is replaced by its midpoint, or, while no
+    point with phi > 0 is known, by twice the largest point with phi < 0;
+    a non-finite phi is bisected.  The search stops at |phi| <= eps kappa
+    (eps = 2^-52; at most 1e-4), the relative rounding of an SVD
+    condition number, or when the next step is at most
     COND_SEARCH_STEP * t, a step taken without evaluating it.  That takes
-    about six condition numbers at kappa = 10 and at most 16 up to
-    kappa = 1e8 (n <= 200), and leaves |cond(S) / kappa - 1| <=
-    4 eps kappa + 4 eps.  A search that
-    has not stopped after COND_SEARCH_ITERS condition numbers raises
-    OperatorError naming kappa and the cond(S) it reached.
+    five condition numbers at n = 96, kappa = 10 (seed 3), on average
+    about five at kappa = 10 and seven from kappa = 1e4 to 1e8 (n <= 200),
+    at most 15 over n = 2..200 and seeds 0-12, and leaves
+    |cond(S) / kappa - 1| <= 4 eps kappa + 4 eps.  A search that has not
+    stopped after COND_SEARCH_ITERS condition numbers raises OperatorError
+    naming kappa and the cond(S) it reached.
     """
     qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     nil = np.tril(rng.standard_normal((n, n)), -1)
-    if kappa == 1.0 or n == 1:
+    if kappa == 1.0:
         return qmat
-    nil /= np.linalg.norm(nil, 2)
+    nil /= np.linalg.norm(nil)
     eye = np.eye(n)
     log_kappa = np.log(kappa)
     # the relative rounding of an SVD condition number, capped at 1e-4 (from
@@ -839,24 +860,24 @@ def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator) -> np.nd
     # refusal below, not at whichever t rounds close enough
     tol = min(np.finfo(float).eps * kappa, 1e-4)
     lo, hi = 0.0, np.inf              # phi(lo) < 0 < phi(hi)
-    t_prev, f_prev = 0.0, -log_kappa
-    t = 1.0
+    points = [(0.0, -log_kappa)]      # the last evaluated (t, phi), newest last
+    t = log_kappa * np.sqrt(n / 8.0)
     for _ in range(COND_SEARCH_ITERS):
         cond = np.linalg.cond(eye + t * nil)
         f = np.log(cond) - log_kappa
         if abs(f) <= tol:
             return qmat @ (eye + t * nil)
-        if not np.isfinite(f):        # no secant through it: bisect
+        if not np.isfinite(f):        # no interpolation through it: bisect
             hi, t = t, 0.5 * (lo + t)
             continue
         if f < 0.0:
             lo = t
         else:
             hi = t
-        step = f * (t - t_prev) / (f_prev - f) if f != f_prev else np.nan
+        points = points[-2:] + [(t, f)]
+        step = _root_step(points)
         if abs(step) <= COND_SEARCH_STEP * t:
             return qmat @ (eye + (t + step) * nil)
-        t_prev, f_prev = t, f
         t += step
         if not lo < t < hi:           # also a NaN step
             t = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
@@ -867,11 +888,13 @@ def _blend_conditioning(n: int, kappa: float, rng: np.random.Generator) -> np.nd
 def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelOperator:
     """A = S diag(lambdas) S^{-1} with cond(S) = conditioning to its rounding.
 
-    S comes from _blend_conditioning: |cond(S) / conditioning - 1| is at
-    most about 4 eps conditioning + 4 eps (eps = 2^-52), the rounding of an
-    SVD condition number.  A conditioning whose search does not close, or
-    whose S has no float64 inverse within SIMILARITY_TOL, is refused with
-    OperatorError; the latter names cond(S).
+    S comes from _blend_conditioning, in about five SVD condition numbers
+    at conditioning = 10: |cond(S) / conditioning - 1| is at most about
+    4 eps conditioning + 4 eps (eps = 2^-52), the rounding of an SVD
+    condition number.  lambdas must be a nonempty 1-D list, and a single
+    eigenvalue admits only conditioning 1.  A conditioning whose search
+    does not close, or whose S has no float64 inverse within
+    SIMILARITY_TOL, is refused with OperatorError; the latter names cond(S).
 
     The spectrum equals ``lambdas`` exactly by construction.  Eigenvalues
     with negative real part are admitted as a double sector (the operator
@@ -882,6 +905,12 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
     lam = np.asarray(lambdas, dtype=complex)
     if not 1.0 <= conditioning < np.inf:
         raise OperatorError(f"conditioning must be finite and >= 1, got {conditioning!r}")
+    if lam.ndim != 1 or lam.size == 0:
+        raise OperatorError(f"lambdas must be a nonempty list of eigenvalues, "
+                            f"got shape {lam.shape}")
+    if lam.size == 1 and conditioning != 1.0:
+        raise OperatorError(f"one eigenvalue admits only conditioning 1 (a 1 x 1 S has "
+                            f"cond(S) = 1), got {conditioning!r}")
     if np.any(np.abs(lam) == 0):
         raise OperatorError("zero eigenvalue not allowed in the synthetic build")
     if np.any(np.real(lam) < 0) and np.any(np.abs(np.real(lam)) < 1e-14 * np.max(np.abs(lam))):

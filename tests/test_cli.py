@@ -11,7 +11,7 @@ import pytest
 
 import plcalc
 from plcalc.cli import build_parser, main
-from plcalc.operators import operator_from_spec
+from plcalc.operators import OperatorError, build_nonnormal_sectorial, operator_from_spec
 
 SQRT_HALF = 2.0**-0.5
 # json.dumps writes a float beyond the float range as Infinity, a token the
@@ -107,6 +107,24 @@ def test_op_build_invariant_violation_exits_3(tmp_path, capsys):
         assert codes == [3, 3, 3], reason
         err = capsys.readouterr().err
         assert err.count(reason) == 3 and "Traceback" not in err and "Warning" not in err
+
+
+def test_one_eigenvalue_with_a_conditioning_above_one_is_refused(tmp_path, capsys):
+    # a 1 x 1 S has cond(S) = 1: the build returned it and the report echoed
+    # the conditioning asked for; conditioning 1 still builds
+    reason = "one eigenvalue admits only conditioning 1 (a 1 x 1 S has cond(S) = 1), got 10.0"
+    with pytest.raises(OperatorError, match=re.escape(reason)):
+        build_nonnormal_sectorial([2.0], 10.0, seed=0)
+    spec = {"kind": "nonnormal", "lambdas": [[2.0, 0.0]], "conditioning": 10}
+    codes = [main(["op", "build", "--config", write(tmp_path, "op.json", spec)]),
+             run_cli(tmp_path, "norm", norm_eval_config(operator=spec))]
+    assert codes == [3, 3]
+    assert capsys.readouterr().err.count(reason) == 2
+    spec["conditioning"] = 1
+    assert main(["op", "build", "--config", write(tmp_path, "op.json", spec)]) == 0
+    # and a single eigenvalue on the imaginary axis still meets the sector check
+    with pytest.raises(OperatorError, match=re.escape("strictly inside the (double) sector")):
+        build_nonnormal_sectorial([1j], 1.0, seed=0)
 
 
 def test_op_build_names_the_conditioning_an_inverse_cannot_support(tmp_path, capsys):

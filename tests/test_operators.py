@@ -213,6 +213,18 @@ def test_nonnormal_rejects_bad_input():
             build_nonnormal_sectorial([1.0, 2.0], conditioning, seed=0)
 
 
+def test_nonnormal_refuses_an_empty_spectrum():
+    # numpy's cond refused the 0 x 0 S from inside the search (LinAlgError)
+    with pytest.raises(OperatorError, match=r"nonempty list of eigenvalues, got shape \(0,\)"):
+        build_nonnormal_sectorial([], 2.0, seed=0)
+
+
+def test_nonnormal_refuses_a_spectrum_that_is_not_one_dimensional():
+    # a 1 x 2 array built an operator with the two eigenvalues 1 and 2
+    with pytest.raises(OperatorError, match=r"nonempty list of eigenvalues, got shape \(1, 2\)"):
+        build_nonnormal_sectorial([[1.0, 2.0]], 2.0, seed=0)
+
+
 def test_sector_containment_all_builders():
     ops = [
         build_dirichlet_laplacian_1d(8, 0.5),
@@ -435,6 +447,77 @@ def test_conditioning_search_cost_at_the_benchmark_spec(monkeypatch):
     for seed in range(3, 11):
         _blend_conditioning(96, 10.0, np.random.default_rng(seed))
     assert len(calls) <= 7 * 8
+
+
+def _counting_svd(monkeypatch):
+    """Patch numpy's SVD, which np.linalg.cond and np.linalg.norm(., 2)
+    both reach, to record its calls; returns the list."""
+    try:
+        from numpy.linalg import _linalg
+    except ImportError:                   # numpy < 2
+        from numpy.linalg import linalg as _linalg
+    calls = []
+    svd = _linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "svd", counting)
+    return calls
+
+
+def test_conditioning_search_svds_at_the_benchmark_spec(monkeypatch):
+    # every SVD of a build, N's normalization included; a count, not a timing
+    calls = _counting_svd(monkeypatch)
+    _blend_conditioning(96, 10.0, np.random.default_rng(3))
+    assert len(calls) <= 5
+    calls.clear()
+    for seed in range(3, 11):
+        _blend_conditioning(96, 10.0, np.random.default_rng(seed))
+    assert len(calls) <= 40
+
+
+def test_conditioning_search_svds_over_the_accuracy_grid(monkeypatch):
+    calls = _counting_svd(monkeypatch)
+    counts = {}
+    for n in (2, 8, 48, 96, 200):
+        for kappa in (1 + 1e-9, 1.01, 10.0, 100.0, 1e4, 1e8):
+            for seed in (3, 7, 12345):
+                calls.clear()
+                _blend_conditioning(n, kappa, np.random.default_rng(seed))
+                counts[n, kappa, seed] = len(calls)
+    assert max(counts.values()) <= 10, max(counts, key=counts.get)
+
+
+@pytest.mark.parametrize("n, kappa, seed, svds, bisections", [
+    (8, 1e4, 10, 13, 1), (48, 1e8, 2, 8, 2)])
+def test_conditioning_search_bisects_a_step_that_leaves_the_bracket(monkeypatch, n, kappa, seed,
+                                                                    svds, bisections):
+    # the searches whose interpolation steps leave the bracket: at n = 8 one
+    # is doubled (no upper end yet) and the next bisected, at n = 48 two are
+    # bisected.  Every evaluated matrix is I + t N, so its entry (1, 0) is t
+    # times the fixed N[1, 0], and the bracket is replayed in those units.
+    seen = []
+    cond = np.linalg.cond
+
+    def recording(a, *args):
+        c = cond(a, *args)
+        seen.append((a[1, 0], np.log(c) - np.log(kappa)))
+        return c
+
+    monkeypatch.setattr(np.linalg, "cond", recording)
+    s = _blend_conditioning(n, kappa, np.random.default_rng(seed))
+    assert len(seen) == svds
+    eps = np.finfo(float).eps
+    assert abs(cond(s) / kappa - 1.0) <= 4 * eps * kappa + 4 * eps
+    sign = np.sign(seen[0][0])
+    lo, hi, bisected = 0.0, np.inf, 0
+    for (u, f), (u_next, _) in zip(seen, seen[1:]):
+        u, u_next = sign * u, sign * u_next
+        lo, hi = (u, hi) if f < 0 else (lo, u)
+        bisected += hi < np.inf and abs(u_next - 0.5 * (lo + hi)) <= 1e-15 * u_next
+    assert bisected == bisections
 
 
 def test_conditioning_search_that_does_not_close_is_refused(monkeypatch, tmp_path, capsys):
