@@ -568,8 +568,11 @@ def _check_besov_symbol(f: Symbol, theta: float):
 
 def _diagonal_data(op: ModelOperator, x):
     """The nonzero eigenvalues and the moduli of x's coefficients on them."""
+    lam, a = _spectral_argument(op), np.abs(op.coefficients(x))
+    if op.injective:
+        return lam, a
     nz = op.nonzero
-    return _spectral_argument(op)[nz], np.abs(op.coefficients(x)[nz])
+    return lam[nz], a[nz]
 
 
 def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
@@ -593,20 +596,30 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     changes sign at most once, from + to -: F falls, then rises.  K is F at
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
     The path's two ends, c = 1e-30 and 1e30, tell which t have the sign
-    change; a safeguarded Newton iteration in ln c closes each root to
-    K_ROOT_WIDTH and raises NormsError if one is not closed in K_ROOT_ITERS
-    path evaluations.  Each round of it is one path evaluation for every
-    open root at once (one GEMM, see _split_path); each root's step,
-    bracket and stop test are then a few operations on Python floats (see
-    _stationary_splits), so a scalar t pays numpy's dispatch once per
-    round, not once per step of the bookkeeping.
+    change, from the sums (mu^2, (nu/c)^2) alone: that evaluation forms
+    only the weight row of _split_path.  A safeguarded Newton iteration in
+    ln c closes each root to K_ROOT_WIDTH and raises NormsError if one is
+    not closed in K_ROOT_ITERS path evaluations.  Each round of it is one
+    path evaluation for every open root at once (one GEMM, see
+    _split_path); each root's step, bracket and stop test are then a few
+    operations on Python floats (see _stationary_splits), so a scalar t
+    pays numpy's dispatch once per round, not once per step of the
+    bookkeeping.  A number t is checked as a Python float, and a t-set
+    without a root allocates no bracket: a K-curve costs one coefficient
+    transform and its roots, and should pass its whole t-array in one call.
     """
     ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
+    if ts.ndim == 0:                       # a number: checked as a Python float
+        tf = float(ts)
+        bad = None if 0.0 < tf < math.inf else tf
+        tv = ts.reshape(1)
+    elif ts.ndim == 1:
+        tv = ts
+        bad = None if 0.0 < tv.min(initial=1.0) and tv.max(initial=1.0) < np.inf \
+            else tv[~((tv > 0.0) & (tv < np.inf))][0]                 # NaN fails both
+    else:
         raise NormsError("K-functional times must be a number or a 1-D array")
-    tv = ts.reshape(-1)
-    if not (0.0 < tv.min(initial=1.0) and tv.max(initial=1.0) < np.inf):   # NaN fails both
-        bad = tv[~((tv > 0.0) & (tv < np.inf))][0]
+    if bad is not None:
         raise NormsError(f"K-functional time must be finite and > 0, got {bad}")
     for name, theta in (("theta0", theta0), ("theta1", theta1)):
         if not math.isfinite(theta):
@@ -667,6 +680,8 @@ _LN_C_LO, _LN_C_HI = np.log(_C_ENDS).tolist()
 K_ROOT_WIDTH = 1e-9
 K_ROOT_FLAT = 1e-13
 K_ROOT_ITERS = 40
+# (bracket, c, s) of a t-set without a root: empty, so every call shares them
+_NO_ROOTS = (np.empty((2, 0)), np.empty(0), np.empty((0, 2)))
 
 
 def _split_path(c, rho, sq) -> np.ndarray:
@@ -680,7 +695,20 @@ def _split_path(c, rho, sq) -> np.ndarray:
     d(w q)/d(ln c) = w q (1 - 3 q), so the weight rows w, w q and
     w q (1 - 3 q) give all six sums in one GEMM, and nothing cancels at
     extreme c.
+
+    At the path's two ends, c = _C_ENDS itself, only the sums are used:
+    the result is (1, 2, 2), from the weight row alone (a 2 x n block and
+    one (2 x n)(n x 2) product).  BLAS may sum the smaller product in
+    another order, so a sum can differ from the full evaluation's in its
+    last bit; which t have a root does not move on a 2,001-point t-grid
+    (tests/test_norms.py).
     """
+    if c is _C_ENDS:
+        w = np.multiply.outer(c, rho)
+        w += 1.0
+        np.reciprocal(w, out=w)
+        np.square(w, out=w)
+        return (w @ sq)[None]
     m = c.size
     w = np.empty((3, m, rho.size))
     w0, w1, w2 = w
@@ -703,9 +731,11 @@ def _stationary_splits(t, rho, sq):
 
     The residual phi = ln((nu/c)^2) - ln(t^2 mu^2) is nonincreasing in
     c and changes sign at most once, so a t has a root exactly when
-    phi > 0 at the path's first end and phi <= 0 at its last: one 2-row
-    path evaluation serves every t, and a t without a sign change is left
-    out, as a boundary split wins.  Each root is then found by a
+    phi > 0 at the path's first end and phi <= 0 at its last: one path
+    evaluation at the two ends, of the weight row only (_split_path),
+    serves every t, and a t without a sign change is left out, as a
+    boundary split wins; a t-set without one returns shared empty
+    arrays.  Each root is then found by a
     safeguarded Newton iteration in ln c (rtsafe), started at
     ln c = -ln t^2.  Its step is Newton's step on the local model
     phi ~ alpha + beta c^k, k = phi''/phi' (derivatives in ln c), that is,
@@ -725,27 +755,27 @@ def _stationary_splits(t, rho, sq):
     NormsError.
 
     A round is one array evaluation: _split_path at every open root's
-    point, and from it phi, phi' and phi'' of every open root, as arrays.
-    Each root's step, bracket update, stop test and safeguard are then
-    scalar work on Python floats, with numpy's IEEE results: a zero slope,
-    a sum that underflows or k = 0 make the step NaN or infinite, and the
-    safeguard bisects.  The caller ignores numpy's floating-point warnings
-    (_k_functional_diagonal).
+    point, and from it ln g^2 of every open root, as an array.  The sums
+    are read back as Python floats once; each root's phi' and phi'', step,
+    bracket update, stop test and safeguard are then scalar work on them,
+    with numpy's IEEE results: a zero slope, a sum that underflows or k = 0
+    make the step NaN or infinite, and the safeguard bisects.  The caller
+    ignores numpy's floating-point warnings (_k_functional_diagonal).
     """
     ends = _split_path(_C_ENDS, rho, sq)[0]
     t2 = np.square(t)
     # read without a division: at a = 0 (mu = nu = 0) no t changes sign
     idx = ((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0])).nonzero()[0]
     m = idx.size
-    s = np.empty((m, 2))
     if not m:
-        return idx, np.empty((2, 0)), np.empty(0), s
+        return (idx,) + _NO_ROOTS
     ln_t2 = np.log(t2[idx]).tolist()
     lo, hi = [_LN_C_LO] * m, [_LN_C_HI] * m
     x = [-v if _LN_C_LO < -v < _LN_C_HI else 0.0 for v in ln_t2]
     last = [_LN_C_HI - _LN_C_LO] * m
     half_before_last = [0.5 * last[0]] * m
     other = [0.0] * m                      # each root's other end of its interval
+    s = [None] * m                         # each root's (mu^2, (nu/c)^2) at its stop
     live = list(range(m))
     evaluations = 0
     while live:
@@ -755,12 +785,15 @@ def _stationary_splits(t, rho, sq):
         evaluations += 1
         path = _split_path(np.exp([x[r] for r in live]), rho, sq)
         ln_g2 = np.log(path[0, :, 1] / path[0, :, 0]).tolist()
-        ratio = path[1:] / path[0]
-        # phi' = -2 eta, phi'' = -2 zeta - 4 eta (sum of path[1]/path[0])
-        eta, zeta = (ratio[..., 1] - ratio[..., 0]).tolist()
-        sigma = (ratio[0, :, 1] + ratio[0, :, 0]).tolist()
-        done, still = [], []
-        for j, (r, g2, d1, d2, sg) in enumerate(zip(live, ln_g2, eta, zeta, sigma)):
+        still = []
+        for r, g2, sums, (m1, n1), (m2, n2) in zip(live, ln_g2, *path.tolist()):
+            m0, n0 = sums
+            if m0 and n0:
+                m1, n1, m2, n2 = m1 / m0, n1 / n0, m2 / m0, n2 / n0
+            else:                              # numpy's inf or NaN quotients
+                m1, n1, m2, n2 = np.divide([m1, n1, m2, n2], [m0, n0, m0, n0]).tolist()
+            # phi' = -2 eta, phi'' = -2 zeta - 4 eta (sum of path[1]/path[0])
+            d1, d2, sg = n1 - m1, n2 - m2, n1 + m1      # eta, zeta, sigma
             xr, phi = x[r], g2 - ln_t2[r]
             if d1:
                 k = d2 / d1 + sg + sg
@@ -798,14 +831,12 @@ def _stationary_splits(t, rho, sq):
                 half_before_last[r], last[r] = 0.5 * last[r], abs(x[r] - xr)
                 still.append(r)
                 continue
-            done.append(j)
-        if done:
-            s[[live[j] for j in done]] = path[0, done]
+            s[r] = sums
         live = still
     c = np.exp(x)
     bracket = np.array([[min(xr, end) for xr, end in zip(x, other)],
                         [max(xr, end) for xr, end in zip(x, other)]])
-    return idx, bracket, c, s
+    return idx, bracket, c, np.array(s)
 
 
 def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,

@@ -106,7 +106,10 @@ from .measure import (MeasureError, MeasureSpace, adjoint, nonfinite_note, solve
                       weighted_symmetric_eig)
 
 ORTHO_TOL = 1e-10
+# ||S S^-1 - I||_F of a similarity basis, per dimension: eps ||S||_F ||S^-1||_F
+# (a float64 inverse's rounding), clipped to [SIMILARITY_TOL, SIMILARITY_TOL_MAX]
 SIMILARITY_TOL = 1e-10
+SIMILARITY_TOL_MAX = 1e-8
 RESOLVENT_MARGIN = 1e-12   # reject lambda within this times lambda_max of spectrum
 ZERO_EIG_TOL = 1e-12       # relative threshold deciding kernel membership
 # Size from which a Dirichlet basis, or a Schroedinger basis with a
@@ -465,8 +468,19 @@ class SimilarityDiagonal:
     orthonormal = False
 
     def check(self, measure: MeasureSpace) -> None:
+        """||S S^-1 - I||_F <= n eps ||S||_F ||S^-1||_F, clipped to
+        [SIMILARITY_TOL n, SIMILARITY_TOL_MAX n].
+
+        A float64 inverse leaves a residual of about eps cond(S), so the
+        bound grows with S's conditioning, from two O(n^2) norms and no SVD.
+        The floor keeps the gate tight on a well-conditioned S; the ceiling
+        refuses an inverse whose round trip loses more than that, from
+        about cond(S) = 1e10 (n = 8 to 96).  A non-finite entry refuses."""
         s, si = self.s, self.s_inv
-        if not (np.linalg.norm(s @ si - np.eye(s.shape[0])) <= SIMILARITY_TOL * s.shape[0]):
+        n = s.shape[0]
+        scale = np.finfo(float).eps * np.linalg.norm(s) * np.linalg.norm(si)
+        bound = n * min(max(SIMILARITY_TOL, scale), SIMILARITY_TOL_MAX)
+        if not (np.linalg.norm(s @ si - np.eye(n)) <= bound):
             note = nonfinite_note(s, "entries of S") + nonfinite_note(si, "entries of S^-1")
             if not note:
                 cond = np.linalg.norm(s, 2) * np.linalg.norm(si, 2)
@@ -894,7 +908,8 @@ def build_nonnormal_sectorial(lambdas, conditioning: float, seed: int) -> ModelO
     condition number.  lambdas must be a nonempty 1-D list, and a single
     eigenvalue admits only conditioning 1.  A conditioning whose search
     does not close, or whose S has no float64 inverse within
-    SIMILARITY_TOL, is refused with OperatorError; the latter names cond(S).
+    SimilarityDiagonal.check's bound, is refused with OperatorError; the
+    latter names cond(S).
 
     The spectrum equals ``lambdas`` exactly by construction.  Eigenvalues
     with negative real part are admitted as a double sector (the operator

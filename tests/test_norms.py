@@ -434,6 +434,22 @@ def test_k_functional_guards():
             assert k_functional(op, x, t, 0.0, 1.0) == pytest.approx(n0, rel=1e-15)
         ks = k_functional(op, x, np.array([1e8, 1e300, np.finfo(float).max]), 0.0, 1.0)
         assert np.all(ks == ks[0]) and ks[0] == pytest.approx(n0, rel=1e-15)
+    # a number t is checked as a Python float: an invalid t given as a
+    # float, an np.float64 or a 0-d array raises its one-element array's
+    # message, and a valid one given as an int, an np.float64 or a 0-d array
+    # returns a Python float with the bits of the float call's K
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(NormsError) as want:
+            k_functional(op, x, np.array([bad]), 0.0, 1.0)
+        for t in (bad, np.float64(bad), np.array(bad)):
+            with pytest.raises(NormsError) as got:
+                k_functional(op, x, t, 0.0, 1.0)
+            assert str(got.value) == str(want.value)
+    for t in (1, 3, 10, 1000):
+        k = k_functional(op, x, float(t), 0.0, 1.0)
+        for same in (t, np.float64(t), np.array(float(t))):
+            got = k_functional(op, x, same, 0.0, 1.0)
+            assert type(got) is float and got.hex() == k.hex()
 
 
 def test_k_functional_of_zero_and_kernel_vectors():
@@ -500,6 +516,38 @@ def test_k_root_path_evaluations_pinned(monkeypatch):
     np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
+def test_k_root_ends_from_the_weight_row_pick_the_same_t(monkeypatch, theta0, theta1):
+    # the path's two ends form only the weight row; its sums may differ from
+    # the three-row evaluation's in the last bit, but the t that have a root
+    # are the same ones on a 2,001-point grid
+    ts = np.logspace(-6, 8, 2001)
+    seen = []
+    solve = norms._stationary_splits
+
+    def recording(t, rho, sq):
+        seen.append((rho, sq))
+        return solve(t, rho, sq)
+
+    monkeypatch.setattr(norms, "_stationary_splits", recording)
+    for n in (8, 64, 256):
+        op = build_dirichlet_laplacian_1d(n, 1.0)
+        x = op.random_vector(np.random.default_rng(n))
+        x /= lp_norm(x, 2, op.measure)
+        seen.clear()
+        k_functional(op, x, ts, theta0, theta1)
+        (rho, sq), = seen
+        ends = norms._split_path(norms._C_ENDS, rho, sq)
+        full = norms._split_path(norms._C_ENDS.copy(), rho, sq)
+        assert ends.shape == (1, 2, 2) and full.shape == (3, 2, 2)
+        np.testing.assert_allclose(ends[0], full[0], rtol=1e-15, atol=0)
+        t2 = np.square(ts)
+        picks = [(e[0, 1] > t2 * e[0, 0]) & (e[1, 1] <= t2 * e[1, 0]) for e in (ends[0], full[0])]
+        np.testing.assert_array_equal(picks[0], picks[1])
+        assert 0 < np.count_nonzero(picks[0]) < ts.size
+        np.testing.assert_array_equal(solve(ts, rho, sq)[0], picks[1].nonzero()[0])
+
+
 @pytest.mark.parametrize("theta0, theta1, t, paths, k", [
     (0.0, 1.0, 0.3296964866070465, 8, 0.6890186999628805),
     (0.0, 1.0, 0.3296946576409375, 7, 0.6890148777398005),
@@ -520,6 +568,31 @@ def test_k_root_nonfinite_steps_and_bisections_pinned(monkeypatch, theta0, theta
     assert k_functional(op, x, t, theta0, theta1) == pytest.approx(k, rel=1e-15, abs=0)
     (_, (idx, _, _, _)), = log["solves"]
     assert idx.size == 1 and log["paths"] == paths
+
+
+def test_k_root_sums_that_underflow_to_zero_keep_numpy_quotients(monkeypatch):
+    # Dirichlet h = 0.01 (lam in [1.2e3, 3.9e4]) at theta = (5, -20): rho
+    # reaches 1e183, so 18 of the solve's 39 Newton rounds meet a sum
+    # mu^2 or (nu/c)^2 that is exactly 0.  Its quotients are numpy's inf or
+    # NaN, which the safeguard bisects, not a ZeroDivisionError; the path
+    # evaluations and K (the boundary split x1 = x) are pinned to a solve
+    # that formed every quotient on numpy arrays
+    op = build_dirichlet_laplacian_1d(8, 0.01)
+    x = op.random_vector(np.random.default_rng(1))
+    x /= lp_norm(x, 2, op.measure)
+    path = norms._split_path
+    log = {"paths": 0, "zero": 0}
+
+    def counting(c, rho, sq):
+        out = path(c, rho, sq)
+        log["paths"] += 1
+        log["zero"] += c is not norms._C_ENDS and bool(np.any(out[0] == 0.0))
+        return out
+
+    monkeypatch.setattr(norms, "_split_path", counting)
+    k = k_functional(op, x, 1e-10, 5.0, -20.0)
+    assert k.hex() == "0x1.b79e70704cab3p-241"
+    assert log == {"paths": 40, "zero": 18}
 
 
 @pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])

@@ -690,6 +690,35 @@ def test_non_finite_similarity_is_rejected():
         dataclasses.replace(op, form=SimilarityDiagonal(s, op.form.s_inv, op.form.eigenvalues))
 
 
+@pytest.mark.parametrize("n", [8, 96])
+def test_similarity_gate_accepts_an_ill_conditioned_inverse(n):
+    # a float64 inverse leaves ||S S^-1 - I||_F of about eps cond(S): at
+    # cond(S) = 1e9 that is above the floor SIMILARITY_TOL n, which refused
+    # these builds, and below n eps ||S||_F ||S^-1||_F
+    op = build_nonnormal_sectorial(np.arange(1.0, n + 1), 1e9, seed=0)
+    s, s_inv = op.form.s, op.form.s_inv
+    residual = np.linalg.norm(s @ s_inv - np.eye(n))
+    assert operators.SIMILARITY_TOL * n < residual
+    assert residual <= n * np.finfo(float).eps * np.linalg.norm(s) * np.linalg.norm(s_inv)
+    assert op.form.conditioning() == pytest.approx(1e9, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [8, 96])
+@pytest.mark.parametrize("kappa", [10.0, 1e8])
+def test_similarity_gate_refuses_a_corrupted_inverse(n, kappa):
+    # one entry of S^-1, its largest, off by a relative 1e-3 or NaN: the
+    # bound grows with cond(S) but still refuses, naming cond(S)
+    op = build_nonnormal_sectorial(np.arange(1.0, n + 1), kappa, seed=0)
+    form = op.form
+    index = np.unravel_index(np.argmax(np.abs(form.s_inv)), form.s_inv.shape)
+    for bad, match in [(form.s_inv[index] * (1.0 + 1e-3), r"tolerance: cond\(S\) = "),
+                       (np.nan, r"non-finite entries of S\^-1 at")]:
+        s_inv = form.s_inv.copy()
+        s_inv[index] = bad
+        with pytest.raises(OperatorError, match=match):
+            dataclasses.replace(op, form=SimilarityDiagonal(form.s, s_inv, form.eigenvalues))
+
+
 def test_half_line_fault_is_read_off_the_spectrum_once():
     # complex before negative, both up to ZERO_EIG_TOL lambda_max
     eye = np.eye(2)
