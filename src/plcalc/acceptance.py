@@ -40,11 +40,10 @@ from .norms import (
     QuadratureSpec,
     RandomEnsemble,
     besov_continuous_norm,
-    fractional_power_evaluator,
     k_functional,
     k_functional_bruteforce,
+    norm_from_spec,
     pl_random_norm,
-    pl_square_evaluator,
     pl_square_norm,
 )
 from .operators import (
@@ -98,15 +97,15 @@ def criterion_1_overlap_sandwich() -> CriterionResult:
 def criterion_2_fractional_sandwich() -> CriterionResult:
     """Weighted blocks vs ||A^theta x||: within [2^(-|t|-1/2), 2^|t|]."""
     op = operator_from_spec(_hermite_spec(32))
-    hom = build_homogeneous_dyadic()
     rng = np.random.default_rng(12)
     details = []
     ok = True
     for theta in (-1.0, 0.5, 1.0):
         lo_b = 2.0 ** (-abs(theta)) * SQRT_HALF * (1 - 1e-9)
         hi_b = 2.0 ** abs(theta) * (1 + 1e-9)
-        square = pl_square_evaluator(op, hom, 2, theta)
-        frac = fractional_power_evaluator(op, theta, 2)
+        # each norm spec built once: (norm, echo), the norm a NormPlan
+        square = norm_from_spec(op, {"kind": "pl_square", "theta": theta}, 0)()[0]
+        frac = norm_from_spec(op, {"kind": "fractional_power", "theta": theta}, 0)()[0]
         lo, hi = np.inf, -np.inf
         for _ in range(50):
             x = op.random_vector(rng)
@@ -242,7 +241,7 @@ def criterion_8_k_functional() -> CriterionResult:
     ok = worst_scalar <= 1e-10
     # brute force agreement in the balanced regime (see the oracle docstring)
     op6 = build_dirichlet_laplacian_1d(6, 1.0)
-    norm_ax = fractional_power_evaluator(op6, 1.0, 2)
+    norm_ax = norm_from_spec(op6, {"kind": "fractional_power", "theta": 1.0}, 0)()[0]
     rng = np.random.default_rng(18)
     worst_bf = 0.0
     for _ in range(5):

@@ -179,7 +179,7 @@ def _boolean(value) -> bool:
 
 
 def cmd_norm_eval(args) -> int:
-    from .norms import evaluator_from_spec
+    from .norms import norm_from_spec
     from .operators import (OperatorError, SpecReader, non_negative, operator_from_spec,
                             spec_value)
 
@@ -199,7 +199,7 @@ def cmd_norm_eval(args) -> int:
         raise CliExit(EXIT_INVARIANT, str(exc))
     # the norm spec is read first: its pnorm also normalizes a random vector
     try:
-        evaluator, echo = evaluator_from_spec(op, norm_spec, norm_seed)
+        norm, echo = norm_from_spec(op, norm_spec, norm_seed)()
     except (KeyError, TypeError) as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed norm spec: {exc}")
     except Exception as exc:
@@ -209,7 +209,7 @@ def cmd_norm_eval(args) -> int:
     except KeyError as exc:
         raise CliExit(EXIT_BAD_CONFIG, f"malformed vector spec: {exc}")
     try:
-        value = float(evaluator(x))
+        value = float(norm(x))
     except Exception as exc:
         raise CliExit(EXIT_NORM_ERROR, f"norm evaluation failed: {exc}")
     if not np.isfinite(value):

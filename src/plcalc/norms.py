@@ -5,14 +5,14 @@ the kernel split, K-functionals and real interpolation norms.
 Every block, square-function and Besov norm is a reduction over the
 fields f_j(A)x of one stack of multipliers f_j: the weighted windows
 2^(n theta) window_n, or the symbol at the quadrature nodes, psi(t_j .) or
-f(t_j .).  Each norm has two halves.  Its evaluator (pl_square_evaluator,
-...) builds the half that does not depend on x, in one pass, together with
-the quadrature tail certificate; the closure it returns reduces the
-coefficients of one x.  An experiment builds that half once and evaluates
-every sample with it; the public norm functions build it per call.  A JSON
-norm spec names its evaluator through one reader (norm_from_spec).  A
-window stack is scattered from the partition's two-window rule, one bump
-call for all windows (block_stack).
+f(t_j .).  Such a norm is data: a NormPlan holds the half that does not
+depend on x, built in one pass together with the quadrature tail
+certificate, and calling the plan on x is the one evaluator of every such
+norm.  An experiment builds a plan once and evaluates every sample with
+it; the public norm functions build one per call.  A JSON norm spec is
+built into its plan by one reader (norm_from_spec).  A window stack is
+scattered from the partition's two-window rule, one bump call for all
+windows (block_stack).
 
 Where a partition's windows sit on the spectrum, and which of their
 indices are active, is one rule (_window_grid), read off the partition
@@ -28,14 +28,13 @@ kind and never off the operator's type:
                                operator with a kernel has no logarithm and
                                is refused).
 
-A reduction reads the fields in one of two ways, and this module is the
-one place that chooses (_parseval):
+A plan reads the fields by one of two routes, chosen in one place
+(_plan, by _parseval):
 
   p = 2, orthonormal eigenbasis   by Parseval, ||f_j(A)x||_2^2 =
-                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2: every
-                                  norm hands its weights, built once, to the
-                                  one energy reduction (_energy_reduction),
-                                  so a vector costs one coefficient
+                                  sum_k |f_j(lambda_k)|^2 |<x, e_k>|^2: the
+                                  plan holds these weights alone, built
+                                  once, so a vector costs one coefficient
                                   transform and one GEMV, and no synthesis.
                                   The weights are the stack squared (field
                                   norms) or summed over its rows (square
@@ -46,9 +45,9 @@ one place that chooses (_parseval):
                                   reduced over node blocks without a table
                                   (_dilation_integrals, calculus.node_sums);
   any other p, or a non-orthonormal basis (S diag S^-1)
-                                  one coefficient transform and one
-                                  synthesis of the whole stack, then L^p
-                                  norms of the fields.
+                                  the plan holds the stack: one coefficient
+                                  transform and one synthesis of the whole
+                                  stack, then L^p norms of the fields.
 
 With y_n = window_n(A) x the spectral blocks of x, the norms are
 
@@ -272,7 +271,7 @@ def _block_weights(indices, theta: float) -> np.ndarray:
         return _finite(2.0 ** (indices * theta), f"block weights 2^(n theta) at theta={theta}")
 
 
-# -- reductions of the fields of a multiplier stack ----------------------------
+# -- norm plans -------------------------------------------------------------------
 
 def _parseval(op, pnorm) -> bool:
     """Whether L^p norms of fields are read off the coefficient energies:
@@ -280,57 +279,102 @@ def _parseval(op, pnorm) -> bool:
     return pnorm == 2 and op.orthonormal
 
 
-def _energy_reduction(op, weights):
-    """x -> (weights @ |<x, e_k>|^2)^(1/2), the one Parseval reduction: a
-    (K,) weight vector gives a float, an (m, K) matrix the m norms, from
-    one coefficient transform and one GEMV.  The weights are squares of
-    multipliers, formed under np.errstate(over="ignore") and refused here
-    if one overflowed (_finite)."""
-    _finite(weights, "Parseval weights |f(lambda_k)|^2: a multiplier squared overflows")
+@dataclass(frozen=True, eq=False)
+class NormPlan:
+    """A stack norm as data: its half that does not depend on x.
 
-    def evaluate(x):
-        out = np.sqrt(weights @ np.square(np.abs(op.coefficients(x))))
-        return out if out.ndim else float(out)
+    The fields f_j(A)x of the multipliers f_j, the rows of the stack F
+    (m x K, or one multiplier of shape (K,)), are reduced by the combiner:
 
-    return evaluate
+      fields        ||f_j(A)x||_p of every row, or of every signed sum
+                    sum_j d_j f_j(A)x over the rows d of draws; a number
+                    for one multiplier
+      mean          the mean of those norms
+      lq            (sum_j du_j (w_j ||f_j(A)x||_p)^q)^(1/q), w the row
+                    weights 2^(n theta) or t_j^-theta; their max for
+                    q = inf
+      square        || (sum_j |f_j(A)x|^2)^(1/2) ||_p
+      kernel_plus   ||Px||_p plus the square function, P onto N(A)
+
+    The route (_plan) says how the fields are read.  On "synthesis" the
+    plan holds F, and a vector costs one coefficient transform and one
+    synthesis of the stack.  On "parseval" it holds only the energy
+    weights: |f_j(lambda_k)|^2 (of the signed rows with draws), their sum
+    over the rows for a square function, behind the kernel indicator for
+    kernel_plus, or the continuous square function's integrals; a vector
+    costs one coefficient transform and one GEMV.  Calling a plan on x is
+    the one evaluator of every stack norm.
+    """
+
+    op: ModelOperator
+    pnorm: float
+    combiner: str
+    route: str                              # "parseval" or "synthesis"
+    stack: np.ndarray | None = None         # F, on the synthesis route
+    energy: np.ndarray | None = None        # the weights of |<x, e_k>|^2, on the Parseval route
+    draws: np.ndarray | None = None         # signs or gaussians, one row per signed sum
+    row_weights: np.ndarray | None = None   # lq: w_j
+    du: np.ndarray | float = 1.0            # lq: the quadrature weights, 1 for a plain sum
+    q: float = 2.0                          # lq: the exponent (_lq_exponent)
+
+    def __call__(self, x):
+        op, pnorm = self.op, self.pnorm
+        if self.route == "parseval":
+            out = np.sqrt(self.energy @ np.square(np.abs(op.coefficients(x))))
+        elif self.combiner in ("square", "kernel_plus"):
+            fields = spectral_multiplier(op, self.stack, x)
+            with np.errstate(over="ignore"):   # inf, which the caller refuses
+                out = lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
+        else:
+            fields = spectral_multiplier(op, self.stack, x)
+            out = lp_norm(fields if self.draws is None else self.draws @ fields, pnorm, op.measure)
+        if self.combiner == "lq":
+            values, q = self.row_weights * out, self.q
+            if q == np.inf:
+                return float(np.max(values)) if values.size else 0.0
+            with np.errstate(over="ignore"):   # a q-th power that overflows: inf, which is refused
+                return float(np.sum(self.du * values**q) ** (1.0 / q))
+        if self.combiner == "mean":
+            return float(np.mean(out))
+        if self.combiner == "kernel_plus":
+            return (float(np.sum(out)) if self.route == "parseval"
+                    else lp_norm(op.kernel_component(x), pnorm, op.measure) + out)
+        return out if np.ndim(out) else float(out)
 
 
-def _field_evaluator(op, values, pnorm):
-    """x -> ||f_j(A)x||_p for every row f_j of the multiplier stack
-    ``values``; one multiplier of shape (K,) gives a number.  On the
-    Parseval route the stack is squared once, |f_j(lambda_k)|^2."""
-    if _parseval(op, pnorm):
+def _plan(op, pnorm, combiner: str, stack, energy=None, **reduction) -> NormPlan:
+    """The plan of a stack norm, and the one place its route is chosen.
+
+    ``stack`` is a function of no arguments that builds F.  The synthesis
+    route holds F.  The Parseval route holds ``energy`` where a norm brings
+    its own weights (the continuous square function's integrals, for which
+    F is never built), and otherwise F squared once, under
+    np.errstate(over="ignore"); weights that overflowed are refused
+    (_finite).
+    """
+    if not _parseval(op, pnorm):
+        return NormPlan(op, pnorm, combiner, "synthesis", stack=stack(), **reduction)
+    if energy is None:
+        values, draws = stack(), reduction.get("draws")
         with np.errstate(over="ignore"):
-            return _energy_reduction(op, np.square(np.abs(values)))
-    return lambda x: lp_norm(spectral_multiplier(op, values, x), pnorm, op.measure)
-
-
-def _square_evaluator(op, values, pnorm):
-    """x -> || (sum_j |f_j(A)x|^2)^(1/2) ||_p over the rows f_j of
-    ``values``.  On the Parseval route the stack is squared and summed over
-    its rows once, to the weights sum_j |f_j(lambda_k)|^2."""
-    if _parseval(op, pnorm):
-        with np.errstate(over="ignore"):
-            return _energy_reduction(op, np.square(np.abs(values)).sum(axis=0))
-
-    def evaluate(x):
-        fields = spectral_multiplier(op, values, x)
-        with np.errstate(over="ignore"):   # inf, which the caller refuses
-            return lp_norm(np.sqrt(np.sum(np.abs(fields) ** 2, axis=0)), pnorm, op.measure)
-
-    return evaluate
+            energy = np.square(np.abs(values if draws is None else draws @ values))
+            if combiner in ("square", "kernel_plus"):
+                energy = energy.sum(axis=0)
+        if combiner == "kernel_plus":
+            energy = np.vstack([~op.nonzero, energy])
+    _finite(energy, "Parseval weights |f(lambda_k)|^2: a multiplier squared overflows")
+    return NormPlan(op, pnorm, combiner, "parseval", energy=energy, **reduction)
 
 
 # -- block norms ----------------------------------------------------------------
 
-def pl_square_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0):
-    """x -> pl_square_norm(op, p, x, pnorm, theta), the window stack built once."""
-    return _square_evaluator(op, block_stack(op, p, theta)[1], pnorm)
+def _square_plan(op, p: PartitionOfUnity, pnorm, theta: float) -> NormPlan:
+    return _plan(op, pnorm, "square", lambda: block_stack(op, p, theta)[1])
 
 
 def pl_square_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
     """|| ( sum_n |2^(n theta) window_n(A) x|^2 )^(1/2) ||_p."""
-    return pl_square_evaluator(op, p, pnorm, theta)(x)
+    return _square_plan(op, p, pnorm, theta)(x)
 
 
 @dataclass
@@ -340,33 +384,12 @@ class PLRandomResult:
     samples: np.ndarray
 
 
-def pl_random_evaluator(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble,
-                        theta: float = 0.0):
-    """x -> pl_random_norm(op, p, x, pnorm, ens, theta), the window stack and
-    the draws built once.
-
-    The sum over blocks of one draw is the field of the multiplier
-    sum_n eps_n 2^(n theta) window_n, so on the Parseval route each draw is
-    one row of that signed stack, squared once; otherwise the blocks are
-    synthesized and the draws combine them.
-    """
+def _random_plan(op, p: PartitionOfUnity, pnorm, ens: RandomEnsemble, theta: float,
+                 combiner: str = "mean") -> NormPlan:
+    """The window stack and the draws: the sum over blocks of one draw is the
+    field of the multiplier sum_n eps_n 2^(n theta) window_n."""
     windows = block_stack(op, p, theta)[1]
-    draws = ens.draws(len(windows))
-    if _parseval(op, pnorm):
-        with np.errstate(over="ignore"):
-            sample_norms = _energy_reduction(op, np.square(draws @ windows))
-    else:
-        sample_norms = lambda x: lp_norm(draws @ spectral_multiplier(op, windows, x),
-                                         pnorm, op.measure)
-
-    def evaluate(x) -> PLRandomResult:
-        samples = sample_norms(x)
-        mean = float(np.mean(samples))
-        with np.errstate(invalid="ignore"):   # an inf sample: an inf mean, which is refused
-            stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
-        return PLRandomResult(mean, stderr, samples)
-
-    return evaluate
+    return _plan(op, pnorm, combiner, lambda: windows, draws=ens.draws(len(windows)))
 
 
 def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
@@ -376,48 +399,23 @@ def pl_random_norm(op, p: PartitionOfUnity, x, pnorm, ens: RandomEnsemble,
     Returns the sample mean of the norm, its standard error, and the raw
     samples (their squares feed the square-sum consistency check).
     """
-    return pl_random_evaluator(op, p, pnorm, ens, theta)(x)
+    samples = _random_plan(op, p, pnorm, ens, theta, "fields")(x)
+    with np.errstate(invalid="ignore"):   # an inf sample: an inf mean, which is refused
+        stderr = float(np.std(samples, ddof=1) / np.sqrt(ens.count)) if ens.count > 1 else 0.0
+    return PLRandomResult(float(np.mean(samples)), stderr, samples)
 
 
-def pl_inhomogeneous_evaluator(op, p: PartitionOfUnity, pnorm=2, theta: float = 0.0):
-    """x -> pl_inhomogeneous_norm(op, p, x, pnorm, theta), the window stack built once."""
+def _inhomogeneous_plan(op, p: PartitionOfUnity, pnorm, theta: float) -> NormPlan:
     if p.kind != INHOMOGENEOUS:
         raise NormsError("pass the inhomogeneous partition")
     if theta < 0:
         raise NormsError("inhomogeneous weights need theta >= 0")
-    return pl_square_evaluator(op, p, pnorm, theta)
+    return _square_plan(op, p, pnorm, theta)
 
 
 def pl_inhomogeneous_norm(op, p: PartitionOfUnity, x, pnorm=2, theta: float = 0.0) -> float:
     """Inhomogeneous variant: blocks phi_n, n >= 0, weights 2^(n theta) >= 1."""
-    return pl_inhomogeneous_evaluator(op, p, pnorm, theta)(x)
-
-
-def kernel_plus_pl_evaluator(op, p: PartitionOfUnity, pnorm):
-    """x -> ||Px||_p + || (sum_n |window_n(A) x|^2)^(1/2) ||_p, P the
-    projection onto the kernel (op.kernel_component), for an operator with
-    a kernel.
-
-    P is the spectral projection onto the kernel, so on the Parseval route
-    both terms are energy reductions, of two weight rows: the kernel
-    indicator and the windows' squares summed over the blocks.
-    """
-    if op.injective:
-        raise NormsError("operator has no kernel projection")
-    windows = block_stack(op, p)[1]
-    if _parseval(op, pnorm):
-        terms = _energy_reduction(op, np.vstack([~op.nonzero, np.square(windows).sum(axis=0)]))
-        return lambda x: float(np.sum(terms(x)))
-    square = _square_evaluator(op, windows, pnorm)
-    return lambda x: lp_norm(op.kernel_component(x), pnorm, op.measure) + square(x)
-
-
-def fractional_power_evaluator(op, theta: float, pnorm):
-    """x -> ||A^theta x||_p, A^theta taken on the injective part (0 on the
-    kernel)."""
-    with np.errstate(over="ignore"):
-        powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
-    return _field_evaluator(op, _finite(powed, f"weights lambda^theta at theta={theta}"), pnorm)
+    return _inhomogeneous_plan(op, p, pnorm, theta)(x)
 
 
 # -- continuous square function -------------------------------------------------
@@ -425,18 +423,13 @@ def fractional_power_evaluator(op, theta: float, pnorm):
 SQUARE_TAIL_RTOL = 1e-8   # certified quadrature tails relative to the integral
 
 
-def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pnorm=2,
-                                quad: QuadratureSpec | None = None):
-    """x -> continuous_square_norm(op, psi, theta, x, ...), its x-independent
-    half built once.
-
-    That half is the per-eigenvalue integral
-    I_k = sum_j du_j t_j^(-2 theta) |psi(t_j lambda_k)|^2, reduced over node
-    blocks (_dilation_integrals) without a (node, eigenvalue) table: it is
-    both the denominator of the tail certificate and, on the Parseval route,
-    the weight of |<x, e_k>|^2.  Only the synthesis route builds the table
-    of the fields' multipliers.
-    """
+def _continuous_square_plan(op: ModelOperator, psi: Symbol, theta: float, pnorm,
+                            quad: QuadratureSpec | None) -> NormPlan:
+    """The per-eigenvalue integral I_k = sum_j du_j t_j^(-2 theta)
+    |psi(t_j lambda_k)|^2, reduced over node blocks (_dilation_integrals)
+    without a (node, eigenvalue) table: it is both the denominator of the
+    tail certificate and, on the Parseval route, the energy weight.  Only
+    the synthesis route builds the table of the fields' multipliers."""
     if psi.decay is None:
         raise NormsError(f"symbol {psi.name} carries no decay certificate")
     e0, ei, c = psi.decay.eps0, psi.decay.eps_inf, psi.decay.real_axis_constant
@@ -469,13 +462,14 @@ def continuous_square_evaluator(op: ModelOperator, psi: Symbol, theta: float, pn
         if rel > SQUARE_TAIL_RTOL:
             raise NormsError(f"quadrature tail {rel:.2e} above tolerance {SQUARE_TAIL_RTOL:.2e}; "
                              "widen the t-range")
-    if _parseval(op, pnorm):
-        return _energy_reduction(op, integ)
-    # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
-    with np.errstate(over="ignore"):
-        values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * _dilation_table(op, psi, t)
-    return _square_evaluator(op, _finite(values, f"multipliers t^-theta psi(t lambda) at "
-                                                 f"theta={theta}"), pnorm)
+
+    def stack():
+        # pointwise square function: S(u)^2 = sum_j du t_j^(-2 theta) |psi(t_j A)x (u)|^2
+        with np.errstate(over="ignore"):
+            values = (du[:, None] ** 0.5) * t[:, None] ** (-theta) * _dilation_table(op, psi, t)
+        return _finite(values, f"multipliers t^-theta psi(t lambda) at theta={theta}")
+
+    return _plan(op, pnorm, "square", stack, energy=integ)
 
 
 def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
@@ -486,7 +480,7 @@ def continuous_square_norm(op: ModelOperator, psi: Symbol, theta: float, x,
     and eps_inf > -theta, so the truncated integrand
     t^(-2 theta) |psi(t lambda)|^2 has certified geometric tails.
     """
-    return continuous_square_evaluator(op, psi, theta, pnorm, quad)(x)
+    return _continuous_square_plan(op, psi, theta, pnorm, quad)(x)
 
 
 # -- Besov-type norms -----------------------------------------------------------
@@ -500,34 +494,19 @@ def _lq_exponent(q) -> float:
     return q
 
 
-def _lq_combine(values: np.ndarray, q: float, du) -> float:
-    """(sum_j du_j values_j^q)^(1/q), the max for q = inf; q from _lq_exponent.
-    A q-th power that overflows gives inf, which the caller refuses."""
-    if q == np.inf:
-        return float(np.max(values)) if values.size else 0.0
-    with np.errstate(over="ignore"):
-        return float(np.sum(du * values**q) ** (1.0 / q))
-
-
-def besov_discrete_evaluator(op, p: PartitionOfUnity, theta: float, q, pnorm=2):
-    """x -> besov_discrete_norm(op, p, x, theta, q, pnorm), the window stack
-    and its weights built once."""
+def _besov_discrete_plan(op, p: PartitionOfUnity, theta: float, q, pnorm) -> NormPlan:
     q = _lq_exponent(q)
     indices, windows = block_stack(op, p)
-    weights = _block_weights(indices, theta)
-    field_norm = _field_evaluator(op, windows, pnorm)
-    return lambda x: _lq_combine(weights * field_norm(x), q, 1.0)
+    return _plan(op, pnorm, "lq", lambda: windows, q=q, row_weights=_block_weights(indices, theta))
 
 
 def besov_discrete_norm(op, p: PartitionOfUnity, x, theta: float, q, pnorm=2) -> float:
     """( sum_n (2^(n theta) ||window_n(A) x||_p)^q )^(1/q); sup for q = inf."""
-    return besov_discrete_evaluator(op, p, theta, q, pnorm)(x)
+    return _besov_discrete_plan(op, p, theta, q, pnorm)(x)
 
 
-def besov_continuous_evaluator(op: ModelOperator, theta: float, q, f: Symbol,
-                               pnorm=2, quad: QuadratureSpec | None = None):
-    """x -> besov_continuous_norm(op, x, theta, q, f, ...), the dilation table
-    built once."""
+def _besov_continuous_plan(op: ModelOperator, theta: float, q, f: Symbol, pnorm,
+                           quad: QuadratureSpec | None) -> NormPlan:
     _check_besov_symbol(f, theta)
     q = _lq_exponent(q)
     if quad is None:
@@ -535,8 +514,8 @@ def besov_continuous_evaluator(op: ModelOperator, theta: float, q, f: Symbol,
     t, du = quad.nodes()
     with np.errstate(over="ignore"):
         weights = _finite(t**-theta, f"weights t^-theta at theta={theta}")
-    field_norm = _field_evaluator(op, _dilation_table(op, f, t), pnorm)
-    return lambda x: _lq_combine(weights * field_norm(x), q, du)
+    return _plan(op, pnorm, "lq", lambda: _dilation_table(op, f, t), row_weights=weights,
+                 du=du, q=q)
 
 
 def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
@@ -548,7 +527,7 @@ def besov_continuous_norm(op: ModelOperator, x, theta: float, q, f: Symbol,
     multiplier criterion holds for these); anything else needs a decay
     certificate with eps0 > theta.
     """
-    return besov_continuous_evaluator(op, theta, q, f, pnorm, quad)(x)
+    return _besov_continuous_plan(op, theta, q, f, pnorm, quad)(x)
 
 
 def _check_besov_symbol(f: Symbol, theta: float):
@@ -963,8 +942,10 @@ def _ensemble_kind(value) -> str:
 
 def norm_from_spec(op: ModelOperator, spec: dict, seed: int):
     """The one reader of a norm spec.  The spec is read in full, and a
-    function of no arguments is returned that builds (evaluate, echo): the
-    evaluator, and the spec with every parameter resolved, for the report.
+    function of no arguments is returned that builds (norm, echo): the
+    norm, called on x, and the spec with every parameter resolved, for the
+    report.  The norm of a stack kind is its NormPlan; ambient and
+    real_interpolation are functions of x.
 
     Raises SpecKeyError for a key the kind does not read and SpecValueError
     for a spec that is not an object of a known kind or a value that does
@@ -984,40 +965,46 @@ def norm_from_spec(op: ModelOperator, spec: dict, seed: int):
     if kind == "ambient":
         make = lambda: lambda x: lp_norm(x, pnorm, op.measure)
     elif kind == "pl_square":
-        make = lambda: pl_square_evaluator(op, hom, pnorm, theta)
+        make = lambda: _square_plan(op, hom, pnorm, theta)
     elif kind == "pl_random":
         # the draws and their norms are count x blocks and count x n arrays
         ens = RandomEnsemble(count=read("count", lambda v: array_size(v, per=op.n), 256),
                              kind=read("sign_kind", _ensemble_kind, "rademacher"),
                              seed=read("ensemble_seed", non_negative, seed + 104729))
         echo["ensemble"] = ens.to_json()
-
-        def make():
-            random_norm = pl_random_evaluator(op, hom, pnorm, ens, theta)
-            return lambda x: random_norm(x).mean
+        make = lambda: _random_plan(op, hom, pnorm, ens, theta)
     elif kind == "pl_inhomogeneous":
-        make = lambda: pl_inhomogeneous_evaluator(op, to_inhomogeneous(hom), pnorm, theta)
+        make = lambda: _inhomogeneous_plan(op, to_inhomogeneous(hom), pnorm, theta)
     elif kind == "fractional_power":
-        make = lambda: fractional_power_evaluator(op, theta, pnorm)
+        def make():   # A^theta on the injective part, 0 on the kernel
+            with np.errstate(over="ignore"):
+                powed = np.where(op.nonzero, _spectral_argument(op), 1.0) ** theta * op.nonzero
+            powed = _finite(powed, f"weights lambda^theta at theta={theta}")
+            return _plan(op, pnorm, "fields", lambda: powed)
     elif kind == "kernel_plus_pl":
-        make = lambda: kernel_plus_pl_evaluator(op, hom, pnorm)
+        def make():   # P x (op.kernel_component) is the field of the kernel indicator
+            if op.injective:
+                raise NormsError("operator has no kernel projection")
+            windows = block_stack(op, hom)[1]
+            return _plan(op, pnorm, "kernel_plus", lambda: windows)
     elif kind == "continuous_square":
         make_psi = symbol_from_spec(read("psi", None, {"kind": "psi_exp", "a": 1.0, "b": 1.0}))
 
         def make():
             psi = make_psi()
             echo["psi"] = psi.name
-            return continuous_square_evaluator(op, psi, theta, pnorm)
+            return _continuous_square_plan(op, psi, theta, pnorm, None)
     elif kind == "besov_discrete":
-        make = lambda: besov_discrete_evaluator(op, hom, theta, q, pnorm)
+        make = lambda: _besov_discrete_plan(op, hom, theta, q, pnorm)
     elif kind == "besov_continuous":
-        fspec = read("f", None, None)
-        make_f = symbol_from_spec(fspec) if fspec else lambda: window_symbol(hom, 0)
+        # an absent "f" is the window of block 0; a present one is a symbol spec
+        make_f = (symbol_from_spec(read("f")) if "f" in spec
+                  else lambda: window_symbol(hom, 0))
 
         def make():
             f = make_f()
             echo["f"] = f.name
-            return besov_continuous_evaluator(op, theta, q, f, pnorm)
+            return _besov_continuous_plan(op, theta, q, f, pnorm, None)
     elif kind == "real_interpolation":
         vartheta = echo["vartheta"] = read("vartheta", finite, 0.5)
         theta0 = echo["theta0"] = read("theta0", finite, 0.0)
@@ -1029,11 +1016,6 @@ def norm_from_spec(op: ModelOperator, spec: dict, seed: int):
             return lambda x: real_interpolation_norm(op, x, vartheta, q, theta0, theta1)
     else:
         # the square function of the equidistant blocks of B = log A
-        make = lambda: pl_square_evaluator(op, build_equidistant(), pnorm)
+        make = lambda: _square_plan(op, build_equidistant(), pnorm, 0.0)
     read.done()
     return lambda: (make(), echo)
-
-
-def evaluator_from_spec(op: ModelOperator, spec: dict, seed: int):
-    """(evaluate, echo) of a JSON norm spec, read in full and then built."""
-    return norm_from_spec(op, spec, seed)()

@@ -733,6 +733,16 @@ def test_a_non_numeric_norm_value_is_a_malformed_config(tmp_path, capsys, comman
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("f", [{}, 0, None, []], ids=["object", "zero", "null", "list"])
+def test_a_malformed_besov_window_is_refused_not_replaced_by_the_default(tmp_path, capsys, f):
+    # only an absent "f" means the default window; any value given is a symbol spec
+    config = norm_eval_config(operator={"kind": "dirichlet1d", "n": 16, "h": 1.0},
+                              norm={"kind": "besov_continuous", "f": f})
+    assert run_cli(tmp_path, "norm", config) == 2
+    assert "'kind' in symbol spec" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_both_norm_specs_are_read_before_either_is_built(tmp_path, capsys):
     # norm_a alone would be refused ("norm not admitted"), but norm_b holds
     # a misspelled key, which is the reason given

@@ -967,6 +967,16 @@ def _unit_vector(op, seed):
     return x / lp_norm(x, 2, op.measure)
 
 
+def _field_plan(op, values):
+    """The plan of the p = 2 field norms ||f_j(A)x||_2 of the rows f_j of values."""
+    return norms._plan(op, 2, "fields", lambda: values)
+
+
+def _norm(op, spec, seed):
+    """The built norm of a JSON norm spec: a NormPlan, or a function of x."""
+    return norms.norm_from_spec(op, spec, seed)()[0]
+
+
 @pytest.mark.parametrize("name", sorted(PARSEVAL_OPERATORS))
 def test_energies_are_the_squared_norms_of_the_synthesized_fields(name):
     # the p = 2 field norms read off the coefficient energies, squared,
@@ -979,9 +989,9 @@ def test_energies_are_the_squared_norms_of_the_synthesized_fields(name):
     values = rng.standard_normal((5, k)) + 1j * rng.standard_normal((5, k))
     x = _unit_vector(op, 2)
     fields = spectral_multiplier(op, values, x)
-    np.testing.assert_allclose(norms._field_evaluator(op, values, 2)(x) ** 2,
+    np.testing.assert_allclose(_field_plan(op, values)(x) ** 2,
                                lp_norm(fields, 2, op.measure) ** 2, rtol=1e-13, atol=0)
-    assert norms._field_evaluator(op, values[0], 2)(x) ** 2 == pytest.approx(
+    assert _field_plan(op, values[0])(x) ** 2 == pytest.approx(
         lp_norm(fields[0], 2, op.measure) ** 2, rel=1e-13, abs=0)
 
 
@@ -995,15 +1005,13 @@ def test_energies_of_a_nonnormal_operator_synthesize_the_fields():
     x = _unit_vector(op, 4)
     fields = spectral_multiplier(op, values, x)
     assert not op.orthonormal
-    np.testing.assert_array_equal(norms._field_evaluator(op, values, 2)(x),
-                                  lp_norm(fields, 2, op.measure))
+    np.testing.assert_array_equal(_field_plan(op, values)(x), lp_norm(fields, 2, op.measure))
 
 
 @pytest.mark.parametrize("name", sorted(PARSEVAL_OPERATORS))
 def test_parseval_route_matches_the_synthesis_route(monkeypatch, name):
     # with the orthonormal flag off, every norm synthesizes its fields and
     # takes their lp_norm; the energies give the same values to round-off
-    from plcalc.norms import evaluator_from_spec
     from plcalc.operators import ModelOperator
 
     op = PARSEVAL_OPERATORS[name]
@@ -1012,10 +1020,10 @@ def test_parseval_route_matches_the_synthesis_route(monkeypatch, name):
     for spec in NORM_KINDS:
         if not _admitted(op, spec):
             continue
-        parseval, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 7)
+        parseval = _norm(op, dict(spec, pnorm=2), 7)
         with monkeypatch.context() as m:
             m.setattr(ModelOperator, "orthonormal", property(lambda self: False))
-            synthesis, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 7)
+            synthesis = _norm(op, dict(spec, pnorm=2), 7)
             expected = [synthesis(x) for x in xs]
         np.testing.assert_allclose([parseval(x) for x in xs], expected, rtol=1e-13, atol=0,
                                    err_msg=str(spec))
@@ -1034,12 +1042,10 @@ def _synthesis_refused(monkeypatch):
 
 @pytest.mark.parametrize("spec", NORM_KINDS, ids=lambda s: "-".join(map(str, s.values())))
 def test_p2_norms_on_an_orthonormal_basis_make_no_synthesis(monkeypatch, spec):
-    from plcalc.norms import evaluator_from_spec
-
     op = PARSEVAL_OPERATORS["graph" if spec["kind"] == "kernel_plus_pl" else "dirichlet"]
     x = _unit_vector(op, 5)
-    evaluate, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 0)
-    p4, _ = evaluator_from_spec(op, dict(spec, pnorm=4), 0)
+    evaluate = _norm(op, dict(spec, pnorm=2), 0)
+    p4 = _norm(op, dict(spec, pnorm=4), 0)
     with monkeypatch.context() as m:
         _synthesis_refused(m)
         assert np.isfinite(evaluate(x))
@@ -1050,15 +1056,47 @@ def test_p2_norms_on_an_orthonormal_basis_make_no_synthesis(monkeypatch, spec):
 @pytest.mark.parametrize("spec", [s for s in NORM_KINDS if s["kind"] != "kernel_plus_pl"],
                          ids=lambda s: "-".join(map(str, s.values())))
 def test_p2_norms_on_a_nonnormal_operator_still_synthesize(monkeypatch, spec):
-    from plcalc.norms import evaluator_from_spec
-
     op = build_nonnormal_sectorial(np.geomspace(0.1, 10.0, 12), 4.0, 1)
     x = _unit_vector(op, 6)
-    evaluate, _ = evaluator_from_spec(op, dict(spec, pnorm=2), 0)
+    evaluate = _norm(op, dict(spec, pnorm=2), 0)
     with monkeypatch.context() as m:
         _synthesis_refused(m)
         with pytest.raises(AssertionError, match="synthesize called"):
             evaluate(x)
+
+
+def test_continuous_square_at_p2_on_an_orthonormal_basis_builds_no_dilation_table(monkeypatch):
+    # on Dirichlet n = 256 the (node x eigenvalue) table of psi is 806 x 256
+    # floats (1.65 MB); at p = 2 the plan holds the integrals alone, reduced
+    # over node blocks, and its build and one evaluation peak far below
+    # that; at p = 4 the plan synthesizes the fields from the table
+    import tracemalloc
+
+    op = build_dirichlet_laplacian_1d(256, 1.0)
+    psi = make_symbol("psi_exp", a=1.0, b=1.0)
+    x = _unit_vector(op, 0)
+    tables = []
+    table = norms._dilation_table
+    monkeypatch.setattr(norms, "_dilation_table",
+                        lambda *args: tables.append(table(*args)) or tables[-1])
+    continuous_square_norm(op, psi, 0.0, x, 2)   # warm-up: lazy operator fields
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        plan = norms._continuous_square_plan(op, psi, 0.0, 2, None)
+        plan(x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (plan.route, plan.stack, tables) == ("parseval", None, [])
+    assert peak < 1_000_000
+    plan = norms._continuous_square_plan(op, psi, 0.0, 4, None)
+    assert plan.route == "synthesis" and len(tables) == 1
+    assert tables[0].nbytes > 1_000_000 and plan.stack.shape == tables[0].shape
 
 
 def test_p2_square_functions_on_a_nonnormal_operator_keep_the_synthesis_arithmetic(hom):
@@ -1201,10 +1239,10 @@ def _square_function_norm(op, values, x, pnorm):
 @pytest.mark.parametrize("pnorm", [2, 4])
 @pytest.mark.parametrize("name", ["dirichlet", "hermite", "graph", "nonnormal"])
 def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
-    # every evaluator against _square_function_norm / _field_norms of the
-    # stack built per window (or the dilation table): at p = 2 on an
-    # orthonormal basis the evaluator reads weights squared once, elsewhere
-    # it synthesizes as the reference does
+    # every plan against _square_function_norm / _field_norms of the stack
+    # built per window (or the dilation table): at p = 2 on an orthonormal
+    # basis the plan holds the weights squared once, elsewhere it
+    # synthesizes as the reference does
     from plcalc.calculus import spectral_multiplier
 
     op = _oracle_operators(hermite16)[name]
@@ -1227,24 +1265,23 @@ def test_evaluators_match_the_full_stack_route(hom, hermite16, name, pnorm):
         return lp_norm(draws @ spectral_multiplier(op, windows, x), pnorm, op.measure)
 
     cases = {
-        "pl_square": (norms.pl_square_evaluator(op, hom, pnorm, 0.4),
+        "pl_square": (norms._square_plan(op, hom, pnorm, 0.4),
                       lambda x: _square_function_norm(op, windows, x, pnorm)),
         "pl_inhomogeneous": (
-            norms.pl_inhomogeneous_evaluator(op, inh, pnorm, 0.5),
+            norms._inhomogeneous_plan(op, inh, pnorm, 0.5),
             lambda x: _square_function_norm(op, _window_stack(op, inh, 0.5), x, pnorm)),
-        "pl_random": (lambda x: norms.pl_random_evaluator(op, hom, pnorm, ens, 0.4)(x).samples,
-                      random_reference),
+        "pl_random": (norms._random_plan(op, hom, pnorm, ens, 0.4, "fields"), random_reference),
         "besov_discrete": (
-            norms.besov_discrete_evaluator(op, hom, 0.3, 3, pnorm),
+            norms._besov_discrete_plan(op, hom, 0.3, 3, pnorm),
             lambda x: np.sum((2.0 ** (0.3 * np.array(norms.block_indices(op, hom)))
                               * _field_norms(op, _window_stack(op, hom), x, pnorm)) ** 3)
             ** (1 / 3)),
         "besov_continuous": (
-            norms.besov_continuous_evaluator(op, 0.5, 2, f, pnorm),
+            norms._besov_continuous_plan(op, 0.5, 2, f, pnorm, None),
             lambda x: np.sum(cover_du * (cover_t**-0.5
                                          * _field_norms(op, f_table, x, pnorm)) ** 2) ** 0.5),
         "continuous_square": (
-            norms.continuous_square_evaluator(op, psi, 0.3, pnorm, quad),
+            norms._continuous_square_plan(op, psi, 0.3, pnorm, quad),
             lambda x: _square_function_norm(op, square_values, x, pnorm)),
     }
     for seed in range(3):

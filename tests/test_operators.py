@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plcalc.measure import MeasureSpace, weighted_symmetric_eig
-from plcalc.norms import _field_evaluator, besov_discrete_norm, k_functional, pl_square_norm
+from plcalc.norms import _plan, besov_discrete_norm, k_functional, pl_square_norm
 from plcalc.partitions import build_homogeneous_dyadic
 from plcalc import operators
 from plcalc.operators import (
@@ -981,7 +981,7 @@ def test_sine_transform_matches_the_dense_basis(n, h):
     # Parseval energies of a multiplier stack, one row a multiplier
     values = np.vstack([np.exp(-lam), lam / (1.0 + lam), np.ones(n)])
     dense = np.square(np.abs(values)) @ np.square(np.abs(q.T @ (h * x[:, 0])))
-    assert _rel(_field_evaluator(op, values, 2)(x[:, 0]) ** 2, dense) <= 1e-14
+    assert _rel(_plan(op, 2, "fields", lambda: values)(x[:, 0]) ** 2, dense) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [SINE_MIN_N, SINE_MIN_N + 1])
