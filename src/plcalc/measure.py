@@ -92,7 +92,7 @@ def lp_norm(x, p, m: MeasureSpace):
         out = np.max(np.abs(x), axis=-1)
     else:
         p = float(p)
-        if p < 1:
+        if not p >= 1:                     # NaN fails it too
             raise MeasureError(f"p must be >= 1 or inf, got {p}")
         a = np.abs(x)
         with np.errstate(over="ignore"):

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -574,18 +575,10 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     which shift toward smaller rho as c grows, so g is nonincreasing and r
     changes sign at most once, from + to -: F falls, then rises.  K is F at
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
-    The path's two ends, c = 1e-30 and 1e30, tell which t have the sign
-    change, from the sums (mu^2, (nu/c)^2) alone: that evaluation forms
-    only the weight row of _split_path.  A safeguarded Newton iteration in
-    ln c closes each root to K_ROOT_WIDTH and raises NormsError if one is
-    not closed in K_ROOT_ITERS path evaluations.  Each round of it is one
-    path evaluation for every open root at once (one GEMM, see
-    _split_path); each root's step, bracket and stop test are then a few
-    operations on Python floats (see _stationary_splits), so a scalar t
-    pays numpy's dispatch once per round, not once per step of the
-    bookkeeping.  A number t is checked as a Python float, and a t-set
-    without a root allocates no bracket: a K-curve costs one coefficient
-    transform and its roots, and should pass its whole t-array in one call.
+
+    The vector's data are formed once (_k_split_data), then K at every t
+    (_k_at, _stationary_splits): a K-curve costs one coefficient transform
+    and its roots, and should pass its whole t-array in one call.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim == 0:                       # a number: checked as a Python float
@@ -604,48 +597,57 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
         if not math.isfinite(theta):
             raise NormsError(f"K-functional exponent {name} must be finite, got {theta}")
     lam, a = _diagonal_data(op, x)
-    k = _k_functional_diagonal(lam, a, tv, theta0, theta1)
+    # an overflow or a zero divisor is read as inf or NaN: a power or rho out
+    # of range is refused (_k_split_data), a t beyond 1e154 squares to inf
+    # and has no root, and t ||A^theta1 x|| = inf leaves x0 = x
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        data = _k_split_data(lam, a, theta0, theta1)
+        k = np.ldexp(_k_at(data, tv), data.e)
     return float(k[0]) if ts.ndim == 0 else k
 
 
-def _k_functional_diagonal(lam, a, t, theta0: float, theta1: float) -> np.ndarray:
-    """K at every entry of the 1-D array t, from the nonzero eigenvalues lam
-    and coefficient moduli a (see k_functional for the method)."""
+_KSplitData = namedtuple("_KSplitData", "e rho_min drho sq n0 n1")
+
+
+def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
+    """The K-functional's data of one vector (nonzero eigenvalues lam,
+    coefficient moduli a): e with a scaled by 2^-e into [1/2, 1), the least
+    rho = (u/v)^2 and drho = rho - rho_min, sq = [(u a)^2, (v a rho)^2] and
+    n0 = ||A^theta0 x||, n1 = ||A^theta1 x|| of the scaled x.  A theta whose
+    powers or ratio rho leave the float range raises NormsError (the caller
+    ignores numpy's floating-point warnings)."""
     # K is positively homogeneous in a: scaling a by a power of two into
     # [1/2, 1) is exact, and no square of a tiny or huge x under- or overflows
     _, e = math.frexp(a.max(initial=0.0))
     a = np.ldexp(a, -e)
-    # an overflow or a zero divisor is read as inf or NaN: a power or rho out
-    # of range is refused below, a t beyond 1e154 squares to inf and has no
-    # root, and t ||A^theta1 x|| = inf leaves x0 = x; the root solve's own
-    # quotients are bisected (_stationary_splits)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = lam**theta0
-        v = lam**theta1
-        rho = np.square(u / v)
-        if not (0.0 < rho.min(initial=1.0) and rho.max(initial=1.0) < np.inf):
-            raise NormsError(_exponent_range_fault(lam, u, v, theta0, theta1))
-        va = v * a
-        sq = np.empty((a.size, 2))
-        np.multiply(u, a, out=sq[:, 0])
-        np.multiply(va, rho, out=sq[:, 1])
-        np.square(sq, out=sq)                                 # [(u a)^2, (v a rho)^2]
-        k = np.minimum(math.sqrt(sq[:, 0].sum()),             # x0 = x
-                       t * math.sqrt(np.square(va).sum()))    # x1 = x
-        idx, _, c, s = _stationary_splits(t, rho, sq)
-        if idx.size:
-            k[idx] = np.minimum(np.sqrt(s[:, 0]) + t[idx] * c * np.sqrt(s[:, 1]), k[idx])
-    return np.ldexp(k, e)
+    u = lam**theta0
+    v = lam**theta1
+    rho = np.square(u / v)
+    rho_min = float(rho.min(initial=np.inf))
+    if not (0.0 < rho_min and rho.max(initial=1.0) < np.inf):
+        spectrum = f"on the spectrum [{lam.min():.6g}, {lam.max():.6g}]"
+        for name, theta, power in (("theta0", theta0, u), ("theta1", theta1, v)):
+            if not (0.0 < power.min() and power.max() < np.inf):
+                raise NormsError(f"K-functional exponent {name}={theta}: lam^{name} leaves "
+                                 f"the float range {spectrum}")
+        raise NormsError(f"K-functional exponents theta0={theta0}, theta1={theta1}: the ratio "
+                         f"rho = lam^(2 (theta0 - theta1)) leaves the float range {spectrum}")
+    va = v * a
+    sq = np.empty((a.size, 2))
+    np.multiply(u, a, out=sq[:, 0])
+    np.multiply(va, rho, out=sq[:, 1])
+    np.square(sq, out=sq)                                 # [(u a)^2, (v a rho)^2]
+    return _KSplitData(e, rho_min, rho - rho_min, sq, math.sqrt(sq[:, 0].sum()),
+                       math.sqrt(np.square(va).sum()))
 
 
-def _exponent_range_fault(lam, u, v, theta0, theta1) -> str:
-    """The message for a theta whose powers or ratio leave the float range."""
-    spectrum = f"on the spectrum [{lam.min():.6g}, {lam.max():.6g}]"
-    for name, theta, power in (("theta0", theta0, u), ("theta1", theta1, v)):
-        if not (0.0 < power.min() and power.max() < np.inf):
-            return f"K-functional exponent {name}={theta}: lam^{name} leaves the float range {spectrum}"
-    return (f"K-functional exponents theta0={theta0}, theta1={theta1}: the ratio "
-            f"rho = lam^(2 (theta0 - theta1)) leaves the float range {spectrum}")
+def _k_at(data: _KSplitData, t) -> np.ndarray:
+    """K of data's scaled x at every entry of the 1-D array t; warnings as in _k_split_data."""
+    k = np.minimum(data.n0, t * data.n1)                  # x0 = x, x1 = x
+    idx, _, _, mu_nu = _stationary_splits(t, data.rho_min, data.drho, data.sq)
+    if idx.size:
+        k[idx] = np.minimum(mu_nu[:, 0] + t[idx] * mu_nu[:, 1], k[idx])
+    return k
 
 
 # The root solve of the stationary split: the path's two ends decide which t
@@ -654,26 +656,29 @@ def _exponent_range_fault(lam, u, v, theta0, theta1) -> str:
 # leaves K exact to second order; |phi| <= K_ROOT_FLAT is met only where the
 # path is flat, so that K no longer depends on c; K_ROOT_ITERS evaluations
 # without either raise NormsError
-_C_ENDS = np.logspace(-30, 30, 2)
+_C_ENDS = tuple(np.logspace(-30, 30, 2).tolist())
 _LN_C_LO, _LN_C_HI = np.log(_C_ENDS).tolist()
 K_ROOT_WIDTH = 1e-9
 K_ROOT_FLAT = 1e-13
 K_ROOT_ITERS = 40
-# (bracket, c, s) of a t-set without a root: empty, so every call shares them
+# (bracket, c, mu_nu) of a t-set without a root: empty, so every call shares them
 _NO_ROOTS = (np.empty((2, 0)), np.empty(0), np.empty((0, 2)))
 
 
-def _split_path(c, rho, sq) -> np.ndarray:
-    """(3, len(c), 2): at every entry of c, the sums (mu^2, (nu/c)^2) of the
-    split y = a/(1 + c rho), then the two sums whose multiples by -2 are
-    their first and second derivatives in ln c.
+def _split_path(c, rho_min: float, drho, sq) -> np.ndarray:
+    """(3, len(c), 2): at every entry of the sequence c, with
+    f = 1 + c rho_min, the sums over k of f^2 w_k, f^2 w_k p_k and
+    f^2 w_k p_k^2 times the columns of sq = [(u a)^2, (v a rho)^2], where
+    w_k = (1 + c rho_k)^-2 and p_k = c (rho_k - rho_min)/(1 + c rho_k).
 
-    With a - y = c a rho/(1 + c rho) both are sums over k of
-    w_k = (1 + c rho_k)^-2 times a column of sq = [(u a)^2, (v a rho)^2].
-    With q = c rho/(1 + c rho), dw/d(ln c) = -2 w q and
-    d(w q)/d(ln c) = w q (1 - 3 q), so the weight rows w, w q and
-    w q (1 - 3 q) give all six sums in one GEMM, and nothing cancels at
-    extreme c.
+    The first row is (mu^2, (nu/c)^2) of the split y = a/(1 + c rho), as
+    a - y = c a rho/(1 + c rho).  Each weight row is scaled by its largest
+    weight, the one at rho_min: f^2 w_k = (1 + (c/f) drho_k)^-2 <= 1, so no
+    sum underflows to 0 while x has a component there, and the factor
+    cancels in every ratio of the row's sums.  The other rows give the
+    derivatives in ln c (_stationary_splits).  The block takes one outer
+    product, an add, a reciprocal and four products, and one GEMM gives
+    all sums; nothing cancels at extreme c.
 
     At the path's two ends, c = _C_ENDS itself, only the sums are used:
     the result is (1, 2, 2), from the weight row alone (a 2 x n block and
@@ -682,31 +687,30 @@ def _split_path(c, rho, sq) -> np.ndarray:
     last bit; which t have a root does not move on a 2,001-point t-grid
     (tests/test_norms.py).
     """
+    c_f = [ck / (1.0 + ck * rho_min) for ck in c]
     if c is _C_ENDS:
-        w = np.multiply.outer(c, rho)
+        w = np.multiply.outer(c_f, drho)
         w += 1.0
         np.reciprocal(w, out=w)
         np.square(w, out=w)
         return (w @ sq)[None]
-    m = c.size
-    w = np.empty((3, m, rho.size))
+    m = len(c)
+    w = np.empty((3, m, drho.size))
     w0, w1, w2 = w
-    np.multiply.outer(c, rho, out=w1)
-    np.add(w1, 1.0, out=w0)
-    np.reciprocal(w0, out=w0)          # 1/(1 + c rho)
-    w1 *= w0                           # q
-    np.square(w0, out=w0)              # w
-    np.multiply(w1, -3.0, out=w2)
-    w2 += 1.0                          # 1 - 3 q
-    w1 *= w0                           # w q
-    w2 *= w1                           # w q (1 - 3 q)
+    np.multiply.outer(c_f, drho, out=w2)   # c (rho - rho_min)/f
+    np.add(w2, 1.0, out=w0)                # (1 + c rho)/f
+    np.reciprocal(w0, out=w0)
+    w2 *= w0                               # p
+    np.square(w0, out=w0)                  # f^2 w
+    np.multiply(w0, w2, out=w1)            # f^2 w p
+    w2 *= w1                               # f^2 w p^2
     return (w.reshape(3 * m, -1) @ sq).reshape(3, m, 2)
 
 
-def _stationary_splits(t, rho, sq):
-    """(idx, bracket, c, s): the entries idx of t whose residual changes
-    sign, a (2, len(idx)) interval in ln c holding each root, the point c
-    taken for it and (mu^2, (nu/c)^2) there, one row each.
+def _stationary_splits(t, rho_min: float, drho, sq):
+    """(idx, bracket, c, mu_nu): the entries idx of t whose residual
+    changes sign, a (2, len(idx)) interval in ln c holding each root, the
+    point c taken for it and (mu, nu) there, one row each.
 
     The residual phi = ln((nu/c)^2) - ln(t^2 mu^2) is nonincreasing in
     c and changes sign at most once, so a t has a root exactly when
@@ -714,15 +718,14 @@ def _stationary_splits(t, rho, sq):
     evaluation at the two ends, of the weight row only (_split_path),
     serves every t, and a t without a sign change is left out, as a
     boundary split wins; a t-set without one returns shared empty
-    arrays.  Each root is then found by a
-    safeguarded Newton iteration in ln c (rtsafe), started at
-    ln c = -ln t^2.  Its step is Newton's step on the local model
+    arrays.  Each root is then found by a safeguarded Newton iteration in
+    ln c (rtsafe), started at ln c = -ln t^2.  Its step is Newton's step on the local model
     phi ~ alpha + beta c^k, k = phi''/phi' (derivatives in ln c), that is,
     Newton in c^k: near both ends phi approaches its limit like c^(+-1),
     where the plain step in ln c shrinks by less than half per step and
     the safeguard would bisect a bracket up to 138 wide.  Where the model
-    has no root (1 + k delta <= 0, delta the plain step) the plain step is
-    proposed.
+    has no root (1 + k delta <= 0, delta the plain step) or k = 0 (its
+    limit) the plain step is proposed; a flat path (phi' = 0), none.
 
     Every evaluation narrows its t's bracket by the sign of phi.  Then,
     before the safeguard, a t stops when its step is at most K_ROOT_WIDTH
@@ -733,15 +736,19 @@ def _stationary_splits(t, rho, sq):
     bisected if not.  K_ROOT_ITERS evaluations without a stop raise
     NormsError.
 
-    A round is one array evaluation: _split_path at every open root's
-    point, and from it ln g^2 of every open root, as an array.  The sums
-    are read back as Python floats once; each root's phi' and phi'', step,
-    bracket update, stop test and safeguard are then scalar work on them,
-    with numpy's IEEE results: a zero slope, a sum that underflows or k = 0
-    make the step NaN or infinite, and the safeguard bisects.  The caller
-    ignores numpy's floating-point warnings (_k_functional_diagonal).
+    The derivatives come from the means E_mu, E_nu under the weights
+    w (u a)^2 and w (v a rho)^2 (_split_path): with q = c rho/(1 + c rho)
+    = c rho_min/f + p/f, phi' = -2 (E_nu[q] - E_mu[q]) = -2 D/f, D the
+    difference of the means of p, and phi''/phi' = k =
+    (1 - c rho_min + 2 (E_nu[p] + E_mu[p]) - 3 (E_nu[p^2] - E_mu[p^2])/D)/f.
+
+    A round is one evaluation of _split_path at every open root's point,
+    read back as Python floats once; each root's phi, phi' and k, step,
+    bracket update, stop test and safeguard are then scalar work on them.
+    No sum is 0 while x has a component at rho_min, so every quotient is
+    finite.
     """
-    ends = _split_path(_C_ENDS, rho, sq)[0]
+    ends = _split_path(_C_ENDS, rho_min, drho, sq)[0]
     t2 = np.square(t)
     # read without a division: at a = 0 (mu = nu = 0) no t changes sign
     idx = ((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0])).nonzero()[0]
@@ -754,7 +761,7 @@ def _stationary_splits(t, rho, sq):
     last = [_LN_C_HI - _LN_C_LO] * m
     half_before_last = [0.5 * last[0]] * m
     other = [0.0] * m                      # each root's other end of its interval
-    s = [None] * m                         # each root's (mu^2, (nu/c)^2) at its stop
+    mu_nu = [None] * m                     # each root's (mu, nu) at its stop
     live = list(range(m))
     evaluations = 0
     while live:
@@ -762,29 +769,21 @@ def _stationary_splits(t, rho, sq):
             raise NormsError(f"K-functional root at t = {t[idx[live[0]]]:.17g} not "
                              f"closed in {K_ROOT_ITERS} path evaluations")
         evaluations += 1
-        path = _split_path(np.exp([x[r] for r in live]), rho, sq)
-        ln_g2 = np.log(path[0, :, 1] / path[0, :, 0]).tolist()
+        cs = np.exp([x[r] for r in live]).tolist()
+        path = _split_path(cs, rho_min, drho, sq).tolist()
         still = []
-        for r, g2, sums, (m1, n1), (m2, n2) in zip(live, ln_g2, *path.tolist()):
-            m0, n0 = sums
-            if m0 and n0:
-                m1, n1, m2, n2 = m1 / m0, n1 / n0, m2 / m0, n2 / n0
-            else:                              # numpy's inf or NaN quotients
-                m1, n1, m2, n2 = np.divide([m1, n1, m2, n2], [m0, n0, m0, n0]).tolist()
-            # phi' = -2 eta, phi'' = -2 zeta - 4 eta (sum of path[1]/path[0])
-            d1, d2, sg = n1 - m1, n2 - m2, n1 + m1      # eta, zeta, sigma
-            xr, phi = x[r], g2 - ln_t2[r]
-            if d1:
-                k = d2 / d1 + sg + sg
-                delta = phi / (d1 + d1)        # the plain Newton step
-            else:                              # numpy's inf or NaN quotients
-                k = float(np.divide(d2, d1)) + sg + sg
-                delta = float(np.divide(phi, d1 + d1))
-            kd = k * delta
-            if kd > -1.0:
-                step = math.log1p(kd) / k if k else math.nan
-            else:
-                step = delta
+        for r, cr, (m0, n0), (m1, n1), (m2, n2) in zip(live, cs, *path):
+            f = 1.0 + cr * rho_min
+            ep_mu, ep_nu = m1 / m0, n1 / n0            # E_mu[p], E_nu[p]
+            d = ep_nu - ep_mu                          # f eta
+            xr, phi = x[r], math.log(n0 / m0) - ln_t2[r]
+            if d:
+                k = (1.0 - cr * rho_min + 2.0 * (ep_nu + ep_mu) - 3.0 * (n2 / n0 - m2 / m0) / d) / f
+                delta = f * phi / (d + d)              # the plain Newton step
+                kd = k * delta
+                step = math.log1p(kd) / k if k and kd > -1.0 else delta
+            else:                                      # a flat path: bisect
+                step = math.inf
             newton = xr + step
             step = abs(step)
             if phi > 0:
@@ -794,13 +793,12 @@ def _stationary_splits(t, rho, sq):
                 hi[r] = hr = xr
                 lr = lo[r]
             # a stop takes the interval: the point alone on a flat path, the
-            # point and the step's end, or else the bracket, which a NaN
-            # step does not close
+            # point and the step's end, or else the bracket
             if abs(phi) <= K_ROOT_FLAT:
                 other[r] = xr
             elif step <= K_ROOT_WIDTH:
                 other[r] = min(max(newton, lr), hr)
-            elif step == step and hr - lr <= K_ROOT_WIDTH:
+            elif hr - lr <= K_ROOT_WIDTH:
                 other[r] = hr if phi > 0 else lr
             else:
                 if lr < newton < hr and step <= half_before_last[r]:
@@ -810,12 +808,12 @@ def _stationary_splits(t, rho, sq):
                 half_before_last[r], last[r] = 0.5 * last[r], abs(x[r] - xr)
                 still.append(r)
                 continue
-            s[r] = sums
+            mu_nu[r] = (math.sqrt(m0) / f, cr * math.sqrt(n0) / f)   # f divided back out
         live = still
     c = np.exp(x)
     bracket = np.array([[min(xr, end) for xr, end in zip(x, other)],
                         [max(xr, end) for xr, end in zip(x, other)]])
-    return idx, bracket, c, np.array(s)
+    return idx, bracket, c, np.array(mu_nu)
 
 
 def k_functional_bruteforce(op: ModelOperator, x, t: float, theta0: float,
@@ -881,54 +879,48 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
         raise NormsError("vartheta must lie in (0, 1)")
     q = _lq_exponent(q)
     lam, a = _diagonal_data(op, x)
-    if a.size == 0:
-        return 0.0
-    # the norm is positively homogeneous in a: it is computed for a scaled
-    # by a power of two into [1/2, 1), exactly, so that neither the envelope
-    # norms n0, n1, the t-range sized from them nor the q-th powers of K
-    # under- or overflow for a tiny or huge x
-    _, e = np.frexp(np.max(a))
-    a_unit = np.ldexp(a, -e)
-    with np.errstate(over="ignore"):
-        n0 = float(np.sqrt(np.sum((lam**theta0 * a_unit) ** 2)))
-        n1 = float(np.sqrt(np.sum((lam**theta1 * a_unit) ** 2)))
-    _finite([n0, n1], f"envelope norms ||A^theta0 x||_2, ||A^theta1 x||_2 at "
-                      f"theta0={theta0}, theta1={theta1}")
-    if n0 == 0.0 or n1 == 0.0:
-        return 0.0
-    auto = quad is None
-    if auto:
-        # size the range from the envelope K(t) <= min(n0, t n1): its
-        # integral M_env is closed-form and bounds the true one from above
-        qf0 = 2.0 if q == np.inf else q
-        center = n0 / max(n1, 1e-300)
-        try:   # Python floats: an overflow raises, an underflow to 0 makes a division raise
-            m_env = n0**qf0 * center ** (-vartheta * qf0) \
-                * (1.0 / ((1 - vartheta) * qf0) + 1.0 / (vartheta * qf0))
-            budget = INTERPOLATION_TAIL_RTOL * m_env / 100.0
-            t_lo = (budget * (1 - vartheta) * qf0) ** (1.0 / ((1 - vartheta) * qf0)) \
-                / n1 ** (1.0 / (1 - vartheta))
-            t_hi = (n0**qf0 / (budget * vartheta * qf0)) ** (1.0 / (vartheta * qf0))
-        except ArithmeticError:
-            raise NormsError(f"q={q} is too large: its powers leave the float range") from None
-        quad = QuadratureSpec(t_lo=min(t_lo, center * 1e-4),
-                              t_hi=max(t_hi, center * 1e4),
-                              nodes_per_decade=16)
-    for _ in range(4):
-        t, du = quad.nodes()
-        kvals = _k_functional_diagonal(lam, a_unit, t, theta0, theta1)
-        if q == np.inf:
-            return float(np.ldexp(np.max(t**-vartheta * kvals), e))
-        with np.errstate(over="ignore"):   # inf, which the caller refuses
+    # the norm is positively homogeneous in a: it is computed on the
+    # K-functional's data (a scaled by a power of two into [1/2, 1)), so
+    # neither n0, n1, the t-range sized from them nor the q-th powers of K
+    # under- or overflow for a tiny or huge x; a theta the K-functional
+    # refuses is refused, and a q-th power that overflows reads as inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        data = _k_split_data(lam, a, theta0, theta1)
+        n0, n1 = data.n0, data.n1
+        if n0 == 0.0 or n1 == 0.0:
+            return 0.0
+        auto = quad is None
+        if auto:
+            # size the range from the envelope K(t) <= min(n0, t n1): its
+            # integral M_env is closed-form and bounds the true one from above
+            qf0 = 2.0 if q == np.inf else q
+            center = n0 / max(n1, 1e-300)
+            try:   # Python floats: an overflow raises, an underflow to 0 makes a division raise
+                m_env = n0**qf0 * center ** (-vartheta * qf0) \
+                    * (1.0 / ((1 - vartheta) * qf0) + 1.0 / (vartheta * qf0))
+                budget = INTERPOLATION_TAIL_RTOL * m_env / 100.0
+                t_lo = (budget * (1 - vartheta) * qf0) ** (1.0 / ((1 - vartheta) * qf0)) \
+                    / n1 ** (1.0 / (1 - vartheta))
+                t_hi = (n0**qf0 / (budget * vartheta * qf0)) ** (1.0 / (vartheta * qf0))
+            except ArithmeticError:
+                raise NormsError(f"q={q} is too large: its powers leave the float range") from None
+            quad = QuadratureSpec(t_lo=min(t_lo, center * 1e-4),
+                                  t_hi=max(t_hi, center * 1e4),
+                                  nodes_per_decade=16)
+        for _ in range(4):
+            t, du = quad.nodes()
+            kvals = _k_at(data, t)
+            if q == np.inf:
+                return float(np.ldexp(np.max(t**-vartheta * kvals), data.e))
             main = float(np.sum(du * (t**-vartheta * kvals) ** q))
             tail_lo = (t[0] ** (1 - vartheta) * n1) ** q / ((1 - vartheta) * q)
             tail_hi = (t[-1] ** -vartheta * n0) ** q / (vartheta * q)
-        if (tail_lo + tail_hi) <= INTERPOLATION_TAIL_RTOL * max(main, 1e-300):
-            return float(np.ldexp(main ** (1.0 / q), e))
-        if not auto:
-            break
-        quad = QuadratureSpec(quad.t_lo * 1e-5, quad.t_hi * 1e5,
-                              quad.nodes_per_decade)
+            if (tail_lo + tail_hi) <= INTERPOLATION_TAIL_RTOL * max(main, 1e-300):
+                return float(np.ldexp(main ** (1.0 / q), data.e))
+            if not auto:
+                break
+            quad = QuadratureSpec(quad.t_lo * 1e-5, quad.t_hi * 1e5,
+                                  quad.nodes_per_decade)
     raise NormsError("interpolation quadrature tails above tolerance; widen the range")
 
 

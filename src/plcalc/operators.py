@@ -572,11 +572,18 @@ class ModelOperator:
 
     def coefficients(self, x) -> np.ndarray:
         """Expansion coefficients of x in the operator's eigenbasis; an n x m
-        stack (one vector a column) gives K x m."""
-        return self.form.coefficients(np.asarray(x, dtype=complex), self.measure)
+        stack (one vector a column) gives K x m; another length raises."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape[:1] != self.measure.weights.shape:
+            raise OperatorError(f"coefficients need {self.n} points per vector, got {x.shape}")
+        return self.form.coefficients(x, self.measure)
 
     def synthesize(self, coeffs) -> np.ndarray:
-        """Sum of coefficients times eigenvectors; a K x m stack gives n x m."""
+        """Sum of coefficients times eigenvectors; a K x m stack gives n x m,
+        another length raises."""
+        coeffs, k = np.asarray(coeffs), self.form.eigenvalues.size
+        if coeffs.shape[:1] != (k,):
+            raise OperatorError(f"synthesis needs {k} coefficients per vector, got {coeffs.shape}")
         return self.form.synthesize(coeffs)
 
     def apply(self, x) -> np.ndarray:

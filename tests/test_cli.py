@@ -381,8 +381,9 @@ _NEGATIVE_PSI = {"kind": "continuous_square", "psi": {"kind": "psi_exp", "a": -1
     ({"kind": "fractional_power", "theta": 1e6}, "non-finite weights lambda^theta"),
     ({"kind": "fractional_power", "theta": -400}, "non-finite weights lambda^theta"),
     ({"kind": "pl_inhomogeneous", "theta": 300}, "non-finite Parseval weights"),
-    ({"kind": "real_interpolation", "theta1": 400}, "non-finite envelope norms"),
-    ({"kind": "real_interpolation", "theta0": -300}, "non-finite envelope norms"),
+    # an interpolation norm is refused where its K-functional is
+    ({"kind": "real_interpolation", "theta1": 400}, "theta1=400.0: lam^theta1 leaves the float"),
+    ({"kind": "real_interpolation", "theta0": -300}, "theta0=-300.0: lam^theta0 leaves the float"),
     ({"kind": "besov_continuous", "theta": 300}, "non-finite weights t^-theta"),
     # an l^q sum whose q-th powers overflow is refused as a non-finite value
     ({"kind": "besov_discrete", "theta": 1, "q": 1e308}, "non-finite value inf"),
@@ -425,6 +426,19 @@ def test_a_weight_that_overflows_is_refused_by_name_without_a_warning(tmp_path, 
     assert run_cli(tmp_path, "norm", config) == 4
     err = capsys.readouterr().err
     assert reason in err and "overflow encountered" not in err and "Warning" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_an_interpolation_norm_of_an_exponent_that_underflows_is_refused_not_zero(tmp_path,
+                                                                                  capsys):
+    # dirichlet1d h = 10 has lam in [1.2e-3, 3.9e-2], where lam^200 underflows
+    # to 0: the K-functional refuses theta1, and so does the norm, which for
+    # this nonzero x is not 0
+    config = norm_eval_config(operator={"kind": "dirichlet1d", "n": 8, "h": 10},
+                              norm={"kind": "real_interpolation", "theta1": 200},
+                              vector={"kind": "random", "seed": 1})
+    assert run_cli(tmp_path, "norm", config) == 4
+    assert "theta1=200.0: lam^theta1 leaves the float range" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

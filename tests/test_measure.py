@@ -52,6 +52,8 @@ def test_lp_norm_rejects_bad_inputs():
         lp_norm(np.ones(4), 2, m)
     with pytest.raises(MeasureError):
         lp_norm(np.ones(3), 0.5, m)
+    with pytest.raises(MeasureError, match="got nan"):
+        lp_norm(np.ones(3), np.nan, m)
     with pytest.raises(MeasureError):
         MeasureSpace(weights=np.array([1.0, -1.0]))
 

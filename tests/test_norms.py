@@ -12,7 +12,8 @@ from plcalc.norms import (
     QuadratureSpec,
     RandomEnsemble,
     _diagonal_data,
-    _k_functional_diagonal,
+    _k_at,
+    _k_split_data,
     besov_continuous_norm,
     besov_discrete_norm,
     continuous_square_norm,
@@ -308,6 +309,13 @@ def test_k_functional_monotone_concave():
     assert np.all(np.diff(slopes) <= 1e-9 * np.max(ks))
 
 
+def k_diagonal(lam, a, ts, theta0, theta1):
+    """K at every entry of ts from the nonzero eigenvalues lam and the
+    coefficient moduli a: the K-functional's data, then K at ts."""
+    data = _k_split_data(lam, a, theta0, theta1)
+    return np.ldexp(_k_at(data, ts), data.e)
+
+
 def split_path(lam, a, theta0, theta1, cs):
     """(mu^2, nu^2/c^2) of the diagonal splits y = a/(1 + c rho), c in cs:
     mu = ||A^theta0 y||, nu = ||A^theta1 (a - y)||, rho = lam^(2 (theta0 - theta1))."""
@@ -332,7 +340,7 @@ def test_k_functional_vector_core_vs_dense_scan(n, theta0, theta1):
     on_node = np.sqrt(nu2 / mu2)
     on_node = on_node[nu2 == on_node**2 * mu2]
     ts = np.concatenate([np.logspace(-8, 8, 33), on_node])
-    ks = _k_functional_diagonal(lam, a, ts, theta0, theta1)
+    ks = k_diagonal(lam, a, ts, theta0, theta1)
     cs = np.logspace(-32, 32, 4097)
     mu2, nu2 = split_path(lam, a, theta0, theta1, cs)
     scan = np.min(np.sqrt(mu2) + ts[:, None] * cs * np.sqrt(nu2), axis=1)
@@ -365,20 +373,19 @@ def test_real_interpolation_batched_k_matches_scalar(monkeypatch):
     x /= lp_norm(x, 2, op.measure)
     calls = []
 
-    def recording(lam, a, t, theta0, theta1):
-        k = _k_functional_diagonal(lam, a, t, theta0, theta1)
-        calls.append((t, k))
+    def recording(data, t):
+        k = _k_at(data, t)
+        # K of the coefficient moduli scaled by 2^-e into [1/2, 1)
+        calls.append((t, np.ldexp(k, data.e)))
         return k
 
-    monkeypatch.setattr(norms, "_k_functional_diagonal", recording)
+    monkeypatch.setattr(norms, "_k_at", recording)
     real_interpolation_norm(op, x, 0.4, 2, -0.5, 1.5)
     monkeypatch.undo()
     assert calls and all(t.size > 1 for t, _ in calls)
-    # the norm hands over the coefficient moduli scaled by 2^-e into [1/2, 1)
-    _, e = np.frexp(np.max(_diagonal_data(op, x)[1]))
     for t, k in calls:
         scalar = [k_functional(op, x, tj, -0.5, 1.5) for tj in t]
-        np.testing.assert_allclose(np.ldexp(k, e), scalar, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(k, scalar, rtol=1e-14, atol=0)
 
 
 def test_k_functional_array_of_t_matches_scalar_calls(monkeypatch):
@@ -462,7 +469,7 @@ def test_k_functional_of_zero_and_kernel_vectors():
         assert k_functional(op, zero, 0.5, 0.0, 1.0) == 0.0
         assert np.all(k_functional(op, zero, ts, -0.5, 1.5) == 0.0)
         lam, _ = _diagonal_data(op, zero)
-        assert np.all(_k_functional_diagonal(lam, np.zeros(lam.size), ts, 0.0, 1.0) == 0.0)
+        assert np.all(k_diagonal(lam, np.zeros(lam.size), ts, 0.0, 1.0) == 0.0)
     # the graph's constants span its kernel: K is round-off, not NaN
     assert 0.0 <= k_functional(graph, np.ones(3), 0.5, 0.0, 1.0) <= 1e-15
     assert np.all(k_functional(graph, np.ones(3), ts, 0.0, 1.0) <= 1e-15)
@@ -485,12 +492,12 @@ def _k_root_recorder(monkeypatch):
     log = {"paths": 0, "solves": []}
     path, solve = norms._split_path, norms._stationary_splits
 
-    def counting(c, rho, sq):
+    def counting(*args):
         log["paths"] += 1
-        return path(c, rho, sq)
+        return path(*args)
 
-    def recording(t, rho, sq):
-        out = solve(t, rho, sq)
+    def recording(t, *data):
+        out = solve(t, *data)
         log["solves"].append((t, out))
         return out
 
@@ -525,9 +532,9 @@ def test_k_root_ends_from_the_weight_row_pick_the_same_t(monkeypatch, theta0, th
     seen = []
     solve = norms._stationary_splits
 
-    def recording(t, rho, sq):
-        seen.append((rho, sq))
-        return solve(t, rho, sq)
+    def recording(t, *data):
+        seen.append(data)
+        return solve(t, *data)
 
     monkeypatch.setattr(norms, "_stationary_splits", recording)
     for n in (8, 64, 256):
@@ -536,16 +543,16 @@ def test_k_root_ends_from_the_weight_row_pick_the_same_t(monkeypatch, theta0, th
         x /= lp_norm(x, 2, op.measure)
         seen.clear()
         k_functional(op, x, ts, theta0, theta1)
-        (rho, sq), = seen
-        ends = norms._split_path(norms._C_ENDS, rho, sq)
-        full = norms._split_path(norms._C_ENDS.copy(), rho, sq)
+        data, = seen
+        ends = norms._split_path(norms._C_ENDS, *data)
+        full = norms._split_path(list(norms._C_ENDS), *data)
         assert ends.shape == (1, 2, 2) and full.shape == (3, 2, 2)
         np.testing.assert_allclose(ends[0], full[0], rtol=1e-15, atol=0)
         t2 = np.square(ts)
         picks = [(e[0, 1] > t2 * e[0, 0]) & (e[1, 1] <= t2 * e[1, 0]) for e in (ends[0], full[0])]
         np.testing.assert_array_equal(picks[0], picks[1])
         assert 0 < np.count_nonzero(picks[0]) < ts.size
-        np.testing.assert_array_equal(solve(ts, rho, sq)[0], picks[1].nonzero()[0])
+        np.testing.assert_array_equal(solve(ts, *data)[0], picks[1].nonzero()[0])
 
 
 @pytest.mark.parametrize("theta0, theta1, t, paths, k", [
@@ -555,12 +562,13 @@ def test_k_root_ends_from_the_weight_row_pick_the_same_t(monkeypatch, theta0, th
     (0.0, 0.5, 0.6188659092380747, 7, 0.8004050304317806)])
 def test_k_root_nonfinite_steps_and_bisections_pinned(monkeypatch, theta0, theta1, t, paths, k):
     # t whose residual vanishes on a node of a log-c grid (see
-    # test_k_functional_vector_core_vs_dense_scan): each solve bisects its
-    # bracket once or twice and meets one non-finite step, -inf from a zero
-    # slope phi' = 0 (the first and last t) or NaN from k = 0 (the middle
-    # two), which the safeguard bisects.  The path evaluations and K are
-    # pinned to a solve that formed every step on numpy arrays; K may move
-    # only where math.log1p and numpy's log1p round apart
+    # test_k_functional_vector_core_vs_dense_scan), near the far end of the
+    # path, where it turns flat: each solve bisects its bracket once or
+    # twice where the safeguard refuses the model's step, and stops where
+    # |phi| <= K_ROOT_FLAT.  There q = c rho/(1 + c rho) is near 1 at every
+    # rho, and phi' is read from the deviations p of q from its value at
+    # rho_min (_split_path), not as a difference of two means near 1.  The
+    # path evaluations and K are pinned
     op = build_dirichlet_laplacian_1d(8, 1.0)
     x = op.random_vector(np.random.default_rng(8))
     x /= lp_norm(x, 2, op.measure)
@@ -570,29 +578,49 @@ def test_k_root_nonfinite_steps_and_bisections_pinned(monkeypatch, theta0, theta
     assert idx.size == 1 and log["paths"] == paths
 
 
-def test_k_root_sums_that_underflow_to_zero_keep_numpy_quotients(monkeypatch):
+def test_k_root_scaled_path_sums_do_not_underflow(monkeypatch):
     # Dirichlet h = 0.01 (lam in [1.2e3, 3.9e4]) at theta = (5, -20): rho
-    # reaches 1e183, so 18 of the solve's 39 Newton rounds meet a sum
-    # mu^2 or (nu/c)^2 that is exactly 0.  Its quotients are numpy's inf or
-    # NaN, which the safeguard bisects, not a ZeroDivisionError; the path
-    # evaluations and K (the boundary split x1 = x) are pinned to a solve
-    # that formed every quotient on numpy arrays
+    # reaches 1e183, so the unscaled weights (1 + c rho)^-2 underflow and
+    # both end sums mu^2 and (nu/c)^2 would read exactly 0.  Each weight row
+    # is scaled by its largest weight, so no sum is 0: the path's ends show
+    # no sign change, and K is the boundary split x1 = x after the one
+    # evaluation at the ends
     op = build_dirichlet_laplacian_1d(8, 0.01)
     x = op.random_vector(np.random.default_rng(1))
     x /= lp_norm(x, 2, op.measure)
     path = norms._split_path
     log = {"paths": 0, "zero": 0}
 
-    def counting(c, rho, sq):
-        out = path(c, rho, sq)
+    def counting(*args):
+        out = path(*args)
         log["paths"] += 1
-        log["zero"] += c is not norms._C_ENDS and bool(np.any(out[0] == 0.0))
+        log["zero"] += bool(np.any(out[0] == 0.0))
         return out
 
     monkeypatch.setattr(norms, "_split_path", counting)
     k = k_functional(op, x, 1e-10, 5.0, -20.0)
     assert k.hex() == "0x1.b79e70704cab3p-241"
-    assert log == {"paths": 40, "zero": 18}
+    assert log == {"paths": 1, "zero": 0}
+
+
+def test_k_functional_far_apart_exponents_give_the_boundary_split():
+    # theta0 = 5 and theta1 in -24..-16 on Dirichlet h = 0.01: rho spans up
+    # to 1e266, and no t in 1e-14..1e-6 has a root.  With unscaled weights
+    # the end sums underflowed to 0, read as a sign change, and 86 of these
+    # 1,188 calls raised "not closed in 40 path evaluations"
+    op = build_dirichlet_laplacian_1d(8, 0.01)
+    ts = np.logspace(-14, -6, 33)
+    calls = 0
+    for seed in range(4):
+        x = op.random_vector(np.random.default_rng(seed))
+        lam, a = _diagonal_data(op, x)
+        for theta1 in range(-24, -15):
+            n0 = np.sqrt(np.sum((lam**5.0 * a) ** 2))
+            n1 = np.sqrt(np.sum((lam ** float(theta1) * a) ** 2))
+            for t in ts:
+                assert k_functional(op, x, t, 5.0, float(theta1)) == min(n0, t * n1)
+                calls += 1
+    assert calls == 1188
 
 
 @pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
@@ -709,7 +737,7 @@ def test_k_root_solver_on_random_spectra():
             n0 = np.linalg.norm(lam**theta0 * a)
             n1 = np.linalg.norm(lam**theta1 * a)
             ts = (n0 / n1 if n0 > 0 else 1.0) * np.logspace(-6, 6, 60)
-            ks = _k_functional_diagonal(lam, a, ts, theta0, theta1)
+            ks = k_diagonal(lam, a, ts, theta0, theta1)
             assert np.all(ks <= _dense_scan_k(lam, a, ts, theta0, theta1) * (1 + 1e-12))
 
 

@@ -599,6 +599,19 @@ def test_coefficients_of_a_stack_match_its_columns(m):
     assert np.max(np.abs(stack - columns)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [8, FOLD_MIN_N, SINE_MIN_N])
+def test_a_vector_of_the_wrong_length_is_refused_by_every_dirichlet_form(n):
+    # the stored, folded and sine forms: a wrong length is refused by name,
+    # neither broadcast nor transformed into that many values
+    op = build_dirichlet_laplacian_1d(n, 1.0)
+    for bad in (np.ones(n - 1), np.ones(n + 1), np.ones((n - 1, 2)), np.array(1.0)):
+        with pytest.raises(OperatorError, match=f"coefficients need {n} points per vector"):
+            op.coefficients(bad)
+        with pytest.raises(OperatorError, match=f"synthesis needs {n} coefficients per vector"):
+            op.synthesize(bad)
+    assert op.coefficients(np.ones((n, 2))).shape == op.synthesize(np.ones((n, 2))).shape
+
+
 # -- what the operator reads off its spectrum ---------------------------------------
 
 def _random_connected_sigma(n, rng):
