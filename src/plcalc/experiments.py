@@ -13,6 +13,7 @@ single seeded generator and evaluated in sample order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .operators import (
     non_negative,
     operator_from_spec,
 )
-from .partitions import HOMOGENEOUS, build_homogeneous_dyadic, padded_rows
+from .partitions import HOMOGENEOUS, build_homogeneous_dyadic, chi_band, padded_rows
 from .symbols import FunctionFamily, Symbol, besov_family_norms
 
 
@@ -287,8 +288,9 @@ def _dyadic_table(partition, t, n_lo: int, n_pad: int):
 
 
 def _two_window(c_pad: np.ndarray, k, chi, rest):
-    """c_m chi + c_{m+1} (1 - chi) from a _dyadic_table: two gathers, at
-    in-range indices, so they skip the bounds check."""
+    """c_m chi + c_{m+1} (1 - chi) from a _dyadic_table or a
+    DyadicSampleFamily table: two gathers, at in-range indices, so they
+    skip the bounds check."""
     out = c_pad[:-1].take(k, mode="wrap")
     out *= chi
     upper = c_pad[1:].take(k, mode="wrap")
@@ -326,12 +328,28 @@ class DyadicSampleFamily(FunctionFamily):
 
     Member k is the log-scale form of sample_dyadic_symbol(partition,
     coeffs[k], n_lo), the function mihlin_norm estimates.  Its table at
-    the points y is _dyadic_table at e^y, which no coefficient enters, so
-    the smoothness estimator builds it once per grid block for all the
-    samples; a member then costs two gathers and the two-window sum, the
-    arithmetic of the sample's own evaluate.  On the estimator's windows
-    around a spectrum e^y is positive and finite, so the sample's guards
-    never fire there.
+    the points y holds, for t = e^y, the column of c_m in the padded
+    coefficient rows and chi, 1 - chi as complex arrays; no coefficient
+    enters it, so the smoothness estimator builds it once per grid block
+    for all the samples, and a member then costs two gathers and the
+    two-window sum, the arithmetic of the sample's own evaluate.  Its
+    complex chi has the member's bits: numpy multiplies a complex array
+    by a float one as by the float cast to complex, so the table does
+    that cast once instead of once per member.
+
+    Each row of coefficients is zero-padded over every member that a
+    point of span (an interval in y, the support by default) can need:
+    t = e^y, y in span, has first live window k = e - 1 (t = mant 2^e,
+    frexp), and the columns run from k at the lower end of span to k + 1
+    at its upper end, with at least two zero columns on either side of
+    the blocks.  A block whose points t are all positive and finite, with
+    exponents inside the padding (one min and one max of t), takes the
+    direct table: s = 2 mant lies in [1, 2), where chi's band formula
+    alone is chi (partitions.chi_band), and the column is e plus a
+    constant.  Any other block (a point outside span, t = 0 where exp
+    underflows, t = inf where it overflows, NaN) takes the guarded
+    _dyadic_table, which clips the column into the padding.  Both give a
+    point the same bits.
 
     The support is the blocks' union, y in (ln2 (n_lo - 1), ln2 (n_lo +
     width)).  Outside it the table points into the zero padding.  Near its
@@ -342,17 +360,43 @@ class DyadicSampleFamily(FunctionFamily):
     SUPPORT_MARGIN the estimator needs).
     """
 
-    def __init__(self, partition, coeffs: np.ndarray, n_lo: int):
+    def __init__(self, partition, coeffs: np.ndarray, n_lo: int, span=None):
         if partition.kind != HOMOGENEOUS:
             raise ExperimentError("sampled symbols use the homogeneous partition")
         self.partition = partition
-        self.c_pad = np.pad(np.asarray(coeffs, dtype=complex), ((0, 0), (2, 2)))
-        self.n_lo = n_lo
         self.size, width = np.shape(coeffs)
         self.support = (np.log(2.0) * (n_lo - 1), np.log(2.0) * (n_lo + width))
+        # the exponents e of e^y at span's ends; exp's 0 and inf are clipped
+        # to the least and the largest double, whose exponents bound all
+        with np.errstate(over="ignore"):
+            ends = np.exp(self.support if span is None else span)
+        ends = np.clip(ends, 5e-324, np.finfo(float).max)
+        e_lo, e_hi = np.frexp(ends)[1].tolist()
+        self.first = min(e_lo - 1, n_lo - 2)          # the member in column 0
+        self.last = max(e_hi, n_lo + width + 1)       # the member in the last column
+        self.c_pad = np.zeros((self.size, self.last - self.first + 1), dtype=complex)
+        self.c_pad[:, n_lo - self.first:n_lo - self.first + width] = coeffs
 
     def table(self, y):
-        return _dyadic_table(self.partition, np.exp(y), self.n_lo, self.c_pad.shape[1])
+        return self._table_at(np.exp(y))
+
+    def _table_at(self, t):
+        lo, hi = float(t.min()), float(t.max())
+        if not (0.0 < lo and hi < math.inf and math.frexp(lo)[1] > self.first
+                and math.frexp(hi)[1] <= self.last):
+            return self._guarded_table(t)
+        mant, e = np.frexp(t)
+        mant *= 2.0                       # s = 2 mant = t 2^-k, k = e - 1
+        chi = chi_band(mant, np.empty_like(mant), mant)
+        k = e.astype(np.intp)
+        k -= self.first + 1               # the column of member e - 1
+        return k, chi.astype(complex), (1.0 - chi).astype(complex)
+
+    def _guarded_table(self, t):
+        """The table by the guarded two-window rule, its column clipped into
+        the padding (_dyadic_table): for t anywhere, NaN included."""
+        k, chi, rest = _dyadic_table(self.partition, t, self.first + 2, self.c_pad.shape[1])
+        return k, chi.astype(complex), rest.astype(complex)
 
     def member(self, table, k: int) -> np.ndarray:
         return _two_window(self.c_pad[k], *table)
@@ -389,8 +433,11 @@ def multiplier_bound_check(op: ModelOperator, alpha: float, trials: int,
         coeffs[trial] = mags * np.exp(1j * phases)
     values = [np.where(op.nonzero, sample_dyadic_symbol(hom, c, n_lo)(lam), 0.0) for c in coeffs]
     opnorms = op.multiplier_norm(np.array(values)).tolist()
-    estimates = besov_family_norms(DyadicSampleFamily(hom, coeffs, n_lo), alpha,
-                                   window=window, n_x=n_x, n_h=n_h)
+    # the estimator reads the family at x + j h, x in the window, |h| <= 1,
+    # j <= M: within M of the window
+    M = int(np.floor(alpha)) + 1
+    family = DyadicSampleFamily(hom, coeffs, n_lo, span=(window[0] - M, window[1] + M))
+    estimates = besov_family_norms(family, alpha, M, window=window, n_x=n_x, n_h=n_h)
     rows = [{"trial": trial, "opnorm": opnorm, "mihlin": est.value,
              "ratio": opnorm / est.value, "refine_rel": est.method["refine_rel"]}
             for trial, (opnorm, est) in enumerate(zip(opnorms, estimates))]

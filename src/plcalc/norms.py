@@ -614,11 +614,14 @@ def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
     coefficient moduli a): e with a scaled by 2^-e into [1/2, 1), the least
     rho = (u/v)^2 and drho = rho - rho_min, sq = [(u a)^2, (v a rho)^2] and
     n0 = ||A^theta0 x||, n1 = ||A^theta1 x|| of the scaled x.  A theta whose
-    powers or ratio rho leave the float range raises NormsError (the caller
-    ignores numpy's floating-point warnings)."""
+    powers or ratio rho leave the float range raises NormsError, and so do
+    thetas whose squares leave it only for this x: for a nonzero x, n0 or n1
+    under- or overflowing to 0 or inf would read K = 0 or inf at every t
+    (the caller ignores numpy's floating-point warnings)."""
     # K is positively homogeneous in a: scaling a by a power of two into
     # [1/2, 1) is exact, and no square of a tiny or huge x under- or overflows
-    _, e = math.frexp(a.max(initial=0.0))
+    a_max = a.max(initial=0.0)
+    _, e = math.frexp(a_max)
     a = np.ldexp(a, -e)
     u = lam**theta0
     v = lam**theta1
@@ -637,8 +640,12 @@ def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
     np.multiply(u, a, out=sq[:, 0])
     np.multiply(va, rho, out=sq[:, 1])
     np.square(sq, out=sq)                                 # [(u a)^2, (v a rho)^2]
-    return _KSplitData(e, rho_min, rho - rho_min, sq, math.sqrt(sq[:, 0].sum()),
-                       math.sqrt(np.square(va).sum()))
+    n0, n1 = math.sqrt(sq[:, 0].sum()), math.sqrt(np.square(va).sum())
+    if a_max > 0.0 and not (0.0 < min(n0, n1) and max(n0, n1) < math.inf):
+        raise NormsError(f"K-functional exponents theta0={theta0}, theta1={theta1}: the squares "
+                         "in ||A^theta0 x||, ||A^theta1 x|| under- or overflow for this x on "
+                         f"the spectrum [{lam.min():.6g}, {lam.max():.6g}]")
+    return _KSplitData(e, rho_min, rho - rho_min, sq, n0, n1)
 
 
 def _k_at(data: _KSplitData, t) -> np.ndarray:

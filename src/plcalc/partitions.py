@@ -6,10 +6,12 @@ Everything is built by telescoping one fixed smooth transition function
 
 which equals 1 on (-inf,1], 0 on [2,inf) and is C^infinity.  chi is
 evaluated as the closed form exp(-1/(2-t)) / (exp(-1/(2-t)) + exp(-1/(t-1)))
-at every point, in place in one output array, and the two plateaus are then
-set by two np.copyto calls (no per-point masking, no third array; a NaN
-argument gives 1, as t <= 1 does).  The base
-windows and their recorded constants are:
+at every point, in place in one output array (chi_band), and the two
+plateaus are then set by two np.copyto calls (no per-point masking, no
+third array; a NaN argument gives 1, as t <= 1 does).  On [1, 2) the band
+formula alone is chi, so a caller whose points all lie there
+(experiments.DyadicSampleFamily) calls chi_band without the plateaus.
+The base windows and their recorded constants are:
 
     homogeneous dyadic   phi0(t)   = chi(t) - chi(2t),  supp in [1/2, 2],
                          phi_n(t)  = phi0(2^-n t)
@@ -48,22 +50,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def chi_band(s, out, low):
+    """chi's band formula exp(-1/(2-s)) / (exp(-1/(2-s)) + exp(-1/(s-1))) at
+    every point s, in place in out; low is scratch of s's shape and may be s
+    itself (s is read only before low is written).  On [1, 2) it is chi, to
+    the bit (s = 1 gives exactly 1); off the open band (1, 2) its
+    exponentials overflow, divide by zero or give inf/inf, and _chi_values
+    overwrites those values with the plateaus."""
+    with np.errstate(all="ignore"):
+        np.subtract(2.0, s, out=out)
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)                  # exp(-1/(2-s))
+        np.subtract(s, 1.0, out=low)
+        np.divide(-1.0, low, out=low)
+        np.exp(low, out=low)                  # exp(-1/(s-1))
+        low += out
+        out /= low
+    return out
+
+
 def _chi_values(t):
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)      # ufuncs given out= keep a 0-d input an array
-    low = np.empty_like(t)
-    # the band formula in place: off the open band (1, 2) the exponentials
-    # overflow, divide by zero or give inf/inf, and the plateaus overwrite
-    # those values
-    with np.errstate(all="ignore"):
-        np.subtract(2.0, t, out=out)
-        np.divide(-1.0, out, out=out)
-        np.exp(out, out=out)                  # exp(-1/(2-t))
-        np.subtract(t, 1.0, out=low)
-        np.divide(-1.0, low, out=low)
-        np.exp(low, out=low)                  # exp(-1/(t-1))
-        low += out
-        out /= low
+    chi_band(t, out, np.empty_like(t))
     np.copyto(out, 1.0, where=~(t > 1.0))     # t <= 1, and NaN
     np.copyto(out, 0.0, where=t >= 2.0)
     return out

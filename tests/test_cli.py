@@ -442,6 +442,26 @@ def test_an_interpolation_norm_of_an_exponent_that_underflows_is_refused_not_zer
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("theta0, theta1", [
+    (120, 121),     # (u a)^2 and (v a)^2 underflow to 0
+    (-100, -99),    # (u a)^2 and (v a)^2 overflow
+])
+def test_an_interpolation_norm_whose_boundary_norms_under_or_overflow_is_refused(
+        tmp_path, capsys, theta0, theta1):
+    # dirichlet1d n = 1, h = 10 has lam = 0.02: lam^theta and rho are in
+    # range, but the squares in ||A^theta x|| of the scaled x are not; the
+    # norm of this nonzero x was 0 (exit 0), or failed on its t-range
+    config = norm_eval_config(operator={"kind": "dirichlet1d", "n": 1, "h": 10},
+                              norm={"kind": "real_interpolation", "theta0": theta0,
+                                    "theta1": theta1},
+                              vector={"kind": "random", "seed": 1})
+    assert run_cli(tmp_path, "norm", config) == 4
+    err = capsys.readouterr().err
+    assert f"exponents theta0={theta0}.0, theta1={theta1}.0" in err
+    assert "under- or overflow for this x" in err and "Warning" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command, config, reason", [
     # the strip windows sit on log A, which an operator with a kernel lacks
     ("experiment", {**experiment_config(None), "operator": _GRAPH, "samples": 2,

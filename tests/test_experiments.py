@@ -1,11 +1,14 @@
 """Seeded experiment harness: equivalence reports, scans, checks."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from plcalc import experiments
 from plcalc.experiments import (
+    DyadicSampleFamily,
     ExperimentError,
     convergence_check,
     make_mcintosh_symbol,
@@ -312,6 +315,129 @@ def test_dyadic_sample_below_the_log2_clamp_is_the_window_sum():
     exact = sum(c * hom.window(-1001 + k, t) for k, c in enumerate(coeffs))
     np.testing.assert_allclose(sample_dyadic_symbol(hom, coeffs, -1001)(t), exact,
                                rtol=0, atol=1e-15)
+
+
+def _hex_parts(values):
+    return [(z.real.hex(), z.imag.hex()) for z in np.asarray(values).tolist()]
+
+
+def _guarded_member(coeffs, n_lo, t):
+    # a family member by the guarded two-window rule, with float chi and two
+    # zero pads on either side of the blocks
+    c_pad = np.pad(coeffs, 2)
+    return experiments._two_window(
+        c_pad, *experiments._dyadic_table(build_homogeneous_dyadic(), t, n_lo, c_pad.size))
+
+
+def _refuse_guarded_table(self, t):
+    raise AssertionError("the guarded table was taken")
+
+
+@pytest.mark.parametrize("n_lo", [-4, 900, -1065])
+def test_dyadic_family_direct_table_keeps_the_guarded_bits(monkeypatch, n_lo):
+    # on positive finite points inside the padding the family reads the band
+    # formula at s = 2 mant in [1, 2) and the column e + const: the bits of
+    # the guarded rule at exact powers of two (s = 1), just below them
+    # (s = 2 - 2^-52), just above, at and near both ends of the support and
+    # at random points; n_lo = -1065 puts blocks among the subnormals
+    rng = np.random.default_rng(abs(n_lo))
+    coeffs = rng.uniform(0.2, 1.0, (3, 9)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 9)))
+    ln2 = np.log(2.0)
+    family = DyadicSampleFamily(build_homogeneous_dyadic(), coeffs, n_lo,
+                                span=(ln2 * (n_lo - 5), ln2 * (n_lo + 13)))
+    powers = np.ldexp(1.0, np.arange(n_lo - 4, n_lo + 12))
+    lo, hi = np.exp(family.support)
+    ends = np.array([lo, hi])
+    t = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                        ends, ends * (1 - 1e-12), ends * (1 + 1e-12), ends * (1 + 1e-3),
+                        ends * (1 - 1e-3), 2.0 ** rng.uniform(n_lo - 4, n_lo + 12, 4000)])
+    monkeypatch.setattr(DyadicSampleFamily, "_guarded_table", _refuse_guarded_table)
+    table = family._table_at(t)
+    for k in range(family.size):
+        assert _hex_parts(family.member(table, k)) == _hex_parts(
+            _guarded_member(coeffs[k], n_lo, t))
+    # s = 1 at a power of two 2^m: chi = 1 exactly, so member k reads c_m
+    m = np.arange(n_lo - 4, n_lo + 12)
+    blocks = (m >= n_lo) & (m < n_lo + 9)
+    for k in range(family.size):
+        at_powers = family.member(table, k)[:m.size]
+        assert np.all(at_powers[blocks] == coeffs[k][m[blocks] - n_lo])
+        assert not np.any(at_powers[~blocks])
+
+
+def test_dyadic_family_takes_the_guarded_table_off_the_positive_finite_range(monkeypatch):
+    # a block with a point t <= 0, t = inf or NaN, or outside the padding
+    # takes the guarded table, and every point of it keeps the bits of the
+    # guarded rule; points from y beyond exp's overflow (709.78) or
+    # underflow (-745.13) are inf and 0
+    rng = np.random.default_rng(12)
+    coeffs = rng.uniform(0.2, 1.0, (2, 9)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 9)))
+    family = DyadicSampleFamily(build_homogeneous_dyadic(), coeffs, -4)
+    guarded = []
+    real = DyadicSampleFamily._guarded_table
+
+    def spy(self, t):
+        guarded.append(t.size)
+        return real(self, t)
+
+    monkeypatch.setattr(DyadicSampleFamily, "_guarded_table", spy)
+    base = 2.0 ** rng.uniform(-5, 5, 64)
+    for odd in (0.0, -0.0, -1.0, np.inf, np.nan, 2.0**-8, 2.0**7):
+        t = np.append(base, odd)
+        guarded.clear()
+        table = family._table_at(t)
+        assert guarded == [t.size]
+        for k in range(family.size):
+            assert _hex_parts(family.member(table, k)) == _hex_parts(
+                _guarded_member(coeffs[k], -4, t))
+    # a family padded up to exp's range: its largest and least finite
+    # positive points are direct, inf and 0 guarded
+    wide = DyadicSampleFamily(build_homogeneous_dyadic(), coeffs, -4, span=(-746.0, 710.0))
+    for odd in (709.7, 709.78, 709.8, 710.0, -745.0, -745.2, -800.0, -np.inf, np.inf, np.nan):
+        y = np.append(np.log(base), odd)
+        guarded.clear()
+        with np.errstate(over="ignore"):
+            table = wide.table(y)
+            t = np.exp(y)
+        assert guarded == ([] if 0.0 < t[-1] < np.inf else [y.size])
+        for k in range(wide.size):
+            assert _hex_parts(wide.member(table, k)) == _hex_parts(
+                _guarded_member(coeffs[k], -4, t))
+    # base alone is positive, finite and inside the padding
+    guarded.clear()
+    family._table_at(base)
+    assert guarded == []
+
+
+def test_multiplier_bound_check_family_reads_every_reachable_point_directly(monkeypatch):
+    # the estimator reads the family at x + j h, x in the window, |h| <= 1,
+    # j <= M = 2: the padding covers the exponents of both ends of that
+    # reach, and the sweep never takes the guarded table
+    families = []
+    sweep = experiments.besov_family_norms
+
+    def spy(family, *args, **kwargs):
+        families.append(family)
+        return sweep(family, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "besov_family_norms", spy)
+    monkeypatch.setattr(DyadicSampleFamily, "_guarded_table", _refuse_guarded_table)
+    for n in (64, 128):
+        op = build_dirichlet_laplacian_1d(n, 1.0)
+        multiplier_bound_check(op, 1.5, trials=1, seed=4)
+        lo, hi = np.log(op.lambda_min_positive) - 3.0, np.log(op.lambda_max) + 3.0
+        families[-1].table(np.linspace(lo - 2.0, hi + 2.0, 1001))
+
+
+def test_criterion_13_family_rows_are_pinned():
+    # the 100 trial rows of criterion 13 at n = 64 (seed 23), each value by
+    # float.hex, one line "opnorm mihlin refine_rel" per row, hashed
+    out = multiplier_bound_check(build_dirichlet_laplacian_1d(64, 1.0), 1.5, trials=100, seed=23)
+    text = "".join(" ".join(float(row[key]).hex() for key in ("opnorm", "mihlin", "refine_rel"))
+                   + "\n" for row in out["rows"])
+    assert len(out["rows"]) == 100
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3c404b19323b95e11e87ab153980604226e6596d962ccc9d670b1b807f90063f"
 
 
 def test_type2_one_sided_constant_is_an_equivalence_run():

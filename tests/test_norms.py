@@ -459,6 +459,23 @@ def test_k_functional_guards():
             assert type(got) is float and got.hex() == k.hex()
 
 
+def test_k_functional_refuses_a_nonzero_x_whose_boundary_norms_under_or_overflow():
+    # lam = 0.02: lam^theta and rho are in range for both pairs below, but
+    # the squares in ||A^theta x|| of the scaled x under- or overflow; K of
+    # x = 0 is still 0, and a pair whose squares stay in range still gives
+    # K (here t ||A^theta1 x||: one eigenvalue, so no split beats x1 = x)
+    op = build_dirichlet_laplacian_1d(1, 10.0)
+    x = op.random_vector(np.random.default_rng(1))
+    ts = np.array([1e-3, 1.0, 1e3])
+    for theta0, theta1 in [(120.0, 121.0), (-100.0, -99.0)]:
+        with pytest.raises(NormsError, match=rf"exponents theta0={theta0}, theta1={theta1}: "):
+            k_functional(op, x, ts, theta0, theta1)
+        assert np.all(k_functional(op, np.zeros(1), ts, theta0, theta1) == 0.0)
+    a = _diagonal_data(op, x)[1][0]
+    np.testing.assert_allclose(k_functional(op, x, ts, -80.0, -70.0), ts * 0.02**-70 * a,
+                               rtol=1e-13)
+
+
 def test_k_functional_of_zero_and_kernel_vectors():
     # K = 0 for x = 0 and for coefficients that vanish on every nonzero
     # eigenvalue, scalar and array t; a RuntimeWarning fails the suite
