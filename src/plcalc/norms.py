@@ -83,13 +83,14 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import log_trapezoid, node_blocks, node_sums, spectral_multiplier
-from .measure import lp_norm
+from .measure import lp_norm, nonfinite_note
 from .operators import ModelOperator, SpecReader, array_size, exponent, finite, non_negative
 from .partitions import (EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity,
                          build_equidistant, build_homogeneous_dyadic, padded_rows,
@@ -562,8 +563,9 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     t is a number (K is returned as a float) or a 1-D array (K at every
     entry, as an array, from one coefficient transform).  A t that is not
     finite and > 0, or a theta that is not finite, raises NormsError; so
-    does a theta whose powers lam^theta, or whose ratio
-    rho = lam^(2 (theta0 - theta1)), leave the float range on the spectrum.
+    do a theta whose powers lam^theta, or whose ratio
+    rho = lam^(2 (theta0 - theta1)), leave the float range on the spectrum,
+    and an x that is not one finite vector of the operator's length.
 
     Only the Hilbert path p = 2 is supported.  In diagonal coordinates the
     objective ||u y|| + t ||v (a - y)||, u = lam^theta0, v = lam^theta1, is
@@ -577,8 +579,12 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
 
     The vector's data are formed once (_k_split_data), then K at every t
-    (_k_at, _stationary_splits): a K-curve costs one coefficient transform
-    and its roots, and should pass its whole t-array in one call.
+    (_k_at, _stationary_splits).  The data of the last vector are kept in a
+    one-slot memo (_k_prepared), keyed on the operator (by identity, held
+    weakly), x's dtype, shape and bytes, and the thetas, so a K-curve of
+    scalar calls on one x transforms it once, and each call gives the bits
+    it gives on an empty memo.  One call with the curve's whole t-array is
+    still about 5-7x cheaper: it closes all roots together.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim == 0:                       # a number: checked as a Python float
@@ -596,28 +602,61 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     for name, theta in (("theta0", theta0), ("theta1", theta1)):
         if not math.isfinite(theta):
             raise NormsError(f"K-functional exponent {name} must be finite, got {theta}")
-    lam, a = _diagonal_data(op, x)
     # an overflow or a zero divisor is read as inf or NaN: a power or rho out
     # of range is refused (_k_split_data), a t beyond 1e154 squares to inf
     # and has no root, and t ||A^theta1 x|| = inf leaves x0 = x
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        data = _k_split_data(lam, a, theta0, theta1)
+        data = _k_prepared(op, x, theta0, theta1)
         k = np.ldexp(_k_at(data, tv), data.e)
     return float(k[0]) if ts.ndim == 0 else k
 
 
-_KSplitData = namedtuple("_KSplitData", "e rho_min drho sq n0 n1")
+_KSplitData = namedtuple("_KSplitData", "e rho_min drho sq n0 n1 e_nu")
+
+# (weak reference to the operator, key of x and the thetas, _KSplitData) of
+# the last vector _k_prepared was asked about; None before the first
+_k_memo = None
+
+
+def _k_prepared(op: ModelOperator, x, theta0: float, theta1: float) -> _KSplitData:
+    """The K-functional's data of x (_diagonal_data, _k_split_data), kept
+    for one vector in a one-slot memo.  The key is the operator, by identity
+    through a weak reference (the memo keeps no operator alive), x's dtype,
+    shape and bytes (an x edited in place misses) and the thetas; a hit
+    returns the same read-only arrays.  A miss refuses an x that is not one
+    finite vector of the operator's length, and an error leaves the memo as
+    it was.  The slot is replaced by one assignment, so threads that share
+    it at worst recompute."""
+    global _k_memo
+    x = np.asarray(x)
+    if x.dtype.hasobject:                  # keyed on its values, not on object pointers
+        x = x.astype(complex)
+    key = (x.dtype, x.shape, x.tobytes(), theta0, theta1)
+    memo = _k_memo
+    if memo is not None and memo[0]() is op and memo[1] == key:
+        return memo[2]
+    if x.shape != (op.n,):
+        raise NormsError(f"K-functional needs one vector of {op.n} points, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NormsError("K-functional needs a finite vector" + nonfinite_note(x, "entries"))
+    data = _k_split_data(*_diagonal_data(op, x), theta0, theta1)
+    data.drho.flags.writeable = data.sq.flags.writeable = False
+    _k_memo = (weakref.ref(op), key, data)
+    return data
 
 
 def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
     """The K-functional's data of one vector (nonzero eigenvalues lam,
     coefficient moduli a): e with a scaled by 2^-e into [1/2, 1), the least
     rho = (u/v)^2 and drho = rho - rho_min, sq = [(u a)^2, (v a rho)^2] and
-    n0 = ||A^theta0 x||, n1 = ||A^theta1 x|| of the scaled x.  A theta whose
-    powers or ratio rho leave the float range raises NormsError, and so do
-    thetas whose squares leave it only for this x: for a nonzero x, n0 or n1
-    under- or overflowing to 0 or inf would read K = 0 or inf at every t
-    (the caller ignores numpy's floating-point warnings)."""
+    n0 = ||A^theta0 x||, n1 = ||A^theta1 x|| of the scaled x.  Where the
+    column (v a rho)^2 sums to more than the float range, it holds
+    (v a rho 2^-e_nu)^2 instead, and e_nu = 0 where it does not (_k_at).
+    A theta whose powers or ratio rho leave the float range raises
+    NormsError, and so do thetas whose squares leave it only for this x:
+    for a nonzero x, n0 or n1 under- or overflowing to 0 or inf would read
+    K = 0 or inf at every t (the caller ignores numpy's floating-point
+    warnings)."""
     # K is positively homogeneous in a: scaling a by a power of two into
     # [1/2, 1) is exact, and no square of a tiny or huge x under- or overflows
     a_max = a.max(initial=0.0)
@@ -640,20 +679,35 @@ def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
     np.multiply(u, a, out=sq[:, 0])
     np.multiply(va, rho, out=sq[:, 1])
     np.square(sq, out=sq)                                 # [(u a)^2, (v a rho)^2]
+    e_nu = 0
+    if not sq[:, 1].sum() < np.inf:
+        # from the exponents of v a and rho: every square is below
+        # 2^(1022 - n.bit_length()), so no sum of n overflows, and an entry
+        # is rounded as the unscaled one would be wherever it is normal
+        mv, ev = np.frexp(va)
+        mr, er = np.frexp(rho)
+        er += ev
+        e_nu = int(er.max()) - (1022 - a.size.bit_length()) // 2
+        np.square(np.ldexp(mv * mr, er - e_nu), out=sq[:, 1])
     n0, n1 = math.sqrt(sq[:, 0].sum()), math.sqrt(np.square(va).sum())
     if a_max > 0.0 and not (0.0 < min(n0, n1) and max(n0, n1) < math.inf):
         raise NormsError(f"K-functional exponents theta0={theta0}, theta1={theta1}: the squares "
                          "in ||A^theta0 x||, ||A^theta1 x|| under- or overflow for this x on "
                          f"the spectrum [{lam.min():.6g}, {lam.max():.6g}]")
-    return _KSplitData(e, rho_min, rho - rho_min, sq, n0, n1)
+    return _KSplitData(e, rho_min, rho - rho_min, sq, n0, n1, e_nu)
 
 
 def _k_at(data: _KSplitData, t) -> np.ndarray:
     """K of data's scaled x at every entry of the 1-D array t; warnings as in _k_split_data."""
     k = np.minimum(data.n0, t * data.n1)                  # x0 = x, x1 = x
-    idx, _, _, mu_nu = _stationary_splits(t, data.rho_min, data.drho, data.sq)
+    # on nu's column scaled by 4^-e_nu the root of t 2^-e_nu is the same c,
+    # and its nu is scaled by 2^-e_nu
+    e_nu = data.e_nu
+    idx, _, _, mu_nu = _stationary_splits(np.ldexp(t, -e_nu) if e_nu else t,
+                                          data.rho_min, data.drho, data.sq)
     if idx.size:
-        k[idx] = np.minimum(mu_nu[:, 0] + t[idx] * mu_nu[:, 1], k[idx])
+        nu = np.ldexp(mu_nu[:, 1], e_nu) if e_nu else mu_nu[:, 1]
+        k[idx] = np.minimum(mu_nu[:, 0] + t[idx] * nu, k[idx])
     return k
 
 
@@ -662,7 +716,10 @@ def _k_at(data: _KSplitData, t) -> np.ndarray:
 # in four or five path evaluations.  A root located to K_ROOT_WIDTH in ln c
 # leaves K exact to second order; |phi| <= K_ROOT_FLAT is met only where the
 # path is flat, so that K no longer depends on c; K_ROOT_ITERS evaluations
-# without either raise NormsError
+# without either raise NormsError.  The path's ends are c = 1e-30 and 1e30:
+# while rho lies in [1e-20, 1e20], every c rho_k is at most 1e-10 at the
+# first and at least 1e10 at the last; a rho beyond moves them out to keep
+# that, to at most 1e-300 and 1e300
 _C_ENDS = tuple(np.logspace(-30, 30, 2).tolist())
 _LN_C_LO, _LN_C_HI = np.log(_C_ENDS).tolist()
 K_ROOT_WIDTH = 1e-9
@@ -722,8 +779,9 @@ def _stationary_splits(t, rho_min: float, drho, sq):
     The residual phi = ln((nu/c)^2) - ln(t^2 mu^2) is nonincreasing in
     c and changes sign at most once, so a t has a root exactly when
     phi > 0 at the path's first end and phi <= 0 at its last: one path
-    evaluation at the two ends, of the weight row only (_split_path),
-    serves every t, and a t without a sign change is left out, as a
+    evaluation at the two ends, of the weight row only (_split_path), or
+    of the whole path where rho is so wide that the ends move out from
+    _C_ENDS, serves every t, and a t without a sign change is left out, as a
     boundary split wins; a t-set without one returns shared empty
     arrays.  Each root is then found by a safeguarded Newton iteration in
     ln c (rtsafe), started at ln c = -ln t^2.  Its step is Newton's step on the local model
@@ -755,7 +813,14 @@ def _stationary_splits(t, rho_min: float, drho, sq):
     No sum is 0 while x has a component at rho_min, so every quotient is
     finite.
     """
-    ends = _split_path(_C_ENDS, rho_min, drho, sq)[0]
+    rho_max = rho_min + float(drho.max())
+    c_ends = _C_ENDS
+    ln_lo, ln_hi = _LN_C_LO, _LN_C_HI
+    if not (1e-20 <= rho_min and rho_max <= 1e20):
+        c_ends = (max(min(_C_ENDS[0], 1e-10 / rho_max), 1e-300),
+                  min(max(_C_ENDS[1], 1e10 / rho_min), 1e300))
+        ln_lo, ln_hi = math.log(c_ends[0]), math.log(c_ends[1])
+    ends = _split_path(c_ends, rho_min, drho, sq)[0]
     t2 = np.square(t)
     # read without a division: at a = 0 (mu = nu = 0) no t changes sign
     idx = ((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0])).nonzero()[0]
@@ -763,9 +828,9 @@ def _stationary_splits(t, rho_min: float, drho, sq):
     if not m:
         return (idx,) + _NO_ROOTS
     ln_t2 = np.log(t2[idx]).tolist()
-    lo, hi = [_LN_C_LO] * m, [_LN_C_HI] * m
-    x = [-v if _LN_C_LO < -v < _LN_C_HI else 0.0 for v in ln_t2]
-    last = [_LN_C_HI - _LN_C_LO] * m
+    lo, hi = [ln_lo] * m, [ln_hi] * m
+    x = [-v if ln_lo < -v < ln_hi else 0.0 for v in ln_t2]
+    last = [ln_hi - ln_lo] * m
     half_before_last = [0.5 * last[0]] * m
     other = [0.0] * m                      # each root's other end of its interval
     mu_nu = [None] * m                     # each root's (mu, nu) at its stop
@@ -885,14 +950,13 @@ def real_interpolation_norm(op: ModelOperator, x, vartheta: float, q,
     if not (0 < vartheta < 1):
         raise NormsError("vartheta must lie in (0, 1)")
     q = _lq_exponent(q)
-    lam, a = _diagonal_data(op, x)
     # the norm is positively homogeneous in a: it is computed on the
     # K-functional's data (a scaled by a power of two into [1/2, 1)), so
     # neither n0, n1, the t-range sized from them nor the q-th powers of K
     # under- or overflow for a tiny or huge x; a theta the K-functional
     # refuses is refused, and a q-th power that overflows reads as inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        data = _k_split_data(lam, a, theta0, theta1)
+        data = _k_prepared(op, x, theta0, theta1)
         n0, n1 = data.n0, data.n1
         if n0 == 0.0 or n1 == 0.0:
             return 0.0

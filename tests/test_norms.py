@@ -1,6 +1,10 @@
 """Block norms, continuous square functions, Besov norms, K-functionals."""
 
+import gc
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from plcalc.norms import (
     real_interpolation_norm,
 )
 from plcalc.operators import (
+    ModelOperator,
     build_dirichlet_laplacian_1d,
     build_graph_laplacian,
     build_hermite_operator,
@@ -640,6 +645,219 @@ def test_k_functional_far_apart_exponents_give_the_boundary_split():
     assert calls == 1188
 
 
+def _path_minimum(lam, a, t, theta0, theta1):
+    """The least objective ||u y|| + t ||v (a - y)|| over the split path
+    y = a/(1 + c rho) and the two boundary splits: 20,001 points of ln c in
+    [-740, 700], then twice 20,001 points over the two cells around the
+    least one.  A brute-force K that needs no bracket, no root and no
+    column scaling."""
+    u, v = lam**theta0, lam**theta1
+    rho = (u / v) ** 2
+    lo, hi = -740.0, 700.0
+    for _ in range(3):
+        lnc = np.linspace(lo, hi, 20001)
+        with np.errstate(over="ignore", divide="ignore"):
+            crho = np.exp(lnc)[:, None] * rho
+            w, q = 1 / (1 + crho), 1 / (1 + 1 / crho)     # y = w a, a - y = q a
+        f = np.linalg.norm(u * a * w, axis=1) + t * np.linalg.norm(v * a * q, axis=1)
+        i = int(np.argmin(f))
+        lo, hi = lnc[max(i - 1, 0)], lnc[min(i + 1, lnc.size - 1)]
+    return min(f[i], np.linalg.norm(u * a), t * np.linalg.norm(v * a))
+
+
+@pytest.mark.parametrize("case", ["overflowing column", "wide rho"])
+def test_k_functional_finds_roots_far_from_the_fixed_path_ends(case):
+    # overflowing column: on Dirichlet h = 10 at theta (-50, 0), rho spans
+    # 1.3e141..7.2e291 and (v a rho)^2 overflows; the ends' sums read inf,
+    # and K was a boundary split 12%..130% above the least objective.  The
+    # column is scaled by a power of two, and the roots, at ln c in
+    # -340..-424, lie beyond the fixed end c = 1e-30.  wide rho: rho spans
+    # 1e-180..1e180 and K(1e-50) was 1.0, the boundary split x0 = x, against
+    # 6.0e-18 at K(1e-25)
+    if case == "overflowing column":
+        op = build_dirichlet_laplacian_1d(8, 10.0)
+        x = op.random_vector(np.random.default_rng(1))
+        ts, theta0, theta1 = np.logspace(75, 95, 5), -50.0, 0.0
+    else:
+        op = build_nonnormal_sectorial([1e-3, 1.0, 1e3], 1.0, 0)
+        x = op.synthesize([1.0, 0.0, 0.0])
+        ts, theta0, theta1 = np.logspace(-100, 100, 9), 0.0, 30.0
+    lam, a = _diagonal_data(op, x)
+    ks = k_functional(op, x, ts, theta0, theta1)
+    brute = [_path_minimum(lam, a, t, theta0, theta1) for t in ts]
+    np.testing.assert_allclose(ks, brute, rtol=1e-9, atol=0)
+    assert [k_functional(op, x, t, theta0, theta1) for t in ts] == ks.tolist()
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "stack"])
+def test_k_functional_refuses_a_vector_that_is_not_one_finite_vector(case):
+    # a NaN gave K = nan and "need 0 < t_lo < t_hi"; an inf numpy's
+    # "invalid value encountered in multiply"; an n x 2 stack numpy's
+    # broadcasting error.  A RuntimeWarning fails the test
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    bad, match = {"nan": (np.where(np.arange(8) == 3, np.nan, x), "finite vector.*at 3"),
+                  "inf": (np.where(np.arange(8) == 5, np.inf, x), "finite vector.*at 5"),
+                  "stack": (np.stack([x, x], axis=1),
+                            r"one vector of 8 points, got shape \(8, 2\)")}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormsError, match=match):
+            k_functional(op, bad, 0.5, 0.0, 1.0)
+        with pytest.raises(NormsError, match=match):
+            real_interpolation_norm(op, bad, 0.5, 2)
+
+
+def _k_memo_counter(monkeypatch):
+    """Empty the K-functional's memo, and count coefficient transforms and
+    _k_split_data calls from here on."""
+    counts = {"coefficients": 0, "split": 0}
+    coefficients, split = ModelOperator.coefficients, norms._k_split_data
+
+    def counting_coefficients(self, x):
+        counts["coefficients"] += 1
+        return coefficients(self, x)
+
+    def counting_split(*args):
+        counts["split"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(norms, "_k_memo", None)
+    monkeypatch.setattr(ModelOperator, "coefficients", counting_coefficients)
+    monkeypatch.setattr(norms, "_k_split_data", counting_split)
+    return counts
+
+
+def test_k_functional_memo_transforms_a_scalar_curve_once(monkeypatch):
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    x = op.random_vector(np.random.default_rng(3))
+    counts = _k_memo_counter(monkeypatch)
+    for t in KCURVE_T:
+        k_functional(op, x, t, 0.0, 1.0)
+    assert counts == {"coefficients": 1, "split": 1}
+    # a hit hands out the same arrays, read-only: an edit fails loudly
+    data = norms._k_memo[2]
+    with pytest.raises(ValueError):
+        data.sq[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        data.drho[0] = 1.0
+
+
+def test_k_functional_memo_keeps_every_bit(monkeypatch):
+    # 40 scalar calls, an array call and an interpolation norm on one x read
+    # the memo; each gives the bits it gives with the memo emptied first
+    op = build_dirichlet_laplacian_1d(128, 1.0)
+    prepared = norms._k_prepared
+
+    def emptied_first(*args):
+        norms._k_memo = None
+        return prepared(*args)
+
+    for seed, (theta0, theta1) in enumerate([(0.0, 1.0), (-0.5, 1.5), (0.0, 0.5)]):
+        x = op.random_vector(np.random.default_rng(seed))
+
+        def values():
+            return ([k_functional(op, x, t, theta0, theta1).hex() for t in KCURVE_T]
+                    + [float(k).hex() for k in k_functional(op, x, KCURVE_T, theta0, theta1)]
+                    + [real_interpolation_norm(op, x, 0.5, 2, theta0, theta1).hex()])
+
+        counts = _k_memo_counter(monkeypatch)
+        memo = values()
+        assert counts["split"] == 1
+        monkeypatch.setattr(norms, "_k_prepared", emptied_first)
+        assert values() == memo
+        assert counts["split"] == 1 + KCURVE_T.size + 2
+        monkeypatch.undo()
+
+
+def test_k_functional_memo_recomputes_for_another_key(monkeypatch):
+    # the key is the operator's identity, x's dtype, shape and bytes and the
+    # thetas: a copy of x hits; an x edited in place, an equal operator
+    # built again, other thetas and the same values in another dtype miss,
+    # and each gives the K of a call on an empty memo
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    x = op.random_vector(np.random.default_rng(2)).real.copy()
+    counts = _k_memo_counter(monkeypatch)
+
+    def fresh(*args):
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_k_memo", None)
+            return k_functional(*args)
+
+    k_functional(op, x, 0.5, 0.0, 1.0)
+    k_functional(op, x.copy(), 2.0, 0.0, 1.0)
+    assert counts["split"] == 1
+    # an object array is read as its complex values
+    k = k_functional(op, x.astype(object), 0.5, 0.0, 1.0)
+    assert counts["split"] == 2
+    assert k.hex() == fresh(op, x, 0.5, 0.0, 1.0).hex()
+    x[3] += 0.25
+    other = build_dirichlet_laplacian_1d(16, 1.0)
+    for args in [(op, x, 0.5, 0.0, 1.0), (other, x, 0.5, 0.0, 1.0),
+                 (other, x, 0.5, 0.0, 0.5), (other, x.astype(complex), 0.5, 0.0, 0.5)]:
+        before = counts["split"]
+        k = k_functional(*args)
+        assert counts["split"] == before + 1
+        assert k.hex() == fresh(*args).hex()
+
+
+def test_k_functional_memo_keeps_no_operator_alive(monkeypatch):
+    monkeypatch.setattr(norms, "_k_memo", None)
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    k_functional(op, x, 0.5, 0.0, 1.0)
+    assert norms._k_memo is not None
+    ref = weakref.ref(op)
+    del op
+    gc.collect()
+    assert ref() is None
+
+
+def test_k_functional_memo_is_unchanged_by_a_refused_call(monkeypatch):
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    x = op.random_vector(np.random.default_rng(0))
+    counts = _k_memo_counter(monkeypatch)
+    k_functional(op, x, 0.5, 0.0, 1.0)
+    entry = norms._k_memo
+    for bad, theta1 in [(np.where(np.arange(8) == 1, np.nan, x), 1.0),
+                        (np.stack([x, x], axis=1), 1.0), (x[:7], 1.0), (x, 400.0)]:
+        with pytest.raises(NormsError):
+            k_functional(op, bad, 0.5, 0.0, theta1)
+        with pytest.raises(NormsError):
+            real_interpolation_norm(op, bad, 0.5, 2, 0.0, theta1)
+        assert norms._k_memo is entry
+    # the first call, then theta1 = 400 twice, which _k_split_data refuses;
+    # x itself still hits
+    k_functional(op, x, 2.0, 0.0, 1.0)
+    assert counts["split"] == 1 + 2
+
+
+def test_k_functional_memo_under_threads():
+    # threads that take turns on the one slot with a short switch interval:
+    # each reads the K-curves of its own vector, never another's
+    op = build_dirichlet_laplacian_1d(32, 1.0)
+    xs = [op.random_vector(np.random.default_rng(seed)) for seed in range(4)]
+    want = [[k_functional(op, x, t, 0.0, 1.0) for t in KCURVE_T] for x in xs]
+    faults, done = [], []
+
+    def run(i):
+        for _ in range(5):
+            if [k_functional(op, xs[i], t, 0.0, 1.0) for t in KCURVE_T] != want[i]:
+                faults.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == list(range(len(xs))) and not faults
 @pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
 def test_k_root_brackets_close_under_the_cap(monkeypatch, theta0, theta1):
     # every t with a sign change ends with a bracket <= K_ROOT_WIDTH in ln c
