@@ -578,13 +578,15 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     changes sign at most once, from + to -: F falls, then rises.  K is F at
     that sign change, or, without one, a boundary split (x0 = x or x1 = x).
 
-    The vector's data are formed once (_k_split_data), then K at every t
-    (_k_at, _stationary_splits).  The data of the last vector are kept in a
+    The vector's data, with the path's two ends and its sums there, are
+    formed once (_k_split_data), then K at every t (_k_at,
+    _stationary_splits).  The data of the last vector are kept in a
     one-slot memo (_k_prepared), keyed on the operator (by identity, held
     weakly), x's dtype, shape and bytes, and the thetas, so a K-curve of
-    scalar calls on one x transforms it once, and each call gives the bits
-    it gives on an empty memo.  One call with the curve's whole t-array is
-    still about 5-7x cheaper: it closes all roots together.
+    scalar calls on one x transforms it and evaluates its ends once, a t
+    without a root evaluates no path, and each call gives the bits it gives
+    on an empty memo.  One call with the curve's whole t-array is still
+    about 6-7x cheaper: it closes all roots together.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim == 0:                       # a number: checked as a Python float
@@ -611,7 +613,7 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
     return float(k[0]) if ts.ndim == 0 else k
 
 
-_KSplitData = namedtuple("_KSplitData", "e rho_min drho sq n0 n1 e_nu")
+_KSplitData = namedtuple("_KSplitData", "e rho_min drho sq n0 n1 e_nu ln_ends ends")
 
 # (weak reference to the operator, key of x and the thetas, _KSplitData) of
 # the last vector _k_prepared was asked about; None before the first
@@ -640,7 +642,7 @@ def _k_prepared(op: ModelOperator, x, theta0: float, theta1: float) -> _KSplitDa
     if not np.all(np.isfinite(x)):
         raise NormsError("K-functional needs a finite vector" + nonfinite_note(x, "entries"))
     data = _k_split_data(*_diagonal_data(op, x), theta0, theta1)
-    data.drho.flags.writeable = data.sq.flags.writeable = False
+    data.drho.flags.writeable = data.sq.flags.writeable = data.ends.flags.writeable = False
     _k_memo = (weakref.ref(op), key, data)
     return data
 
@@ -648,8 +650,10 @@ def _k_prepared(op: ModelOperator, x, theta0: float, theta1: float) -> _KSplitDa
 def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
     """The K-functional's data of one vector (nonzero eigenvalues lam,
     coefficient moduli a): e with a scaled by 2^-e into [1/2, 1), the least
-    rho = (u/v)^2 and drho = rho - rho_min, sq = [(u a)^2, (v a rho)^2] and
-    n0 = ||A^theta0 x||, n1 = ||A^theta1 x|| of the scaled x.  Where the
+    rho = (u/v)^2 and drho = rho - rho_min, sq = [(u a)^2, (v a rho)^2],
+    n0 = ||A^theta0 x||, n1 = ||A^theta1 x|| of the scaled x, and the split
+    path's two ends: ln_ends, their ln c, and ends, the (2, 2) sums of
+    _split_path there, which no t changes (_stationary_splits).  Where the
     column (v a rho)^2 sums to more than the float range, it holds
     (v a rho 2^-e_nu)^2 instead, and e_nu = 0 where it does not (_k_at).
     A theta whose powers or ratio rho leave the float range raises
@@ -694,7 +698,15 @@ def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:
         raise NormsError(f"K-functional exponents theta0={theta0}, theta1={theta1}: the squares "
                          "in ||A^theta0 x||, ||A^theta1 x|| under- or overflow for this x on "
                          f"the spectrum [{lam.min():.6g}, {lam.max():.6g}]")
-    return _KSplitData(e, rho_min, rho - rho_min, sq, n0, n1, e_nu)
+    drho = rho - rho_min
+    rho_max = rho_min + float(drho.max())
+    c_ends, ln_ends = _C_ENDS, _LN_C_ENDS
+    if not (1e-20 <= rho_min and rho_max <= 1e20):
+        c_ends = (max(min(_C_ENDS[0], 1e-10 / rho_max), 1e-300),
+                  min(max(_C_ENDS[1], 1e10 / rho_min), 1e300))
+        ln_ends = (math.log(c_ends[0]), math.log(c_ends[1]))
+    ends = _split_path(c_ends, rho_min, drho, sq)[0]
+    return _KSplitData(e, rho_min, drho, sq, n0, n1, e_nu, ln_ends, ends)
 
 
 def _k_at(data: _KSplitData, t) -> np.ndarray:
@@ -703,8 +715,7 @@ def _k_at(data: _KSplitData, t) -> np.ndarray:
     # on nu's column scaled by 4^-e_nu the root of t 2^-e_nu is the same c,
     # and its nu is scaled by 2^-e_nu
     e_nu = data.e_nu
-    idx, _, _, mu_nu = _stationary_splits(np.ldexp(t, -e_nu) if e_nu else t,
-                                          data.rho_min, data.drho, data.sq)
+    idx, _, _, mu_nu = _stationary_splits(np.ldexp(t, -e_nu) if e_nu else t, data)
     if idx.size:
         nu = np.ldexp(mu_nu[:, 1], e_nu) if e_nu else mu_nu[:, 1]
         k[idx] = np.minimum(mu_nu[:, 0] + t[idx] * nu, k[idx])
@@ -721,7 +732,7 @@ def _k_at(data: _KSplitData, t) -> np.ndarray:
 # first and at least 1e10 at the last; a rho beyond moves them out to keep
 # that, to at most 1e-300 and 1e300
 _C_ENDS = tuple(np.logspace(-30, 30, 2).tolist())
-_LN_C_LO, _LN_C_HI = np.log(_C_ENDS).tolist()
+_LN_C_ENDS = tuple(np.log(_C_ENDS).tolist())
 K_ROOT_WIDTH = 1e-9
 K_ROOT_FLAT = 1e-13
 K_ROOT_ITERS = 40
@@ -749,7 +760,7 @@ def _split_path(c, rho_min: float, drho, sq) -> np.ndarray:
     one (2 x n)(n x 2) product).  BLAS may sum the smaller product in
     another order, so a sum can differ from the full evaluation's in its
     last bit; which t have a root does not move on a 2,001-point t-grid
-    (tests/test_norms.py).
+    (tests/test_norms.py).  _k_split_data evaluates the ends once per vector.
     """
     c_f = [ck / (1.0 + ck * rho_min) for ck in c]
     if c is _C_ENDS:
@@ -771,26 +782,28 @@ def _split_path(c, rho_min: float, drho, sq) -> np.ndarray:
     return (w.reshape(3 * m, -1) @ sq).reshape(3, m, 2)
 
 
-def _stationary_splits(t, rho_min: float, drho, sq):
+def _stationary_splits(t, data: _KSplitData):
     """(idx, bracket, c, mu_nu): the entries idx of t whose residual
     changes sign, a (2, len(idx)) interval in ln c holding each root, the
-    point c taken for it and (mu, nu) there, one row each.
+    point c taken for it and (mu, nu) there, one row each, from one
+    vector's data.
 
     The residual phi = ln((nu/c)^2) - ln(t^2 mu^2) is nonincreasing in
     c and changes sign at most once, so a t has a root exactly when
-    phi > 0 at the path's first end and phi <= 0 at its last: one path
-    evaluation at the two ends, of the weight row only (_split_path), or
-    of the whole path where rho is so wide that the ends move out from
-    _C_ENDS, serves every t, and a t without a sign change is left out, as a
-    boundary split wins; a t-set without one returns shared empty
+    phi > 0 at the path's first end and phi <= 0 at its last.  The data
+    hold the path's sums at its two ends, placed and evaluated once per
+    vector (_k_split_data), so the test is one expression in t^2 and
+    evaluates no path; a t without a sign change is left out, as a
+    boundary split wins, and a t-set without one returns shared empty
     arrays.  Each root is then found by a safeguarded Newton iteration in
-    ln c (rtsafe), started at ln c = -ln t^2.  Its step is Newton's step on the local model
-    phi ~ alpha + beta c^k, k = phi''/phi' (derivatives in ln c), that is,
-    Newton in c^k: near both ends phi approaches its limit like c^(+-1),
-    where the plain step in ln c shrinks by less than half per step and
-    the safeguard would bisect a bracket up to 138 wide.  Where the model
-    has no root (1 + k delta <= 0, delta the plain step) or k = 0 (its
-    limit) the plain step is proposed; a flat path (phi' = 0), none.
+    ln c (rtsafe), started at ln c = -ln t^2.  Its step is Newton's step
+    on the local model phi ~ alpha + beta c^k,
+    k = phi''/phi' (derivatives in ln c), that is, Newton in c^k: near
+    both ends phi approaches its limit like c^(+-1), where the plain step
+    in ln c shrinks by less than half per step and the safeguard would
+    bisect a bracket up to 138 wide.  Where the model has no root
+    (1 + k delta <= 0, delta the plain step) or k = 0 (its limit) the
+    plain step is proposed; a flat path (phi' = 0), none.
 
     Every evaluation narrows its t's bracket by the sign of phi.  Then,
     before the safeguard, a t stops when its step is at most K_ROOT_WIDTH
@@ -810,23 +823,19 @@ def _stationary_splits(t, rho_min: float, drho, sq):
     A round is one evaluation of _split_path at every open root's point,
     read back as Python floats once; each root's phi, phi' and k, step,
     bracket update, stop test and safeguard are then scalar work on them.
-    No sum is 0 while x has a component at rho_min, so every quotient is
-    finite.
+    No sum is 0 while x has a component at rho_min whose column entries
+    are not 0; a sum that underflows to 0, where rho is so wide that those
+    entries and every other weight underflow, raises NormsError.
     """
-    rho_max = rho_min + float(drho.max())
-    c_ends = _C_ENDS
-    ln_lo, ln_hi = _LN_C_LO, _LN_C_HI
-    if not (1e-20 <= rho_min and rho_max <= 1e20):
-        c_ends = (max(min(_C_ENDS[0], 1e-10 / rho_max), 1e-300),
-                  min(max(_C_ENDS[1], 1e10 / rho_min), 1e300))
-        ln_lo, ln_hi = math.log(c_ends[0]), math.log(c_ends[1])
-    ends = _split_path(c_ends, rho_min, drho, sq)[0]
+    ends = data.ends
     t2 = np.square(t)
     # read without a division: at a = 0 (mu = nu = 0) no t changes sign
     idx = ((ends[0, 1] > t2 * ends[0, 0]) & (ends[1, 1] <= t2 * ends[1, 0])).nonzero()[0]
     m = idx.size
     if not m:
         return (idx,) + _NO_ROOTS
+    rho_min, drho, sq = data.rho_min, data.drho, data.sq
+    ln_lo, ln_hi = data.ln_ends
     ln_t2 = np.log(t2[idx]).tolist()
     lo, hi = [ln_lo] * m, [ln_hi] * m
     x = [-v if ln_lo < -v < ln_hi else 0.0 for v in ln_t2]
@@ -846,6 +855,9 @@ def _stationary_splits(t, rho_min: float, drho, sq):
         still = []
         for r, cr, (m0, n0), (m1, n1), (m2, n2) in zip(live, cs, *path):
             f = 1.0 + cr * rho_min
+            if not (m0 and n0):
+                raise NormsError(f"K-functional split path: a sum underflows to 0 at "
+                                 f"ln c = {x[r]:.6g}, as rho spans too wide a range")
             ep_mu, ep_nu = m1 / m0, n1 / n0            # E_mu[p], E_nu[p]
             d = ep_nu - ep_mu                          # f eta
             xr, phi = x[r], math.log(n0 / m0) - ln_t2[r]

@@ -510,17 +510,21 @@ def test_k_functional_is_homogeneous_at_extreme_scales(scale):
 
 
 def _k_root_recorder(monkeypatch):
-    """Count the path evaluations and keep the output of every root solve."""
-    log = {"paths": 0, "solves": []}
+    """Count the path evaluations, keep the output of every root solve and
+    count the evaluations each solve made (its Newton rounds); the others
+    are the path's two ends, summed once per prepared vector."""
+    log = {"paths": 0, "solves": [], "newton": []}
     path, solve = norms._split_path, norms._stationary_splits
 
     def counting(*args):
         log["paths"] += 1
         return path(*args)
 
-    def recording(t, *data):
-        out = solve(t, *data)
+    def recording(t, data):
+        before = log["paths"]
+        out = solve(t, data)
         log["solves"].append((t, out))
+        log["newton"].append(log["paths"] - before)
         return out
 
     monkeypatch.setattr(norms, "_split_path", counting)
@@ -531,7 +535,8 @@ def _k_root_recorder(monkeypatch):
 def test_k_root_path_evaluations_pinned(monkeypatch):
     # one fixed 40-t curve: one evaluation of the path's two ends, then one
     # per Newton step of its slowest t (vectorised), or of every t (scalar
-    # calls); 28 of the 40 t have no root and take the end evaluation only
+    # calls, which read the ends the array call prepared); 28 of the 40 t
+    # have no root and take no path evaluation
     op = build_dirichlet_laplacian_1d(64, 1.0)
     x = op.random_vector(np.random.default_rng(3))
     x /= lp_norm(x, 2, op.measure)
@@ -541,40 +546,75 @@ def test_k_root_path_evaluations_pinned(monkeypatch):
     assert log["paths"] == 6          # 9 by grid and regula falsi, 32 by bisection
     log["paths"] = 0
     scalar = [k_functional(op, x, t, 0.0, 1.0) for t in ts]
-    assert log["paths"] == 95         # 114 by grid and regula falsi, 1280 by bisection
+    assert log["paths"] == 55         # 114 by grid and regula falsi, 1280 by bisection
     np.testing.assert_allclose(ks, scalar, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("theta0, theta1", [(0.0, 1.0), (0.0, 0.5), (-0.5, 1.5)])
-def test_k_root_ends_from_the_weight_row_pick_the_same_t(monkeypatch, theta0, theta1):
+def test_k_root_ends_from_the_weight_row_pick_the_same_t(theta0, theta1):
     # the path's two ends form only the weight row; its sums may differ from
     # the three-row evaluation's in the last bit, but the t that have a root
     # are the same ones on a 2,001-point grid
     ts = np.logspace(-6, 8, 2001)
-    seen = []
-    solve = norms._stationary_splits
-
-    def recording(t, *data):
-        seen.append(data)
-        return solve(t, *data)
-
-    monkeypatch.setattr(norms, "_stationary_splits", recording)
     for n in (8, 64, 256):
         op = build_dirichlet_laplacian_1d(n, 1.0)
         x = op.random_vector(np.random.default_rng(n))
         x /= lp_norm(x, 2, op.measure)
-        seen.clear()
-        k_functional(op, x, ts, theta0, theta1)
-        data, = seen
-        ends = norms._split_path(norms._C_ENDS, *data)
-        full = norms._split_path(list(norms._C_ENDS), *data)
-        assert ends.shape == (1, 2, 2) and full.shape == (3, 2, 2)
-        np.testing.assert_allclose(ends[0], full[0], rtol=1e-15, atol=0)
+        data = _k_split_data(*_diagonal_data(op, x), theta0, theta1)
+        full = norms._split_path(list(norms._C_ENDS), data.rho_min, data.drho, data.sq)
+        assert data.ends.shape == (2, 2) and full.shape == (3, 2, 2)
+        np.testing.assert_allclose(data.ends, full[0], rtol=1e-15, atol=0)
         t2 = np.square(ts)
-        picks = [(e[0, 1] > t2 * e[0, 0]) & (e[1, 1] <= t2 * e[1, 0]) for e in (ends[0], full[0])]
+        picks = [(e[0, 1] > t2 * e[0, 0]) & (e[1, 1] <= t2 * e[1, 0]) for e in (data.ends, full[0])]
         np.testing.assert_array_equal(picks[0], picks[1])
         assert 0 < np.count_nonzero(picks[0]) < ts.size
-        np.testing.assert_array_equal(solve(ts, *data)[0], picks[1].nonzero()[0])
+        np.testing.assert_array_equal(norms._stationary_splits(ts, data)[0], picks[1].nonzero()[0])
+
+
+@pytest.mark.parametrize("case", ["fixed ends", "moved ends", "scaled column"])
+def test_k_prepared_end_sums_are_the_path_at_its_ends(case):
+    # the preparation places the path's ends, c = 1e-30 and 1e30 while rho
+    # lies in [1e-20, 1e20] and [min(1e-30, 1e-10/rho_max),
+    # max(1e30, 1e10/rho_min)] clipped to [1e-300, 1e300] where it does
+    # not, and sums the path there once; the stored sums are a fresh
+    # evaluation at those ends, bit for bit, on nu's column scaled by
+    # 4^-e_nu too (Dirichlet h = 10 at theta (-50, 0))
+    op, x, theta0, theta1 = {
+        "fixed ends": (build_dirichlet_laplacian_1d(64, 1.0), 0, 0.0, 1.0),
+        "moved ends": (build_nonnormal_sectorial([1e-3, 1.0, 1e3], 1.0, 0), None, 0.0, 30.0),
+        "scaled column": (build_dirichlet_laplacian_1d(8, 10.0), 1, -50.0, 0.0)}[case]
+    x = op.synthesize([1.0, 0.0, 0.0]) if x is None else op.random_vector(np.random.default_rng(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = _k_split_data(*_diagonal_data(op, x), theta0, theta1)
+    rho_min, rho_max = data.rho_min, data.rho_min + float(data.drho.max())
+    moved = not (1e-20 <= rho_min and rho_max <= 1e20)
+    assert (moved, data.e_nu != 0) == {"fixed ends": (False, False), "moved ends": (True, False),
+                                       "scaled column": (True, True)}[case]
+    c_ends = norms._C_ENDS
+    if moved:
+        c_ends = (max(min(1e-30, 1e-10 / rho_max), 1e-300), min(max(1e30, 1e10 / rho_min), 1e300))
+    np.testing.assert_allclose(data.ln_ends, np.log(c_ends), rtol=1e-15, atol=0)
+    with np.errstate(over="ignore", invalid="ignore"):   # as the K-functional's callers
+        fresh = norms._split_path(c_ends, rho_min, data.drho, data.sq)[0]
+    assert [v.hex() for v in data.ends.ravel().tolist()] == \
+        [v.hex() for v in fresh.ravel().tolist()]
+    assert np.all(data.ends > 0)
+
+
+def test_k_functional_scalar_curve_evaluates_its_ends_once(monkeypatch):
+    # the ends are summed when the vector is prepared: 40 scalar calls on
+    # one x evaluate the path there once, and a t without a root not at all
+    monkeypatch.setattr(norms, "_k_memo", None)
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    x = op.random_vector(np.random.default_rng(3))
+    log = _k_root_recorder(monkeypatch)
+    for t in KCURVE_T:
+        k_functional(op, x, t, 0.0, 1.0)
+    assert len(log["solves"]) == KCURVE_T.size
+    assert log["paths"] - sum(log["newton"]) == 1
+    rootless = [newton for (_, (idx, _, _, _)), newton in zip(log["solves"], log["newton"])
+                if not idx.size]
+    assert len(rootless) > 0 and not any(rootless)
 
 
 @pytest.mark.parametrize("theta0, theta1, t, paths, k", [
@@ -623,6 +663,18 @@ def test_k_root_scaled_path_sums_do_not_underflow(monkeypatch):
     k = k_functional(op, x, 1e-10, 5.0, -20.0)
     assert k.hex() == "0x1.b79e70704cab3p-241"
     assert log == {"paths": 1, "zero": 0}
+
+
+def test_k_root_refuses_a_split_path_sum_that_underflows_to_0():
+    # Dirichlet h = 10 (lam in [1.2e-3, 3.9e-2]) at theta = (20, -20): rho =
+    # lam^80 spans 3e-234..1e-113, and (v a rho)^2 = a^2 lam^120 underflows
+    # to 0 at rho_min, so where the root solve moves c far out and every
+    # other weight underflows too, a sum reads exactly 0.  That raised
+    # ZeroDivisionError; it is a NormsError
+    op = build_dirichlet_laplacian_1d(8, 10.0)
+    x = op.random_vector(np.random.default_rng(0))
+    with pytest.raises(NormsError, match="a sum underflows to 0 at ln c = 552.6"):
+        k_functional(op, x, 1e-120, 20.0, -20.0)
 
 
 def test_k_functional_far_apart_exponents_give_the_boundary_split():
@@ -868,13 +920,16 @@ def test_k_root_brackets_close_under_the_cap(monkeypatch, theta0, theta1):
         op = build_dirichlet_laplacian_1d(n, 1.0)
         x = op.random_vector(np.random.default_rng(n))
         x /= lp_norm(x, 2, op.measure)
-        for t in ts:
+        for i, t in enumerate(ts):
             log = _k_root_recorder(monkeypatch)
             k_functional(op, x, t, theta0, theta1)
             (_, (idx, bracket, c, _)), = log["solves"]
+            newton, = log["newton"]
             monkeypatch.undo()
-            assert log["paths"] - 1 <= 12 < norms.K_ROOT_ITERS
-            assert idx.size or log["paths"] == 1
+            assert newton <= 12 < norms.K_ROOT_ITERS
+            assert idx.size or newton == 0
+            # the ends are evaluated once, by the first t's preparation
+            assert log["paths"] == newton + (i == 0)
             width = bracket[1] - bracket[0]
             assert np.all((0 <= width) & (width <= norms.K_ROOT_WIDTH))
             assert np.all((np.exp(bracket[0]) <= c) & (c <= np.exp(bracket[1])))
