@@ -23,6 +23,14 @@ Every quadrature over the spectrum (these contour weights, the dilation
 tables and integrals of the norms, the resolvent scan) is one walk over
 node blocks (node_blocks, node_sums) that holds no (node x eigenvalue) table.
 
+On the diagonal form the contour integral is one weight per eigenvalue,
+which depends on the operator, the symbol and the contour but not on x.
+The weights of the last contour call are kept in one slot (one_slot), the
+slot that also holds the K-functional's data of the last vector: keyed on
+the operator and the symbol by identity, both held weakly, and the
+contour's four values, so calls on one (operator, symbol, contour) walk
+the nodes once, and a hit gives the bits of a miss.
+
 On an operator that is not injective every calculus call acts on the
 injective part: the kernel coefficients are dropped, which is composing
 with I - P (P = ModelOperator.kernel_component, the projection onto the
@@ -36,6 +44,7 @@ applied to A, which norms evaluates at Re log lambda.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +69,36 @@ def spectral_multiplier(op: ModelOperator, values, x) -> np.ndarray:
     """
     scaled = np.asarray(values, dtype=complex) * op.coefficients(x)
     return op.synthesize(scaled.T).T
+
+
+# (weak references to the owners, key, value) of the last one_slot call;
+# None before the first
+_slot = None
+
+
+def one_slot(owners, key, compute, *args):
+    """compute(*args), kept for the last call in one slot that every caller
+    shares (the K-functional's data, the contour weights).  The key is the
+    owners (an operator, a symbol), by identity through weak references, so
+    the slot keeps none alive, and key by equality, whose first entry names
+    the caller.  A hit returns the same value; its arrays (the value, or the
+    fields of a tuple) are made read-only when it is stored.  An error in
+    compute leaves the slot as it was.  The slot is replaced by one
+    assignment, so threads that share it at worst recompute."""
+    global _slot
+    slot = _slot
+    if slot is not None and slot[1] == key:
+        for ref, owner in zip(slot[0], owners):
+            if ref() is not owner:
+                break
+        else:
+            return slot[2]
+    value = compute(*args)
+    for field in value if isinstance(value, tuple) else (value,):
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    _slot = (tuple(map(weakref.ref, owners)), key, value)
+    return value
 
 
 def apply_spectral(op: ModelOperator, f: Symbol, x) -> np.ndarray:
@@ -142,7 +181,7 @@ def default_contour_spec(op: ModelOperator, f: Symbol, tail_tol: float = DEFAULT
         raise CalculusError(f"symbol {f.name} carries no decay certificate")
     sigma = max(2.0 * op.sector_angle_hint, DEFAULT_SIGMA_FLOOR)
     sigma = min(sigma, np.pi / 2 * 0.98)
-    if f.decay.sigma_max > 0 and sigma > f.decay.sigma_max:
+    if sigma > f.decay.sigma_max:            # sigma_max = 0 certifies no ray
         sigma = 0.5 * (op.sector_angle_hint + f.decay.sigma_max)
         if sigma <= op.sector_angle_hint:
             raise CalculusError("certificate angle does not clear the operator sector")
@@ -150,14 +189,18 @@ def default_contour_spec(op: ModelOperator, f: Symbol, tail_tol: float = DEFAULT
     c, e0, ei = f.decay.C, f.decay.eps0, f.decay.eps_inf
     lam_min, lam_max = op.lambda_min_positive, op.lambda_max
     # invert the tail bounds from the module docstring, with 10% headroom
-    tail_tol = 0.9 * tail_tol
+    tol = 0.9 * tail_tol
     if np.isfinite(e0):
-        r_min = (tail_tol * np.pi * lam_min * (1 + e0) / (4 * kappa * c)) ** (1 / (1 + e0))
+        r_min = (tol * np.pi * lam_min * (1 + e0) / (4 * kappa * c)) ** (1 / (1 + e0))
         r_min = min(r_min, lam_min / 2**10)
     else:
         r_min = lam_min / 2**10
     if np.isfinite(ei):
-        r_max = (4 * kappa * c / (np.pi * ei * tail_tol)) ** (1 / ei)
+        try:
+            r_max = (4 * kappa * c / (np.pi * ei * tol)) ** (1 / ei)
+        except OverflowError:
+            raise CalculusError(f"symbol {f.name}: the outer radius for eps_inf={ei:.6g} and "
+                                f"tail_tol={tail_tol:.6g} leaves the float range") from None
         r_max = max(r_max, lam_max * 2**10)
     else:
         r_max = lam_max * 2**10
@@ -194,12 +237,41 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
                   tail_tol: float = DEFAULT_TAIL_TOL):
     """f(A)x by trapezoid quadrature of the two-ray sector contour.
 
-    Requires a sector-analytic symbol with a decay certificate; the
-    truncation tail estimate is attached to the result metadata and must
-    stay below ``tail_tol``.  Returns (y, tail_bound).
+    Requires a sector-analytic symbol with a decay certificate valid on the
+    contour's rays (sigma_max >= sigma; a certificate on the real axis only,
+    sigma_max = 0, admits no ray); the truncation tail estimate is attached
+    to the result metadata and must stay below ``tail_tol``.  Returns
+    (y, tail_bound).
 
-    The weights are node sums (node_sums) on the nonzero eigenvalues; the
-    kernel's weight is 0, so its coefficients drop as in apply_spectral.
+    The quadrature reduces to one weight per eigenvalue (_contour_weights),
+    which depends on the operator, the symbol and the contour but not on x.
+    The weights of the last call are kept in the one slot that also holds
+    the K-functional's data (one_slot), keyed on the operator and the symbol
+    (by identity, held weakly) and the spec's sigma, r_min, r_max and
+    nodes_per_decade; a hit applies them with one spectral_multiplier call
+    and gives the bits of a miss.  The checks above and the tail bound run
+    on every call, and a call that raises leaves the slot as it was.
+    """
+    if f.sector_evaluate is None:
+        raise CalculusError(f"symbol {f.name} has no sector-analytic evaluation")
+    if spec is None:
+        spec = default_contour_spec(op, f, tail_tol)
+    if spec.sigma <= op.sector_angle_hint:
+        raise CalculusError("contour angle lies inside the spectral sector")
+    if f.decay is not None and not f.decay.sigma_max >= spec.sigma:
+        raise CalculusError("contour angle exceeds the symbol's certified sector")
+    tail = contour_tail_bound(op, f, spec)
+    if tail > tail_tol:
+        raise CalculusError(f"certified contour tail {tail:.2e} above tolerance {tail_tol:.2e}")
+    key = ("contour", spec.sigma, spec.r_min, spec.r_max, spec.nodes_per_decade)
+    weights = one_slot((op, f), key, _contour_weights, op, f, spec)
+    return spectral_multiplier(op, weights, x), tail
+
+
+def _contour_weights(op: ModelOperator, f: Symbol, spec: ContourSpec) -> np.ndarray:
+    """The contour quadrature's weight of every eigenvalue, over 2 pi i: node
+    sums (node_sums) on the nonzero eigenvalues; the kernel's weight is 0, so
+    its coefficients drop as in apply_spectral.
 
     Every node must keep RESOLVENT_MARGIN * lambda_max away from the
     spectrum (check_resolvent_gap).  Per ray a geometric certificate comes
@@ -209,17 +281,6 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
     the nodes included, and the O(nodes x K) scan is skipped.  Otherwise
     the scan runs and raises as it always has.
     """
-    if f.sector_evaluate is None:
-        raise CalculusError(f"symbol {f.name} has no sector-analytic evaluation")
-    if spec is None:
-        spec = default_contour_spec(op, f, tail_tol)
-    if spec.sigma <= op.sector_angle_hint:
-        raise CalculusError("contour angle lies inside the spectral sector")
-    if f.decay is not None and 0 < f.decay.sigma_max < spec.sigma:
-        raise CalculusError("contour angle exceeds the symbol's certified sector")
-    tail = contour_tail_bound(op, f, spec)
-    if tail > tail_tol:
-        raise CalculusError(f"certified contour tail {tail:.2e} above tolerance {tail_tol:.2e}")
     # on the diagonal form the quadrature sum of f(z_j) z_j du_j (z_j - A)^-1
     # is one scalar weight per eigenvalue; counterclockwise means in along
     # the upper ray and out along the lower, the lower-minus-upper sum below
@@ -235,7 +296,7 @@ def apply_contour(op: ModelOperator, f: Symbol, x, spec: ContourSpec | None = No
             check_resolvent_gap(op, z[live])
         weights[op.nonzero] -= sign * node_sums((du * fv * z)[live], z[live], lam[op.nonzero],
                                                 lambda z, mu: 1.0 / (z - mu))
-    return spectral_multiplier(op, weights / (2j * np.pi), x), tail
+    return weights / (2j * np.pi)
 
 
 def fractional_power_apply(op: ModelOperator, theta: float, x) -> np.ndarray:

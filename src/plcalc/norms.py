@@ -83,13 +83,12 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import log_trapezoid, node_blocks, node_sums, spectral_multiplier
+from .calculus import log_trapezoid, node_blocks, node_sums, one_slot, spectral_multiplier
 from .measure import lp_norm, nonfinite_note
 from .operators import ModelOperator, SpecReader, array_size, exponent, finite, non_negative
 from .partitions import (EQUIDISTANT, EVEN_BISECTORIAL, INHOMOGENEOUS, PartitionOfUnity,
@@ -580,13 +579,14 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
 
     The vector's data, with the path's two ends and its sums there, are
     formed once (_k_split_data), then K at every t (_k_at,
-    _stationary_splits).  The data of the last vector are kept in a
-    one-slot memo (_k_prepared), keyed on the operator (by identity, held
-    weakly), x's dtype, shape and bytes, and the thetas, so a K-curve of
-    scalar calls on one x transforms it and evaluates its ends once, a t
-    without a root evaluates no path, and each call gives the bits it gives
-    on an empty memo.  One call with the curve's whole t-array is still
-    about 6-7x cheaper: it closes all roots together.
+    _stationary_splits).  The data of the last vector are kept in the
+    one-slot memo that the contour weights share (_k_prepared, one_slot),
+    keyed on the operator (by identity, held weakly), x's dtype, shape and
+    bytes, and the thetas, so a K-curve of scalar calls on one x transforms
+    it and evaluates its ends once, a t without a root evaluates no path,
+    and each call gives the bits it gives on an empty memo.  One call with
+    the curve's whole t-array is still about 6-7x cheaper: it closes all
+    roots together.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim == 0:                       # a number: checked as a Python float
@@ -615,36 +615,29 @@ def k_functional(op: ModelOperator, x, t, theta0: float, theta1: float):
 
 _KSplitData = namedtuple("_KSplitData", "e rho_min drho sq n0 n1 e_nu ln_ends ends")
 
-# (weak reference to the operator, key of x and the thetas, _KSplitData) of
-# the last vector _k_prepared was asked about; None before the first
-_k_memo = None
-
 
 def _k_prepared(op: ModelOperator, x, theta0: float, theta1: float) -> _KSplitData:
     """The K-functional's data of x (_diagonal_data, _k_split_data), kept
-    for one vector in a one-slot memo.  The key is the operator, by identity
-    through a weak reference (the memo keeps no operator alive), x's dtype,
-    shape and bytes (an x edited in place misses) and the thetas; a hit
-    returns the same read-only arrays.  A miss refuses an x that is not one
-    finite vector of the operator's length, and an error leaves the memo as
-    it was.  The slot is replaced by one assignment, so threads that share
-    it at worst recompute."""
-    global _k_memo
+    for one vector in the one-slot memo (one_slot).  The key is the
+    operator, by identity through a weak reference (the memo keeps no
+    operator alive), x's dtype, shape and bytes (an x edited in place
+    misses) and the thetas; a hit returns the same read-only arrays.  A miss
+    refuses an x that is not one finite vector of the operator's length, and
+    an error leaves the memo as it was."""
     x = np.asarray(x)
     if x.dtype.hasobject:                  # keyed on its values, not on object pointers
         x = x.astype(complex)
-    key = (x.dtype, x.shape, x.tobytes(), theta0, theta1)
-    memo = _k_memo
-    if memo is not None and memo[0]() is op and memo[1] == key:
-        return memo[2]
+    return one_slot((op,), ("k", x.dtype, x.shape, x.tobytes(), theta0, theta1),
+                    _k_vector_data, op, x, theta0, theta1)
+
+
+def _k_vector_data(op: ModelOperator, x: np.ndarray, theta0: float, theta1: float) -> _KSplitData:
+    """_k_split_data of x, which must be one finite vector of the operator's length."""
     if x.shape != (op.n,):
         raise NormsError(f"K-functional needs one vector of {op.n} points, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NormsError("K-functional needs a finite vector" + nonfinite_note(x, "entries"))
-    data = _k_split_data(*_diagonal_data(op, x), theta0, theta1)
-    data.drho.flags.writeable = data.sq.flags.writeable = data.ends.flags.writeable = False
-    _k_memo = (weakref.ref(op), key, data)
-    return data
+    return _k_split_data(*_diagonal_data(op, x), theta0, theta1)
 
 
 def _k_split_data(lam, a, theta0: float, theta1: float) -> _KSplitData:

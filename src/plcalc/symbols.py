@@ -74,9 +74,12 @@ class DecayCertificate:
         return self.C if self.c_real is None else self.c_real
 
 
-@dataclass
+@dataclass(frozen=True)
 class Symbol:
-    """Scalar multiplier with optional sector evaluation and decay metadata."""
+    """Scalar multiplier with optional sector evaluation and decay metadata.
+
+    Frozen, so that the contour weights kept for a symbol by identity
+    (calculus.apply_contour) cannot go stale."""
 
     evaluate: Callable
     name: str = "symbol"

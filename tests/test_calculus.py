@@ -1,8 +1,13 @@
 """Spectral and contour routes of the functional calculus."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from plcalc import calculus
 from plcalc.calculus import (
     CalculusError,
     ContourSpec,
@@ -27,7 +32,7 @@ from plcalc.operators import (
 )
 from plcalc.norms import QuadratureSpec
 from plcalc.partitions import build_homogeneous_dyadic, tilde
-from plcalc.symbols import Symbol, make_symbol, window_symbol
+from plcalc.symbols import DecayCertificate, Symbol, make_symbol, window_symbol
 
 
 def diagonal_operator(eigs):
@@ -137,6 +142,30 @@ def test_contour_vs_spectral_dual_path(seed):
     y, _ = apply_contour(op, psi, x)
     z = apply_spectral(op, psi, x)
     assert np.linalg.norm(y - z) <= 1e-8 * np.linalg.norm(z)
+
+
+def test_contour_refuses_a_certificate_on_the_real_axis_only():
+    # sigma_max = 0 certifies (0, inf) only: its constant bounds no ray, so
+    # neither the default contour nor a given one is admitted
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    rho = make_symbol("rho")
+    real_axis = Symbol(rho.evaluate, "rho on the real axis", sector_evaluate=rho.sector_evaluate,
+                       decay=DecayCertificate(1.0, 1.0, rho.decay.c_real, 0.0))
+    with pytest.raises(CalculusError, match="does not clear the operator sector"):
+        default_contour_spec(op, real_axis)
+    with pytest.raises(CalculusError, match="does not clear the operator sector"):
+        apply_contour(op, real_axis, np.ones(16))
+    with pytest.raises(CalculusError, match="exceeds the symbol's certified sector"):
+        apply_contour(op, real_axis, np.ones(16), default_contour_spec(op, rho))
+
+
+def test_default_contour_spec_refuses_an_outer_radius_out_of_range():
+    # eps_inf = 0.01: (4 kappa C / (pi eps_inf tail_tol))^100 leaves the float range
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    f = make_symbol("res_frac", a=0.5, b=0.51)
+    for call in (lambda: default_contour_spec(op, f), lambda: apply_contour(op, f, np.ones(16))):
+        with pytest.raises(CalculusError, match=r"res_frac: .* eps_inf=0\.01 and tail_tol=1e-09"):
+            call()
 
 
 def test_contour_requires_certificate_and_valid_angle():
@@ -336,8 +365,6 @@ def _certificate_operators():
 def test_contour_gap_certificate_keeps_every_bit_and_skips_the_scan(monkeypatch, name):
     # where every eigenvalue keeps clear of both rays the node-by-eigenvalue
     # scan cannot fire, so it does not run, and nothing else moves
-    from plcalc import calculus
-
     op = _certificate_operators()[name]
     x = op.random_vector(np.random.default_rng(5))
     calls = []
@@ -347,9 +374,11 @@ def test_contour_gap_certificate_keeps_every_bit_and_skips_the_scan(monkeypatch,
     symbols = [make_symbol("rho"), make_symbol("psi_exp", a=2.0, b=1.0)]
     certified = [apply_contour(op, f, x) for f in symbols]
     assert calls == []
-    # the certificate forced off: every ray runs the scan
+    # the certificate forced off: every ray runs the scan (on an emptied
+    # memo, which would otherwise hand out the weights without a walk)
     monkeypatch.setattr(calculus, "_ray_distance", lambda lam, *args: np.zeros(np.shape(lam)))
     for f, (y, tail) in zip(symbols, certified):
+        monkeypatch.setattr(calculus, "_slot", None)
         y_scan, tail_scan = apply_contour(op, f, x)
         assert y.tobytes() == y_scan.tobytes() and tail == tail_scan
     assert len(calls) == 2 * len(symbols)
@@ -371,15 +400,14 @@ def test_contour_node_on_the_kernel_still_raises():
 def test_contour_does_not_depend_on_the_blocking(monkeypatch, name):
     # the contour weights are node sums over blocks of BLOCK_POINTS grid
     # points; any block size gives the same f(A)x to round-off, and 10^7
-    # holds the whole grid in one block
-    from plcalc import calculus
-
+    # holds the whole grid in one block (each on an emptied memo)
     op = _certificate_operators()[name]
     x = op.random_vector(np.random.default_rng(5))
     for f in (make_symbol("rho"), make_symbol("psi_exp", a=2.0, b=1.0)):
         results = []
         for block in (1, 64, 1000, 10**7):
             monkeypatch.setattr(calculus, "BLOCK_POINTS", block)
+            monkeypatch.setattr(calculus, "_slot", None)
             results.append(apply_contour(op, f, x))
         y_whole, tail_whole = results[-1]
         for y, tail in results:
@@ -404,11 +432,12 @@ def _traced_peak(call) -> int:
             tracemalloc.stop()
 
 
-def test_no_spectral_quadrature_holds_a_node_by_eigenvalue_table():
+def test_no_spectral_quadrature_holds_a_node_by_eigenvalue_table(monkeypatch):
     # a (node x eigenvalue) complex table is 919 x 128 x 16 bytes (1.9 MB) per
     # ray for rho on the 128-point Schroedinger operator and 1136 x 600 x 16
     # bytes (10.9 MB) per angle for the scan of the 600-point Dirichlet
-    # operator; node blocks stay below 1 MB
+    # operator; node blocks stay below 1 MB.  The memo is emptied before each
+    # measured call, so that the contour walks its nodes again
     from plcalc.experiments import resolvent_scan
 
     ops = _certificate_operators()
@@ -419,4 +448,137 @@ def test_no_spectral_quadrature_holds_a_node_by_eigenvalue_table():
              "resolvent scan": lambda: resolvent_scan(dirichlet, [0.3, 0.6])}
     for name, call in calls.items():
         call()   # warm-up: lazy operator fields and first-call caches
+        monkeypatch.setattr(calculus, "_slot", None)
         assert _traced_peak(call) < 1_000_000, name
+
+
+def _contour_walks(monkeypatch):
+    """Empty the memo, and count node_sums and check_resolvent_gap calls
+    from here on."""
+    counts = {"node_sums": 0, "scan": 0}
+    sums, scan = calculus.node_sums, calculus.check_resolvent_gap
+
+    def counting_sums(*args):
+        counts["node_sums"] += 1
+        return sums(*args)
+
+    def counting_scan(*args):
+        counts["scan"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(calculus, "_slot", None)
+    monkeypatch.setattr(calculus, "node_sums", counting_sums)
+    monkeypatch.setattr(calculus, "check_resolvent_gap", counting_scan)
+    return counts
+
+
+def _contour_hex(y, tail):
+    return [v.hex() for v in np.concatenate([y.real, y.imag]).tolist()] + [float(tail).hex()]
+
+
+@pytest.mark.parametrize("name", ["nonnormal", "schrodinger", "graph"])
+def test_contour_memo_hit_keeps_every_bit(monkeypatch, name):
+    # the weights depend on the operator, the symbol and the contour, not on
+    # x: a second vector reads them from the memo and gets the bits of a
+    # call on an emptied memo
+    op = _certificate_operators()[name]
+    rng = np.random.default_rng(6)
+    first, second = op.random_vector(rng), op.random_vector(rng)
+    for f in (make_symbol("rho"), make_symbol("psi_exp", a=2.0, b=1.0)):
+        counts = _contour_walks(monkeypatch)
+        apply_contour(op, f, first)
+        hit = apply_contour(op, f, second)
+        assert counts["node_sums"] == 2            # both rays of the first call
+        monkeypatch.setattr(calculus, "_slot", None)
+        assert _contour_hex(*hit) == _contour_hex(*apply_contour(op, f, second))
+        assert counts["node_sums"] == 4
+        # the weights a hit hands out refuse writes
+        with pytest.raises(ValueError):
+            calculus._slot[2][0] = 1.0
+
+
+def test_contour_memo_recomputes_for_another_key(monkeypatch):
+    # the key is the operator and the symbol, by identity, and the contour's
+    # four values: a symbol made again, another nodes_per_decade or sigma,
+    # an equal operator built again and a tail_tol that moves the default
+    # contour each miss, and give the bits of a call on an emptied memo
+    op = _certificate_operators()["schrodinger"]
+    x = op.random_vector(np.random.default_rng(5))
+    rho = make_symbol("rho")
+    spec = default_contour_spec(op, rho)
+    counts = _contour_walks(monkeypatch)
+    apply_contour(op, rho, x)
+    # the default contour given, and a tail_tol that keeps it, hit
+    apply_contour(op, rho, x, spec)
+    apply_contour(op, rho, x, spec, tail_tol=1e-8)
+    assert counts["node_sums"] == 2
+    entry = calculus._slot
+    assert default_contour_spec(op, rho, 1e-11) != spec
+    for args, tail_tol in [((op, make_symbol("rho"), x, spec), 1e-9),
+                           ((op, rho, x, dataclasses.replace(spec, nodes_per_decade=80)), 1e-9),
+                           ((op, rho, x, dataclasses.replace(spec, sigma=0.2)), 1e-9),
+                           ((_certificate_operators()["schrodinger"], rho, x, spec), 1e-9),
+                           ((op, rho, x), 1e-11)]:
+        monkeypatch.setattr(calculus, "_slot", entry)
+        before = counts["node_sums"]
+        y, tail = apply_contour(*args, tail_tol=tail_tol)
+        assert counts["node_sums"] == before + 2
+        monkeypatch.setattr(calculus, "_slot", None)
+        assert _contour_hex(y, tail) == _contour_hex(*apply_contour(*args, tail_tol=tail_tol))
+    # a symbol is frozen, so a key held by identity cannot go stale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.decay = None
+
+
+def test_contour_memo_hit_skips_the_walk_but_not_the_tail_check(monkeypatch):
+    # with the gap certificate forced off a miss scans both rays; a hit runs
+    # neither the scan nor a node sum, but still bounds the tail, and a tail
+    # above tolerance raises
+    op = _certificate_operators()["graph"]
+    rho = make_symbol("rho")
+    spec = default_contour_spec(op, rho)
+    rng = np.random.default_rng(5)
+    counts = _contour_walks(monkeypatch)
+    monkeypatch.setattr(calculus, "_ray_distance", lambda lam, *args: np.zeros(np.shape(lam)))
+    _, tail = apply_contour(op, rho, op.random_vector(rng), spec)
+    assert counts == {"node_sums": 2, "scan": 2}
+    entry = calculus._slot
+    assert apply_contour(op, rho, op.random_vector(rng), spec, tail_tol=2 * tail)[1] == tail
+    assert counts == {"node_sums": 2, "scan": 2}
+    with pytest.raises(CalculusError, match="above tolerance"):
+        apply_contour(op, rho, op.random_vector(rng), spec, tail_tol=tail / 2)
+    assert calculus._slot is entry
+
+
+def test_contour_memo_is_unchanged_by_a_refused_call(monkeypatch):
+    # refusals before the walk (angle, certificate, tail) and in it (a node
+    # on the kernel eigenvalue 0) leave the slot as it was
+    from plcalc.operators import RESOLVENT_MARGIN, OperatorError
+
+    op = _certificate_operators()["graph"]
+    rho = make_symbol("rho")
+    x = np.ones(op.n)
+    _contour_walks(monkeypatch)
+    apply_contour(op, rho, x)
+    entry = calculus._slot
+    spec = default_contour_spec(op, rho)
+    near_kernel = ContourSpec(sigma=0.3, r_min=0.5 * RESOLVENT_MARGIN * op.lambda_max,
+                              r_max=1e12 * op.lambda_max)
+    for spec_, tail_tol, error in [(near_kernel, 1e-9, OperatorError),
+                                   (spec, 1e-12, CalculusError),
+                                   (dataclasses.replace(spec, sigma=3.0), 1e-9, CalculusError)]:
+        with pytest.raises(error):
+            apply_contour(op, rho, x, spec_, tail_tol=tail_tol)
+        assert calculus._slot is entry
+
+
+def test_contour_memo_keeps_no_operator_or_symbol_alive(monkeypatch):
+    monkeypatch.setattr(calculus, "_slot", None)
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    f = make_symbol("rho")
+    apply_contour(op, f, np.ones(16))
+    assert calculus._slot is not None
+    refs = weakref.ref(op), weakref.ref(f)
+    del op, f
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

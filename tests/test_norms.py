@@ -604,7 +604,7 @@ def test_k_prepared_end_sums_are_the_path_at_its_ends(case):
 def test_k_functional_scalar_curve_evaluates_its_ends_once(monkeypatch):
     # the ends are summed when the vector is prepared: 40 scalar calls on
     # one x evaluate the path there once, and a t without a root not at all
-    monkeypatch.setattr(norms, "_k_memo", None)
+    monkeypatch.setattr(calculus, "_slot", None)
     op = build_dirichlet_laplacian_1d(64, 1.0)
     x = op.random_vector(np.random.default_rng(3))
     log = _k_root_recorder(monkeypatch)
@@ -774,7 +774,7 @@ def _k_memo_counter(monkeypatch):
         counts["split"] += 1
         return split(*args)
 
-    monkeypatch.setattr(norms, "_k_memo", None)
+    monkeypatch.setattr(calculus, "_slot", None)
     monkeypatch.setattr(ModelOperator, "coefficients", counting_coefficients)
     monkeypatch.setattr(norms, "_k_split_data", counting_split)
     return counts
@@ -788,7 +788,7 @@ def test_k_functional_memo_transforms_a_scalar_curve_once(monkeypatch):
         k_functional(op, x, t, 0.0, 1.0)
     assert counts == {"coefficients": 1, "split": 1}
     # a hit hands out the same arrays, read-only: an edit fails loudly
-    data = norms._k_memo[2]
+    data = calculus._slot[2]
     with pytest.raises(ValueError):
         data.sq[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -802,7 +802,7 @@ def test_k_functional_memo_keeps_every_bit(monkeypatch):
     prepared = norms._k_prepared
 
     def emptied_first(*args):
-        norms._k_memo = None
+        calculus._slot = None
         return prepared(*args)
 
     for seed, (theta0, theta1) in enumerate([(0.0, 1.0), (-0.5, 1.5), (0.0, 0.5)]):
@@ -833,7 +833,7 @@ def test_k_functional_memo_recomputes_for_another_key(monkeypatch):
 
     def fresh(*args):
         with monkeypatch.context() as m:
-            m.setattr(norms, "_k_memo", None)
+            m.setattr(calculus, "_slot", None)
             return k_functional(*args)
 
     k_functional(op, x, 0.5, 0.0, 1.0)
@@ -854,11 +854,11 @@ def test_k_functional_memo_recomputes_for_another_key(monkeypatch):
 
 
 def test_k_functional_memo_keeps_no_operator_alive(monkeypatch):
-    monkeypatch.setattr(norms, "_k_memo", None)
+    monkeypatch.setattr(calculus, "_slot", None)
     op = build_dirichlet_laplacian_1d(16, 1.0)
     x = op.random_vector(np.random.default_rng(0))
     k_functional(op, x, 0.5, 0.0, 1.0)
-    assert norms._k_memo is not None
+    assert calculus._slot is not None
     ref = weakref.ref(op)
     del op
     gc.collect()
@@ -870,14 +870,14 @@ def test_k_functional_memo_is_unchanged_by_a_refused_call(monkeypatch):
     x = op.random_vector(np.random.default_rng(0))
     counts = _k_memo_counter(monkeypatch)
     k_functional(op, x, 0.5, 0.0, 1.0)
-    entry = norms._k_memo
+    entry = calculus._slot
     for bad, theta1 in [(np.where(np.arange(8) == 1, np.nan, x), 1.0),
                         (np.stack([x, x], axis=1), 1.0), (x[:7], 1.0), (x, 400.0)]:
         with pytest.raises(NormsError):
             k_functional(op, bad, 0.5, 0.0, theta1)
         with pytest.raises(NormsError):
             real_interpolation_norm(op, bad, 0.5, 2, 0.0, theta1)
-        assert norms._k_memo is entry
+        assert calculus._slot is entry
     # the first call, then theta1 = 400 twice, which _k_split_data refuses;
     # x itself still hits
     k_functional(op, x, 2.0, 0.0, 1.0)
